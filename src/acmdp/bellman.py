@@ -2,7 +2,15 @@
 
 compile_system turns a scenario into sparse per-action transition matrices
 and immediate-reward vectors; both solvers and the decision-value code work
-from this shared representation.
+from this shared representation.  The build is factored and vectorized:
+each P^a is the Kronecker product of the 2x2 emergency matrix with a
+(granted set, request) matrix made by bitmask arithmetic
+(dynamics.transition_matrices), and q^a has a closed form
+(rewards.expected_rewards), so no Python loop runs per state.
+
+The dense LP grows as the square of the state count; build_bellman_lp
+refuses a model whose constraint matrix or simplex tableau would exceed
+LP_MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -12,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .dynamics import successors
-from .rewards import Scenario, reward_transition
+from .dynamics import transition_matrices
+from .rewards import Scenario, expected_rewards
 from .simplex import LinearProgram
-from .states import ACTIONS, StateSpace
+from .states import ACTIONS, CapacityError, StateSpace
 
 VERIFY_TOL = 1e-9
 TIGHT_TOL = 1e-7
+LP_MAX_BYTES = 1 << 30  # largest dense LHS or simplex tableau build_bellman_lp allows
 
 
 @dataclass
@@ -38,36 +47,31 @@ class BellmanSystem:
 
 
 def compile_system(sc: Scenario) -> BellmanSystem:
-    space = StateSpace(sc.dims)
-    model = sc.transition_model()
-    n = len(space)
-    q = np.zeros((2, n))
-    mats = []
-    for act in ACTIONS:
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        for i, s in enumerate(space):
-            total = 0.0
-            for s2, p in successors(model, s, act):
-                j = space.state_index(s2)
-                rows.append(i)
-                cols.append(j)
-                data.append(p)
-                total += p * reward_transition(sc, s, act, s2)
-            q[int(act), i] = total
-        mats.append(sparse.csr_matrix((data, (rows, cols)), shape=(n, n)))
-    return BellmanSystem(sc, space, (mats[0], mats[1]), q)
+    """Transition matrices and immediate rewards of every action."""
+    q = np.stack([expected_rewards(sc, act) for act in ACTIONS])
+    return BellmanSystem(sc, StateSpace(sc.dims), transition_matrices(sc.transition_model()), q)
 
 
 def build_bellman_lp(system: BellmanSystem) -> LinearProgram:
     """One >= constraint per (state, action), objective min sum of values.
 
     Constraints are emitted state-major, action-minor (deny first) so solver
-    runs are reproducible.
+    runs are reproducible.  Raises CapacityError, before allocating, when the
+    LHS or the tableau simplex_solve would build exceeds LP_MAX_BYTES.
     """
     n = system.num_states
     beta = system.beta
+    # simplex_solve's tableau, larger than the 2n x n LHS: 2n + 1 rows and
+    # columns for x split in two, a surplus per row, an artificial per row
+    # with a nonnegative rhs and the rhs itself
+    artificial = int(np.count_nonzero(system.q >= 0))
+    needed = 8 * (2 * n + 1) * (4 * n + artificial + 1)
+    if needed > LP_MAX_BYTES:
+        raise CapacityError(
+            f"the dense LP of {n} states needs about {needed / 1e9:.1f} GB "
+            f"for its simplex tableau, over the {LP_MAX_BYTES / 1e9:.1f} GB limit; "
+            f"use --solver vi"
+        )
     lhs = np.zeros((2 * n, n))
     rhs = np.zeros(2 * n)
     for act in ACTIONS:

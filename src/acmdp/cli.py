@@ -20,16 +20,21 @@ from .states import Emergency, State
 from .value_iteration import ConvergenceError
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
+TOL_HELP = "solver tolerance (default: the solver's own, 1e-9 for lp, 1e-10 for vi)"
+
+
+def _add_scenario_args(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument("--scenario", type=Path, help="path to a scenario file")
     group.add_argument("--builtin", choices=BUILTIN_NAMES, help="built-in scenario name")
 
 
-def _load_scenario(args: argparse.Namespace) -> Scenario:
+def _load_scenario(args: argparse.Namespace) -> Scenario | None:
     if args.builtin:
         return builtin_scenario(args.builtin)
-    return parse_scenario(args.scenario.read_text(), source=str(args.scenario))
+    if args.scenario:
+        return parse_scenario(args.scenario.read_text(), source=str(args.scenario))
+    return None
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -128,7 +133,7 @@ def _parse_granted(text: str, loaded_users: tuple[str, ...], loaded_resources: t
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    loaded = import_values(args.values)
+    loaded = import_values(args.values, scenario=_load_scenario(args))
     if args.request == "eps":
         req_user = req_resource = "eps"
     else:
@@ -168,21 +173,20 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve a scenario and export the value table")
     _add_scenario_args(solve)
     solve.add_argument("--solver", choices=("lp", "vi"), default="lp")
-    solve.add_argument("--tol", type=float, default=1e-9)
+    solve.add_argument("--tol", type=float, help=TOL_HELP)
     solve.add_argument("--out", type=Path, help="value-table output path")
     solve.set_defaults(func=cmd_solve)
 
     decisions = sub.add_parser("decisions", help="print the decision-value grid")
     _add_scenario_args(decisions)
     decisions.add_argument("--solver", choices=("lp", "vi"), default="lp")
-    decisions.add_argument("--tol", type=float, default=1e-9)
+    decisions.add_argument("--tol", type=float, help=TOL_HELP)
     decisions.add_argument("--csv", type=Path, help="also write the grid as CSV")
     decisions.set_defaults(func=cmd_decisions)
 
     sweep = sub.add_parser("sweep", help="sweep the calm-to-alert probability")
     _add_scenario_args(sweep)
     sweep.add_argument("--solver", choices=("lp", "vi"), default="lp")
-    sweep.add_argument("--tol", type=float, default=1e-9)
     sweep.add_argument("--start", type=float, default=0.0)
     sweep.add_argument("--stop", type=float, default=1.0)
     sweep.add_argument("--step", type=float, default=0.01)
@@ -190,6 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     evaluate = sub.add_parser("eval", help="query a solved value table")
+    # with a scenario, a table whose fingerprint does not match is refused
+    _add_scenario_args(evaluate, required=False)
     evaluate.add_argument("--values", type=Path, required=True)
     evaluate.add_argument("--emergency", choices=("calm", "alert"), required=True)
     evaluate.add_argument(

@@ -10,12 +10,13 @@ pinned down by bisection.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .bellman import verify_solution
 from .dynamics import EmergencyMatrix, validate_stochastic
-from .policy import decision_values, solve_scenario
+from .policy import Solution, extract_policy, solve_scenario
 from .rewards import Scenario
 from .states import Access, Action, Emergency, State
 from .value_iteration import value_iterate
@@ -72,27 +73,30 @@ class SweepResult:
     crossovers: list[CrossoverResult]
 
 
-def _calm_empty_dv(sc: Scenario, solver: str) -> np.ndarray:
+def _calm_empty_dv(solution: Solution) -> np.ndarray:
     """Decision values of every access from (calm, no grants) as (2, n)."""
-    solution = solve_scenario(sc, solver=solver)
     space = solution.system.space
     idx = [
-        space.state_index(State(Emergency.CALM, 0, a)) for a in sc.dims.accesses()
+        space.state_index(State(Emergency.CALM, 0, a))
+        for a in solution.scenario.dims.accesses()
     ]
     return solution.dv[:, idx]
 
 
-def _dv_difference(sc: Scenario, access_pos: int, probability: float, solver: str) -> float:
-    dv = _calm_empty_dv(scenario_at_probability(sc, probability), solver)
+def _allow_minus_deny(dv: np.ndarray, access_pos: int) -> float:
     return float(dv[int(Action.ALLOW), access_pos] - dv[int(Action.DENY), access_pos])
 
 
 def _bisect(
-    sc: Scenario, access_pos: int, lo: float, hi: float, f_lo: float, solver: str
+    dv_at: Callable[[float], np.ndarray],
+    access_pos: int,
+    lo: float,
+    hi: float,
+    f_lo: float,
 ) -> tuple[float, tuple[float, float]]:
     while hi - lo > CROSSOVER_WIDTH:
         mid = 0.5 * (lo + hi)
-        f_mid = _dv_difference(sc, access_pos, mid, solver)
+        f_mid = _allow_minus_deny(dv_at(mid), access_pos)
         if f_mid == 0.0:
             return mid, (lo, hi)
         if (f_lo < 0) == (f_mid < 0):
@@ -103,24 +107,33 @@ def _bisect(
 
 
 def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
+    """Solve every grid point, then bisect each bracketed crossover.
+
+    Value iteration is warm-started from the previous solve: grid point to
+    grid point, then bisection step to bisection step.
+    """
     grid = spec.grid()
-    points = [
-        SweepPoint(p, _calm_empty_dv(scenario_at_probability(spec.scenario, p), solver))
-        for p in grid
-    ]
+    values = None
+
+    def dv_at(probability: float) -> np.ndarray:
+        nonlocal values
+        solution = solve_scenario(
+            scenario_at_probability(spec.scenario, probability), solver=solver, start=values
+        )
+        values = solution.values
+        return _calm_empty_dv(solution)
+
+    points = [SweepPoint(p, dv_at(p)) for p in grid]
     crossovers = []
     for pos, access in enumerate(spec.scenario.dims.accesses()):
-        diffs = [
-            float(pt.dv[int(Action.ALLOW), pos] - pt.dv[int(Action.DENY), pos])
-            for pt in points
-        ]
+        diffs = [_allow_minus_deny(pt.dv, pos) for pt in points]
         found = None
         for (p0, f0), (p1, f1) in zip(zip(grid, diffs), zip(grid[1:], diffs[1:])):
             if f0 == 0.0:
                 found = CrossoverResult(access, p0, (p0, p0), 0.0)
                 break
             if (f0 < 0) != (f1 < 0):
-                root, bracket = _bisect(spec.scenario, pos, p0, p1, f0, solver)
+                root, bracket = _bisect(dv_at, pos, p0, p1, f0)
                 found = CrossoverResult(access, root, bracket, bracket[1] - bracket[0])
                 break
         if found is None:
@@ -211,8 +224,7 @@ def self_check(
         )
     )
 
-    dv_vi = decision_values(system, vi_values)
-    vi_actions = np.where(dv_vi[1] > dv_vi[0] + 1e-9, 1, 0)
+    vi_actions = extract_policy(system, vi_values).actions
     confident = lp_solution.policy.gaps > gap_floor
     disagreements = int(
         np.sum((lp_solution.policy.actions != vi_actions) & confident)

@@ -77,12 +77,22 @@ class Solution:
     max_residual: float
 
 
-def solve_scenario(sc: Scenario, solver: str = "lp", tol: float = 1e-9) -> Solution:
-    """Solve a scenario with the LP or the value-iteration solver."""
+def solve_scenario(
+    sc: Scenario,
+    solver: str = "lp",
+    tol: float | None = None,
+    start: np.ndarray | None = None,
+) -> Solution:
+    """Solve a scenario with the LP or the value-iteration solver.
+
+    tol defaults to each solver's own tolerance.  start seeds value
+    iteration (see value_iterate); the LP does not use it.
+    """
     system = compile_system(sc)
+    tol_arg = {} if tol is None else {"tol": tol}
     if solver == "lp":
         lp = build_bellman_lp(system)
-        result = simplex_solve(lp, tol=tol)
+        result = simplex_solve(lp, **tol_arg)
         if result.status is not SimplexStatus.OPTIMAL:
             raise SolverError(
                 f"simplex returned {result.status.value} on a discounted Bellman LP; "
@@ -91,7 +101,7 @@ def solve_scenario(sc: Scenario, solver: str = "lp", tol: float = 1e-9) -> Solut
         values = result.values
         iterations = result.pivots
     elif solver == "vi":
-        values, iterations = value_iterate(system)
+        values, iterations = value_iterate(system, start=start, **tol_arg)
     else:
         raise ValueError(f"unknown solver {solver!r}; expected 'lp' or 'vi'")
     report = verify_solution(system, values)

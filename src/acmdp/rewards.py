@@ -12,7 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import EmergencyMatrix, RequestBehavior, TransitionModel, successors
+import numpy as np
+
+from .dynamics import (
+    EmergencyMatrix,
+    RequestBehavior,
+    TransitionModel,
+    next_access_sets,
+    set_request_rows,
+    successors,
+)
 from .states import (
     Action,
     Emergency,
@@ -110,6 +119,17 @@ def reward_emresource(sc: Scenario, e: Emergency, k: int) -> float:
     return total
 
 
+def alert_penalties(sc: Scenario) -> np.ndarray:
+    """reward_emresource(sc, ALERT, k) for every granted-set index k."""
+    d = sc.dims
+    k = np.arange(d.num_sets)
+    total = np.zeros(d.num_sets)
+    for r, penalty in enumerate(sc.rewards.reward_resource):
+        column = sum(1 << (u * d.num_resources + r) for u in range(d.num_users))
+        total += np.where(k & column, 0.0, penalty)
+    return total
+
+
 def reward_transition(sc: Scenario, s: State, act: Action, s2: State) -> float:
     """Reward of one transition, per the configured variant."""
     if sc.variant is RewardVariant.EPS_ZERO and s.request is None:
@@ -125,3 +145,23 @@ def immediate_reward(sc: Scenario, m: TransitionModel, s: State, act: Action) ->
     return sum(
         p * reward_transition(sc, s, act, s2) for s2, p in successors(m, s, act)
     )
+
+
+def expected_rewards(sc: Scenario, act: Action) -> np.ndarray:
+    """immediate_reward of one action from every state, in StateSpace order.
+
+    The reward of a transition depends on the next status e2 and granted set
+    k', not on the next request, so q[e, x] over the (granted set, request)
+    rows x is sum_e2 E[e, e2] * (gain(act, x) + penalty(e2, k'(x))).
+    """
+    d = sc.dims
+    _, r = set_request_rows(d)
+    gain = np.zeros(len(r))
+    if act is Action.ALLOW:
+        grants = [sc.rewards.reward_access[(a.user, a.resource)] for a in d.accesses()]
+        gain = np.array(grants + [0.0])[r]
+    penalty = np.stack((np.zeros(d.num_sets), alert_penalties(sc)))[:, next_access_sets(d, act)]
+    q = np.array(sc.emergency.rows, dtype=float) @ (gain + penalty)
+    if sc.variant is RewardVariant.EPS_ZERO:
+        q[:, r == d.num_access_bits] = 0.0
+    return q.ravel()

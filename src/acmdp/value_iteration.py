@@ -26,12 +26,22 @@ def value_iterate(
     system: BellmanSystem,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Iterate from zero until successive sweeps differ by less than tol.
+    """Iterate from start (default zero) until successive sweeps differ by less than tol.
 
-    Returns the value vector and the number of backups performed.
+    The backup is a beta-contraction, so any start converges to the same
+    fixed point; a start near it only saves sweeps.  Returns the value
+    vector and the number of backups performed.
     """
-    values = np.zeros(system.num_states)
+    if start is None:
+        values = np.zeros(system.num_states)
+    else:
+        values = np.asarray(start, dtype=float)
+        if values.shape != (system.num_states,):
+            raise ValueError(
+                f"start has shape {values.shape}, expected ({system.num_states},)"
+            )
     if system.beta == 0.0:
         # the backup ignores V entirely; one sweep is exact
         return bellman_backup(system, values), 1

@@ -45,6 +45,16 @@ class TestSolve:
             assert lf[:4] == rf[:4]
             assert float(lf[4]) == pytest.approx(float(rf[4]), abs=1e-6)
 
+    def test_vi_tolerance_is_honoured(self, capsys):
+        def vi_iterations(*tol):
+            code, out, _ = run(
+                capsys, "solve", "--builtin", "table2_all", "--solver", "vi", *tol
+            )
+            assert code == 0
+            return int(out.split("iterations:")[1].split()[0])
+
+        assert vi_iterations("--tol", "1e-3") < vi_iterations()
+
     def test_scenario_file_errors(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text(BAD_SCENARIO_FILE)
@@ -160,6 +170,17 @@ class TestEval:
         )
         assert code in (0, 1)
         assert "dv_deny" in out
+
+    def test_fingerprint_enforced_with_scenario(self, capsys, tmp_path):
+        path = tmp_path / "once.txt"
+        run(capsys, "solve", "--builtin", "table2_once", "--solver", "vi", "--out", str(path))
+        query = ("eval", "--values", str(path), "--emergency", "calm", "--request", "bob:high")
+        code, _, err = run(capsys, *query, "--builtin", "table2_all")
+        assert code == 2
+        assert "fingerprint does not match" in err
+        code, out, _ = run(capsys, *query, "--builtin", "table2_once")
+        assert code == 1
+        assert "decision: deny" in out
 
     def test_unknown_label_errors(self, capsys, table1_values):
         code, _, err = run(

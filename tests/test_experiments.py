@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import acmdp.experiments
 from acmdp import Action, builtin_scenario
 from acmdp.experiments import (
     SweepSpec,
@@ -74,6 +76,31 @@ class TestRunSweep:
         names = sweep_series_names(builtin_scenario("table2_unique"))
         assert names[0] == "dv_alice_low_deny"
         assert names[-1] == "dv_bob_high_allow"
+
+
+    def test_warm_start_matches_cold_sweep(self, monkeypatch):
+        spec = SweepSpec(builtin_scenario("table2_all"))
+        solve = acmdp.experiments.solve_scenario
+        warm_starts = []
+
+        def warm_solve(sc, solver, start):
+            warm_starts.append(start is not None)
+            return solve(sc, solver=solver, start=start)
+
+        monkeypatch.setattr(acmdp.experiments, "solve_scenario", warm_solve)
+        warm = run_sweep(spec, solver="vi")
+        # every solve but the first starts from the previous one's values
+        assert warm_starts[0] is False and all(warm_starts[1:])
+        monkeypatch.setattr(
+            acmdp.experiments,
+            "solve_scenario",
+            lambda sc, solver, start: solve(sc, solver=solver),
+        )
+        cold = run_sweep(spec, solver="vi")
+        assert [pt.probability for pt in warm.points] == [pt.probability for pt in cold.points]
+        gap = max(np.max(np.abs(w.dv - c.dv)) for w, c in zip(warm.points, cold.points))
+        assert gap <= 1e-8
+        assert warm.crossovers[BOB_HIGH_POS].bracket == cold.crossovers[BOB_HIGH_POS].bracket
 
 
 class TestQualitativeProperties:

@@ -83,3 +83,14 @@ class TestValueIterate:
     def test_nonconvergence_raises(self, table2_system):
         with pytest.raises(ConvergenceError):
             value_iterate(table2_system, max_iter=1)
+
+    def test_warm_start_reaches_same_fixed_point_sooner(self):
+        system = compile_system(builtin_scenario("table2_all"))
+        cold, cold_sweeps = value_iterate(system)
+        warm, warm_sweeps = value_iterate(system, start=cold + 1e-6)
+        assert warm_sweeps < cold_sweeps
+        assert np.max(np.abs(warm - cold)) <= 1e-8
+
+    def test_start_of_wrong_shape_raises(self, table2_system):
+        with pytest.raises(ValueError, match="shape"):
+            value_iterate(table2_system, start=np.zeros(3))
