@@ -9,6 +9,7 @@ from pathlib import Path
 from .config import BUILTIN_NAMES, ScenarioParseError, builtin_scenario, parse_scenario
 from .experiments import SweepSpec, run_sweep, self_check, sweep_csv
 from .policy import (
+    LoadedValues,
     SolverError,
     ValueFileError,
     export_values,
@@ -16,7 +17,7 @@ from .policy import (
     solve_scenario,
 )
 from .rewards import Scenario
-from .states import Emergency, State
+from .states import Access, Emergency, State, set_insert
 from .value_iteration import ConvergenceError
 
 
@@ -114,21 +115,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_granted(text: str, loaded_users: tuple[str, ...], loaded_resources: tuple[str, ...]) -> int:
+def _parse_access(text: str, loaded: LoadedValues) -> Access:
+    """An access 'user:resource' named with the loaded table's labels."""
+    if ":" not in text:
+        raise ValueError(f"accesses look like user:resource, got {text!r}")
+    uname, rname = (t.strip() for t in text.split(":", 1))
+    if uname not in loaded.user_names:
+        raise ValueError(f"unknown user {uname!r}")
+    if rname not in loaded.resource_names:
+        raise ValueError(f"unknown resource {rname!r}")
+    return Access(loaded.user_names.index(uname), loaded.resource_names.index(rname))
+
+
+def _parse_granted(text: str, loaded: LoadedValues) -> int:
     """Granted-set spec 'user:resource,user:resource' (empty string = no grants)."""
     k = 0
     if not text:
         return 0
     for part in text.split(","):
-        part = part.strip()
-        if ":" not in part:
-            raise ValueError(f"granted entries look like user:resource, got {part!r}")
-        uname, rname = (t.strip() for t in part.split(":", 1))
-        if uname not in loaded_users:
-            raise ValueError(f"unknown user {uname!r}")
-        if rname not in loaded_resources:
-            raise ValueError(f"unknown resource {rname!r}")
-        k |= 1 << (loaded_users.index(uname) * len(loaded_resources) + loaded_resources.index(rname))
+        k = set_insert(k, _parse_access(part.strip(), loaded), loaded.dims)
     return k
 
 
@@ -137,10 +142,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.request == "eps":
         req_user = req_resource = "eps"
     else:
-        if ":" not in args.request:
-            raise ValueError(f"request looks like user:resource or eps, got {args.request!r}")
-        req_user, req_resource = (t.strip() for t in args.request.split(":", 1))
-    k = _parse_granted(args.granted, loaded.user_names, loaded.resource_names)
+        a = _parse_access(args.request, loaded)
+        req_user, req_resource = loaded.user_names[a.user], loaded.resource_names[a.resource]
+    k = _parse_granted(args.granted, loaded)
     row = loaded.lookup(args.emergency, k, req_user, req_resource)
     gap = abs(row.dv_allow - row.dv_deny)
     print(f"decision: {row.action}")

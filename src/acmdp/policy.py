@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .bellman import BellmanSystem, build_bellman_lp, compile_system, verify_sol
 from .config import scenario_fingerprint
 from .rewards import Scenario
 from .simplex import SimplexStatus, simplex_solve
-from .states import ACTIONS, Action, State
+from .states import ACTIONS, Action, CapacityError, Emergency, ModelDims, State, StateSpace
 from .value_iteration import value_iterate
 
 TIE_TOL = 1e-9
@@ -41,7 +42,10 @@ def decision_values(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
 def decision_value(
     system: BellmanSystem, values: np.ndarray, s: State, act: Action
 ) -> float:
-    return float(decision_values(system, values)[int(act), system.space.state_index(s)])
+    """One entry of decision_values, computed from the state's own row of P^a."""
+    i = system.space.state_index(s)
+    successors = system.transitions[int(act)][i]  # 1 x num_states
+    return float(system.q[int(act), i] + system.beta * (successors @ values)[0])
 
 
 @dataclass
@@ -121,22 +125,44 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _request_labels(
+    space: StateSpace, user_names: Sequence[str], resource_names: Sequence[str]
+) -> list[tuple[str, str]]:
+    """(user, resource) of each request in request-index order; ("eps", "eps") if empty."""
+    return [
+        ("eps", "eps") if req is None else (user_names[req.user], resource_names[req.resource])
+        for req in space.requests
+    ]
+
+
+def state_labels(
+    space: StateSpace, user_names: Sequence[str], resource_names: Sequence[str]
+) -> Iterator[tuple[str, int, str, str]]:
+    """(emergency, granted set, request user, request resource) of every state.
+
+    The labels come in state-index order (StateSpace.index_state), which is
+    the row order of a value-table file.
+    """
+    requests = _request_labels(space, user_names, resource_names)
+    for emergency in Emergency:
+        for k in range(space.dims.num_sets):
+            for user, resource in requests:
+                yield emergency.label, k, user, resource
+
+
 def export_values(solution: Solution, destination: str | Path) -> None:
-    """Write the solved value table in the versioned text format."""
+    """Write the solved value table in the versioned text format, rows in state order."""
     sc = solution.scenario
     space = solution.system.space
     lines = [FILE_HEADER, scenario_fingerprint(sc)]
-    for i, s in enumerate(space):
-        if s.request is None:
-            req_user = req_resource = "eps"
-        else:
-            req_user = sc.user_names[s.request.user]
-            req_resource = sc.resource_names[s.request.resource]
+    for i, (emergency, k, req_user, req_resource) in enumerate(
+        state_labels(space, sc.user_names, sc.resource_names)
+    ):
         lines.append(
             ",".join(
                 [
-                    s.emergency.label,
-                    str(s.granted),
+                    emergency,
+                    str(k),
                     req_user,
                     req_resource,
                     _fmt(solution.values[i]),
@@ -169,35 +195,50 @@ class ValueRow:
     dv_allow: float
 
 
+_EMERGENCY_INDEX = {e.label: int(e) for e in Emergency}
+
+
 @dataclass
 class LoadedValues:
-    """A reloaded value table, queryable by state description."""
+    """A reloaded value table, queryable by state description.
+
+    rows[i] is the row of state i in the StateSpace order of a model with
+    these users and resources; import_values refuses a file that breaks it.
+    """
 
     fingerprint: str
     user_names: tuple[str, ...]
     resource_names: tuple[str, ...]
     rows: list[ValueRow]
 
+    def __post_init__(self) -> None:
+        self._space = StateSpace(ModelDims(len(self.user_names), len(self.resource_names)))
+        requests = _request_labels(self._space, self.user_names, self.resource_names)
+        self._requests = {labels: j for j, labels in enumerate(requests)}
+
+    @property
+    def dims(self) -> ModelDims:
+        return self._space.dims
+
     def lookup(
         self, emergency: str, set_index: int, req_user: str, req_resource: str
     ) -> ValueRow:
-        for row in self.rows:
-            if (
-                row.emergency == emergency
-                and row.set_index == set_index
-                and row.req_user == req_user
-                and row.req_resource == req_resource
-            ):
-                return row
-        raise KeyError(
-            f"no state ({emergency}, {set_index}, {req_user}, {req_resource}) in table"
-        )
+        e = _EMERGENCY_INDEX.get(emergency)
+        request = self._requests.get((req_user, req_resource))
+        if e is None or request is None or not 0 <= set_index < self._space.dims.num_sets:
+            raise KeyError(
+                f"no state ({emergency}, {set_index}, {req_user}, {req_resource}) in table"
+            )
+        return self.rows[self._space.position(e, set_index, request)]
 
 
 def import_values(source: str | Path, scenario: Scenario | None = None) -> LoadedValues:
     """Parse and validate a value-table file.
 
-    When a scenario is supplied, its fingerprint and dimensions must match.
+    The rows must list every state once, in state order (state_labels).
+    The user and resource order is the scenario's when one is supplied, and
+    its fingerprint must match; otherwise it is the order of first
+    appearance in the rows.
     """
     lines = Path(source).read_text().splitlines()
     if not lines or lines[0] != FILE_HEADER:
@@ -206,10 +247,13 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
     if len(lines) < 2 or not lines[1].strip():
         raise ValueFileError(2, "missing scenario fingerprint")
     fingerprint = lines[1].strip()
+    if scenario is not None and scenario_fingerprint(scenario) != fingerprint:
+        raise ValueFileError(2, "scenario fingerprint does not match")
 
     rows: list[ValueRow] = []
-    users: list[str] = []
-    resources: list[str] = []
+    linenos: list[int] = []
+    users: dict[str, None] = {}  # insertion-ordered sets
+    resources: dict[str, None] = {}
     for lineno, raw in enumerate(lines[2:], start=3):
         if not raw.strip():
             continue
@@ -219,7 +263,7 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
         emergency, set_text, req_user, req_resource, value_t, action, dv_d, dv_a = (
             f.strip() for f in fields
         )
-        if emergency not in ("calm", "alert"):
+        if emergency not in _EMERGENCY_INDEX:
             raise ValueFileError(lineno, f"bad emergency label {emergency!r}")
         if action not in ("deny", "allow"):
             raise ValueFileError(lineno, f"bad action label {action!r}")
@@ -231,35 +275,44 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
         if (req_user == "eps") != (req_resource == "eps"):
             raise ValueFileError(lineno, "eps must appear in both request fields")
         if req_user != "eps":
-            if req_user not in users:
-                users.append(req_user)
-            if req_resource not in resources:
-                resources.append(req_resource)
+            users[req_user] = resources[req_resource] = None
         rows.append(
             ValueRow(emergency, set_index, req_user, req_resource, value, action, dv_deny, dv_allow)
         )
+        linenos.append(lineno)
 
-    if not users or not resources:
+    if scenario is not None:
+        user_names, resource_names = scenario.user_names, scenario.resource_names
+    else:
+        user_names, resource_names = tuple(users), tuple(resources)
+    if not user_names or not resource_names:
         raise ValueFileError(3, "no concrete requests found; cannot infer dimensions")
-    n_bits = len(users) * len(resources)
-    expected = 2 * (1 << n_bits) * (n_bits + 1)
-    if len(rows) != expected:
+    try:
+        space = StateSpace(ModelDims(len(user_names), len(resource_names)))
+    except CapacityError as exc:
+        raise ValueFileError(3, str(exc)) from None
+    for row, lineno, want in zip(
+        rows, linenos, state_labels(space, user_names, resource_names)
+    ):
+        found = (row.emergency, row.set_index, row.req_user, row.req_resource)
+        if found != want:
+            raise ValueFileError(
+                lineno,
+                f"expected state {_show(want)}, found {_show(found)}: "
+                f"rows must list every state once, in state order",
+            )
+    if len(rows) < len(space):
         raise ValueFileError(
             len(lines),
-            f"incomplete table: {len(rows)} rows for a {expected}-state model "
-            f"({len(users)} users x {len(resources)} resources)",
+            f"incomplete table: {len(rows)} rows for a {len(space)}-state model "
+            f"({len(user_names)} users x {len(resource_names)} resources)",
         )
-    for row in rows:
-        if not 0 <= row.set_index < (1 << n_bits):
-            raise ValueFileError(3, f"set index {row.set_index} out of range")
+    if len(rows) > len(space):
+        raise ValueFileError(
+            linenos[len(space)], f"extra row after the last of {len(space)} states"
+        )
+    return LoadedValues(fingerprint, user_names, resource_names, rows)
 
-    loaded = LoadedValues(fingerprint, tuple(users), tuple(resources), rows)
-    if scenario is not None:
-        if scenario_fingerprint(scenario) != fingerprint:
-            raise ValueFileError(2, "scenario fingerprint does not match")
-        if (
-            scenario.user_names != loaded.user_names
-            or scenario.resource_names != loaded.resource_names
-        ):
-            raise ValueFileError(3, "scenario labels do not match the table")
-    return loaded
+
+def _show(labels: tuple[str, int, str, str]) -> str:
+    return "(" + ", ".join(map(str, labels)) + ")"

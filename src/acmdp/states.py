@@ -149,7 +149,8 @@ class StateSpace:
 
     def __init__(self, dims: ModelDims):
         self.dims = dims
-        self._requests: list[Request] = list(dims.accesses()) + [None]
+        # the requests in request-index order: position() takes an index into it
+        self.requests: tuple[Request, ...] = (*dims.accesses(), None)
         self._states: list[State] | None = None
 
     def __len__(self) -> int:
@@ -161,21 +162,24 @@ class StateSpace:
         self.dims.check_access(req)
         return access_bit_index(req, self.dims)
 
+    def position(self, emergency: int, granted: int, request: int) -> int:
+        """State index from integer coordinates, request indexing self.requests.
+
+        The coordinates are not range-checked; state_index checks them.
+        """
+        return (emergency * self.dims.num_sets + granted) * len(self.requests) + request
+
     def state_index(self, s: State) -> int:
-        d = self.dims
-        if not 0 <= s.granted < d.num_sets:
+        if not 0 <= s.granted < self.dims.num_sets:
             raise ValueError(f"granted-set index {s.granted} out of range")
-        per_set = d.num_access_bits + 1
-        return (int(s.emergency) * d.num_sets + s.granted) * per_set + self._request_index(s.request)
+        return self.position(int(s.emergency), s.granted, self._request_index(s.request))
 
     def index_state(self, i: int) -> State:
-        d = self.dims
         if not 0 <= i < len(self):
             raise ValueError(f"state index {i} out of range [0, {len(self)})")
-        per_set = d.num_access_bits + 1
-        i, req = divmod(i, per_set)
-        emergency, granted = divmod(i, d.num_sets)
-        return State(Emergency(emergency), granted, self._requests[req])
+        i, req = divmod(i, len(self.requests))
+        emergency, granted = divmod(i, self.dims.num_sets)
+        return State(Emergency(emergency), granted, self.requests[req])
 
     def states(self) -> list[State]:
         if self._states is None:

@@ -1,5 +1,6 @@
 import pytest
 
+from acmdp import import_values
 from acmdp.cli import main
 
 BAD_SCENARIO_FILE = """\
@@ -195,6 +196,33 @@ class TestEval:
         )
         assert code == 2
         assert "carol" in err
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (("--request", "alice:mail"), "unknown resource 'mail'"),
+            (("--request", "carol:high"), "unknown user 'carol'"),
+            (("--request", "alice"), "accesses look like user:resource, got 'alice'"),
+            (("--request", "eps", "--granted", "bob:mail"), "unknown resource 'mail'"),
+        ],
+    )
+    def test_unknown_access_exits_2(self, capsys, table1_values, extra, message):
+        code, out, err = run(
+            capsys, "eval", "--values", str(table1_values), "--emergency", "calm", *extra
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
+
+    def test_granted_sets_the_access_bit(self, capsys, table1_values):
+        # alice:high is access (0, 1), bit 0 * 2 + 1, so the granted set is 2
+        want = import_values(table1_values).lookup("alert", 2, "bob", "low")
+        _, out, _ = run(
+            capsys, "eval", "--values", str(table1_values), "--emergency", "alert",
+            "--granted", "alice:high", "--request", "bob:low",
+        )
+        assert f"dv_deny: {want.dv_deny:.2f}" in out
+        assert f"dv_allow: {want.dv_allow:.2f}" in out
 
 
 class TestSelfcheck:

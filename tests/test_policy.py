@@ -1,5 +1,8 @@
+import random
+
 import numpy as np
 import pytest
+from test_bellman import small_scenario
 
 from acmdp import (
     Access,
@@ -12,13 +15,14 @@ from acmdp import (
     RewardVariant,
     Scenario,
     State,
+    StateSpace,
     builtin_scenario,
     decision_value,
     export_values,
     import_values,
     solve_scenario,
 )
-from acmdp.policy import FILE_HEADER, ValueFileError
+from acmdp.policy import FILE_HEADER, ValueFileError, state_labels
 
 BOB_HIGH = Access(1, 1)
 ALICE_LOW, ALICE_HIGH = Access(0, 0), Access(0, 1)
@@ -37,6 +41,14 @@ class TestDecisionValues:
         assert decision_value(sol.system, sol.values, s, Action.ALLOW) == pytest.approx(
             55, abs=1e-6
         )
+
+    @pytest.mark.parametrize("name", ["table2_all", "modified_once"])
+    def test_decision_value_matches_decision_values(self, solved, name):
+        sol = solved(name)
+        for i, s in enumerate(sol.system.space):
+            for act in Action:
+                got = decision_value(sol.system, sol.values, s, act)
+                assert abs(got - sol.dv[int(act), i]) <= 1e-12
 
     def test_beta_zero_dv_equals_immediate_reward(self, solved):
         sol = solved("table1")
@@ -158,3 +170,128 @@ class TestValueFiles:
         export_values(sol, path)
         with pytest.raises(ValueFileError, match="fingerprint"):
             import_values(path, scenario=builtin_scenario("table2_all"))
+
+
+def exported(solution, tmp_path, name="values.txt"):
+    path = tmp_path / name
+    export_values(solution, path)
+    return path
+
+
+def scan(rows, emergency, set_index, req_user, req_resource):
+    """The row a linear scan finds: the reference for LoadedValues.lookup."""
+    for row in rows:
+        if (row.emergency, row.set_index, row.req_user, row.req_resource) == (
+            emergency, set_index, req_user, req_resource
+        ):
+            return row
+    raise AssertionError("state not in table")
+
+
+class TestStateLabels:
+    @pytest.mark.parametrize("users,resources", [(2, 2), (2, 3), (1, 1)])
+    def test_follow_state_index(self, users, resources):
+        space = StateSpace(ModelDims(users, resources))
+        user_names = [f"u{i}" for i in range(users)]
+        resource_names = [f"r{i}" for i in range(resources)]
+        labels = list(state_labels(space, user_names, resource_names))
+        assert len(labels) == len(space)
+        for i, (emergency, k, user, resource) in enumerate(labels):
+            s = space.index_state(i)
+            req = ("eps", "eps") if s.request is None else (
+                user_names[s.request.user], resource_names[s.request.resource]
+            )
+            assert (emergency, k, user, resource) == (s.emergency.label, s.granted, *req)
+
+
+class TestLookup:
+    @pytest.fixture
+    def table_2x2(self, solved, tmp_path):
+        return import_values(exported(solved("table2_once"), tmp_path))
+
+    def test_every_state_of_2x2(self, table_2x2):
+        assert len(table_2x2.rows) == 160
+        for row in table_2x2.rows:
+            query = (row.emergency, row.set_index, row.req_user, row.req_resource)
+            assert table_2x2.lookup(*query) == scan(table_2x2.rows, *query)
+
+    def test_random_states_of_2x3(self, tmp_path):
+        sol = solve_scenario(small_scenario(2, 3, "all", "eps_zero"), solver="vi")
+        table = import_values(exported(sol, tmp_path), scenario=sol.scenario)
+        assert len(table.rows) == 896
+        requests = [("eps", "eps")] + [(u, r) for u in ("u0", "u1") for r in ("r0", "r1", "r2")]
+        rng = random.Random(11)
+        for _ in range(500):
+            query = (rng.choice(["calm", "alert"]), rng.randrange(64), *rng.choice(requests))
+            row = table.lookup(*query)
+            assert row == scan(table.rows, *query)
+            i = sol.system.space.state_index(
+                State(
+                    Emergency.from_label(query[0]),
+                    query[1],
+                    None if query[2] == "eps" else Access(int(query[2][1]), int(query[3][1])),
+                )
+            )
+            assert row.value == pytest.approx(sol.values[i], rel=1e-11, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            ("calm", 0, "carol", "high"),
+            ("calm", 0, "alice", "mail"),
+            ("calm", 0, "eps", "high"),
+            ("calm", 0, "alice", "eps"),
+            ("calm", 16, "alice", "high"),
+            ("calm", -1, "alice", "high"),
+            ("storm", 0, "alice", "high"),
+        ],
+    )
+    def test_unknown_state_raises_key_error(self, table_2x2, query):
+        message = "no state ({}, {}, {}, {}) in table".format(*query)
+        with pytest.raises(KeyError) as err:
+            table_2x2.lookup(*query)
+        assert err.value.args == (message,)
+
+
+class TestRowOrder:
+    """import_values refuses a table unless row i is state i."""
+
+    @pytest.fixture
+    def lines(self, solved, tmp_path):
+        return exported(solved("table2_once"), tmp_path).read_text().splitlines()
+
+    def refused(self, tmp_path, lines, scenario=None):
+        path = tmp_path / "edited.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueFileError) as err:
+            import_values(path, scenario=scenario)
+        return err.value
+
+    def test_duplicated_row(self, tmp_path, lines):
+        # state 4, (calm, 0, eps, eps), is on line 7; a copy of state 3 replaces it
+        assert lines[6].startswith("calm,0,eps,eps,")
+        lines[6] = lines[5]
+        err = self.refused(tmp_path, lines)
+        assert err.line == 7
+        assert "expected state (calm, 0, eps, eps), found (calm, 0, bob, high)" in str(err)
+
+    def test_missing_row(self, tmp_path, lines):
+        del lines[6]
+        err = self.refused(tmp_path, lines)
+        assert err.line == 7
+        assert "found (calm, 1, alice, low)" in str(err)
+
+    def test_shuffled_rows(self, solved, tmp_path, lines):
+        # (calm, 0, bob, low) moved to the top: without a scenario the names are
+        # read as bob, alice, so line 4 is the first row out of that order
+        lines.insert(2, lines.pop(4))
+        assert self.refused(tmp_path, lines).line == 4
+        err = self.refused(tmp_path, lines, scenario=solved("table2_once").scenario)
+        assert err.line == 3
+        assert "expected state (calm, 0, alice, low), found (calm, 0, bob, low)" in str(err)
+
+    def test_extra_row(self, tmp_path, lines):
+        lines.append(lines[-1])
+        err = self.refused(tmp_path, lines)
+        assert err.line == 163
+        assert "extra row" in str(err)
