@@ -27,6 +27,7 @@ from .policy import (
     export_values,
     extract_policy,
     import_values,
+    policy_iterate,
     solve_scenario,
 )
 from .rewards import (

@@ -1,16 +1,18 @@
 """Assembly of the Bellman system and its linear program.
 
 compile_system turns a scenario into sparse per-action transition matrices
-and immediate-reward vectors; both solvers and the decision-value code work
-from this shared representation.  The build is factored and vectorized:
+and immediate-reward vectors; the LP solve (policy.policy_iterate), value
+iteration and the decision-value code all work from this shared
+representation.  The build is factored and vectorized:
 each P^a is the Kronecker product of the 2x2 emergency matrix with a
 (granted set, request) matrix made by bitmask arithmetic
 (dynamics.transition_matrices), and q^a has a closed form
 (rewards.expected_rewards), so no Python loop runs per state.
 
-The dense LP grows as the square of the state count; build_bellman_lp
-refuses a model whose constraint matrix or simplex tableau would exceed
-LP_MAX_BYTES.
+build_bellman_lp writes the same LP out densely for the simplex oracle
+(simplex.simplex_solve), which tests and self_check compare against.  It
+grows as the square of the state count, so build_bellman_lp refuses a model
+whose constraint matrix or simplex tableau would exceed LP_MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .states import ACTIONS, CapacityError, StateSpace
 
 VERIFY_TOL = 1e-9
 TIGHT_TOL = 1e-7
-LP_MAX_BYTES = 1 << 30  # largest dense LHS or simplex tableau build_bellman_lp allows
+LP_MAX_BYTES = 1 << 30  # largest dense LHS or oracle tableau build_bellman_lp allows
 
 
 @dataclass
@@ -53,24 +55,26 @@ def compile_system(sc: Scenario) -> BellmanSystem:
 
 
 def build_bellman_lp(system: BellmanSystem) -> LinearProgram:
-    """One >= constraint per (state, action), objective min sum of values.
+    """The Bellman LP, dense, for the simplex oracle.
 
-    Constraints are emitted state-major, action-minor (deny first) so solver
+    One >= constraint per (state, action), objective min sum of values.
+    Constraints are emitted state-major, action-minor (deny first) so oracle
     runs are reproducible.  Raises CapacityError, before allocating, when the
-    LHS or the tableau simplex_solve would build exceeds LP_MAX_BYTES.
+    LHS or the arrays simplex_solve would build exceed LP_MAX_BYTES.
     """
     n = system.num_states
     beta = system.beta
     # simplex_solve's tableau, larger than the 2n x n LHS: 2n + 1 rows and
     # columns for x split in two, a surplus per row, an artificial per row
-    # with a nonnegative rhs and the rhs itself
+    # with a nonnegative rhs and the rhs itself; plus the basis matrix and
+    # its inverse, 2n x 2n each, that rebuild the tableau
     artificial = int(np.count_nonzero(system.q >= 0))
-    needed = 8 * (2 * n + 1) * (4 * n + artificial + 1)
+    needed = 8 * ((2 * n + 1) * (4 * n + artificial + 1) + 2 * (2 * n) ** 2)
     if needed > LP_MAX_BYTES:
         raise CapacityError(
-            f"the dense LP of {n} states needs about {needed / 1e9:.1f} GB "
-            f"for its simplex tableau, over the {LP_MAX_BYTES / 1e9:.1f} GB limit; "
-            f"use --solver vi"
+            f"the dense simplex oracle of {n} states needs about {needed / 1e9:.1f} GB "
+            f"for its tableau, over the {LP_MAX_BYTES / 1e9:.1f} GB limit; "
+            f"use --solver lp, which solves the LP on its sparse rows"
         )
     lhs = np.zeros((2 * n, n))
     rhs = np.zeros(2 * n)

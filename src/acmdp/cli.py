@@ -21,7 +21,11 @@ from .states import Access, Emergency, State, set_insert
 from .value_iteration import ConvergenceError
 
 
-TOL_HELP = "solver tolerance (default: the solver's own, 1e-9 for lp, 1e-10 for vi)"
+TOL_HELP = (
+    "solver tolerance: for lp, the largest Bellman-row violation the final "
+    "policy basis may leave (default 1e-9); for vi, the sweep-to-sweep change "
+    "at which it stops (default 1e-10)"
+)
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -41,7 +45,7 @@ def _load_scenario(args: argparse.Namespace) -> Scenario | None:
 def cmd_solve(args: argparse.Namespace) -> int:
     sc = _load_scenario(args)
     solution = solve_scenario(sc, solver=args.solver, tol=args.tol)
-    unit = "pivots" if args.solver == "lp" else "iterations"
+    unit = "policy bases" if args.solver == "lp" else "iterations"
     print(f"states: {solution.system.num_states}")
     print(f"{unit}: {solution.iterations}")
     print(f"max residual: {solution.max_residual:.3g}")
@@ -210,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.set_defaults(func=cmd_eval)
 
-    selfcheck = sub.add_parser("selfcheck", help="cross-validate both solvers")
+    selfcheck = sub.add_parser("selfcheck", help="cross-validate lp, vi and the dense simplex")
     _add_scenario_args(selfcheck)
     selfcheck.set_defaults(func=cmd_selfcheck)
 

@@ -14,11 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .bellman import verify_solution
+from .bellman import build_bellman_lp, verify_solution
 from .dynamics import EmergencyMatrix, validate_stochastic
 from .policy import Solution, extract_policy, solve_scenario
 from .rewards import Scenario
-from .states import Access, Action, Emergency, State
+from .simplex import SimplexStatus, simplex_solve
+from .states import Access, Action, CapacityError, Emergency, State
 from .value_iteration import value_iterate
 
 CROSSOVER_WIDTH = 1e-4
@@ -178,7 +179,11 @@ def self_check(
     agreement_tol: float = 1e-6,
     gap_floor: float = 1e-5,
 ) -> list[CheckResult]:
-    """Cross-validate the whole pipeline on one scenario."""
+    """Cross-validate the whole pipeline on one scenario.
+
+    The LP solve is compared with two independent solvers: value iteration,
+    and the dense simplex oracle on models small enough for its tableau.
+    """
     checks: list[CheckResult] = []
 
     violations = validate_stochastic(sc.transition_model())
@@ -200,7 +205,7 @@ def self_check(
             "lp_feasibility",
             lp_solution.max_residual <= lp_tol,
             f"max residual {lp_solution.max_residual:.3g} "
-            f"after {lp_solution.iterations} pivots",
+            f"after {lp_solution.iterations} policy bases",
         )
     )
 
@@ -223,6 +228,29 @@ def self_check(
             f"sup-norm gap {gap:.3g} after {sweeps} sweeps",
         )
     )
+
+    try:
+        dense_lp = build_bellman_lp(system)
+    except CapacityError:
+        checks.append(
+            CheckResult(
+                "dense_simplex_agreement",
+                True,
+                f"skipped: {system.num_states} states over the dense limit",
+            )
+        )
+    else:
+        dense = simplex_solve(dense_lp, tol=lp_tol)
+        if dense.status is SimplexStatus.OPTIMAL:
+            dense_gap = float(np.max(np.abs(lp_solution.values - dense.values)))
+            passed, detail = dense_gap <= agreement_tol, f"sup-norm gap {dense_gap:.3g}"
+        else:
+            passed, detail = False, f"dense simplex {dense.status.value}"
+        checks.append(
+            CheckResult(
+                "dense_simplex_agreement", passed, f"{detail} after {dense.pivots} pivots"
+            )
+        )
 
     vi_actions = extract_policy(system, vi_values).actions
     confident = lp_solution.policy.gaps > gap_floor

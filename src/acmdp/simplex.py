@@ -1,10 +1,17 @@
-"""Dense two-phase primal simplex for small LPs with free variables.
+"""Dense two-phase primal simplex: the independent LP oracle for small models.
+
+The program solves the Bellman LP with policy.policy_iterate; this solver
+shares none of its code and serves tests and experiments.self_check as a
+reference on models small enough for a dense tableau.
 
 Problems are stated as: minimize c.x subject to A x >= b, x free.  Free
 variables are split into positive parts, >= rows get surplus columns, and
 phase one drives an artificial basis to feasibility.  Entering columns are
-picked by the most negative reduced cost; after a run of degenerate pivots
-the rule switches to Bland's, which guarantees termination.
+picked by the most negative reduced cost and leaving rows by Harris's
+ratio test; after a run of degenerate pivots both switch to Bland's rule,
+which guarantees termination.  A phase ends only on a tableau rebuilt at
+its last basis from the original constraints, so round-off of the pivots
+cannot decide the result.
 """
 
 from __future__ import annotations
@@ -18,6 +25,9 @@ from scipy.linalg.blas import dger
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 BLAND_AFTER_DEGENERATE = 40
+HARRIS_TOL = 1e-12  # how far below zero a ratio-test step may push a basic variable
+SMALL_PIVOT = 1e-4
+REBUILD_EVERY = 100
 
 
 class SimplexStatus(Enum):
@@ -68,39 +78,105 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     dger(-1.0, factors, np.ascontiguousarray(T[row]), a=T, overwrite_a=1)
 
 
+def _reinvert(
+    T: np.ndarray, lp: LinearProgram, basis: list[int], art_rows: list[int], cost: np.ndarray
+) -> None:
+    """Rebuild the tableau at this basis from the original constraints.
+
+    cost is the phase's objective over every column.  Each pivot adds
+    round-off to the tableau, and a small pivot element amplifies it.
+    """
+    m, n = lp.lhs.shape
+    columns = np.zeros((m, m))
+    for k, j in enumerate(basis):
+        if j < 2 * n:
+            columns[:, k] = lp.lhs[:, j] if j < n else -lp.lhs[:, j - n]
+        elif j < 2 * n + m:
+            columns[j - 2 * n, k] = -1.0  # surplus
+        else:
+            columns[art_rows[j - 2 * n - m], k] = 1.0  # artificial
+    inverse = np.linalg.inv(columns)
+    T[:m, :n] = inverse @ lp.lhs
+    T[:m, n:2 * n] = -T[:m, :n]
+    T[:m, 2 * n:2 * n + m] = -inverse
+    T[:m, 2 * n + m:-1] = inverse[:, art_rows]
+    T[:m, -1] = inverse @ lp.rhs
+    T[-1, :-1] = cost - cost[basis] @ T[:m, :-1]
+    T[-1, -1] = -cost[basis] @ T[:m, -1]
+
+
 def _run_phase(
     T: np.ndarray,
+    lp: LinearProgram,
     basis: list[int],
+    art_rows: list[int],
+    cost: np.ndarray,
     allowed: np.ndarray,
     max_iter: int,
     pivot_tol: float,
+    floor: float = -np.inf,
 ) -> tuple[SimplexStatus, int]:
+    """Pivot until no reduced cost is below -pivot_tol or the objective reaches floor.
+
+    A verdict (optimal or unbounded) stands only on a tableau just rebuilt
+    from the original constraints (_reinvert).  After a pivot element below
+    SMALL_PIVOT the tableau is also rebuilt every REBUILD_EVERY pivots: on
+    Bellman LPs with transition probabilities near 1e-9, the round-off such
+    pivots amplify otherwise moved values by 1e-9, reported feasible LPs as
+    infeasible or unbounded, or left a singular basis.
+    """
     m = T.shape[0] - 1
     pivots = 0
     degenerate_run = 0
-    while pivots < max_iter:
+    fresh = small = False  # rebuilt since the last pivot; a small pivot since the last rebuild
+
+    def rebuild() -> None:
+        nonlocal fresh, small
+        _reinvert(T, lp, basis, art_rows, cost)
+        fresh, small = True, False
+
+    while True:
         z = T[-1, :-1]
         candidates = np.flatnonzero(allowed & (z < -pivot_tol))
-        if candidates.size == 0:
-            return SimplexStatus.OPTIMAL, pivots
+        if candidates.size == 0 or -T[-1, -1] <= floor:
+            if fresh:
+                return SimplexStatus.OPTIMAL, pivots
+            rebuild()
+            continue
+        if pivots >= max_iter:
+            return SimplexStatus.ITERATION_LIMIT, pivots
         if degenerate_run > BLAND_AFTER_DEGENERATE:
             col = int(candidates[0])
         else:
             col = int(candidates[np.argmin(z[candidates])])
         coefs = T[:m, col]
-        rows = np.flatnonzero(coefs > pivot_tol)
+        # an entry at the column's round-off level is not a pivot
+        rows = np.flatnonzero(coefs > pivot_tol * max(1.0, np.abs(coefs).max()))
         if rows.size == 0:
-            return SimplexStatus.UNBOUNDED, pivots
+            if fresh:
+                return SimplexStatus.UNBOUNDED, pivots
+            rebuild()
+            continue
         ratios = T[rows, -1] / coefs[rows]
         best = ratios.min()
-        # tie-break the leaving row on the smallest basis index (Bland)
-        tied = rows[ratios <= best + pivot_tol]
-        row = int(min(tied, key=lambda i: basis[i]))
+        if degenerate_run > BLAND_AFTER_DEGENERATE:
+            # Bland: the smallest basis index leaves, which rules out cycling
+            tied = rows[ratios <= best + pivot_tol]
+            row = int(min(tied, key=lambda i: basis[i]))
+        else:
+            # Harris: of the rows that may leave if basic variables can dip
+            # HARRIS_TOL below zero, the one with the largest pivot element
+            bound = ((T[rows, -1] + HARRIS_TOL) / coefs[rows]).min()
+            within = rows[ratios <= bound]
+            row = int(within[np.argmax(coefs[within])])
         degenerate_run = degenerate_run + 1 if best <= pivot_tol else 0
+        small = small or T[row, col] < SMALL_PIVOT
         _pivot(T, row, col)
         basis[row] = col
         pivots += 1
-    return SimplexStatus.ITERATION_LIMIT, pivots
+        fresh = False
+        if small and pivots % REBUILD_EVERY == 0:
+            rebuild()
 
 
 def simplex_solve(
@@ -152,7 +228,12 @@ def simplex_solve(
             T[-1] -= T[i]
     T[-1, art_cols] = 0.0
 
-    status, pivots = _run_phase(T, basis, allowed, max_iter, pivot_tol)
+    # the artificial mass cannot go below zero: once within tol of it, the
+    # basis is feasible, and pivoting on further round-off reduced costs
+    # can pick a pivot element near pivot_tol and wreck the tableau
+    status, pivots = _run_phase(
+        T, lp, basis, art_rows, is_art.astype(float), allowed, max_iter, pivot_tol, floor=tol
+    )
     if status is not SimplexStatus.OPTIMAL:
         return LpSolution(status, None, None, pivots)
     if -T[-1, -1] > tol:
@@ -179,7 +260,9 @@ def simplex_solve(
         if c_full[basis[i]] != 0.0:
             T[-1] -= c_full[basis[i]] * T[i]
 
-    status, p2 = _run_phase(T, basis, allowed, max_iter - pivots, pivot_tol)
+    status, p2 = _run_phase(
+        T, lp, basis, art_rows, c_full, allowed, max_iter - pivots, pivot_tol
+    )
     pivots += p2
     if status is not SimplexStatus.OPTIMAL:
         return LpSolution(status, None, None, pivots)

@@ -1,6 +1,7 @@
 import pytest
+from test_bellman import small_scenario
 
-from acmdp import import_values
+from acmdp import import_values, render_scenario
 from acmdp.cli import main
 
 BAD_SCENARIO_FILE = """\
@@ -11,6 +12,13 @@ beta = 1.5
 behavior = once
 reward_variant = eps_zero
 """
+
+
+@pytest.fixture(scope="module")
+def scenario_3x3(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scenarios") / "3x3.txt"
+    path.write_text(render_scenario(small_scenario(3, 3, "all", "eps_zero", rates=(0.1, 1.0))))
+    return path
 
 
 def run(capsys, *argv):
@@ -33,6 +41,14 @@ class TestSolve:
     def test_table2_all_lp_residual(self, capsys):
         code, out, _ = run(capsys, "solve", "--builtin", "table2_all", "--solver", "lp")
         assert code == 0
+        assert "policy bases: 2" in out
+        residual = float(out.split("max residual:")[1].strip())
+        assert residual <= 1e-9
+
+    def test_3x3_scenario_file_default_solver(self, capsys, scenario_3x3):
+        code, out, _ = run(capsys, "solve", "--scenario", str(scenario_3x3))
+        assert code == 0
+        assert "states: 10240" in out
         residual = float(out.split("max residual:")[1].strip())
         assert residual <= 1e-9
 
@@ -229,7 +245,14 @@ class TestSelfcheck:
     def test_builtin_passes(self, capsys):
         code, out, _ = run(capsys, "selfcheck", "--builtin", "table2_unique")
         assert code == 0
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
+        assert "PASS  dense_simplex_agreement: sup-norm gap" in out
+
+    def test_3x3_passes_without_the_dense_simplex(self, capsys, scenario_3x3):
+        code, out, _ = run(capsys, "selfcheck", "--scenario", str(scenario_3x3))
+        assert code == 0
+        assert out.count("PASS") == 6
+        assert "dense_simplex_agreement: skipped: 10240 states over the dense limit" in out
 
     def test_broken_scenario_fails(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

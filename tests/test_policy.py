@@ -2,11 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_bellman import small_scenario
 
 from acmdp import (
     Access,
     Action,
+    BUILTIN_NAMES,
     Emergency,
     EmergencyMatrix,
     ModelDims,
@@ -16,13 +19,21 @@ from acmdp import (
     Scenario,
     State,
     StateSpace,
+    build_bellman_lp,
     builtin_scenario,
+    compile_system,
     decision_value,
     export_values,
+    extract_policy,
     import_values,
+    policy_iterate,
+    simplex_solve,
     solve_scenario,
+    verify_solution,
 )
-from acmdp.policy import FILE_HEADER, ValueFileError, state_labels
+from acmdp.policy import FILE_HEADER, TIE_TOL, SolverError, ValueFileError, state_labels
+from acmdp.simplex import SimplexStatus
+from acmdp.value_iteration import DEFAULT_TOL as VI_TOL
 
 BOB_HIGH = Access(1, 1)
 ALICE_LOW, ALICE_HIGH = Access(0, 0), Access(0, 1)
@@ -115,6 +126,113 @@ class TestExtractPolicy:
         sol = solve_scenario(scaled, solver="vi")
         assert np.allclose(sol.dv, 2.0 * base.dv, rtol=1e-7, atol=1e-7)
         assert np.array_equal(sol.policy.actions, base.policy.actions)
+
+
+def assert_lp_agrees(solution, values, bound):
+    """The LP solution's values within bound of values, policies matching
+    wherever the gap exceeds bound, every Bellman row feasible and tight."""
+    assert np.max(np.abs(solution.values - values)) <= bound
+    other = extract_policy(solution.system, values)
+    confident = other.gaps > bound
+    assert np.array_equal(solution.policy.actions[confident], other.actions[confident])
+    report = verify_solution(solution.system, solution.values)
+    assert report.feasible(1e-9)
+    assert report.all_tight(1e-7)
+
+
+def dense_oracle(system):
+    result = simplex_solve(build_bellman_lp(system))
+    assert result.status is SimplexStatus.OPTIMAL
+    return result.values
+
+
+def vi_bound(beta):
+    """Value iteration's proven error, beta / (1 - beta) * tol, plus LU rounding."""
+    return beta / (1.0 - beta) * VI_TOL + 1e-12
+
+
+class TestLpSolve:
+    """solve_scenario(sc, "lp"): policy iteration on the sparse Bellman rows."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins_match_dense_simplex(self, name):
+        solution = solve_scenario(builtin_scenario(name), "lp")
+        assert_lp_agrees(solution, dense_oracle(solution.system), 1e-9)
+
+    @pytest.mark.parametrize("behavior", [b.value for b in RequestBehavior])
+    @pytest.mark.parametrize("variant", [v.value for v in RewardVariant])
+    def test_2x3_matches_dense_simplex(self, behavior, variant):
+        solution = solve_scenario(small_scenario(2, 3, behavior, variant), "lp")
+        assert_lp_agrees(solution, dense_oracle(solution.system), 1e-9)
+
+    @pytest.mark.parametrize(
+        "users, resources, behavior, rates, beta, seed",
+        [
+            (1, 2, "unique", (1e-7, 1.0), 0.5, 0),
+            (2, 2, "once", (1e-7, 0.5), 0.375, 208),
+            (2, 2, "once", (1e-9, 0.0), 0.5, 0),
+            (1, 1, "all", (1e-4, 1.0), 0.953125, 0),
+        ],
+    )
+    def test_ill_scaled_scenarios_match_dense_simplex(
+        self, users, resources, behavior, rates, beta, seed
+    ):
+        # probabilities near the simplex's pivot tolerance; before the oracle
+        # rebuilt its tableau, these came out unbounded, off by 1.4e-9,
+        # unbounded and infeasible
+        sc = small_scenario(users, resources, behavior, "eps_zero", rates, beta, seed)
+        solution = solve_scenario(sc, "lp")
+        assert_lp_agrees(solution, dense_oracle(solution.system), 1e-9)
+
+    def test_3x3_matches_value_iteration(self):
+        sc = small_scenario(3, 3, "all", "eps_zero", rates=(0.1, 1.0))
+        solution = solve_scenario(sc, "lp")
+        assert solution.system.num_states == 10240
+        vi = solve_scenario(sc, "vi")
+        assert_lp_agrees(solution, vi.values, vi_bound(sc.beta))
+
+    @pytest.mark.parametrize("behavior", [b.value for b in RequestBehavior])
+    def test_beta_zero_is_myopic_in_one_basis(self, behavior):
+        sc = small_scenario(2, 2, behavior, "eps_accrues", beta=0.0)
+        q = compile_system(sc).q
+        solution = solve_scenario(sc, "lp")
+        assert solution.iterations == 1
+        assert np.array_equal(solution.values, q.max(axis=0))
+        assert np.array_equal(solution.policy.actions, np.where(q[1] > q[0] + TIE_TOL, 1, 0))
+
+    def test_tol_bounds_the_final_violation(self):
+        sc = builtin_scenario("table2_all")
+        # the myopic basis is not optimal here; a tol above its violation keeps it
+        myopic = solve_scenario(sc, "lp", tol=1e6)
+        assert myopic.iterations == 1
+        assert myopic.max_residual > 1e-9
+        for tol in (1e-3, myopic.max_residual / 2):
+            solution = solve_scenario(sc, "lp", tol=tol)
+            assert solution.iterations > 1
+            assert solution.max_residual <= tol
+
+    def test_basis_budget_raises_solver_error(self):
+        system = compile_system(builtin_scenario("table2_all"))
+        with pytest.raises(SolverError, match="no optimal policy basis within 1 bases"):
+            policy_iterate(system, max_iter=1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        users=st.integers(1, 2),
+        resources=st.integers(1, 2),
+        behavior=st.sampled_from(list(RequestBehavior)),
+        variant=st.sampled_from(list(RewardVariant)),
+        rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        beta=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_scenarios_agree_with_both_oracles(
+        self, users, resources, behavior, variant, rates, beta, seed
+    ):
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        solution = solve_scenario(sc, "lp")
+        assert_lp_agrees(solution, dense_oracle(solution.system), 1e-9)
+        assert_lp_agrees(solution, solve_scenario(sc, "vi").values, vi_bound(beta))
 
 
 class TestValueFiles:
