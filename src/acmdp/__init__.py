@@ -1,6 +1,12 @@
 """Risk-aware access control decisions via discounted Markov decision processes."""
 
-from .bellman import BellmanSystem, build_bellman_lp, compile_system, verify_solution
+from .bellman import (
+    BellmanSystem,
+    build_bellman_lp,
+    compile_system,
+    decision_values,
+    verify_solution,
+)
 from .config import (
     BUILTIN_NAMES,
     ScenarioParseError,
@@ -9,35 +15,18 @@ from .config import (
     render_scenario,
     scenario_fingerprint,
 )
-from .dynamics import (
-    EmergencyMatrix,
-    RequestBehavior,
-    TransitionModel,
-    next_access_set,
-    request_distribution,
-    successors,
-    validate_stochastic,
-)
+from .dynamics import EmergencyMatrix, RequestBehavior, TransitionModel, validate_stochastic
 from .experiments import SweepSpec, run_sweep, self_check, sweep_csv
 from .policy import (
     PolicyMap,
     Solution,
-    decision_value,
-    decision_values,
     export_values,
     extract_policy,
     import_values,
     policy_iterate,
     solve_scenario,
 )
-from .rewards import (
-    RewardTables,
-    RewardVariant,
-    Scenario,
-    immediate_reward,
-    reward_emresource,
-    reward_transition,
-)
+from .rewards import RewardTables, RewardVariant, Scenario
 from .simplex import LinearProgram, LpSolution, SimplexStatus, simplex_solve
 from .states import (
     Access,
@@ -48,7 +37,6 @@ from .states import (
     State,
     StateSpace,
     access_bit_index,
-    enumerate_states,
     set_contains,
     set_insert,
 )

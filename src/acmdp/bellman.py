@@ -1,13 +1,16 @@
-"""Assembly of the Bellman system and its linear program.
+"""Assembly of the Bellman system, its one evaluation kernel, and its linear program.
 
 compile_system turns a scenario into sparse per-action transition matrices
-and immediate-reward vectors; the LP solve (policy.policy_iterate), value
-iteration and the decision-value code all work from this shared
-representation.  The build is factored and vectorized:
+and immediate-reward vectors.  The build is factored and vectorized:
 each P^a is the Kronecker product of the 2x2 emergency matrix with a
 (granted set, request) matrix made by bitmask arithmetic
 (dynamics.transition_matrices), and q^a has a closed form
-(rewards.expected_rewards), so no Python loop runs per state.
+(rewards.expected_rewards), so no Python loop runs per state; the
+per-state reference build the tests compare against is tests/oracle.py.
+
+decision_values is the only code that evaluates q^a + beta P^a V.  The LP
+solve (policy.policy_iterate), value iteration's backup, policy extraction
+and verify_solution all read its (2, n) output.
 
 build_bellman_lp writes the same LP out densely for the simplex oracle
 (simplex.simplex_solve), which tests and self_check compare against.  It
@@ -52,6 +55,16 @@ def compile_system(sc: Scenario) -> BellmanSystem:
     """Transition matrices and immediate rewards of every action."""
     q = np.stack([expected_rewards(sc, act) for act in ACTIONS])
     return BellmanSystem(sc, StateSpace(sc.dims), transition_matrices(sc.transition_model()), q)
+
+
+def decision_values(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
+    """(2, num_states) array of q^a + beta * P^a V, indexed by Action."""
+    out = np.empty((2, system.num_states))
+    for act in ACTIONS:
+        out[int(act)] = system.transitions[int(act)] @ values
+    out *= system.beta
+    out += system.q
+    return out
 
 
 def build_bellman_lp(system: BellmanSystem) -> LinearProgram:
@@ -99,13 +112,9 @@ class VerificationReport:
         return self.max_min_slack <= tol
 
 
-def verify_solution(system: BellmanSystem, values: np.ndarray) -> VerificationReport:
-    """Slack analysis of a candidate value vector against the Bellman rows."""
-    beta = system.beta
-    slacks = np.empty((2, system.num_states))
-    for act in ACTIONS:
-        backup = system.q[int(act)] + beta * (system.transitions[int(act)] @ values)
-        slacks[int(act)] = values - backup
+def verify_solution(values: np.ndarray, dv: np.ndarray) -> VerificationReport:
+    """Slack analysis of a value vector against the Bellman rows, given its decision values."""
+    slacks = values - dv
     min_slack = slacks.min(axis=0)
     return VerificationReport(
         max_violation=float(max(0.0, -slacks.min())),

@@ -9,8 +9,9 @@ Because the emergency chain is independent of the (granted set, request)
 part and states are ordered emergency-major, each action's transition
 matrix is the Kronecker product E (x) R^a of the 2x2 emergency matrix with a
 matrix R^a over (granted set, request) rows; transition_matrices builds it
-with array arithmetic on the set bitmasks.  successors() describes the same
-process one state at a time and serves as the readable reference.
+with array arithmetic on the set bitmasks.  tests/oracle.py describes the
+same process one state at a time (successors) and is the reference the
+tests compare this build against.
 """
 
 from __future__ import annotations
@@ -21,17 +22,7 @@ from enum import Enum
 import numpy as np
 from scipy import sparse
 
-from .states import (
-    ACTIONS,
-    Action,
-    Emergency,
-    ModelDims,
-    Request,
-    State,
-    StateSpace,
-    access_bit_index,
-    set_insert,
-)
+from .states import ACTIONS, Action, ModelDims, State, StateSpace
 
 ROW_SUM_TOL = 1e-9
 
@@ -60,9 +51,6 @@ class EmergencyMatrix:
                     raise ValueError(f"emergency probability {p} outside [0, 1]")
             if abs(sum(row) - 1.0) > ROW_SUM_TOL:
                 raise ValueError(f"emergency row {row} does not sum to 1")
-
-    def prob(self, src: Emergency, dst: Emergency) -> float:
-        return self.rows[int(src)][int(dst)]
 
     @property
     def prob_calm_to_alert(self) -> float:
@@ -93,36 +81,6 @@ class TransitionModel:
     behavior: RequestBehavior
 
 
-def next_access_set(k: int, req: Request, act: Action, d: ModelDims) -> int:
-    """Deterministic granted-set transition: allow inserts, deny keeps."""
-    if act is Action.DENY or req is None:
-        return k
-    return set_insert(k, req, d)
-
-
-def request_distribution(
-    b: RequestBehavior, k_next: int, d: ModelDims, current: Request
-) -> list[tuple[Request, float]]:
-    """Distribution of the next pending request.
-
-    Conditions on the post-decision granted set and, for the once
-    behaviour, on the current request: after the empty request has been
-    reached, no further requests arrive.
-    """
-    if b is RequestBehavior.UNIQUE:
-        return [(None, 1.0)]
-    if b is RequestBehavior.ALL:
-        p = 1.0 / d.num_access_bits
-        return [(a, p) for a in d.accesses()]
-    # once: the empty request is terminal; otherwise draw uniformly among
-    # the not-yet-granted accesses and the empty request
-    if current is None:
-        return [(None, 1.0)]
-    pending = [a for a in d.accesses() if not (k_next >> access_bit_index(a, d)) & 1]
-    p = 1.0 / (len(pending) + 1)
-    return [(a, p) for a in pending] + [(None, p)]
-
-
 def set_request_rows(d: ModelDims) -> tuple[np.ndarray, np.ndarray]:
     """Granted set and request position of every (granted set, request) row.
 
@@ -133,7 +91,7 @@ def set_request_rows(d: ModelDims) -> tuple[np.ndarray, np.ndarray]:
 
 
 def next_access_sets(d: ModelDims, act: Action) -> np.ndarray:
-    """next_access_set of every (granted set, request) row."""
+    """The next granted set of every (granted set, request) row: allow inserts, deny keeps."""
     k, r = set_request_rows(d)
     if act is Action.DENY:
         return k
@@ -144,7 +102,8 @@ def request_draws(m: TransitionModel, act: Action) -> tuple[np.ndarray, np.ndarr
     """Next granted set of every (granted set, request) row, and the requests it can draw.
 
     drawable[x, j] is true when row x draws next request j (j = num_access_bits
-    is the empty request); each row draws uniformly, as in request_distribution.
+    is the empty request); each row draws uniformly among them, as the
+    RequestBehavior comments describe.
     """
     d = m.dims
     bits = d.num_access_bits
@@ -167,7 +126,7 @@ def transition_matrices(m: TransitionModel) -> tuple[sparse.csr_matrix, sparse.c
 
     The Kronecker product is built by broadcasting, with E's zero entries
     dropped, so every stored entry is a positive-probability successor of a
-    well-formed model and each entry equals successors()'s pe * pr.
+    well-formed model, with probability E[e, e2] times the request draw's.
     """
     d = m.dims
     per_set = d.num_access_bits + 1
@@ -196,20 +155,6 @@ def transition_matrices(m: TransitionModel) -> tuple[sparse.csr_matrix, sparse.c
             )
         )
     return mats[0], mats[1]
-
-
-def successors(m: TransitionModel, s: State, act: Action) -> list[tuple[State, float]]:
-    """All positive-probability successor states of (s, act)."""
-    k2 = next_access_set(s.granted, s.request, act, m.dims)
-    requests = request_distribution(m.behavior, k2, m.dims, s.request)
-    out: list[tuple[State, float]] = []
-    for e2 in (Emergency.CALM, Emergency.ALERT):
-        pe = m.emergency.prob(s.emergency, e2)
-        if pe == 0.0:
-            continue
-        for req2, pr in requests:
-            out.append((State(e2, k2, req2), pe * pr))
-    return out
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ pinned down by bisection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .bellman import build_bellman_lp, verify_solution
+from .bellman import TIGHT_TOL, VERIFY_TOL, build_bellman_lp, decision_values, verify_solution
 from .dynamics import EmergencyMatrix, validate_stochastic
 from .policy import Solution, extract_policy, solve_scenario
 from .rewards import Scenario
@@ -23,6 +24,9 @@ from .states import Access, Action, CapacityError, Emergency, State
 from .value_iteration import value_iterate
 
 CROSSOVER_WIDTH = 1e-4
+GRID_SLACK = 1e-9
+AGREEMENT_TOL = 1e-6  # self_check: largest sup-norm gap between two solvers' values
+GAP_FLOOR = 1e-5  # self_check: decision gap above which the policies must agree
 
 
 def scenario_at_probability(sc: Scenario, calm_to_alert: float) -> Scenario:
@@ -49,8 +53,10 @@ class SweepSpec:
             raise ValueError("step must be positive")
 
     def grid(self) -> list[float]:
-        count = int(round((self.stop - self.start) / self.step)) + 1
-        return [min(self.start + i * self.step, self.stop) for i in range(count)]
+        """start, start + step, ... below stop, then stop itself."""
+        # a step count within GRID_SLACK of a whole number is that number
+        steps = math.ceil((self.stop - self.start) / self.step - GRID_SLACK)
+        return [self.start + i * self.step for i in range(steps)] + [self.stop]
 
 
 @dataclass
@@ -172,13 +178,7 @@ class CheckResult:
     detail: str
 
 
-def self_check(
-    sc: Scenario,
-    lp_tol: float = 1e-9,
-    tight_tol: float = 1e-7,
-    agreement_tol: float = 1e-6,
-    gap_floor: float = 1e-5,
-) -> list[CheckResult]:
+def self_check(sc: Scenario) -> list[CheckResult]:
     """Cross-validate the whole pipeline on one scenario.
 
     The LP solve is compared with two independent solvers: value iteration,
@@ -199,22 +199,22 @@ def self_check(
     if violations:
         return checks
 
-    lp_solution = solve_scenario(sc, solver="lp", tol=lp_tol)
+    lp_solution = solve_scenario(sc, solver="lp", tol=VERIFY_TOL)
     checks.append(
         CheckResult(
             "lp_feasibility",
-            lp_solution.max_residual <= lp_tol,
+            lp_solution.max_residual <= VERIFY_TOL,
             f"max residual {lp_solution.max_residual:.3g} "
             f"after {lp_solution.iterations} policy bases",
         )
     )
 
     system = lp_solution.system
-    report = verify_solution(system, lp_solution.values)
+    report = verify_solution(lp_solution.values, lp_solution.dv)
     checks.append(
         CheckResult(
             "lp_tightness",
-            report.all_tight(tight_tol),
+            report.all_tight(TIGHT_TOL),
             f"worst minimum slack {report.max_min_slack:.3g}",
         )
     )
@@ -224,7 +224,7 @@ def self_check(
     checks.append(
         CheckResult(
             "lp_vi_agreement",
-            gap <= agreement_tol,
+            gap <= AGREEMENT_TOL,
             f"sup-norm gap {gap:.3g} after {sweeps} sweeps",
         )
     )
@@ -240,10 +240,10 @@ def self_check(
             )
         )
     else:
-        dense = simplex_solve(dense_lp, tol=lp_tol)
+        dense = simplex_solve(dense_lp, tol=VERIFY_TOL)
         if dense.status is SimplexStatus.OPTIMAL:
             dense_gap = float(np.max(np.abs(lp_solution.values - dense.values)))
-            passed, detail = dense_gap <= agreement_tol, f"sup-norm gap {dense_gap:.3g}"
+            passed, detail = dense_gap <= AGREEMENT_TOL, f"sup-norm gap {dense_gap:.3g}"
         else:
             passed, detail = False, f"dense simplex {dense.status.value}"
         checks.append(
@@ -252,8 +252,8 @@ def self_check(
             )
         )
 
-    vi_actions = extract_policy(system, vi_values).actions
-    confident = lp_solution.policy.gaps > gap_floor
+    vi_actions = extract_policy(decision_values(system, vi_values)).actions
+    confident = lp_solution.policy.gaps > GAP_FLOOR
     disagreements = int(
         np.sum((lp_solution.policy.actions != vi_actions) & confident)
     )

@@ -1,8 +1,9 @@
-"""Decision values, the LP solve, policy extraction, and the value-table file format.
+"""The LP solve, policy extraction, and the value-table file format.
 
 The decision value of (state, action) is the immediate reward plus the
-discounted expected optimal value of the successors; the policy picks the
-action with the higher decision value, breaking ties toward deny.
+discounted expected optimal value of the successors, q^a + beta P^a V
+(bellman.decision_values); the policy picks the action with the higher
+decision value, breaking ties toward deny.
 
 The Bellman LP (min sum V s.t. V >= q^a + beta P^a V for every state and
 action) is solved on its sparse rows by policy_iterate: Howard's policy
@@ -24,10 +25,10 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
-from .bellman import VERIFY_TOL, BellmanSystem, compile_system, verify_solution
+from .bellman import VERIFY_TOL, BellmanSystem, compile_system, decision_values, verify_solution
 from .config import scenario_fingerprint
 from .rewards import Scenario
-from .states import ACTIONS, Action, CapacityError, Emergency, ModelDims, State, StateSpace
+from .states import Action, CapacityError, Emergency, ModelDims, StateSpace
 from .value_iteration import value_iterate
 
 TIE_TOL = 1e-9
@@ -37,24 +38,6 @@ FILE_HEADER = "ACMDP-VALUES v1"
 
 class SolverError(RuntimeError):
     """The LP solve did not reach an optimal basis within its budget."""
-
-
-def decision_values(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
-    """(2, num_states) array of q + beta * P V, indexed by Action."""
-    beta = system.beta
-    out = np.empty((2, system.num_states))
-    for act in ACTIONS:
-        out[int(act)] = system.q[int(act)] + beta * (system.transitions[int(act)] @ values)
-    return out
-
-
-def decision_value(
-    system: BellmanSystem, values: np.ndarray, s: State, act: Action
-) -> float:
-    """One entry of decision_values, computed from the state's own row of P^a."""
-    i = system.space.state_index(s)
-    successors = system.transitions[int(act)][i]  # 1 x num_states
-    return float(system.q[int(act), i] + system.beta * (successors @ values)[0])
 
 
 def policy_iterate(
@@ -103,8 +86,8 @@ class PolicyMap:
         return Action(int(self.actions[index]))
 
 
-def extract_policy(system: BellmanSystem, values: np.ndarray) -> PolicyMap:
-    dv = decision_values(system, values)
+def extract_policy(dv: np.ndarray) -> PolicyMap:
+    """The policy of a (2, num_states) decision-value array."""
     gaps = np.abs(dv[1] - dv[0])
     # allow only when it beats deny by more than the tie tolerance
     actions = np.where(dv[1] > dv[0] + TIE_TOL, int(Action.ALLOW), int(Action.DENY))
@@ -136,7 +119,8 @@ def solve_scenario(
     tol defaults to each solver's own tolerance: for the LP, the largest
     Bellman-row violation the final basis may leave (1e-9); for value
     iteration, the step at which it stops (1e-10).  start seeds value
-    iteration (see value_iterate); the LP does not use it.
+    iteration (see value_iterate); the LP does not use it.  The solution's
+    dv, policy and max_residual come from one decision_values call.
     """
     system = compile_system(sc)
     tol_arg = {} if tol is None else {"tol": tol}
@@ -146,16 +130,16 @@ def solve_scenario(
         values, iterations = value_iterate(system, start=start, **tol_arg)
     else:
         raise ValueError(f"unknown solver {solver!r}; expected 'lp' or 'vi'")
-    report = verify_solution(system, values)
+    dv = decision_values(system, values)
     return Solution(
         scenario=sc,
         system=system,
         values=values,
-        dv=decision_values(system, values),
-        policy=extract_policy(system, values),
+        dv=dv,
+        policy=extract_policy(dv),
         solver=solver,
         iterations=iterations,
-        max_residual=report.max_violation,
+        max_residual=verify_solution(values, dv).max_violation,
     )
 
 

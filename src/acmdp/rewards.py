@@ -4,7 +4,10 @@ Granting an access yields its configured utility; in an alert status every
 resource that nobody is accessing incurs its (typically negative) resource
 reward.  Two variants govern states with the empty pending request: the
 transition reward is either forced to zero or keeps accruing the resource
-penalty of the reached state.
+penalty of the reached state.  expected_rewards gives each action's
+expected one-step reward from every state in closed form; tests/oracle.py
+sums the same rewards transition by transition (reward_transition,
+immediate_reward) as the reference.
 """
 
 from __future__ import annotations
@@ -20,14 +23,8 @@ from .dynamics import (
     TransitionModel,
     next_access_sets,
     set_request_rows,
-    successors,
 )
-from .states import (
-    Action,
-    Emergency,
-    ModelDims,
-    State,
-)
+from .states import Action, ModelDims
 
 
 class RewardVariant(str, Enum):
@@ -91,36 +88,9 @@ class Scenario:
     def transition_model(self) -> TransitionModel:
         return TransitionModel(self.dims, self.emergency, self.behavior)
 
-    def user_index(self, name: str) -> int:
-        try:
-            return self.user_names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown user {name!r}") from None
-
-    def resource_index(self, name: str) -> int:
-        try:
-            return self.resource_names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown resource {name!r}") from None
-
-
-def reward_emresource(sc: Scenario, e: Emergency, k: int) -> float:
-    """Alert-status penalty: sum of resource rewards nobody is accessing."""
-    if e is Emergency.CALM:
-        return 0.0
-    d = sc.dims
-    total = 0.0
-    for r in range(d.num_resources):
-        accessed = any(
-            (k >> (u * d.num_resources + r)) & 1 for u in range(d.num_users)
-        )
-        if not accessed:
-            total += sc.rewards.reward_resource[r]
-    return total
-
 
 def alert_penalties(sc: Scenario) -> np.ndarray:
-    """reward_emresource(sc, ALERT, k) for every granted-set index k."""
+    """Alert penalty of every granted-set index: the rewards of resources nobody accesses."""
     d = sc.dims
     k = np.arange(d.num_sets)
     total = np.zeros(d.num_sets)
@@ -130,25 +100,8 @@ def alert_penalties(sc: Scenario) -> np.ndarray:
     return total
 
 
-def reward_transition(sc: Scenario, s: State, act: Action, s2: State) -> float:
-    """Reward of one transition, per the configured variant."""
-    if sc.variant is RewardVariant.EPS_ZERO and s.request is None:
-        return 0.0
-    gain = 0.0
-    if act is Action.ALLOW and s.request is not None:
-        gain = sc.rewards.reward_access[(s.request.user, s.request.resource)]
-    return gain + reward_emresource(sc, s2.emergency, s2.granted)
-
-
-def immediate_reward(sc: Scenario, m: TransitionModel, s: State, act: Action) -> float:
-    """Expected one-step reward of an action from a state."""
-    return sum(
-        p * reward_transition(sc, s, act, s2) for s2, p in successors(m, s, act)
-    )
-
-
 def expected_rewards(sc: Scenario, act: Action) -> np.ndarray:
-    """immediate_reward of one action from every state, in StateSpace order.
+    """Expected one-step reward of one action from every state, in StateSpace order.
 
     The reward of a transition depends on the next status e2 and granted set
     k', not on the next request, so q[e, x] over the (granted set, request)

@@ -62,14 +62,6 @@ class LpSolution:
     pivots: int
 
 
-def format_lp(lp: LinearProgram) -> str:
-    """Plain-text tableau listing, one constraint per line (debug aid)."""
-    lines = ["min " + " ".join(f"{v:g}" for v in lp.objective)]
-    for row, b in zip(lp.lhs, lp.rhs):
-        lines.append(" ".join(f"{v:g}" for v in row) + f" >= {b:g}")
-    return "\n".join(lines) + "\n"
-
-
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     factors = T[:, col].copy()

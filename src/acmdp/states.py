@@ -46,13 +46,6 @@ class Action(IntEnum):
     def label(self) -> str:
         return "deny" if self is Action.DENY else "allow"
 
-    @classmethod
-    def from_label(cls, label: str) -> "Action":
-        try:
-            return {"deny": cls.DENY, "allow": cls.ALLOW}[label]
-        except KeyError:
-            raise ValueError(f"unknown action {label!r}") from None
-
 
 ACTIONS = (Action.DENY, Action.ALLOW)
 
@@ -127,12 +120,6 @@ def set_insert(k: int, a: Access, d: ModelDims) -> int:
     return k | (1 << access_bit_index(a, d))
 
 
-def set_members(k: int, d: ModelDims) -> Iterator[Access]:
-    for a in d.accesses():
-        if set_contains(k, a, d):
-            yield a
-
-
 @dataclass(frozen=True)
 class State:
     emergency: Emergency
@@ -141,7 +128,7 @@ class State:
 
 
 class StateSpace:
-    """Deterministic enumeration of all states with a bijective index.
+    """Deterministic order of all states with a bijective index.
 
     Ordering is emergency-major, then granted-set index, then request
     (concrete accesses in bit order, the empty request last).
@@ -151,7 +138,6 @@ class StateSpace:
         self.dims = dims
         # the requests in request-index order: position() takes an index into it
         self.requests: tuple[Request, ...] = (*dims.accesses(), None)
-        self._states: list[State] | None = None
 
     def __len__(self) -> int:
         return self.dims.num_states
@@ -180,15 +166,3 @@ class StateSpace:
         i, req = divmod(i, len(self.requests))
         emergency, granted = divmod(i, self.dims.num_sets)
         return State(Emergency(emergency), granted, self.requests[req])
-
-    def states(self) -> list[State]:
-        if self._states is None:
-            self._states = [self.index_state(i) for i in range(len(self))]
-        return self._states
-
-    def __iter__(self) -> Iterator[State]:
-        return iter(self.states())
-
-
-def enumerate_states(d: ModelDims) -> StateSpace:
-    return StateSpace(d)

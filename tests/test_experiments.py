@@ -23,6 +23,15 @@ class TestSweepSpec:
             0.1,
         ]
 
+    def test_grid_ends_at_stop(self):
+        # 0.2 is 2.5 steps of 0.08 from the start: the last point is the stop
+        grid = SweepSpec(builtin_scenario("table2_once"), 0.0, 0.2, 0.08).grid()
+        assert grid == [0.0, 0.08, 0.16, 0.2]
+
+    def test_default_grid(self):
+        grid = SweepSpec(builtin_scenario("table2_once")).grid()
+        assert grid == [i * 0.01 for i in range(101)]
+
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             SweepSpec(builtin_scenario("table2_unique"), 0.5, 0.2, 0.1)
@@ -55,6 +64,13 @@ class TestRunSweep:
         for point in result.points:
             diff = point.dv[int(Action.ALLOW), BOB_HIGH_POS] - point.dv[int(Action.DENY), BOB_HIGH_POS]
             assert diff == pytest.approx(20 * point.probability - 10, abs=1e-7)
+
+    def test_crossover_between_last_step_and_stop(self):
+        # (bob, high) under once crosses at 0.1897, past the last whole step 0.16
+        spec = SweepSpec(builtin_scenario("table2_once"), 0.0, 0.2, 0.08)
+        crossover = run_sweep(spec, solver="vi").crossovers[BOB_HIGH_POS]
+        assert crossover.root == pytest.approx(0.1897, abs=1e-4)
+        assert 0.16 <= crossover.bracket[0] <= crossover.root <= crossover.bracket[1] <= 0.2
 
     def test_no_crossover_reported_as_none(self):
         # (alice, high): allow always wins

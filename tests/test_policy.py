@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_bellman import small_scenario
 
+import acmdp.value_iteration
 from acmdp import (
     Access,
     Action,
@@ -22,7 +24,7 @@ from acmdp import (
     build_bellman_lp,
     builtin_scenario,
     compile_system,
-    decision_value,
+    decision_values,
     export_values,
     extract_policy,
     import_values,
@@ -42,24 +44,14 @@ ALICE_LOW, ALICE_HIGH = Access(0, 0), Access(0, 1)
 class TestDecisionValues:
     def test_table1_alert_alice_low(self, solved):
         sol = solved("table1")
-        s = State(Emergency.ALERT, 0, ALICE_LOW)
-        assert decision_value(sol.system, sol.values, s, Action.DENY) == pytest.approx(-20)
-        assert decision_value(sol.system, sol.values, s, Action.ALLOW) == pytest.approx(-14)
+        i = sol.system.space.state_index(State(Emergency.ALERT, 0, ALICE_LOW))
+        assert sol.dv[int(Action.DENY), i] == pytest.approx(-20)
+        assert sol.dv[int(Action.ALLOW), i] == pytest.approx(-14)
 
     def test_table2_all_alert_alice_high(self, solved):
         sol = solved("table2_all")
-        s = State(Emergency.ALERT, 0, ALICE_HIGH)
-        assert decision_value(sol.system, sol.values, s, Action.ALLOW) == pytest.approx(
-            55, abs=1e-6
-        )
-
-    @pytest.mark.parametrize("name", ["table2_all", "modified_once"])
-    def test_decision_value_matches_decision_values(self, solved, name):
-        sol = solved(name)
-        for i, s in enumerate(sol.system.space):
-            for act in Action:
-                got = decision_value(sol.system, sol.values, s, act)
-                assert abs(got - sol.dv[int(act), i]) <= 1e-12
+        i = sol.system.space.state_index(State(Emergency.ALERT, 0, ALICE_HIGH))
+        assert sol.dv[int(Action.ALLOW), i] == pytest.approx(55, abs=1e-6)
 
     def test_beta_zero_dv_equals_immediate_reward(self, solved):
         sol = solved("table1")
@@ -69,6 +61,49 @@ class TestDecisionValues:
         for name in ("table1", "table2_once", "modified_all"):
             sol = solved(name)
             assert np.max(np.abs(sol.dv.max(axis=0) - sol.values)) <= 1e-7
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of decision_values calls inside and outside value_iterate.
+
+    Both functions are rebound in every acmdp module that holds them.
+    """
+    kernel, iterate = acmdp.decision_values, acmdp.value_iteration.value_iterate
+    calls = {"inside": 0, "outside": 0}
+    depth = []
+
+    def counted(*args):
+        calls["inside" if depth else "outside"] += 1
+        return kernel(*args)
+
+    def iterating(*args, **kwargs):
+        depth.append(None)
+        try:
+            return iterate(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    for name, module in list(sys.modules.items()):
+        if name == "acmdp" or name.startswith("acmdp."):
+            if getattr(module, "decision_values", None) is kernel:
+                monkeypatch.setattr(module, "decision_values", counted)
+            if getattr(module, "value_iterate", None) is iterate:
+                monkeypatch.setattr(module, "value_iterate", iterating)
+    return calls
+
+
+class TestOneKernel:
+    """A solve prices its final values with decision_values exactly once."""
+
+    @pytest.mark.parametrize("name", ["table1", "table2_all"])
+    def test_lp_solve_prices_each_basis_and_the_result(self, kernel_calls, name):
+        solution = solve_scenario(builtin_scenario(name), "lp")
+        assert kernel_calls == {"inside": 0, "outside": solution.iterations + 1}
+
+    def test_vi_solve_prices_the_result_once(self, kernel_calls):
+        solution = solve_scenario(builtin_scenario("table2_once"), "vi")
+        assert kernel_calls == {"inside": solution.iterations, "outside": 1}
 
 
 class TestExtractPolicy:
@@ -132,10 +167,11 @@ def assert_lp_agrees(solution, values, bound):
     """The LP solution's values within bound of values, policies matching
     wherever the gap exceeds bound, every Bellman row feasible and tight."""
     assert np.max(np.abs(solution.values - values)) <= bound
-    other = extract_policy(solution.system, values)
+    other = extract_policy(decision_values(solution.system, values))
     confident = other.gaps > bound
     assert np.array_equal(solution.policy.actions[confident], other.actions[confident])
-    report = verify_solution(solution.system, solution.values)
+    # priced afresh, not from solution.dv, so the check is independent of the solve
+    report = verify_solution(solution.values, decision_values(solution.system, solution.values))
     assert report.feasible(1e-9)
     assert report.all_tight(1e-7)
 

@@ -1,4 +1,11 @@
 import pytest
+from oracle import (
+    all_states,
+    immediate_reward,
+    reward_emresource,
+    reward_transition,
+    successors,
+)
 
 from acmdp import (
     Access,
@@ -8,10 +15,6 @@ from acmdp import (
     State,
     StateSpace,
     builtin_scenario,
-    immediate_reward,
-    reward_emresource,
-    reward_transition,
-    successors,
 )
 
 ALICE_LOW, ALICE_HIGH = Access(0, 0), Access(0, 1)
@@ -72,7 +75,7 @@ class TestRewardTransition:
 
     def test_eps_zero_everywhere_property(self, table2):
         m = table2.transition_model()
-        for s in StateSpace(table2.dims):
+        for s in all_states(StateSpace(table2.dims)):
             if s.request is not None:
                 continue
             for act in (Action.DENY, Action.ALLOW):
@@ -102,7 +105,7 @@ class TestImmediateReward:
         sc = builtin_scenario("table2_once")
         m = sc.transition_model()
         space = StateSpace(sc.dims)
-        for s in space:
+        for s in all_states(space):
             for act in (Action.DENY, Action.ALLOW):
                 dense = {space.state_index(s2): p for s2, p in successors(m, s, act)}
                 expected = sum(

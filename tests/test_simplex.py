@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from acmdp import LinearProgram, SimplexStatus, simplex_solve
-from acmdp.simplex import format_lp
 
 
 def lp(c, a, b):
@@ -75,8 +74,3 @@ class TestSimplexSolve:
             result = simplex_solve(problem)
             assert result.status is SimplexStatus.OPTIMAL
             assert np.all(a @ result.values >= b - 1e-8)
-
-
-def test_format_lp_dump():
-    text = format_lp(lp([1, 1], [[1, -1]], [4]))
-    assert text.splitlines() == ["min 1 1", "1 -1 >= 4"]

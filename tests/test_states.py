@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracle import all_states
 
 from acmdp import (
     Access,
@@ -8,8 +9,8 @@ from acmdp import (
     Emergency,
     ModelDims,
     State,
+    StateSpace,
     access_bit_index,
-    enumerate_states,
     set_contains,
     set_insert,
 )
@@ -78,12 +79,12 @@ class TestDims:
 
 class TestEnumeration:
     def test_state_counts(self):
-        assert len(enumerate_states(D22)) == 160
-        assert len(enumerate_states(ModelDims(1, 1))) == 8
+        assert len(StateSpace(D22)) == 160
+        assert len(StateSpace(ModelDims(1, 1))) == 8
 
     @pytest.mark.parametrize("nu,nr", [(2, 2), (3, 2)])
     def test_bijection_exhaustive(self, nu, nr):
-        space = enumerate_states(ModelDims(nu, nr))
+        space = StateSpace(ModelDims(nu, nr))
         seen = set()
         for i in range(len(space)):
             s = space.index_state(i)
@@ -92,8 +93,8 @@ class TestEnumeration:
         assert len(seen) == len(space)
 
     def test_ordering(self):
-        space = enumerate_states(D22)
-        states = space.states()
+        space = StateSpace(D22)
+        states = all_states(space)
         # emergency-major: first half calm, second half alert
         assert all(s.emergency is Emergency.CALM for s in states[:80])
         assert all(s.emergency is Emergency.ALERT for s in states[80:])
@@ -103,7 +104,7 @@ class TestEnumeration:
         assert states[5] == State(Emergency.CALM, 1, Access(0, 0))
 
     def test_index_out_of_range(self):
-        space = enumerate_states(D22)
+        space = StateSpace(D22)
         with pytest.raises(ValueError):
             space.index_state(160)
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from acmdp import (
     bellman_backup,
     builtin_scenario,
     compile_system,
+    decision_values,
     value_iterate,
 )
 
@@ -28,6 +29,11 @@ class TestBackup:
         system = compile_system(builtin_scenario("table1"))
         start = np.full(system.num_states, 123.0)  # ignored when beta = 0
         assert np.array_equal(bellman_backup(system, start), system.q.max(axis=0))
+
+    def test_is_max_of_decision_values(self, table2_system):
+        values = np.random.default_rng(5).normal(scale=50, size=160)
+        expected = decision_values(table2_system, values).max(axis=0)
+        assert np.array_equal(bellman_backup(table2_system, values), expected)
 
     def test_first_backup_from_zero(self, table2_system):
         backed = bellman_backup(table2_system, np.zeros(160))
