@@ -1,16 +1,20 @@
 """Assembly of the Bellman system, its one evaluation kernel, and its linear program.
 
-compile_system turns a scenario into sparse per-action transition matrices
-and immediate-reward vectors.  The build is factored and vectorized:
-each P^a is the Kronecker product of the 2x2 emergency matrix with a
-(granted set, request) matrix made by bitmask arithmetic
-(dynamics.transition_matrices), and q^a has a closed form
-(rewards.expected_rewards), so no Python loop runs per state; the
-per-state reference build the tests compare against is tests/oracle.py.
+compile_system turns a scenario into one stacked sparse transition matrix
+and the immediate-reward vectors, in two steps.  build_parts builds the
+part that does not depend on the 2x2 emergency matrix E: the request-draw
+structure of both R^a (dynamics.request_dynamics) and the gain and alert
+penalty parts of q^a (rewards.reward_parts), all by array arithmetic with
+no Python loop per state.  SystemParts.mix then mixes in one E: it gathers
+E[e, e2] / draws into a (2n, n) CSR matrix whose row a*n + i is row i of
+P^a = E (x) R^a, and weights the reward parts by E's rows.  A sweep over
+E builds the parts once and mixes them at every grid point.  The per-state
+reference build the tests compare against is tests/oracle.py.
 
-decision_values is the only code that evaluates q^a + beta P^a V.  The LP
-solve (policy.policy_iterate), value iteration's backup, policy extraction
-and verify_solution all read its (2, n) output.
+decision_values is the only code that evaluates q^a + beta P^a V, as one
+matvec with the stacked matrix.  The LP solve (policy.policy_iterate),
+value iteration's backup, policy extraction and verify_solution all read
+its (2, n) output.
 
 build_bellman_lp writes the same LP out densely for the simplex oracle
 (simplex.simplex_solve), which tests and self_check compare against.  It
@@ -20,27 +24,32 @@ whose constraint matrix or simplex tableau would exceed LP_MAX_BYTES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from .dynamics import transition_matrices
-from .rewards import Scenario, expected_rewards
+from .dynamics import RequestDynamics, request_dynamics, set_request_rows
+from .rewards import RewardVariant, Scenario, reward_parts
 from .simplex import LinearProgram
-from .states import ACTIONS, CapacityError, StateSpace
+from .states import CapacityError, StateSpace
 
 VERIFY_TOL = 1e-9
 TIGHT_TOL = 1e-7
 LP_MAX_BYTES = 1 << 30  # largest dense LHS or oracle tableau build_bellman_lp allows
+
+# every Scenario field but the emergency matrix: SystemParts.mix refuses a change to these
+_E_FREE_FIELDS = tuple(f.name for f in fields(Scenario) if f.name != "emergency")
 
 
 @dataclass
 class BellmanSystem:
     scenario: Scenario
     space: StateSpace
-    transitions: tuple[sparse.csr_matrix, sparse.csr_matrix]  # indexed by Action
+    stacked: sparse.csr_matrix  # (2n, n): row a * n + i is row i of P^a
     q: np.ndarray  # (2, num_states) immediate rewards, indexed by Action
+    parts: SystemParts  # the E-free part it was mixed from
 
     @property
     def num_states(self) -> int:
@@ -50,18 +59,66 @@ class BellmanSystem:
     def beta(self) -> float:
         return self.scenario.beta
 
+    @cached_property
+    def transitions(self) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+        """(P^deny, P^allow), indexed by Action: views of the stacked matrix's arrays."""
+        n, m = self.num_states, self.stacked
+        cut = m.indptr[n]
+        return (
+            sparse.csr_matrix((m.data[:cut], m.indices[:cut], m.indptr[: n + 1]), shape=(n, n)),
+            sparse.csr_matrix((m.data[cut:], m.indices[cut:], m.indptr[n:] - cut), shape=(n, n)),
+        )
+
+
+@dataclass(frozen=True)
+class SystemParts:
+    """The part of a compiled system that does not depend on the emergency matrix E."""
+
+    scenario: Scenario
+    space: StateSpace
+    dynamics: RequestDynamics
+    rewards: np.ndarray  # (action, next status, row): see rewards.reward_parts
+    silent: np.ndarray  # rows whose q is 0: eps_zero's empty-request rows
+
+    def mix(self, sc: Scenario) -> BellmanSystem:
+        """The system of sc, which may differ from the built scenario only in E."""
+        for name in _E_FREE_FIELDS:
+            if getattr(sc, name) != getattr(self.scenario, name):
+                raise ValueError(
+                    f"scenario differs in {name} from the one these parts were built "
+                    f"from; only the emergency matrix may change"
+                )
+        emergency = np.array(sc.emergency.rows, dtype=float)
+        q = emergency @ self.rewards
+        q[:, :, self.silent] = 0.0
+        return BellmanSystem(
+            sc, self.space, self.dynamics.stack(emergency), q.reshape(2, -1), self
+        )
+
+
+def build_parts(sc: Scenario) -> SystemParts:
+    """The E-free part of sc's system, to be mixed with E by SystemParts.mix."""
+    _, r = set_request_rows(sc.dims)
+    silent = np.flatnonzero(r == sc.dims.num_access_bits)
+    if sc.variant is not RewardVariant.EPS_ZERO:
+        silent = silent[:0]
+    return SystemParts(
+        sc,
+        StateSpace(sc.dims),
+        request_dynamics(sc.dims, sc.behavior),
+        reward_parts(sc),
+        silent,
+    )
+
 
 def compile_system(sc: Scenario) -> BellmanSystem:
     """Transition matrices and immediate rewards of every action."""
-    q = np.stack([expected_rewards(sc, act) for act in ACTIONS])
-    return BellmanSystem(sc, StateSpace(sc.dims), transition_matrices(sc.transition_model()), q)
+    return build_parts(sc).mix(sc)
 
 
 def decision_values(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
     """(2, num_states) array of q^a + beta * P^a V, indexed by Action."""
-    out = np.empty((2, system.num_states))
-    for act in ACTIONS:
-        out[int(act)] = system.transitions[int(act)] @ values
+    out = (system.stacked @ values).reshape(2, -1)
     out *= system.beta
     out += system.q
     return out
@@ -89,13 +146,12 @@ def build_bellman_lp(system: BellmanSystem) -> LinearProgram:
             f"for its tableau, over the {LP_MAX_BYTES / 1e9:.1f} GB limit; "
             f"use --solver lp, which solves the LP on its sparse rows"
         )
-    lhs = np.zeros((2 * n, n))
-    rhs = np.zeros(2 * n)
-    for act in ACTIONS:
-        block = -beta * system.transitions[int(act)].toarray()
-        block[np.arange(n), np.arange(n)] += 1.0
-        lhs[2 * np.arange(n) + int(act)] = block
-        rhs[2 * np.arange(n) + int(act)] = system.q[int(act)]
+    # constraint 2i + a is row a * n + i of the stacked matrix
+    interleaved = (np.arange(2)[None, :] * n + np.arange(n)[:, None]).ravel()
+    lhs = system.stacked[interleaved].toarray()
+    lhs *= -beta
+    lhs[np.arange(2 * n), np.repeat(np.arange(n), 2)] += 1.0
+    rhs = system.q.T.ravel()
     return LinearProgram(np.ones(n), lhs, rhs)
 
 

@@ -8,10 +8,13 @@ request behaviour.
 Because the emergency chain is independent of the (granted set, request)
 part and states are ordered emergency-major, each action's transition
 matrix is the Kronecker product E (x) R^a of the 2x2 emergency matrix with a
-matrix R^a over (granted set, request) rows; transition_matrices builds it
-with array arithmetic on the set bitmasks.  tests/oracle.py describes the
-same process one state at a time (successors) and is the reference the
-tests compare this build against.
+matrix R^a over (granted set, request) rows.  request_dynamics builds the
+E-free part once, with array arithmetic on the set bitmasks: where each row
+of R^a leads and how many requests it draws.  RequestDynamics.stack then
+mixes in one E, gathering E[e, e2] / draws into a single (2n, n) matrix
+whose row a*n + i is row i of P^a, so a sweep over E rebuilds nothing else.
+tests/oracle.py describes the same process one state at a time
+(successors) and is the reference the tests compare this build against.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from scipy import sparse
 from .states import ACTIONS, Action, ModelDims, State, StateSpace
 
 ROW_SUM_TOL = 1e-9
+# the 12-bit cap keeps every column, entry count and row offset far below 2**31
+INDEX_DTYPE = np.int32
 
 
 class RequestBehavior(str, Enum):
@@ -98,21 +103,22 @@ def next_access_sets(d: ModelDims, act: Action) -> np.ndarray:
     return k | np.where(r < d.num_access_bits, 1 << r, 0)
 
 
-def request_draws(m: TransitionModel, act: Action) -> tuple[np.ndarray, np.ndarray]:
+def request_draws(
+    d: ModelDims, behavior: RequestBehavior, act: Action
+) -> tuple[np.ndarray, np.ndarray]:
     """Next granted set of every (granted set, request) row, and the requests it can draw.
 
     drawable[x, j] is true when row x draws next request j (j = num_access_bits
     is the empty request); each row draws uniformly among them, as the
     RequestBehavior comments describe.
     """
-    d = m.dims
     bits = d.num_access_bits
     _, r = set_request_rows(d)
     k2 = next_access_sets(d, act)
     drawable = np.zeros((len(r), bits + 1), dtype=bool)
-    if m.behavior is RequestBehavior.UNIQUE:
+    if behavior is RequestBehavior.UNIQUE:
         drawable[:, bits] = True
-    elif m.behavior is RequestBehavior.ALL:
+    elif behavior is RequestBehavior.ALL:
         drawable[:, :bits] = True
     else:
         drawable[:, :bits] = (k2[:, None] >> np.arange(bits)) & 1 == 0
@@ -121,40 +127,70 @@ def request_draws(m: TransitionModel, act: Action) -> tuple[np.ndarray, np.ndarr
     return k2, drawable
 
 
-def transition_matrices(m: TransitionModel) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Per-action state transition matrices P^a = E (x) R^a, indexed by Action.
+@dataclass(frozen=True)
+class RequestDynamics:
+    """The E-free part of both actions' transition matrices.
 
-    The Kronecker product is built by broadcasting, with E's zero entries
-    dropped, so every stored entry is a positive-probability successor of a
-    well-formed model, with probability E[e, e2] times the request draw's.
+    Lists every entry the stacked matrix can hold, in CSR order: rows
+    (action, e, x) for emergency status e and (granted set, request) row x,
+    and within a row the successors (e2, j) for next status e2 and drawn
+    request j.  stack() keeps the entries whose E[e, e2] is not zero.
     """
-    d = m.dims
+
+    size: int  # (granted set, request) rows per emergency status
+    draws: np.ndarray  # (2, size): requests each row draws, per action
+    entry: np.ndarray  # per listed entry: its E entry, flattened (2 * e + e2)
+    inv_draws: np.ndarray  # per listed entry: 1 / draws of its row
+    cols: np.ndarray  # per listed entry: its column
+
+    def stack(self, emergency: np.ndarray) -> sparse.csr_matrix:
+        """P^deny over P^allow, P^a = E (x) R^a, as one (2n, n) CSR matrix.
+
+        E's zero entries are dropped, so every stored entry is a
+        positive-probability successor of a well-formed model, with
+        probability E[e, e2] times the request draw's.
+        """
+        n = 2 * self.size
+        data = emergency.ravel()[self.entry] * self.inv_draws
+        cols = self.cols
+        nonzero = emergency != 0.0
+        if not nonzero.all():
+            keep = nonzero.ravel()[self.entry]
+            data, cols = data[keep], cols[keep]
+        per_row = self.draws[:, None, :] * np.count_nonzero(nonzero, axis=1)[:, None]
+        indptr = np.zeros(2 * n + 1, dtype=INDEX_DTYPE)
+        np.cumsum(per_row.ravel(), out=indptr[1:])
+        return sparse.csr_matrix((data, cols, indptr), shape=(2 * n, n))
+
+
+def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics:
+    """Where each (granted set, request) row leads under each action, and what it draws."""
     per_set = d.num_access_bits + 1
     size = d.num_sets * per_set
-    emergency = np.array(m.emergency.rows, dtype=float)
-    mats = []
+    shape = (2, size, 2, per_set)
+    e_entry = 2 * np.arange(2)[:, None] + np.arange(2)  # [e, e2]: index into E flattened
+    draws, entry, inv_draws, cols = [], [], [], []
     for act in ACTIONS:
-        k2, drawable = request_draws(m, act)
-        # stored[e, x, e2, j]: (e, x) moves to (e2, k2[x], j); C order is CSR order
-        stored = (emergency != 0.0)[:, None, :, None] & drawable[None, :, None, :]
-        cols = (
+        k2, drawable = request_draws(d, behavior, act)
+        count = drawable.sum(axis=1)
+        # listed[e, x, e2, j]: (e, x) can move to (e2, k2[x], j); C order is CSR order
+        listed = np.broadcast_to(drawable[None, :, None, :], shape)
+        to_col = (
             (np.arange(2) * size)[:, None]
             + (k2 * per_set)[:, None, None]
             + np.arange(per_set)
         )  # shape (x, e2, j)
-        data = emergency[:, None, :, None] * (1.0 / drawable.sum(axis=1))[:, None, None]
-        indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=(2, 3)).ravel())))
-        mats.append(
-            sparse.csr_matrix(
-                (
-                    np.broadcast_to(data, stored.shape)[stored],
-                    np.broadcast_to(cols, stored.shape)[stored],
-                    indptr,
-                ),
-                shape=(2 * size, 2 * size),
-            )
-        )
-    return mats[0], mats[1]
+        draws.append(count)
+        entry.append(np.broadcast_to(e_entry[:, None, :, None], shape)[listed])
+        inv_draws.append(np.broadcast_to((1.0 / count)[:, None, None], shape)[listed])
+        cols.append(np.broadcast_to(to_col, shape)[listed])
+    return RequestDynamics(
+        size,
+        np.stack(draws).astype(INDEX_DTYPE),
+        np.concatenate(entry),
+        np.concatenate(inv_draws),
+        np.concatenate(cols).astype(INDEX_DTYPE),
+    )
 
 
 @dataclass(frozen=True)
@@ -168,29 +204,28 @@ class StochasticityViolation:
 def validate_stochastic(
     m: TransitionModel, tol: float = ROW_SUM_TOL
 ) -> list[StochasticityViolation]:
-    """Check that every (state, action) row of transition_matrices is a distribution.
+    """Check that every (state, action) row of the stacked transition matrix is a distribution.
 
     Returns the list of violations in state-major, action-minor order; empty
     means the model is well-formed.
     """
-    found: list[tuple[int, Action, float, str]] = []
-    for act, mat in zip(ACTIONS, transition_matrices(m)):
-        mass = np.asarray(mat.sum(axis=1)).ravel()
-        flagged = np.abs(mass - 1.0) > tol
-        out_of_range = ~((mat.data > 0.0) & (mat.data <= 1.0))
-        flagged[np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))[out_of_range]] = True
-        for i in np.flatnonzero(flagged).tolist():
-            total = float(mass[i])
-            row = mat.data[mat.indptr[i]:mat.indptr[i + 1]].tolist()
-            bad_probs = [p for p in row if not 0.0 < p <= 1.0]
-            if bad_probs:
-                detail = f"probabilities {bad_probs} outside (0, 1]"
-            else:
-                detail = f"mass {total} != 1"
-            found.append((i, act, total, detail))
-    found.sort(key=lambda v: (v[0], v[1]))
+    stacked = request_dynamics(m.dims, m.behavior).stack(np.array(m.emergency.rows, dtype=float))
+    mass = np.asarray(stacked.sum(axis=1)).ravel()
+    flagged = np.abs(mass - 1.0) > tol
+    out_of_range = ~((stacked.data > 0.0) & (stacked.data <= 1.0))
+    flagged[np.repeat(np.arange(stacked.shape[0]), np.diff(stacked.indptr))[out_of_range]] = True
+    n = stacked.shape[1]
     space = StateSpace(m.dims)
-    return [
-        StochasticityViolation(space.index_state(i), act, total, detail)
-        for i, act, total, detail in found
-    ]
+    found = []
+    # row a * n + i is (state i, action a); report state-major, action-minor
+    for row in sorted(np.flatnonzero(flagged).tolist(), key=lambda r: (r % n, r // n)):
+        act, i = divmod(row, n)
+        total = float(mass[row])
+        probs = stacked.data[stacked.indptr[row]:stacked.indptr[row + 1]].tolist()
+        bad_probs = [p for p in probs if not 0.0 < p <= 1.0]
+        if bad_probs:
+            detail = f"probabilities {bad_probs} outside (0, 1]"
+        else:
+            detail = f"mass {total} != 1"
+        found.append(StochasticityViolation(space.index_state(i), Action(act), total, detail))
+    return found

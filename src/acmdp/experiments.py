@@ -4,7 +4,9 @@ The sweep varies the calm-to-alert probability while keeping the alert
 status absorbing, solves the model at each grid point, and tracks the
 decision values of every access from the calm, nothing-granted states.
 Crossovers (where allow overtakes deny) are bracketed on the grid and then
-pinned down by bisection.
+pinned down by bisection.  Only the emergency matrix E changes along a
+sweep, so the scenario is compiled once and each grid or bisection point
+mixes its E into the E-free parts (bellman.SystemParts.mix).
 """
 
 from __future__ import annotations
@@ -15,12 +17,19 @@ from typing import Callable
 
 import numpy as np
 
-from .bellman import TIGHT_TOL, VERIFY_TOL, build_bellman_lp, decision_values, verify_solution
+from .bellman import (
+    TIGHT_TOL,
+    VERIFY_TOL,
+    build_bellman_lp,
+    compile_system,
+    decision_values,
+    verify_solution,
+)
 from .dynamics import EmergencyMatrix, validate_stochastic
-from .policy import Solution, extract_policy, solve_scenario
+from .policy import extract_policy, solve_scenario, solve_system
 from .rewards import Scenario
 from .simplex import SimplexStatus, simplex_solve
-from .states import Access, Action, CapacityError, Emergency, State
+from .states import Access, Action, CapacityError, Emergency
 from .value_iteration import value_iterate
 
 CROSSOVER_WIDTH = 1e-4
@@ -80,16 +89,6 @@ class SweepResult:
     crossovers: list[CrossoverResult]
 
 
-def _calm_empty_dv(solution: Solution) -> np.ndarray:
-    """Decision values of every access from (calm, no grants) as (2, n)."""
-    space = solution.system.space
-    idx = [
-        space.state_index(State(Emergency.CALM, 0, a))
-        for a in solution.scenario.dims.accesses()
-    ]
-    return solution.dv[:, idx]
-
-
 def _allow_minus_deny(dv: np.ndarray, access_pos: int) -> float:
     return float(dv[int(Action.ALLOW), access_pos] - dv[int(Action.DENY), access_pos])
 
@@ -116,19 +115,24 @@ def _bisect(
 def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
     """Solve every grid point, then bisect each bracketed crossover.
 
-    Value iteration is warm-started from the previous solve: grid point to
-    grid point, then bisection step to bisection step.
+    The scenario is compiled once; each solve mixes its point's E into
+    those parts.  Value iteration is warm-started from the previous solve:
+    grid point to grid point, then bisection step to bisection step.
     """
     grid = spec.grid()
+    parts = compile_system(spec.scenario).parts
+    # the (calm, nothing granted, access) states; accesses are requests 0.. in bit order
+    calm_empty = parts.space.position(
+        int(Emergency.CALM), 0, np.arange(spec.scenario.dims.num_access_bits)
+    )
     values = None
 
     def dv_at(probability: float) -> np.ndarray:
         nonlocal values
-        solution = solve_scenario(
-            scenario_at_probability(spec.scenario, probability), solver=solver, start=values
-        )
+        system = parts.mix(scenario_at_probability(spec.scenario, probability))
+        solution = solve_system(system, solver, start=values)
         values = solution.values
-        return _calm_empty_dv(solution)
+        return solution.dv[:, calm_empty]
 
     points = [SweepPoint(p, dv_at(p)) for p in grid]
     crossovers = []

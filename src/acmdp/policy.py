@@ -59,11 +59,9 @@ def policy_iterate(
     n = system.num_states
     states = np.arange(n)
     identity = sparse.identity(n, format="csr")
-    deny, allow = system.transitions
     policy = (system.q[1] > system.q[0]).astype(int)
     for bases in range(1, max_iter + 1):
-        take_allow = sparse.diags(policy.astype(float))
-        p_pi = (identity - take_allow) @ deny + take_allow @ allow
+        p_pi = system.stacked[policy * n + states]  # row i of P^policy[i]
         values = spsolve((identity - system.beta * p_pi).tocsc(), system.q[policy, states])
         dv = decision_values(system, values)
         better = dv[1 - policy, states] > dv[policy, states] + tol
@@ -114,15 +112,28 @@ def solve_scenario(
     tol: float | None = None,
     start: np.ndarray | None = None,
 ) -> Solution:
-    """Solve a scenario with the LP (policy_iterate) or value iteration.
+    """Compile a scenario and solve it with the LP (policy_iterate) or value iteration.
 
     tol defaults to each solver's own tolerance: for the LP, the largest
     Bellman-row violation the final basis may leave (1e-9); for value
-    iteration, the step at which it stops (1e-10).  start seeds value
-    iteration (see value_iterate); the LP does not use it.  The solution's
-    dv, policy and max_residual come from one decision_values call.
+    iteration, the bound on the distance of its values from the optimum
+    (1e-10).  start seeds value iteration (see value_iterate); the LP does
+    not use it.
     """
-    system = compile_system(sc)
+    return solve_system(compile_system(sc), solver, tol, start)
+
+
+def solve_system(
+    system: BellmanSystem,
+    solver: str = "lp",
+    tol: float | None = None,
+    start: np.ndarray | None = None,
+) -> Solution:
+    """Solve a compiled system; the arguments are solve_scenario's.
+
+    The solution's dv, policy and max_residual come from one
+    decision_values call.
+    """
     tol_arg = {} if tol is None else {"tol": tol}
     if solver == "lp":
         values, iterations = policy_iterate(system, **tol_arg)
@@ -132,7 +143,7 @@ def solve_scenario(
         raise ValueError(f"unknown solver {solver!r}; expected 'lp' or 'vi'")
     dv = decision_values(system, values)
     return Solution(
-        scenario=sc,
+        scenario=system.scenario,
         system=system,
         values=values,
         dv=dv,

@@ -4,8 +4,10 @@ Granting an access yields its configured utility; in an alert status every
 resource that nobody is accessing incurs its (typically negative) resource
 reward.  Two variants govern states with the empty pending request: the
 transition reward is either forced to zero or keeps accruing the resource
-penalty of the reached state.  expected_rewards gives each action's
-expected one-step reward from every state in closed form; tests/oracle.py
+penalty of the reached state.  reward_parts gives, in closed form, the
+E-free part of each action's expected one-step reward: the reward of every
+(granted set, request) row for either next emergency status, which the
+compile (bellman.SystemParts.mix) weights by the rows of E.  tests/oracle.py
 sums the same rewards transition by transition (reward_transition,
 immediate_reward) as the reference.
 """
@@ -24,7 +26,7 @@ from .dynamics import (
     next_access_sets,
     set_request_rows,
 )
-from .states import Action, ModelDims
+from .states import ACTIONS, Action, ModelDims
 
 
 class RewardVariant(str, Enum):
@@ -100,21 +102,20 @@ def alert_penalties(sc: Scenario) -> np.ndarray:
     return total
 
 
-def expected_rewards(sc: Scenario, act: Action) -> np.ndarray:
-    """Expected one-step reward of one action from every state, in StateSpace order.
+def reward_parts(sc: Scenario) -> np.ndarray:
+    """Reward of every (action, next status e2, (granted set, request) row x).
 
     The reward of a transition depends on the next status e2 and granted set
-    k', not on the next request, so q[e, x] over the (granted set, request)
-    rows x is sum_e2 E[e, e2] * (gain(act, x) + penalty(e2, k'(x))).
+    k', not on the next request, so it is gain(act, x) + penalty(e2, k'(x));
+    the expected reward from (e, x) is sum_e2 E[e, e2] times it.  Shape
+    (2, 2, rows per status), indexed by Action, then Emergency.
     """
     d = sc.dims
     _, r = set_request_rows(d)
-    gain = np.zeros(len(r))
-    if act is Action.ALLOW:
-        grants = [sc.rewards.reward_access[(a.user, a.resource)] for a in d.accesses()]
-        gain = np.array(grants + [0.0])[r]
-    penalty = np.stack((np.zeros(d.num_sets), alert_penalties(sc)))[:, next_access_sets(d, act)]
-    q = np.array(sc.emergency.rows, dtype=float) @ (gain + penalty)
-    if sc.variant is RewardVariant.EPS_ZERO:
-        q[:, r == d.num_access_bits] = 0.0
-    return q.ravel()
+    grants = [sc.rewards.reward_access[(a.user, a.resource)] for a in d.accesses()]
+    penalties = np.stack((np.zeros(d.num_sets), alert_penalties(sc)))
+    parts = []
+    for act in ACTIONS:
+        gain = np.array(grants + [0.0])[r] if act is Action.ALLOW else np.zeros(len(r))
+        parts.append(gain + penalties[:, next_access_sets(d, act)])
+    return np.stack(parts)

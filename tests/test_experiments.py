@@ -96,21 +96,21 @@ class TestRunSweep:
 
     def test_warm_start_matches_cold_sweep(self, monkeypatch):
         spec = SweepSpec(builtin_scenario("table2_all"))
-        solve = acmdp.experiments.solve_scenario
+        solve = acmdp.experiments.solve_system
         warm_starts = []
 
-        def warm_solve(sc, solver, start):
+        def warm_solve(system, solver, start):
             warm_starts.append(start is not None)
-            return solve(sc, solver=solver, start=start)
+            return solve(system, solver, start=start)
 
-        monkeypatch.setattr(acmdp.experiments, "solve_scenario", warm_solve)
+        monkeypatch.setattr(acmdp.experiments, "solve_system", warm_solve)
         warm = run_sweep(spec, solver="vi")
         # every solve but the first starts from the previous one's values
         assert warm_starts[0] is False and all(warm_starts[1:])
         monkeypatch.setattr(
             acmdp.experiments,
-            "solve_scenario",
-            lambda sc, solver, start: solve(sc, solver=solver),
+            "solve_system",
+            lambda system, solver, start: solve(system, solver),
         )
         cold = run_sweep(spec, solver="vi")
         assert [pt.probability for pt in warm.points] == [pt.probability for pt in cold.points]
