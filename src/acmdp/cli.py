@@ -23,8 +23,8 @@ from .value_iteration import ConvergenceError
 
 TOL_HELP = (
     "solver tolerance: for lp, the largest Bellman-row violation the final "
-    "policy basis may leave (default 1e-9); for vi, the sweep-to-sweep change "
-    "at which it stops (default 1e-10)"
+    "policy basis may leave (default 1e-9); for vi, the largest distance of "
+    "its values from the optimal ones (default 1e-10)"
 )
 
 

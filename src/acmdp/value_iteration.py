@@ -1,4 +1,11 @@
-"""Fixed-point value iteration, used as an independent check on the LP."""
+"""Fixed-point value iteration, used as an independent check on the LP.
+
+Each sweep is one call of the Bellman kernel (bellman.decision_values, one
+matvec with the stacked transition matrix).  Iteration stops on a proven
+error bound: once successive sweeps differ by less than tol (1 - beta) /
+beta, the last sweep is within tol of the optimal values (Puterman 1994,
+Theorem 6.3.1).
+"""
 
 from __future__ import annotations
 
@@ -27,11 +34,13 @@ def value_iterate(
     max_iter: int = DEFAULT_MAX_ITER,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Iterate from start (default zero) until successive sweeps differ by less than tol.
+    """Iterate from start (default zero) until the values are within tol of the optimum.
 
-    The backup is a beta-contraction, so any start converges to the same
-    fixed point; a start near it only saves sweeps.  Returns the value
-    vector and the number of backups performed.
+    The backup T is a beta-contraction, so ||V_{k+1} - V*|| <= beta / (1 - beta)
+    ||V_{k+1} - V_k||: stopping once sweeps differ by less than
+    tol (1 - beta) / beta leaves an error of at most tol.  Any start
+    converges to the same fixed point; a start near it only saves sweeps.
+    Returns the value vector and the number of backups performed.
     """
     if start is None:
         values = np.zeros(system.num_states)
@@ -44,9 +53,10 @@ def value_iterate(
     if system.beta == 0.0:
         # the backup ignores V entirely; one sweep is exact
         return bellman_backup(system, values), 1
+    step_tol = tol * (1.0 - system.beta) / system.beta
     for iteration in range(1, max_iter + 1):
         updated = bellman_backup(system, values)
-        if np.max(np.abs(updated - values)) < tol:
+        if np.abs(updated - values).max() < step_tol:
             return updated, iteration
         values = updated
     raise ConvergenceError(

@@ -33,6 +33,7 @@ from acmdp import (
     solve_scenario,
     verify_solution,
 )
+from acmdp.bellman import rounding_allowance
 from acmdp.policy import FILE_HEADER, TIE_TOL, SolverError, ValueFileError, state_labels
 from acmdp.simplex import SimplexStatus
 from acmdp.value_iteration import DEFAULT_TOL as VI_TOL
@@ -182,9 +183,9 @@ def dense_oracle(system):
     return result.values
 
 
-def vi_bound(beta):
-    """Value iteration's proven error, beta / (1 - beta) * tol, plus LU rounding."""
-    return beta / (1.0 - beta) * VI_TOL + 1e-12
+def vi_bound(values, beta):
+    """Value iteration's proven error, tol, plus the rounding of it and of the LU."""
+    return VI_TOL + rounding_allowance(values, beta)
 
 
 class TestLpSolve:
@@ -225,7 +226,7 @@ class TestLpSolve:
         solution = solve_scenario(sc, "lp")
         assert solution.system.num_states == 10240
         vi = solve_scenario(sc, "vi")
-        assert_lp_agrees(solution, vi.values, vi_bound(sc.beta))
+        assert_lp_agrees(solution, vi.values, vi_bound(vi.values, sc.beta))
 
     @pytest.mark.parametrize("behavior", [b.value for b in RequestBehavior])
     def test_beta_zero_is_myopic_in_one_basis(self, behavior):
@@ -268,7 +269,8 @@ class TestLpSolve:
         sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
         solution = solve_scenario(sc, "lp")
         assert_lp_agrees(solution, dense_oracle(solution.system), 1e-9)
-        assert_lp_agrees(solution, solve_scenario(sc, "vi").values, vi_bound(beta))
+        vi = solve_scenario(sc, "vi")
+        assert_lp_agrees(solution, vi.values, vi_bound(vi.values, beta))
 
 
 class TestValueFiles:
