@@ -134,13 +134,15 @@ class RequestDynamics:
     Lists every entry the stacked matrix can hold, in CSR order: rows
     (action, e, x) for emergency status e and (granted set, request) row x,
     and within a row the successors (e2, j) for next status e2 and drawn
-    request j.  stack() keeps the entries whose E[e, e2] is not zero.
+    request j.  An entry's probability is E[e, e2] / draws, so it is listed
+    by a code for that pair, (2 * e + e2) * per_set + draws - 1.  stack()
+    keeps the entries whose E[e, e2] is not zero.
     """
 
     size: int  # (granted set, request) rows per emergency status
+    per_set: int  # requests per granted set, the empty request included
     draws: np.ndarray  # (2, size): requests each row draws, per action
-    entry: np.ndarray  # per listed entry: its E entry, flattened (2 * e + e2)
-    inv_draws: np.ndarray  # per listed entry: 1 / draws of its row
+    code: np.ndarray  # per listed entry: its (E entry, draws) code
     cols: np.ndarray  # per listed entry: its column
 
     def stack(self, emergency: np.ndarray) -> sparse.csr_matrix:
@@ -151,12 +153,14 @@ class RequestDynamics:
         probability E[e, e2] times the request draw's.
         """
         n = 2 * self.size
-        data = emergency.ravel()[self.entry] * self.inv_draws
-        cols = self.cols
+        # probability of each code: E[e, e2] * (1 / draws)
+        prob = emergency.reshape(4, 1) * (1.0 / np.arange(1, self.per_set + 1))
         nonzero = emergency != 0.0
-        if not nonzero.all():
-            keep = nonzero.ravel()[self.entry]
-            data, cols = data[keep], cols[keep]
+        if nonzero.all():
+            data, cols = prob.ravel()[self.code], self.cols.copy()
+        else:
+            keep = nonzero.ravel()[self.code // self.per_set]
+            data, cols = prob.ravel()[self.code[keep]], self.cols[keep]
         per_row = self.draws[:, None, :] * np.count_nonzero(nonzero, axis=1)[:, None]
         indptr = np.zeros(2 * n + 1, dtype=INDEX_DTYPE)
         np.cumsum(per_row.ravel(), out=indptr[1:])
@@ -167,29 +171,23 @@ def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics
     """Where each (granted set, request) row leads under each action, and what it draws."""
     per_set = d.num_access_bits + 1
     size = d.num_sets * per_set
-    shape = (2, size, 2, per_set)
-    e_entry = 2 * np.arange(2)[:, None] + np.arange(2)  # [e, e2]: index into E flattened
-    draws, entry, inv_draws, cols = [], [], [], []
+    draws, code, cols = [], [], []
     for act in ACTIONS:
         k2, drawable = request_draws(d, behavior, act)
         count = drawable.sum(axis=1)
-        # listed[e, x, e2, j]: (e, x) can move to (e2, k2[x], j); C order is CSR order
-        listed = np.broadcast_to(drawable[None, :, None, :], shape)
-        to_col = (
-            (np.arange(2) * size)[:, None]
-            + (k2 * per_set)[:, None, None]
-            + np.arange(per_set)
-        )  # shape (x, e2, j)
+        # the successors (e2, k2[x], j) of row x, in CSR order
+        x, e2, j = np.nonzero(np.broadcast_to(drawable[:, None, :], (size, 2, per_set)))
+        row_cols = (e2 * size + (k2 * per_set)[x] + j).astype(INDEX_DTYPE)
+        row_code = (e2 * per_set + (count - 1)[x]).astype(np.int8)  # from calm, e = 0
+        code += [row_code, row_code + 2 * per_set]
+        cols += [row_cols, row_cols]
         draws.append(count)
-        entry.append(np.broadcast_to(e_entry[:, None, :, None], shape)[listed])
-        inv_draws.append(np.broadcast_to((1.0 / count)[:, None, None], shape)[listed])
-        cols.append(np.broadcast_to(to_col, shape)[listed])
     return RequestDynamics(
         size,
+        per_set,
         np.stack(draws).astype(INDEX_DTYPE),
-        np.concatenate(entry),
-        np.concatenate(inv_draws),
-        np.concatenate(cols).astype(INDEX_DTYPE),
+        np.concatenate(code),
+        np.concatenate(cols),
     )
 
 

@@ -1,8 +1,8 @@
 """The per-state reference model the tests compare the package against.
 
 The package builds each transition matrix P^a and reward vector q^a with
-array arithmetic over the set bitmasks (dynamics.transition_matrices,
-rewards.expected_rewards).  This module describes the same process one
+array arithmetic over the set bitmasks (dynamics.request_dynamics,
+rewards.reward_parts).  This module describes the same process one
 state at a time, as the model is written down: the granted set changes
 deterministically (next_access_set), the next request is drawn by the
 request behaviour (request_distribution), the emergency status moves by

@@ -23,6 +23,7 @@ from acmdp import (
     solve_scenario,
     verify_solution,
 )
+from acmdp.bellman import build_parts
 from acmdp.experiments import scenario_at_probability
 from acmdp.simplex import SimplexStatus
 
@@ -114,6 +115,89 @@ class TestFactoredCompile:
         for behavior in RequestBehavior:
             sc = small_scenario(2, 2, behavior.value, "eps_accrues")
             assert_matches_oracle(dataclasses.replace(sc, emergency=broken))
+
+
+def assert_same_system(got, want):
+    """Bit for bit: the stacked matrix's arrays, its nnz, and q."""
+    assert got.stacked.shape == want.stacked.shape
+    assert got.stacked.nnz == want.stacked.nnz
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got.stacked, name), getattr(want.stacked, name))
+    assert np.array_equal(got.q, want.q)
+
+
+MIX_SCENARIOS = list(BUILTIN_NAMES) + [
+    f"2x3-{b.value}-{v.value}" for b in RequestBehavior for v in RewardVariant
+]
+
+
+def mix_scenario(name):
+    """A builtin by name, or the seeded 2x3 scenario named 2x3-<behavior>-<variant>."""
+    if name.startswith("2x3-"):
+        _, behavior, variant = name.split("-")
+        return small_scenario(2, 3, behavior, variant)
+    return builtin_scenario(name)
+
+
+class TestMixEmergency:
+    """compile_system is build_parts then mix; a sweep builds once and mixes per point."""
+
+    @pytest.mark.parametrize("name", MIX_SCENARIOS)
+    def test_one_build_mixed_anywhere_matches_a_fresh_compile(self, name):
+        sc = mix_scenario(name)
+        parts = build_parts(sc)
+        for p in (0.0, 0.37, 1.0):
+            at_p = scenario_at_probability(sc, p)
+            assert_same_system(parts.mix(at_p), compile_system(at_p))
+
+    def test_zero_emergency_entries_are_dropped(self):
+        sc = builtin_scenario("table2_all")  # alert -> alert = 1
+        parts = build_parts(sc)
+        inside = parts.mix(scenario_at_probability(sc, 0.37))
+        at_zero = parts.mix(scenario_at_probability(sc, 0.0))
+        assert np.all(inside.stacked.data > 0.0) and np.all(at_zero.stacked.data > 0.0)
+        # calm rows lose their alert successors, alert rows never had calm ones
+        assert at_zero.stacked.nnz * 3 == inside.stacked.nnz * 2
+        n = at_zero.num_states
+        calm = np.concatenate([np.arange(n // 2), n + np.arange(n // 2)])
+        assert at_zero.stacked[calm][:, n // 2:].nnz == 0
+
+    @pytest.mark.parametrize("name", ["table1", "table2_once", "modified_all"])
+    def test_kernel_is_q_plus_beta_times_each_action_matvec(self, name):
+        system = compile_system(scenario_at_probability(builtin_scenario(name), 0.37))
+        values = np.random.default_rng(7).normal(scale=10.0, size=system.num_states)
+        dv = decision_values(system, values)
+        for act, mat in enumerate(system.transitions):
+            assert np.array_equal(dv[act], system.q[act] + system.beta * (mat @ values))
+
+    def test_transitions_are_views_of_the_stacked_matrix(self):
+        system = compile_system(builtin_scenario("table2_all"))
+        deny, allow = system.transitions
+        assert deny.nnz + allow.nnz == system.stacked.nnz
+        for mat in (deny, allow):
+            assert np.shares_memory(mat.data, system.stacked.data)
+            assert np.shares_memory(mat.indices, system.stacked.indices)
+        dense = system.stacked.toarray()
+        n = system.num_states
+        assert np.array_equal(deny.toarray(), dense[:n])
+        assert np.array_equal(allow.toarray(), dense[n:])
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"beta": 0.5},
+            {"behavior": RequestBehavior.ONCE},
+            {"variant": RewardVariant.EPS_ACCRUES},
+            {"user_names": ("ann", "bob")},
+            {"rewards": RewardTables({(u, r): 1.0 for u in range(2) for r in range(2)}, (0.0, -5.0))},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_mix_refuses_a_change_other_than_the_emergency_matrix(self, change):
+        sc = builtin_scenario("table2_all")
+        parts = build_parts(sc)
+        with pytest.raises(ValueError, match=f"differs in {next(iter(change))}"):
+            parts.mix(dataclasses.replace(scenario_at_probability(sc, 0.5), **change))
 
 
 class TestBuildLp:

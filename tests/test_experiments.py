@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import acmdp.bellman
 import acmdp.experiments
 from acmdp import Action, builtin_scenario
 from acmdp.experiments import (
@@ -117,6 +118,44 @@ class TestRunSweep:
         gap = max(np.max(np.abs(w.dv - c.dv)) for w, c in zip(warm.points, cold.points))
         assert gap <= 1e-8
         assert warm.crossovers[BOB_HIGH_POS].bracket == cold.crossovers[BOB_HIGH_POS].bracket
+
+
+    def test_one_build_per_sweep(self, monkeypatch):
+        # each grid and bisection point mixes its E into the one build; a
+        # sweep that compiled every solve would build once per solve
+        build, mix = acmdp.bellman.build_parts, acmdp.bellman.SystemParts.mix
+        solve = acmdp.experiments.solve_system
+        calls = {"build": 0, "mix": 0, "solve": 0}
+
+        def counted_build(sc):
+            calls["build"] += 1
+            return build(sc)
+
+        def counted_mix(parts, sc):
+            calls["mix"] += 1
+            return mix(parts, sc)
+
+        def counted_solve(system, solver, start):
+            calls["solve"] += 1
+            return solve(system, solver, start=start)
+
+        monkeypatch.setattr(acmdp.bellman, "build_parts", counted_build)
+        monkeypatch.setattr(acmdp.bellman.SystemParts, "mix", counted_mix)
+        monkeypatch.setattr(acmdp.experiments, "solve_system", counted_solve)
+        result = run_sweep(SweepSpec(builtin_scenario("table2_once")), solver="vi")
+        assert calls["build"] == 1
+        # the compile's own mix, then one per solve: grid points and bisection steps
+        assert calls["solve"] > len(result.points)
+        assert calls["mix"] == 1 + calls["solve"]
+
+    @pytest.mark.parametrize("behavior", ["unique", "once", "all"])
+    def test_lp_and_vi_sweeps_bracket_alike(self, behavior):
+        # the CLI sweeps with the LP by default
+        spec = SweepSpec(builtin_scenario(f"table2_{behavior}"))
+        lp = run_sweep(spec, solver="lp").crossovers[BOB_HIGH_POS]
+        vi = run_sweep(spec, solver="vi").crossovers[BOB_HIGH_POS]
+        assert lp.bracket is not None
+        assert lp.bracket == vi.bracket
 
 
 class TestQualitativeProperties:
