@@ -100,15 +100,13 @@ class SystemParts:
 def build_parts(sc: Scenario) -> SystemParts:
     """The E-free part of sc's system, to be mixed with E by SystemParts.mix."""
     _, r = set_request_rows(sc.dims)
-    silent = np.flatnonzero(r == sc.dims.num_access_bits)
-    if sc.variant is not RewardVariant.EPS_ZERO:
-        silent = silent[:0]
+    silent = (r == sc.dims.num_access_bits) & (sc.variant is RewardVariant.EPS_ZERO)
     return SystemParts(
         sc,
         StateSpace(sc.dims),
         request_dynamics(sc.dims, sc.behavior),
         reward_parts(sc),
-        silent,
+        np.flatnonzero(silent),
     )
 
 

@@ -31,8 +31,7 @@ from .policy import extract_policy, solve_scenario, solve_system
 from .rewards import Scenario
 from .simplex import SimplexStatus, simplex_solve
 from .states import Access, Action, CapacityError, Emergency
-from .value_iteration import DEFAULT_TOL as VI_TOL
-from .value_iteration import value_iterate
+from .value_iteration import DEFAULT_TOL as VI_TOL, value_iterate
 
 CROSSOVER_WIDTH = 1e-4
 GRID_SLACK = 1e-9
