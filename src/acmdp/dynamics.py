@@ -171,14 +171,19 @@ def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics
     """Where each (granted set, request) row leads under each action, and what it draws."""
     per_set = d.num_access_bits + 1
     size = d.num_sets * per_set
+    j_col = np.arange(per_set, dtype=INDEX_DTYPE)
+    e2_col = np.arange(2, dtype=INDEX_DTYPE)[:, None] * size
+    e2_code = np.arange(2, dtype=np.int8)[:, None] * per_set
     draws, code, cols = [], [], []
     for act in ACTIONS:
         k2, drawable = request_draws(d, behavior, act)
         count = drawable.sum(axis=1)
-        # the successors (e2, k2[x], j) of row x, in CSR order
-        x, e2, j = np.nonzero(np.broadcast_to(drawable[:, None, :], (size, 2, per_set)))
-        row_cols = (e2 * size + (k2 * per_set)[x] + j).astype(INDEX_DTYPE)
-        row_code = (e2 * per_set + (count - 1)[x]).astype(np.int8)  # from calm, e = 0
+        # [x, e2, j]: successor (e2, k2[x], j) of row x; C order is CSR order
+        listed = np.broadcast_to(drawable[:, None, :], (size, 2, per_set))
+        row_cols = ((k2 * per_set).astype(INDEX_DTYPE)[:, None, None] + e2_col + j_col)[listed]
+        from_calm = (count - 1).astype(np.int8)[:, None, None] + e2_code
+        row_code = np.broadcast_to(from_calm, listed.shape)[listed]
+        # rows from calm (e = 0), then the same rows from alert
         code += [row_code, row_code + 2 * per_set]
         cols += [row_cols, row_cols]
         draws.append(count)
