@@ -189,7 +189,7 @@ class TestMixEmergency:
             {"behavior": RequestBehavior.ONCE},
             {"variant": RewardVariant.EPS_ACCRUES},
             {"user_names": ("ann", "bob")},
-            {"rewards": RewardTables({(u, r): 1.0 for u in range(2) for r in range(2)}, (0.0, -5.0))},
+            {"rewards": RewardTables({(u, r): 1.0 for u in range(2) for r in range(2)}, (0, -5))},
         ],
         ids=lambda change: next(iter(change)),
     )
