@@ -156,11 +156,8 @@ class RequestDynamics:
         # probability of each code: E[e, e2] * (1 / draws)
         prob = emergency.reshape(4, 1) * (1.0 / np.arange(1, self.per_set + 1))
         nonzero = emergency != 0.0
-        if nonzero.all():
-            data, cols = prob.ravel()[self.code], self.cols.copy()
-        else:
-            keep = nonzero.ravel()[self.code // self.per_set]
-            data, cols = prob.ravel()[self.code[keep]], self.cols[keep]
+        keep = nonzero.ravel()[self.code // self.per_set]
+        data, cols = prob.ravel()[self.code[keep]], self.cols[keep]
         per_row = self.draws[:, None, :] * np.count_nonzero(nonzero, axis=1)[:, None]
         indptr = np.zeros(2 * n + 1, dtype=INDEX_DTYPE)
         np.cumsum(per_row.ravel(), out=indptr[1:])

@@ -228,6 +228,17 @@ class TestLpSolve:
         vi = solve_scenario(sc, "vi")
         assert_lp_agrees(solution, vi.values, vi_bound(vi.values, sc.beta))
 
+    def test_value_iteration_converges_below_its_rounding(self):
+        # at beta = 0.999, tol (1 - beta) / beta = 1e-13 is below one unit in
+        # the last place of max|V| (about 7e3), so only the rounding-level
+        # stop can end the iteration
+        sc = small_scenario(1, 2, "all", "eps_accrues", beta=0.999, seed=3)
+        solution = solve_scenario(sc, "lp")
+        vi = solve_scenario(sc, "vi")
+        step_tol = VI_TOL * (1 - sc.beta) / sc.beta
+        assert step_tol < np.spacing(np.abs(vi.values).max())
+        assert_lp_agrees(solution, vi.values, vi_bound(vi.values, sc.beta))
+
     @pytest.mark.parametrize("behavior", [b.value for b in RequestBehavior])
     def test_beta_zero_is_myopic_in_one_basis(self, behavior):
         sc = small_scenario(2, 2, behavior, "eps_accrues", beta=0.0)
