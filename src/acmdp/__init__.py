@@ -15,7 +15,7 @@ from .config import (
     render_scenario,
     scenario_fingerprint,
 )
-from .dynamics import EmergencyMatrix, RequestBehavior, TransitionModel, validate_stochastic
+from .dynamics import EmergencyMatrix, RequestBehavior, validate_stochastic
 from .experiments import SweepSpec, run_sweep, self_check, sweep_csv
 from .policy import (
     PolicyMap,

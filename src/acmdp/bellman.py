@@ -35,8 +35,8 @@ from .rewards import RewardVariant, Scenario, reward_parts
 from .simplex import LinearProgram
 from .states import CapacityError, StateSpace
 
-VERIFY_TOL = 1e-9
-TIGHT_TOL = 1e-7
+VERIFY_TOL = 1e-9  # largest Bellman-row violation a feasible solution may leave
+TIGHT_TOL = 1e-7  # largest slack of a tight state's tightest row
 LP_MAX_BYTES = 1 << 30  # largest dense LHS or oracle tableau build_bellman_lp allows
 ROUNDING_ULPS = 4  # rounding_allowance, in units of eps * max|V| / (1 - beta)
 
@@ -176,11 +176,16 @@ class VerificationReport:
     min_slack: np.ndarray  # per state, the smallest slack over both actions
     max_min_slack: float  # worst tightness: 0 when every state has a tight row
 
-    def feasible(self, tol: float = VERIFY_TOL) -> bool:
-        return self.max_violation <= tol
+    @property
+    def residual(self) -> float:
+        """||V - TV||: V lies within residual / (1 - beta) of the optimum."""
+        return max(self.max_violation, self.max_min_slack)
 
-    def all_tight(self, tol: float = TIGHT_TOL) -> bool:
-        return self.max_min_slack <= tol
+    def feasible(self) -> bool:
+        return self.max_violation <= VERIFY_TOL
+
+    def all_tight(self) -> bool:
+        return self.max_min_slack <= TIGHT_TOL
 
 
 def verify_solution(values: np.ndarray, dv: np.ndarray) -> VerificationReport:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import re
 
+import numpy as np
+
 from .dynamics import EmergencyMatrix, RequestBehavior
 from .rewards import RewardTables, RewardVariant, Scenario
 from .states import ModelDims
@@ -210,9 +212,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
 
 
 def _fmt_num(x: float) -> str:
-    if x == int(x):
-        return str(int(x))
-    return repr(x)
+    # the shortest digits that read back as x, without the exponent the format forbids
+    return np.format_float_positional(x, trim="-")
 
 
 def render_scenario(sc: Scenario) -> str:

@@ -21,14 +21,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
 
-from .states import ACTIONS, Action, ModelDims, State, StateSpace
+from .states import ACTIONS, Action, ModelDims, State
 
-ROW_SUM_TOL = 1e-9
-# the 12-bit cap keeps every column, entry count and row offset far below 2**31
+if TYPE_CHECKING:
+    from .bellman import BellmanSystem
+
+ROW_SUM_TOL = 1e-9  # largest amount a probability row may miss 1 by
+# the 12-bit cap (states.CAP_BITS) keeps every column, entry count and row
+# offset far below 2**31
 INDEX_DTYPE = np.int32
 
 
@@ -77,13 +82,6 @@ class EmergencyMatrix:
     @classmethod
     def identity(cls) -> "EmergencyMatrix":
         return cls(((1.0, 0.0), (0.0, 1.0)))
-
-
-@dataclass(frozen=True)
-class TransitionModel:
-    dims: ModelDims
-    emergency: EmergencyMatrix
-    behavior: RequestBehavior
 
 
 def set_request_rows(d: ModelDims) -> tuple[np.ndarray, np.ndarray]:
@@ -201,21 +199,18 @@ class StochasticityViolation:
     detail: str
 
 
-def validate_stochastic(
-    m: TransitionModel, tol: float = ROW_SUM_TOL
-) -> list[StochasticityViolation]:
-    """Check that every (state, action) row of the stacked transition matrix is a distribution.
+def validate_stochastic(system: BellmanSystem) -> list[StochasticityViolation]:
+    """Check that every (state, action) row of a compiled system's stacked matrix is a distribution.
 
     Returns the list of violations in state-major, action-minor order; empty
     means the model is well-formed.
     """
-    stacked = request_dynamics(m.dims, m.behavior).stack(np.array(m.emergency.rows, dtype=float))
+    stacked = system.stacked
     mass = np.asarray(stacked.sum(axis=1)).ravel()
-    flagged = np.abs(mass - 1.0) > tol
+    flagged = np.abs(mass - 1.0) > ROW_SUM_TOL
     out_of_range = ~((stacked.data > 0.0) & (stacked.data <= 1.0))
     flagged[np.repeat(np.arange(stacked.shape[0]), np.diff(stacked.indptr))[out_of_range]] = True
     n = stacked.shape[1]
-    space = StateSpace(m.dims)
     found = []
     # row a * n + i is (state i, action a); report state-major, action-minor
     for row in sorted(np.flatnonzero(flagged).tolist(), key=lambda r: (r % n, r // n)):
@@ -227,5 +222,7 @@ def validate_stochastic(
             detail = f"probabilities {bad_probs} outside (0, 1]"
         else:
             detail = f"mass {total} != 1"
-        found.append(StochasticityViolation(space.index_state(i), Action(act), total, detail))
+        found.append(
+            StochasticityViolation(system.space.index_state(i), Action(act), total, detail)
+        )
     return found

@@ -18,8 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .bellman import (
-    TIGHT_TOL,
     VERIFY_TOL,
+    BellmanSystem,
+    VerificationReport,
     build_bellman_lp,
     compile_system,
     decision_values,
@@ -27,7 +28,7 @@ from .bellman import (
     verify_solution,
 )
 from .dynamics import EmergencyMatrix, validate_stochastic
-from .policy import extract_policy, solve_scenario, solve_system
+from .policy import TIE_TOL, extract_policy, solve_system
 from .rewards import Scenario
 from .simplex import SimplexStatus, simplex_solve
 from .states import Access, Action, CapacityError, Emergency
@@ -35,8 +36,6 @@ from .value_iteration import DEFAULT_TOL as VI_TOL, value_iterate
 
 CROSSOVER_WIDTH = 1e-4
 GRID_SLACK = 1e-9
-AGREEMENT_TOL = 1e-6  # self_check: largest sup-norm gap between the LP and the dense simplex
-GAP_FLOOR = 1e-5  # self_check: decision gap above which the policies must agree
 
 
 def scenario_at_probability(sc: Scenario, calm_to_alert: float) -> Scenario:
@@ -183,97 +182,91 @@ class CheckResult:
     detail: str
 
 
+def _agreement(name: str, a: np.ndarray, b: np.ndarray, bound: float, work: str) -> CheckResult:
+    gap = float(np.max(np.abs(a - b)))
+    detail = f"sup-norm gap {gap:.3g} (bound {bound:.3g}) after {work}"
+    return CheckResult(name, gap <= bound, detail)
+
+
 def self_check(sc: Scenario) -> list[CheckResult]:
-    """Cross-validate the whole pipeline on one scenario.
+    """Cross-validate the whole pipeline on one compiled system.
 
-    The LP solve is compared with two independent solvers: value iteration,
-    and the dense simplex oracle on models small enough for its tableau.
+    The system is checked for stochasticity, then solved by the LP and
+    compared with two independent solvers: value iteration, and the dense
+    simplex oracle on models small enough for its tableau.  Every bound an
+    agreement check applies is derived from proven ones, and printed.
     """
-    checks: list[CheckResult] = []
-
-    violations = validate_stochastic(sc.transition_model())
-    checks.append(
-        CheckResult(
-            "stochasticity",
-            not violations,
-            "all successor distributions sum to 1"
-            if not violations
-            else f"{len(violations)} violations, first: {violations[0].detail}",
-        )
-    )
+    system = compile_system(sc)
+    violations = validate_stochastic(system)
     if violations:
-        return checks
+        detail = f"{len(violations)} violations, first: {violations[0].detail}"
+        return [CheckResult("stochasticity", False, detail)]
+    checks = [CheckResult("stochasticity", True, "all successor distributions sum to 1")]
 
-    lp_solution = solve_scenario(sc, solver="lp", tol=VERIFY_TOL)
-    checks.append(
+    lp = solve_system(system, "lp")
+    lp_report = verify_solution(lp.values, lp.dv)
+    checks += [
         CheckResult(
             "lp_feasibility",
-            lp_solution.max_residual <= VERIFY_TOL,
-            f"max residual {lp_solution.max_residual:.3g} "
-            f"after {lp_solution.iterations} policy bases",
-        )
-    )
-
-    system = lp_solution.system
-    report = verify_solution(lp_solution.values, lp_solution.dv)
-    checks.append(
+            lp_report.feasible(),
+            f"max residual {lp_report.max_violation:.3g} after {lp.iterations} policy bases",
+        ),
         CheckResult(
             "lp_tightness",
-            report.all_tight(TIGHT_TOL),
-            f"worst minimum slack {report.max_min_slack:.3g}",
-        )
-    )
+            lp_report.all_tight(),
+            f"worst minimum slack {lp_report.max_min_slack:.3g}",
+        ),
+    ]
 
-    vi_values, sweeps = value_iterate(system, tol=VI_TOL)
-    gap = float(np.max(np.abs(lp_solution.values - vi_values)))
+    vi_values, sweeps = value_iterate(system)
+    allowance = rounding_allowance(lp.values, sc.beta)
     # value iteration stops within VI_TOL of the optimum; a final LP violation
     # of at most VERIFY_TOL leaves the LP within VERIFY_TOL / (1 - beta) of it
-    bound = (
-        VI_TOL
-        + VERIFY_TOL / (1.0 - sc.beta)
-        + rounding_allowance(lp_solution.values, sc.beta)
-    )
-    checks.append(
-        CheckResult(
-            "lp_vi_agreement",
-            gap <= bound,
-            f"sup-norm gap {gap:.3g} (bound {bound:.3g}) after {sweeps} sweeps",
-        )
-    )
+    vi_bound = VI_TOL + VERIFY_TOL / (1.0 - sc.beta) + allowance
+    checks.append(_agreement("lp_vi_agreement", lp.values, vi_values, vi_bound, f"{sweeps} sweeps"))
+    checks.append(_dense_simplex_agreement(system, lp.values, lp_report, allowance))
 
-    try:
-        dense_lp = build_bellman_lp(system)
-    except CapacityError:
-        checks.append(
-            CheckResult(
-                "dense_simplex_agreement",
-                True,
-                f"skipped: {system.num_states} states over the dense limit",
-            )
-        )
-    else:
-        dense = simplex_solve(dense_lp, tol=VERIFY_TOL)
-        if dense.status is SimplexStatus.OPTIMAL:
-            dense_gap = float(np.max(np.abs(lp_solution.values - dense.values)))
-            passed, detail = dense_gap <= AGREEMENT_TOL, f"sup-norm gap {dense_gap:.3g}"
-        else:
-            passed, detail = False, f"dense simplex {dense.status.value}"
-        checks.append(
-            CheckResult(
-                "dense_simplex_agreement", passed, f"{detail} after {dense.pivots} pivots"
-            )
-        )
-
+    # a decision value q^a + beta P^a V moves by at most beta ||V_lp - V_vi||,
+    # so a gap above floor keeps its sign beyond TIE_TOL under both solves
+    floor = TIE_TOL + 2.0 * sc.beta * vi_bound
     vi_actions = extract_policy(decision_values(system, vi_values)).actions
-    confident = lp_solution.policy.gaps > GAP_FLOOR
-    disagreements = int(
-        np.sum((lp_solution.policy.actions != vi_actions) & confident)
-    )
+    disagreements = int(np.sum((lp.policy.actions != vi_actions) & (lp.policy.gaps > floor)))
     checks.append(
         CheckResult(
             "policy_agreement",
             disagreements == 0,
-            f"{disagreements} confident disagreements",
+            f"{disagreements} disagreements where the LP's gap exceeds {floor:.3g}",
         )
     )
     return checks
+
+
+def _dense_simplex_agreement(
+    system: BellmanSystem, lp_values: np.ndarray, lp_report: VerificationReport, allowance: float
+) -> CheckResult:
+    """The LP's values against the dense simplex oracle's, both certified by verify_solution.
+
+    A value vector lies within its residual / (1 - beta) of the optimum
+    (Puterman 1994, sections 6.2-6.3), so the two lie within the sum of
+    both distances, plus the rounding of each.
+    """
+    name = "dense_simplex_agreement"
+    try:
+        dense_lp = build_bellman_lp(system)
+    except CapacityError:
+        return CheckResult(name, True, f"skipped: {system.num_states} states over the dense limit")
+    dense = simplex_solve(dense_lp)
+    if dense.status is not SimplexStatus.OPTIMAL:
+        return CheckResult(
+            name, False, f"dense simplex {dense.status.value} after {dense.pivots} pivots"
+        )
+    report = verify_solution(dense.values, decision_values(system, dense.values))
+    if not (report.feasible() and report.all_tight()):
+        return CheckResult(
+            name,
+            False,
+            f"dense values uncertified: max residual {report.max_violation:.3g}, "
+            f"worst minimum slack {report.max_min_slack:.3g}",
+        )
+    bound = (lp_report.residual + report.residual) / (1.0 - system.beta) + 2.0 * allowance
+    return _agreement(name, lp_values, dense.values, bound, f"{dense.pivots} pivots")

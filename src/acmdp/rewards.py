@@ -19,13 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import (
-    EmergencyMatrix,
-    RequestBehavior,
-    TransitionModel,
-    next_access_sets,
-    set_request_rows,
-)
+from .dynamics import EmergencyMatrix, RequestBehavior, next_access_sets, set_request_rows
 from .states import ACTIONS, Action, ModelDims
 
 
@@ -86,9 +80,6 @@ class Scenario:
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta {self.beta} outside [0, 1)")
         self.rewards.check(self.dims)
-
-    def transition_model(self) -> TransitionModel:
-        return TransitionModel(self.dims, self.emergency, self.behavior)
 
 
 def alert_penalties(sc: Scenario) -> np.ndarray:

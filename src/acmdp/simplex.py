@@ -10,8 +10,9 @@ phase one drives an artificial basis to feasibility.  Entering columns are
 picked by the most negative reduced cost and leaving rows by Harris's
 ratio test; after a run of degenerate pivots both switch to Bland's rule,
 which guarantees termination.  A phase ends only on a tableau rebuilt at
-its last basis from the original constraints, so round-off of the pivots
-cannot decide the result.
+its last basis from the original constraints, and a small pivot element
+is taken only from such a tableau, so round-off of the pivots cannot
+decide the result.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from enum import Enum
 import numpy as np
 from scipy.linalg.blas import dger
 
-PIVOT_TOL = 1e-10
-FEAS_TOL = 1e-9
+PIVOT_TOL = 1e-10  # reduced costs and relative column entries below this are round-off
+FEAS_TOL = 1e-9  # artificial mass at which phase one counts as feasible
 BLAND_AFTER_DEGENERATE = 40
 HARRIS_TOL = 1e-12  # how far below zero a ratio-test step may push a basic variable
-SMALL_PIVOT = 1e-4
-REBUILD_EVERY = 100
+SMALL_PIVOT = 1e-4  # a pivot element below this is taken only from a rebuilt tableau
 
 
 class SimplexStatus(Enum):
@@ -105,31 +105,30 @@ def _run_phase(
     cost: np.ndarray,
     allowed: np.ndarray,
     max_iter: int,
-    pivot_tol: float,
     floor: float = -np.inf,
 ) -> tuple[SimplexStatus, int]:
-    """Pivot until no reduced cost is below -pivot_tol or the objective reaches floor.
+    """Pivot until no reduced cost is below -PIVOT_TOL or the objective reaches floor.
 
     A verdict (optimal or unbounded) stands only on a tableau just rebuilt
-    from the original constraints (_reinvert).  After a pivot element below
-    SMALL_PIVOT the tableau is also rebuilt every REBUILD_EVERY pivots: on
-    Bellman LPs with transition probabilities near 1e-9, the round-off such
-    pivots amplify otherwise moved values by 1e-9, reported feasible LPs as
-    infeasible or unbounded, or left a singular basis.
+    from the original constraints (_reinvert), and so does a pivot element
+    below SMALL_PIVOT.  On Bellman LPs with transition probabilities near
+    1e-9, a small element taken from a stale tableau can be round-off:
+    pivoting on one moved values by 1e-9, reported feasible LPs as
+    infeasible or unbounded, or made the basis singular.
     """
     m = T.shape[0] - 1
     pivots = 0
     degenerate_run = 0
-    fresh = small = False  # rebuilt since the last pivot; a small pivot since the last rebuild
+    fresh = False  # rebuilt since the last pivot
 
     def rebuild() -> None:
-        nonlocal fresh, small
+        nonlocal fresh
         _reinvert(T, lp, basis, art_rows, cost)
-        fresh, small = True, False
+        fresh = True
 
     while True:
         z = T[-1, :-1]
-        candidates = np.flatnonzero(allowed & (z < -pivot_tol))
+        candidates = np.flatnonzero(allowed & (z < -PIVOT_TOL))
         if candidates.size == 0 or -T[-1, -1] <= floor:
             if fresh:
                 return SimplexStatus.OPTIMAL, pivots
@@ -143,7 +142,7 @@ def _run_phase(
             col = int(candidates[np.argmin(z[candidates])])
         coefs = T[:m, col]
         # an entry at the column's round-off level is not a pivot
-        rows = np.flatnonzero(coefs > pivot_tol * max(1.0, np.abs(coefs).max()))
+        rows = np.flatnonzero(coefs > PIVOT_TOL * max(1.0, np.abs(coefs).max()))
         if rows.size == 0:
             if fresh:
                 return SimplexStatus.UNBOUNDED, pivots
@@ -153,7 +152,7 @@ def _run_phase(
         best = ratios.min()
         if degenerate_run > BLAND_AFTER_DEGENERATE:
             # Bland: the smallest basis index leaves, which rules out cycling
-            tied = rows[ratios <= best + pivot_tol]
+            tied = rows[ratios <= best + PIVOT_TOL]
             row = int(min(tied, key=lambda i: basis[i]))
         else:
             # Harris: of the rows that may leave if basic variables can dip
@@ -161,22 +160,17 @@ def _run_phase(
             bound = ((T[rows, -1] + HARRIS_TOL) / coefs[rows]).min()
             within = rows[ratios <= bound]
             row = int(within[np.argmax(coefs[within])])
-        degenerate_run = degenerate_run + 1 if best <= pivot_tol else 0
-        small = small or T[row, col] < SMALL_PIVOT
+        if T[row, col] < SMALL_PIVOT and not fresh:
+            rebuild()
+            continue
+        degenerate_run = degenerate_run + 1 if best <= PIVOT_TOL else 0
         _pivot(T, row, col)
         basis[row] = col
         pivots += 1
         fresh = False
-        if small and pivots % REBUILD_EVERY == 0:
-            rebuild()
 
 
-def simplex_solve(
-    lp: LinearProgram,
-    tol: float = FEAS_TOL,
-    pivot_tol: float = PIVOT_TOL,
-    max_iter: int | None = None,
-) -> LpSolution:
+def simplex_solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     m, n = lp.lhs.shape
     if max_iter is None:
         max_iter = 100 * (m + n)
@@ -220,21 +214,21 @@ def simplex_solve(
             T[-1] -= T[i]
     T[-1, art_cols] = 0.0
 
-    # the artificial mass cannot go below zero: once within tol of it, the
-    # basis is feasible, and pivoting on further round-off reduced costs
-    # can pick a pivot element near pivot_tol and wreck the tableau
+    # the artificial mass cannot go below zero: once within FEAS_TOL of it,
+    # the basis is feasible, and pivoting on further round-off reduced costs
+    # can pick a pivot element near PIVOT_TOL and wreck the tableau
     status, pivots = _run_phase(
-        T, lp, basis, art_rows, is_art.astype(float), allowed, max_iter, pivot_tol, floor=tol
+        T, lp, basis, art_rows, is_art.astype(float), allowed, max_iter, floor=FEAS_TOL
     )
     if status is not SimplexStatus.OPTIMAL:
         return LpSolution(status, None, None, pivots)
-    if -T[-1, -1] > tol:
+    if -T[-1, -1] > FEAS_TOL:
         return LpSolution(SimplexStatus.INFEASIBLE, None, None, pivots)
 
     # drive any remaining artificials out of the basis
     for i in range(m):
         if is_art[basis[i]]:
-            nz = np.flatnonzero(np.abs(T[i, :n2 + m]) > pivot_tol)
+            nz = np.flatnonzero(np.abs(T[i, :n2 + m]) > PIVOT_TOL)
             if nz.size:
                 _pivot(T, i, int(nz[0]))
                 basis[i] = int(nz[0])
@@ -252,9 +246,7 @@ def simplex_solve(
         if c_full[basis[i]] != 0.0:
             T[-1] -= c_full[basis[i]] * T[i]
 
-    status, p2 = _run_phase(
-        T, lp, basis, art_rows, c_full, allowed, max_iter - pivots, pivot_tol
-    )
+    status, p2 = _run_phase(T, lp, basis, art_rows, c_full, allowed, max_iter - pivots)
     pivots += p2
     if status is not SimplexStatus.OPTIMAL:
         return LpSolution(status, None, None, pivots)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, Optional
 
-DEFAULT_CAP_BITS = 12
+CAP_BITS = 12  # the most access bits a model may have: 3 x 4 is 106,496 states
 
 
 class CapacityError(ValueError):
@@ -66,7 +66,6 @@ Request = Optional[Access]
 class ModelDims:
     num_users: int
     num_resources: int
-    cap_bits: int = DEFAULT_CAP_BITS
 
     def __post_init__(self) -> None:
         if self.num_users < 1 or self.num_resources < 1:
@@ -74,10 +73,10 @@ class ModelDims:
                 f"need at least one user and one resource, got "
                 f"{self.num_users} x {self.num_resources}"
             )
-        if self.num_access_bits > self.cap_bits:
+        if self.num_access_bits > CAP_BITS:
             raise CapacityError(
                 f"{self.num_users} users x {self.num_resources} resources needs "
-                f"{self.num_access_bits} bits, exceeding the cap of {self.cap_bits}; "
+                f"{self.num_access_bits} bits, exceeding the cap of {CAP_BITS}; "
                 f"the powerset state space would be intractable"
             )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from acmdp.dynamics import EmergencyMatrix, RequestBehavior, TransitionModel
+from acmdp.dynamics import EmergencyMatrix, RequestBehavior
 from acmdp.rewards import RewardVariant, Scenario
 from acmdp.states import (
     ACTIONS,
@@ -70,13 +70,13 @@ def request_distribution(
     return [(a, p) for a in pending] + [(None, p)]
 
 
-def successors(m: TransitionModel, s: State, act: Action) -> list[tuple[State, float]]:
-    """All positive-probability successor states of (s, act)."""
-    k2 = next_access_set(s.granted, s.request, act, m.dims)
-    requests = request_distribution(m.behavior, k2, m.dims, s.request)
+def successors(sc: Scenario, s: State, act: Action) -> list[tuple[State, float]]:
+    """All positive-probability successor states of (s, act) under sc's dynamics."""
+    k2 = next_access_set(s.granted, s.request, act, sc.dims)
+    requests = request_distribution(sc.behavior, k2, sc.dims, s.request)
     out: list[tuple[State, float]] = []
     for e2 in (Emergency.CALM, Emergency.ALERT):
-        pe = emergency_prob(m.emergency, s.emergency, e2)
+        pe = emergency_prob(sc.emergency, s.emergency, e2)
         if pe == 0.0:
             continue
         for req2, pr in requests:
@@ -109,17 +109,16 @@ def reward_transition(sc: Scenario, s: State, act: Action, s2: State) -> float:
     return gain + reward_emresource(sc, s2.emergency, s2.granted)
 
 
-def immediate_reward(sc: Scenario, m: TransitionModel, s: State, act: Action) -> float:
+def immediate_reward(sc: Scenario, s: State, act: Action) -> float:
     """Expected one-step reward of an action from a state."""
     return sum(
-        p * reward_transition(sc, s, act, s2) for s2, p in successors(m, s, act)
+        p * reward_transition(sc, s, act, s2) for s2, p in successors(sc, s, act)
     )
 
 
 def oracle_compile(sc: Scenario) -> tuple[list[sparse.csr_matrix], np.ndarray]:
     """The per-state build: walk successors() and reward_transition()."""
     space = StateSpace(sc.dims)
-    model = sc.transition_model()
     n = len(space)
     q = np.zeros((2, n))
     mats = []
@@ -127,7 +126,7 @@ def oracle_compile(sc: Scenario) -> tuple[list[sparse.csr_matrix], np.ndarray]:
         rows, cols, data = [], [], []
         for i, s in enumerate(all_states(space)):
             total = 0.0
-            for s2, p in successors(model, s, act):
+            for s2, p in successors(sc, s, act):
                 rows.append(i)
                 cols.append(space.state_index(s2))
                 data.append(p)

@@ -22,6 +22,7 @@ from acmdp import (
     State,
     StateSpace,
     builtin_scenario,
+    compile_system,
     decision_values,
     export_values,
     import_values,
@@ -205,7 +206,7 @@ def test_criterion_9_property_suite():
 
     # transition stochasticity, all behaviours
     for behavior in ("unique", "once", "all"):
-        assert validate_stochastic(builtin_scenario(f"table2_{behavior}").transition_model()) == []
+        assert validate_stochastic(compile_system(builtin_scenario(f"table2_{behavior}"))) == []
 
     # positive scaling
     base = solve_scenario(builtin_scenario("table2_once"), "vi")

@@ -242,7 +242,7 @@ class TestVerifySolution:
         assert result.status is SimplexStatus.OPTIMAL
         report = verify_solution(result.values, decision_values(table1_system, result.values))
         assert report.max_violation <= 1e-9
-        assert report.all_tight(1e-7)
+        assert report.all_tight()
 
     def test_inflated_values_feasible_but_slack(self, table1_system):
         optimal = simplex_solve(build_bellman_lp(table1_system)).values

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
 from acmdp import (
     BUILTIN_NAMES,
+    EmergencyMatrix,
     RequestBehavior,
     RewardVariant,
     ScenarioParseError,
     builtin_scenario,
+    compile_system,
     parse_scenario,
     render_scenario,
     scenario_fingerprint,
@@ -132,9 +136,19 @@ class TestBuiltins:
         sc = builtin_scenario(name)
         assert parse_scenario(render_scenario(sc)) == sc
 
+    def test_round_trip_without_exponents(self):
+        # repr would write 1e-08, which the format refuses
+        sc = replace(
+            builtin_scenario("modified_unique"),
+            emergency=EmergencyMatrix.from_rates(1e-8, 1 - 1e-8),
+        )
+        text = render_scenario(sc)
+        assert "calm_to_alert = 0.00000001" in text
+        assert parse_scenario(text) == sc
+
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_stochastic(self, name):
-        assert validate_stochastic(builtin_scenario(name).transition_model()) == []
+        assert validate_stochastic(compile_system(builtin_scenario(name))) == []
 
     def test_fingerprint_distinguishes_scenarios(self):
         prints = {scenario_fingerprint(builtin_scenario(n)) for n in BUILTIN_NAMES}

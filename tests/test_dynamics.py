@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from oracle import (
@@ -18,12 +19,18 @@ from acmdp import (
     RequestBehavior,
     State,
     StateSpace,
-    TransitionModel,
+    builtin_scenario,
+    compile_system,
     validate_stochastic,
 )
 
 D22 = ModelDims(2, 2)
 DRIFT = EmergencyMatrix.from_rates(0.1, 1.0)
+
+
+def model(emergency, behavior):
+    """A 2x2 scenario with these dynamics."""
+    return replace(builtin_scenario("table2_unique"), emergency=emergency, behavior=behavior)
 
 
 def dist_as_dict(pairs):
@@ -98,12 +105,12 @@ class TestRequestDistribution:
 
 class TestSuccessors:
     def test_fully_deterministic_case(self):
-        m = TransitionModel(D22, EmergencyMatrix.identity(), RequestBehavior.UNIQUE)
+        m = model(EmergencyMatrix.identity(), RequestBehavior.UNIQUE)
         succ = successors(m, State(Emergency.CALM, 0, Access(0, 0)), Action.ALLOW)
         assert succ == [(State(Emergency.CALM, 1, None), 1.0)]
 
     def test_emergency_split(self):
-        m = TransitionModel(D22, DRIFT, RequestBehavior.UNIQUE)
+        m = model(DRIFT, RequestBehavior.UNIQUE)
         succ = dist_as_dict(successors(m, State(Emergency.CALM, 0, Access(0, 0)), Action.DENY))
         assert succ == {
             State(Emergency.CALM, 0, None): pytest.approx(0.9),
@@ -111,7 +118,7 @@ class TestSuccessors:
         }
 
     def test_product_of_factors(self):
-        m = TransitionModel(D22, DRIFT, RequestBehavior.ALL)
+        m = model(DRIFT, RequestBehavior.ALL)
         succ = successors(m, State(Emergency.CALM, 0, Access(0, 1)), Action.ALLOW)
         assert len(succ) == 8  # 2 emergency outcomes x 4 requests
         probs = sorted(p for _, p in succ)
@@ -119,25 +126,25 @@ class TestSuccessors:
         assert all(s.granted == 2 for s, _ in succ)
 
     def test_no_zero_probability_entries(self):
-        m = TransitionModel(D22, EmergencyMatrix.identity(), RequestBehavior.ONCE)
+        m = model(EmergencyMatrix.identity(), RequestBehavior.ONCE)
         for s in all_states(StateSpace(D22)):
             for act in (Action.DENY, Action.ALLOW):
                 assert all(p > 0.0 for _, p in successors(m, s, act))
 
     def test_unique_successors_all_empty_request(self):
-        m = TransitionModel(D22, DRIFT, RequestBehavior.UNIQUE)
+        m = model(DRIFT, RequestBehavior.UNIQUE)
         for s in all_states(StateSpace(D22)):
             for act in (Action.DENY, Action.ALLOW):
                 assert all(s2.request is None for s2, _ in successors(m, s, act))
 
     def test_all_successors_never_empty_request(self):
-        m = TransitionModel(D22, DRIFT, RequestBehavior.ALL)
+        m = model(DRIFT, RequestBehavior.ALL)
         for s in all_states(StateSpace(D22)):
             for act in (Action.DENY, Action.ALLOW):
                 assert all(s2.request is not None for s2, _ in successors(m, s, act))
 
     def test_granted_component_is_deterministic(self):
-        m = TransitionModel(D22, DRIFT, RequestBehavior.ONCE)
+        m = model(DRIFT, RequestBehavior.ONCE)
         for s in all_states(StateSpace(D22)):
             for act in (Action.DENY, Action.ALLOW):
                 grants = {s2.granted for s2, _ in successors(m, s, act)}
@@ -147,15 +154,13 @@ class TestSuccessors:
 class TestValidateStochastic:
     @pytest.mark.parametrize("behavior", list(RequestBehavior))
     def test_well_formed_models_pass(self, behavior):
-        m = TransitionModel(D22, DRIFT, behavior)
-        assert validate_stochastic(m) == []
+        assert validate_stochastic(compile_system(model(DRIFT, behavior))) == []
 
     def test_broken_matrix_reported_everywhere(self):
         # bypass the constructor check to simulate a corrupted model
         broken = EmergencyMatrix.__new__(EmergencyMatrix)
         object.__setattr__(broken, "rows", ((0.7, 0.1), (0.0, 1.0)))
-        m = TransitionModel(D22, broken, RequestBehavior.UNIQUE)
-        violations = validate_stochastic(m)
+        violations = validate_stochastic(compile_system(model(broken, RequestBehavior.UNIQUE)))
         # every calm-state (state, action) pair loses mass
         assert len(violations) == 160
         assert all(v.total_mass == pytest.approx(0.8) for v in violations)

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import acmdp.bellman
+import acmdp.dynamics
 import acmdp.experiments
+import acmdp.policy
 from acmdp import Action, builtin_scenario
+from acmdp.bellman import VERIFY_TOL, rounding_allowance
 from acmdp.experiments import (
     SweepSpec,
     run_sweep,
@@ -12,6 +17,7 @@ from acmdp.experiments import (
     sweep_csv,
     sweep_series_names,
 )
+from acmdp.value_iteration import DEFAULT_TOL as VI_TOL
 
 BOB_HIGH_POS = 3  # bit order: alice/low, alice/high, bob/low, bob/high
 
@@ -173,15 +179,77 @@ class TestQualitativeProperties:
             assert point.dv[allow, 1] >= point.dv[allow, 3] - 1e-9  # high
 
 
+def named(checks, name):
+    return next(c for c in checks if c.name == name)
+
+
 class TestSelfCheck:
     @pytest.mark.parametrize("name", ["table1", "table2_once", "modified_all"])
     def test_builtins_pass(self, name):
         checks = self_check(builtin_scenario(name))
         assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+        for agreement in ("lp_vi_agreement", "dense_simplex_agreement"):
+            assert "(bound " in named(checks, agreement).detail
+        assert "exceeds" in named(checks, "policy_agreement").detail
+
+    @pytest.mark.parametrize(
+        "target, module, attribute",
+        [
+            ("lp_vi_agreement", acmdp.policy, "policy_iterate"),
+            ("dense_simplex_agreement", acmdp.experiments, "simplex_solve"),
+        ],
+    )
+    def test_values_moved_by_ten_bounds_fail(self, monkeypatch, target, module, attribute):
+        # the LP's or the dense oracle's values, moved down by ten times the
+        # LP-VI bound; a move the dense certificate passes cannot fail the
+        # dense gap, which follows from the two certificates
+        sc = builtin_scenario("table2_once")
+        solve = getattr(module, attribute)
+        lp_values = acmdp.solve_scenario(sc, "lp").values
+        bound = VI_TOL + VERIFY_TOL / (1 - sc.beta) + rounding_allowance(lp_values, sc.beta)
+
+        def moved(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            if attribute == "policy_iterate":
+                return result[0] - 10 * bound, result[1]
+            return dataclasses.replace(result, values=result.values - 10 * bound)
+
+        assert named(self_check(sc), target).passed
+        monkeypatch.setattr(module, attribute, moved)
+        assert not named(self_check(sc), target).passed
+
+    @pytest.mark.parametrize("pick, passes", [(np.argmin, True), (np.argmax, False)])
+    def test_one_flipped_decision_fails_above_the_floor(self, monkeypatch, pick, passes):
+        # flip value iteration's decision at its smallest gap (a tie, below the
+        # floor) or at its largest
+        extract = acmdp.experiments.extract_policy
+
+        def flipped(dv):
+            policy = extract(dv)
+            i = pick(policy.gaps)
+            policy.actions[i] = 1 - policy.actions[i]
+            return policy
+
+        monkeypatch.setattr(acmdp.experiments, "extract_policy", flipped)
+        check = named(self_check(builtin_scenario("table2_once")), "policy_agreement")
+        assert check.passed is passes
+        assert check.detail.startswith("0 " if passes else "1 ")
+
+    def test_one_compile_per_call(self, monkeypatch):
+        # the stochasticity check, LP, VI and dense oracle read one matrix
+        build = acmdp.dynamics.request_dynamics
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        for module in (acmdp.dynamics, acmdp.bellman):
+            monkeypatch.setattr(module, "request_dynamics", counted)
+        self_check(builtin_scenario("table2_once"))
+        assert len(calls) == 1
 
     def test_high_discount_passes(self):
-        import dataclasses
-
         sc = dataclasses.replace(builtin_scenario("table2_unique"), beta=0.99)
         checks = self_check(sc)
         assert all(c.passed for c in checks)
@@ -192,8 +260,6 @@ class TestSelfCheck:
         sc = builtin_scenario("table2_unique")
         broken = EmergencyMatrix.__new__(EmergencyMatrix)
         object.__setattr__(broken, "rows", ((0.7, 0.1), (0.0, 1.0)))
-        import dataclasses
-
         checks = self_check(dataclasses.replace(sc, emergency=broken))
         assert checks[0].name == "stochasticity"
         assert not checks[0].passed

@@ -1,5 +1,8 @@
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,8 +176,8 @@ def assert_lp_agrees(solution, values, bound):
     assert np.array_equal(solution.policy.actions[confident], other.actions[confident])
     # priced afresh, not from solution.dv, so the check is independent of the solve
     report = verify_solution(solution.values, decision_values(solution.system, solution.values))
-    assert report.feasible(1e-9)
-    assert report.all_tight(1e-7)
+    assert report.feasible()
+    assert report.all_tight()
 
 
 def dense_oracle(system):
@@ -186,6 +189,16 @@ def dense_oracle(system):
 def vi_bound(values, beta):
     """Value iteration's proven error, tol, plus the rounding of it and of the LU."""
     return VI_TOL + rounding_allowance(values, beta)
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    # policy_iterate imports scipy.sparse.linalg on first use: loaded with
+    # the package, it cut the pdp_lookup benchmark's ops_per_s by 11-22%
+    src = str(Path(acmdp.__file__).resolve().parents[1])
+    probe = "import sys, acmdp; print('scipy.sparse.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr
 
 
 class TestLpSolve:
@@ -203,21 +216,25 @@ class TestLpSolve:
         assert_lp_agrees(solution, dense_oracle(solution.system), 1e-9)
 
     @pytest.mark.parametrize(
-        "users, resources, behavior, rates, beta, seed",
+        "users, resources, behavior, variant, rates, beta, seed",
         [
-            (1, 2, "unique", (1e-7, 1.0), 0.5, 0),
-            (2, 2, "once", (1e-7, 0.5), 0.375, 208),
-            (2, 2, "once", (1e-9, 0.0), 0.5, 0),
-            (1, 1, "all", (1e-4, 1.0), 0.953125, 0),
+            (1, 2, "unique", "eps_zero", (1e-7, 1.0), 0.5, 0),
+            (2, 2, "once", "eps_zero", (1e-7, 0.5), 0.375, 208),
+            (2, 2, "once", "eps_zero", (1e-9, 0.0), 0.5, 0),
+            (1, 1, "all", "eps_zero", (1e-4, 1.0), 0.953125, 0),
+            (1, 2, "unique", "eps_accrues", (1e-8, 1 - 1e-8), 0.9, 7),
+            (1, 2, "all", "eps_accrues", (1e-8, 1 - 1e-8), 0.9, 7),
+            (1, 2, "all", "eps_accrues", (1e-8, 1 - 1e-8), 0.99, 7),
         ],
     )
     def test_ill_scaled_scenarios_match_dense_simplex(
-        self, users, resources, behavior, rates, beta, seed
+        self, users, resources, behavior, variant, rates, beta, seed
     ):
         # probabilities near the simplex's pivot tolerance; before the oracle
-        # rebuilt its tableau, these came out unbounded, off by 1.4e-9,
-        # unbounded and infeasible
-        sc = small_scenario(users, resources, behavior, "eps_zero", rates, beta, seed)
+        # rebuilt its tableau, the first four came out unbounded, off by
+        # 1.4e-9, unbounded and infeasible, and before it rebuilt ahead of a
+        # small pivot element, the last three stopped on a singular basis
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
         solution = solve_scenario(sc, "lp")
         assert_lp_agrees(solution, dense_oracle(solution.system), 1e-9)
 

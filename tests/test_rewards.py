@@ -74,43 +74,38 @@ class TestRewardTransition:
             assert reward_transition(sc, s, act, s2) == -20
 
     def test_eps_zero_everywhere_property(self, table2):
-        m = table2.transition_model()
         for s in all_states(StateSpace(table2.dims)):
             if s.request is not None:
                 continue
             for act in (Action.DENY, Action.ALLOW):
-                for s2, _ in successors(m, s, act):
+                for s2, _ in successors(table2, s, act):
                     assert reward_transition(table2, s, act, s2) == 0.0
 
 
 class TestImmediateReward:
     def test_table1_bob_high_allow(self, table1):
-        m = table1.transition_model()
         s = State(Emergency.CALM, 0, BOB_HIGH)
-        assert immediate_reward(table1, m, s, Action.ALLOW) == pytest.approx(-10)
+        assert immediate_reward(table1, s, Action.ALLOW) == pytest.approx(-10)
 
     def test_table2_alice_low_deny(self, table2):
-        m = table2.transition_model()
         s = State(Emergency.CALM, 0, ALICE_LOW)
-        assert immediate_reward(table2, m, s, Action.DENY) == pytest.approx(-2)
+        assert immediate_reward(table2, s, Action.DENY) == pytest.approx(-2)
 
     def test_table2_alice_high_allow(self, table2):
-        m = table2.transition_model()
         s = State(Emergency.CALM, 0, ALICE_HIGH)
-        assert immediate_reward(table2, m, s, Action.ALLOW) == pytest.approx(10)
+        assert immediate_reward(table2, s, Action.ALLOW) == pytest.approx(10)
 
     def test_matches_dense_brute_force(self):
         # independent oracle: dense successor distribution dotted with dense
         # per-transition rewards over the full state product
         sc = builtin_scenario("table2_once")
-        m = sc.transition_model()
         space = StateSpace(sc.dims)
         for s in all_states(space):
             for act in (Action.DENY, Action.ALLOW):
-                dense = {space.state_index(s2): p for s2, p in successors(m, s, act)}
+                dense = {space.state_index(s2): p for s2, p in successors(sc, s, act)}
                 expected = sum(
                     dense.get(j, 0.0) * reward_transition(sc, s, act, space.index_state(j))
                     for j in range(len(space))
                 )
-                got = immediate_reward(sc, m, s, act)
+                got = immediate_reward(sc, s, act)
                 assert got == pytest.approx(expected, abs=1e-12)

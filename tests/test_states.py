@@ -73,8 +73,10 @@ class TestDims:
         with pytest.raises(CapacityError):
             ModelDims(4, 4)
 
-    def test_capacity_cap_is_configurable(self):
-        assert ModelDims(4, 4, cap_bits=16).num_states == 2 * (1 << 16) * 17
+    def test_capacity_cap_is_twelve_bits(self):
+        assert ModelDims(3, 4).num_states == 2 * (1 << 12) * 13
+        with pytest.raises(CapacityError, match="cap of 12"):
+            ModelDims(1, 13)
 
 
 class TestEnumeration:
