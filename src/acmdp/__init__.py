@@ -5,6 +5,7 @@ from .bellman import (
     build_bellman_lp,
     compile_system,
     decision_values,
+    validate_stochastic,
     verify_solution,
 )
 from .config import (
@@ -15,7 +16,7 @@ from .config import (
     render_scenario,
     scenario_fingerprint,
 )
-from .dynamics import EmergencyMatrix, RequestBehavior, validate_stochastic
+from .dynamics import EmergencyMatrix, RequestBehavior
 from .experiments import SweepSpec, run_sweep, self_check, sweep_csv
 from .policy import (
     PolicyMap,

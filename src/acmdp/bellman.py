@@ -1,20 +1,23 @@
-"""Assembly of the Bellman system, its one evaluation kernel, and its linear program.
+"""Assembly of the Bellman system, its one evaluation kernel, its checks, and its linear program.
 
 compile_system turns a scenario into one stacked sparse transition matrix
 and the immediate-reward vectors, in two steps.  build_parts builds the
 part that does not depend on the 2x2 emergency matrix E: the request-draw
-structure of both R^a (dynamics.request_dynamics) and the gain and alert
-penalty parts of q^a (rewards.reward_parts), all by array arithmetic with
-no Python loop per state.  SystemParts.mix then mixes in one E: it gathers
+structure of both R^a (dynamics.request_dynamics) and the reward of every
+(action, next status, row) (rewards.reward_parts), all by array arithmetic
+with no Python loop per state.  SystemParts.mix(E) then returns the system
+of the built scenario with its emergency matrix replaced by E: it gathers
 E[e, e2] / draws into a (2n, n) CSR matrix whose row a*n + i is row i of
-P^a = E (x) R^a, and weights the reward parts by E's rows.  A sweep over
-E builds the parts once and mixes them at every grid point.  The per-state
-reference build the tests compare against is tests/oracle.py.
+P^a = E (x) R^a, and weights the reward parts by E's rows.  A mix can
+change nothing but E, so a sweep over E builds the parts once and mixes
+them at every grid point.  The per-state reference build the tests
+compare against is tests/oracle.py.
 
 decision_values is the only code that evaluates q^a + beta P^a V, as one
 matvec with the stacked matrix.  The LP solve (policy.policy_iterate),
 value iteration's backup, policy extraction and verify_solution all read
-its (2, n) output.
+its (2, n) output.  validate_stochastic checks that every row of a
+compiled stacked matrix is a probability distribution.
 
 build_bellman_lp writes the same LP out densely for the simplex oracle
 (simplex.simplex_solve), which tests and self_check compare against.  It
@@ -24,24 +27,21 @@ whose constraint matrix or simplex tableau would exceed LP_MAX_BYTES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from .dynamics import RequestDynamics, request_dynamics, set_request_rows
-from .rewards import RewardVariant, Scenario, reward_parts
+from .dynamics import ROW_SUM_TOL, EmergencyMatrix, RequestDynamics, request_dynamics
+from .rewards import Scenario, reward_parts
 from .simplex import LinearProgram
-from .states import CapacityError, StateSpace
+from .states import Action, CapacityError, State, StateSpace
 
 VERIFY_TOL = 1e-9  # largest Bellman-row violation a feasible solution may leave
 TIGHT_TOL = 1e-7  # largest slack of a tight state's tightest row
 LP_MAX_BYTES = 1 << 30  # largest dense LHS or oracle tableau build_bellman_lp allows
 ROUNDING_ULPS = 4  # rounding_allowance, in units of eps * max|V| / (1 - beta)
-
-# every Scenario field but the emergency matrix: SystemParts.mix refuses a change to these
-_E_FREE_FIELDS = tuple(f.name for f in fields(Scenario) if f.name != "emergency")
 
 
 @dataclass
@@ -79,40 +79,29 @@ class SystemParts:
     space: StateSpace
     dynamics: RequestDynamics
     rewards: np.ndarray  # (action, next status, row): see rewards.reward_parts
-    silent: np.ndarray  # rows whose q is 0: eps_zero's empty-request rows
 
-    def mix(self, sc: Scenario) -> BellmanSystem:
-        """The system of sc, which may differ from the built scenario only in E."""
-        for name in _E_FREE_FIELDS:
-            if getattr(sc, name) != getattr(self.scenario, name):
-                raise ValueError(
-                    f"scenario differs in {name} from the one these parts were built "
-                    f"from; only the emergency matrix may change"
-                )
-        emergency = np.array(sc.emergency.rows, dtype=float)
-        q = emergency @ self.rewards
-        q[:, :, self.silent] = 0.0
+    def mix(self, emergency: EmergencyMatrix) -> BellmanSystem:
+        """The system of the built scenario with its emergency matrix replaced by emergency."""
+        matrix = np.array(emergency.rows, dtype=float)
         return BellmanSystem(
-            sc, self.space, self.dynamics.stack(emergency), q.reshape(2, -1), self
+            replace(self.scenario, emergency=emergency),
+            self.space,
+            self.dynamics.stack(matrix),
+            (matrix @ self.rewards).reshape(2, -1),
+            self,
         )
 
 
 def build_parts(sc: Scenario) -> SystemParts:
     """The E-free part of sc's system, to be mixed with E by SystemParts.mix."""
-    _, r = set_request_rows(sc.dims)
-    silent = (r == sc.dims.num_access_bits) & (sc.variant is RewardVariant.EPS_ZERO)
     return SystemParts(
-        sc,
-        StateSpace(sc.dims),
-        request_dynamics(sc.dims, sc.behavior),
-        reward_parts(sc),
-        np.flatnonzero(silent),
+        sc, StateSpace(sc.dims), request_dynamics(sc.dims, sc.behavior), reward_parts(sc)
     )
 
 
 def compile_system(sc: Scenario) -> BellmanSystem:
     """Transition matrices and immediate rewards of every action."""
-    return build_parts(sc).mix(sc)
+    return build_parts(sc).mix(sc.emergency)
 
 
 def decision_values(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
@@ -197,3 +186,40 @@ def verify_solution(values: np.ndarray, dv: np.ndarray) -> VerificationReport:
         min_slack=min_slack,
         max_min_slack=float(min_slack.max()),
     )
+
+
+@dataclass(frozen=True)
+class StochasticityViolation:
+    state: State
+    action: Action
+    total_mass: float
+    detail: str
+
+
+def validate_stochastic(system: BellmanSystem) -> list[StochasticityViolation]:
+    """Check that every (state, action) row of a compiled system's stacked matrix is a distribution.
+
+    Returns the list of violations in state-major, action-minor order; empty
+    means the model is well-formed.
+    """
+    stacked = system.stacked
+    mass = np.asarray(stacked.sum(axis=1)).ravel()
+    flagged = np.abs(mass - 1.0) > ROW_SUM_TOL
+    out_of_range = ~((stacked.data > 0.0) & (stacked.data <= 1.0))
+    flagged[np.repeat(np.arange(stacked.shape[0]), np.diff(stacked.indptr))[out_of_range]] = True
+    n = stacked.shape[1]
+    found = []
+    # row a * n + i is (state i, action a); report state-major, action-minor
+    for row in sorted(np.flatnonzero(flagged).tolist(), key=lambda r: (r % n, r // n)):
+        act, i = divmod(row, n)
+        total = float(mass[row])
+        probs = stacked.data[stacked.indptr[row]:stacked.indptr[row + 1]].tolist()
+        bad_probs = [p for p in probs if not 0.0 < p <= 1.0]
+        if bad_probs:
+            detail = f"probabilities {bad_probs} outside (0, 1]"
+        else:
+            detail = f"mass {total} != 1"
+        found.append(
+            StochasticityViolation(system.space.index_state(i), Action(act), total, detail)
+        )
+    return found

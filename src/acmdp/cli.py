@@ -6,6 +6,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import BUILTIN_NAMES, ScenarioParseError, builtin_scenario, parse_scenario
 from .experiments import SweepSpec, run_sweep, self_check, sweep_csv
 from .policy import (
@@ -17,7 +19,7 @@ from .policy import (
     solve_scenario,
 )
 from .rewards import Scenario
-from .states import Access, Emergency, State, set_insert
+from .states import Access, Emergency, set_insert
 from .value_iteration import ConvergenceError
 
 
@@ -68,15 +70,13 @@ def cmd_decisions(args: argparse.Namespace) -> int:
     print("Status  Decision" + "".join(h.rjust(col_width) for h in headers))
     csv_lines = ["status,user,resource,dv_deny,dv_allow,chosen,gap"]
     for emergency in (Emergency.CALM, Emergency.ALERT):
+        # the (status, nothing granted, access) states; accesses are requests 0.. in bit order
+        rows = space.position(int(emergency), 0, np.arange(len(accesses)))
+        status = emergency.label.capitalize().ljust(8)
         for act_idx, act_label in ((0, "deny"), (1, "allow")):
-            cells = []
-            for a in accesses:
-                i = space.state_index(State(emergency, 0, a))
-                cells.append(f"{solution.dv[act_idx, i]:.2f}".rjust(col_width))
-            status = emergency.label.capitalize().ljust(8)
+            cells = [f"{dv:.2f}".rjust(col_width) for dv in solution.dv[act_idx, rows]]
             print(f"{status}{act_label:<8}" + "".join(cells))
-        for a in accesses:
-            i = space.state_index(State(emergency, 0, a))
+        for a, i in zip(accesses, rows):
             csv_lines.append(
                 ",".join(
                     [

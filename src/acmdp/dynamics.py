@@ -13,23 +13,21 @@ E-free part once, with array arithmetic on the set bitmasks: where each row
 of R^a leads and how many requests it draws.  RequestDynamics.stack then
 mixes in one E, gathering E[e, e2] / draws into a single (2n, n) matrix
 whose row a*n + i is row i of P^a, so a sweep over E rebuilds nothing else.
-tests/oracle.py describes the same process one state at a time
-(successors) and is the reference the tests compare this build against.
+bellman assembles the compiled system from it and checks the system's rows
+(bellman.validate_stochastic).  tests/oracle.py describes the same process
+one state at a time (successors) and is the reference the tests compare
+this build against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
 
-from .states import ACTIONS, Action, ModelDims, State
-
-if TYPE_CHECKING:
-    from .bellman import BellmanSystem
+from .states import ACTIONS, Action, ModelDims
 
 ROW_SUM_TOL = 1e-9  # largest amount a probability row may miss 1 by
 # the 12-bit cap (states.CAP_BITS) keeps every column, entry count and row
@@ -190,39 +188,3 @@ def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics
         np.concatenate(cols),
     )
 
-
-@dataclass(frozen=True)
-class StochasticityViolation:
-    state: State
-    action: Action
-    total_mass: float
-    detail: str
-
-
-def validate_stochastic(system: BellmanSystem) -> list[StochasticityViolation]:
-    """Check that every (state, action) row of a compiled system's stacked matrix is a distribution.
-
-    Returns the list of violations in state-major, action-minor order; empty
-    means the model is well-formed.
-    """
-    stacked = system.stacked
-    mass = np.asarray(stacked.sum(axis=1)).ravel()
-    flagged = np.abs(mass - 1.0) > ROW_SUM_TOL
-    out_of_range = ~((stacked.data > 0.0) & (stacked.data <= 1.0))
-    flagged[np.repeat(np.arange(stacked.shape[0]), np.diff(stacked.indptr))[out_of_range]] = True
-    n = stacked.shape[1]
-    found = []
-    # row a * n + i is (state i, action a); report state-major, action-minor
-    for row in sorted(np.flatnonzero(flagged).tolist(), key=lambda r: (r % n, r // n)):
-        act, i = divmod(row, n)
-        total = float(mass[row])
-        probs = stacked.data[stacked.indptr[row]:stacked.indptr[row + 1]].tolist()
-        bad_probs = [p for p in probs if not 0.0 < p <= 1.0]
-        if bad_probs:
-            detail = f"probabilities {bad_probs} outside (0, 1]"
-        else:
-            detail = f"mass {total} != 1"
-        found.append(
-            StochasticityViolation(system.space.index_state(i), Action(act), total, detail)
-        )
-    return found

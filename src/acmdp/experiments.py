@@ -6,7 +6,8 @@ decision values of every access from the calm, nothing-granted states.
 Crossovers (where allow overtakes deny) are bracketed on the grid and then
 pinned down by bisection.  Only the emergency matrix E changes along a
 sweep, so the scenario is compiled once and each grid or bisection point
-mixes its E into the E-free parts (bellman.SystemParts.mix).
+mixes its E into the E-free parts (bellman.SystemParts.mix), which can
+change nothing else.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .bellman import (
     compile_system,
     decision_values,
     rounding_allowance,
+    validate_stochastic,
     verify_solution,
 )
-from .dynamics import EmergencyMatrix, validate_stochastic
+from .dynamics import EmergencyMatrix
 from .policy import TIE_TOL, extract_policy, solve_system
 from .rewards import Scenario
 from .simplex import SimplexStatus, simplex_solve
@@ -120,6 +122,7 @@ def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
     grid point to grid point, then bisection step to bisection step.
     """
     grid = spec.grid()
+    alert_to_alert = spec.scenario.emergency.prob_alert_to_alert
     parts = compile_system(spec.scenario).parts
     # the (calm, nothing granted, access) states; accesses are requests 0.. in bit order
     calm_empty = parts.space.position(
@@ -129,7 +132,7 @@ def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
 
     def dv_at(probability: float) -> np.ndarray:
         nonlocal values
-        system = parts.mix(scenario_at_probability(spec.scenario, probability))
+        system = parts.mix(EmergencyMatrix.from_rates(probability, alert_to_alert))
         solution = solve_system(system, solver, start=values)
         values = solution.values
         return solution.dv[:, calm_empty]
@@ -221,7 +224,9 @@ def self_check(sc: Scenario) -> list[CheckResult]:
     vi_values, sweeps = value_iterate(system)
     allowance = rounding_allowance(lp.values, sc.beta)
     # value iteration stops within VI_TOL of the optimum; a final LP violation
-    # of at most VERIFY_TOL leaves the LP within VERIFY_TOL / (1 - beta) of it
+    # of at most VERIFY_TOL leaves the LP within VERIFY_TOL / (1 - beta) of it.
+    # The LP's measured residual r would not do in place of VERIFY_TOL: values
+    # shifted by c have r = c (1 - beta), so r / (1 - beta) = c admits the shift
     vi_bound = VI_TOL + VERIFY_TOL / (1.0 - sc.beta) + allowance
     checks.append(_agreement("lp_vi_agreement", lp.values, vi_values, vi_bound, f"{sweeps} sweeps"))
     checks.append(_dense_simplex_agreement(system, lp.values, lp_report, allowance))

@@ -106,21 +106,15 @@ class Solution:
     max_residual: float
 
 
-def solve_scenario(
-    sc: Scenario,
-    solver: str = "lp",
-    tol: float | None = None,
-    start: np.ndarray | None = None,
-) -> Solution:
+def solve_scenario(sc: Scenario, solver: str = "lp", tol: float | None = None) -> Solution:
     """Compile a scenario and solve it with the LP (policy_iterate) or value iteration.
 
     tol defaults to each solver's own tolerance: for the LP, the largest
     Bellman-row violation the final basis may leave (1e-9); for value
     iteration, the bound on the distance of its values from the optimum
-    (1e-10).  start seeds value iteration (see value_iterate); the LP does
-    not use it.
+    (1e-10).
     """
-    return solve_system(compile_system(sc), solver, tol, start)
+    return solve_system(compile_system(sc), solver, tol)
 
 
 def solve_system(
@@ -129,10 +123,11 @@ def solve_system(
     tol: float | None = None,
     start: np.ndarray | None = None,
 ) -> Solution:
-    """Solve a compiled system; the arguments are solve_scenario's.
+    """Solve a compiled system; solver and tol are solve_scenario's.
 
-    The solution's dv, policy and max_residual come from one
-    decision_values call.
+    start seeds value iteration (see value_iterate), as run_sweep does from
+    the previous point's values; the LP does not use it.  The solution's
+    dv, policy and max_residual come from one decision_values call.
     """
     tol_arg = {} if tol is None else {"tol": tol}
     if solver == "lp":

@@ -6,8 +6,9 @@ reward.  Two variants govern states with the empty pending request: the
 transition reward is either forced to zero or keeps accruing the resource
 penalty of the reached state.  reward_parts gives, in closed form, the
 E-free part of each action's expected one-step reward: the reward of every
-(granted set, request) row for either next emergency status, which the
-compile (bellman.SystemParts.mix) weights by the rows of E.  tests/oracle.py
+(granted set, request) row for either next emergency status, with the
+variant's rule already applied, which the compile (bellman.SystemParts.mix)
+weights by the rows of E.  tests/oracle.py
 sums the same rewards transition by transition (reward_transition,
 immediate_reward) as the reference.
 """
@@ -98,8 +99,9 @@ def reward_parts(sc: Scenario) -> np.ndarray:
 
     The reward of a transition depends on the next status e2 and granted set
     k', not on the next request, so it is gain(act, x) + penalty(e2, k'(x));
-    the expected reward from (e, x) is sum_e2 E[e, e2] times it.  Shape
-    (2, 2, rows per status), indexed by Action, then Emergency.
+    the expected reward from (e, x) is sum_e2 E[e, e2] times it.  Under
+    eps_zero the empty-request rows are worth 0 for both next statuses.
+    Shape (2, 2, rows per status), indexed by Action, then Emergency.
     """
     d = sc.dims
     _, r = set_request_rows(d)
@@ -109,4 +111,7 @@ def reward_parts(sc: Scenario) -> np.ndarray:
     for act in ACTIONS:
         gain = np.array(grants + [0.0])[r] if act is Action.ALLOW else np.zeros(len(r))
         parts.append(gain + penalties[:, next_access_sets(d, act)])
-    return np.stack(parts)
+    out = np.stack(parts)
+    if sc.variant is RewardVariant.EPS_ZERO:
+        out[:, :, r == d.num_access_bits] = 0.0
+    return out

@@ -9,6 +9,11 @@ request behaviour (request_distribution), the emergency status moves by
 its 2x2 matrix, and each transition earns its grant utility plus the alert
 penalty of the state it reaches (reward_transition).  oracle_compile turns
 it into the matrices compile_system must reproduce.
+
+lattice_solve solves the MDP exactly from that per-state build, without
+the package's compile or solvers: the granted set only grows, so the
+values of the larger sets are found first and are constants for the
+smaller ones.
 """
 
 from __future__ import annotations
@@ -134,3 +139,43 @@ def oracle_compile(sc: Scenario) -> tuple[list[sparse.csr_matrix], np.ndarray]:
             q[int(act), i] = total
         mats.append(sparse.csr_matrix((data, (rows, cols)), shape=(n, n)))
     return mats, q
+
+
+def lattice_solve(sc: Scenario) -> np.ndarray:
+    """Optimal values by backward induction over the lattice of granted sets.
+
+    Every transition lands on a superset of its granted set (asserted), so
+    the states of one popcount level reach only their own level and the
+    levels above it, and the states of different sets in one level never
+    reach each other.  Levels are solved from the full set down.  Each
+    runs Howard policy iteration on its own states, dense, with the values
+    of the levels above as constants, until no state improves by more than
+    1e-12.
+    """
+    mats, q = oracle_compile(sc)
+    dense = [m.toarray() for m in mats]
+    granted = np.array([s.granted for s in all_states(StateSpace(sc.dims))])
+    for m in mats:
+        rows, cols = m.nonzero()
+        assert np.all(granted[cols] & granted[rows] == granted[rows])
+    level = np.array([bin(k).count("1") for k in granted])
+    values = np.zeros(len(granted))
+    for bits in range(sc.dims.num_access_bits, -1, -1):
+        here, above = level == bits, level > bits
+        own = [p[np.ix_(here, here)] for p in dense]
+        # each action's reward plus the discounted values of the levels above
+        const = q[:, here] + sc.beta * np.stack(
+            [p[np.ix_(here, above)] @ values[above] for p in dense]
+        )
+        idx = np.arange(np.count_nonzero(here))
+        policy = np.zeros(len(idx), dtype=int)
+        while True:
+            chosen = np.where(policy[:, None] == 1, own[1], own[0])
+            v = np.linalg.solve(np.eye(len(idx)) - sc.beta * chosen, const[policy, idx])
+            dv = const + sc.beta * np.stack([p @ v for p in own])
+            switch = dv[1 - policy, idx] - dv[policy, idx] > 1e-12
+            if not switch.any():
+                break
+            policy[switch] = 1 - policy[switch]
+        values[here] = v
+    return values

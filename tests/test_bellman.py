@@ -148,13 +148,13 @@ class TestMixEmergency:
         parts = build_parts(sc)
         for p in (0.0, 0.37, 1.0):
             at_p = scenario_at_probability(sc, p)
-            assert_same_system(parts.mix(at_p), compile_system(at_p))
+            assert_same_system(parts.mix(at_p.emergency), compile_system(at_p))
 
     def test_zero_emergency_entries_are_dropped(self):
         sc = builtin_scenario("table2_all")  # alert -> alert = 1
         parts = build_parts(sc)
-        inside = parts.mix(scenario_at_probability(sc, 0.37))
-        at_zero = parts.mix(scenario_at_probability(sc, 0.0))
+        inside = parts.mix(EmergencyMatrix.from_rates(0.37, 1.0))
+        at_zero = parts.mix(EmergencyMatrix.from_rates(0.0, 1.0))
         assert np.all(inside.stacked.data > 0.0) and np.all(at_zero.stacked.data > 0.0)
         # calm rows lose their alert successors, alert rows never had calm ones
         assert at_zero.stacked.nnz * 3 == inside.stacked.nnz * 2
@@ -182,22 +182,12 @@ class TestMixEmergency:
         assert np.array_equal(deny.toarray(), dense[:n])
         assert np.array_equal(allow.toarray(), dense[n:])
 
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"beta": 0.5},
-            {"behavior": RequestBehavior.ONCE},
-            {"variant": RewardVariant.EPS_ACCRUES},
-            {"user_names": ("ann", "bob")},
-            {"rewards": RewardTables({(u, r): 1.0 for u in range(2) for r in range(2)}, (0, -5))},
-        ],
-        ids=lambda change: next(iter(change)),
-    )
-    def test_mix_refuses_a_change_other_than_the_emergency_matrix(self, change):
-        sc = builtin_scenario("table2_all")
-        parts = build_parts(sc)
-        with pytest.raises(ValueError, match=f"differs in {next(iter(change))}"):
-            parts.mix(dataclasses.replace(scenario_at_probability(sc, 0.5), **change))
+    def test_mix_changes_only_the_emergency_matrix(self):
+        parts = build_parts(builtin_scenario("table2_all"))
+        emergency = EmergencyMatrix.from_rates(0.37, 0.6)
+        assert parts.mix(emergency).scenario == dataclasses.replace(
+            parts.scenario, emergency=emergency
+        )
 
 
 class TestBuildLp:

@@ -137,9 +137,9 @@ class TestRunSweep:
             calls["build"] += 1
             return build(sc)
 
-        def counted_mix(parts, sc):
+        def counted_mix(parts, emergency):
             calls["mix"] += 1
-            return mix(parts, sc)
+            return mix(parts, emergency)
 
         def counted_solve(system, solver, start):
             calls["solve"] += 1

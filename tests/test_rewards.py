@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from oracle import (
     all_states,
@@ -16,6 +17,8 @@ from acmdp import (
     StateSpace,
     builtin_scenario,
 )
+from acmdp.dynamics import set_request_rows
+from acmdp.rewards import reward_parts
 
 ALICE_LOW, ALICE_HIGH = Access(0, 0), Access(0, 1)
 BOB_LOW, BOB_HIGH = Access(1, 0), Access(1, 1)
@@ -80,6 +83,20 @@ class TestRewardTransition:
             for act in (Action.DENY, Action.ALLOW):
                 for s2, _ in successors(table2, s, act):
                     assert reward_transition(table2, s, act, s2) == 0.0
+
+
+class TestRewardParts:
+    @pytest.mark.parametrize("name", ["table1", "modified_unique"])
+    def test_empty_request_rows_follow_the_variant(self, name):
+        # under eps_zero the compile's q is E @ parts, so it is 0 on these
+        # rows only if the parts are; under eps_accrues the alert penalty stays
+        sc = builtin_scenario(name)
+        _, r = set_request_rows(sc.dims)
+        empty = reward_parts(sc)[:, :, r == sc.dims.num_access_bits]
+        if sc.variant is RewardVariant.EPS_ZERO:
+            assert np.all(empty == 0.0)
+        else:
+            assert np.any(empty != 0.0)
 
 
 class TestImmediateReward:
