@@ -189,6 +189,30 @@ class TestMixEmergency:
             parts.scenario, emergency=emergency
         )
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"beta": 0.5},
+            {"behavior": RequestBehavior.ONCE},
+            {"variant": RewardVariant.EPS_ACCRUES},
+            {"user_names": ("ann", "bob")},
+            {"rewards": RewardTables({(u, r): 1.0 for u in range(2) for r in range(2)}, (0, -5))},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_mix_keeps_each_other_field_as_built(self, change):
+        # every field but E comes from the build: the mixed system is the
+        # changed scenario's own compile, not the builtin it was derived from
+        sc = builtin_scenario("table2_all")
+        field = next(iter(change))
+        assert getattr(sc, field) != change[field]
+        built = dataclasses.replace(sc, **change)
+        emergency = EmergencyMatrix.from_rates(0.37, 0.6)
+        mixed = build_parts(built).mix(emergency)
+        at_e = dataclasses.replace(built, emergency=emergency)
+        assert mixed.scenario == at_e
+        assert_same_system(mixed, compile_system(at_e))
+
 
 class TestBuildLp:
     def test_dimensions(self, table2_system):
