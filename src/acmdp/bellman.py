@@ -1,23 +1,29 @@
 """Assembly of the Bellman system, its one evaluation kernel, its checks, and its linear program.
 
-compile_system turns a scenario into one stacked sparse transition matrix
+compile_system turns a scenario into the factors of its transition matrices
 and the immediate-reward vectors, in two steps.  build_parts builds the
 part that does not depend on the 2x2 emergency matrix E: the request-draw
-structure of both R^a (dynamics.request_dynamics) and the reward of every
+structure of both R^a (dynamics.request_dynamics), with both R^a written
+once per emergency status as one (2n, n) matrix, and the reward of every
 (action, next status, row) (rewards.reward_parts), all by array arithmetic
 with no Python loop per state.  SystemParts.mix(E) then returns the system
-of the built scenario with its emergency matrix replaced by E: it gathers
-E[e, e2] / draws into a (2n, n) CSR matrix whose row a*n + i is row i of
-P^a = E (x) R^a, and weights the reward parts by E's rows.  A mix can
-change nothing but E, so a sweep over E builds the parts once and mixes
-them at every grid point.  The per-state reference build the tests
-compare against is tests/oracle.py.
+of the built scenario with its emergency matrix replaced by E, with q
+weighted by E's rows; SystemParts.mix_batch returns G such systems at once,
+one E per trailing grid column.  A mix can change nothing but E, so a sweep
+over E builds the parts once.  The stacked (2n, n) matrix whose row a*n + i
+is row i of P^a = E (x) R^a is assembled from the parts on first use
+(BellmanSystem.stacked), for policy iteration's row gather, the
+stochasticity check and the dense LP.  The per-state reference build the
+tests compare against is tests/oracle.py.
 
-decision_values is the only code that evaluates q^a + beta P^a V, as one
-matvec with the stacked matrix.  The LP solve (policy.policy_iterate),
-value iteration's backup, policy extraction and verify_solution all read
-its (2, n) output.  validate_stochastic checks that every row of a
-compiled stacked matrix is a probability distribution.
+decision_values is the only code that evaluates q^a + beta P^a V.  It
+works on the factors, P^a = (I (x) R^a)(E (x) I): it mixes V's two status
+halves by beta E, backs up both actions, both statuses and every grid
+column with one product with RequestDynamics.requests, and adds q.  The LP
+solve (policy.policy_iterate), value iteration's backup, policy extraction
+and verify_solution all read its (2, n) output; a batch reads (2, n, G).
+validate_stochastic checks that every row of a compiled stacked matrix is
+a probability distribution.
 
 build_bellman_lp writes the same LP out densely for the simplex oracle
 (simplex.simplex_solve), which tests and self_check compare against.  It
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -46,19 +53,34 @@ ROUNDING_ULPS = 4  # rounding_allowance, in units of eps * max|V| / (1 - beta)
 
 @dataclass
 class BellmanSystem:
-    scenario: Scenario
-    space: StateSpace
-    stacked: sparse.csr_matrix  # (2n, n): row a * n + i is row i of P^a
-    q: np.ndarray  # (2, num_states) immediate rewards, indexed by Action
-    parts: SystemParts  # the E-free part it was mixed from, which run_sweep mixes anew
+    """One compiled system, or a batch of G that differ only in E.
+
+    A batch carries a trailing grid axis: one E per column, q of shape
+    (2, n, G), values (n, G).  It has no scenario of its own and no stacked
+    matrix; value iteration and decision_values are all it serves.
+    """
+
+    scenario: Scenario | None  # None for a batch
+    parts: SystemParts  # the E-free part it was mixed from
+    emergency: np.ndarray  # E, (2, 2); for a batch, (2, 2, G)
+    q: np.ndarray  # (2, n) immediate rewards indexed by Action; (2, n, G) for a batch
+
+    @property
+    def space(self) -> StateSpace:
+        return self.parts.space
 
     @property
     def num_states(self) -> int:
-        return len(self.space)
+        return len(self.parts.space)
 
     @property
     def beta(self) -> float:
-        return self.scenario.beta
+        return self.parts.scenario.beta
+
+    @cached_property
+    def stacked(self) -> sparse.csr_matrix:
+        """(2n, n) CSR matrix whose row a * n + i is row i of P^a, assembled on first use."""
+        return self.parts.dynamics.stack(self.emergency)
 
     @cached_property
     def transitions(self) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
@@ -85,10 +107,21 @@ class SystemParts:
         matrix = np.array(emergency.rows, dtype=float)
         return BellmanSystem(
             replace(self.scenario, emergency=emergency),
-            self.space,
-            self.dynamics.stack(matrix),
-            (matrix @ self.rewards).reshape(2, -1),
             self,
+            matrix,
+            (matrix @ self.rewards).reshape(2, -1),
+        )
+
+    def mix_batch(self, emergencies: Sequence[EmergencyMatrix]) -> BellmanSystem:
+        """The batch of the built scenario's systems with each of emergencies as E, in order."""
+        matrices = np.array([e.rows for e in emergencies], dtype=float)
+        # q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x]
+        q = (matrices[None] @ self.rewards[:, None]).transpose(0, 2, 3, 1)
+        return BellmanSystem(
+            None,
+            self,
+            np.ascontiguousarray(matrices.transpose(1, 2, 0)),
+            q.reshape(2, -1, len(matrices)),
         )
 
 
@@ -105,9 +138,18 @@ def compile_system(sc: Scenario) -> BellmanSystem:
 
 
 def decision_values(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
-    """(2, num_states) array of q^a + beta * P^a V, indexed by Action."""
-    out = (system.stacked @ values).reshape(2, -1)
-    out *= system.beta
+    """q^a + beta P^a V, indexed by Action: (2, n), or (2, n, G) for a batch and (n, G) values.
+
+    P^a = E (x) R^a = (I (x) R^a)(E (x) I): V's two status halves are mixed
+    by beta E, then one product with RequestDynamics.requests backs up both
+    actions, both statuses and every column, and q is added.
+    """
+    halves = values.reshape((2, -1) + values.shape[1:])
+    # (E (x) I) V scaled by beta: status e's half is sum_e2 beta E[e, e2] V_e2
+    mixing = system.beta * system.emergency
+    mixed = mixing[:, 0, None] * halves[0] + mixing[:, 1, None] * halves[1]
+    out = system.parts.dynamics.requests @ mixed.reshape(values.shape)
+    out = out.reshape((2,) + values.shape)
     out += system.q
     return out
 
@@ -150,11 +192,13 @@ def rounding_allowance(values: np.ndarray, beta: float) -> float:
     place of the largest value, and a beta-contraction amplifies such an
     error by up to 1 / (1 - beta).  Measured in these units against values
     refined in extended precision, on 900 random 1x1 to 2x2 scenarios with
-    beta up to 0.999 and rewards scaled up to 100-fold: value iteration
-    exceeded its tol by at most 1.7 (its stop at a rounding-level step
-    accounts for up to 1), policy iteration's LU solve erred by at most 1.7,
-    and the two differed by at most 1.7 beyond tol.  The allowance covers
-    the sum of both worst cases.
+    beta up to 0.999 and rewards scaled up to 100-fold (142 of them with
+    tol below one unit in the last place of max|V|): value iteration, with
+    its span stop and the shift to the bounds' midpoint, exceeded its tol
+    by at most 1.69 (its stop at a rounding-level span accounts for up to
+    1), policy iteration's LU solve erred by at most 1.17, and the two
+    differed by at most 1.69 beyond tol.  The allowance covers the sum of
+    both worst cases.
     """
     return float(ROUNDING_ULPS * np.finfo(float).eps * np.abs(values).max() / (1.0 - beta))
 

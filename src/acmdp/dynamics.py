@@ -10,13 +10,16 @@ part and states are ordered emergency-major, each action's transition
 matrix is the Kronecker product E (x) R^a of the 2x2 emergency matrix with a
 matrix R^a over (granted set, request) rows.  request_dynamics builds the
 E-free part once, with array arithmetic on the set bitmasks: where each row
-of R^a leads and how many requests it draws.  RequestDynamics.stack then
-mixes in one E, gathering E[e, e2] / draws into a single (2n, n) matrix
-whose row a*n + i is row i of P^a, so a sweep over E rebuilds nothing else.
-bellman assembles the compiled system from it and checks the system's rows
-(bellman.validate_stochastic).  tests/oracle.py describes the same process
-one state at a time (successors) and is the reference the tests compare
-this build against.
+of R^a leads and how many requests it draws.  RequestDynamics.requests
+holds both R^a, once per emergency status, as one (2n, n) matrix: the
+factor the Bellman kernel (bellman.decision_values) multiplies by, since
+P^a = (I (x) R^a)(E (x) I).  RequestDynamics.stack mixes in one E,
+gathering E[e, e2] / draws into a single (2n, n) matrix whose row a*n + i
+is row i of P^a, for the code that needs P assembled.  Neither rebuilds
+anything when E changes.  bellman assembles the compiled system from them
+and checks the system's rows (bellman.validate_stochastic).
+tests/oracle.py describes the same process one state at a time
+(successors) and is the reference the tests compare this build against.
 """
 
 from __future__ import annotations
@@ -127,12 +130,19 @@ def request_draws(
 class RequestDynamics:
     """The E-free part of both actions' transition matrices.
 
-    Lists every entry the stacked matrix can hold, in CSR order: rows
-    (action, e, x) for emergency status e and (granted set, request) row x,
-    and within a row the successors (e2, j) for next status e2 and drawn
-    request j.  An entry's probability is E[e, e2] / draws, so it is listed
-    by a code for that pair, (2 * e + e2) * per_set + draws - 1.  stack()
-    keeps the entries whose E[e, e2] is not zero.
+    requests holds R^deny over R^allow, each written once per emergency
+    status: row a * n + e * size + x is row x of R^a, at the columns of
+    status e, so requests = (I (x) R^deny) over (I (x) R^allow).  Since
+    P^a = E (x) R^a = (I (x) R^a)(E (x) I), the Bellman kernel
+    (bellman.decision_values) applies P^a as requests times V's status
+    halves mixed by E, with no E-dependent matrix.
+
+    The listing gives every entry the stacked matrix can hold, in CSR
+    order: rows (action, e, x), and within a row the successors (e2, j) for
+    next status e2 and drawn request j.  An entry's probability is
+    E[e, e2] / draws, so it is listed by a code for that pair,
+    (2 * e + e2) * per_set + draws - 1.  stack() keeps the entries whose
+    E[e, e2] is not zero.
     """
 
     size: int  # (granted set, request) rows per emergency status
@@ -140,6 +150,7 @@ class RequestDynamics:
     draws: np.ndarray  # (2, size): requests each row draws, per action
     code: np.ndarray  # per listed entry: its (E entry, draws) code
     cols: np.ndarray  # per listed entry: its column
+    requests: sparse.csr_matrix  # (2n, n): (I (x) R^deny) over (I (x) R^allow)
 
     def stack(self, emergency: np.ndarray) -> sparse.csr_matrix:
         """P^deny over P^allow, P^a = E (x) R^a, as one (2n, n) CSR matrix.
@@ -167,24 +178,35 @@ def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics
     j_col = np.arange(per_set, dtype=INDEX_DTYPE)
     e2_col = np.arange(2, dtype=INDEX_DTYPE)[:, None] * size
     e2_code = np.arange(2, dtype=np.int8)[:, None] * per_set
-    draws, code, cols = [], [], []
+    draws, code, cols, req_cols = [], [], [], []
     for act in ACTIONS:
         k2, drawable = request_draws(d, behavior, act)
         count = drawable.sum(axis=1)
+        # [x, j]: the (granted set, request) row k2[x], j that row x can draw
+        targets = (k2 * per_set).astype(INDEX_DTYPE)[:, None] + j_col
         # [x, e2, j]: successor (e2, k2[x], j) of row x; C order is CSR order
         listed = np.broadcast_to(drawable[:, None, :], (size, 2, per_set))
-        row_cols = ((k2 * per_set).astype(INDEX_DTYPE)[:, None, None] + e2_col + j_col)[listed]
+        row_cols = (targets[:, None, :] + e2_col)[listed]
         from_calm = (count - 1).astype(np.int8)[:, None, None] + e2_code
         row_code = np.broadcast_to(from_calm, listed.shape)[listed]
         # rows from calm (e = 0), then the same rows from alert
         code += [row_code, row_code + 2 * per_set]
         cols += [row_cols, row_cols]
         draws.append(count)
+        # R^a's entries, at the calm columns, then at the alert columns
+        r_cols = targets[drawable]
+        req_cols += [r_cols, r_cols + size]
+    draws = np.stack(draws).astype(INDEX_DTYPE)
+    # requests' rows (action, e, x): each row of R^a once per status
+    row_draws = np.repeat(draws, 2, axis=0).ravel()
+    indptr = np.zeros(len(row_draws) + 1, dtype=INDEX_DTYPE)
+    np.cumsum(row_draws, out=indptr[1:])
+    n = 2 * size
+    requests = sparse.csr_matrix(
+        (np.repeat(1.0 / row_draws, row_draws), np.concatenate(req_cols), indptr),
+        shape=(2 * n, n),
+    )
     return RequestDynamics(
-        size,
-        per_set,
-        np.stack(draws).astype(INDEX_DTYPE),
-        np.concatenate(code),
-        np.concatenate(cols),
+        size, per_set, draws, np.concatenate(code), np.concatenate(cols), requests
     )
 

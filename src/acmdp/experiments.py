@@ -5,15 +5,17 @@ status absorbing, solves the model at each grid point, and tracks the
 decision values of every access from the calm, nothing-granted states.
 Crossovers (where allow overtakes deny) are bracketed on the grid and then
 pinned down by bisection.  Only the emergency matrix E changes along a
-sweep, so the scenario is compiled once and each grid or bisection point
-mixes its E into the E-free parts (bellman.SystemParts.mix), which can
-change nothing else.
+sweep, so the scenario is compiled once and every point mixes its E into
+the E-free parts, which can change nothing else.  Value iteration solves
+the whole grid as one batch (bellman.SystemParts.mix_batch) and each
+bisection point as a batch of one; the LP mixes and solves each point on
+its own (bellman.SystemParts.mix).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,16 +40,6 @@ from .value_iteration import DEFAULT_TOL as VI_TOL, value_iterate
 
 CROSSOVER_WIDTH = 1e-4
 GRID_SLACK = 1e-9
-
-
-def scenario_at_probability(sc: Scenario, calm_to_alert: float) -> Scenario:
-    """Same scenario with the calm-to-alert probability replaced."""
-    return replace(
-        sc,
-        emergency=EmergencyMatrix.from_rates(
-            calm_to_alert, sc.emergency.prob_alert_to_alert
-        ),
-    )
 
 
 @dataclass(frozen=True)
@@ -117,9 +109,11 @@ def _bisect(
 def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
     """Solve every grid point, then bisect each bracketed crossover.
 
-    The scenario is compiled once; each solve mixes its point's E into
-    those parts.  Value iteration is warm-started from the previous solve:
-    grid point to grid point, then bisection step to bisection step.
+    The scenario is compiled once.  Value iteration solves the whole grid
+    as one batch (SystemParts.mix_batch) and prices it with one kernel
+    call; each bisection point is a batch of one, started from the lower
+    grid point of its bracket, then from the previous bisection point.  The
+    LP solves each point on its own.
     """
     grid = spec.grid()
     alert_to_alert = spec.scenario.emergency.prob_alert_to_alert
@@ -128,25 +122,37 @@ def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
     calm_empty = parts.space.position(
         int(Emergency.CALM), 0, np.arange(spec.scenario.dims.num_access_bits)
     )
-    values = None
 
-    def dv_at(probability: float) -> np.ndarray:
-        nonlocal values
-        system = parts.mix(EmergencyMatrix.from_rates(probability, alert_to_alert))
-        solution = solve_system(system, solver, start=values)
-        values = solution.values
-        return solution.dv[:, calm_empty]
+    def solve(probabilities: list[float], start: np.ndarray | None = None):
+        """Values (n, G), or None for the LP, and calm_empty's (2, accesses, G) decision values."""
+        emergencies = [EmergencyMatrix.from_rates(p, alert_to_alert) for p in probabilities]
+        if solver != "vi":
+            dvs = [solve_system(parts.mix(e), solver).dv[:, calm_empty] for e in emergencies]
+            return None, np.stack(dvs, axis=-1)
+        batch = parts.mix_batch(emergencies)
+        values, _ = value_iterate(batch, start=start)
+        return values, decision_values(batch, values)[:, calm_empty]
 
-    points = [SweepPoint(p, dv_at(p)) for p in grid]
+    values, dvs = solve(grid)
+    points = [SweepPoint(p, dvs[..., g]) for g, p in enumerate(grid)]
     crossovers = []
     for pos, access in enumerate(spec.scenario.dims.accesses()):
         diffs = [_allow_minus_deny(pt.dv, pos) for pt in points]
         found = None
-        for (p0, f0), (p1, f1) in zip(zip(grid, diffs), zip(grid[1:], diffs[1:])):
+        for g, ((p0, f0), (p1, f1)) in enumerate(
+            zip(zip(grid, diffs), zip(grid[1:], diffs[1:]))
+        ):
             if f0 == 0.0:
                 found = CrossoverResult(access, p0, (p0, p0), 0.0)
                 break
             if (f0 < 0) != (f1 < 0):
+                start = None if values is None else values[:, g : g + 1]
+
+                def dv_at(probability: float) -> np.ndarray:
+                    nonlocal start
+                    start, dv = solve([probability], start)
+                    return dv[..., 0]
+
                 root, bracket = _bisect(dv_at, pos, p0, p1, f0)
                 found = CrossoverResult(access, root, bracket, bracket[1] - bracket[0])
                 break

@@ -117,23 +117,17 @@ def solve_scenario(sc: Scenario, solver: str = "lp", tol: float | None = None) -
     return solve_system(compile_system(sc), solver, tol)
 
 
-def solve_system(
-    system: BellmanSystem,
-    solver: str = "lp",
-    tol: float | None = None,
-    start: np.ndarray | None = None,
-) -> Solution:
+def solve_system(system: BellmanSystem, solver: str = "lp", tol: float | None = None) -> Solution:
     """Solve a compiled system; solver and tol are solve_scenario's.
 
-    start seeds value iteration (see value_iterate), as run_sweep does from
-    the previous point's values; the LP does not use it.  The solution's
-    dv, policy and max_residual come from one decision_values call.
+    The solution's dv, policy and max_residual come from one
+    decision_values call.
     """
     tol_arg = {} if tol is None else {"tol": tol}
     if solver == "lp":
         values, iterations = policy_iterate(system, **tol_arg)
     elif solver == "vi":
-        values, iterations = value_iterate(system, start=start, **tol_arg)
+        values, iterations = value_iterate(system, **tol_arg)
     else:
         raise ValueError(f"unknown solver {solver!r}; expected 'lp' or 'vi'")
     dv = decision_values(system, values)

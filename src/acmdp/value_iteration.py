@@ -1,12 +1,21 @@
 """Fixed-point value iteration, used as an independent check on the LP.
 
-Each sweep is one call of the Bellman kernel (bellman.decision_values, one
-matvec with the stacked transition matrix).  Iteration stops on a proven
-error bound: once successive sweeps differ by less than tol (1 - beta) /
-beta, the last sweep is within tol of the optimal values (Puterman 1994,
-Theorem 6.3.1).  Where that step lies below the rounding of the values
-(high beta, large values), iteration stops instead once a step is at
-most eps max|V|, about one unit in the last place of the largest value;
+Each sweep is one call of the Bellman kernel (bellman.decision_values).  The
+kernel takes a trailing grid axis, so one loop solves one system or a batch
+of systems that differ only in E (bellman.SystemParts.mix_batch), every
+column at once.
+
+Iteration stops on a proven error bound, per column.  With d = TV - V,
+M = max d and m = min d, the optimal values lie between TV + beta / (1 - beta) m
+and TV + beta / (1 - beta) M (MacQueen 1966, Porteus 1971; Puterman 1994,
+section 6.6), so the midpoint TV + beta / (1 - beta) (M + m) / 2 is within
+beta / (1 - beta) (M - m) / 2 of them.  A column stops once that is at most
+tol and returns the midpoint.  Since M - m <= 2 ||d||, this stops no later
+than the sup-norm rule (Puterman 1994, Theorem 6.3.1), and far sooner where
+the values still drift by a near-constant step, as a cold start at high
+beta does.  Where the bound lies below the rounding of the values (high
+beta, large values), a column stops instead once (M - m) / 2 is at most
+eps max|V|, about one unit in the last place of its largest value;
 bellman.rounding_allowance covers the extra error.
 """
 
@@ -40,41 +49,47 @@ def value_iterate(
 ) -> tuple[np.ndarray, int]:
     """Iterate from start (default zero) until the values are within tol of the optimum.
 
-    The backup T is a beta-contraction, so ||V_{k+1} - V*|| <= beta / (1 - beta)
-    ||V_{k+1} - V_k||: stopping once sweeps differ by less than
-    tol (1 - beta) / beta leaves an error of at most tol.  A step of at
-    most eps max|V| also stops it, since rounding can keep the steps from
-    falling further; that leaves an error of at most
-    beta / (1 - beta) eps max|V|, inside bellman.rounding_allowance.  Any
-    start converges to the same fixed point; a start near it only saves
-    sweeps.
-    Returns the value vector and the number of backups performed.
+    The values have shape (n,), or (n, G) for a batch of G systems.  Each
+    column stops on its own bound (see the module docstring) and keeps the
+    values it stopped with, while the others go on.  A rounding-level stop
+    leaves an error of at most beta / (1 - beta) eps max|V|, inside
+    bellman.rounding_allowance.  Any start converges to the same fixed
+    point; a start near it only saves sweeps.
+    Returns the values and the number of backups performed.
     """
+    shape = system.q.shape[1:]
     if start is None:
-        values = np.zeros(system.num_states)
+        values = np.zeros(shape)
     else:
         values = np.asarray(start, dtype=float)
-        if values.shape != (system.num_states,):
-            raise ValueError(
-                f"start has shape {values.shape}, expected ({system.num_states},)"
-            )
+        if values.shape != shape:
+            raise ValueError(f"start has shape {values.shape}, expected {shape}")
     if system.beta == 0.0:
         # the backup ignores V entirely; one sweep is exact
         return bellman_backup(system, values), 1
-    step_tol = tol * (1.0 - system.beta) / system.beta
-    # scale bounds max|V| from above; it is evaluated afresh only once a
-    # step is small enough to be rounding, which spares that cost per sweep
-    scale = float(np.abs(values).max())
+    factor = system.beta / (1.0 - system.beta)
+    result = np.empty(shape)
+    running = np.ones(shape[1:], dtype=bool)
+    # scale bounds max|V| per column from above; it is evaluated afresh only
+    # once a span is small enough to be rounding, which spares that cost per sweep
+    scale = np.abs(values).max(axis=0)
     for iteration in range(1, max_iter + 1):
         updated = bellman_backup(system, values)
-        step = np.abs(updated - values).max()
-        if step < step_tol:
-            return updated, iteration
-        scale += step
-        if step <= EPS * scale:
-            scale = float(np.abs(updated).max())
-            if step <= EPS * scale:
-                return updated, iteration
+        step = updated - values
+        top, bottom = step.max(axis=0), step.min(axis=0)
+        half_span = 0.5 * (top - bottom)
+        scale += np.maximum(top, -bottom)
+        stop = factor * half_span <= tol
+        rounding = half_span <= EPS * scale
+        if np.any(rounding & ~stop):
+            scale = np.abs(updated).max(axis=0)
+            stop |= half_span <= EPS * scale
+        stop &= running
+        if stop.any():
+            np.copyto(result, updated + factor * 0.5 * (top + bottom), where=stop)
+            running &= ~stop
+            if not running.any():
+                return result, iteration
         values = updated
     raise ConvergenceError(
         f"no convergence to {tol} within {max_iter} iterations (beta={system.beta})"

@@ -7,12 +7,11 @@ import acmdp.bellman
 import acmdp.dynamics
 import acmdp.experiments
 import acmdp.policy
-from acmdp import Action, builtin_scenario
+from acmdp import Action, EmergencyMatrix, builtin_scenario
 from acmdp.bellman import VERIFY_TOL, rounding_allowance
 from acmdp.experiments import (
     SweepSpec,
     run_sweep,
-    scenario_at_probability,
     self_check,
     sweep_csv,
     sweep_series_names,
@@ -44,13 +43,6 @@ class TestSweepSpec:
             SweepSpec(builtin_scenario("table2_unique"), 0.5, 0.2, 0.1)
         with pytest.raises(ValueError):
             SweepSpec(builtin_scenario("table2_unique"), 0.0, 1.0, 0.0)
-
-
-class TestScenarioAtProbability:
-    def test_alert_row_untouched(self):
-        sc = scenario_at_probability(builtin_scenario("table2_unique"), 0.37)
-        assert sc.emergency.prob_calm_to_alert == pytest.approx(0.37)
-        assert sc.emergency.prob_alert_to_alert == 1.0
 
 
 class TestRunSweep:
@@ -101,67 +93,74 @@ class TestRunSweep:
         assert names[-1] == "dv_bob_high_allow"
 
 
-    def test_warm_start_matches_cold_sweep(self, monkeypatch):
-        spec = SweepSpec(builtin_scenario("table2_all"))
-        solve = acmdp.experiments.solve_system
-        warm_starts = []
-
-        def warm_solve(system, solver, start):
-            warm_starts.append(start is not None)
-            return solve(system, solver, start=start)
-
-        monkeypatch.setattr(acmdp.experiments, "solve_system", warm_solve)
-        warm = run_sweep(spec, solver="vi")
-        # every solve but the first starts from the previous one's values
-        assert warm_starts[0] is False and all(warm_starts[1:])
-        monkeypatch.setattr(
-            acmdp.experiments,
-            "solve_system",
-            lambda system, solver, start: solve(system, solver),
-        )
-        cold = run_sweep(spec, solver="vi")
-        assert [pt.probability for pt in warm.points] == [pt.probability for pt in cold.points]
-        gap = max(np.max(np.abs(w.dv - c.dv)) for w, c in zip(warm.points, cold.points))
-        assert gap <= 1e-8
-        assert warm.crossovers[BOB_HIGH_POS].bracket == cold.crossovers[BOB_HIGH_POS].bracket
-
+    @pytest.mark.parametrize("behavior", ["unique", "once", "all"])
+    def test_vi_grid_agrees_with_per_point_lp(self, behavior):
+        # the batched grid against an LP solve of each point on its own, within
+        # self_check's lp_vi_agreement bound, and every bracket as the LP sweep's
+        sc = builtin_scenario(f"table2_{behavior}")
+        spec = SweepSpec(sc)
+        vi = run_sweep(spec, solver="vi")
+        for point in vi.points:
+            emergency = EmergencyMatrix.from_rates(point.probability, 1.0)
+            lp = acmdp.solve_scenario(dataclasses.replace(sc, emergency=emergency), "lp")
+            calm_empty = lp.system.space.position(0, 0, np.arange(4))
+            bound = VI_TOL + VERIFY_TOL / (1 - sc.beta) + rounding_allowance(lp.values, sc.beta)
+            assert np.max(np.abs(point.dv - lp.dv[:, calm_empty])) <= bound
+        # the CLI sweeps with the LP by default
+        lp_sweep = run_sweep(spec, solver="lp")
+        assert lp_sweep.crossovers[BOB_HIGH_POS].bracket is not None
+        assert [c.bracket for c in vi.crossovers] == [c.bracket for c in lp_sweep.crossovers]
 
     def test_one_build_per_sweep(self, monkeypatch):
-        # each grid and bisection point mixes its E into the one build; a
-        # sweep that compiled every solve would build once per solve
-        build, mix = acmdp.bellman.build_parts, acmdp.bellman.SystemParts.mix
-        solve = acmdp.experiments.solve_system
-        calls = {"build": 0, "mix": 0, "solve": 0}
+        # the grid is one batch mixed into the one build, and each bisection
+        # point a batch of one; a sweep that compiled every solve would build
+        # once per solve
+        build = acmdp.bellman.build_parts
+        batch = acmdp.bellman.SystemParts.mix_batch
+        builds, batches = [], []
 
         def counted_build(sc):
-            calls["build"] += 1
+            builds.append(sc)
             return build(sc)
 
-        def counted_mix(parts, emergency):
-            calls["mix"] += 1
-            return mix(parts, emergency)
-
-        def counted_solve(system, solver, start):
-            calls["solve"] += 1
-            return solve(system, solver, start=start)
+        def counted_batch(parts, emergencies):
+            batches.append(len(emergencies))
+            return batch(parts, emergencies)
 
         monkeypatch.setattr(acmdp.bellman, "build_parts", counted_build)
-        monkeypatch.setattr(acmdp.bellman.SystemParts, "mix", counted_mix)
-        monkeypatch.setattr(acmdp.experiments, "solve_system", counted_solve)
+        monkeypatch.setattr(acmdp.bellman.SystemParts, "mix_batch", counted_batch)
         result = run_sweep(SweepSpec(builtin_scenario("table2_once")), solver="vi")
-        assert calls["build"] == 1
-        # the compile's own mix, then one per solve: grid points and bisection steps
-        assert calls["solve"] > len(result.points)
-        assert calls["mix"] == 1 + calls["solve"]
+        assert len(builds) == 1
+        assert batches[0] == len(result.points)
+        assert len(batches) > 1 and set(batches[1:]) == {1}
 
-    @pytest.mark.parametrize("behavior", ["unique", "once", "all"])
-    def test_lp_and_vi_sweeps_bracket_alike(self, behavior):
-        # the CLI sweeps with the LP by default
-        spec = SweepSpec(builtin_scenario(f"table2_{behavior}"))
-        lp = run_sweep(spec, solver="lp").crossovers[BOB_HIGH_POS]
-        vi = run_sweep(spec, solver="vi").crossovers[BOB_HIGH_POS]
-        assert lp.bracket is not None
-        assert lp.bracket == vi.bracket
+    def test_bisection_starts_from_its_bracket(self, monkeypatch):
+        # each bracket's first bisection point starts from its lower grid
+        # point's values, every later one from the previous bisection point's
+        iterate = acmdp.experiments.value_iterate
+        solves = []
+
+        def recorded(system, start=None):
+            values, sweeps = iterate(system, start=start)
+            solves.append((start, values))
+            return values, sweeps
+
+        monkeypatch.setattr(acmdp.experiments, "value_iterate", recorded)
+        spec = SweepSpec(builtin_scenario("table2_all"), 0.0, 1.0, 0.25)
+        result = run_sweep(spec, solver="vi")
+        (grid_start, grid_values), bisection = solves[0], solves[1:]
+        assert grid_start is None
+        # a solve that does not start from the previous one's values begins a bracket
+        firsts = [
+            start
+            for i, (start, _) in enumerate(bisection)
+            if i == 0 or start is not bisection[i - 1][1]
+        ]
+        lows = [c.bracket[0] for c in result.crossovers if c.width]
+        assert firsts and len(firsts) == len(lows)
+        for start, low in zip(firsts, lows):
+            g = max(i for i, p in enumerate(spec.grid()) if p <= low)
+            assert np.array_equal(start, grid_values[:, g : g + 1])
 
 
 class TestQualitativeProperties:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracle import lattice_solve
 from test_bellman import small_scenario
 
+import acmdp.dynamics
 import acmdp.value_iteration
 from acmdp import (
     Access,
@@ -25,6 +26,7 @@ from acmdp import (
     Scenario,
     State,
     StateSpace,
+    SweepSpec,
     build_bellman_lp,
     builtin_scenario,
     compile_system,
@@ -33,11 +35,12 @@ from acmdp import (
     extract_policy,
     import_values,
     policy_iterate,
+    run_sweep,
     simplex_solve,
     solve_scenario,
     verify_solution,
 )
-from acmdp.bellman import rounding_allowance
+from acmdp.bellman import VERIFY_TOL, rounding_allowance
 from acmdp.policy import FILE_HEADER, TIE_TOL, SolverError, ValueFileError, state_labels
 from acmdp.simplex import SimplexStatus
 from acmdp.value_iteration import DEFAULT_TOL as VI_TOL
@@ -70,12 +73,13 @@ class TestDecisionValues:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts of decision_values calls inside and outside value_iterate.
+    """Counts of decision_values calls inside and outside value_iterate, and
+    of value_iterate's calls and the backups they report.
 
     Both functions are rebound in every acmdp module that holds them.
     """
     kernel, iterate = acmdp.decision_values, acmdp.value_iteration.value_iterate
-    calls = {"inside": 0, "outside": 0}
+    calls = {"inside": 0, "outside": 0, "solves": 0, "backups": 0}
     depth = []
 
     def counted(*args):
@@ -85,9 +89,12 @@ def kernel_calls(monkeypatch):
     def iterating(*args, **kwargs):
         depth.append(None)
         try:
-            return iterate(*args, **kwargs)
+            result = iterate(*args, **kwargs)
         finally:
             depth.pop()
+        calls["solves"] += 1
+        calls["backups"] += result[1]
+        return result
 
     for name, module in list(sys.modules.items()):
         if name == "acmdp" or name.startswith("acmdp."):
@@ -104,11 +111,32 @@ class TestOneKernel:
     @pytest.mark.parametrize("name", ["table1", "table2_all"])
     def test_lp_solve_prices_each_basis_and_the_result(self, kernel_calls, name):
         solution = solve_scenario(builtin_scenario(name), "lp")
-        assert kernel_calls == {"inside": 0, "outside": solution.iterations + 1}
+        assert kernel_calls == {
+            "inside": 0, "outside": solution.iterations + 1, "solves": 0, "backups": 0
+        }
 
     def test_vi_solve_prices_the_result_once(self, kernel_calls):
         solution = solve_scenario(builtin_scenario("table2_once"), "vi")
-        assert kernel_calls == {"inside": solution.iterations, "outside": 1}
+        iterations = solution.iterations
+        assert kernel_calls == {
+            "inside": iterations, "outside": 1, "solves": 1, "backups": iterations
+        }
+
+    @pytest.mark.parametrize("behavior", ["unique", "once", "all"])
+    def test_vi_sweep_backs_up_and_prices_on_the_factored_kernel(
+        self, kernel_calls, monkeypatch, behavior
+    ):
+        # one kernel call per backup, one pricing per value_iterate call (the
+        # grid's batch, then each bisection point), and no stacked matrix
+        def unassembled(*args):
+            raise AssertionError("a value-iteration sweep assembled a stacked matrix")
+
+        monkeypatch.setattr(acmdp.dynamics.RequestDynamics, "stack", unassembled)
+        result = run_sweep(SweepSpec(builtin_scenario(f"table2_{behavior}")), solver="vi")
+        assert any(c.root is not None for c in result.crossovers)
+        assert kernel_calls["solves"] > 1
+        assert kernel_calls["inside"] == kernel_calls["backups"]
+        assert kernel_calls["outside"] == kernel_calls["solves"]
 
 
 class TestExtractPolicy:
@@ -258,6 +286,18 @@ class TestLpSolve:
         step_tol = VI_TOL * (1 - sc.beta) / sc.beta
         assert step_tol < np.spacing(np.abs(vi.values).max())
         assert_lp_agrees(solution, vi.values, vi_bound(vi.values, sc.beta))
+
+    def test_value_iteration_stops_on_its_span_at_beta_0_9999(self):
+        # a cold start drifts by a near-constant step for ln(tol / 1e6) / ln(beta)
+        # sweeps, about 368,000, which the sup-norm step rule waited out past
+        # its 100,000-sweep budget; the span of the step settles within dozens
+        sc = small_scenario(2, 2, "all", "eps_accrues", (0.3, 0.8), 0.9999, 3)
+        solution = solve_scenario(sc, "lp")
+        vi = solve_scenario(sc, "vi")
+        assert vi.iterations < 1000
+        # self_check's lp_vi_agreement bound
+        bound = VI_TOL + VERIFY_TOL / (1 - sc.beta) + rounding_allowance(solution.values, sc.beta)
+        assert np.max(np.abs(solution.values - vi.values)) <= bound
 
     @pytest.mark.parametrize("behavior", [b.value for b in RequestBehavior])
     def test_beta_zero_is_myopic_in_one_basis(self, behavior):

@@ -1,17 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_bellman import small_scenario
 
 from acmdp import (
     Access,
     ConvergenceError,
     Emergency,
+    EmergencyMatrix,
+    RequestBehavior,
+    RewardVariant,
     State,
     bellman_backup,
     builtin_scenario,
     compile_system,
     decision_values,
+    policy_iterate,
     value_iterate,
 )
+from acmdp.bellman import VERIFY_TOL, build_parts, rounding_allowance
+from acmdp.value_iteration import DEFAULT_TOL
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +109,59 @@ class TestValueIterate:
     def test_start_of_wrong_shape_raises(self, table2_system):
         with pytest.raises(ValueError, match="shape"):
             value_iterate(table2_system, start=np.zeros(3))
+        # a batch of two takes one column per system
+        batch = table2_system.parts.mix_batch([EmergencyMatrix.identity()] * 2)
+        with pytest.raises(ValueError, match="shape"):
+            value_iterate(batch, start=np.zeros(160))
+
+
+# E as a rate pair: drawn, or with zero entries (identity, absorbing, swapping)
+RATES = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.sampled_from([(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0)]),
+)
+
+
+class TestBatch:
+    """One value_iterate call on a batch of systems that differ only in E."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        users=st.integers(1, 2),
+        resources=st.integers(1, 2),
+        behavior=st.sampled_from(list(RequestBehavior)),
+        variant=st.sampled_from(list(RewardVariant)),
+        beta=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+        seed=st.integers(0, 2**16),
+        rates=st.lists(RATES, min_size=1, max_size=5),
+    )
+    def test_each_column_is_its_own_systems_solution(
+        self, users, resources, behavior, variant, beta, seed, rates
+    ):
+        sc = small_scenario(users, resources, behavior, variant, beta=beta, seed=seed)
+        parts = build_parts(sc)
+        emergencies = [EmergencyMatrix.from_rates(*r) for r in rates]
+        batch = parts.mix_batch(emergencies)
+        values, sweeps = value_iterate(batch)
+        assert values.shape == (batch.num_states, len(rates))
+        if beta == 0.0:
+            assert sweeps == 1
+            assert np.array_equal(values, batch.q.max(axis=0))
+        for column, emergency in zip(values.T, emergencies):
+            exact, _ = policy_iterate(parts.mix(emergency))
+            bound = DEFAULT_TOL + VERIFY_TOL / (1 - beta) + rounding_allowance(exact, beta)
+            assert np.max(np.abs(column - exact)) <= bound
+
+    def test_a_column_solves_as_a_batch_of_one(self):
+        # columns do not mix: each stops on its own bound with the values a
+        # batch of it alone returns
+        parts = build_parts(builtin_scenario("table2_all"))
+        emergencies = [EmergencyMatrix.from_rates(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
+        values, sweeps = value_iterate(parts.mix_batch(emergencies))
+        alone = [value_iterate(parts.mix_batch([e])) for e in emergencies]
+        assert sweeps == max(s for _, s in alone)
+        assert len({s for _, s in alone}) > 1
+        for column, (want, _), emergency in zip(values.T, alone, emergencies):
+            assert np.array_equal(column, want[:, 0])
+            # and a single system is that batch of one
+            assert np.array_equal(value_iterate(parts.mix(emergency))[0], want[:, 0])
