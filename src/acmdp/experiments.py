@@ -10,6 +10,16 @@ the E-free parts, which can change nothing else.  Value iteration solves
 the whole grid as one batch (bellman.SystemParts.mix_batch) and each
 bisection point as a batch of one; the LP mixes and solves each point on
 its own (bellman.SystemParts.mix).
+
+Grid points are solved to VI_TOL, since their decision values are
+reported.  Of a bisection point only the sign of one access's gap
+allow - deny is read, so it is solved down the SIGN_TOLS ladder instead,
+each rung starting from the last one's values.  Values within tol of the
+optimum V* move each decision value q^a + beta P^a V by at most
+beta tol from its optimal one, so a gap whose size exceeds
+2 beta (tol + rounding_allowance) has the sign of the optimal gap, and
+the point stops there.  At the last rung, VI_TOL, the sign is taken as
+computed, as it is for every grid point.
 """
 
 from __future__ import annotations
@@ -40,6 +50,9 @@ from .value_iteration import DEFAULT_TOL as VI_TOL, value_iterate
 
 CROSSOVER_WIDTH = 1e-4
 GRID_SLACK = 1e-9
+# the tolerances a value-iteration bisection point is solved to, in turn,
+# until the sign of its gap is proven; the last one takes it as computed
+SIGN_TOLS = (1e-3, 1e-6, VI_TOL)
 
 
 @dataclass(frozen=True)
@@ -83,20 +96,22 @@ class SweepResult:
     crossovers: list[CrossoverResult]
 
 
-def _allow_minus_deny(dv: np.ndarray, access_pos: int) -> float:
-    return float(dv[int(Action.ALLOW), access_pos] - dv[int(Action.DENY), access_pos])
+def _first_crossing(gaps: np.ndarray) -> int | None:
+    """The first grid index where allow - deny (gaps, one per grid point) is
+    exactly zero or changes sign before the next point, or None."""
+    negative = gaps < 0.0
+    crossing = gaps == 0.0
+    crossing[:-1] |= negative[:-1] != negative[1:]
+    return int(np.argmax(crossing)) if crossing.any() else None
 
 
 def _bisect(
-    dv_at: Callable[[float], np.ndarray],
-    access_pos: int,
-    lo: float,
-    hi: float,
-    f_lo: float,
+    gap_at: Callable[[float], float], lo: float, hi: float, f_lo: float
 ) -> tuple[float, tuple[float, float]]:
+    """Halve [lo, hi] to CROSSOVER_WIDTH; allow - deny (gap_at) differs in sign at its ends."""
     while hi - lo > CROSSOVER_WIDTH:
         mid = 0.5 * (lo + hi)
-        f_mid = _allow_minus_deny(dv_at(mid), access_pos)
+        f_mid = gap_at(mid)
         if f_mid == 0.0:
             return mid, (lo, hi)
         if (f_lo < 0) == (f_mid < 0):
@@ -110,55 +125,76 @@ def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
     """Solve every grid point, then bisect each bracketed crossover.
 
     The scenario is compiled once.  Value iteration solves the whole grid
-    as one batch (SystemParts.mix_batch) and prices it with one kernel
-    call; each bisection point is a batch of one, started from the lower
-    grid point of its bracket, then from the previous bisection point.  The
-    LP solves each point on its own.
+    as one batch (SystemParts.mix_batch) to VI_TOL and prices it with one
+    kernel call.  A crossover is the first grid point where allow - deny is
+    exactly zero, or else the first pair of neighbours whose gaps differ in
+    sign, which is then bisected.  Each value-iteration bisection point is
+    a batch of one, solved down the SIGN_TOLS ladder until the sign of its
+    gap is proven (see the module docstring).  Its first solve starts from
+    the values of the lower grid point of its bracket or of the previous
+    bisection point, and each tighter one from the point's own looser
+    values.  The LP solves each point on its own.
     """
     grid = spec.grid()
     alert_to_alert = spec.scenario.emergency.prob_alert_to_alert
+    beta = spec.scenario.beta
     parts = compile_system(spec.scenario).parts
     # the (calm, nothing granted, access) states; accesses are requests 0.. in bit order
     calm_empty = parts.space.position(
         int(Emergency.CALM), 0, np.arange(spec.scenario.dims.num_access_bits)
     )
+    allow, deny = int(Action.ALLOW), int(Action.DENY)
 
-    def solve(probabilities: list[float], start: np.ndarray | None = None):
-        """Values (n, G), or None for the LP, and calm_empty's (2, accesses, G) decision values."""
-        emergencies = [EmergencyMatrix.from_rates(p, alert_to_alert) for p in probabilities]
-        if solver != "vi":
-            dvs = [solve_system(parts.mix(e), solver).dv[:, calm_empty] for e in emergencies]
-            return None, np.stack(dvs, axis=-1)
-        batch = parts.mix_batch(emergencies)
-        values, _ = value_iterate(batch, start=start)
-        return values, decision_values(batch, values)[:, calm_empty]
+    def emergency(probability: float) -> EmergencyMatrix:
+        return EmergencyMatrix.from_rates(probability, alert_to_alert)
 
-    values, dvs = solve(grid)
+    if solver == "vi":
+        batch = parts.mix_batch([emergency(p) for p in grid])
+        values, _ = value_iterate(batch)
+        dvs = decision_values(batch, values)[:, calm_empty]
+    else:
+        values = None
+        dvs = np.stack(
+            [solve_system(parts.mix(emergency(p)), solver).dv[:, calm_empty] for p in grid],
+            axis=-1,
+        )
     points = [SweepPoint(p, dvs[..., g]) for g, p in enumerate(grid)]
+
+    def bisection_gap(state: int, start: np.ndarray | None) -> Callable[[float], float]:
+        """allow - deny at state for _bisect: by the LP, or by value iteration from start."""
+
+        def gap_at(probability: float) -> float:
+            nonlocal start
+            if start is None:
+                dv = solve_system(parts.mix(emergency(probability)), solver).dv
+                return float(dv[allow, state] - dv[deny, state])
+            point = parts.mix_batch([emergency(probability)])
+            for tol in SIGN_TOLS:
+                start, _ = value_iterate(point, tol=tol, start=start)
+                dv = decision_values(point, start)[:, state, 0]
+                gap = float(dv[allow] - dv[deny])
+                # the values lie within tol + rounding of the optimum, and each
+                # decision value q^a + beta P^a V within beta times that of its own
+                if abs(gap) > 2.0 * beta * (tol + rounding_allowance(start, beta)):
+                    break
+            return gap
+
+        return gap_at
+
+    gaps = dvs[allow] - dvs[deny]  # (accesses, G)
     crossovers = []
     for pos, access in enumerate(spec.scenario.dims.accesses()):
-        diffs = [_allow_minus_deny(pt.dv, pos) for pt in points]
-        found = None
-        for g, ((p0, f0), (p1, f1)) in enumerate(
-            zip(zip(grid, diffs), zip(grid[1:], diffs[1:]))
-        ):
-            if f0 == 0.0:
-                found = CrossoverResult(access, p0, (p0, p0), 0.0)
-                break
-            if (f0 < 0) != (f1 < 0):
-                start = None if values is None else values[:, g : g + 1]
-
-                def dv_at(probability: float) -> np.ndarray:
-                    nonlocal start
-                    start, dv = solve([probability], start)
-                    return dv[..., 0]
-
-                root, bracket = _bisect(dv_at, pos, p0, p1, f0)
-                found = CrossoverResult(access, root, bracket, bracket[1] - bracket[0])
-                break
-        if found is None:
-            found = CrossoverResult(access, None, None, None)
-        crossovers.append(found)
+        g = _first_crossing(gaps[pos])
+        if g is None:
+            crossovers.append(CrossoverResult(access, None, None, None))
+            continue
+        if gaps[pos, g] == 0.0:
+            crossovers.append(CrossoverResult(access, grid[g], (grid[g], grid[g]), 0.0))
+            continue
+        start = None if values is None else values[:, g : g + 1]
+        gap_at = bisection_gap(calm_empty[pos], start)
+        root, bracket = _bisect(gap_at, grid[g], grid[g + 1], float(gaps[pos, g]))
+        crossovers.append(CrossoverResult(access, root, bracket, bracket[1] - bracket[0]))
     return SweepResult(spec, points, crossovers)
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from test_bellman import small_scenario
 
+import acmdp
 from acmdp import import_values, render_scenario
 from acmdp.cli import main
 
@@ -127,6 +133,17 @@ class TestSweep:
         assert code == 0
         assert len(csv.read_text().splitlines()) == 4
         assert "crossover (bob, high): 0.5000" in out
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        src = str(Path(acmdp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["sweep", "--builtin", "table2_unique"]
+        out = subprocess.run(
+            [sys.executable, "-m", "acmdp", *argv], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert "crossover (bob, high): 0.5000" in out.stdout
+        assert out.stdout == run(capsys, *argv)[1]
 
 
 class TestEval:

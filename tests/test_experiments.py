@@ -2,14 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from test_bellman import small_scenario
 
 import acmdp.bellman
 import acmdp.dynamics
 import acmdp.experiments
 import acmdp.policy
-from acmdp import Action, EmergencyMatrix, builtin_scenario
+from acmdp import Action, EmergencyMatrix, RewardTables, builtin_scenario
 from acmdp.bellman import VERIFY_TOL, rounding_allowance
 from acmdp.experiments import (
+    SIGN_TOLS,
+    _first_crossing,
     SweepSpec,
     run_sweep,
     self_check,
@@ -19,6 +22,15 @@ from acmdp.experiments import (
 from acmdp.value_iteration import DEFAULT_TOL as VI_TOL
 
 BOB_HIGH_POS = 3  # bit order: alice/low, alice/high, bob/low, bob/high
+ONCE_ROOT = 0.18970940314837131  # where allow overtakes deny for (bob, high) under table2_once
+
+
+def exact_gap(sc, probability, pos):
+    """allow - deny of the calm, nothing-granted state of access pos, by the LP."""
+    emergency = EmergencyMatrix.from_rates(probability, sc.emergency.prob_alert_to_alert)
+    solution = acmdp.solve_scenario(dataclasses.replace(sc, emergency=emergency), "lp")
+    state = solution.system.space.position(0, 0, pos)
+    return solution.dv[int(Action.ALLOW), state] - solution.dv[int(Action.DENY), state]
 
 
 class TestSweepSpec:
@@ -43,6 +55,24 @@ class TestSweepSpec:
             SweepSpec(builtin_scenario("table2_unique"), 0.5, 0.2, 0.1)
         with pytest.raises(ValueError):
             SweepSpec(builtin_scenario("table2_unique"), 0.0, 1.0, 0.0)
+
+
+def first_crossing_by_loop(gaps):
+    # the reference scan: an exact zero at any point, the last one included,
+    # or else a change of sign between neighbours
+    for g, f0 in enumerate(gaps):
+        if f0 == 0.0 or (g + 1 < len(gaps) and (f0 < 0) != (gaps[g + 1] < 0)):
+            return g
+    return None
+
+
+class TestFirstCrossing:
+    def test_matches_the_loop_on_random_signs(self):
+        rng = np.random.default_rng(0)
+        for size in (1, 2, 3, 8):
+            for _ in range(200):
+                gaps = rng.choice([-2.5, -1e-300, 0.0, 1e-300, 3.0], size=size)
+                assert _first_crossing(gaps) == first_crossing_by_loop(gaps), gaps
 
 
 class TestRunSweep:
@@ -136,31 +166,98 @@ class TestRunSweep:
 
     def test_bisection_starts_from_its_bracket(self, monkeypatch):
         # each bracket's first bisection point starts from its lower grid
-        # point's values, every later one from the previous bisection point's
+        # point's values, every later one from the previous bisection point's;
+        # a point is first solved to the loosest rung, and each tighter solve
+        # of it starts from its own looser values
         iterate = acmdp.experiments.value_iterate
         solves = []
 
-        def recorded(system, start=None):
-            values, sweeps = iterate(system, start=start)
-            solves.append((start, values))
+        def recorded(system, tol=VI_TOL, start=None):
+            values, sweeps = iterate(system, tol=tol, start=start)
+            solves.append((system.emergency, tol, start, values))
             return values, sweeps
 
         monkeypatch.setattr(acmdp.experiments, "value_iterate", recorded)
         spec = SweepSpec(builtin_scenario("table2_all"), 0.0, 1.0, 0.25)
         result = run_sweep(spec, solver="vi")
-        (grid_start, grid_values), bisection = solves[0], solves[1:]
-        assert grid_start is None
+        (_, grid_tol, grid_start, grid_values), bisection = solves[0], solves[1:]
+        assert grid_start is None and grid_tol == VI_TOL
         # a solve that does not start from the previous one's values begins a bracket
         firsts = [
             start
-            for i, (start, _) in enumerate(bisection)
-            if i == 0 or start is not bisection[i - 1][1]
+            for i, (_, _, start, _) in enumerate(bisection)
+            if i == 0 or start is not bisection[i - 1][3]
         ]
         lows = [c.bracket[0] for c in result.crossovers if c.width]
         assert firsts and len(firsts) == len(lows)
         for start, low in zip(firsts, lows):
             g = max(i for i, p in enumerate(spec.grid()) if p <= low)
             assert np.array_equal(start, grid_values[:, g : g + 1])
+        assert bisection[0][1] == SIGN_TOLS[0]
+        for previous, (emergency, tol, start, _) in zip(bisection, bisection[1:]):
+            if np.array_equal(emergency, previous[0]):  # the same point, one rung down
+                assert tol == SIGN_TOLS[SIGN_TOLS.index(previous[1]) + 1]
+                assert start is previous[3]
+            else:
+                assert tol == SIGN_TOLS[0]
+
+    def test_point_next_to_the_root_descends_the_ladder(self, monkeypatch):
+        # the first bisection point lies 1e-7 above the table2_once root, where
+        # allow - deny is about 4e-6: no solve to the loosest rung can prove
+        # its sign, and a sign taken unproven there puts the root outside
+        iterate = acmdp.experiments.value_iterate
+        tols = []
+
+        def recorded(system, tol=VI_TOL, start=None):
+            tols.append(tol)
+            return iterate(system, tol=tol, start=start)
+
+        monkeypatch.setattr(acmdp.experiments, "value_iterate", recorded)
+        sc = builtin_scenario("table2_once")
+        start = 0.15
+        spec = SweepSpec(sc, start, 2 * (ONCE_ROOT + 1e-7) - start, 0.1)
+        assert len(spec.grid()) == 2
+        assert 0.5 * sum(spec.grid()) == pytest.approx(ONCE_ROOT + 1e-7, abs=1e-12)
+        vi = run_sweep(spec, solver="vi").crossovers[BOB_HIGH_POS]
+        assert tols[1] == SIGN_TOLS[0] and tols[2] != SIGN_TOLS[0]
+        lp = run_sweep(spec, solver="lp").crossovers[BOB_HIGH_POS]
+        assert vi.bracket == lp.bracket
+        assert vi.bracket[0] <= ONCE_ROOT <= vi.bracket[1]
+
+    def test_exact_zero_at_the_stop_is_a_crossover(self):
+        # with the high resource's alert reward and (bob, high)'s grant negated,
+        # allow - deny falls from 10 to exactly 0 at the stop, 0.5
+        sc = builtin_scenario("table2_unique")
+        rewards = dict(sc.rewards.reward_access)
+        rewards[(1, 1)] = 10.0
+        flipped = dataclasses.replace(sc, rewards=RewardTables(rewards, (0.0, 20.0)))
+        result = run_sweep(SweepSpec(flipped, 0.0, 0.5, 0.25), solver="vi")
+        point = result.points[-1]
+        assert point.dv[int(Action.ALLOW), BOB_HIGH_POS] == point.dv[int(Action.DENY), BOB_HIGH_POS]
+        crossover = result.crossovers[BOB_HIGH_POS]
+        assert (crossover.root, crossover.bracket, crossover.width) == (0.5, (0.5, 0.5), 0.0)
+
+    def test_vi_and_lp_sweeps_bracket_alike_on_random_scenarios(self):
+        # seeded random 2x2 scenarios on a coarse grid; every bisected
+        # bracket must hold a change of sign of the exact gap
+        bisected = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            behavior = str(rng.choice(["unique", "once", "all"]))
+            variant = str(rng.choice(["eps_zero", "eps_accrues"]))
+            beta = float(rng.choice([0.5, 0.9, 0.95]))
+            rates = (0.1, float(rng.uniform(0.5, 1.0)))
+            sc = small_scenario(2, 2, behavior, variant, rates=rates, beta=beta, seed=seed)
+            spec = SweepSpec(sc, step=0.1)
+            vi = run_sweep(spec, solver="vi").crossovers
+            lp = run_sweep(spec, solver="lp").crossovers
+            assert [c.bracket for c in vi] == [c.bracket for c in lp], seed
+            for pos, crossover in enumerate(vi):
+                if crossover.width:
+                    lo, hi = (exact_gap(sc, p, pos) for p in crossover.bracket)
+                    assert (lo < 0) != (hi < 0), (seed, pos)
+                    bisected += 1
+        assert bisected >= 10
 
 
 class TestQualitativeProperties:
