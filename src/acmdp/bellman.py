@@ -10,11 +10,8 @@ with no Python loop per state.  SystemParts.mix(E) then returns the system
 of the built scenario with its emergency matrix replaced by E, with q
 weighted by E's rows; SystemParts.mix_batch returns G such systems at once,
 one E per trailing grid column.  A mix can change nothing but E, so a sweep
-over E builds the parts once.  The stacked (2n, n) matrix whose row a*n + i
-is row i of P^a = E (x) R^a is assembled from the parts on first use
-(BellmanSystem.stacked), for policy iteration's row gather, the
-stochasticity check and the dense LP.  The per-state reference build the
-tests compare against is tests/oracle.py.
+over E builds the parts once.  The per-state reference build the tests
+compare against is tests/oracle.py.
 
 decision_values is the only code that evaluates q^a + beta P^a V.  It
 works on the factors, P^a = (I (x) R^a)(E (x) I): it mixes V's two status
@@ -22,8 +19,10 @@ halves by beta E, backs up both actions, both statuses and every grid
 column with one product with RequestDynamics.requests, and adds q.  The LP
 solve (policy.policy_iterate), value iteration's backup, policy extraction
 and verify_solution all read its (2, n) output; a batch reads (2, n, G).
-validate_stochastic checks that every row of a compiled stacked matrix is
-a probability distribution.
+No solver assembles P: the stacked (2n, n) matrix whose row a*n + i is row
+i of P^a = E (x) R^a is built on first use (BellmanSystem.stacked) for
+validate_stochastic, which checks that each of its rows is a probability
+distribution, for BellmanSystem.transitions and for the dense LP.
 
 build_bellman_lp writes the same LP out densely for the simplex oracle
 (simplex.simplex_solve), which tests and self_check compare against.  It
@@ -79,7 +78,10 @@ class BellmanSystem:
 
     @cached_property
     def stacked(self) -> sparse.csr_matrix:
-        """(2n, n) CSR matrix whose row a * n + i is row i of P^a, assembled on first use."""
+        """(2n, n) CSR matrix whose row a * n + i is row i of P^a, assembled on first use.
+
+        validate_stochastic, build_bellman_lp and transitions read it; no solver does.
+        """
         return self.parts.dynamics.stack(self.emergency)
 
     @cached_property
@@ -174,7 +176,7 @@ def build_bellman_lp(system: BellmanSystem) -> LinearProgram:
         raise CapacityError(
             f"the dense simplex oracle of {n} states needs about {needed / 1e9:.1f} GB "
             f"for its tableau, over the {LP_MAX_BYTES / 1e9:.1f} GB limit; "
-            f"use --solver lp, which solves the LP on its sparse rows"
+            f"use --solver lp, which solves the LP from the factors"
         )
     # constraint 2i + a is row a * n + i of the stacked matrix
     interleaved = (np.arange(2)[None, :] * n + np.arange(n)[:, None]).ravel()
@@ -192,12 +194,12 @@ def rounding_allowance(values: np.ndarray, beta: float) -> float:
     place of the largest value, and a beta-contraction amplifies such an
     error by up to 1 / (1 - beta).  Measured in these units against values
     refined in extended precision, on 900 random 1x1 to 2x2 scenarios with
-    beta up to 0.999 and rewards scaled up to 100-fold (142 of them with
+    beta up to 0.999 and rewards scaled up to 100-fold (185 of them with
     tol below one unit in the last place of max|V|): value iteration, with
     its span stop and the shift to the bounds' midpoint, exceeded its tol
-    by at most 1.69 (its stop at a rounding-level span accounts for up to
-    1), policy iteration's LU solve erred by at most 1.17, and the two
-    differed by at most 1.69 beyond tol.  The allowance covers the sum of
+    by at most 2.09 (its stop at a rounding-level span accounts for up to
+    1), policy iteration's block solves erred by at most 1.86, and the two
+    differed by at most 2.02 beyond tol.  The allowance covers the sum of
     both worst cases.
     """
     return float(ROUNDING_ULPS * np.finfo(float).eps * np.abs(values).max() / (1.0 - beta))

@@ -13,11 +13,12 @@ E-free part once, with array arithmetic on the set bitmasks: where each row
 of R^a leads and how many requests it draws.  RequestDynamics.requests
 holds both R^a, once per emergency status, as one (2n, n) matrix: the
 factor the Bellman kernel (bellman.decision_values) multiplies by, since
-P^a = (I (x) R^a)(E (x) I).  RequestDynamics.stack mixes in one E,
-gathering E[e, e2] / draws into a single (2n, n) matrix whose row a*n + i
-is row i of P^a, for the code that needs P assembled.  Neither rebuilds
-anything when E changes.  bellman assembles the compiled system from them
-and checks the system's rows (bellman.validate_stochastic).
+P^a = (I (x) R^a)(E (x) I).  RequestDynamics.in_set holds the draws that
+keep the granted set, the LP solve's diagonal blocks.  RequestDynamics.stack
+gathers E[e, e2] times the rows of requests into one (2n, n) matrix whose
+row a*n + i is row i of P^a, for the code that needs P assembled.  bellman
+assembles the compiled system from them and checks the system's rows
+(bellman.validate_stochastic).
 tests/oracle.py describes the same process one state at a time
 (successors) and is the reference the tests compare this build against.
 """
@@ -136,66 +137,53 @@ class RequestDynamics:
     P^a = E (x) R^a = (I (x) R^a)(E (x) I), the Bellman kernel
     (bellman.decision_values) applies P^a as requests times V's status
     halves mixed by E, with no E-dependent matrix.
-
-    The listing gives every entry the stacked matrix can hold, in CSR
-    order: rows (action, e, x), and within a row the successors (e2, j) for
-    next status e2 and drawn request j.  An entry's probability is
-    E[e, e2] / draws, so it is listed by a code for that pair,
-    (2 * e + e2) * per_set + draws - 1.  stack() keeps the entries whose
-    E[e, e2] is not zero.
     """
 
     size: int  # (granted set, request) rows per emergency status
     per_set: int  # requests per granted set, the empty request included
     draws: np.ndarray  # (2, size): requests each row draws, per action
-    code: np.ndarray  # per listed entry: its (E entry, draws) code
-    cols: np.ndarray  # per listed entry: its column
     requests: sparse.csr_matrix  # (2n, n): (I (x) R^deny) over (I (x) R^allow)
+    in_set: np.ndarray  # [a, k, r, j]: row (k, r) of R^a's draw of j, if it keeps set k
 
     def stack(self, emergency: np.ndarray) -> sparse.csr_matrix:
         """P^deny over P^allow, P^a = E (x) R^a, as one (2n, n) CSR matrix.
 
-        E's zero entries are dropped, so every stored entry is a
-        positive-probability successor of a well-formed model, with
-        probability E[e, e2] times the request draw's.
+        Row (a, e, x) is E[e, e2] times row (a, e2, x) of requests, for
+        e2 = calm then alert.  E's zero entries are dropped, so every stored
+        entry is a positive-probability successor of a well-formed model.
         """
-        n = 2 * self.size
-        # probability of each code: E[e, e2] * (1 / draws)
-        prob = emergency.reshape(4, 1) * (1.0 / np.arange(1, self.per_set + 1))
+        size, n = self.size, 2 * self.size
         nonzero = emergency != 0.0
-        keep = nonzero.ravel()[self.code // self.per_set]
-        data, cols = prob.ravel()[self.code[keep]], self.cols[keep]
+        # the segments (a, e, x, e2) of the stacked rows, in CSR order
+        act, e, x, e2 = np.nonzero(np.broadcast_to(nonzero[:, None, :], (2, 2, size, 2)))
+        lengths = self.draws[act, x]
+        ends = np.cumsum(lengths)
+        start = self.requests.indptr[act * n + e2 * size + x]
+        gather = np.arange(ends[-1]) + np.repeat(start - ends + lengths, lengths)
+        data = np.repeat(emergency[e, e2], lengths) * self.requests.data[gather]
         per_row = self.draws[:, None, :] * np.count_nonzero(nonzero, axis=1)[:, None]
         indptr = np.zeros(2 * n + 1, dtype=INDEX_DTYPE)
         np.cumsum(per_row.ravel(), out=indptr[1:])
-        return sparse.csr_matrix((data, cols, indptr), shape=(2 * n, n))
+        return sparse.csr_matrix((data, self.requests.indices[gather], indptr), shape=(2 * n, n))
 
 
 def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics:
     """Where each (granted set, request) row leads under each action, and what it draws."""
     per_set = d.num_access_bits + 1
     size = d.num_sets * per_set
+    k, _ = set_request_rows(d)
     j_col = np.arange(per_set, dtype=INDEX_DTYPE)
-    e2_col = np.arange(2, dtype=INDEX_DTYPE)[:, None] * size
-    e2_code = np.arange(2, dtype=np.int8)[:, None] * per_set
-    draws, code, cols, req_cols = [], [], [], []
+    draws, req_cols, in_set = [], [], []
     for act in ACTIONS:
         k2, drawable = request_draws(d, behavior, act)
         count = drawable.sum(axis=1)
+        draws.append(count)
         # [x, j]: the (granted set, request) row k2[x], j that row x can draw
         targets = (k2 * per_set).astype(INDEX_DTYPE)[:, None] + j_col
-        # [x, e2, j]: successor (e2, k2[x], j) of row x; C order is CSR order
-        listed = np.broadcast_to(drawable[:, None, :], (size, 2, per_set))
-        row_cols = (targets[:, None, :] + e2_col)[listed]
-        from_calm = (count - 1).astype(np.int8)[:, None, None] + e2_code
-        row_code = np.broadcast_to(from_calm, listed.shape)[listed]
-        # rows from calm (e = 0), then the same rows from alert
-        code += [row_code, row_code + 2 * per_set]
-        cols += [row_cols, row_cols]
-        draws.append(count)
         # R^a's entries, at the calm columns, then at the alert columns
         r_cols = targets[drawable]
         req_cols += [r_cols, r_cols + size]
+        in_set.append(np.where((k2 == k)[:, None] & drawable, 1.0 / count[:, None], 0.0))
     draws = np.stack(draws).astype(INDEX_DTYPE)
     # requests' rows (action, e, x): each row of R^a once per status
     row_draws = np.repeat(draws, 2, axis=0).ravel()
@@ -206,7 +194,5 @@ def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics
         (np.repeat(1.0 / row_draws, row_draws), np.concatenate(req_cols), indptr),
         shape=(2 * n, n),
     )
-    return RequestDynamics(
-        size, per_set, draws, np.concatenate(code), np.concatenate(cols), requests
-    )
-
+    in_set = np.stack(in_set).reshape(2, d.num_sets, per_set, per_set)
+    return RequestDynamics(size, per_set, draws, requests, in_set)

@@ -6,11 +6,11 @@ discounted expected optimal value of the successors, q^a + beta P^a V
 decision value, breaking ties toward deny.
 
 The Bellman LP (min sum V s.t. V >= q^a + beta P^a V for every state and
-action) is solved on its sparse rows by policy_iterate: Howard's policy
-iteration, which is the simplex method on the dual of this LP with block
-pivots.  Each basis is a policy, solved exactly by sparse LU.  The dense
-simplex (bellman.build_bellman_lp, simplex.simplex_solve) stays only as an
-independent oracle for small models.
+action) is solved by policy_iterate: Howard's policy iteration, which is
+the simplex method on the dual of this LP with block pivots.  Each basis
+is a policy, solved exactly by back-substitution over the granted sets,
+with no assembled P.  The dense simplex (bellman.build_bellman_lp,
+simplex.simplex_solve) stays only as an independent oracle for small models.
 
 Solved tables can be exported to a line-oriented text file and reloaded for
 use as a lightweight policy decision point.
@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .bellman import VERIFY_TOL, BellmanSystem, compile_system, decision_values, verify_solution
 from .config import scenario_fingerprint
@@ -43,27 +42,40 @@ class SolverError(RuntimeError):
 def policy_iterate(
     system: BellmanSystem, tol: float = VERIFY_TOL, max_iter: int = MAX_BASES
 ) -> tuple[np.ndarray, int]:
-    """Solve the Bellman LP on its sparse rows, one policy per simplex basis.
+    """Solve the Bellman LP, one policy per simplex basis.
 
     Starts from the myopic policy (allow where q[allow] > q[deny]).  Each
     basis pi is solved exactly, (I - beta P_pi) V = q_pi, and every state
     whose other action beats its current one by more than tol pivots at
     once.  The final basis therefore violates no Bellman row by more than
     tol.  Returns the values and the number of bases solved.
-    """
-    # imported on first use, so that processes that never solve the LP
-    # (value-iteration sweeps, value-table lookups) do not load it: loaded
-    # with this module, it cut the pdp_lookup benchmark's ops_per_s by 11-22%
-    from scipy.sparse.linalg import spsolve
 
-    n = system.num_states
-    states = np.arange(n)
-    identity = sparse.identity(n, format="csr")
+    Every transition keeps the granted set or reaches a strict superset, so
+    a basis is solved one popcount level of sets at a time, from the full
+    set down: set k's block is I - beta E (x) in_set[pi, k], and one
+    decision_values call, with V zero on the level and below, gives the
+    level's right-hand side; the call after the last level prices the basis.
+    """
+    in_set = system.parts.dynamics.in_set
+    _, sets, per_set, _ = in_set.shape
+    states = np.arange(system.num_states)
+    # each set's states (e, r), the sets ordered by popcount, largest first
+    popcount = ((np.arange(sets)[:, None] >> np.arange(per_set - 1)) & 1).sum(axis=1)
+    order = np.argsort(-popcount, kind="stable")
+    rows = states.reshape(2, sets, per_set).transpose(1, 0, 2)[order]
+    bounds = np.cumsum([0, *np.bincount(popcount)[::-1]]).tolist()
+    mixing = system.beta * system.emergency[None, :, None, :, None]
+    identity = np.eye(2 * per_set)
     policy = (system.q[1] > system.q[0]).astype(int)
     for bases in range(1, max_iter + 1):
-        p_pi = system.stacked[policy * n + states]  # row i of P^policy[i]
-        values = spsolve((identity - system.beta * p_pi).tocsc(), system.q[policy, states])
-        dv = decision_values(system, values)
+        kept = in_set[policy[rows], order[:, None, None], np.arange(per_set)]
+        blocks = identity - (mixing * kept[:, :, :, None, :]).reshape(sets, *identity.shape)
+        values, dv = np.zeros(len(states)), system.q
+        for start, end in zip(bounds, bounds[1:]):
+            here = rows[start:end]
+            rhs = dv[policy[here], here].reshape(len(here), -1, 1)
+            values[here] = np.linalg.solve(blocks[start:end], rhs).reshape(here.shape)
+            dv = decision_values(system, values)
         better = dv[1 - policy, states] > dv[policy, states] + tol
         if not better.any():
             return values, bases

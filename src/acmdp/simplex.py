@@ -1,8 +1,8 @@
 """Dense two-phase primal simplex: the independent LP oracle for small models.
 
 The program solves the Bellman LP with policy.policy_iterate; this solver
-shares none of its code and serves tests and experiments.self_check as a
-reference on models small enough for a dense tableau.
+shares none of its code, reads the assembled P (bellman.build_bellman_lp)
+and serves tests and experiments.self_check as a reference on small models.
 
 Problems are stated as: minimize c.x subject to A x >= b, x free.  Free
 variables are split into positive parts, >= rows get surplus columns, and

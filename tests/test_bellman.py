@@ -253,7 +253,7 @@ class TestBuildLp:
         sc = small_scenario(3, 3, "all", "eps_zero", rates=(0.1, 1.0))
         with pytest.raises(CapacityError, match=r"10240 states.*GB.*--solver lp"):
             build_bellman_lp(compile_system(sc))
-        # the LP solve itself works on the sparse rows and takes 3x3 in stride
+        # the LP solve itself works on the factors and takes 3x3 in stride
         solution = solve_scenario(sc, "lp")
         assert solution.system.num_states == 10240
         assert solution.max_residual <= 1e-9

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from oracle import (
     all_states,
@@ -23,6 +24,8 @@ from acmdp import (
     compile_system,
     validate_stochastic,
 )
+from acmdp.dynamics import next_access_sets, request_dynamics, set_request_rows
+from acmdp.states import ACTIONS
 
 D22 = ModelDims(2, 2)
 DRIFT = EmergencyMatrix.from_rates(0.1, 1.0)
@@ -63,6 +66,34 @@ class TestNextAccessSet:
     def test_empty_request_never_modifies(self):
         assert next_access_set(3, None, Action.ALLOW, D22) == 3
         assert next_access_set(3, None, Action.DENY, D22) == 3
+
+
+class TestGrantedSetLattice:
+    """The granted set only grows: the LP's back-substitution over the sets relies on it."""
+
+    @pytest.mark.parametrize("users", [1, 2, 3])
+    @pytest.mark.parametrize("resources", [1, 2, 3])
+    @pytest.mark.parametrize("act", ACTIONS)
+    def test_next_set_contains_the_set(self, users, resources, act):
+        d = ModelDims(users, resources)
+        k, _ = set_request_rows(d)
+        assert np.array_equal(next_access_sets(d, act) & k, k)
+
+    @pytest.mark.parametrize("behavior", list(RequestBehavior))
+    @pytest.mark.parametrize("users, resources", [(1, 1), (2, 2), (1, 3)])
+    def test_in_set_holds_the_draws_that_keep_the_set(self, users, resources, behavior):
+        d = ModelDims(users, resources)
+        space = StateSpace(d)
+        in_set = request_dynamics(d, behavior).in_set
+        for act in ACTIONS:
+            for k in range(d.num_sets):
+                for r, req in enumerate(space.requests):
+                    want = np.zeros(len(space.requests))
+                    k2 = next_access_set(k, req, act, d)
+                    if k2 == k:
+                        for req2, p in request_distribution(behavior, k2, d, req):
+                            want[space.requests.index(req2)] = p
+                    assert np.array_equal(in_set[int(act), k, r], want), (act, k, req)
 
 
 class TestRequestDistribution:

@@ -110,9 +110,12 @@ class TestOneKernel:
 
     @pytest.mark.parametrize("name", ["table1", "table2_all"])
     def test_lp_solve_prices_each_basis_and_the_result(self, kernel_calls, name):
+        # a basis takes one call per granted-set level, the right-hand side of
+        # the next level; the call after the last level prices the basis
         solution = solve_scenario(builtin_scenario(name), "lp")
+        levels = solution.scenario.dims.num_access_bits + 1
         assert kernel_calls == {
-            "inside": 0, "outside": solution.iterations + 1, "solves": 0, "backups": 0
+            "inside": 0, "outside": solution.iterations * levels + 1, "solves": 0, "backups": 0
         }
 
     def test_vi_solve_prices_the_result_once(self, kernel_calls):
@@ -137,6 +140,18 @@ class TestOneKernel:
         assert kernel_calls["solves"] > 1
         assert kernel_calls["inside"] == kernel_calls["backups"]
         assert kernel_calls["outside"] == kernel_calls["solves"]
+
+    def test_lp_solves_and_sweeps_assemble_no_stacked_matrix(self, monkeypatch):
+        def unassembled(*args):
+            raise AssertionError("an LP solve assembled a stacked matrix")
+
+        monkeypatch.setattr(acmdp.dynamics.RequestDynamics, "stack", unassembled)
+        for name in BUILTIN_NAMES:
+            assert solve_scenario(builtin_scenario(name), "lp").max_residual <= VERIFY_TOL
+        sc = small_scenario(3, 3, "once", "eps_accrues", rates=(0.1, 1.0))
+        assert solve_scenario(sc, "lp").max_residual <= VERIFY_TOL
+        result = run_sweep(SweepSpec(builtin_scenario("table2_once")), solver="lp")
+        assert any(c.root is not None for c in result.crossovers)
 
 
 class TestExtractPolicy:
@@ -220,11 +235,28 @@ def vi_bound(values, beta):
     return VI_TOL + rounding_allowance(values, beta)
 
 
+def lattice_bound(solution, values):
+    """How far the LP's values may lie from values, both certified by verify_solution.
+
+    Each lies within its residual / (1 - beta) of the optimum (Puterman
+    1994, sections 6.2-6.3), so the two lie within the sum of both
+    distances, plus the rounding of each; self_check's dense-simplex bound.
+    """
+    system, beta = solution.system, solution.system.beta
+    residual = verify_solution(solution.values, solution.dv).residual
+    residual += verify_solution(values, decision_values(system, values)).residual
+    return residual / (1.0 - beta) + 2.0 * rounding_allowance(solution.values, beta)
+
+
 def test_import_leaves_sparse_linalg_unloaded():
-    # policy_iterate imports scipy.sparse.linalg on first use: loaded with
-    # the package, it cut the pdp_lookup benchmark's ops_per_s by 11-22%
+    # scipy.sparse.linalg, loaded with the package, cut the pdp_lookup
+    # benchmark's ops_per_s by 11-22%; neither the import nor an LP solve needs it
     src = str(Path(acmdp.__file__).resolve().parents[1])
-    probe = "import sys, acmdp; print('scipy.sparse.linalg' in sys.modules)"
+    probe = (
+        "import sys, acmdp; "
+        "acmdp.solve_scenario(acmdp.builtin_scenario('table2_all'), 'lp'); "
+        "print('scipy.sparse.linalg' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.stdout.strip() == "False", out.stderr
@@ -300,6 +332,17 @@ class TestLpSolve:
         assert np.max(np.abs(solution.values - vi.values)) <= bound
 
     @pytest.mark.parametrize("behavior", [b.value for b in RequestBehavior])
+    def test_beta_0_9999_matches_lattice_solve(self, behavior):
+        # each set's block is solved on its own, so no level's right-hand side
+        # subtracts nearly equal terms even where 1 / (1 - beta) is 1e4
+        sc = small_scenario(2, 2, behavior, "eps_accrues", (0.3, 0.8), 0.9999, 3)
+        solution = solve_scenario(sc, "lp")
+        report = verify_solution(solution.values, decision_values(solution.system, solution.values))
+        assert report.residual <= VERIFY_TOL
+        allowance = rounding_allowance(solution.values, sc.beta)
+        assert np.max(np.abs(solution.values - lattice_solve(sc))) <= allowance
+
+    @pytest.mark.parametrize("behavior", [b.value for b in RequestBehavior])
     def test_beta_zero_is_myopic_in_one_basis(self, behavior):
         sc = small_scenario(2, 2, behavior, "eps_accrues", beta=0.0)
         q = compile_system(sc).q
@@ -327,7 +370,7 @@ class TestLpSolve:
     @settings(max_examples=50, deadline=None)
     @given(
         users=st.integers(1, 2),
-        resources=st.integers(1, 2),
+        resources=st.integers(1, 3),
         behavior=st.sampled_from(list(RequestBehavior)),
         variant=st.sampled_from(list(RewardVariant)),
         rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -339,7 +382,11 @@ class TestLpSolve:
     ):
         sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
         solution = solve_scenario(sc, "lp")
-        assert_lp_agrees(solution, dense_oracle(solution.system), 1e-9)
+        if sc.dims.num_access_bits < 6:
+            assert_lp_agrees(solution, dense_oracle(solution.system), 1e-9)
+        else:  # 896 states: the dense simplex would take seconds a case
+            values = lattice_solve(sc)
+            assert_lp_agrees(solution, values, lattice_bound(solution, values))
         vi = solve_scenario(sc, "vi")
         assert_lp_agrees(solution, vi.values, vi_bound(vi.values, beta))
 
