@@ -19,10 +19,9 @@ halves by beta E, backs up both actions, both statuses and every grid
 column with one product with RequestDynamics.requests, and adds q.  The LP
 solve (policy.policy_iterate), value iteration's backup, policy extraction
 and verify_solution all read its (2, n) output; a batch reads (2, n, G).
-No solver assembles P: the stacked (2n, n) matrix whose row a*n + i is row
-i of P^a = E (x) R^a is built on first use (BellmanSystem.stacked) for
-validate_stochastic, which checks that each of its rows is a probability
-distribution, for BellmanSystem.transitions and for the dense LP.
+No solver assembles P: BellmanSystem.stacked, whose row a*n + i is row i
+of P^a, is built on first use for validate_stochastic, which checks that
+each row is a distribution, for BellmanSystem.transitions and the dense LP.
 
 build_bellman_lp writes the same LP out densely for the simplex oracle
 (simplex.simplex_solve), which tests and self_check compare against.  It

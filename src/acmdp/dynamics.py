@@ -148,23 +148,26 @@ class RequestDynamics:
     def stack(self, emergency: np.ndarray) -> sparse.csr_matrix:
         """P^deny over P^allow, P^a = E (x) R^a, as one (2n, n) CSR matrix.
 
-        Row (a, e, x) is E[e, e2] times row (a, e2, x) of requests, for
-        e2 = calm then alert.  E's zero entries are dropped, so every stored
-        entry is a positive-probability successor of a well-formed model.
+        Row (a, e, x) holds E[e, e2] times row x of R^a at status e2's columns, for
+        each e2 with E[e, e2] != 0, calm first: every entry is a positive-probability successor.
         """
         size, n = self.size, 2 * self.size
         nonzero = emergency != 0.0
-        # the segments (a, e, x, e2) of the stacked rows, in CSR order
-        act, e, x, e2 = np.nonzero(np.broadcast_to(nonzero[:, None, :], (2, 2, size, 2)))
-        lengths = self.draws[act, x]
-        ends = np.cumsum(lengths)
-        start = self.requests.indptr[act * n + e2 * size + x]
-        gather = np.arange(ends[-1]) + np.repeat(start - ends + lengths, lengths)
-        data = np.repeat(emergency[e, e2], lengths) * self.requests.data[gather]
         per_row = self.draws[:, None, :] * np.count_nonzero(nonzero, axis=1)[:, None]
         indptr = np.zeros(2 * n + 1, dtype=INDEX_DTYPE)
         np.cumsum(per_row.ravel(), out=indptr[1:])
-        return sparse.csr_matrix((data, self.requests.indices[gather], indptr), shape=(2 * n, n))
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=INDEX_DTYPE)
+        for a, draws in enumerate(self.draws):
+            lo, hi = self.requests.indptr[[a * n, a * n + size]]
+            row = np.repeat(np.arange(size, dtype=INDEX_DTYPE), draws)
+            for e, kept in enumerate(nonzero):
+                e2 = np.flatnonzero(kept)[:, None]
+                # row x's entries for each kept e2 in turn: a stable sort by row
+                order = np.argsort(np.tile(row, len(e2)), kind="stable")
+                block = slice(indptr[(2 * a + e) * size], indptr[(2 * a + e + 1) * size])
+                data[block] = (emergency[e, e2] * self.requests.data[lo:hi]).ravel()[order]
+                indices[block] = (self.requests.indices[lo:hi] + e2 * size).ravel()[order]
+        return sparse.csr_matrix((data, indices, indptr), shape=(2 * n, n))
 
 
 def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics:

@@ -50,11 +50,10 @@ def policy_iterate(
     once.  The final basis therefore violates no Bellman row by more than
     tol.  Returns the values and the number of bases solved.
 
-    Every transition keeps the granted set or reaches a strict superset, so
-    a basis is solved one popcount level of sets at a time, from the full
-    set down: set k's block is I - beta E (x) in_set[pi, k], and one
-    decision_values call, with V zero on the level and below, gives the
-    level's right-hand side; the call after the last level prices the basis.
+    Every transition keeps the granted set or reaches a strict superset, so a
+    basis is solved one popcount level of sets at a time from the full set
+    down: set k's block is I - beta E (x) in_set[pi, k], and decision_values
+    on V, zero on the level and below, gives the level's right-hand side.
     """
     in_set = system.parts.dynamics.in_set
     _, sets, per_set, _ = in_set.shape
@@ -65,11 +64,10 @@ def policy_iterate(
     rows = states.reshape(2, sets, per_set).transpose(1, 0, 2)[order]
     bounds = np.cumsum([0, *np.bincount(popcount)[::-1]]).tolist()
     mixing = system.beta * system.emergency[None, :, None, :, None]
-    identity = np.eye(2 * per_set)
     policy = (system.q[1] > system.q[0]).astype(int)
     for bases in range(1, max_iter + 1):
         kept = in_set[policy[rows], order[:, None, None], np.arange(per_set)]
-        blocks = identity - (mixing * kept[:, :, :, None, :]).reshape(sets, *identity.shape)
+        blocks = np.eye(2 * per_set) - (mixing * kept[..., None, :]).reshape(sets, 2 * per_set, -1)
         values, dv = np.zeros(len(states)), system.q
         for start, end in zip(bounds, bounds[1:]):
             here = rows[start:end]
