@@ -51,9 +51,9 @@ def policy_iterate(
     tol.  Returns the values and the number of bases solved.
 
     Every transition keeps the granted set or reaches a strict superset, so a
-    basis is solved one popcount level of sets at a time from the full set
-    down: set k's block is I - beta E (x) in_set[pi, k], and decision_values
-    on V, zero on the level and below, gives the level's right-hand side.
+    basis is solved a popcount level of sets at a time from the full set down.
+    Set k's block, over its states (e, r), is I - beta E[e, e2] in_set[pi, k, r, j];
+    decision_values on V, zero on the level and below, gives the right-hand side.
     """
     in_set = system.parts.dynamics.in_set
     _, sets, per_set, _ = in_set.shape
