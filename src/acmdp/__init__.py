@@ -2,7 +2,6 @@
 
 from .bellman import (
     BellmanSystem,
-    build_bellman_lp,
     compile_system,
     decision_values,
     validate_stochastic,
@@ -28,7 +27,6 @@ from .policy import (
     solve_scenario,
 )
 from .rewards import RewardTables, RewardVariant, Scenario
-from .simplex import LinearProgram, LpSolution, SimplexStatus, simplex_solve
 from .states import (
     Access,
     Action,

@@ -1,4 +1,4 @@
-"""Assembly of the Bellman system, its one evaluation kernel, its checks, and its linear program.
+"""Assembly of the Bellman system, its one evaluation kernel, and its checks.
 
 compile_system turns a scenario into the factors of its transition matrices
 and the immediate-reward vectors, in two steps.  build_parts builds the
@@ -19,14 +19,10 @@ halves by beta E, backs up both actions, both statuses and every grid
 column with one product with RequestDynamics.requests, and adds q.  The LP
 solve (policy.policy_iterate), value iteration's backup, policy extraction
 and verify_solution all read its (2, n) output; a batch reads (2, n, G).
-No solver assembles P: BellmanSystem.stacked, whose row a*n + i is row i
-of P^a, is built on first use for validate_stochastic, which checks that
-each row is a distribution, for BellmanSystem.transitions and the dense LP.
-
-build_bellman_lp writes the same LP out densely for the simplex oracle
-(simplex.simplex_solve), which tests and self_check compare against.  It
-grows as the square of the state count, so build_bellman_lp refuses a model
-whose constraint matrix or simplex tableau would exceed LP_MAX_BYTES.
+validate_stochastic checks the factors, since every row of P^a is a row of
+E times a row of R^a.  No solver and no check assembles P:
+BellmanSystem.transitions builds each P^a = E (x) R^a on first use, for
+comparisons with other builds of the model.
 """
 
 from __future__ import annotations
@@ -40,12 +36,10 @@ from scipy import sparse
 
 from .dynamics import ROW_SUM_TOL, EmergencyMatrix, RequestDynamics, request_dynamics
 from .rewards import Scenario, reward_parts
-from .simplex import LinearProgram
-from .states import Action, CapacityError, State, StateSpace
+from .states import ACTIONS, Action, State, StateSpace
 
 VERIFY_TOL = 1e-9  # largest Bellman-row violation a feasible solution may leave
 TIGHT_TOL = 1e-7  # largest slack of a tight state's tightest row
-LP_MAX_BYTES = 1 << 30  # largest dense LHS or oracle tableau build_bellman_lp allows
 ROUNDING_ULPS = 4  # rounding_allowance, in units of eps * max|V| / (1 - beta)
 
 
@@ -54,8 +48,8 @@ class BellmanSystem:
     """One compiled system, or a batch of G that differ only in E.
 
     A batch carries a trailing grid axis: one E per column, q of shape
-    (2, n, G), values (n, G).  It has no scenario of its own and no stacked
-    matrix; value iteration and decision_values are all it serves.
+    (2, n, G), values (n, G).  It has no scenario of its own and no
+    transitions; value iteration and decision_values are all it serves.
     """
 
     scenario: Scenario | None  # None for a batch
@@ -76,21 +70,18 @@ class BellmanSystem:
         return self.parts.scenario.beta
 
     @cached_property
-    def stacked(self) -> sparse.csr_matrix:
-        """(2n, n) CSR matrix whose row a * n + i is row i of P^a, assembled on first use.
+    def transitions(self) -> tuple[sparse.csr_matrix, ...]:
+        """(P^deny, P^allow), indexed by Action: P^a = E (x) R^a, assembled on first use.
 
-        validate_stochastic, build_bellman_lp and transitions read it; no solver does.
+        R^a is the calm copy of its rows in RequestDynamics.requests; E's
+        zeros are dropped, so every entry is a positive-probability successor.
+        No solver reads it.
         """
-        return self.parts.dynamics.stack(self.emergency)
-
-    @cached_property
-    def transitions(self) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-        """(P^deny, P^allow), indexed by Action: views of the stacked matrix's arrays."""
-        n, m = self.num_states, self.stacked
-        cut = m.indptr[n]
-        return (
-            sparse.csr_matrix((m.data[:cut], m.indices[:cut], m.indptr[: n + 1]), shape=(n, n)),
-            sparse.csr_matrix((m.data[cut:], m.indices[cut:], m.indptr[n:] - cut), shape=(n, n)),
+        requests, size, n = self.parts.dynamics.requests, self.parts.dynamics.size, self.num_states
+        emergency = sparse.csr_matrix(self.emergency)
+        return tuple(
+            sparse.kron(emergency, requests[a * n : a * n + size, :size], format="csr")
+            for a in ACTIONS
         )
 
 
@@ -155,37 +146,6 @@ def decision_values(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_bellman_lp(system: BellmanSystem) -> LinearProgram:
-    """The Bellman LP, dense, for the simplex oracle.
-
-    One >= constraint per (state, action), objective min sum of values.
-    Constraints are emitted state-major, action-minor (deny first) so oracle
-    runs are reproducible.  Raises CapacityError, before allocating, when the
-    LHS or the arrays simplex_solve would build exceed LP_MAX_BYTES.
-    """
-    n = system.num_states
-    beta = system.beta
-    # simplex_solve's tableau, larger than the 2n x n LHS: 2n + 1 rows and
-    # columns for x split in two, a surplus per row, an artificial per row
-    # with a nonnegative rhs and the rhs itself; plus the basis matrix and
-    # its inverse, 2n x 2n each, that rebuild the tableau
-    artificial = int(np.count_nonzero(system.q >= 0))
-    needed = 8 * ((2 * n + 1) * (4 * n + artificial + 1) + 2 * (2 * n) ** 2)
-    if needed > LP_MAX_BYTES:
-        raise CapacityError(
-            f"the dense simplex oracle of {n} states needs about {needed / 1e9:.1f} GB "
-            f"for its tableau, over the {LP_MAX_BYTES / 1e9:.1f} GB limit; "
-            f"use --solver lp, which solves the LP from the factors"
-        )
-    # constraint 2i + a is row a * n + i of the stacked matrix
-    interleaved = (np.arange(2)[None, :] * n + np.arange(n)[:, None]).ravel()
-    lhs = system.stacked[interleaved].toarray()
-    lhs *= -beta
-    lhs[np.arange(2 * n), np.repeat(np.arange(n), 2)] += 1.0
-    rhs = system.q.T.ravel()
-    return LinearProgram(np.ones(n), lhs, rhs)
-
-
 def rounding_allowance(values: np.ndarray, beta: float) -> float:
     """Distance a computed solution may lie from its exact one by rounding alone.
 
@@ -242,26 +202,39 @@ class StochasticityViolation:
 
 
 def validate_stochastic(system: BellmanSystem) -> list[StochasticityViolation]:
-    """Check that every (state, action) row of a compiled system's stacked matrix is a distribution.
+    """Check that every (state, action) row of a compiled system is a distribution.
 
-    Returns the list of violations in state-major, action-minor order; empty
-    means the model is well-formed.
+    Row (e, x) of P^a is row e of E times the row of RequestDynamics.requests
+    that backs up state (e, x) under action a, so it is a distribution when
+    both factors' rows are: E's rows sum to 1 with entries in [0, 1] (its
+    zeros are dropped), and requests' rows sum to 1 with entries in (0, 1].
+    A (state, action) is flagged when either of its rows is, with the
+    product of their sums as its mass.  Returns the violations in
+    state-major, action-minor order; empty means the model is well-formed.
     """
-    stacked = system.stacked
-    mass = np.asarray(stacked.sum(axis=1)).ravel()
-    flagged = np.abs(mass - 1.0) > ROW_SUM_TOL
-    out_of_range = ~((stacked.data > 0.0) & (stacked.data <= 1.0))
-    flagged[np.repeat(np.arange(stacked.shape[0]), np.diff(stacked.indptr))[out_of_range]] = True
-    n = stacked.shape[1]
+    emergency, requests = system.emergency, system.parts.dynamics.requests
+    n = system.num_states
+    status = np.arange(n) // system.parts.dynamics.size
+    e_mass = emergency.sum(axis=1)
+    e_range = (emergency >= 0.0) & (emergency <= 1.0)
+    e_flagged = (np.abs(e_mass - 1.0) > ROW_SUM_TOL) | ~e_range.all(axis=1)
+    # requests' row a * n + i backs up state i under action a
+    r_mass = np.asarray(requests.sum(axis=1)).ravel()
+    r_flagged = np.abs(r_mass - 1.0) > ROW_SUM_TOL
+    r_range = (requests.data > 0.0) & (requests.data <= 1.0)
+    r_flagged[np.repeat(np.arange(2 * n), np.diff(requests.indptr))[~r_range]] = True
+    flagged = e_flagged[status, None] | r_flagged.reshape(2, n).T
     found = []
-    # row a * n + i is (state i, action a); report state-major, action-minor
-    for row in sorted(np.flatnonzero(flagged).tolist(), key=lambda r: (r % n, r // n)):
-        act, i = divmod(row, n)
-        total = float(mass[row])
-        probs = stacked.data[stacked.indptr[row]:stacked.indptr[row + 1]].tolist()
-        bad_probs = [p for p in probs if not 0.0 < p <= 1.0]
-        if bad_probs:
-            detail = f"probabilities {bad_probs} outside (0, 1]"
+    for i, act in np.argwhere(flagged).tolist():
+        e, row = status[i], act * n + i
+        bad_e = [p for p in emergency[e].tolist() if not 0.0 <= p <= 1.0]
+        probs = requests.data[requests.indptr[row] : requests.indptr[row + 1]].tolist()
+        bad_r = [p for p in probs if not 0.0 < p <= 1.0]
+        total = float(e_mass[e] * r_mass[row])
+        if bad_e:
+            detail = f"emergency probabilities {bad_e} outside [0, 1]"
+        elif bad_r:
+            detail = f"request probabilities {bad_r} outside (0, 1]"
         else:
             detail = f"mass {total} != 1"
         found.append(

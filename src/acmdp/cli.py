@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.set_defaults(func=cmd_eval)
 
-    selfcheck = sub.add_parser("selfcheck", help="cross-validate lp, vi and the dense simplex")
+    selfcheck = sub.add_parser("selfcheck", help="check the model and cross-validate lp against vi")
     _add_scenario_args(selfcheck)
     selfcheck.set_defaults(func=cmd_selfcheck)
 

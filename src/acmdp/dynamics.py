@@ -14,11 +14,10 @@ of R^a leads and how many requests it draws.  RequestDynamics.requests
 holds both R^a, once per emergency status, as one (2n, n) matrix: the
 factor the Bellman kernel (bellman.decision_values) multiplies by, since
 P^a = (I (x) R^a)(E (x) I).  RequestDynamics.in_set holds the draws that
-keep the granted set, the LP solve's diagonal blocks.  RequestDynamics.stack
-gathers E[e, e2] times the rows of requests into one (2n, n) matrix whose
-row a*n + i is row i of P^a, for the code that needs P assembled.  bellman
-assembles the compiled system from them and checks the system's rows
-(bellman.validate_stochastic).
+keep the granted set, the LP solve's diagonal blocks.  P is never
+assembled for a solve: bellman assembles the compiled system from these
+factors, checks their rows (bellman.validate_stochastic), and builds
+P^a = E (x) R^a only on request (BellmanSystem.transitions).
 tests/oracle.py describes the same process one state at a time
 (successors) and is the reference the tests compare this build against.
 """
@@ -140,34 +139,8 @@ class RequestDynamics:
     """
 
     size: int  # (granted set, request) rows per emergency status
-    per_set: int  # requests per granted set, the empty request included
-    draws: np.ndarray  # (2, size): requests each row draws, per action
     requests: sparse.csr_matrix  # (2n, n): (I (x) R^deny) over (I (x) R^allow)
     in_set: np.ndarray  # [a, k, r, j]: row (k, r) of R^a's draw of j, if it keeps set k
-
-    def stack(self, emergency: np.ndarray) -> sparse.csr_matrix:
-        """P^deny over P^allow, P^a = E (x) R^a, as one (2n, n) CSR matrix.
-
-        Row (a, e, x) holds E[e, e2] times row x of R^a at status e2's columns, for
-        each e2 with E[e, e2] != 0, calm first: every entry is a positive-probability successor.
-        """
-        size, n = self.size, 2 * self.size
-        nonzero = emergency != 0.0
-        per_row = self.draws[:, None, :] * np.count_nonzero(nonzero, axis=1)[:, None]
-        indptr = np.zeros(2 * n + 1, dtype=INDEX_DTYPE)
-        np.cumsum(per_row.ravel(), out=indptr[1:])
-        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=INDEX_DTYPE)
-        for a, draws in enumerate(self.draws):
-            lo, hi = self.requests.indptr[[a * n, a * n + size]]
-            row = np.repeat(np.arange(size, dtype=INDEX_DTYPE), draws)
-            for e, kept in enumerate(nonzero):
-                e2 = np.flatnonzero(kept)[:, None]
-                # row x's entries for each kept e2 in turn: a stable sort by row
-                order = np.argsort(np.tile(row, len(e2)), kind="stable")
-                block = slice(indptr[(2 * a + e) * size], indptr[(2 * a + e + 1) * size])
-                data[block] = (emergency[e, e2] * self.requests.data[lo:hi]).ravel()[order]
-                indices[block] = (self.requests.indices[lo:hi] + e2 * size).ravel()[order]
-        return sparse.csr_matrix((data, indices, indptr), shape=(2 * n, n))
 
 
 def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics:
@@ -198,4 +171,4 @@ def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics
         shape=(2 * n, n),
     )
     in_set = np.stack(in_set).reshape(2, d.num_sets, per_set, per_set)
-    return RequestDynamics(size, per_set, draws, requests, in_set)
+    return RequestDynamics(size, requests, in_set)

@@ -9,8 +9,8 @@ The Bellman LP (min sum V s.t. V >= q^a + beta P^a V for every state and
 action) is solved by policy_iterate: Howard's policy iteration, which is
 the simplex method on the dual of this LP with block pivots.  Each basis
 is a policy, solved exactly by back-substitution over the granted sets,
-with no assembled P.  The dense simplex (bellman.build_bellman_lp,
-simplex.simplex_solve) stays only as an independent oracle for small models.
+with no assembled P.  It is the package's one exact solver; value
+iteration (value_iteration.value_iterate) is the other solve path.
 
 Solved tables can be exported to a line-oriented text file and reloaded for
 use as a lightweight policy decision point.

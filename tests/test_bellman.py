@@ -4,27 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import oracle_compile
+from oracle import lattice_solve, oracle_compile
 
 from acmdp import (
     BUILTIN_NAMES,
-    CapacityError,
     EmergencyMatrix,
     ModelDims,
     RequestBehavior,
     RewardTables,
     RewardVariant,
     Scenario,
-    build_bellman_lp,
     builtin_scenario,
     compile_system,
     decision_values,
-    simplex_solve,
-    solve_scenario,
     verify_solution,
 )
 from acmdp.bellman import build_parts
-from acmdp.simplex import SimplexStatus
 
 
 def assert_matches_oracle(sc):
@@ -123,11 +118,12 @@ class TestFactoredCompile:
 
 
 def assert_same_system(got, want):
-    """Bit for bit: the stacked matrix's arrays, its nnz, and q."""
-    assert got.stacked.shape == want.stacked.shape
-    assert got.stacked.nnz == want.stacked.nnz
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got.stacked, name), getattr(want.stacked, name))
+    """Bit for bit: each transition matrix's arrays, its nnz, and q."""
+    for got_mat, want_mat in zip(got.transitions, want.transitions):
+        assert got_mat.shape == want_mat.shape
+        assert got_mat.nnz == want_mat.nnz
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got_mat, name), getattr(want_mat, name))
     assert np.array_equal(got.q, want.q)
 
 
@@ -160,12 +156,12 @@ class TestMixEmergency:
         parts = build_parts(sc)
         inside = parts.mix(EmergencyMatrix.from_rates(0.37, 1.0))
         at_zero = parts.mix(EmergencyMatrix.from_rates(0.0, 1.0))
-        assert np.all(inside.stacked.data > 0.0) and np.all(at_zero.stacked.data > 0.0)
-        # calm rows lose their alert successors, alert rows never had calm ones
-        assert at_zero.stacked.nnz * 3 == inside.stacked.nnz * 2
         n = at_zero.num_states
-        calm = np.concatenate([np.arange(n // 2), n + np.arange(n // 2)])
-        assert at_zero.stacked[calm][:, n // 2:].nnz == 0
+        for kept, dropped in zip(inside.transitions, at_zero.transitions):
+            assert np.all(kept.data > 0.0) and np.all(dropped.data > 0.0)
+            # calm rows lose their alert successors, alert rows never had calm ones
+            assert dropped.nnz * 3 == kept.nnz * 2
+            assert dropped[: n // 2, n // 2 :].nnz == 0
 
     @pytest.mark.parametrize("name", ["table1", "table2_once", "modified_all"])
     def test_kernel_is_q_plus_beta_times_each_action_matvec(self, name):
@@ -178,18 +174,6 @@ class TestMixEmergency:
         for act, mat in enumerate(system.transitions):
             want = system.q[act] + system.beta * (mat @ values)
             assert np.max(np.abs(dv[act] - want)) <= ulps
-
-    def test_transitions_are_views_of_the_stacked_matrix(self):
-        system = compile_system(builtin_scenario("table2_all"))
-        deny, allow = system.transitions
-        assert deny.nnz + allow.nnz == system.stacked.nnz
-        for mat in (deny, allow):
-            assert np.shares_memory(mat.data, system.stacked.data)
-            assert np.shares_memory(mat.indices, system.stacked.indices)
-        dense = system.stacked.toarray()
-        n = system.num_states
-        assert np.array_equal(deny.toarray(), dense[:n])
-        assert np.array_equal(allow.toarray(), dense[n:])
 
     def test_mix_changes_only_the_emergency_matrix(self):
         parts = build_parts(builtin_scenario("table2_all"))
@@ -223,52 +207,15 @@ class TestMixEmergency:
         assert_same_system(mixed, compile_system(at_e))
 
 
-class TestBuildLp:
-    def test_dimensions(self, table2_system):
-        lp = build_bellman_lp(table2_system)
-        assert lp.num_vars == 160
-        assert lp.num_constraints == 320
-
-    def test_beta_zero_reduces_to_identity_rows(self, table1_system):
-        lp = build_bellman_lp(table1_system)
-        n = lp.num_vars
-        expected = np.zeros_like(lp.lhs)
-        expected[2 * np.arange(n), np.arange(n)] = 1.0
-        expected[2 * np.arange(n) + 1, np.arange(n)] = 1.0
-        assert np.array_equal(lp.lhs, expected)
-        # constraints collapse to V_i >= q_i^a
-        assert np.array_equal(lp.rhs[0::2], table1_system.q[0])
-        assert np.array_equal(lp.rhs[1::2], table1_system.q[1])
-
-    def test_constraint_order_is_state_major_deny_first(self, table2_system):
-        lp = build_bellman_lp(table2_system)
-        assert lp.rhs[0] == table2_system.q[0, 0]
-        assert lp.rhs[1] == table2_system.q[1, 0]
-
-    def test_2x3_within_size_limit(self):
-        lp = build_bellman_lp(compile_system(small_scenario(2, 3, "once", "eps_zero")))
-        assert lp.lhs.shape == (1792, 896)
-
-    def test_3x3_refused_before_allocating(self):
-        sc = small_scenario(3, 3, "all", "eps_zero", rates=(0.1, 1.0))
-        with pytest.raises(CapacityError, match=r"10240 states.*GB.*--solver lp"):
-            build_bellman_lp(compile_system(sc))
-        # the LP solve itself works on the factors and takes 3x3 in stride
-        solution = solve_scenario(sc, "lp")
-        assert solution.system.num_states == 10240
-        assert solution.max_residual <= 1e-9
-
-
 class TestVerifySolution:
     def test_lp_optimum_is_feasible_and_tight(self, table1_system):
-        result = simplex_solve(build_bellman_lp(table1_system))
-        assert result.status is SimplexStatus.OPTIMAL
-        report = verify_solution(result.values, decision_values(table1_system, result.values))
+        optimal = lattice_solve(table1_system.scenario)
+        report = verify_solution(optimal, decision_values(table1_system, optimal))
         assert report.max_violation <= 1e-9
         assert report.all_tight()
 
     def test_inflated_values_feasible_but_slack(self, table1_system):
-        optimal = simplex_solve(build_bellman_lp(table1_system)).values
+        optimal = lattice_solve(table1_system.scenario)
         report = verify_solution(optimal + 1.0, decision_values(table1_system, optimal + 1.0))
         assert report.feasible()
         # beta = 0: inflating leaves every constraint with slack exactly 1
@@ -276,7 +223,7 @@ class TestVerifySolution:
         assert not report.all_tight()
 
     def test_deflated_values_violate(self, table1_system):
-        optimal = simplex_solve(build_bellman_lp(table1_system)).values
+        optimal = lattice_solve(table1_system.scenario)
         report = verify_solution(optimal - 1.0, decision_values(table1_system, optimal - 1.0))
         assert not report.feasible()
         assert report.max_violation == pytest.approx(1.0)

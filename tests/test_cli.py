@@ -262,14 +262,14 @@ class TestSelfcheck:
     def test_builtin_passes(self, capsys):
         code, out, _ = run(capsys, "selfcheck", "--builtin", "table2_unique")
         assert code == 0
-        assert out.count("PASS") == 6
-        assert "PASS  dense_simplex_agreement: sup-norm gap" in out
+        assert out.count("PASS") == 5
+        assert "PASS  lp_vi_agreement: sup-norm gap" in out
 
-    def test_3x3_passes_without_the_dense_simplex(self, capsys, scenario_3x3):
+    def test_3x3_passes(self, capsys, scenario_3x3):
         code, out, _ = run(capsys, "selfcheck", "--scenario", str(scenario_3x3))
         assert code == 0
-        assert out.count("PASS") == 6
-        assert "dense_simplex_agreement: skipped: 10240 states over the dense limit" in out
+        assert out.count("PASS") == 5
+        assert "PASS  lp_vi_agreement: sup-norm gap" in out
 
     def test_broken_scenario_fails(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

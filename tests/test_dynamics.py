@@ -182,6 +182,14 @@ class TestSuccessors:
                 assert grants == {next_access_set(s.granted, s.request, act, D22)}
 
 
+def halve(row):
+    row *= 0.5
+
+
+def overfill(row):
+    row[0] = 1.25  # of four entries of 0.25
+
+
 class TestValidateStochastic:
     @pytest.mark.parametrize("behavior", list(RequestBehavior))
     def test_well_formed_models_pass(self, behavior):
@@ -195,3 +203,29 @@ class TestValidateStochastic:
         # every calm-state (state, action) pair loses mass
         assert len(violations) == 160
         assert all(v.total_mass == pytest.approx(0.8) for v in violations)
+
+    @pytest.mark.parametrize("statuses", [(0, 1), (1,)], ids=["both copies", "alert copy"])
+    @pytest.mark.parametrize(
+        "corrupt, mass, detail",
+        [
+            (halve, 0.5, "mass 0.5 != 1"),
+            (overfill, 2.0, "request probabilities [1.25] outside"),
+        ],
+        ids=["halved", "out of range"],
+    )
+    def test_broken_request_row_reported_for_its_states(self, statuses, corrupt, mass, detail):
+        # requests holds row x of R^a once per status; state (e, x) under a is
+        # backed up by copy e, so exactly the states of the corrupted copies
+        # are reported, under that action alone
+        system = compile_system(model(DRIFT, RequestBehavior.ALL))
+        dynamics, n, x = system.parts.dynamics, system.num_states, 5
+        requests = dynamics.requests.copy()
+        for e in statuses:
+            row = int(Action.ALLOW) * n + e * dynamics.size + x
+            corrupt(requests.data[requests.indptr[row] : requests.indptr[row + 1]])
+        parts = replace(system.parts, dynamics=replace(dynamics, requests=requests))
+        violations = validate_stochastic(parts.mix(DRIFT))
+        states = [system.space.index_state(e * dynamics.size + x) for e in statuses]
+        assert [(v.state, v.action) for v in violations] == [(s, Action.ALLOW) for s in states]
+        assert all(v.total_mass == pytest.approx(mass) for v in violations)
+        assert all(v.detail.startswith(detail) for v in violations)

@@ -284,35 +284,24 @@ class TestSelfCheck:
     def test_builtins_pass(self, name):
         checks = self_check(builtin_scenario(name))
         assert all(c.passed for c in checks), [c for c in checks if not c.passed]
-        for agreement in ("lp_vi_agreement", "dense_simplex_agreement"):
-            assert "(bound " in named(checks, agreement).detail
+        assert len(checks) == 5
+        assert "(bound " in named(checks, "lp_vi_agreement").detail
         assert "exceeds" in named(checks, "policy_agreement").detail
 
-    @pytest.mark.parametrize(
-        "target, module, attribute",
-        [
-            ("lp_vi_agreement", acmdp.policy, "policy_iterate"),
-            ("dense_simplex_agreement", acmdp.experiments, "simplex_solve"),
-        ],
-    )
-    def test_values_moved_by_ten_bounds_fail(self, monkeypatch, target, module, attribute):
-        # the LP's or the dense oracle's values, moved down by ten times the
-        # LP-VI bound; a move the dense certificate passes cannot fail the
-        # dense gap, which follows from the two certificates
+    def test_values_moved_by_ten_bounds_fail(self, monkeypatch):
+        # the LP's values, moved down by ten times the LP-VI bound
         sc = builtin_scenario("table2_once")
-        solve = getattr(module, attribute)
+        solve = acmdp.policy.policy_iterate
         lp_values = acmdp.solve_scenario(sc, "lp").values
         bound = VI_TOL + VERIFY_TOL / (1 - sc.beta) + rounding_allowance(lp_values, sc.beta)
 
         def moved(*args, **kwargs):
-            result = solve(*args, **kwargs)
-            if attribute == "policy_iterate":
-                return result[0] - 10 * bound, result[1]
-            return dataclasses.replace(result, values=result.values - 10 * bound)
+            values, bases = solve(*args, **kwargs)
+            return values - 10 * bound, bases
 
-        assert named(self_check(sc), target).passed
-        monkeypatch.setattr(module, attribute, moved)
-        assert not named(self_check(sc), target).passed
+        assert named(self_check(sc), "lp_vi_agreement").passed
+        monkeypatch.setattr(acmdp.policy, "policy_iterate", moved)
+        assert not named(self_check(sc), "lp_vi_agreement").passed
 
     @pytest.mark.parametrize("pick, passes", [(np.argmin, True), (np.argmax, False)])
     def test_one_flipped_decision_fails_above_the_floor(self, monkeypatch, pick, passes):
@@ -332,7 +321,7 @@ class TestSelfCheck:
         assert check.detail.startswith("0 " if passes else "1 ")
 
     def test_one_compile_per_call(self, monkeypatch):
-        # the stochasticity check, LP, VI and dense oracle read one matrix
+        # the stochasticity check, LP and VI read one compiled system
         build = acmdp.dynamics.request_dynamics
         calls = []
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracle import lattice_solve
 from test_bellman import small_scenario
 
-import acmdp.dynamics
+import acmdp.bellman
 import acmdp.value_iteration
 from acmdp import (
     Access,
@@ -27,7 +27,6 @@ from acmdp import (
     State,
     StateSpace,
     SweepSpec,
-    build_bellman_lp,
     builtin_scenario,
     compile_system,
     decision_values,
@@ -36,13 +35,12 @@ from acmdp import (
     import_values,
     policy_iterate,
     run_sweep,
-    simplex_solve,
+    self_check,
     solve_scenario,
     verify_solution,
 )
 from acmdp.bellman import VERIFY_TOL, rounding_allowance
 from acmdp.policy import FILE_HEADER, TIE_TOL, SolverError, ValueFileError, state_labels
-from acmdp.simplex import SimplexStatus
 from acmdp.value_iteration import DEFAULT_TOL as VI_TOL
 
 BOB_HIGH = Access(1, 1)
@@ -130,28 +128,31 @@ class TestOneKernel:
         self, kernel_calls, monkeypatch, behavior
     ):
         # one kernel call per backup, one pricing per value_iterate call (the
-        # grid's batch, then each bisection point), and no stacked matrix
-        def unassembled(*args):
-            raise AssertionError("a value-iteration sweep assembled a stacked matrix")
+        # grid's batch, then each bisection point), and no assembled P
+        def unassembled(self):
+            raise AssertionError("a value-iteration sweep assembled the transition matrices")
 
-        monkeypatch.setattr(acmdp.dynamics.RequestDynamics, "stack", unassembled)
+        monkeypatch.setattr(acmdp.bellman.BellmanSystem, "transitions", property(unassembled))
         result = run_sweep(SweepSpec(builtin_scenario(f"table2_{behavior}")), solver="vi")
         assert any(c.root is not None for c in result.crossovers)
         assert kernel_calls["solves"] > 1
         assert kernel_calls["inside"] == kernel_calls["backups"]
         assert kernel_calls["outside"] == kernel_calls["solves"]
 
-    def test_lp_solves_and_sweeps_assemble_no_stacked_matrix(self, monkeypatch):
-        def unassembled(*args):
-            raise AssertionError("an LP solve assembled a stacked matrix")
+    def test_lp_solves_sweeps_and_self_checks_assemble_no_transitions(self, monkeypatch):
+        def unassembled(self):
+            raise AssertionError("an LP solve or self-check assembled the transition matrices")
 
-        monkeypatch.setattr(acmdp.dynamics.RequestDynamics, "stack", unassembled)
+        monkeypatch.setattr(acmdp.bellman.BellmanSystem, "transitions", property(unassembled))
         for name in BUILTIN_NAMES:
             assert solve_scenario(builtin_scenario(name), "lp").max_residual <= VERIFY_TOL
         sc = small_scenario(3, 3, "once", "eps_accrues", rates=(0.1, 1.0))
         assert solve_scenario(sc, "lp").max_residual <= VERIFY_TOL
         result = run_sweep(SweepSpec(builtin_scenario("table2_once")), solver="lp")
         assert any(c.root is not None for c in result.crossovers)
+        # the stochasticity check reads the factors
+        for checked in (builtin_scenario("table2_all"), sc):
+            assert all(c.passed for c in self_check(checked))
 
 
 class TestExtractPolicy:
@@ -224,12 +225,6 @@ def assert_lp_agrees(solution, values, bound):
     assert report.all_tight()
 
 
-def dense_oracle(system):
-    result = simplex_solve(build_bellman_lp(system))
-    assert result.status is SimplexStatus.OPTIMAL
-    return result.values
-
-
 def vi_bound(values, beta):
     """Value iteration's proven error, tol, plus the rounding of it and of the LU."""
     return VI_TOL + rounding_allowance(values, beta)
@@ -240,7 +235,7 @@ def lattice_bound(solution, values):
 
     Each lies within its residual / (1 - beta) of the optimum (Puterman
     1994, sections 6.2-6.3), so the two lie within the sum of both
-    distances, plus the rounding of each; self_check's dense-simplex bound.
+    distances, plus the rounding of each.
     """
     system, beta = solution.system, solution.system.beta
     residual = verify_solution(solution.values, solution.dv).residual
@@ -249,32 +244,31 @@ def lattice_bound(solution, values):
 
 
 def test_import_leaves_sparse_linalg_unloaded():
-    # scipy.sparse.linalg, loaded with the package, cut the pdp_lookup
-    # benchmark's ops_per_s by 11-22%; neither the import nor an LP solve needs it
+    # neither the import nor an LP solve needs scipy.sparse.linalg or
+    # scipy.linalg, and loading them costs import time and memory
     src = str(Path(acmdp.__file__).resolve().parents[1])
     probe = (
         "import sys, acmdp; "
         "acmdp.solve_scenario(acmdp.builtin_scenario('table2_all'), 'lp'); "
-        "print('scipy.sparse.linalg' in sys.modules)"
+        "print(['scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert out.stdout.strip() == "False", out.stderr
+    assert out.stdout.strip() == "[False, False]", out.stderr
 
 
 class TestLpSolve:
     """solve_scenario(sc, "lp"): policy iteration on the sparse Bellman rows."""
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_builtins_match_dense_simplex(self, name):
+    def test_builtins_match_lattice_solve(self, name):
         solution = solve_scenario(builtin_scenario(name), "lp")
-        assert_lp_agrees(solution, dense_oracle(solution.system), 1e-9)
+        assert_lp_agrees(solution, lattice_solve(solution.scenario), 1e-9)
 
     @pytest.mark.parametrize("behavior", [b.value for b in RequestBehavior])
     @pytest.mark.parametrize("variant", [v.value for v in RewardVariant])
     def test_2x3_matches_lattice_solve(self, behavior, variant):
-        # the lattice solve builds its own system (tests/oracle.py) and, unlike
-        # the dense simplex, takes well under a second at 896 states
+        # the lattice solve builds its own system (tests/oracle.py)
         solution = solve_scenario(small_scenario(2, 3, behavior, variant), "lp")
         assert_lp_agrees(solution, lattice_solve(solution.scenario), 1e-9)
 
@@ -290,16 +284,14 @@ class TestLpSolve:
             (1, 2, "all", "eps_accrues", (1e-8, 1 - 1e-8), 0.99, 7),
         ],
     )
-    def test_ill_scaled_scenarios_match_dense_simplex(
+    def test_ill_scaled_scenarios_match_lattice_solve(
         self, users, resources, behavior, variant, rates, beta, seed
     ):
-        # probabilities near the simplex's pivot tolerance; before the oracle
-        # rebuilt its tableau, the first four came out unbounded, off by
-        # 1.4e-9, unbounded and infeasible, and before it rebuilt ahead of a
-        # small pivot element, the last three stopped on a singular basis
+        # calm-to-alert rates from 1e-9 to 1e-4, some with alert-to-alert
+        # rates within 1e-8 of 1
         sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
         solution = solve_scenario(sc, "lp")
-        assert_lp_agrees(solution, dense_oracle(solution.system), 1e-9)
+        assert_lp_agrees(solution, lattice_solve(sc), 1e-9)
 
     def test_3x3_matches_value_iteration(self):
         sc = small_scenario(3, 3, "all", "eps_zero", rates=(0.1, 1.0))
@@ -382,10 +374,10 @@ class TestLpSolve:
     ):
         sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
         solution = solve_scenario(sc, "lp")
+        values = lattice_solve(sc)
         if sc.dims.num_access_bits < 6:
-            assert_lp_agrees(solution, dense_oracle(solution.system), 1e-9)
-        else:  # 896 states: the dense simplex would take seconds a case
-            values = lattice_solve(sc)
+            assert_lp_agrees(solution, values, 1e-9)
+        else:  # 896 states
             assert_lp_agrees(solution, values, lattice_bound(solution, values))
         vi = solve_scenario(sc, "vi")
         assert_lp_agrees(solution, vi.values, vi_bound(vi.values, beta))
