@@ -76,6 +76,12 @@ class TestCompile:
     def test_immediate_rewards_shape(self, table2_system):
         assert table2_system.q.shape == (2, 160)
 
+    def test_transitions_are_assembled_on_first_use_and_kept(self):
+        system = compile_system(builtin_scenario("table2_once"))
+        assert "transitions" not in vars(system)
+        first = system.transitions
+        assert system.transitions is first
+
 
 class TestFactoredCompile:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -221,6 +227,21 @@ class TestVerifySolution:
         # beta = 0: inflating leaves every constraint with slack exactly 1
         assert np.all(report.min_slack >= 1.0 - 1e-12)
         assert not report.all_tight()
+
+    @pytest.mark.parametrize("name", ["table2_unique", "table2_all", "modified_once"])
+    def test_residual_bounds_the_distance_to_the_optimum(self, name):
+        # contraction: ||V - V*|| <= ||V - TV|| / (1 - beta) for any V, the
+        # bound that lets the certificate stand in for a second exact solver;
+        # 1e-10 covers the oracle's own error and the kernel's rounding
+        system = compile_system(builtin_scenario(name))
+        optimal = lattice_solve(system.scenario)
+        rng = np.random.default_rng(11)
+        for scale in (1e-6, 1e-2, 10.0):
+            # a uniform shift is slack everywhere and meets the bound exactly
+            for values in (optimal + rng.normal(scale=scale, size=optimal.shape), optimal + scale):
+                report = verify_solution(values, decision_values(system, values))
+                distance = np.max(np.abs(values - optimal))
+                assert 0.0 < distance <= report.residual / (1 - system.beta) + 1e-10
 
     def test_deflated_values_violate(self, table1_system):
         optimal = lattice_solve(table1_system.scenario)

@@ -12,6 +12,7 @@ from oracle import (
 )
 
 from acmdp import (
+    BUILTIN_NAMES,
     Access,
     Action,
     Emergency,
@@ -195,6 +196,16 @@ class TestValidateStochastic:
     def test_well_formed_models_pass(self, behavior):
         assert validate_stochastic(compile_system(model(DRIFT, behavior))) == []
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins_pass_at_extreme_rates(self, name):
+        # rates of 0 and 1 leave zeros in E, which the check accepts
+        sc = builtin_scenario(name)
+        emergencies = [sc.emergency] + [
+            EmergencyMatrix.from_rates(p, q) for p in (0.0, 1.0) for q in (0.0, 1.0)
+        ]
+        for emergency in emergencies:
+            assert validate_stochastic(compile_system(replace(sc, emergency=emergency))) == []
+
     def test_broken_matrix_reported_everywhere(self):
         # bypass the constructor check to simulate a corrupted model
         broken = EmergencyMatrix.__new__(EmergencyMatrix)
@@ -227,5 +238,38 @@ class TestValidateStochastic:
         violations = validate_stochastic(parts.mix(DRIFT))
         states = [system.space.index_state(e * dynamics.size + x) for e in statuses]
         assert [(v.state, v.action) for v in violations] == [(s, Action.ALLOW) for s in states]
+        assert all(v.total_mass == pytest.approx(mass) for v in violations)
+        assert all(v.detail.startswith(detail) for v in violations)
+
+    @pytest.mark.parametrize(
+        "rows, status, mass, detail",
+        [
+            (((0.9, 0.1), (0.3, 0.2)), Emergency.ALERT, 0.5, "mass 0.5 != 1"),
+            (
+                ((1.25, -0.25), (0.0, 1.0)),
+                Emergency.CALM,
+                1.0,
+                "emergency probabilities [1.25, -0.25] outside",
+            ),
+            (
+                ((0.9, 0.1), (-0.5, 1.5)),
+                Emergency.ALERT,
+                1.0,
+                "emergency probabilities [-0.5, 1.5] outside",
+            ),
+        ],
+        ids=["alert row halved", "calm row out of range", "alert row out of range"],
+    )
+    def test_broken_emergency_row_reported_for_its_status(self, rows, status, mass, detail):
+        # row e of E scales every state of status e, under both actions; the
+        # other status's states stay clean even when the row sums to 1
+        broken = EmergencyMatrix.__new__(EmergencyMatrix)
+        object.__setattr__(broken, "rows", rows)
+        system = compile_system(model(broken, RequestBehavior.ONCE))
+        violations = validate_stochastic(system)
+        states = [system.space.index_state(i) for i in range(system.num_states)]
+        assert [(v.state, v.action) for v in violations] == [
+            (s, act) for s in states if s.emergency == status for act in ACTIONS
+        ]
         assert all(v.total_mass == pytest.approx(mass) for v in violations)
         assert all(v.detail.startswith(detail) for v in violations)

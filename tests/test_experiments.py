@@ -288,8 +288,9 @@ class TestSelfCheck:
         assert "(bound " in named(checks, "lp_vi_agreement").detail
         assert "exceeds" in named(checks, "policy_agreement").detail
 
-    def test_values_moved_by_ten_bounds_fail(self, monkeypatch):
-        # the LP's values, moved down by ten times the LP-VI bound
+    @pytest.mark.parametrize("shift", [-10, 10], ids=["down", "up"])
+    def test_values_moved_by_ten_bounds_fail(self, monkeypatch, shift):
+        # the LP's values, moved down or up by ten times the LP-VI bound
         sc = builtin_scenario("table2_once")
         solve = acmdp.policy.policy_iterate
         lp_values = acmdp.solve_scenario(sc, "lp").values
@@ -297,7 +298,7 @@ class TestSelfCheck:
 
         def moved(*args, **kwargs):
             values, bases = solve(*args, **kwargs)
-            return values - 10 * bound, bases
+            return values + shift * bound, bases
 
         assert named(self_check(sc), "lp_vi_agreement").passed
         monkeypatch.setattr(acmdp.policy, "policy_iterate", moved)
@@ -338,6 +339,23 @@ class TestSelfCheck:
         sc = dataclasses.replace(builtin_scenario("table2_unique"), beta=0.99)
         checks = self_check(sc)
         assert all(c.passed for c in checks)
+
+    def test_broken_request_row_fails_stochasticity(self, monkeypatch):
+        # halve one row of the request factor: the check reads the factors
+        # the solvers read, so self_check stops before solving
+        build = acmdp.bellman.request_dynamics
+
+        def corrupted(*args):
+            dynamics = build(*args)
+            requests = dynamics.requests.copy()
+            requests.data[requests.indptr[5] : requests.indptr[6]] *= 0.5
+            return dataclasses.replace(dynamics, requests=requests)
+
+        monkeypatch.setattr(acmdp.bellman, "request_dynamics", corrupted)
+        checks = self_check(builtin_scenario("table2_all"))
+        assert [c.name for c in checks] == ["stochasticity"]
+        assert not checks[0].passed
+        assert checks[0].detail == "1 violations, first: mass 0.5 != 1"
 
     def test_broken_matrix_fails_stochasticity(self):
         from acmdp import EmergencyMatrix
