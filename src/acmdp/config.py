@@ -1,19 +1,27 @@
 """Scenario files: a small sectioned key-value format, plus built-ins.
 
 The format is deliberately plain so files stay diff-friendly and auditable:
-sections in brackets, `key = value` lines, `#` comments, and numbers
-restricted to optionally signed decimals (no exponents).
+sections in brackets (a section may be reopened), `key = value` lines, `#`
+comments, and numbers restricted to optionally signed decimals (no exponents).
+parse_scenario reads a file in two passes: every line into the entries that
+_SECTIONS allows, then the entries into a Scenario.  It refuses unknown
+sections and keys and reports every violation together, each with its line
+where it has one.  Labels obey rewards.check_labels, so every Scenario renders
+to a file that parses back to it and exports a table that import_values reads.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 import re
+from typing import Any, Callable
 
 import numpy as np
 
 from .dynamics import EmergencyMatrix, RequestBehavior
-from .rewards import RewardTables, RewardVariant, Scenario
+from .rewards import RewardTables, RewardVariant, Scenario, check_labels
 from .states import ModelDims
 
 _NUMBER_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
@@ -38,177 +46,123 @@ class ScenarioParseError(ValueError):
         super().__init__(f"{source}: " + "; ".join(errors))
 
 
-class _Collector:
-    def __init__(self) -> None:
-        self.errors: list[str] = []
+_RATES = ("calm_to_alert", "alert_to_alert")
 
-    def add(self, line: int, msg: str) -> None:
-        self.errors.append(f"line {line}: {msg}")
+# Each line of a section is `names = value`: shape names the words left of '=',
+# keys the names allowed (None: any label; pass 2 checks it against [model]).
+_SECTIONS: dict[str, tuple[tuple[str, ...], tuple[str, ...] | None]] = {
+    "model": (("name",), ("users", "resources", "beta", "behavior", "reward_variant")),
+    "emergency": (("name",), _RATES),
+    "reward_access": (("user", "resource"), None),
+    "reward_resource": (("resource",), None),
+}
+
+_INTERVALS = {"[0, 1]": lambda x: 0.0 <= x <= 1.0, "[0, 1)": lambda x: 0.0 <= x < 1.0}
+
+Entry = tuple[str, int]  # value text, line number
 
 
-def _parse_number(text: str, line: int, errs: _Collector) -> float | None:
-    if not _NUMBER_RE.match(text):
-        errs.add(line, f"malformed number {text!r} (signed decimal, no exponent)")
-        return None
-    return float(text)
-
-
-def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
-    """Parse and fully validate a scenario file; raises ScenarioParseError."""
-    errs = _Collector()
+def _read_entries(text: str, errors: list[str]) -> dict[str, dict[tuple[str, ...], Entry]]:
+    """Pass 1: entries[section][names] for every line, recording each misplaced line."""
+    entries: dict[str, dict[tuple[str, ...], Entry]] = {name: {} for name in _SECTIONS}
     section = None
-    model: dict[str, tuple[list[str], int]] = {}
-    emergency: dict[str, tuple[float, int]] = {}
-    reward_access: dict[tuple[str, str], float] = {}
-    reward_resource: dict[str, float] = {}
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in ("model", "emergency", "reward_access", "reward_resource"):
-                errs.add(lineno, f"unknown section [{section}]")
+            if section not in _SECTIONS:
+                errors.append(f"line {lineno}: unknown section [{section}]")
                 section = None
             continue
         if section is None:
-            errs.add(lineno, f"content outside any known section: {line!r}")
-            continue
-        if "=" not in line:
-            errs.add(lineno, f"expected 'key = value', got {line!r}")
-            continue
-        left, right = (part.strip() for part in line.split("=", 1))
-        keys = left.split()
-        values = right.split()
-
-        if section == "model":
-            if len(keys) != 1:
-                errs.add(lineno, f"model keys take a single name, got {left!r}")
-                continue
-            if keys[0] in model:
-                errs.add(lineno, f"duplicate model key {keys[0]!r}")
-                continue
-            model[keys[0]] = (values, lineno)
-        elif section == "emergency":
-            if len(keys) != 1 or keys[0] not in ("calm_to_alert", "alert_to_alert"):
-                errs.add(lineno, f"unknown emergency key {left!r}")
-                continue
-            if keys[0] in emergency:
-                errs.add(lineno, f"duplicate emergency key {keys[0]!r}")
-                continue
-            value = _parse_number(right, lineno, errs)
-            if value is None:
-                continue
-            if not 0.0 <= value <= 1.0:
-                errs.add(lineno, f"{keys[0]} = {right} outside [0, 1]")
-                continue
-            emergency[keys[0]] = (value, lineno)
-        elif section == "reward_access":
-            if len(keys) != 2:
-                errs.add(lineno, f"reward_access lines are 'user resource = value', got {line!r}")
-                continue
-            if (keys[0], keys[1]) in reward_access:
-                errs.add(lineno, f"duplicate reward_access entry {keys[0]} {keys[1]}")
-                continue
-            value = _parse_number(right, lineno, errs)
-            if value is not None:
-                reward_access[(keys[0], keys[1])] = value
-        else:  # reward_resource
-            if len(keys) != 1:
-                errs.add(lineno, f"reward_resource lines are 'resource = value', got {line!r}")
-                continue
-            if keys[0] in reward_resource:
-                errs.add(lineno, f"duplicate reward_resource entry {keys[0]}")
-                continue
-            value = _parse_number(right, lineno, errs)
-            if value is not None:
-                reward_resource[keys[0]] = value
-
-    def model_value(key: str) -> tuple[list[str] | None, int]:
-        if key not in model:
-            errs.add(0, f"missing [model] key {key!r}")
-            return None, 0
-        return model[key]
-
-    users, users_line = model_value("users")
-    resources, resources_line = model_value("resources")
-    beta_tokens, beta_line = model_value("beta")
-    behavior_tokens, behavior_line = model_value("behavior")
-    variant_tokens, variant_line = model_value("reward_variant")
-
-    if users is not None and len(set(users)) != len(users):
-        errs.add(users_line, "duplicate user labels")
-    if resources is not None and len(set(resources)) != len(resources):
-        errs.add(resources_line, "duplicate resource labels")
-
-    beta = None
-    if beta_tokens is not None:
-        beta = _parse_number(" ".join(beta_tokens), beta_line, errs)
-        if beta is not None and not 0.0 <= beta < 1.0:
-            errs.add(beta_line, f"beta = {beta} outside [0, 1)")
-            beta = None
-
-    behavior = None
-    if behavior_tokens is not None:
-        try:
-            behavior = RequestBehavior(" ".join(behavior_tokens))
-        except ValueError:
-            errs.add(behavior_line, f"unknown behavior {' '.join(behavior_tokens)!r}")
-
-    variant = None
-    if variant_tokens is not None:
-        try:
-            variant = RewardVariant(" ".join(variant_tokens))
-        except ValueError:
-            errs.add(variant_line, f"unknown reward_variant {' '.join(variant_tokens)!r}")
-
-    for key in ("calm_to_alert", "alert_to_alert"):
-        if key not in emergency:
-            errs.add(0, f"missing [emergency] key {key!r}")
-
-    if users is not None and resources is not None and not errs.errors:
-        access_tab: dict[tuple[int, int], float] = {}
-        for (uname, rname), value in reward_access.items():
-            if uname not in users:
-                errs.add(0, f"reward_access entry for undeclared user {uname!r}")
-            elif rname not in resources:
-                errs.add(0, f"reward_access entry for undeclared resource {rname!r}")
+            problem = f"content outside any known section: {line!r}"
+        elif "=" not in line:
+            problem = f"expected 'key = value', got {line!r}"
+        else:
+            shape, keys = _SECTIONS[section]
+            left, value = (part.strip() for part in line.split("=", 1))
+            names = tuple(left.split())
+            if len(names) != len(shape):
+                problem = f"[{section}] lines are '{' '.join(shape)} = value', got {line!r}"
+            elif keys is not None and names[0] not in keys:
+                problem = f"unknown [{section}] key {left!r}"
+            elif names in entries[section]:
+                problem = f"duplicate [{section}] entry {left!r}"
             else:
-                access_tab[(users.index(uname), resources.index(rname))] = value
-        for uname in users:
-            for rname in resources:
-                if uname in users and rname in resources:
-                    if (uname, rname) not in reward_access:
-                        errs.add(0, f"missing reward_access entry for {uname} {rname}")
-        resource_tab = []
-        for rname in resources:
-            if rname not in reward_resource:
-                errs.add(0, f"missing reward_resource entry for {rname}")
-            else:
-                resource_tab.append(reward_resource[rname])
-        for rname in reward_resource:
-            if rname not in resources:
-                errs.add(0, f"reward_resource entry for undeclared resource {rname!r}")
+                entries[section][names] = (value, lineno)
+                continue
+        errors.append(f"line {lineno}: {problem}")
+    return entries
 
-        if not errs.errors:
-            try:
-                return Scenario(
-                    dims=ModelDims(len(users), len(resources)),
-                    user_names=tuple(users),
-                    resource_names=tuple(resources),
-                    rewards=RewardTables(access_tab, tuple(resource_tab)),
-                    emergency=EmergencyMatrix.from_rates(
-                        emergency["calm_to_alert"][0], emergency["alert_to_alert"][0]
-                    ),
-                    behavior=behavior,
-                    variant=variant,
-                    beta=beta,
-                )
-            except ValueError as exc:
-                errs.add(0, str(exc))
 
-    raise ScenarioParseError(source, errs.errors)
+def _number(text: str, interval: str | None = None) -> float:
+    """The signed decimal text is, checked against interval ("[0, 1]" or "[0, 1)")."""
+    if not _NUMBER_RE.match(text) or not math.isfinite(float(text)):
+        raise ValueError(f"malformed number {text!r} (finite signed decimal, no exponent)")
+    if interval is not None and not _INTERVALS[interval](float(text)):
+        raise ValueError(f"{text} outside {interval}")
+    return float(text)
+
+
+def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
+    """Parse and fully validate a scenario file; raises ScenarioParseError."""
+    errors: list[str] = []
+    entries = _read_entries(text, errors)
+
+    def value(section: str, names: tuple[str, ...], convert: Callable[[str], Any]) -> Any:
+        """Pass 2: convert(value text) of an entry, or None after recording why not."""
+        if names not in entries[section]:
+            errors.append(f"missing [{section}] entry {' '.join(names)}")
+            return None
+        text, line = entries[section][names]
+        try:
+            return convert(text)
+        except ValueError as exc:
+            errors.append(f"line {line}: {' '.join(names)}: {exc}")
+            return None
+
+    def table(section: str, axes: tuple[tuple[str, ...] | None, ...]) -> dict:
+        """The section's numbers by label indices, one for each combination of labels."""
+        for names, (_, line) in entries[section].items():
+            for kind, name, axis in zip(_SECTIONS[section][0], names, axes):
+                if axis is not None and name not in axis:
+                    errors.append(f"line {line}: undeclared {kind} {name!r}")
+        if None in axes:  # without the labels only the numbers can be checked
+            for names in entries[section]:
+                value(section, names, _number)
+            return {}
+        indices = itertools.product(*(range(len(axis)) for axis in axes))
+        labels = itertools.product(*axes)
+        return {i: value(section, names, _number) for i, names in zip(indices, labels)}
+
+    users = value("model", ("users",), lambda t: check_labels("user", tuple(t.split())))
+    resources = value(
+        "model", ("resources",), lambda t: check_labels("resource", tuple(t.split()))
+    )
+    beta = value("model", ("beta",), lambda t: _number(t, "[0, 1)"))
+    behavior = value("model", ("behavior",), RequestBehavior)
+    variant = value("model", ("reward_variant",), RewardVariant)
+    rates = [value("emergency", (key,), lambda t: _number(t, "[0, 1]")) for key in _RATES]
+    access = table("reward_access", (users, resources))
+    penalties = table("reward_resource", (resources,))
+
+    if not errors:
+        try:
+            return Scenario(
+                dims=ModelDims(len(users), len(resources)),
+                user_names=users,
+                resource_names=resources,
+                rewards=RewardTables(access, tuple(penalties.values())),
+                emergency=EmergencyMatrix.from_rates(*rates),
+                behavior=behavior,
+                variant=variant,
+                beta=beta,
+            )
+        except ValueError as exc:
+            errors.append(str(exc))
+    raise ScenarioParseError(source, errors)
 
 
 def _fmt_num(x: float) -> str:

@@ -15,6 +15,8 @@ immediate_reward) as the reference.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,6 +56,30 @@ class RewardTables:
                 f"reward_resource has {len(self.reward_resource)} entries, "
                 f"expected {dims.num_resources}"
             )
+        rewards = (*self.reward_access.values(), *self.reward_resource)
+        if not all(map(math.isfinite, rewards)):
+            raise ValueError(f"rewards must be finite, got {rewards}")
+
+
+# Labels are written into both file formats: scenario lines split on whitespace and
+# read '#', '=' and brackets as syntax; value-table rows split on ',' and name the
+# empty request 'eps'; and eval names an access 'user:resource'.
+_LABEL_RE = re.compile(r"[^\s#=,:\[\]]+")
+
+
+def check_labels(kind: str, names: tuple[str, ...]) -> tuple[str, ...]:
+    """names, if they can be a scenario's user or resource labels (kind says which)."""
+    if not names:
+        raise ValueError(f"no {kind} labels")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate {kind} labels")
+    for name in names:
+        if name == "eps" or not _LABEL_RE.fullmatch(name):
+            raise ValueError(
+                f"bad {kind} label {name!r}: a label is not 'eps' and has no whitespace "
+                f"and none of # = , : [ ]"
+            )
+    return names
 
 
 @dataclass(frozen=True)
@@ -74,10 +100,8 @@ class Scenario:
             raise ValueError("user label count does not match dimensions")
         if len(self.resource_names) != self.dims.num_resources:
             raise ValueError("resource label count does not match dimensions")
-        if len(set(self.user_names)) != len(self.user_names):
-            raise ValueError("duplicate user labels")
-        if len(set(self.resource_names)) != len(self.resource_names):
-            raise ValueError("duplicate resource labels")
+        check_labels("user", self.user_names)
+        check_labels("resource", self.resource_names)
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta {self.beta} outside [0, 1)")
         self.rewards.check(self.dims)

@@ -1,18 +1,28 @@
+import string
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acmdp import (
     BUILTIN_NAMES,
     EmergencyMatrix,
+    ModelDims,
     RequestBehavior,
+    RewardTables,
     RewardVariant,
+    Scenario,
     ScenarioParseError,
     builtin_scenario,
     compile_system,
+    export_values,
+    import_values,
     parse_scenario,
     render_scenario,
     scenario_fingerprint,
+    solve_scenario,
     validate_stochastic,
 )
 
@@ -70,10 +80,31 @@ class TestParse:
         assert any("bob low" in e for e in errs)
 
     def test_undeclared_label(self):
-        bad = SAMPLE_FILE + "\n[reward_resource]\n"  # duplicate section is fine to reopen
         bad = SAMPLE_FILE.replace("bob low = 4", "carol low = 4\nbob low = 4")
         errs = errors_of(bad)
         assert any("carol" in e for e in errs)
+
+    def test_reopened_section(self):
+        moved = SAMPLE_FILE.replace("reward_variant = eps_zero\n", "")
+        moved += "[model]\nreward_variant = eps_zero\n"
+        assert parse_scenario(moved) == parse_scenario(SAMPLE_FILE)
+
+    def test_duplicate_across_reopened_section(self):
+        errs = errors_of(SAMPLE_FILE + "[model]\nbeta = 0.5\n")
+        assert errs == ["line 23: duplicate [model] entry 'beta'"]
+
+    def test_unknown_model_key(self):
+        bad = SAMPLE_FILE.replace("beta = 0.9", "beta = 0.9\ncolour = blue")
+        assert errors_of(bad) == ["line 6: unknown [model] key 'colour'"]
+
+    @pytest.mark.parametrize("key, line", [("users", 3), ("resources", 4)])
+    def test_empty_label_list_reported_once(self, key, line):
+        bad = SAMPLE_FILE.replace(f"{key} = ", f"{key} = \n# was: ")
+        assert errors_of(bad) == [f"line {line}: {key}: no {key[:-1]} labels"]
+
+    def test_number_too_large_for_a_float(self):
+        bad = SAMPLE_FILE.replace("low = 0", "low = 1" + "0" * 400)
+        assert any(e.startswith("line 21: low: malformed number") for e in errors_of(bad))
 
     def test_duplicate_labels(self):
         bad = SAMPLE_FILE.replace("users = alice bob", "users = alice alice")
@@ -102,6 +133,92 @@ class TestParse:
         )
         errs = errors_of(bad)
         assert len(errs) >= 2
+
+
+# one label of each kind that a file format cannot carry
+REFUSED_LABELS = ["eps", "a,b", "a:b", "a=b", "[a", "a]", "a b", "a\tb", "a#b", ""]
+# whitespace and '#' never reach the parser inside a label: [model] values
+# split on whitespace and '#' starts a comment
+PARSER_REFUSED = [x for x in REFUSED_LABELS if x.split() == [x] and "#" not in x]
+
+
+class TestLabels:
+    @pytest.mark.parametrize("label", PARSER_REFUSED)
+    @pytest.mark.parametrize("key, line", [("users", 3), ("resources", 4)])
+    def test_parser_refuses_at_the_label_line(self, label, key, line):
+        errs = errors_of(SAMPLE_FILE.replace(f"{key} = ", f"{key} = {label} "))
+        assert len(errs) == 1
+        assert errs[0].startswith(f"line {line}: {key}: bad {key[:-1]} label {label!r}")
+
+    @pytest.mark.parametrize("label", REFUSED_LABELS)
+    def test_scenario_refuses(self, label):
+        sc = builtin_scenario("table2_once")
+        with pytest.raises(ValueError, match="bad user label"):
+            replace(sc, user_names=(label, "bob"))
+        with pytest.raises(ValueError, match="bad resource label"):
+            replace(sc, resource_names=("low", label))
+
+
+class TestNonFiniteRewards:
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_scenario_refuses(self, bad):
+        sc = builtin_scenario("table2_once")
+        with pytest.raises(ValueError, match="finite"):
+            replace(sc, rewards=RewardTables(sc.rewards.reward_access, (0.0, bad)))
+        access = {**sc.rewards.reward_access, (1, 1): bad}
+        with pytest.raises(ValueError, match="finite"):
+            replace(sc, rewards=RewardTables(access, sc.rewards.reward_resource))
+
+
+def test_readme_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("\n## Scenario files\n", 1)[1].split("```")[1]
+    assert parse_scenario(example) == builtin_scenario("table2_once")
+
+
+# printable ASCII that a label may use: no whitespace and none of # = , : [ ]
+LABEL_CHARS = string.ascii_letters + string.digits + "".join(
+    c for c in string.punctuation if c not in "#=,:[]"
+)
+labels = st.lists(
+    st.text(LABEL_CHARS, min_size=1, max_size=4).filter(lambda x: x != "eps"),
+    min_size=1,
+    max_size=2,
+    unique=True,
+)
+rewards = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def scenarios(draw):
+    users, resources = draw(labels), draw(labels)
+    dims = ModelDims(len(users), len(resources))
+    return Scenario(
+        dims=dims,
+        user_names=tuple(users),
+        resource_names=tuple(resources),
+        rewards=RewardTables(
+            {(a.user, a.resource): draw(rewards) for a in dims.accesses()},
+            tuple(draw(rewards) for _ in resources),
+        ),
+        emergency=EmergencyMatrix.from_rates(draw(st.floats(0, 1)), draw(st.floats(0, 1))),
+        behavior=draw(st.sampled_from(RequestBehavior)),
+        variant=draw(st.sampled_from(RewardVariant)),
+        beta=draw(st.floats(0, 1, exclude_max=True)),
+    )
+
+
+class TestRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(sc=scenarios())
+    def test_render_parses_back_and_exports_import(self, sc, tmp_path_factory):
+        assert parse_scenario(render_scenario(sc)) == sc
+        if sc.dims.num_users == 1:
+            path = tmp_path_factory.mktemp("values") / "values.txt"
+            export_values(solve_scenario(sc), path)
+            loaded = import_values(path, scenario=sc)
+            assert loaded.user_names == sc.user_names
+            assert loaded.resource_names == sc.resource_names
 
 
 class TestBuiltins:
