@@ -59,12 +59,12 @@ _SECTIONS: dict[str, tuple[tuple[str, ...], tuple[str, ...] | None]] = {
 
 _INTERVALS = {"[0, 1]": lambda x: 0.0 <= x <= 1.0, "[0, 1)": lambda x: 0.0 <= x < 1.0}
 
-Entry = tuple[str, int]  # value text, line number
+_Entry = tuple[str, int]  # value text, line number
 
 
-def _read_entries(text: str, errors: list[str]) -> dict[str, dict[tuple[str, ...], Entry]]:
+def _read_entries(text: str, errors: list[str]) -> dict[str, dict[tuple[str, ...], _Entry]]:
     """Pass 1: entries[section][names] for every line, recording each misplaced line."""
-    entries: dict[str, dict[tuple[str, ...], Entry]] = {name: {} for name in _SECTIONS}
+    entries: dict[str, dict[tuple[str, ...], _Entry]] = {name: {} for name in _SECTIONS}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -98,7 +98,7 @@ def _read_entries(text: str, errors: list[str]) -> dict[str, dict[tuple[str, ...
 
 
 def _number(text: str, interval: str | None = None) -> float:
-    """The signed decimal text is, checked against interval ("[0, 1]" or "[0, 1)")."""
+    """The finite signed decimal that text writes, checked against interval if given."""
     if not _NUMBER_RE.match(text) or not math.isfinite(float(text)):
         raise ValueError(f"malformed number {text!r} (finite signed decimal, no exponent)")
     if interval is not None and not _INTERVALS[interval](float(text)):
