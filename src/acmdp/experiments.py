@@ -6,20 +6,21 @@ decision values of every access from the calm, nothing-granted states.
 Crossovers (where allow overtakes deny) are bracketed on the grid and then
 pinned down by bisection.  Only the emergency matrix E changes along a
 sweep, so the scenario is compiled once and every point mixes its E into
-the E-free parts, which can change nothing else.  Value iteration solves
-the whole grid as one batch (bellman.SystemParts.mix_batch) and each
-bisection point as a batch of one; the LP mixes and solves each point on
-its own (bellman.SystemParts.mix).
+the E-free parts, which can change nothing else.  The solver decides only
+how the grid's values are computed: value iteration solves the whole grid
+as one batch (bellman.SystemParts.mix_batch), the LP (policy.policy_iterate)
+each point on its own (bellman.SystemParts.mix).  One kernel call on the
+batch then prices the grid for both, and every bisection takes one path.
 
-Grid points are solved to VI_TOL, since their decision values are
-reported.  Of a bisection point only the sign of one access's gap
-allow - deny is read, so it is solved down the SIGN_TOLS ladder instead,
-each rung starting from the last one's values.  Values within tol of the
-optimum V* move each decision value q^a + beta P^a V by at most
-beta tol from its optimal one, so a gap whose size exceeds
-2 beta (tol + rounding_allowance) has the sign of the optimal gap, and
-the point stops there.  At the last rung, VI_TOL, the sign is taken as
-computed, as it is for every grid point.
+Grid points are solved to the solver's default tolerance, since their
+decision values are reported.  Of a bisection point only the sign of one
+access's gap allow - deny is read, so it is a batch of one solved by value
+iteration down the SIGN_TOLS ladder instead, each rung starting from the
+last one's values.  Values within tol of the optimum V* move each decision
+value q^a + beta P^a V by at most beta tol from its optimal one, so a gap
+whose size exceeds 2 beta (tol + rounding_allowance) has the sign of the
+optimal gap, and the point stops there.  At the last rung, VI_TOL, the
+sign is taken as computed, as the LP takes its own at a grid point.
 
 self_check compiles a scenario once and runs five checks on that system:
 stochasticity of its factors, the LP's feasibility and tightness, and the
@@ -32,12 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .bellman import (
     VERIFY_TOL,
+    SystemParts,
     compile_system,
     decision_values,
     rounding_allowance,
@@ -45,14 +46,14 @@ from .bellman import (
     verify_solution,
 )
 from .dynamics import EmergencyMatrix
-from .policy import TIE_TOL, extract_policy, solve_system
+from .policy import TIE_TOL, policy_iterate, solve_system
 from .rewards import Scenario
 from .states import Access, Action, Emergency
 from .value_iteration import DEFAULT_TOL as VI_TOL, value_iterate
 
 CROSSOVER_WIDTH = 1e-4
 GRID_SLACK = 1e-9
-# the tolerances a value-iteration bisection point is solved to, in turn,
+# the tolerances a bisection point is solved to by value iteration, in turn,
 # until the sign of its gap is proven; the last one takes it as computed
 SIGN_TOLS = (1e-3, 1e-6, VI_TOL)
 
@@ -67,13 +68,16 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.start <= self.stop <= 1.0:
             raise ValueError(f"grid [{self.start}, {self.stop}] must sit inside [0, 1]")
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
 
     def grid(self) -> list[float]:
         """start, start + step, ... below stop, then stop itself."""
-        # a step count within GRID_SLACK of a whole number is that number
+        # a step count within GRID_SLACK of a whole number is that number,
+        # but never zero while start lies below stop
         steps = math.ceil((self.stop - self.start) / self.step - GRID_SLACK)
+        if self.start < self.stop:
+            steps = max(steps, 1)
         return [self.start + i * self.step for i in range(steps)] + [self.stop]
 
 
@@ -108,12 +112,27 @@ def _first_crossing(gaps: np.ndarray) -> int | None:
 
 
 def _bisect(
-    gap_at: Callable[[float], float], lo: float, hi: float, f_lo: float
+    parts: SystemParts, state: int, lo: float, hi: float, f_lo: float, values: np.ndarray
 ) -> tuple[float, tuple[float, float]]:
-    """Halve [lo, hi] to CROSSOVER_WIDTH; allow - deny (gap_at) differs in sign at its ends."""
+    """Halve [lo, hi] to CROSSOVER_WIDTH; allow - deny at state differs in sign at its ends.
+
+    f_lo is the gap at lo and values, (n, 1), the values there.  Each point
+    is a batch of one mixed into parts, solved down SIGN_TOLS from the last
+    values solved until the sign of its gap is proven (see the module docstring).
+    """
+    beta = parts.scenario.beta
+    alert_to_alert = parts.scenario.emergency.prob_alert_to_alert
     while hi - lo > CROSSOVER_WIDTH:
         mid = 0.5 * (lo + hi)
-        f_mid = gap_at(mid)
+        point = parts.mix_batch([EmergencyMatrix.from_rates(mid, alert_to_alert)])
+        for tol in SIGN_TOLS:
+            values, _ = value_iterate(point, tol=tol, start=values)
+            dv = decision_values(point, values)[:, state, 0]
+            f_mid = float(dv[Action.ALLOW] - dv[Action.DENY])
+            # the values lie within tol + rounding of the optimum, and each
+            # decision value q^a + beta P^a V within beta times that of its own
+            if abs(f_mid) > 2.0 * beta * (tol + rounding_allowance(values, beta)):
+                break
         if f_mid == 0.0:
             return mid, (lo, hi)
         if (f_lo < 0) == (f_mid < 0):
@@ -126,64 +145,34 @@ def _bisect(
 def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
     """Solve every grid point, then bisect each bracketed crossover.
 
-    The scenario is compiled once.  Value iteration solves the whole grid
-    as one batch (SystemParts.mix_batch) to VI_TOL and prices it with one
-    kernel call.  A crossover is the first grid point where allow - deny is
-    exactly zero, or else the first pair of neighbours whose gaps differ in
-    sign, which is then bisected.  Each value-iteration bisection point is
-    a batch of one, solved down the SIGN_TOLS ladder until the sign of its
-    gap is proven (see the module docstring).  Its first solve starts from
-    the values of the lower grid point of its bracket or of the previous
-    bisection point, and each tighter one from the point's own looser
-    values.  The LP solves each point on its own.
+    The scenario is compiled once and the grid mixed as one batch
+    (SystemParts.mix_batch).  Value iteration solves the batch to VI_TOL;
+    the LP solves each point exactly (policy_iterate).  One kernel call
+    prices the grid for both.  A crossover is the first grid point where
+    allow - deny is exactly zero, or else the first pair of neighbours whose
+    gaps differ in sign, which is then bisected (_bisect) by either solver
+    alike.  A bisection's first point starts from the values of the lower
+    grid point of its bracket, and each later one from the previous point's.
     """
+    if solver not in ("lp", "vi"):
+        raise ValueError(f"unknown solver {solver!r}; expected 'lp' or 'vi'")
     grid = spec.grid()
     alert_to_alert = spec.scenario.emergency.prob_alert_to_alert
-    beta = spec.scenario.beta
     parts = compile_system(spec.scenario).parts
     # the (calm, nothing granted, access) states; accesses are requests 0.. in bit order
     calm_empty = parts.space.position(
         int(Emergency.CALM), 0, np.arange(spec.scenario.dims.num_access_bits)
     )
-    allow, deny = int(Action.ALLOW), int(Action.DENY)
-
-    def emergency(probability: float) -> EmergencyMatrix:
-        return EmergencyMatrix.from_rates(probability, alert_to_alert)
-
+    emergencies = [EmergencyMatrix.from_rates(p, alert_to_alert) for p in grid]
+    batch = parts.mix_batch(emergencies)
     if solver == "vi":
-        batch = parts.mix_batch([emergency(p) for p in grid])
         values, _ = value_iterate(batch)
-        dvs = decision_values(batch, values)[:, calm_empty]
     else:
-        values = None
-        dvs = np.stack(
-            [solve_system(parts.mix(emergency(p)), solver).dv[:, calm_empty] for p in grid],
-            axis=-1,
-        )
+        values = np.stack([policy_iterate(parts.mix(e))[0] for e in emergencies], axis=-1)
+    dvs = decision_values(batch, values)[:, calm_empty]
     points = [SweepPoint(p, dvs[..., g]) for g, p in enumerate(grid)]
 
-    def bisection_gap(state: int, start: np.ndarray | None) -> Callable[[float], float]:
-        """allow - deny at state for _bisect: by the LP, or by value iteration from start."""
-
-        def gap_at(probability: float) -> float:
-            nonlocal start
-            if start is None:
-                dv = solve_system(parts.mix(emergency(probability)), solver).dv
-                return float(dv[allow, state] - dv[deny, state])
-            point = parts.mix_batch([emergency(probability)])
-            for tol in SIGN_TOLS:
-                start, _ = value_iterate(point, tol=tol, start=start)
-                dv = decision_values(point, start)[:, state, 0]
-                gap = float(dv[allow] - dv[deny])
-                # the values lie within tol + rounding of the optimum, and each
-                # decision value q^a + beta P^a V within beta times that of its own
-                if abs(gap) > 2.0 * beta * (tol + rounding_allowance(start, beta)):
-                    break
-            return gap
-
-        return gap_at
-
-    gaps = dvs[allow] - dvs[deny]  # (accesses, G)
+    gaps = dvs[Action.ALLOW] - dvs[Action.DENY]  # (accesses, G)
     crossovers = []
     for pos, access in enumerate(spec.scenario.dims.accesses()):
         g = _first_crossing(gaps[pos])
@@ -193,9 +182,9 @@ def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
         if gaps[pos, g] == 0.0:
             crossovers.append(CrossoverResult(access, grid[g], (grid[g], grid[g]), 0.0))
             continue
-        start = None if values is None else values[:, g : g + 1]
-        gap_at = bisection_gap(calm_empty[pos], start)
-        root, bracket = _bisect(gap_at, grid[g], grid[g + 1], float(gaps[pos, g]))
+        root, bracket = _bisect(
+            parts, calm_empty[pos], grid[g], grid[g + 1], float(gaps[pos, g]), values[:, g : g + 1]
+        )
         crossovers.append(CrossoverResult(access, root, bracket, bracket[1] - bracket[0]))
     return SweepResult(spec, points, crossovers)
 
@@ -262,22 +251,21 @@ def self_check(sc: Scenario) -> list[CheckResult]:
         ),
     ]
 
-    vi_values, sweeps = value_iterate(system)
+    vi = solve_system(system, "vi")
     allowance = rounding_allowance(lp.values, sc.beta)
     # value iteration stops within VI_TOL of the optimum; a final LP violation
     # of at most VERIFY_TOL leaves the LP within VERIFY_TOL / (1 - beta) of it.
     # The LP's measured residual r would not do in place of VERIFY_TOL: values
     # shifted by c have r = c (1 - beta), so r / (1 - beta) = c admits the shift
     vi_bound = VI_TOL + VERIFY_TOL / (1.0 - sc.beta) + allowance
-    gap = float(np.max(np.abs(lp.values - vi_values)))
-    detail = f"sup-norm gap {gap:.3g} (bound {vi_bound:.3g}) after {sweeps} sweeps"
+    gap = float(np.max(np.abs(lp.values - vi.values)))
+    detail = f"sup-norm gap {gap:.3g} (bound {vi_bound:.3g}) after {vi.iterations} sweeps"
     checks.append(CheckResult("lp_vi_agreement", gap <= vi_bound, detail))
 
     # a decision value q^a + beta P^a V moves by at most beta ||V_lp - V_vi||,
     # so a gap above floor keeps its sign beyond TIE_TOL under both solves
     floor = TIE_TOL + 2.0 * sc.beta * vi_bound
-    vi_actions = extract_policy(decision_values(system, vi_values)).actions
-    disagreements = int(np.sum((lp.policy.actions != vi_actions) & (lp.policy.gaps > floor)))
+    disagreements = int(np.sum((lp.policy.actions != vi.policy.actions) & (lp.policy.gaps > floor)))
     checks.append(
         CheckResult(
             "policy_agreement",

@@ -55,6 +55,8 @@ def policy_iterate(
     Set k's block, over its states (e, r), is I - beta E[e, e2] in_set[pi, k, r, j];
     decision_values on V, zero on the level and below, gives the right-hand side.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be zero or positive, got {tol}")
     in_set = system.parts.dynamics.in_set
     _, sets, per_set, _ = in_set.shape
     states = np.arange(system.num_states)

@@ -57,6 +57,8 @@ def value_iterate(
     point; a start near it only saves sweeps.
     Returns the values and the number of backups performed.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be zero or positive, got {tol}")
     shape = system.q.shape[1:]
     if start is None:
         values = np.zeros(shape)

@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,19 @@ class TestSolve:
 
         assert vi_iterations("--tol", "1e-3") < vi_iterations()
 
+    @pytest.mark.parametrize("command", ["solve", "decisions"])
+    @pytest.mark.parametrize("solver", ["lp", "vi"])
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_nan_or_negative_tol_exits_2(self, capsys, tmp_path, command, solver, tol):
+        argv = [command, "--builtin", "modified_once", "--solver", solver, "--tol", tol]
+        out_file = tmp_path / "values.txt"
+        if command == "solve":
+            argv += ["--out", str(out_file)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: tol must be zero or positive, got {float(tol)}\n"
+        assert not out_file.exists()
+
     def test_scenario_file_errors(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text(BAD_SCENARIO_FILE)
@@ -133,6 +147,18 @@ class TestSweep:
         assert code == 0
         assert len(csv.read_text().splitlines()) == 4
         assert "crossover (bob, high): 0.5000" in out
+
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+    def test_step_not_positive_and_finite_exits_2(self, capsys, step):
+        code, out, err = run(capsys, "sweep", "--builtin", "table2_once", "--step", step)
+        assert (code, out) == (2, "")
+        assert err == f"error: step must be positive and finite, got {float(step)}\n"
+
+    def test_step_past_the_stop_keeps_start(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--builtin", "table2_once", "--step", "1e10")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:3]] == ["0", "1"]
+        assert "crossover (bob, high): 0.1897" in out
 
     def test_python_dash_m_runs_the_cli(self, capsys):
         src = str(Path(acmdp.__file__).resolve().parents[1])
@@ -276,3 +302,16 @@ class TestSelfcheck:
         bad.write_text(BAD_SCENARIO_FILE)
         code, _, err = run(capsys, "selfcheck", "--scenario", str(bad))
         assert code == 2
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    # each acmdp line of the sh block under README's "Command line", in order;
+    # eval exits 1 on deny
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```")[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("acmdp ")]
+    assert len(commands) == 5
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1), (argv, err)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -53,8 +54,17 @@ class TestSweepSpec:
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             SweepSpec(builtin_scenario("table2_unique"), 0.5, 0.2, 0.1)
-        with pytest.raises(ValueError):
-            SweepSpec(builtin_scenario("table2_unique"), 0.0, 1.0, 0.0)
+        for step in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"step must be positive and finite, got {step}"):
+                SweepSpec(builtin_scenario("table2_unique"), 0.0, 1.0, step)
+
+    def test_step_count_below_the_slack_keeps_start(self):
+        # a step count within GRID_SLACK of zero is still one step while
+        # start lies below stop
+        sc = builtin_scenario("table2_unique")
+        assert SweepSpec(sc, 0.0, 1.0, 1e10).grid() == [0.0, 1.0]
+        assert SweepSpec(sc, 0.5, 0.5 + 1e-12, 0.01).grid() == [0.5, 0.5 + 1e-12]
+        assert SweepSpec(sc, 0.2, 0.2, 0.1).grid() == [0.2]
 
 
 def first_crossing_by_loop(gaps):
@@ -126,18 +136,21 @@ class TestRunSweep:
     @pytest.mark.parametrize("behavior", ["unique", "once", "all"])
     def test_vi_grid_agrees_with_per_point_lp(self, behavior):
         # the batched grid against an LP solve of each point on its own, within
-        # self_check's lp_vi_agreement bound, and every bracket as the LP sweep's
+        # self_check's lp_vi_agreement bound; the LP sweep's grid, priced as one
+        # batch, within rounding of it; and every bracket as the LP sweep's
         sc = builtin_scenario(f"table2_{behavior}")
         spec = SweepSpec(sc)
         vi = run_sweep(spec, solver="vi")
-        for point in vi.points:
+        # the CLI sweeps with the LP by default
+        lp_sweep = run_sweep(spec, solver="lp")
+        for point, lp_point in zip(vi.points, lp_sweep.points):
             emergency = EmergencyMatrix.from_rates(point.probability, 1.0)
             lp = acmdp.solve_scenario(dataclasses.replace(sc, emergency=emergency), "lp")
             calm_empty = lp.system.space.position(0, 0, np.arange(4))
-            bound = VI_TOL + VERIFY_TOL / (1 - sc.beta) + rounding_allowance(lp.values, sc.beta)
+            allowance = rounding_allowance(lp.values, sc.beta)
+            bound = VI_TOL + VERIFY_TOL / (1 - sc.beta) + allowance
             assert np.max(np.abs(point.dv - lp.dv[:, calm_empty])) <= bound
-        # the CLI sweeps with the LP by default
-        lp_sweep = run_sweep(spec, solver="lp")
+            assert np.max(np.abs(lp_point.dv - lp.dv[:, calm_empty])) <= allowance
         assert lp_sweep.crossovers[BOB_HIGH_POS].bracket is not None
         assert [c.bracket for c in vi.crossovers] == [c.bracket for c in lp_sweep.crossovers]
 
@@ -200,6 +213,50 @@ class TestRunSweep:
                 assert start is previous[3]
             else:
                 assert tol == SIGN_TOLS[0]
+
+    def test_lp_solves_each_grid_point_once_and_bisects_from_it(self, monkeypatch):
+        # the LP solves the grid points, in order, and no bisection point; each
+        # bracket's first bisection solve starts from the LP's values at its
+        # lower grid point
+        exact, iterate = acmdp.experiments.policy_iterate, acmdp.experiments.value_iterate
+        exact_solves, vi_solves = [], []
+
+        def recorded_exact(system):
+            values, bases = exact(system)
+            exact_solves.append((system.emergency[0, 1], values))
+            return values, bases
+
+        def recorded_iterate(system, tol=VI_TOL, start=None):
+            values, sweeps = iterate(system, tol=tol, start=start)
+            vi_solves.append((len(exact_solves), start, values))
+            return values, sweeps
+
+        monkeypatch.setattr(acmdp.experiments, "policy_iterate", recorded_exact)
+        monkeypatch.setattr(acmdp.experiments, "value_iterate", recorded_iterate)
+        spec = SweepSpec(builtin_scenario("table2_all"), 0.0, 1.0, 0.25)
+        result = run_sweep(spec, solver="lp")
+        grid = spec.grid()
+        assert [p for p, _ in exact_solves] == grid
+        assert vi_solves and all(made_after == len(grid) for made_after, _, _ in vi_solves)
+        firsts = [
+            start
+            for i, (_, start, _) in enumerate(vi_solves)
+            if i == 0 or start is not vi_solves[i - 1][2]
+        ]
+        lows = [c.bracket[0] for c in result.crossovers if c.width]
+        assert firsts and len(firsts) == len(lows)
+        for start, low in zip(firsts, lows):
+            g = max(i for i, p in enumerate(grid) if p <= low)
+            assert np.array_equal(start, exact_solves[g][1][:, None])
+
+    def test_unknown_solver_raises_before_any_solve(self, monkeypatch):
+        def unsolved(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        for name in ("policy_iterate", "value_iterate", "solve_system"):
+            monkeypatch.setattr(acmdp.experiments, name, unsolved)
+        with pytest.raises(ValueError, match="unknown solver 'bogus'"):
+            run_sweep(SweepSpec(builtin_scenario("table2_once")), "bogus")
 
     def test_point_next_to_the_root_descends_the_ladder(self, monkeypatch):
         # the first bisection point lies 1e-7 above the table2_once root, where
@@ -308,15 +365,16 @@ class TestSelfCheck:
     def test_one_flipped_decision_fails_above_the_floor(self, monkeypatch, pick, passes):
         # flip value iteration's decision at its smallest gap (a tie, below the
         # floor) or at its largest
-        extract = acmdp.experiments.extract_policy
+        solve = acmdp.experiments.solve_system
 
-        def flipped(dv):
-            policy = extract(dv)
-            i = pick(policy.gaps)
-            policy.actions[i] = 1 - policy.actions[i]
-            return policy
+        def flipped(system, solver):
+            solution = solve(system, solver)
+            if solver == "vi":
+                i = pick(solution.policy.gaps)
+                solution.policy.actions[i] = 1 - solution.policy.actions[i]
+            return solution
 
-        monkeypatch.setattr(acmdp.experiments, "extract_policy", flipped)
+        monkeypatch.setattr(acmdp.experiments, "solve_system", flipped)
         check = named(self_check(builtin_scenario("table2_once")), "policy_agreement")
         assert check.passed is passes
         assert check.detail.startswith("0 " if passes else "1 ")

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -353,6 +354,14 @@ class TestLpSolve:
             solution = solve_scenario(sc, "lp", tol=tol)
             assert solution.iterations > 1
             assert solution.max_residual <= tol
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_nan_or_negative_tol_raises(self, tol):
+        # a NaN tol would stop at the myopic basis, which is not optimal for
+        # modified_once, and a negative one would spend every basis
+        system = compile_system(builtin_scenario("modified_once"))
+        with pytest.raises(ValueError, match=f"tol must be zero or positive, got {tol}"):
+            policy_iterate(system, tol=tol)
 
     def test_basis_budget_raises_solver_error(self):
         system = compile_system(builtin_scenario("table2_all"))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,11 @@ class TestValueIterate:
     def test_nonconvergence_raises(self, table2_system):
         with pytest.raises(ConvergenceError):
             value_iterate(table2_system, max_iter=1)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_nan_or_negative_tol_raises(self, table2_system, tol):
+        with pytest.raises(ValueError, match=f"tol must be zero or positive, got {tol}"):
+            value_iterate(table2_system, tol=tol)
 
     def test_warm_start_reaches_same_fixed_point_sooner(self):
         system = compile_system(builtin_scenario("table2_all"))
