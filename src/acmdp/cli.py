@@ -11,6 +11,7 @@ import numpy as np
 from .config import BUILTIN_NAMES, ScenarioParseError, builtin_scenario, parse_scenario
 from .experiments import SweepSpec, run_sweep, self_check, sweep_csv
 from .policy import (
+    SOLVERS,
     LoadedValues,
     SolverError,
     ValueFileError,
@@ -180,21 +181,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve a scenario and export the value table")
     _add_scenario_args(solve)
-    solve.add_argument("--solver", choices=("lp", "vi"), default="lp")
+    solve.add_argument("--solver", choices=SOLVERS, default="lp")
     solve.add_argument("--tol", type=float, help=TOL_HELP)
     solve.add_argument("--out", type=Path, help="value-table output path")
     solve.set_defaults(func=cmd_solve)
 
     decisions = sub.add_parser("decisions", help="print the decision-value grid")
     _add_scenario_args(decisions)
-    decisions.add_argument("--solver", choices=("lp", "vi"), default="lp")
+    decisions.add_argument("--solver", choices=SOLVERS, default="lp")
     decisions.add_argument("--tol", type=float, help=TOL_HELP)
     decisions.add_argument("--csv", type=Path, help="also write the grid as CSV")
     decisions.set_defaults(func=cmd_decisions)
 
     sweep = sub.add_parser("sweep", help="sweep the calm-to-alert probability")
     _add_scenario_args(sweep)
-    sweep.add_argument("--solver", choices=("lp", "vi"), default="lp")
+    sweep.add_argument("--solver", choices=SOLVERS, default="lp")
     sweep.add_argument("--start", type=float, default=0.0)
     sweep.add_argument("--stop", type=float, default=1.0)
     sweep.add_argument("--step", type=float, default=0.01)

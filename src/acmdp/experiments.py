@@ -6,21 +6,22 @@ decision values of every access from the calm, nothing-granted states.
 Crossovers (where allow overtakes deny) are bracketed on the grid and then
 pinned down by bisection.  Only the emergency matrix E changes along a
 sweep, so the scenario is compiled once and every point mixes its E into
-the E-free parts, which can change nothing else.  The solver decides only
-how the grid's values are computed: value iteration solves the whole grid
-as one batch (bellman.SystemParts.mix_batch), the LP (policy.policy_iterate)
-each point on its own (bellman.SystemParts.mix).  One kernel call on the
-batch then prices the grid for both, and every bisection takes one path.
+the E-free parts, which can change nothing else.
 
-Grid points are solved to the solver's default tolerance, since their
-decision values are reported.  Of a bisection point only the sign of one
-access's gap allow - deny is read, so it is a batch of one solved by value
-iteration down the SIGN_TOLS ladder instead, each rung starting from the
-last one's values.  Values within tol of the optimum V* move each decision
-value q^a + beta P^a V by at most beta tol from its optimal one, so a gap
-whose size exceeds 2 beta (tol + rounding_allowance) has the sign of the
-optimal gap, and the point stops there.  At the last rung, VI_TOL, the
-sign is taken as computed, as the LP takes its own at a grid point.
+The LP (policy.policy_iterate) solves every point, of the grid and of a
+bisection, exactly and on its own (bellman.SystemParts.mix), so an LP
+sweep holds one system's arrays however long its grid, and its bisection
+costs one exact solve per point at any discount.  Value iteration solves
+the whole grid as one batch (bellman.SystemParts.mix_batch) to the
+solver's default tolerance, since its decision values are reported.  Of
+a bisection point only the sign of one access's gap allow - deny is read,
+so value iteration solves it as a batch of one down the SIGN_TOLS ladder
+instead, each rung starting from the last one's values.  Values within
+tol of the optimum V* move each decision value q^a + beta P^a V by at
+most beta tol from its optimal one, so a gap whose size exceeds
+2 beta (tol + rounding_allowance) has the sign of the optimal gap, and
+the point stops there.  At the last rung, VI_TOL, the sign is taken as
+computed, as the LP takes its own.
 
 self_check compiles a scenario once and runs five checks on that system:
 stochasticity of its factors, the LP's feasibility and tightness, and the
@@ -46,7 +47,7 @@ from .bellman import (
     verify_solution,
 )
 from .dynamics import EmergencyMatrix
-from .policy import TIE_TOL, policy_iterate, solve_system
+from .policy import TIE_TOL, check_solver, policy_iterate, solve_system
 from .rewards import Scenario
 from .states import Access, Action, Emergency
 from .value_iteration import DEFAULT_TOL as VI_TOL, value_iterate
@@ -111,28 +112,47 @@ def _first_crossing(gaps: np.ndarray) -> int | None:
     return int(np.argmax(crossing)) if crossing.any() else None
 
 
+def _lp_decision_values(parts: SystemParts, emergency: EmergencyMatrix) -> np.ndarray:
+    """The (2, n) decision values of parts mixed with emergency, at the LP's exact values."""
+    system = parts.mix(emergency)
+    return decision_values(system, policy_iterate(system)[0])
+
+
 def _bisect(
-    parts: SystemParts, state: int, lo: float, hi: float, f_lo: float, values: np.ndarray
+    parts: SystemParts,
+    solver: str,
+    state: int,
+    lo: float,
+    hi: float,
+    f_lo: float,
+    values: np.ndarray | None,
 ) -> tuple[float, tuple[float, float]]:
     """Halve [lo, hi] to CROSSOVER_WIDTH; allow - deny at state differs in sign at its ends.
 
-    f_lo is the gap at lo and values, (n, 1), the values there.  Each point
-    is a batch of one mixed into parts, solved down SIGN_TOLS from the last
-    values solved until the sign of its gap is proven (see the module docstring).
+    f_lo is the gap at lo.  The LP solves each point exactly.  Value
+    iteration solves each as a batch of one down SIGN_TOLS until the sign
+    of its gap is proven (see the module docstring), the first from values,
+    (n, 1), its values at lo, and each later one from the last values
+    solved.  The LP reads no values, and takes None.
     """
     beta = parts.scenario.beta
     alert_to_alert = parts.scenario.emergency.prob_alert_to_alert
     while hi - lo > CROSSOVER_WIDTH:
         mid = 0.5 * (lo + hi)
-        point = parts.mix_batch([EmergencyMatrix.from_rates(mid, alert_to_alert)])
-        for tol in SIGN_TOLS:
-            values, _ = value_iterate(point, tol=tol, start=values)
-            dv = decision_values(point, values)[:, state, 0]
+        emergency = EmergencyMatrix.from_rates(mid, alert_to_alert)
+        if solver == "lp":
+            dv = _lp_decision_values(parts, emergency)[:, state]
             f_mid = float(dv[Action.ALLOW] - dv[Action.DENY])
-            # the values lie within tol + rounding of the optimum, and each
-            # decision value q^a + beta P^a V within beta times that of its own
-            if abs(f_mid) > 2.0 * beta * (tol + rounding_allowance(values, beta)):
-                break
+        else:
+            point = parts.mix_batch([emergency])
+            for tol in SIGN_TOLS:
+                values, _ = value_iterate(point, tol=tol, start=values)
+                dv = decision_values(point, values)[:, state, 0]
+                f_mid = float(dv[Action.ALLOW] - dv[Action.DENY])
+                # the values lie within tol + rounding of the optimum, and each
+                # decision value q^a + beta P^a V within beta times that of its own
+                if abs(f_mid) > 2.0 * beta * (tol + rounding_allowance(values, beta)):
+                    break
         if f_mid == 0.0:
             return mid, (lo, hi)
         if (f_lo < 0) == (f_mid < 0):
@@ -145,17 +165,15 @@ def _bisect(
 def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
     """Solve every grid point, then bisect each bracketed crossover.
 
-    The scenario is compiled once and the grid mixed as one batch
-    (SystemParts.mix_batch).  Value iteration solves the batch to VI_TOL;
-    the LP solves each point exactly (policy_iterate).  One kernel call
-    prices the grid for both.  A crossover is the first grid point where
-    allow - deny is exactly zero, or else the first pair of neighbours whose
-    gaps differ in sign, which is then bisected (_bisect) by either solver
-    alike.  A bisection's first point starts from the values of the lower
-    grid point of its bracket, and each later one from the previous point's.
+    The scenario is compiled once.  The LP solves and prices each grid
+    point on its own; value iteration solves the grid as one batch
+    (SystemParts.mix_batch) to VI_TOL and prices it with one kernel call.
+    A crossover is the first grid point where allow - deny is exactly zero,
+    or else the first pair of neighbours whose gaps differ in sign, which
+    is then bisected (_bisect) with the same solver.  Value iteration's
+    bisection starts from its values at the lower grid point of the bracket.
     """
-    if solver not in ("lp", "vi"):
-        raise ValueError(f"unknown solver {solver!r}; expected 'lp' or 'vi'")
+    check_solver(solver)
     grid = spec.grid()
     alert_to_alert = spec.scenario.emergency.prob_alert_to_alert
     parts = compile_system(spec.scenario).parts
@@ -163,13 +181,15 @@ def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
     calm_empty = parts.space.position(
         int(Emergency.CALM), 0, np.arange(spec.scenario.dims.num_access_bits)
     )
-    emergencies = [EmergencyMatrix.from_rates(p, alert_to_alert) for p in grid]
-    batch = parts.mix_batch(emergencies)
-    if solver == "vi":
-        values, _ = value_iterate(batch)
+    emergencies = (EmergencyMatrix.from_rates(p, alert_to_alert) for p in grid)
+    if solver == "lp":
+        # one point at a time, so the sweep's memory does not grow with its grid
+        values = None
+        dvs = np.stack([_lp_decision_values(parts, e)[:, calm_empty] for e in emergencies], -1)
     else:
-        values = np.stack([policy_iterate(parts.mix(e))[0] for e in emergencies], axis=-1)
-    dvs = decision_values(batch, values)[:, calm_empty]
+        batch = parts.mix_batch(list(emergencies))
+        values, _ = value_iterate(batch)
+        dvs = decision_values(batch, values)[:, calm_empty]
     points = [SweepPoint(p, dvs[..., g]) for g, p in enumerate(grid)]
 
     gaps = dvs[Action.ALLOW] - dvs[Action.DENY]  # (accesses, G)
@@ -182,8 +202,9 @@ def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
         if gaps[pos, g] == 0.0:
             crossovers.append(CrossoverResult(access, grid[g], (grid[g], grid[g]), 0.0))
             continue
+        start = None if solver == "lp" else values[:, g : g + 1]
         root, bracket = _bisect(
-            parts, calm_empty[pos], grid[g], grid[g + 1], float(gaps[pos, g]), values[:, g : g + 1]
+            parts, solver, calm_empty[pos], grid[g], grid[g + 1], float(gaps[pos, g]), start
         )
         crossovers.append(CrossoverResult(access, root, bracket, bracket[1] - bracket[0]))
     return SweepResult(spec, points, crossovers)

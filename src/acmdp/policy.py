@@ -33,6 +33,7 @@ from .value_iteration import value_iterate
 TIE_TOL = 1e-9
 MAX_BASES = 1000
 FILE_HEADER = "ACMDP-VALUES v1"
+SOLVERS = ("lp", "vi")
 
 
 class SolverError(RuntimeError):
@@ -118,6 +119,12 @@ class Solution:
     max_residual: float
 
 
+def check_solver(solver: str) -> None:
+    """Refuse a solver name that is not one of SOLVERS."""
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; expected 'lp' or 'vi'")
+
+
 def solve_scenario(sc: Scenario, solver: str = "lp", tol: float | None = None) -> Solution:
     """Compile a scenario and solve it with the LP (policy_iterate) or value iteration.
 
@@ -135,13 +142,12 @@ def solve_system(system: BellmanSystem, solver: str = "lp", tol: float | None = 
     The solution's dv, policy and max_residual come from one
     decision_values call.
     """
+    check_solver(solver)
     tol_arg = {} if tol is None else {"tol": tol}
     if solver == "lp":
         values, iterations = policy_iterate(system, **tol_arg)
-    elif solver == "vi":
-        values, iterations = value_iterate(system, **tol_arg)
     else:
-        raise ValueError(f"unknown solver {solver!r}; expected 'lp' or 'vi'")
+        values, iterations = value_iterate(system, **tol_arg)
     dv = decision_values(system, values)
     return Solution(
         scenario=system.scenario,

@@ -136,8 +136,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("behavior", ["unique", "once", "all"])
     def test_vi_grid_agrees_with_per_point_lp(self, behavior):
         # the batched grid against an LP solve of each point on its own, within
-        # self_check's lp_vi_agreement bound; the LP sweep's grid, priced as one
-        # batch, within rounding of it; and every bracket as the LP sweep's
+        # self_check's lp_vi_agreement bound; the LP sweep's grid within rounding
+        # of it; and every bracket as the LP sweep's
         sc = builtin_scenario(f"table2_{behavior}")
         spec = SweepSpec(sc)
         vi = run_sweep(spec, solver="vi")
@@ -214,40 +214,33 @@ class TestRunSweep:
             else:
                 assert tol == SIGN_TOLS[0]
 
-    def test_lp_solves_each_grid_point_once_and_bisects_from_it(self, monkeypatch):
-        # the LP solves the grid points, in order, and no bisection point; each
-        # bracket's first bisection solve starts from the LP's values at its
-        # lower grid point
-        exact, iterate = acmdp.experiments.policy_iterate, acmdp.experiments.value_iterate
-        exact_solves, vi_solves = [], []
+    @pytest.mark.parametrize("name, beta", [("table2_all", 0.9), ("modified_unique", 0.9999)])
+    def test_lp_solves_every_point_exactly_and_on_its_own(self, monkeypatch, name, beta):
+        # the LP solves the grid points in order, then every bisection point;
+        # an LP sweep mixes no batch, whose arrays grow with the grid, and runs
+        # no value iteration, which at beta = 0.9999 took up to 96,743 sweeps
+        # for one modified_unique bisection point
+        exact = acmdp.experiments.policy_iterate
+        solved = []
 
-        def recorded_exact(system):
-            values, bases = exact(system)
-            exact_solves.append((system.emergency[0, 1], values))
-            return values, bases
+        def recorded(system):
+            solved.append(system.emergency[0, 1])
+            return exact(system)
 
-        def recorded_iterate(system, tol=VI_TOL, start=None):
-            values, sweeps = iterate(system, tol=tol, start=start)
-            vi_solves.append((len(exact_solves), start, values))
-            return values, sweeps
+        def unused(*args, **kwargs):
+            raise AssertionError("an LP sweep mixed a batch or ran value iteration")
 
-        monkeypatch.setattr(acmdp.experiments, "policy_iterate", recorded_exact)
-        monkeypatch.setattr(acmdp.experiments, "value_iterate", recorded_iterate)
-        spec = SweepSpec(builtin_scenario("table2_all"), 0.0, 1.0, 0.25)
+        monkeypatch.setattr(acmdp.experiments, "policy_iterate", recorded)
+        monkeypatch.setattr(acmdp.experiments, "value_iterate", unused)
+        monkeypatch.setattr(acmdp.bellman.SystemParts, "mix_batch", unused)
+        sc = dataclasses.replace(builtin_scenario(name), beta=beta)
+        spec = SweepSpec(sc, 0.0, 1.0, 0.25)
         result = run_sweep(spec, solver="lp")
         grid = spec.grid()
-        assert [p for p, _ in exact_solves] == grid
-        assert vi_solves and all(made_after == len(grid) for made_after, _, _ in vi_solves)
-        firsts = [
-            start
-            for i, (_, start, _) in enumerate(vi_solves)
-            if i == 0 or start is not vi_solves[i - 1][2]
-        ]
-        lows = [c.bracket[0] for c in result.crossovers if c.width]
-        assert firsts and len(firsts) == len(lows)
-        for start, low in zip(firsts, lows):
-            g = max(i for i, p in enumerate(grid) if p <= low)
-            assert np.array_equal(start, exact_solves[g][1][:, None])
+        assert solved[: len(grid)] == grid
+        # a 0.25-wide bracket takes 12 halvings to reach CROSSOVER_WIDTH
+        bisected = [c for c in result.crossovers if c.width]
+        assert bisected and len(solved) == len(grid) + 12 * len(bisected)
 
     def test_unknown_solver_raises_before_any_solve(self, monkeypatch):
         def unsolved(*args, **kwargs):

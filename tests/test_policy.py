@@ -363,6 +363,11 @@ class TestLpSolve:
         with pytest.raises(ValueError, match=f"tol must be zero or positive, got {tol}"):
             policy_iterate(system, tol=tol)
 
+    def test_unknown_solver_raises(self):
+        # solve_system and run_sweep refuse a name by the one check_solver
+        with pytest.raises(ValueError, match="unknown solver 'simplex'; expected 'lp' or 'vi'"):
+            solve_scenario(builtin_scenario("table1"), "simplex")
+
     def test_basis_budget_raises_solver_error(self):
         system = compile_system(builtin_scenario("table2_all"))
         with pytest.raises(SolverError, match="no optimal policy basis within 1 bases"):
