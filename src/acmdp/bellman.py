@@ -3,26 +3,29 @@
 compile_system turns a scenario into the factors of its transition matrices
 and the immediate-reward vectors, in two steps.  build_parts builds the
 part that does not depend on the 2x2 emergency matrix E: the request-draw
-structure of both R^a (dynamics.request_dynamics), with both R^a written
-once per emergency status as one (2n, n) matrix, and the reward of every
-(action, next status, row) (rewards.reward_parts), all by array arithmetic
-with no Python loop per state.  SystemParts.mix(E) then returns the system
-of the built scenario with its emergency matrix replaced by E, with q
-weighted by E's rows; SystemParts.mix_batch returns G such systems at once,
-one E per trailing grid column.  A mix can change nothing but E, so a sweep
-over E builds the parts once.  The per-state reference build the tests
-compare against is tests/oracle.py.
+structure of both R^a (dynamics.request_dynamics: each set's draw weights
+and, per (action, state), the draw-table entry it reads) and the reward
+of every (action, next status, row) (rewards.reward_parts), all by array
+arithmetic with no Python loop per state.  SystemParts.mix(E) then returns
+the system of the built scenario with its emergency matrix replaced by E,
+with q weighted by E's rows; SystemParts.mix_batch returns G such systems
+at once, one E per trailing grid column, with a C-contiguous q.  A mix can
+change nothing but E, so a sweep over E builds the parts once.  The
+per-state reference build the tests compare against is tests/oracle.py.
 
 decision_values is the only code that evaluates q^a + beta P^a V.  It
-works on the factors, P^a = (I (x) R^a)(E (x) I): it mixes V's two status
-halves by beta E, backs up both actions, both statuses and every grid
-column with one product with RequestDynamics.requests, and adds q.  The LP
-solve (policy.policy_iterate), value iteration's backup, policy extraction
-and verify_solution all read its (2, n) output; a batch reads (2, n, G).
-validate_stochastic checks the factors, since every row of P^a is a row of
-E times a row of R^a.  No solver and no check assembles P:
-BellmanSystem.transitions builds each P^a = E (x) R^a on first use, for
-comparisons with other builds of the model.
+works on the factors, P^a = E (x) R^a, where each row of R^a averages the
+cells of its next granted set by that set's weights or reads the set's
+empty-request cell.  Per status and value column it averages every set's
+cells (one product and one sum), mixes the two statuses' (2 sets)-entry
+tables by beta E, gathers both actions' entries with one index
+(RequestDynamics.draw_index), and adds q: O(n) work per column.  The LP
+solve (policy.policy_iterate), value iteration's backup, policy
+extraction and verify_solution all read its (2, n) output; a batch reads
+(2, n, G).  validate_stochastic checks the factors, since every row of
+P^a is a row of E times a draw-table entry.  No solver and no check
+assembles P: BellmanSystem.transitions builds each P^a = E (x) R^a from
+the factors on first use, for comparisons with other builds of the model.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from scipy import sparse
 
 from .dynamics import ROW_SUM_TOL, EmergencyMatrix, RequestDynamics, request_dynamics
 from .rewards import Scenario, reward_parts
-from .states import ACTIONS, Action, State, StateSpace
+from .states import ACTIONS, Action, Emergency, State, StateSpace
 
 VERIFY_TOL = 1e-9  # largest Bellman-row violation a feasible solution may leave
 TIGHT_TOL = 1e-7  # largest slack of a tight state's tightest row
@@ -73,15 +76,39 @@ class BellmanSystem:
     def transitions(self) -> tuple[sparse.csr_matrix, ...]:
         """(P^deny, P^allow), indexed by Action: P^a = E (x) R^a, assembled on first use.
 
-        R^a is the calm copy of its rows in RequestDynamics.requests; E's
-        zeros are dropped, so every entry is a positive-probability successor.
-        No solver reads it.
+        Row x of R^a is the row of the draw table that its calm state reads
+        (RequestDynamics.draw_index): set k's weights at set k's cells, or
+        a 1 at set k's empty-request cell.  E's zeros and the weights' are
+        dropped, so every entry is a positive-probability successor.  No
+        solver reads it.
         """
-        requests, size, n = self.parts.dynamics.requests, self.parts.dynamics.size, self.num_states
+        dynamics = self.parts.dynamics
+        sets, per_set = dynamics.weights.shape
+        k, j = np.nonzero(dynamics.weights)
+        table = sparse.csr_matrix(
+            (
+                np.concatenate([dynamics.weights[k, j], np.ones(sets)]),
+                (
+                    np.concatenate([k, sets + np.arange(sets)]),
+                    np.concatenate([k * per_set + j, np.arange(sets) * per_set + per_set - 1]),
+                ),
+            ),
+            shape=(2 * sets, dynamics.size),
+        )
         emergency = sparse.csr_matrix(self.emergency)
-        return tuple(
-            sparse.kron(emergency, requests[a * n : a * n + size, :size], format="csr")
-            for a in ACTIONS
+        index = dynamics.draw_index.reshape(2, -1)[:, : dynamics.size]
+        return tuple(sparse.kron(emergency, table[index[a]], format="csr") for a in ACTIONS)
+
+    def as_batch(self) -> BellmanSystem:
+        """This batch, or this single system as a batch of one (views, no copy)."""
+        if self.q.ndim == 3:
+            return self
+        return BellmanSystem(None, self.parts, self.emergency[..., None], self.q[..., None])
+
+    def columns(self, keep: np.ndarray) -> BellmanSystem:
+        """The batch of this batch's columns where keep is true, in order."""
+        return BellmanSystem(
+            None, self.parts, self.emergency.compress(keep, -1), self.q.compress(keep, -1)
         )
 
 
@@ -101,20 +128,24 @@ class SystemParts:
             replace(self.scenario, emergency=emergency),
             self,
             matrix,
-            (matrix @ self.rewards).reshape(2, -1),
+            self._rewards(matrix[..., None])[..., 0],
         )
 
     def mix_batch(self, emergencies: Sequence[EmergencyMatrix]) -> BellmanSystem:
         """The batch of the built scenario's systems with each of emergencies as E, in order."""
-        matrices = np.array([e.rows for e in emergencies], dtype=float)
-        # q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x]
-        q = (matrices[None] @ self.rewards[:, None]).transpose(0, 2, 3, 1)
-        return BellmanSystem(
-            None,
-            self,
-            np.ascontiguousarray(matrices.transpose(1, 2, 0)),
-            q.reshape(2, -1, len(matrices)),
-        )
+        matrices = np.array([e.rows for e in emergencies], dtype=float).transpose(1, 2, 0)
+        matrices = np.ascontiguousarray(matrices)
+        return BellmanSystem(None, self, matrices, self._rewards(matrices))
+
+    def _rewards(self, matrices: np.ndarray) -> np.ndarray:
+        """q of E given as (2, 2, G): q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x].
+
+        A single system is the batch of its one E, so both share this
+        arithmetic; q comes out C-contiguous, (2, n, G).
+        """
+        rewards = self.rewards[:, None, :, :, None]
+        q = matrices[:, 0, None] * rewards[:, :, 0] + matrices[:, 1, None] * rewards[:, :, 1]
+        return q.reshape(2, -1, matrices.shape[-1])
 
 
 def build_parts(sc: Scenario) -> SystemParts:
@@ -132,16 +163,33 @@ def compile_system(sc: Scenario) -> BellmanSystem:
 def decision_values(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
     """q^a + beta P^a V, indexed by Action: (2, n), or (2, n, G) for a batch and (n, G) values.
 
-    P^a = E (x) R^a = (I (x) R^a)(E (x) I): V's two status halves are mixed
-    by beta E, then one product with RequestDynamics.requests backs up both
-    actions, both statuses and every column, and q is added.
+    P^a = E (x) R^a, and each row of R^a averages its next set's cells by
+    that set's weights or reads its empty-request cell (dynamics.RequestDynamics).
+    So, per status and value column, every set's average and empty-request
+    cell form a (2 sets)-entry table; the tables of both statuses are mixed
+    by beta E, both actions gather their entries with one draw_index, and q
+    is added.  A single system runs as a batch of one.  Every step is
+    elementwise per value column, so a column's result does not depend on
+    the other columns of its batch.
     """
-    halves = values.reshape((2, -1) + values.shape[1:])
-    # (E (x) I) V scaled by beta: status e's half is sum_e2 beta E[e, e2] V_e2
-    mixing = system.beta * system.emergency
-    mixed = mixing[:, 0, None] * halves[0] + mixing[:, 1, None] * halves[1]
-    out = system.parts.dynamics.requests @ mixed.reshape(values.shape)
-    out = out.reshape((2,) + values.shape)
+    dynamics = system.parts.dynamics
+    sets, per_set = dynamics.weights.shape
+    cells = values.reshape(2, sets, per_set, -1).transpose(2, 0, 1, 3)  # [j, e, k, column]
+    columns = cells.shape[-1]
+    # table[e, 0, k]: set k's average of its cells; table[e, 1, k]: its empty-request cell
+    table = np.empty((2, 2, sets, columns))
+    drawn = cells[dynamics.drawn]
+    terms = np.empty(drawn.shape)  # C order: the sum below runs along its outermost axis
+    np.multiply(dynamics.weights.T[dynamics.drawn, None, :, None], drawn, out=terms)
+    # an outermost-axis sum adds the terms in request order, for any number of columns
+    np.add.reduce(terms, axis=0, out=table[:, 0])
+    table[:, 1] = cells[-1]
+    table = table.reshape(2, 2 * sets, columns)
+    # mixed[e] = sum_e2 beta E[e, e2] table[e2], per column
+    mixing = system.beta * system.emergency.reshape(2, 2, 1, -1)
+    mixed = mixing[:, 0] * table[0]
+    mixed += mixing[:, 1] * table[1]
+    out = mixed.reshape(-1, columns).take(dynamics.draw_index, axis=0).reshape(system.q.shape)
     out += system.q
     return out
 
@@ -152,14 +200,21 @@ def rounding_allowance(values: np.ndarray, beta: float) -> float:
     A kernel evaluation or an LU solve is exact up to a few units in the last
     place of the largest value, and a beta-contraction amplifies such an
     error by up to 1 / (1 - beta).  Measured in these units against values
-    refined in extended precision, on 900 random 1x1 to 2x2 scenarios with
-    beta up to 0.999 and rewards scaled up to 100-fold (185 of them with
-    tol below one unit in the last place of max|V|): value iteration, with
-    its span stop and the shift to the bounds' midpoint, exceeded its tol
-    by at most 2.09 (its stop at a rounding-level span accounts for up to
-    1), policy iteration's block solves erred by at most 1.86, and the two
-    differed by at most 2.02 beyond tol.  The allowance covers the sum of
-    both worst cases.
+    refined in extended precision, with the draw-average kernel, on two
+    samples of 900 random 1x1 to 2x2 scenarios with beta up to 0.999,
+    rewards scaled up to 100-fold and a fifth of them solved by value
+    iteration to tol 0 (184 and 179 with tol below one unit in the last
+    place of max|V|): value iteration, with its span stop and the shift to
+    the bounds' midpoint, exceeded its tol by at most 1.95 (its stop at a
+    rounding-level span accounts for up to 1), policy iteration erred by
+    at most 2.07 (at beta 0.06, where the unit is barely amplified), and
+    the two differed by at most 2.08 beyond tol.  Each use is covered: a
+    value-iteration sign test needs the first, an LP-VI comparison the
+    last.  The sum of both worst cases, which the allowance was set to
+    cover, is 4.01 on one sample and 3.42 on the other.  A kernel that
+    mixed by E before a (2n, n) sparse product measured the same figures on
+    the same scenarios, so that excess does not come from the kernel's
+    order of sums.
     """
     return float(ROUNDING_ULPS * np.finfo(float).eps * np.abs(values).max() / (1.0 - beta))
 
@@ -204,37 +259,45 @@ class StochasticityViolation:
 def validate_stochastic(system: BellmanSystem) -> list[StochasticityViolation]:
     """Check that every (state, action) row of a compiled system is a distribution.
 
-    Row (e, x) of P^a is row e of E times the row of RequestDynamics.requests
-    that backs up state (e, x) under action a, so it is a distribution when
-    both factors' rows are: E's rows sum to 1 with entries in [0, 1] (its
-    zeros are dropped), and requests' rows sum to 1 with entries in (0, 1].
-    A (state, action) is flagged when either of its rows is, with the
-    product of their sums as its mass.  Returns the violations in
-    state-major, action-minor order; empty means the model is well-formed.
+    Row (e, x) of P^a is row e of E times the draw-table entry that
+    RequestDynamics.draw_index gives (a, (e, x)): a set's weights, or a 1 at
+    its empty-request cell.  It is a distribution when E's rows sum to 1
+    with entries in [0, 1] (its zeros are dropped), the entry read lies in
+    status e's block of the table, and that entry's weights sum to 1 with
+    entries in [0, 1] (a zero weight is a request the set does not draw).
+    A (state, action) is flagged when any of these fails, with the product
+    of E's row sum and the entry's sum as its mass (0 for an index outside
+    the table).  Returns the violations in state-major, action-minor order;
+    empty means the model is well-formed.
     """
-    emergency, requests = system.emergency, system.parts.dynamics.requests
-    n = system.num_states
-    status = np.arange(n) // system.parts.dynamics.size
+    emergency, dynamics = system.emergency, system.parts.dynamics
+    weights, n = dynamics.weights, system.num_states
+    sets = len(weights)
+    status = np.arange(n) // dynamics.size
     e_mass = emergency.sum(axis=1)
     e_range = (emergency >= 0.0) & (emergency <= 1.0)
     e_flagged = (np.abs(e_mass - 1.0) > ROW_SUM_TOL) | ~e_range.all(axis=1)
-    # requests' row a * n + i backs up state i under action a
-    r_mass = np.asarray(requests.sum(axis=1)).ravel()
-    r_flagged = np.abs(r_mass - 1.0) > ROW_SUM_TOL
-    r_range = (requests.data > 0.0) & (requests.data <= 1.0)
-    r_flagged[np.repeat(np.arange(2 * n), np.diff(requests.indptr))[~r_range]] = True
-    flagged = e_flagged[status, None] | r_flagged.reshape(2, n).T
+    # the table's entries, per block: every set's average, then every set's empty-request cell
+    w_mass = np.concatenate([weights.sum(axis=1), np.ones(sets)])
+    w_range = ((weights >= 0.0) & (weights <= 1.0)).all(axis=1)
+    w_range = np.concatenate([w_range, np.ones(sets, bool)])
+    w_flagged = (np.abs(w_mass - 1.0) > ROW_SUM_TOL) | ~w_range
+    block, entry = np.divmod(dynamics.draw_index.reshape(2, n).T, 2 * sets)
+    misread = block != status[:, None]
+    flagged = e_flagged[status, None] | misread | w_flagged[entry]
     found = []
     for i, act in np.argwhere(flagged).tolist():
-        e, row = status[i], act * n + i
+        e, b, k = status[i], block[i, act], entry[i, act]
         bad_e = [p for p in emergency[e].tolist() if not 0.0 <= p <= 1.0]
-        probs = requests.data[requests.indptr[row] : requests.indptr[row + 1]].tolist()
-        bad_r = [p for p in probs if not 0.0 < p <= 1.0]
-        total = float(e_mass[e] * r_mass[row])
-        if bad_e:
+        bad_w = [p for p in weights[k].tolist() if not 0.0 <= p <= 1.0] if k < sets else []
+        total = float(e_mass[b] * w_mass[k]) if b in (0, 1) else 0.0
+        if misread[i, act]:
+            index = int(dynamics.draw_index[act * n + i])
+            detail = f"draw index {index} reads outside the {Emergency(e).label} block"
+        elif bad_e:
             detail = f"emergency probabilities {bad_e} outside [0, 1]"
-        elif bad_r:
-            detail = f"request probabilities {bad_r} outside (0, 1]"
+        elif bad_w:
+            detail = f"request probabilities {bad_w} outside [0, 1]"
         else:
             detail = f"mass {total} != 1"
         found.append(

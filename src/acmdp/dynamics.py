@@ -8,34 +8,36 @@ request behaviour.
 Because the emergency chain is independent of the (granted set, request)
 part and states are ordered emergency-major, each action's transition
 matrix is the Kronecker product E (x) R^a of the 2x2 emergency matrix with a
-matrix R^a over (granted set, request) rows.  request_dynamics builds the
-E-free part once, with array arithmetic on the set bitmasks: where each row
-of R^a leads and how many requests it draws.  RequestDynamics.requests
-holds both R^a, once per emergency status, as one (2n, n) matrix: the
-factor the Bellman kernel (bellman.decision_values) multiplies by, since
-P^a = (I (x) R^a)(E (x) I).  RequestDynamics.in_set holds the draws that
-keep the granted set, the LP solve's diagonal blocks.  P is never
-assembled for a solve: bellman assembles the compiled system from these
-factors, checks their rows (bellman.validate_stochastic), and builds
-P^a = E (x) R^a only on request (BellmanSystem.transitions).
-tests/oracle.py describes the same process one state at a time
-(successors) and is the reference the tests compare this build against.
+matrix R^a over (granted set, request) rows.  Each row of R^a leads to one
+granted set and draws the next request uniformly from the requests that
+set's rows can draw, unless it can draw only the empty request (once's,
+after the empty request).  request_dynamics builds that structure once,
+with array arithmetic on the set bitmasks: RequestDynamics.weights holds
+each set's draw probabilities (sets x requests), and
+RequestDynamics.draw_index says, for every (action, state), whether it
+averages its next set's cells by those weights or reads that set's
+empty-request cell.  The Bellman kernel (bellman.decision_values) backs up
+through these draws in O(n) work per value column; no (2n, n) matrix is
+built.  RequestDynamics.in_set holds the draws that keep the granted set,
+the LP solve's diagonal blocks.  P is never assembled for a solve: bellman
+assembles the compiled system from these factors, checks them
+(bellman.validate_stochastic), and builds P^a = E (x) R^a only on request
+(BellmanSystem.transitions).  tests/oracle.py describes the same process
+one state at a time (successors) and is the reference the tests compare
+this build against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .states import ACTIONS, Action, ModelDims
 
 ROW_SUM_TOL = 1e-9  # largest amount a probability row may miss 1 by
-# the 12-bit cap (states.CAP_BITS) keeps every column, entry count and row
-# offset far below 2**31
-INDEX_DTYPE = np.int32
 
 
 class RequestBehavior(str, Enum):
@@ -102,73 +104,61 @@ def next_access_sets(d: ModelDims, act: Action) -> np.ndarray:
     return k | np.where(r < d.num_access_bits, 1 << r, 0)
 
 
-def request_draws(
-    d: ModelDims, behavior: RequestBehavior, act: Action
-) -> tuple[np.ndarray, np.ndarray]:
-    """Next granted set of every (granted set, request) row, and the requests it can draw.
+@dataclass(frozen=True)
+class RequestDynamics:
+    """The E-free part of both actions' transition matrices, as request draws.
 
-    drawable[x, j] is true when row x draws next request j (j = num_access_bits
-    is the empty request); each row draws uniformly among them, as the
-    RequestBehavior comments describe.
+    Row x of R^a leads to the granted set k2 = next_access_sets(d, a)[x] and
+    draws the next request from those that set's rows can draw, with
+    probabilities weights[k2]; a row that can draw only the empty request
+    (once's, after the empty request) draws it for sure.  So (R^a W)[x] is
+    the weights[k2]-average of W's cells of set k2, or W's empty-request
+    cell of k2.  The Bellman kernel (bellman.decision_values) builds, per
+    emergency status e, a table of every set's average followed by every
+    set's empty-request cell; (action a, state (e, x)) reads its entry
+    draw_index[a * n + e * size + x], which is e * 2 * sets + k2 or
+    e * 2 * sets + sets + k2.
     """
-    bits = d.num_access_bits
-    _, r = set_request_rows(d)
-    k2 = next_access_sets(d, act)
-    drawable = np.zeros((len(r), bits + 1), dtype=bool)
+
+    size: int  # (granted set, request) rows per emergency status
+    weights: np.ndarray  # [k, j]: probability that a row reaching set k draws request j
+    draw_index: np.ndarray  # (2n,): the table entry each (action, state) reads
+    in_set: np.ndarray  # [a, k, r, j]: row (k, r) of R^a's draw of j, if it keeps set k
+
+    @cached_property
+    def drawn(self) -> slice:
+        """The span of requests that some set draws: weights is zero outside it."""
+        j = np.flatnonzero(self.weights.any(axis=0))
+        return slice(j[0], j[-1] + 1)
+
+
+def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics:
+    """Where each (granted set, request) row leads under each action, and what it draws."""
+    bits, sets = d.num_access_bits, d.num_sets
+    per_set = bits + 1
+    k, r = set_request_rows(d)
+    # drawable[k, j]: a row reaching set k can draw request j (j = bits is the
+    # empty request), as the RequestBehavior comments describe
+    drawable = np.zeros((sets, per_set), dtype=bool)
     if behavior is RequestBehavior.UNIQUE:
         drawable[:, bits] = True
     elif behavior is RequestBehavior.ALL:
         drawable[:, :bits] = True
     else:
-        drawable[:, :bits] = (k2[:, None] >> np.arange(bits)) & 1 == 0
+        drawable[:, :bits] = (np.arange(sets)[:, None] >> np.arange(bits)) & 1 == 0
         drawable[:, bits] = True
-        drawable[r == bits, :bits] = False  # the empty request is terminal
-    return k2, drawable
-
-
-@dataclass(frozen=True)
-class RequestDynamics:
-    """The E-free part of both actions' transition matrices.
-
-    requests holds R^deny over R^allow, each written once per emergency
-    status: row a * n + e * size + x is row x of R^a, at the columns of
-    status e, so requests = (I (x) R^deny) over (I (x) R^allow).  Since
-    P^a = E (x) R^a = (I (x) R^a)(E (x) I), the Bellman kernel
-    (bellman.decision_values) applies P^a as requests times V's status
-    halves mixed by E, with no E-dependent matrix.
-    """
-
-    size: int  # (granted set, request) rows per emergency status
-    requests: sparse.csr_matrix  # (2n, n): (I (x) R^deny) over (I (x) R^allow)
-    in_set: np.ndarray  # [a, k, r, j]: row (k, r) of R^a's draw of j, if it keeps set k
-
-
-def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics:
-    """Where each (granted set, request) row leads under each action, and what it draws."""
-    per_set = d.num_access_bits + 1
-    size = d.num_sets * per_set
-    k, _ = set_request_rows(d)
-    j_col = np.arange(per_set, dtype=INDEX_DTYPE)
-    draws, req_cols, in_set = [], [], []
+    weights = np.where(drawable, 1.0 / drawable.sum(axis=1, keepdims=True), 0.0)
+    # once's empty request is terminal: such a row draws it again, whatever its set
+    terminal = (r == bits) & (behavior is RequestBehavior.ONCE)
+    empty = np.zeros(per_set)
+    empty[bits] = 1.0
+    entries, in_set = [], []
     for act in ACTIONS:
-        k2, drawable = request_draws(d, behavior, act)
-        count = drawable.sum(axis=1)
-        draws.append(count)
-        # [x, j]: the (granted set, request) row k2[x], j that row x can draw
-        targets = (k2 * per_set).astype(INDEX_DTYPE)[:, None] + j_col
-        # R^a's entries, at the calm columns, then at the alert columns
-        r_cols = targets[drawable]
-        req_cols += [r_cols, r_cols + size]
-        in_set.append(np.where((k2 == k)[:, None] & drawable, 1.0 / count[:, None], 0.0))
-    draws = np.stack(draws).astype(INDEX_DTYPE)
-    # requests' rows (action, e, x): each row of R^a once per status
-    row_draws = np.repeat(draws, 2, axis=0).ravel()
-    indptr = np.zeros(len(row_draws) + 1, dtype=INDEX_DTYPE)
-    np.cumsum(row_draws, out=indptr[1:])
-    n = 2 * size
-    requests = sparse.csr_matrix(
-        (np.repeat(1.0 / row_draws, row_draws), np.concatenate(req_cols), indptr),
-        shape=(2 * n, n),
-    )
-    in_set = np.stack(in_set).reshape(2, d.num_sets, per_set, per_set)
-    return RequestDynamics(size, requests, in_set)
+        k2 = next_access_sets(d, act)
+        entries.append(np.where(terminal, sets + k2, k2))
+        draws = np.where(terminal[:, None], empty, weights[k2])
+        in_set.append(np.where((k2 == k)[:, None], draws, 0.0))
+    # entry (a, e, x) reads status e's block of the table
+    draw_index = np.stack(entries)[:, None] + 2 * sets * np.arange(2)[:, None]
+    in_set = np.stack(in_set).reshape(2, sets, per_set, per_set)
+    return RequestDynamics(len(r), weights, draw_index.ravel().astype(np.intp), in_set)

@@ -54,6 +54,9 @@ from .value_iteration import DEFAULT_TOL as VI_TOL, value_iterate
 
 CROSSOVER_WIDTH = 1e-4
 GRID_SLACK = 1e-9
+# the most points a sweep grid may have: a value-iteration sweep holds a few
+# (states, points) arrays, about 128 MB each at 160 states and this cap
+MAX_GRID_POINTS = 100_001
 # the tolerances a bisection point is solved to by value iteration, in turn,
 # until the sign of its gap is proven; the last one takes it as computed
 SIGN_TOLS = (1e-3, 1e-6, VI_TOL)
@@ -71,6 +74,13 @@ class SweepSpec:
             raise ValueError(f"grid [{self.start}, {self.stop}] must sit inside [0, 1]")
         if not 0.0 < self.step < math.inf:
             raise ValueError(f"step must be positive and finite, got {self.step}")
+        # a float count, so that a step far below the span refuses rather than overflows
+        points = (self.stop - self.start) / self.step - GRID_SLACK + 1.0
+        if points > MAX_GRID_POINTS:
+            raise ValueError(
+                f"step {self.step} makes a grid of {points:.4g} points, "
+                f"more than the {MAX_GRID_POINTS} a sweep may have"
+            )
 
     def grid(self) -> list[float]:
         """start, start + step, ... below stop, then stop itself."""

@@ -1,9 +1,12 @@
 """Fixed-point value iteration, used as an independent check on the LP.
 
 Each sweep is one call of the Bellman kernel (bellman.decision_values).  The
-kernel takes a trailing grid axis, so one loop solves one system or a batch
-of systems that differ only in E (bellman.SystemParts.mix_batch), every
-column at once.
+kernel takes a trailing grid axis, so one loop solves a batch of systems
+that differ only in E (bellman.SystemParts.mix_batch), every column at
+once; a single system runs as a batch of one.  A column that has stopped
+leaves the batch (BellmanSystem.columns), so each sweep backs up only the
+columns still running.  The kernel works on each column apart, so a
+column's values do not depend on the batch it was solved in.
 
 Iteration stops on a proven error bound, per column.  With d = TV - V,
 M = max d and m = min d, the optimal values lie between TV + beta / (1 - beta) m
@@ -70,29 +73,35 @@ def value_iterate(
         # the backup ignores V entirely; one sweep is exact
         return bellman_backup(system, values), 1
     factor = system.beta / (1.0 - system.beta)
-    result = np.empty(shape)
-    running = np.ones(shape[1:], dtype=bool)
-    # scale bounds max|V| per column from above; it is evaluated afresh only
-    # once a span is small enough to be rounding, which spares that cost per sweep
+    batch = system.as_batch()
+    values = values.reshape(len(values), -1)
+    result = np.empty(values.shape)
+    running = np.arange(values.shape[1])  # the result column of each column of the batch
+    # scale bounds max|V| per column from above; a column's is evaluated afresh
+    # only once its span is small enough to be rounding, which spares that cost
+    # per sweep and leaves each column's stop to its own values
     scale = np.abs(values).max(axis=0)
     for iteration in range(1, max_iter + 1):
-        updated = bellman_backup(system, values)
+        updated = bellman_backup(batch, values)
         step = updated - values
         top, bottom = step.max(axis=0), step.min(axis=0)
         half_span = 0.5 * (top - bottom)
         scale += np.maximum(top, -bottom)
         stop = factor * half_span <= tol
-        rounding = half_span <= EPS * scale
-        if np.any(rounding & ~stop):
-            scale = np.abs(updated).max(axis=0)
+        rounding = (half_span <= EPS * scale) & ~stop
+        if rounding.any():
+            scale[rounding] = np.abs(updated[:, rounding]).max(axis=0)
             stop |= half_span <= EPS * scale
-        stop &= running
-        if stop.any():
-            np.copyto(result, updated + factor * 0.5 * (top + bottom), where=stop)
-            running &= ~stop
-            if not running.any():
-                return result, iteration
         values = updated
+        if stop.any():
+            midpoint = factor * 0.5 * (top + bottom)
+            result[:, running[stop]] = updated[:, stop] + midpoint[stop]
+            if stop.all():
+                return result.reshape(shape), iteration
+            # stopped columns leave the batch: later sweeps back up only the others
+            keep = ~stop
+            running, values, scale = running[keep], updated.compress(keep, 1), scale[keep]
+            batch = batch.columns(keep)
     raise ConvergenceError(
         f"no convergence to {tol} within {max_iter} iterations (beta={system.beta})"
     )

@@ -213,6 +213,37 @@ class TestMixEmergency:
         assert_same_system(mixed, compile_system(at_e))
 
 
+KERNEL_DIMS = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)]
+
+
+class TestKernel:
+    """decision_values against q + beta P^a V with P^a assembled (BellmanSystem.transitions)."""
+
+    @pytest.mark.parametrize("behavior", [b.value for b in RequestBehavior])
+    @pytest.mark.parametrize("variant", [v.value for v in RewardVariant])
+    def test_single_systems_and_batches_match_the_assembled_product(self, behavior, variant):
+        rng = np.random.default_rng(list(map(ord, behavior + variant)))
+        eps = np.finfo(float).eps
+        for users, resources in KERNEL_DIMS:
+            beta = float(rng.uniform(0.0, 0.999))
+            sc = small_scenario(
+                users, resources, behavior, variant, beta=beta, seed=int(rng.integers(2**16))
+            )
+            parts = build_parts(sc)
+            emergencies = [EmergencyMatrix.from_rates(*rng.uniform(0.0, 1.0, 2)) for _ in range(3)]
+            batch = parts.mix_batch(emergencies)
+            assert batch.q.flags.c_contiguous
+            values = rng.normal(scale=100.0, size=batch.q.shape[1:])
+            dv = decision_values(batch, values)
+            for g, emergency in enumerate(emergencies):
+                single, column = parts.mix(emergency), values[:, g]
+                bound = 8 * eps * (np.abs(single.q).max() + beta * np.abs(column).max())
+                for got in (dv[..., g], decision_values(single, column)):
+                    for act, mat in enumerate(single.transitions):
+                        want = single.q[act] + beta * (mat @ column)
+                        assert np.max(np.abs(got[act] - want)) <= bound
+
+
 class TestVerifySolution:
     def test_lp_optimum_is_feasible_and_tight(self, table1_system):
         optimal = lattice_solve(table1_system.scenario)

@@ -154,6 +154,21 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == f"error: step must be positive and finite, got {float(step)}\n"
 
+    @pytest.mark.parametrize(
+        "step, points", [("1e-9", "1e+09"), ("5e-324", "inf")], ids=["fine", "subnormal"]
+    )
+    def test_oversized_grid_exits_2_before_building_it(self, capsys, monkeypatch, step, points):
+        def unbuilt(self):
+            raise AssertionError("an oversized sweep built its grid")
+
+        monkeypatch.setattr(acmdp.experiments.SweepSpec, "grid", unbuilt)
+        code, out, err = run(capsys, "sweep", "--builtin", "table2_once", "--step", step)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: step {float(step)} makes a grid of {points} points, "
+            f"more than the 100001 a sweep may have\n"
+        )
+
     def test_step_past_the_stop_keeps_start(self, capsys):
         code, out, _ = run(capsys, "sweep", "--builtin", "table2_once", "--step", "1e10")
         assert code == 0

@@ -183,12 +183,34 @@ class TestSuccessors:
                 assert grants == {next_access_set(s.granted, s.request, act, D22)}
 
 
-def halve(row):
-    row *= 0.5
+def halve(dynamics, k, x):
+    weights = dynamics.weights.copy()
+    weights[k] *= 0.5
+    return replace(dynamics, weights=weights)
 
 
-def overfill(row):
-    row[0] = 1.25  # of four entries of 0.25
+def overfill(dynamics, k, x):
+    weights = dynamics.weights.copy()
+    weights[k, 0] = 1.25  # of four entries of 0.25
+    return replace(dynamics, weights=weights)
+
+
+def alert_entry(dynamics, x):
+    """Position in draw_index of the alert state (alert, x) under allow."""
+    return int(Action.ALLOW) * 2 * dynamics.size + dynamics.size + x
+
+
+def read_calm_block(dynamics, k, x):
+    # the alert state (alert, x) under allow reads the calm block's entry
+    draw_index = dynamics.draw_index.copy()
+    draw_index[alert_entry(dynamics, x)] -= 2 * len(dynamics.weights)
+    return replace(dynamics, draw_index=draw_index)
+
+
+def read_past_table(dynamics, k, x):
+    draw_index = dynamics.draw_index.copy()
+    draw_index[alert_entry(dynamics, x)] = 4 * len(dynamics.weights)
+    return replace(dynamics, draw_index=draw_index)
 
 
 class TestValidateStochastic:
@@ -215,29 +237,38 @@ class TestValidateStochastic:
         assert len(violations) == 160
         assert all(v.total_mass == pytest.approx(0.8) for v in violations)
 
-    @pytest.mark.parametrize("statuses", [(0, 1), (1,)], ids=["both copies", "alert copy"])
     @pytest.mark.parametrize(
         "corrupt, mass, detail",
         [
             (halve, 0.5, "mass 0.5 != 1"),
             (overfill, 2.0, "request probabilities [1.25] outside"),
+            (read_calm_block, 1.0, "draw index 1 reads outside the alert block"),
+            (read_past_table, 0.0, "draw index 64 reads outside the alert block"),
         ],
-        ids=["halved", "out of range"],
+        ids=["halved", "out of range", "alert row reads calm block", "reads past the table"],
     )
-    def test_broken_request_row_reported_for_its_states(self, statuses, corrupt, mass, detail):
-        # requests holds row x of R^a once per status; state (e, x) under a is
-        # backed up by copy e, so exactly the states of the corrupted copies
-        # are reported, under that action alone
+    def test_broken_request_row_reported_for_its_states(self, corrupt, mass, detail):
+        # the weights of set k are read by every (state, action) whose next
+        # granted set is k, in both statuses; a draw index is read by its own
+        # (state, action) alone.  Exactly those are reported
         system = compile_system(model(DRIFT, RequestBehavior.ALL))
-        dynamics, n, x = system.parts.dynamics, system.num_states, 5
-        requests = dynamics.requests.copy()
-        for e in statuses:
-            row = int(Action.ALLOW) * n + e * dynamics.size + x
-            corrupt(requests.data[requests.indptr[row] : requests.indptr[row + 1]])
-        parts = replace(system.parts, dynamics=replace(dynamics, requests=requests))
-        violations = validate_stochastic(parts.mix(DRIFT))
-        states = [system.space.index_state(e * dynamics.size + x) for e in statuses]
-        assert [(v.state, v.action) for v in violations] == [(s, Action.ALLOW) for s in states]
+        x = 5  # (calm, {(0, 0)}, (0, 0)): allow keeps set 1
+        state = system.space.index_state(x)
+        k = next_access_set(state.granted, state.request, Action.ALLOW, D22)
+        dynamics = corrupt(system.parts.dynamics, k, x)
+        violations = validate_stochastic(replace(system.parts, dynamics=dynamics).mix(DRIFT))
+        if corrupt in (halve, overfill):
+            want = [
+                (s, act)
+                for s in all_states(system.space)
+                for act in ACTIONS
+                if next_access_set(s.granted, s.request, act, D22) == k
+            ]
+            assert {s.emergency for s, _ in want} == set(Emergency)
+        else:
+            alert = State(Emergency.ALERT, state.granted, state.request)
+            want = [(alert, Action.ALLOW)]
+        assert [(v.state, v.action) for v in violations] == want
         assert all(v.total_mass == pytest.approx(mass) for v in violations)
         assert all(v.detail.startswith(detail) for v in violations)
 

@@ -392,21 +392,23 @@ class TestSelfCheck:
         assert all(c.passed for c in checks)
 
     def test_broken_request_row_fails_stochasticity(self, monkeypatch):
-        # halve one row of the request factor: the check reads the factors
-        # the solvers read, so self_check stops before solving
+        # halve the empty set's row of the request factor's weights: the check
+        # reads the factors the solvers read, so self_check stops before solving
         build = acmdp.bellman.request_dynamics
 
         def corrupted(*args):
             dynamics = build(*args)
-            requests = dynamics.requests.copy()
-            requests.data[requests.indptr[5] : requests.indptr[6]] *= 0.5
-            return dataclasses.replace(dynamics, requests=requests)
+            weights = dynamics.weights.copy()
+            weights[0] *= 0.5
+            return dataclasses.replace(dynamics, weights=weights)
 
         monkeypatch.setattr(acmdp.bellman, "request_dynamics", corrupted)
         checks = self_check(builtin_scenario("table2_all"))
         assert [c.name for c in checks] == ["stochasticity"]
         assert not checks[0].passed
-        assert checks[0].detail == "1 violations, first: mass 0.5 != 1"
+        # the empty set is reached by deny from its five rows and by allow from
+        # its empty request, in both statuses: 12 (state, action) rows read it
+        assert checks[0].detail == "12 violations, first: mass 0.5 != 1"
 
     def test_broken_matrix_fails_stochasticity(self):
         from acmdp import EmergencyMatrix

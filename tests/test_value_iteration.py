@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_bellman import small_scenario
 
+import acmdp.value_iteration
 from acmdp import (
     Access,
     ConvergenceError,
@@ -172,3 +173,26 @@ class TestBatch:
             assert np.array_equal(column, want[:, 0])
             # and a single system is that batch of one
             assert np.array_equal(value_iterate(parts.mix(emergency))[0], want[:, 0])
+
+    def test_stopped_columns_leave_the_batch(self, monkeypatch):
+        # each backup takes only the columns still running, and a column
+        # returns the values it would return alone
+        parts = build_parts(builtin_scenario("table2_all"))
+        emergencies = [EmergencyMatrix.from_rates(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
+        alone = [value_iterate(parts.mix_batch([e])) for e in emergencies]
+        stops = sorted(s for _, s in alone)
+        assert stops[0] < stops[-1]
+        backup, widths = acmdp.value_iteration.bellman_backup, []
+
+        def recorded(system, values):
+            widths.append(values.shape[1])
+            return backup(system, values)
+
+        monkeypatch.setattr(acmdp.value_iteration, "bellman_backup", recorded)
+        values, sweeps = value_iterate(parts.mix_batch(emergencies))
+        assert sweeps == stops[-1]
+        # all four columns until the first stops, then only those still running
+        assert widths == [sum(s >= i for s in stops) for i in range(1, sweeps + 1)]
+        assert widths[stops[0] - 1] == 4 > widths[stops[0]]
+        for column, (want, _) in zip(values.T, alone):
+            assert np.array_equal(column, want[:, 0])
