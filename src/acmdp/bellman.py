@@ -13,19 +13,17 @@ at once, one E per trailing grid column, with a C-contiguous q.  A mix can
 change nothing but E, so a sweep over E builds the parts once.  The
 per-state reference build the tests compare against is tests/oracle.py.
 
-decision_values is the only code that evaluates q^a + beta P^a V.  It
-works on the factors, P^a = E (x) R^a, where each row of R^a averages the
-cells of its next granted set by that set's weights or reads the set's
-empty-request cell.  Per status and value column it averages every set's
-cells (one product and one sum), mixes the two statuses' (2 sets)-entry
-tables by beta E, gathers both actions' entries with one index
-(RequestDynamics.draw_index), and adds q: O(n) work per column.  The LP
-solve (policy.policy_iterate), value iteration's backup, policy
-extraction and verify_solution all read its (2, n) output; a batch reads
-(2, n, G).  validate_stochastic checks the factors, since every row of
-P^a is a row of E times a draw-table entry.  No solver and no check
-assembles P: BellmanSystem.transitions builds each P^a = E (x) R^a from
-the factors on first use, for comparisons with other builds of the model.
+decision_values is the one kernel that evaluates q^a + beta P^a V, on the
+factors P^a = E (x) R^a.  It composes two halves, each O(n) work per value
+column: draw_table averages every set's cells by its weights and takes its
+empty-request cell, per status (the draw table), and price_table mixes the
+statuses' tables by beta E, gathers each (action, state)'s entry with
+RequestDynamics.draw_index, and adds q.  Value iteration, policy
+extraction and verify_solution call decision_values; the LP solve
+(policy.policy_iterate) calls the halves, since it solves for a basis's
+draw table.  validate_stochastic checks the factors.  No solver or check
+assembles P: BellmanSystem.transitions builds it on first use, for
+comparisons with other builds of the model.
 """
 
 from __future__ import annotations
@@ -163,33 +161,40 @@ def compile_system(sc: Scenario) -> BellmanSystem:
 def decision_values(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
     """q^a + beta P^a V, indexed by Action: (2, n), or (2, n, G) for a batch and (n, G) values.
 
-    P^a = E (x) R^a, and each row of R^a averages its next set's cells by
-    that set's weights or reads its empty-request cell (dynamics.RequestDynamics).
-    So, per status and value column, every set's average and empty-request
-    cell form a (2 sets)-entry table; the tables of both statuses are mixed
-    by beta E, both actions gather their entries with one draw_index, and q
-    is added.  A single system runs as a batch of one.  Every step is
-    elementwise per value column, so a column's result does not depend on
-    the other columns of its batch.
+    price_table of draw_table.  No step mixes value columns, so a column's
+    result does not depend on the other columns of its batch.
+    """
+    return price_table(system, draw_table(system, values))
+
+
+def draw_table(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
+    """The draw table of values, (n,) or (n, G): (2, 2, sets, G), [status, kind, set, column].
+
+    Kind 0 averages the set's cells by its weights; kind 1 is its empty-request cell.
     """
     dynamics = system.parts.dynamics
     sets, per_set = dynamics.weights.shape
     cells = values.reshape(2, sets, per_set, -1).transpose(2, 0, 1, 3)  # [j, e, k, column]
-    columns = cells.shape[-1]
-    # table[e, 0, k]: set k's average of its cells; table[e, 1, k]: its empty-request cell
-    table = np.empty((2, 2, sets, columns))
+    table = np.empty((2, 2, sets, cells.shape[-1]))
     drawn = cells[dynamics.drawn]
     terms = np.empty(drawn.shape)  # C order: the sum below runs along its outermost axis
     np.multiply(dynamics.weights.T[dynamics.drawn, None, :, None], drawn, out=terms)
     # an outermost-axis sum adds the terms in request order, for any number of columns
     np.add.reduce(terms, axis=0, out=table[:, 0])
     table[:, 1] = cells[-1]
+    return table
+
+
+def price_table(system: BellmanSystem, table: np.ndarray) -> np.ndarray:
+    """decision_values from V's draw table: mix by beta E, gather by draw_index, add q."""
+    _, _, sets, columns = table.shape
     table = table.reshape(2, 2 * sets, columns)
     # mixed[e] = sum_e2 beta E[e, e2] table[e2], per column
     mixing = system.beta * system.emergency.reshape(2, 2, 1, -1)
     mixed = mixing[:, 0] * table[0]
     mixed += mixing[:, 1] * table[1]
-    out = mixed.reshape(-1, columns).take(dynamics.draw_index, axis=0).reshape(system.q.shape)
+    index = system.parts.dynamics.draw_index
+    out = mixed.reshape(-1, columns).take(index, axis=0).reshape(system.q.shape)
     out += system.q
     return out
 
@@ -200,21 +205,15 @@ def rounding_allowance(values: np.ndarray, beta: float) -> float:
     A kernel evaluation or an LU solve is exact up to a few units in the last
     place of the largest value, and a beta-contraction amplifies such an
     error by up to 1 / (1 - beta).  Measured in these units against values
-    refined in extended precision, with the draw-average kernel, on two
-    samples of 900 random 1x1 to 2x2 scenarios with beta up to 0.999,
-    rewards scaled up to 100-fold and a fifth of them solved by value
-    iteration to tol 0 (184 and 179 with tol below one unit in the last
-    place of max|V|): value iteration, with its span stop and the shift to
-    the bounds' midpoint, exceeded its tol by at most 1.95 (its stop at a
-    rounding-level span accounts for up to 1), policy iteration erred by
-    at most 2.07 (at beta 0.06, where the unit is barely amplified), and
-    the two differed by at most 2.08 beyond tol.  Each use is covered: a
-    value-iteration sign test needs the first, an LP-VI comparison the
-    last.  The sum of both worst cases, which the allowance was set to
-    cover, is 4.01 on one sample and 3.42 on the other.  A kernel that
-    mixed by E before a (2n, n) sparse product measured the same figures on
-    the same scenarios, so that excess does not come from the kernel's
-    order of sums.
+    refined in np.longdouble, on two samples of 900 random 1x1 to 2x2
+    scenarios with beta up to 0.999, rewards scaled up to 100-fold and a
+    fifth solved by value iteration to tol 0: value iteration, with its span
+    stop and the shift to the bounds' midpoint, exceeded its tol by at most
+    1.85 (its rounding-level stop accounts for up to 1), policy iteration
+    erred by at most 0.75, and the two differed by at most 1.94 beyond tol.
+    A value-iteration sign test needs the first, an LP-VI comparison the
+    last.  The allowance covers the sum of the first two, 2.58 and 2.47 on
+    the two samples.
     """
     return float(ROUNDING_ULPS * np.finfo(float).eps * np.abs(values).max() / (1.0 - beta))
 

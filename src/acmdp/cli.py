@@ -162,9 +162,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     sc = _load_scenario(args)
     checks = self_check(sc)
-    failed = [c for c in checks if not c.passed]
+    failed = [c for c in checks if c.passed is False]
     for check in checks:
-        mark = "PASS" if check.passed else "FAIL"
+        mark = {True: "PASS", False: "FAIL", None: "SKIP"}[check.passed]
         print(f"{mark}  {check.name}: {check.detail}")
     if failed:
         print(f"selfcheck failed at: {failed[0].name}", file=sys.stderr)

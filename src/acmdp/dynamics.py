@@ -18,13 +18,12 @@ RequestDynamics.draw_index says, for every (action, state), whether it
 averages its next set's cells by those weights or reads that set's
 empty-request cell.  The Bellman kernel (bellman.decision_values) backs up
 through these draws in O(n) work per value column; no (2n, n) matrix is
-built.  RequestDynamics.in_set holds the draws that keep the granted set,
-the LP solve's diagonal blocks.  P is never assembled for a solve: bellman
-assembles the compiled system from these factors, checks them
-(bellman.validate_stochastic), and builds P^a = E (x) R^a only on request
-(BellmanSystem.transitions).  tests/oracle.py describes the same process
-one state at a time (successors) and is the reference the tests compare
-this build against.
+built.  Both solvers read only these two arrays.  P is never assembled
+for a solve: bellman assembles the compiled system from these factors,
+checks them (bellman.validate_stochastic), and builds P^a = E (x) R^a only
+on request (BellmanSystem.transitions).  tests/oracle.py describes the
+same process one state at a time (successors) and is the reference the
+tests compare this build against.
 """
 
 from __future__ import annotations
@@ -113,8 +112,8 @@ class RequestDynamics:
     probabilities weights[k2]; a row that can draw only the empty request
     (once's, after the empty request) draws it for sure.  So (R^a W)[x] is
     the weights[k2]-average of W's cells of set k2, or W's empty-request
-    cell of k2.  The Bellman kernel (bellman.decision_values) builds, per
-    emergency status e, a table of every set's average followed by every
+    cell of k2.  The Bellman kernel's first half (bellman.draw_table) builds,
+    per emergency status e, a table of every set's average followed by every
     set's empty-request cell; (action a, state (e, x)) reads its entry
     draw_index[a * n + e * size + x], which is e * 2 * sets + k2 or
     e * 2 * sets + sets + k2.
@@ -123,7 +122,6 @@ class RequestDynamics:
     size: int  # (granted set, request) rows per emergency status
     weights: np.ndarray  # [k, j]: probability that a row reaching set k draws request j
     draw_index: np.ndarray  # (2n,): the table entry each (action, state) reads
-    in_set: np.ndarray  # [a, k, r, j]: row (k, r) of R^a's draw of j, if it keeps set k
 
     @cached_property
     def drawn(self) -> slice:
@@ -136,7 +134,7 @@ def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics
     """Where each (granted set, request) row leads under each action, and what it draws."""
     bits, sets = d.num_access_bits, d.num_sets
     per_set = bits + 1
-    k, r = set_request_rows(d)
+    _, r = set_request_rows(d)
     # drawable[k, j]: a row reaching set k can draw request j (j = bits is the
     # empty request), as the RequestBehavior comments describe
     drawable = np.zeros((sets, per_set), dtype=bool)
@@ -150,15 +148,7 @@ def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics
     weights = np.where(drawable, 1.0 / drawable.sum(axis=1, keepdims=True), 0.0)
     # once's empty request is terminal: such a row draws it again, whatever its set
     terminal = (r == bits) & (behavior is RequestBehavior.ONCE)
-    empty = np.zeros(per_set)
-    empty[bits] = 1.0
-    entries, in_set = [], []
-    for act in ACTIONS:
-        k2 = next_access_sets(d, act)
-        entries.append(np.where(terminal, sets + k2, k2))
-        draws = np.where(terminal[:, None], empty, weights[k2])
-        in_set.append(np.where((k2 == k)[:, None], draws, 0.0))
+    entries = [np.where(terminal, sets, 0) + next_access_sets(d, act) for act in ACTIONS]
     # entry (a, e, x) reads status e's block of the table
     draw_index = np.stack(entries)[:, None] + 2 * sets * np.arange(2)[:, None]
-    in_set = np.stack(in_set).reshape(2, sets, per_set, per_set)
-    return RequestDynamics(len(r), weights, draw_index.ravel().astype(np.intp), in_set)
+    return RequestDynamics(len(r), weights, draw_index.ravel().astype(np.intp))

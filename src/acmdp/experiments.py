@@ -40,6 +40,7 @@ import numpy as np
 from .bellman import (
     VERIFY_TOL,
     SystemParts,
+    build_parts,
     compile_system,
     decision_values,
     rounding_allowance,
@@ -50,7 +51,7 @@ from .dynamics import EmergencyMatrix
 from .policy import TIE_TOL, check_solver, policy_iterate, solve_system
 from .rewards import Scenario
 from .states import Access, Action, Emergency
-from .value_iteration import DEFAULT_TOL as VI_TOL, value_iterate
+from .value_iteration import DEFAULT_TOL as VI_TOL, ConvergenceError, value_iterate
 
 CROSSOVER_WIDTH = 1e-4
 GRID_SLACK = 1e-9
@@ -186,7 +187,7 @@ def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
     check_solver(solver)
     grid = spec.grid()
     alert_to_alert = spec.scenario.emergency.prob_alert_to_alert
-    parts = compile_system(spec.scenario).parts
+    parts = build_parts(spec.scenario)
     # the (calm, nothing granted, access) states; accesses are requests 0.. in bit order
     calm_empty = parts.space.position(
         int(Emergency.CALM), 0, np.arange(spec.scenario.dims.num_access_bits)
@@ -245,7 +246,7 @@ def sweep_csv(result: SweepResult) -> str:
 @dataclass
 class CheckResult:
     name: str
-    passed: bool
+    passed: bool | None  # None: skipped, with the reason in detail
     detail: str
 
 
@@ -258,7 +259,8 @@ def self_check(sc: Scenario) -> list[CheckResult]:
     and value iteration, a global solve that shares only the kernel with
     the LP's back-substitution, agrees with the LP on the values and on
     every confident decision.  Every bound an agreement check applies is
-    derived from proven ones, and printed.
+    derived from proven ones, and printed.  If value iteration does not
+    converge, both agreement checks are skipped (passed None), with its error.
     """
     system = compile_system(sc)
     violations = validate_stochastic(system)
@@ -282,7 +284,11 @@ def self_check(sc: Scenario) -> list[CheckResult]:
         ),
     ]
 
-    vi = solve_system(system, "vi")
+    try:
+        vi = solve_system(system, "vi")
+    except ConvergenceError as exc:
+        why = f"skipped, value iteration stopped: {exc}"
+        return checks + [CheckResult(n, None, why) for n in ("lp_vi_agreement", "policy_agreement")]
     allowance = rounding_allowance(lp.values, sc.beta)
     # value iteration stops within VI_TOL of the optimum; a final LP violation
     # of at most VERIFY_TOL leaves the LP within VERIFY_TOL / (1 - beta) of it.
@@ -305,4 +311,3 @@ def self_check(sc: Scenario) -> list[CheckResult]:
         )
     )
     return checks
-

@@ -9,8 +9,8 @@ The Bellman LP (min sum V s.t. V >= q^a + beta P^a V for every state and
 action) is solved by policy_iterate: Howard's policy iteration, which is
 the simplex method on the dual of this LP with block pivots.  Each basis
 is a policy, solved exactly by back-substitution over the granted sets,
-with no assembled P.  It is the package's one exact solver; value
-iteration (value_iteration.value_iterate) is the other solve path.
+one 4 x 4 system of draw-table entries per set, with no assembled P.  It
+is the package's one exact solver; value iteration is the other path.
 
 Solved tables can be exported to a line-oriented text file and reloaded for
 use as a lightweight policy decision point.
@@ -24,7 +24,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bellman import VERIFY_TOL, BellmanSystem, compile_system, decision_values, verify_solution
+from .bellman import (
+    VERIFY_TOL,
+    BellmanSystem,
+    compile_system,
+    decision_values,
+    draw_table,
+    price_table,
+    verify_solution,
+)
 from .config import scenario_fingerprint
 from .rewards import Scenario
 from .states import Action, CapacityError, Emergency, ModelDims, StateSpace
@@ -53,30 +61,38 @@ def policy_iterate(
 
     Every transition keeps the granted set or reaches a strict superset, so a
     basis is solved a popcount level of sets at a time from the full set down.
-    Set k's block, over its states (e, r), is I - beta E[e, e2] in_set[pi, k, r, j];
-    decision_values on V, zero on the level and below, gives the right-hand side.
+    A state of set k reads a solved superset's entry or one of k's own four
+    draw-table entries T_k (bellman.draw_table), so T_k = draw_table(b)_k +
+    beta M_k T_k: b is the policy's decision values with this level's entries
+    zero, and M_k, E times draw_table of the indicator "reads its own set's
+    entry of this kind", has row sums at most 1, so I - beta M_k is regular.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be zero or positive, got {tol}")
-    in_set = system.parts.dynamics.in_set
-    _, sets, per_set, _ = in_set.shape
+    dynamics = system.parts.dynamics
+    sets, per_set = dynamics.weights.shape
     states = np.arange(system.num_states)
-    # each set's states (e, r), the sets ordered by popcount, largest first
+    # own[a, x, c]: (action a, state x) reads its own set's kind-c entry
+    kind, reached = np.divmod(dynamics.draw_index.reshape(2, -1, 1) % (2 * sets), sets)
+    own = (reached == states[:, None] // per_set % sets) & (kind == (0, 1))
+    # the sets ordered by popcount, largest first
     popcount = ((np.arange(sets)[:, None] >> np.arange(per_set - 1)) & 1).sum(axis=1)
     order = np.argsort(-popcount, kind="stable")
-    rows = states.reshape(2, sets, per_set).transpose(1, 0, 2)[order]
     bounds = np.cumsum([0, *np.bincount(popcount)[::-1]]).tolist()
-    mixing = system.beta * system.emergency[None, :, None, :, None]
+    mixing = system.beta * system.emergency[:, None, :, None]  # [e, ., e2, .]
     policy = (system.q[1] > system.q[0]).astype(int)
     for bases in range(1, max_iter + 1):
-        kept = in_set[policy[rows], order[:, None, None], np.arange(per_set)]
-        blocks = np.eye(2 * per_set) - (mixing * kept[..., None, :]).reshape(sets, 2 * per_set, -1)
-        values, dv = np.zeros(len(states)), system.q
+        # shares[k, e, kind, ., c], sets in popcount order: the draw table of own under pi
+        shares = draw_table(system, own[policy, states].astype(float))[:, :, order, None]
+        blocks = np.eye(4) - (mixing * shares.transpose(2, 0, 1, 3, 4)).reshape(sets, 4, 4)
+        entries = np.zeros((4, sets))  # V's draw table, (status, kind) by set
+        dv = system.q
         for start, end in zip(bounds, bounds[1:]):
-            here = rows[start:end]
-            rhs = dv[policy[here], here].reshape(len(here), -1, 1)
-            values[here] = np.linalg.solve(blocks[start:end], rhs).reshape(here.shape)
-            dv = decision_values(system, values)
+            level = order[start:end]
+            rhs = draw_table(system, dv[policy, states]).reshape(4, sets)[:, level]
+            entries[:, level] = np.linalg.solve(blocks[start:end], rhs.T[..., None])[..., 0].T
+            dv = price_table(system, entries.reshape(2, 2, sets, 1))
+        values = dv[policy, states]
         better = dv[1 - policy, states] > dv[policy, states] + tol
         if not better.any():
             return values, bases

@@ -28,13 +28,6 @@ class Emergency(IntEnum):
     def label(self) -> str:
         return "calm" if self is Emergency.CALM else "alert"
 
-    @classmethod
-    def from_label(cls, label: str) -> "Emergency":
-        try:
-            return {"calm": cls.CALM, "alert": cls.ALERT}[label]
-        except KeyError:
-            raise ValueError(f"unknown emergency status {label!r}") from None
-
 
 class Action(IntEnum):
     # Deny sorts first: downstream tie-breaking falls back to the
@@ -91,10 +84,6 @@ class ModelDims:
     @property
     def num_states(self) -> int:
         return 2 * self.num_sets * (self.num_access_bits + 1)
-
-    @property
-    def full_set(self) -> int:
-        return self.num_sets - 1
 
     def check_access(self, a: Access) -> None:
         if not (0 <= a.user < self.num_users and 0 <= a.resource < self.num_resources):

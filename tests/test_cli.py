@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import os
 import shlex
 import subprocess
@@ -311,6 +313,19 @@ class TestSelfcheck:
         assert code == 0
         assert out.count("PASS") == 5
         assert "PASS  lp_vi_agreement: sup-norm gap" in out
+
+    def test_skipped_checks_print_skip_and_exit_0(self, capsys, monkeypatch, tmp_path):
+        # value iteration that exhausts its budget skips the two agreement checks
+        sc = dataclasses.replace(acmdp.builtin_scenario("modified_unique"), beta=0.9999)
+        path = tmp_path / "slow.txt"
+        path.write_text(render_scenario(sc))
+        budget = functools.partial(acmdp.value_iteration.value_iterate, max_iter=100)
+        monkeypatch.setattr(acmdp.policy, "value_iterate", budget)
+        code, out, err = run(capsys, "selfcheck", "--scenario", str(path))
+        assert code == 0, err
+        assert out.count("PASS") == 3
+        assert out.count("SKIP") == 2
+        assert "SKIP  lp_vi_agreement: skipped, value iteration stopped: no convergence" in out
 
     def test_broken_scenario_fails(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -25,7 +25,7 @@ from acmdp import (
     compile_system,
     validate_stochastic,
 )
-from acmdp.dynamics import next_access_sets, request_dynamics, set_request_rows
+from acmdp.dynamics import next_access_sets, set_request_rows
 from acmdp.states import ACTIONS
 
 D22 = ModelDims(2, 2)
@@ -80,22 +80,6 @@ class TestGrantedSetLattice:
         k, _ = set_request_rows(d)
         assert np.array_equal(next_access_sets(d, act) & k, k)
 
-    @pytest.mark.parametrize("behavior", list(RequestBehavior))
-    @pytest.mark.parametrize("users, resources", [(1, 1), (2, 2), (1, 3)])
-    def test_in_set_holds_the_draws_that_keep_the_set(self, users, resources, behavior):
-        d = ModelDims(users, resources)
-        space = StateSpace(d)
-        in_set = request_dynamics(d, behavior).in_set
-        for act in ACTIONS:
-            for k in range(d.num_sets):
-                for r, req in enumerate(space.requests):
-                    want = np.zeros(len(space.requests))
-                    k2 = next_access_set(k, req, act, d)
-                    if k2 == k:
-                        for req2, p in request_distribution(behavior, k2, d, req):
-                            want[space.requests.index(req2)] = p
-                    assert np.array_equal(in_set[int(act), k, r], want), (act, k, req)
-
 
 class TestRequestDistribution:
     def test_unique_is_always_empty(self):
@@ -125,7 +109,7 @@ class TestRequestDistribution:
         assert request_distribution(RequestBehavior.ONCE, 0, D22, None) == [(None, 1.0)]
 
     def test_once_full_set_forces_empty(self):
-        dist = request_distribution(RequestBehavior.ONCE, D22.full_set, D22, Access(0, 0))
+        dist = request_distribution(RequestBehavior.ONCE, D22.num_sets - 1, D22, Access(0, 0))
         assert dist == [(None, 1.0)]
 
     @pytest.mark.parametrize("behavior", list(RequestBehavior))

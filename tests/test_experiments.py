@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -158,7 +159,7 @@ class TestRunSweep:
         # the grid is one batch mixed into the one build, and each bisection
         # point a batch of one; a sweep that compiled every solve would build
         # once per solve
-        build = acmdp.bellman.build_parts
+        build = acmdp.experiments.build_parts
         batch = acmdp.bellman.SystemParts.mix_batch
         builds, batches = [], []
 
@@ -170,7 +171,7 @@ class TestRunSweep:
             batches.append(len(emergencies))
             return batch(parts, emergencies)
 
-        monkeypatch.setattr(acmdp.bellman, "build_parts", counted_build)
+        monkeypatch.setattr(acmdp.experiments, "build_parts", counted_build)
         monkeypatch.setattr(acmdp.bellman.SystemParts, "mix_batch", counted_batch)
         result = run_sweep(SweepSpec(builtin_scenario("table2_once")), solver="vi")
         assert len(builds) == 1
@@ -390,6 +391,22 @@ class TestSelfCheck:
         sc = dataclasses.replace(builtin_scenario("table2_unique"), beta=0.99)
         checks = self_check(sc)
         assert all(c.passed for c in checks)
+
+    def test_vi_without_convergence_skips_the_agreement_checks(self, monkeypatch):
+        # at beta = 0.9999 value iteration needs far more sweeps than its budget
+        # on this model, which the LP solves in two bases; a budget of 100
+        # sweeps fails the same way, sooner
+        sc = dataclasses.replace(builtin_scenario("modified_unique"), beta=0.9999)
+        budget = functools.partial(acmdp.value_iteration.value_iterate, max_iter=100)
+        monkeypatch.setattr(acmdp.policy, "value_iterate", budget)
+        checks = self_check(sc)
+        assert [c.passed for c in checks] == [True, True, True, None, None]
+        assert [c.name for c in checks[3:]] == ["lp_vi_agreement", "policy_agreement"]
+        for check in checks[3:]:
+            assert check.detail == (
+                "skipped, value iteration stopped: "
+                "no convergence to 1e-10 within 100 iterations (beta=0.9999)"
+            )
 
     def test_broken_request_row_fails_stochasticity(self, monkeypatch):
         # halve the empty set's row of the request factor's weights: the check

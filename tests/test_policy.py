@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,13 +73,16 @@ class TestDecisionValues:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts of decision_values calls inside and outside value_iterate, and
-    of value_iterate's calls and the backups they report.
+    """Counts of decision_values calls inside and outside value_iterate, of
+    value_iterate's calls and the backups they report, and of the calls of
+    the kernel's two halves made other than through decision_values.
 
-    Both functions are rebound in every acmdp module that holds them.
+    Each function is rebound in every acmdp module that holds it; the halves
+    are left as they are in acmdp.bellman, where decision_values calls them.
     """
     kernel, iterate = acmdp.decision_values, acmdp.value_iteration.value_iterate
-    calls = {"inside": 0, "outside": 0, "solves": 0, "backups": 0}
+    halves = {"draw_table": acmdp.bellman.draw_table, "price_table": acmdp.bellman.price_table}
+    calls = {"inside": 0, "outside": 0, "solves": 0, "backups": 0, **dict.fromkeys(halves, 0)}
     depth = []
 
     def counted(*args):
@@ -95,12 +99,22 @@ def kernel_calls(monkeypatch):
         calls["backups"] += result[1]
         return result
 
+    def counted_half(name):
+        def call(*args):
+            calls[name] += 1
+            return halves[name](*args)
+
+        return call
+
     for name, module in list(sys.modules.items()):
         if name == "acmdp" or name.startswith("acmdp."):
             if getattr(module, "decision_values", None) is kernel:
                 monkeypatch.setattr(module, "decision_values", counted)
             if getattr(module, "value_iterate", None) is iterate:
                 monkeypatch.setattr(module, "value_iterate", iterating)
+            for half, function in halves.items():
+                if name != "acmdp.bellman" and getattr(module, half, None) is function:
+                    monkeypatch.setattr(module, half, counted_half(half))
     return calls
 
 
@@ -109,19 +123,33 @@ class TestOneKernel:
 
     @pytest.mark.parametrize("name", ["table1", "table2_all"])
     def test_lp_solve_prices_each_basis_and_the_result(self, kernel_calls, name):
-        # a basis takes one call per granted-set level, the right-hand side of
-        # the next level; the call after the last level prices the basis
+        # a basis takes one draw_table call for its 4 x 4 systems, then per
+        # granted-set level one draw_table call for the right-hand side and
+        # one price_table call for the level's decision values, the last of
+        # which prices the basis; decision_values prices the result once
         solution = solve_scenario(builtin_scenario(name), "lp")
         levels = solution.scenario.dims.num_access_bits + 1
+        bases = solution.iterations
+        assert bases == (1 if name == "table1" else 2)
         assert kernel_calls == {
-            "inside": 0, "outside": solution.iterations * levels + 1, "solves": 0, "backups": 0
+            "inside": 0,
+            "outside": 1,
+            "solves": 0,
+            "backups": 0,
+            "draw_table": bases * (levels + 1),
+            "price_table": bases * levels,
         }
 
     def test_vi_solve_prices_the_result_once(self, kernel_calls):
         solution = solve_scenario(builtin_scenario("table2_once"), "vi")
         iterations = solution.iterations
         assert kernel_calls == {
-            "inside": iterations, "outside": 1, "solves": 1, "backups": iterations
+            "inside": iterations,
+            "outside": 1,
+            "solves": 1,
+            "backups": iterations,
+            "draw_table": 0,
+            "price_table": 0,
         }
 
     @pytest.mark.parametrize("behavior", ["unique", "once", "all"])
@@ -139,6 +167,7 @@ class TestOneKernel:
         assert kernel_calls["solves"] > 1
         assert kernel_calls["inside"] == kernel_calls["backups"]
         assert kernel_calls["outside"] == kernel_calls["solves"]
+        assert kernel_calls["draw_table"] == kernel_calls["price_table"] == 0
 
     def test_lp_solves_sweeps_and_self_checks_assemble_no_transitions(self, monkeypatch):
         def unassembled(self):
@@ -300,6 +329,20 @@ class TestLpSolve:
         assert solution.system.num_states == 10240
         vi = solve_scenario(sc, "vi")
         assert_lp_agrees(solution, vi.values, vi_bound(vi.values, sc.beta))
+
+    def test_3x4_solves_in_a_small_memory_peak(self):
+        # each granted set's block is a 4 x 4 system over its draw-table
+        # entries, so the LP holds a few (2, n) arrays, 1.7 MB each at this size
+        sc = small_scenario(3, 4, "once", "eps_accrues", rates=(0.1, 1.0))
+        tracemalloc.start()
+        try:
+            solution = solve_scenario(sc, "lp")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solution.system.num_states == 106_496
+        assert solution.max_residual <= VERIFY_TOL
+        assert peak < 25e6
 
     def test_value_iteration_converges_below_its_rounding(self):
         # at beta = 0.999, tol (1 - beta) / beta = 1e-13 is below one unit in
@@ -507,7 +550,7 @@ class TestLookup:
             assert row == scan(table.rows, *query)
             i = sol.system.space.state_index(
                 State(
-                    Emergency.from_label(query[0]),
+                    Emergency[query[0].upper()],
                     query[1],
                     None if query[2] == "eps" else Access(int(query[2][1]), int(query[3][1])),
                 )
