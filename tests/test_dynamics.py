@@ -25,7 +25,7 @@ from acmdp import (
     compile_system,
     validate_stochastic,
 )
-from acmdp.dynamics import next_access_sets, set_request_rows
+from acmdp.dynamics import next_access_sets, request_dynamics, set_request_rows
 from acmdp.states import ACTIONS
 
 D22 = ModelDims(2, 2)
@@ -79,6 +79,35 @@ class TestGrantedSetLattice:
         d = ModelDims(users, resources)
         k, _ = set_request_rows(d)
         assert np.array_equal(next_access_sets(d, act) & k, k)
+
+    @pytest.mark.parametrize("behavior", list(RequestBehavior))
+    @pytest.mark.parametrize("users, resources", [(1, 1), (2, 2), (1, 3)])
+    def test_in_set_holds_the_draws_that_keep_the_set(self, users, resources, behavior):
+        # the in-set draws of a row are those that keep its granted set k:
+        # the LP solves them as k's own draw-table entries.  Read them from
+        # weights and draw_index, in both statuses, and compare with the oracle
+        d = ModelDims(users, resources)
+        space = StateSpace(d)
+        dynamics = request_dynamics(d, behavior)
+        sets, size = d.num_sets, dynamics.size
+        empty = np.zeros(len(space.requests))
+        empty[-1] = 1.0
+        for act in ACTIONS:
+            for k in range(sets):
+                for r, req in enumerate(space.requests):
+                    want = np.zeros(len(space.requests))
+                    k2 = next_access_set(k, req, act, d)
+                    if k2 == k:
+                        for req2, p in request_distribution(behavior, k2, d, req):
+                            want[space.requests.index(req2)] = p
+                    x = k * len(space.requests) + r
+                    for e in range(2):
+                        entry = dynamics.draw_index[int(act) * 2 * size + e * size + x]
+                        kind, k_read = divmod(entry - e * 2 * sets, sets)
+                        got = np.zeros(len(space.requests))
+                        if k_read == k:
+                            got = empty if kind else dynamics.weights[k]
+                        assert np.array_equal(got, want), (act, e, k, req)
 
 
 class TestRequestDistribution:
