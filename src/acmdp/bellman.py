@@ -50,7 +50,7 @@ class BellmanSystem:
 
     A batch carries a trailing grid axis: one E per column, q of shape
     (2, n, G), values (n, G).  It has no scenario of its own and no
-    transitions; value iteration and decision_values are all it serves.
+    transitions; it serves decision_values and both solvers.
     """
 
     scenario: Scenario | None  # None for a batch

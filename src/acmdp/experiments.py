@@ -8,20 +8,17 @@ pinned down by bisection.  Only the emergency matrix E changes along a
 sweep, so the scenario is compiled once and every point mixes its E into
 the E-free parts, which can change nothing else.
 
-The LP (policy.policy_iterate) solves every point, of the grid and of a
-bisection, exactly and on its own (bellman.SystemParts.mix), so an LP
-sweep holds one system's arrays however long its grid, and its bisection
-costs one exact solve per point at any discount.  Value iteration solves
-the whole grid as one batch (bellman.SystemParts.mix_batch) to the
-solver's default tolerance, since its decision values are reported.  Of
-a bisection point only the sign of one access's gap allow - deny is read,
-so value iteration solves it as a batch of one down the SIGN_TOLS ladder
-instead, each rung starting from the last one's values.  Values within
-tol of the optimum V* move each decision value q^a + beta P^a V by at
-most beta tol from its optimal one, so a gap whose size exceeds
-2 beta (tol + rounding_allowance) has the sign of the optimal gap, and
-the point stops there.  At the last rung, VI_TOL, the sign is taken as
-computed, as the LP takes its own.
+Both solvers solve a batch of such systems (bellman.SystemParts.mix_batch),
+so one path serves both.  The grid is solved in chunks whose width
+CHUNK_BYTES caps, so a sweep's memory does not grow with its grid.  Of a
+bisection point only the sign of one access's gap allow - deny is read, so
+it is solved as a batch of one down a ladder of tolerances, each rung from
+the last one's values: SIGN_TOLS for value iteration, VERIFY_TOL alone for
+the LP.  Values within tol of the optimum V* move each decision value
+q^a + beta P^a V by at most beta tol from its optimal one, so a gap whose
+size exceeds 2 beta (tol + rounding_allowance) has the sign of the optimal
+gap, and the point stops there.  At the last rung the sign is taken as
+computed.
 
 self_check compiles a scenario once and runs five checks on that system:
 stochasticity of its factors, the LP's feasibility and tightness, and the
@@ -34,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,9 +53,14 @@ from .value_iteration import DEFAULT_TOL as VI_TOL, ConvergenceError, value_iter
 
 CROSSOVER_WIDTH = 1e-4
 GRID_SLACK = 1e-9
-# the most points a sweep grid may have: a value-iteration sweep holds a few
-# (states, points) arrays, about 128 MB each at 160 states and this cap
+# the most points a sweep grid may have; the grid is solved in chunks, so
+# this bounds only the sweep's per-point lists and its run time
 MAX_GRID_POINTS = 100_001
+# the bytes of (states, columns) arrays a sweep may hold to solve a chunk of its grid
+CHUNK_BYTES = 16 * 2**20
+# such arrays a chunk's mix, solve and pricing hold at their peak (tracemalloc,
+# 160 to 10,240 states): at most 15.6 for the LP and 10.5 for value iteration
+SOLVER_ARRAYS = 16
 # the tolerances a bisection point is solved to by value iteration, in turn,
 # until the sign of its gap is proven; the last one takes it as computed
 SIGN_TOLS = (1e-3, 1e-6, VI_TOL)
@@ -123,47 +126,35 @@ def _first_crossing(gaps: np.ndarray) -> int | None:
     return int(np.argmax(crossing)) if crossing.any() else None
 
 
-def _lp_decision_values(parts: SystemParts, emergency: EmergencyMatrix) -> np.ndarray:
-    """The (2, n) decision values of parts mixed with emergency, at the LP's exact values."""
-    system = parts.mix(emergency)
-    return decision_values(system, policy_iterate(system)[0])
-
-
 def _bisect(
     parts: SystemParts,
-    solver: str,
+    solve: Callable[..., tuple[np.ndarray, int]],
+    rungs: tuple[float, ...],
     state: int,
     lo: float,
     hi: float,
     f_lo: float,
-    values: np.ndarray | None,
 ) -> tuple[float, tuple[float, float]]:
     """Halve [lo, hi] to CROSSOVER_WIDTH; allow - deny at state differs in sign at its ends.
 
-    f_lo is the gap at lo.  The LP solves each point exactly.  Value
-    iteration solves each as a batch of one down SIGN_TOLS until the sign
-    of its gap is proven (see the module docstring), the first from values,
-    (n, 1), its values at lo, and each later one from the last values
-    solved.  The LP reads no values, and takes None.
+    f_lo is the gap at lo.  Each point is a batch of one, solved by solve down
+    rungs until its gap's sign is proven (see the module docstring): the
+    bracket's first point from start None, each later solve from the last values.
     """
     beta = parts.scenario.beta
     alert_to_alert = parts.scenario.emergency.prob_alert_to_alert
+    values = None
     while hi - lo > CROSSOVER_WIDTH:
         mid = 0.5 * (lo + hi)
-        emergency = EmergencyMatrix.from_rates(mid, alert_to_alert)
-        if solver == "lp":
-            dv = _lp_decision_values(parts, emergency)[:, state]
+        point = parts.mix_batch([EmergencyMatrix.from_rates(mid, alert_to_alert)])
+        for tol in rungs:
+            values, _ = solve(point, tol=tol, start=values)
+            dv = decision_values(point, values)[:, state, 0]
             f_mid = float(dv[Action.ALLOW] - dv[Action.DENY])
-        else:
-            point = parts.mix_batch([emergency])
-            for tol in SIGN_TOLS:
-                values, _ = value_iterate(point, tol=tol, start=values)
-                dv = decision_values(point, values)[:, state, 0]
-                f_mid = float(dv[Action.ALLOW] - dv[Action.DENY])
-                # the values lie within tol + rounding of the optimum, and each
-                # decision value q^a + beta P^a V within beta times that of its own
-                if abs(f_mid) > 2.0 * beta * (tol + rounding_allowance(values, beta)):
-                    break
+            # the values lie within tol + rounding of the optimum, and each
+            # decision value q^a + beta P^a V within beta times that of its own
+            if abs(f_mid) > 2.0 * beta * (tol + rounding_allowance(values, beta)):
+                break
         if f_mid == 0.0:
             return mid, (lo, hi)
         if (f_lo < 0) == (f_mid < 0):
@@ -173,18 +164,19 @@ def _bisect(
     return 0.5 * (lo + hi), (lo, hi)
 
 
-def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
+def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     """Solve every grid point, then bisect each bracketed crossover.
 
-    The scenario is compiled once.  The LP solves and prices each grid
-    point on its own; value iteration solves the grid as one batch
-    (SystemParts.mix_batch) to VI_TOL and prices it with one kernel call.
-    A crossover is the first grid point where allow - deny is exactly zero,
-    or else the first pair of neighbours whose gaps differ in sign, which
-    is then bisected (_bisect) with the same solver.  Value iteration's
-    bisection starts from its values at the lower grid point of the bracket.
+    The scenario is compiled once.  The grid is mixed (SystemParts.mix_batch)
+    in chunks of at most CHUNK_BYTES // (8 n SOLVER_ARRAYS) columns, each
+    solved by the named solver and priced with one kernel call, of which
+    only the (2, accesses, columns) decision values are kept.  A crossover
+    is the first grid point where allow - deny is exactly zero, or else the
+    first pair of neighbours whose gaps differ in sign, bisected (_bisect).
     """
     check_solver(solver)
+    # looked up at each call, so that a name rebound in this module is the one run
+    solve, rungs = (value_iterate, SIGN_TOLS) if solver == "vi" else (policy_iterate, (VERIFY_TOL,))
     grid = spec.grid()
     alert_to_alert = spec.scenario.emergency.prob_alert_to_alert
     parts = build_parts(spec.scenario)
@@ -192,15 +184,14 @@ def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
     calm_empty = parts.space.position(
         int(Emergency.CALM), 0, np.arange(spec.scenario.dims.num_access_bits)
     )
-    emergencies = (EmergencyMatrix.from_rates(p, alert_to_alert) for p in grid)
-    if solver == "lp":
-        # one point at a time, so the sweep's memory does not grow with its grid
-        values = None
-        dvs = np.stack([_lp_decision_values(parts, e)[:, calm_empty] for e in emergencies], -1)
-    else:
-        batch = parts.mix_batch(list(emergencies))
-        values, _ = value_iterate(batch)
-        dvs = decision_values(batch, values)[:, calm_empty]
+    width = max(1, CHUNK_BYTES // (8 * len(parts.space) * SOLVER_ARRAYS))
+    chunks = []
+    for first in range(0, len(grid), width):
+        chunk = grid[first : first + width]
+        batch = parts.mix_batch([EmergencyMatrix.from_rates(p, alert_to_alert) for p in chunk])
+        values, _ = solve(batch)
+        chunks.append(decision_values(batch, values)[:, calm_empty])
+    dvs = np.concatenate(chunks, axis=-1)
     points = [SweepPoint(p, dvs[..., g]) for g, p in enumerate(grid)]
 
     gaps = dvs[Action.ALLOW] - dvs[Action.DENY]  # (accesses, G)
@@ -209,37 +200,30 @@ def run_sweep(spec: SweepSpec, solver: str = "vi") -> SweepResult:
         g = _first_crossing(gaps[pos])
         if g is None:
             crossovers.append(CrossoverResult(access, None, None, None))
-            continue
-        if gaps[pos, g] == 0.0:
+        elif gaps[pos, g] == 0.0:
             crossovers.append(CrossoverResult(access, grid[g], (grid[g], grid[g]), 0.0))
-            continue
-        start = None if solver == "lp" else values[:, g : g + 1]
-        root, bracket = _bisect(
-            parts, solver, calm_empty[pos], grid[g], grid[g + 1], float(gaps[pos, g]), start
-        )
-        crossovers.append(CrossoverResult(access, root, bracket, bracket[1] - bracket[0]))
+        else:
+            root, bracket = _bisect(
+                parts, solve, rungs, calm_empty[pos], grid[g], grid[g + 1], float(gaps[pos, g])
+            )
+            crossovers.append(CrossoverResult(access, root, bracket, bracket[1] - bracket[0]))
     return SweepResult(spec, points, crossovers)
 
 
 def sweep_series_names(sc: Scenario) -> list[str]:
-    names = []
-    for access in sc.dims.accesses():
-        user = sc.user_names[access.user]
-        resource = sc.resource_names[access.resource]
-        for act in (Action.DENY, Action.ALLOW):
-            names.append(f"dv_{user}_{resource}_{act.label}")
-    return names
+    return [
+        f"dv_{sc.user_names[access.user]}_{sc.resource_names[access.resource]}_{act.label}"
+        for access in sc.dims.accesses()
+        for act in (Action.DENY, Action.ALLOW)
+    ]
 
 
 def sweep_csv(result: SweepResult) -> str:
     header = ["probability"] + sweep_series_names(result.spec.scenario)
     lines = [",".join(header)]
     for pt in result.points:
-        cells = [f"{pt.probability:.12g}"]
-        for pos in range(result.spec.scenario.dims.num_access_bits):
-            cells.append(f"{pt.dv[int(Action.DENY), pos]:.12g}")
-            cells.append(f"{pt.dv[int(Action.ALLOW), pos]:.12g}")
-        lines.append(",".join(cells))
+        # per access, its deny then its allow decision value
+        lines.append(",".join(f"{x:.12g}" for x in (pt.probability, *pt.dv.T.ravel())))
     return "\n".join(lines) + "\n"
 
 

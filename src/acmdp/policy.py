@@ -9,8 +9,8 @@ The Bellman LP (min sum V s.t. V >= q^a + beta P^a V for every state and
 action) is solved by policy_iterate: Howard's policy iteration, which is
 the simplex method on the dual of this LP with block pivots.  Each basis
 is a policy, solved exactly by back-substitution over the granted sets,
-one 4 x 4 system of draw-table entries per set, with no assembled P.  It
-is the package's one exact solver; value iteration is the other path.
+one 4 x 4 system of draw-table entries per set, with no assembled P, for
+one system or a batch that differs only in E.  It is the one exact solver.
 
 Solved tables can be exported to a line-oriented text file and reloaded for
 use as a lightweight policy decision point.
@@ -49,15 +49,22 @@ class SolverError(RuntimeError):
 
 
 def policy_iterate(
-    system: BellmanSystem, tol: float = VERIFY_TOL, max_iter: int = MAX_BASES
+    system: BellmanSystem,
+    tol: float = VERIFY_TOL,
+    max_iter: int = MAX_BASES,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Solve the Bellman LP, one policy per simplex basis.
 
-    Starts from the myopic policy (allow where q[allow] > q[deny]).  Each
-    basis pi is solved exactly, (I - beta P_pi) V = q_pi, and every state
-    whose other action beats its current one by more than tol pivots at
-    once.  The final basis therefore violates no Bellman row by more than
-    tol.  Returns the values and the number of bases solved.
+    system and start are value_iterate's: one system and values (n,), or a
+    batch of G (bellman.SystemParts.mix_batch) and values (n, G).  The first
+    policy is greedy on decision_values(system, start); start None is zero,
+    giving the myopic policy (allow where q[allow] > q[deny]).  Each basis
+    pi is solved exactly, (I - beta P_pi) V = q_pi, and every state whose
+    other action beats its current one by more than tol pivots at once.  A
+    column stops at a basis where none does, which violates no Bellman row
+    by more than tol, and leaves the batch (BellmanSystem.columns).  No step
+    mixes columns.  Returns the values and the most bases a column solved.
 
     Every transition keeps the granted set or reaches a strict superset, so a
     basis is solved a popcount level of sets at a time from the full set down.
@@ -69,34 +76,46 @@ def policy_iterate(
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be zero or positive, got {tol}")
-    dynamics = system.parts.dynamics
+    batch, dynamics = system.as_batch(), system.parts.dynamics
     sets, per_set = dynamics.weights.shape
-    states = np.arange(system.num_states)
+    states = np.arange(system.num_states)[:, None]
     # own[a, x, c]: (action a, state x) reads its own set's kind-c entry
     kind, reached = np.divmod(dynamics.draw_index.reshape(2, -1, 1) % (2 * sets), sets)
-    own = (reached == states[:, None] // per_set % sets) & (kind == (0, 1))
+    own = (reached == states // per_set % sets) & (kind == (0, 1))
     # the sets ordered by popcount, largest first
     popcount = ((np.arange(sets)[:, None] >> np.arange(per_set - 1)) & 1).sum(axis=1)
     order = np.argsort(-popcount, kind="stable")
     bounds = np.cumsum([0, *np.bincount(popcount)[::-1]]).tolist()
-    mixing = system.beta * system.emergency[:, None, :, None]  # [e, ., e2, .]
-    policy = (system.q[1] > system.q[0]).astype(int)
+    dv = batch.q if start is None else decision_values(batch, np.reshape(start, batch.q.shape[1:]))
+    policy = dv[1] > dv[0]  # (n, G): allow
+    result = np.empty(policy.shape)
+    running = np.arange(policy.shape[1])  # the result column of each column of the batch
     for bases in range(1, max_iter + 1):
-        # shares[k, e, kind, ., c], sets in popcount order: the draw table of own under pi
-        shares = draw_table(system, own[policy, states].astype(float))[:, :, order, None]
-        blocks = np.eye(4) - (mixing * shares.transpose(2, 0, 1, 3, 4)).reshape(sets, 4, 4)
-        entries = np.zeros((4, sets))  # V's draw table, (status, kind) by set
-        dv = system.q
-        for start, end in zip(bounds, bounds[1:]):
-            level = order[start:end]
-            rhs = draw_table(system, dv[policy, states]).reshape(4, sets)[:, level]
-            entries[:, level] = np.linalg.solve(blocks[start:end], rhs.T[..., None])[..., 0].T
-            dv = price_table(system, entries.reshape(2, 2, sets, 1))
-        values = dv[policy, states]
-        better = dv[1 - policy, states] > dv[policy, states] + tol
+        dv = batch.q  # the last basis's decision values are not needed: free them
+        # shares[k, g, e, kind, ., c], sets in popcount order: the draw table of own under pi
+        shares = np.where(policy[..., None], own[1, :, None], own[0, :, None])
+        shares = draw_table(batch, shares.reshape(len(states), -1).astype(float))
+        shares = shares.reshape(2, 2, sets, -1, 2)[:, :, order].transpose(2, 3, 0, 1, 4)
+        mixing = batch.beta * batch.emergency.transpose(2, 0, 1)[:, :, None, :, None]
+        blocks = np.eye(4) - (mixing * shares[..., None, :]).reshape(sets, -1, 4, 4)
+        entries = np.zeros((4, sets, len(running)))  # V's draw table, (status, kind) by set
+        for lo, hi in zip(bounds, bounds[1:]):
+            level = order[lo:hi]
+            rhs = draw_table(batch, np.where(policy, dv[1], dv[0])).reshape(4, sets, -1)
+            solved = np.linalg.solve(blocks[lo:hi], rhs[:, level].transpose(1, 2, 0)[..., None])
+            entries[:, level] = solved[..., 0].transpose(2, 0, 1)
+            dv = price_table(batch, entries.reshape(2, 2, sets, -1))
+        values = np.where(policy, dv[1], dv[0])
+        better = np.where(policy, dv[0], dv[1]) > values + tol
         if not better.any():
-            return values, bases
-        policy = np.where(better, 1 - policy, policy)
+            result[:, running] = values
+            return result.reshape(system.q.shape[1:]), bases
+        stop = ~better.any(axis=0)
+        if stop.any():  # stopped columns leave the batch: later bases solve only the others
+            result[:, running[stop]] = values[:, stop]
+            running, policy, better = running[~stop], policy[:, ~stop], better[:, ~stop]
+            batch = batch.columns(~stop)
+        policy ^= better
     raise SolverError(
         f"no optimal policy basis within {max_iter} bases (beta={system.beta}, tol={tol})"
     )
@@ -159,11 +178,8 @@ def solve_system(system: BellmanSystem, solver: str = "lp", tol: float | None = 
     decision_values call.
     """
     check_solver(solver)
-    tol_arg = {} if tol is None else {"tol": tol}
-    if solver == "lp":
-        values, iterations = policy_iterate(system, **tol_arg)
-    else:
-        values, iterations = value_iterate(system, **tol_arg)
+    solve = policy_iterate if solver == "lp" else value_iterate
+    values, iterations = solve(system, **({} if tol is None else {"tol": tol}))
     dv = decision_values(system, values)
     return Solution(
         scenario=system.scenario,

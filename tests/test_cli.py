@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -345,3 +346,14 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert code in (0, 1), (argv, err)
+
+
+def test_readme_tolerances_name_existing_constants():
+    # every module.NAME under README's "Tolerances" is a constant of that acmdp
+    # module, so a renamed or deleted constant cannot stay documented
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`", section)
+    assert len({name for _, name in names}) >= 15
+    for module, name in names:
+        assert hasattr(getattr(acmdp, module), name), f"{module}.{name}"

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ import acmdp.bellman
 import acmdp.dynamics
 import acmdp.experiments
 import acmdp.policy
-from acmdp import Action, EmergencyMatrix, RewardTables, builtin_scenario
-from acmdp.bellman import VERIFY_TOL, rounding_allowance
+from acmdp import BUILTIN_NAMES, Action, EmergencyMatrix, RewardTables, builtin_scenario
+from acmdp.bellman import VERIFY_TOL, build_parts, decision_values, rounding_allowance
 from acmdp.experiments import (
+    CHUNK_BYTES,
     SIGN_TOLS,
+    SOLVER_ARRAYS,
     _first_crossing,
     SweepSpec,
     run_sweep,
@@ -134,31 +137,35 @@ class TestRunSweep:
         assert names[-1] == "dv_bob_high_allow"
 
 
-    @pytest.mark.parametrize("behavior", ["unique", "once", "all"])
-    def test_vi_grid_agrees_with_per_point_lp(self, behavior):
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_vi_grid_agrees_with_per_point_lp(self, name):
         # the batched grid against an LP solve of each point on its own, within
         # self_check's lp_vi_agreement bound; the LP sweep's grid within rounding
         # of it; and every bracket as the LP sweep's
-        sc = builtin_scenario(f"table2_{behavior}")
+        sc = builtin_scenario(name)
         spec = SweepSpec(sc)
         vi = run_sweep(spec, solver="vi")
         # the CLI sweeps with the LP by default
         lp_sweep = run_sweep(spec, solver="lp")
+        parts = build_parts(sc)
+        calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
+        alert_to_alert = sc.emergency.prob_alert_to_alert
         for point, lp_point in zip(vi.points, lp_sweep.points):
-            emergency = EmergencyMatrix.from_rates(point.probability, 1.0)
-            lp = acmdp.solve_scenario(dataclasses.replace(sc, emergency=emergency), "lp")
-            calm_empty = lp.system.space.position(0, 0, np.arange(4))
-            allowance = rounding_allowance(lp.values, sc.beta)
+            system = parts.mix(EmergencyMatrix.from_rates(point.probability, alert_to_alert))
+            values, _ = acmdp.policy.policy_iterate(system)
+            dv = decision_values(system, values)[:, calm_empty]
+            allowance = rounding_allowance(values, sc.beta)
             bound = VI_TOL + VERIFY_TOL / (1 - sc.beta) + allowance
-            assert np.max(np.abs(point.dv - lp.dv[:, calm_empty])) <= bound
-            assert np.max(np.abs(lp_point.dv - lp.dv[:, calm_empty])) <= allowance
+            assert np.max(np.abs(point.dv - dv)) <= bound
+            assert np.max(np.abs(lp_point.dv - dv)) <= allowance
         assert lp_sweep.crossovers[BOB_HIGH_POS].bracket is not None
         assert [c.bracket for c in vi.crossovers] == [c.bracket for c in lp_sweep.crossovers]
 
-    def test_one_build_per_sweep(self, monkeypatch):
-        # the grid is one batch mixed into the one build, and each bisection
-        # point a batch of one; a sweep that compiled every solve would build
-        # once per solve
+    @pytest.mark.parametrize("solver", ["lp", "vi"])
+    def test_one_build_per_sweep(self, monkeypatch, solver):
+        # under either solver, a 160-state grid is one batch mixed into the one
+        # build, and each bisection point a batch of one; a sweep that compiled
+        # every solve would build once per solve
         build = acmdp.experiments.build_parts
         batch = acmdp.bellman.SystemParts.mix_batch
         builds, batches = [], []
@@ -173,75 +180,113 @@ class TestRunSweep:
 
         monkeypatch.setattr(acmdp.experiments, "build_parts", counted_build)
         monkeypatch.setattr(acmdp.bellman.SystemParts, "mix_batch", counted_batch)
-        result = run_sweep(SweepSpec(builtin_scenario("table2_once")), solver="vi")
+        result = run_sweep(SweepSpec(builtin_scenario("table2_once")), solver=solver)
         assert len(builds) == 1
         assert batches[0] == len(result.points)
         assert len(batches) > 1 and set(batches[1:]) == {1}
 
-    def test_bisection_starts_from_its_bracket(self, monkeypatch):
-        # each bracket's first bisection point starts from its lower grid
-        # point's values, every later one from the previous bisection point's;
+    @pytest.mark.parametrize(
+        "solver, name, default, rungs",
+        [
+            ("vi", "value_iterate", VI_TOL, SIGN_TOLS),
+            ("lp", "policy_iterate", VERIFY_TOL, (VERIFY_TOL,)),
+        ],
+    )
+    def test_bisection_starts_from_its_bracket(self, monkeypatch, solver, name, default, rungs):
+        # under either solver, each bracket's first bisection point starts from
+        # None and every later one from the previous bisection point's values;
         # a point is first solved to the loosest rung, and each tighter solve
         # of it starts from its own looser values
-        iterate = acmdp.experiments.value_iterate
+        solve = getattr(acmdp.experiments, name)
         solves = []
 
-        def recorded(system, tol=VI_TOL, start=None):
-            values, sweeps = iterate(system, tol=tol, start=start)
+        def recorded(system, tol=default, start=None):
+            values, iterations = solve(system, tol=tol, start=start)
             solves.append((system.emergency, tol, start, values))
-            return values, sweeps
+            return values, iterations
 
-        monkeypatch.setattr(acmdp.experiments, "value_iterate", recorded)
+        monkeypatch.setattr(acmdp.experiments, name, recorded)
         spec = SweepSpec(builtin_scenario("table2_all"), 0.0, 1.0, 0.25)
-        result = run_sweep(spec, solver="vi")
-        (_, grid_tol, grid_start, grid_values), bisection = solves[0], solves[1:]
-        assert grid_start is None and grid_tol == VI_TOL
-        # a solve that does not start from the previous one's values begins a bracket
-        firsts = [
-            start
-            for i, (_, _, start, _) in enumerate(bisection)
-            if i == 0 or start is not bisection[i - 1][3]
-        ]
-        lows = [c.bracket[0] for c in result.crossovers if c.width]
-        assert firsts and len(firsts) == len(lows)
-        for start, low in zip(firsts, lows):
-            g = max(i for i, p in enumerate(spec.grid()) if p <= low)
-            assert np.array_equal(start, grid_values[:, g : g + 1])
-        assert bisection[0][1] == SIGN_TOLS[0]
+        result = run_sweep(spec, solver=solver)
+        (grid_emergency, grid_tol, grid_start, _), bisection = solves[0], solves[1:]
+        assert grid_start is None and grid_tol == default
+        assert grid_emergency.shape[-1] == len(spec.grid())
+        starts = [start for _, _, start, _ in bisection]
+        bisected = [c for c in result.crossovers if c.width]
+        assert bisected and starts[0] is None
+        assert sum(start is None for start in starts) == len(bisected)
         for previous, (emergency, tol, start, _) in zip(bisection, bisection[1:]):
+            assert start is None or start is previous[3]
             if np.array_equal(emergency, previous[0]):  # the same point, one rung down
-                assert tol == SIGN_TOLS[SIGN_TOLS.index(previous[1]) + 1]
-                assert start is previous[3]
+                assert tol == rungs[rungs.index(previous[1]) + 1]
             else:
-                assert tol == SIGN_TOLS[0]
+                assert tol == rungs[0]
+        assert bisection[0][1] == rungs[0]
 
     @pytest.mark.parametrize("name, beta", [("table2_all", 0.9), ("modified_unique", 0.9999)])
-    def test_lp_solves_every_point_exactly_and_on_its_own(self, monkeypatch, name, beta):
-        # the LP solves the grid points in order, then every bisection point;
-        # an LP sweep mixes no batch, whose arrays grow with the grid, and runs
-        # no value iteration, which at beta = 0.9999 took up to 96,743 sweeps
-        # for one modified_unique bisection point
+    def test_lp_sweep_runs_no_value_iteration(self, monkeypatch, name, beta):
+        # the LP solves the grid as one batch, then every bisection point as a
+        # batch of one, exactly and with no value iteration, which at
+        # beta = 0.9999 took up to 96,743 sweeps for one modified_unique
+        # bisection point; each grid point's values are its own exact solve's
         exact = acmdp.experiments.policy_iterate
-        solved = []
+        widths = []
 
-        def recorded(system):
-            solved.append(system.emergency[0, 1])
-            return exact(system)
+        def recorded(system, **kwargs):
+            widths.append(system.q.shape[-1])
+            return exact(system, **kwargs)
 
         def unused(*args, **kwargs):
-            raise AssertionError("an LP sweep mixed a batch or ran value iteration")
+            raise AssertionError("an LP sweep ran value iteration")
 
         monkeypatch.setattr(acmdp.experiments, "policy_iterate", recorded)
         monkeypatch.setattr(acmdp.experiments, "value_iterate", unused)
-        monkeypatch.setattr(acmdp.bellman.SystemParts, "mix_batch", unused)
         sc = dataclasses.replace(builtin_scenario(name), beta=beta)
         spec = SweepSpec(sc, 0.0, 1.0, 0.25)
         result = run_sweep(spec, solver="lp")
         grid = spec.grid()
-        assert solved[: len(grid)] == grid
         # a 0.25-wide bracket takes 12 halvings to reach CROSSOVER_WIDTH
         bisected = [c for c in result.crossovers if c.width]
-        assert bisected and len(solved) == len(grid) + 12 * len(bisected)
+        assert bisected and widths == [len(grid)] + [1] * 12 * len(bisected)
+        parts = build_parts(sc)
+        calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
+        for point in result.points:
+            system = parts.mix(EmergencyMatrix.from_rates(point.probability, 1.0))
+            dv = decision_values(system, exact(system)[0])
+            assert np.array_equal(point.dv, dv[:, calm_empty])
+
+    @pytest.mark.parametrize("solver", ["lp", "vi"])
+    def test_grid_is_solved_in_chunks_of_the_byte_budget(self, monkeypatch, solver):
+        # a 2x3 grid of 501 points spans four chunks: no solve sees more
+        # columns than a chunk, the chunks' decision values are the one-batch
+        # solve's, and the traced peak stays near the budget, where a one-batch
+        # value-iteration grid held 29 MB
+        sc = small_scenario(2, 3, "all", "eps_accrues", rates=(0.1, 1.0))
+        spec = SweepSpec(sc, step=2e-3)
+        parts = build_parts(sc)
+        width = CHUNK_BYTES // (8 * len(parts.space) * SOLVER_ARRAYS)
+        assert width * 3 < len(spec.grid()) <= width * 4
+        name = "policy_iterate" if solver == "lp" else "value_iterate"
+        solve, widths = getattr(acmdp.experiments, name), []
+
+        def recorded(system, **kwargs):
+            widths.append(system.q.shape[-1])
+            return solve(system, **kwargs)
+
+        monkeypatch.setattr(acmdp.experiments, name, recorded)
+        tracemalloc.start()
+        try:
+            result = run_sweep(spec, solver=solver)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert widths[:4] == [width] * 3 + [len(spec.grid()) - 3 * width]
+        assert max(widths) == width
+        assert peak < 1.25 * CHUNK_BYTES
+        batch = parts.mix_batch([EmergencyMatrix.from_rates(p, 1.0) for p in spec.grid()])
+        calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
+        dv = decision_values(batch, solve(batch)[0])[:, calm_empty]
+        assert np.array_equal(np.stack([point.dv for point in result.points], -1), dv)
 
     def test_unknown_solver_raises_before_any_solve(self, monkeypatch):
         def unsolved(*args, **kwargs):
@@ -255,23 +300,32 @@ class TestRunSweep:
     def test_point_next_to_the_root_descends_the_ladder(self, monkeypatch):
         # the first bisection point lies 1e-7 above the table2_once root, where
         # allow - deny is about 4e-6: no solve to the loosest rung can prove
-        # its sign, and a sign taken unproven there puts the root outside
-        iterate = acmdp.experiments.value_iterate
-        tols = []
+        # its sign, and a sign taken unproven there puts the root outside.
+        # Under both solvers the point starts from None; the LP solves it once
+        solves = []
 
-        def recorded(system, tol=VI_TOL, start=None):
-            tols.append(tol)
-            return iterate(system, tol=tol, start=start)
+        def recorded(solve, default):
+            def call(system, tol=default, start=None):
+                solves.append((solve.__name__, tol, start))
+                return solve(system, tol=tol, start=start)
 
-        monkeypatch.setattr(acmdp.experiments, "value_iterate", recorded)
+            return call
+
+        for name, default in (("value_iterate", VI_TOL), ("policy_iterate", VERIFY_TOL)):
+            solve = getattr(acmdp.experiments, name)
+            monkeypatch.setattr(acmdp.experiments, name, recorded(solve, default))
         sc = builtin_scenario("table2_once")
         start = 0.15
         spec = SweepSpec(sc, start, 2 * (ONCE_ROOT + 1e-7) - start, 0.1)
         assert len(spec.grid()) == 2
         assert 0.5 * sum(spec.grid()) == pytest.approx(ONCE_ROOT + 1e-7, abs=1e-12)
         vi = run_sweep(spec, solver="vi").crossovers[BOB_HIGH_POS]
-        assert tols[1] == SIGN_TOLS[0] and tols[2] != SIGN_TOLS[0]
+        (_, loosest, first), (_, tighter, _) = solves[1:3]
+        assert loosest == SIGN_TOLS[0] and first is None and tighter != SIGN_TOLS[0]
+        solves.clear()
         lp = run_sweep(spec, solver="lp").crossovers[BOB_HIGH_POS]
+        assert {name for name, _, _ in solves} == {"policy_iterate"}
+        assert solves[1][1:] == (VERIFY_TOL, None) and solves[2][2] is not None
         assert vi.bracket == lp.bracket
         assert vi.bracket[0] <= ONCE_ROOT <= vi.bracket[1]
 

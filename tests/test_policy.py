@@ -41,7 +41,7 @@ from acmdp import (
     solve_scenario,
     verify_solution,
 )
-from acmdp.bellman import VERIFY_TOL, rounding_allowance
+from acmdp.bellman import VERIFY_TOL, build_parts, rounding_allowance
 from acmdp.policy import FILE_HEADER, TIE_TOL, SolverError, ValueFileError, state_labels
 from acmdp.value_iteration import DEFAULT_TOL as VI_TOL
 
@@ -138,6 +138,24 @@ class TestOneKernel:
             "backups": 0,
             "draw_table": bases * (levels + 1),
             "price_table": bases * levels,
+        }
+
+    def test_lp_start_is_priced_once(self, kernel_calls):
+        # a start costs one decision_values call for the first policy; from
+        # the optimal values that policy is optimal, so one basis follows
+        system = compile_system(builtin_scenario("table2_all"))
+        values, bases = policy_iterate(system)
+        assert bases == 2
+        again, bases = policy_iterate(system, start=values)
+        levels = system.scenario.dims.num_access_bits + 1
+        assert bases == 1 and np.array_equal(again, values)
+        assert kernel_calls == {
+            "inside": 0,
+            "outside": 1,
+            "solves": 0,
+            "backups": 0,
+            "draw_table": (2 + 1) * (levels + 1),
+            "price_table": (2 + 1) * levels,
         }
 
     def test_vi_solve_prices_the_result_once(self, kernel_calls):
@@ -438,6 +456,79 @@ class TestLpSolve:
             assert_lp_agrees(solution, values, lattice_bound(solution, values))
         vi = solve_scenario(sc, "vi")
         assert_lp_agrees(solution, vi.values, vi_bound(vi.values, beta))
+
+
+class TestLpBatch:
+    """policy_iterate on a batch of systems that differ only in E."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_grid_columns_are_their_batches_of_one(self, name):
+        sc = builtin_scenario(name)
+        parts = build_parts(sc)
+        alert_to_alert = sc.emergency.prob_alert_to_alert
+        emergencies = [EmergencyMatrix.from_rates(i / 100, alert_to_alert) for i in range(101)]
+        values, bases = policy_iterate(parts.mix_batch(emergencies))
+        alone = [policy_iterate(parts.mix_batch([e])) for e in emergencies]
+        assert bases == max(b for _, b in alone)
+        for column, (want, _) in zip(values.T, alone):
+            assert np.array_equal(column, want[:, 0])
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        behavior=st.sampled_from(list(RequestBehavior)),
+        variant=st.sampled_from(list(RewardVariant)),
+        beta=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+        seed=st.integers(0, 2**16),
+        rates=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+    )
+    def test_random_2x3_columns_are_their_batches_of_one(
+        self, behavior, variant, beta, seed, rates
+    ):
+        parts = build_parts(small_scenario(2, 3, behavior, variant, beta=beta, seed=seed))
+        emergencies = [EmergencyMatrix.from_rates(*r) for r in rates]
+        values, _ = policy_iterate(parts.mix_batch(emergencies))
+        assert values.shape == (len(parts.space), len(rates))
+        for column, emergency in zip(values.T, emergencies):
+            assert np.array_equal(column, policy_iterate(parts.mix_batch([emergency]))[0][:, 0])
+            # and a single system is that batch of one
+            assert np.array_equal(column, policy_iterate(parts.mix(emergency))[0])
+
+    def test_stopped_columns_leave_the_batch(self, monkeypatch):
+        # each basis solves only the columns still running, and a column
+        # returns the values it would return alone
+        sc = small_scenario(2, 2, "once", "eps_accrues", rates=(0.1, 1.0), seed=25)
+        parts = build_parts(sc)
+        emergencies = [EmergencyMatrix.from_rates(p, 1.0) for p in (0.0, 0.1, 0.2, 0.5)]
+        alone = [policy_iterate(parts.mix_batch([e])) for e in emergencies]
+        assert [b for _, b in alone] == [1, 2, 3, 1]
+        price, widths = acmdp.policy.price_table, []
+
+        def recorded(system, table):
+            widths.append(table.shape[-1])
+            return price(system, table)
+
+        monkeypatch.setattr(acmdp.policy, "price_table", recorded)
+        values, bases = policy_iterate(parts.mix_batch(emergencies))
+        assert bases == 3
+        # each basis prices its columns once per granted-set level
+        levels = sc.dims.num_access_bits + 1
+        assert widths == [4] * levels + [2] * levels + [1] * levels
+        for column, (want, _) in zip(values.T, alone):
+            assert np.array_equal(column, want[:, 0])
+
+    def test_optimal_start_solves_in_one_basis(self):
+        parts = build_parts(builtin_scenario("modified_once"))
+        batch = parts.mix_batch([EmergencyMatrix.from_rates(p, 1.0) for p in (0.0, 0.3, 1.0)])
+        values, bases = policy_iterate(batch)
+        assert bases == 2
+        again, bases = policy_iterate(batch, start=values)
+        assert bases == 1 and np.array_equal(again, values)
+
+    def test_basis_budget_raises_solver_error(self):
+        parts = build_parts(builtin_scenario("table2_all"))
+        batch = parts.mix_batch([EmergencyMatrix.from_rates(p, 1.0) for p in (0.0, 0.3)])
+        with pytest.raises(SolverError, match="no optimal policy basis within 1 bases"):
+            policy_iterate(batch, max_iter=1)
 
 
 class TestValueFiles:
