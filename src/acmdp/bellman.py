@@ -6,12 +6,12 @@ part that does not depend on the 2x2 emergency matrix E: the request-draw
 structure of both R^a (dynamics.request_dynamics: each set's draw weights
 and, per (action, state), the draw-table entry it reads) and the reward
 of every (action, next status, row) (rewards.reward_parts), all by array
-arithmetic with no Python loop per state.  SystemParts.mix(E) then returns
-the system of the built scenario with its emergency matrix replaced by E,
-with q weighted by E's rows; SystemParts.mix_batch returns G such systems
-at once, one E per trailing grid column, with a C-contiguous q.  A mix can
-change nothing but E, so a sweep over E builds the parts once.  The
-per-state reference build the tests compare against is tests/oracle.py.
+arithmetic with no Python loop per state.  SystemParts.mix_batch then
+returns the batch of G systems of the built scenario, one emergency matrix
+E per trailing grid column, with q weighted by each E's rows; compile_system
+is column 0 of the batch of the scenario's own E.  A mix can change nothing
+but E, so a sweep over E builds the parts once.  The per-state reference
+build the tests compare against is tests/oracle.py.
 
 decision_values is the one kernel that evaluates q^a + beta P^a V, on the
 factors P^a = E (x) R^a.  It composes two halves, each O(n) work per value
@@ -28,16 +28,18 @@ comparisons with other builds of the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .dynamics import ROW_SUM_TOL, EmergencyMatrix, RequestDynamics, request_dynamics
 from .rewards import Scenario, reward_parts
 from .states import ACTIONS, Action, Emergency, State, StateSpace
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 VERIFY_TOL = 1e-9  # largest Bellman-row violation a feasible solution may leave
 TIGHT_TOL = 1e-7  # largest slack of a tight state's tightest row
@@ -49,11 +51,10 @@ class BellmanSystem:
     """One compiled system, or a batch of G that differ only in E.
 
     A batch carries a trailing grid axis: one E per column, q of shape
-    (2, n, G), values (n, G).  It has no scenario of its own and no
-    transitions; it serves decision_values and both solvers.
+    (2, n, G), values (n, G).  It has no transitions; it serves
+    decision_values and both solvers.
     """
 
-    scenario: Scenario | None  # None for a batch
     parts: SystemParts  # the E-free part it was mixed from
     emergency: np.ndarray  # E, (2, 2); for a batch, (2, 2, G)
     q: np.ndarray  # (2, n) immediate rewards indexed by Action; (2, n, G) for a batch
@@ -78,8 +79,10 @@ class BellmanSystem:
         (RequestDynamics.draw_index): set k's weights at set k's cells, or
         a 1 at set k's empty-request cell.  E's zeros and the weights' are
         dropped, so every entry is a positive-probability successor.  No
-        solver reads it.
+        solver reads it, so scipy is loaded here and nowhere else in the package.
         """
+        from scipy import sparse
+
         dynamics = self.parts.dynamics
         sets, per_set = dynamics.weights.shape
         k, j = np.nonzero(dynamics.weights)
@@ -101,12 +104,12 @@ class BellmanSystem:
         """This batch, or this single system as a batch of one (views, no copy)."""
         if self.q.ndim == 3:
             return self
-        return BellmanSystem(None, self.parts, self.emergency[..., None], self.q[..., None])
+        return BellmanSystem(self.parts, self.emergency[..., None], self.q[..., None])
 
     def columns(self, keep: np.ndarray) -> BellmanSystem:
         """The batch of this batch's columns where keep is true, in order."""
         return BellmanSystem(
-            None, self.parts, self.emergency.compress(keep, -1), self.q.compress(keep, -1)
+            self.parts, self.emergency.compress(keep, -1), self.q.compress(keep, -1)
         )
 
 
@@ -119,43 +122,30 @@ class SystemParts:
     dynamics: RequestDynamics
     rewards: np.ndarray  # (action, next status, row): see rewards.reward_parts
 
-    def mix(self, emergency: EmergencyMatrix) -> BellmanSystem:
-        """The system of the built scenario with its emergency matrix replaced by emergency."""
-        matrix = np.array(emergency.rows, dtype=float)
-        return BellmanSystem(
-            replace(self.scenario, emergency=emergency),
-            self,
-            matrix,
-            self._rewards(matrix[..., None])[..., 0],
-        )
-
     def mix_batch(self, emergencies: Sequence[EmergencyMatrix]) -> BellmanSystem:
-        """The batch of the built scenario's systems with each of emergencies as E, in order."""
+        """The batch of the built scenario's systems with each of emergencies as E, in order.
+
+        E is (2, 2, G) and q, C-contiguous (2, n, G), is
+        q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x].
+        """
         matrices = np.array([e.rows for e in emergencies], dtype=float).transpose(1, 2, 0)
         matrices = np.ascontiguousarray(matrices)
-        return BellmanSystem(None, self, matrices, self._rewards(matrices))
-
-    def _rewards(self, matrices: np.ndarray) -> np.ndarray:
-        """q of E given as (2, 2, G): q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x].
-
-        A single system is the batch of its one E, so both share this
-        arithmetic; q comes out C-contiguous, (2, n, G).
-        """
         rewards = self.rewards[:, None, :, :, None]
         q = matrices[:, 0, None] * rewards[:, :, 0] + matrices[:, 1, None] * rewards[:, :, 1]
-        return q.reshape(2, -1, matrices.shape[-1])
+        return BellmanSystem(self, matrices, q.reshape(2, -1, len(emergencies)))
 
 
 def build_parts(sc: Scenario) -> SystemParts:
-    """The E-free part of sc's system, to be mixed with E by SystemParts.mix."""
+    """The E-free part of sc's system, to be mixed with E by SystemParts.mix_batch."""
     return SystemParts(
         sc, StateSpace(sc.dims), request_dynamics(sc.dims, sc.behavior), reward_parts(sc)
     )
 
 
 def compile_system(sc: Scenario) -> BellmanSystem:
-    """Transition matrices and immediate rewards of every action."""
-    return build_parts(sc).mix(sc.emergency)
+    """Transition matrices and immediate rewards of every action: the batch of sc's E, column 0."""
+    batch = build_parts(sc).mix_batch([sc.emergency])
+    return BellmanSystem(batch.parts, batch.emergency[..., 0], batch.q[..., 0])
 
 
 def decision_values(system: BellmanSystem, values: np.ndarray) -> np.ndarray:

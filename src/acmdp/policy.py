@@ -18,6 +18,7 @@ use as a lightweight policy decision point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -34,7 +35,7 @@ from .bellman import (
     verify_solution,
 )
 from .config import scenario_fingerprint
-from .rewards import Scenario
+from .rewards import Scenario, check_labels
 from .states import Action, CapacityError, Emergency, ModelDims, StateSpace
 from .value_iteration import value_iterate
 
@@ -82,27 +83,25 @@ def policy_iterate(
     # own[a, x, c]: (action a, state x) reads its own set's kind-c entry
     kind, reached = np.divmod(dynamics.draw_index.reshape(2, -1, 1) % (2 * sets), sets)
     own = (reached == states // per_set % sets) & (kind == (0, 1))
-    # the sets ordered by popcount, largest first
+    # the sets of each popcount level, largest first, each level in ascending order
     popcount = ((np.arange(sets)[:, None] >> np.arange(per_set - 1)) & 1).sum(axis=1)
-    order = np.argsort(-popcount, kind="stable")
-    bounds = np.cumsum([0, *np.bincount(popcount)[::-1]]).tolist()
+    levels = [np.flatnonzero(popcount == c) for c in range(per_set - 1, -1, -1)]
     dv = batch.q if start is None else decision_values(batch, np.reshape(start, batch.q.shape[1:]))
     policy = dv[1] > dv[0]  # (n, G): allow
     result = np.empty(policy.shape)
     running = np.arange(policy.shape[1])  # the result column of each column of the batch
     for bases in range(1, max_iter + 1):
         dv = batch.q  # the last basis's decision values are not needed: free them
-        # shares[k, g, e, kind, ., c], sets in popcount order: the draw table of own under pi
+        # shares[k, g, e, kind, ., c]: the draw table of own under pi
         shares = np.where(policy[..., None], own[1, :, None], own[0, :, None])
-        shares = draw_table(batch, shares.reshape(len(states), -1).astype(float))
-        shares = shares.reshape(2, 2, sets, -1, 2)[:, :, order].transpose(2, 3, 0, 1, 4)
+        shares = draw_table(batch, shares.reshape(len(states), -1))
+        shares = shares.reshape(2, 2, sets, -1, 2).transpose(2, 3, 0, 1, 4)
         mixing = batch.beta * batch.emergency.transpose(2, 0, 1)[:, :, None, :, None]
         blocks = np.eye(4) - (mixing * shares[..., None, :]).reshape(sets, -1, 4, 4)
         entries = np.zeros((4, sets, len(running)))  # V's draw table, (status, kind) by set
-        for lo, hi in zip(bounds, bounds[1:]):
-            level = order[lo:hi]
+        for level in levels:
             rhs = draw_table(batch, np.where(policy, dv[1], dv[0])).reshape(4, sets, -1)
-            solved = np.linalg.solve(blocks[lo:hi], rhs[:, level].transpose(1, 2, 0)[..., None])
+            solved = np.linalg.solve(blocks[level], rhs[:, level].transpose(1, 2, 0)[..., None])
             entries[:, level] = solved[..., 0].transpose(2, 0, 1)
             dv = price_table(batch, entries.reshape(2, 2, sets, -1))
         values = np.where(policy, dv[1], dv[0])
@@ -182,7 +181,7 @@ def solve_system(system: BellmanSystem, solver: str = "lp", tol: float | None = 
     values, iterations = solve(system, **({} if tol is None else {"tol": tol}))
     dv = decision_values(system, values)
     return Solution(
-        scenario=system.scenario,
+        scenario=system.parts.scenario,
         system=system,
         values=values,
         dv=dv,
@@ -307,10 +306,11 @@ class LoadedValues:
 def import_values(source: str | Path, scenario: Scenario | None = None) -> LoadedValues:
     """Parse and validate a value-table file.
 
-    The rows must list every state once, in state order (state_labels).
-    The user and resource order is the scenario's when one is supplied, and
-    its fingerprint must match; otherwise it is the order of first
-    appearance in the rows.
+    The rows must list every state once, in state order (state_labels),
+    with finite numbers.  The user and resource order is the scenario's
+    when one is supplied, and its fingerprint must match; otherwise it is
+    the order of first appearance in the rows, and each label must pass
+    rewards.check_labels at the line that first names it.
     """
     lines = Path(source).read_text().splitlines()
     if not lines or lines[0] != FILE_HEADER:
@@ -344,9 +344,17 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
             value, dv_deny, dv_allow = float(value_t), float(dv_d), float(dv_a)
         except ValueError:
             raise ValueFileError(lineno, f"malformed row {raw!r}") from None
+        if not all(map(math.isfinite, (value, dv_deny, dv_allow))):
+            raise ValueFileError(lineno, f"non-finite number in row {raw!r}")
         if (req_user == "eps") != (req_resource == "eps"):
             raise ValueFileError(lineno, "eps must appear in both request fields")
         if req_user != "eps":
+            if req_user not in users or req_resource not in resources:
+                try:
+                    check_labels("user", (req_user,))
+                    check_labels("resource", (req_resource,))
+                except ValueError as exc:
+                    raise ValueFileError(lineno, str(exc)) from None
             users[req_user] = resources[req_resource] = None
         rows.append(
             ValueRow(emergency, set_index, req_user, req_resource, value, action, dv_deny, dv_allow)

@@ -7,8 +7,8 @@ transition reward is either forced to zero or keeps accruing the resource
 penalty of the reached state.  reward_parts gives, in closed form, the
 E-free part of each action's expected one-step reward: the reward of every
 (granted set, request) row for either next emergency status, with the
-variant's rule already applied, which the compile (bellman.SystemParts.mix)
-weights by the rows of E.  tests/oracle.py
+variant's rule already applied, which the compile
+(bellman.SystemParts.mix_batch) weights by the rows of E.  tests/oracle.py
 sums the same rewards transition by transition (reward_transition,
 immediate_reward) as the reference.
 """

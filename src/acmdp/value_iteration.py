@@ -69,9 +69,6 @@ def value_iterate(
         values = np.asarray(start, dtype=float)
         if values.shape != shape:
             raise ValueError(f"start has shape {values.shape}, expected {shape}")
-    if system.beta == 0.0:
-        # the backup ignores V entirely; one sweep is exact
-        return bellman_backup(system, values), 1
     factor = system.beta / (1.0 - system.beta)
     batch = system.as_batch()
     values = values.reshape(len(values), -1)

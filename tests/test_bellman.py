@@ -123,14 +123,19 @@ class TestFactoredCompile:
             assert_matches_oracle(dataclasses.replace(sc, emergency=broken))
 
 
-def assert_same_system(got, want):
-    """Bit for bit: each transition matrix's arrays, its nnz, and q."""
-    for got_mat, want_mat in zip(got.transitions, want.transitions):
-        assert got_mat.shape == want_mat.shape
-        assert got_mat.nnz == want_mat.nnz
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got_mat, name), getattr(want_mat, name))
-    assert np.array_equal(got.q, want.q)
+def assert_same_column(batch, g, want):
+    """Column g of a batch is the system want, bit for bit.
+
+    A system is its E, its q and the arrays of its E-free parts, from which
+    BellmanSystem.transitions is built.
+    """
+    assert np.array_equal(batch.emergency[..., g], want.emergency)
+    assert np.array_equal(batch.q[..., g], want.q)
+    assert np.array_equal(batch.parts.rewards, want.parts.rewards)
+    got, expected = batch.parts.dynamics, want.parts.dynamics
+    assert got.size == expected.size
+    assert np.array_equal(got.weights, expected.weights)
+    assert np.array_equal(got.draw_index, expected.draw_index)
 
 
 MIX_SCENARIOS = list(BUILTIN_NAMES) + [
@@ -147,21 +152,20 @@ def mix_scenario(name):
 
 
 class TestMixEmergency:
-    """compile_system is build_parts then mix; a sweep builds once and mixes per point."""
+    """compile_system is build_parts then mix_batch; a sweep builds once and mixes per point."""
 
     @pytest.mark.parametrize("name", MIX_SCENARIOS)
     def test_one_build_mixed_anywhere_matches_a_fresh_compile(self, name):
         sc = mix_scenario(name)
-        parts = build_parts(sc)
-        for p in (0.0, 0.37, 1.0):
-            at_p = at_rate(sc, p)
-            assert_same_system(parts.mix(at_p.emergency), compile_system(at_p))
+        at_p = [at_rate(sc, p) for p in (0.0, 0.37, 1.0)]
+        batch = build_parts(sc).mix_batch([point.emergency for point in at_p])
+        for g, point in enumerate(at_p):
+            assert_same_column(batch, g, compile_system(point))
 
     def test_zero_emergency_entries_are_dropped(self):
         sc = builtin_scenario("table2_all")  # alert -> alert = 1
-        parts = build_parts(sc)
-        inside = parts.mix(EmergencyMatrix.from_rates(0.37, 1.0))
-        at_zero = parts.mix(EmergencyMatrix.from_rates(0.0, 1.0))
+        inside = compile_system(at_rate(sc, 0.37))
+        at_zero = compile_system(at_rate(sc, 0.0))
         n = at_zero.num_states
         for kept, dropped in zip(inside.transitions, at_zero.transitions):
             assert np.all(kept.data > 0.0) and np.all(dropped.data > 0.0)
@@ -180,13 +184,6 @@ class TestMixEmergency:
         for act, mat in enumerate(system.transitions):
             want = system.q[act] + system.beta * (mat @ values)
             assert np.max(np.abs(dv[act] - want)) <= ulps
-
-    def test_mix_changes_only_the_emergency_matrix(self):
-        parts = build_parts(builtin_scenario("table2_all"))
-        emergency = EmergencyMatrix.from_rates(0.37, 0.6)
-        assert parts.mix(emergency).scenario == dataclasses.replace(
-            parts.scenario, emergency=emergency
-        )
 
     @pytest.mark.parametrize(
         "change",
@@ -207,10 +204,9 @@ class TestMixEmergency:
         assert getattr(sc, field) != change[field]
         built = dataclasses.replace(sc, **change)
         emergency = EmergencyMatrix.from_rates(0.37, 0.6)
-        mixed = build_parts(built).mix(emergency)
+        mixed = build_parts(built).mix_batch([emergency])
         at_e = dataclasses.replace(built, emergency=emergency)
-        assert mixed.scenario == at_e
-        assert_same_system(mixed, compile_system(at_e))
+        assert_same_column(mixed, 0, compile_system(at_e))
 
 
 KERNEL_DIMS = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)]
@@ -236,7 +232,8 @@ class TestKernel:
             values = rng.normal(scale=100.0, size=batch.q.shape[1:])
             dv = decision_values(batch, values)
             for g, emergency in enumerate(emergencies):
-                single, column = parts.mix(emergency), values[:, g]
+                single = compile_system(dataclasses.replace(sc, emergency=emergency))
+                column = values[:, g]
                 bound = 8 * eps * (np.abs(single.q).max() + beta * np.abs(column).max())
                 for got in (dv[..., g], decision_values(single, column)):
                     for act, mat in enumerate(single.transitions):
@@ -246,13 +243,13 @@ class TestKernel:
 
 class TestVerifySolution:
     def test_lp_optimum_is_feasible_and_tight(self, table1_system):
-        optimal = lattice_solve(table1_system.scenario)
+        optimal = lattice_solve(table1_system.parts.scenario)
         report = verify_solution(optimal, decision_values(table1_system, optimal))
         assert report.max_violation <= 1e-9
         assert report.all_tight()
 
     def test_inflated_values_feasible_but_slack(self, table1_system):
-        optimal = lattice_solve(table1_system.scenario)
+        optimal = lattice_solve(table1_system.parts.scenario)
         report = verify_solution(optimal + 1.0, decision_values(table1_system, optimal + 1.0))
         assert report.feasible()
         # beta = 0: inflating leaves every constraint with slack exactly 1
@@ -265,7 +262,7 @@ class TestVerifySolution:
         # bound that lets the certificate stand in for a second exact solver;
         # 1e-10 covers the oracle's own error and the kernel's rounding
         system = compile_system(builtin_scenario(name))
-        optimal = lattice_solve(system.scenario)
+        optimal = lattice_solve(system.parts.scenario)
         rng = np.random.default_rng(11)
         for scale in (1e-6, 1e-2, 10.0):
             # a uniform shift is slack everywhere and meets the bound exactly
@@ -275,7 +272,7 @@ class TestVerifySolution:
                 assert 0.0 < distance <= report.residual / (1 - system.beta) + 1e-10
 
     def test_deflated_values_violate(self, table1_system):
-        optimal = lattice_solve(table1_system.scenario)
+        optimal = lattice_solve(table1_system.parts.scenario)
         report = verify_solution(optimal - 1.0, decision_values(table1_system, optimal - 1.0))
         assert not report.feasible()
         assert report.max_violation == pytest.approx(1.0)

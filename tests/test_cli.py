@@ -328,6 +328,23 @@ class TestSelfcheck:
         assert out.count("SKIP") == 2
         assert "SKIP  lp_vi_agreement: skipped, value iteration stopped: no convergence" in out
 
+    def test_failed_check_prints_fail_and_exits_1(self, capsys, monkeypatch):
+        # value iteration's values moved by 1 break the LP-VI agreement alone
+        solve = acmdp.experiments.solve_system
+
+        def shifted(system, solver):
+            solution = solve(system, solver)
+            if solver == "vi":
+                solution.values = solution.values + 1.0
+            return solution
+
+        monkeypatch.setattr(acmdp.experiments, "solve_system", shifted)
+        code, out, err = run(capsys, "selfcheck", "--builtin", "table2_unique")
+        assert code == 1
+        assert out.count("PASS") == 4
+        assert "FAIL  lp_vi_agreement: sup-norm gap 1 (bound " in out
+        assert err == "selfcheck failed at: lp_vi_agreement\n"
+
     def test_broken_scenario_fails(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text(BAD_SCENARIO_FILE)
@@ -346,6 +363,13 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert code in (0, 1), (argv, err)
+
+
+def test_readme_python_block_runs():
+    # the python block under README's "Library" runs as written
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```")[0]
+    exec(block, {})
 
 
 def test_readme_tolerances_name_existing_constants():

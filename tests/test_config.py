@@ -127,6 +127,62 @@ class TestParse:
         errs = errors_of(bad)
         assert any("calm_to_alert" in e for e in errs)
 
+    def test_unknown_section(self):
+        # the section's lines are outside any known section
+        assert errors_of(SAMPLE_FILE + "[colours]\nred = 1\n") == [
+            "line 22: unknown section [colours]",
+            "line 23: content outside any known section: 'red = 1'",
+        ]
+
+    def test_content_before_any_section(self):
+        assert errors_of("stray = 1\n" + SAMPLE_FILE) == [
+            "line 1: content outside any known section: 'stray = 1'"
+        ]
+
+    def test_line_without_equals(self):
+        assert errors_of(SAMPLE_FILE.replace("beta = 0.9", "beta 0.9")) == [
+            "line 5: expected 'key = value', got 'beta 0.9'",
+            "missing [model] entry beta",
+        ]
+
+    @pytest.mark.parametrize(
+        "line, wrong, want",
+        [
+            (
+                "alice high = 10",
+                "alice = 10",
+                [
+                    "line 14: [reward_access] lines are 'user resource = value', "
+                    "got 'alice = 10'",
+                    "missing [reward_access] entry alice high",
+                ],
+            ),
+            (
+                "high = -20",
+                "high low = -20",
+                [
+                    "line 20: [reward_resource] lines are 'resource = value', "
+                    "got 'high low = -20'",
+                    "missing [reward_resource] entry high",
+                ],
+            ),
+        ],
+    )
+    def test_wrong_number_of_names(self, line, wrong, want):
+        assert errors_of(SAMPLE_FILE.replace(line, wrong)) == want
+
+    def test_model_past_the_cap(self):
+        # a well-formed 4 x 4 file: 16 access bits, past CAP_BITS
+        users, resources = "a b c d".split(), "w x y z".split()
+        text = SAMPLE_FILE.split("[reward_access]")[0]
+        text = text.replace("alice bob", " ".join(users)).replace("high low", " ".join(resources))
+        text += "[reward_access]\n" + "".join(f"{u} {r} = 1\n" for u in users for r in resources)
+        text += "[reward_resource]\n" + "".join(f"{r} = -1\n" for r in resources)
+        assert errors_of(text) == [
+            "4 users x 4 resources needs 16 bits, exceeding the cap of 12; "
+            "the powerset state space would be intractable"
+        ]
+
     def test_all_violations_reported_together(self):
         bad = SAMPLE_FILE.replace("beta = 0.9", "beta = 2").replace(
             "behavior = once", "behavior = never"
@@ -157,6 +213,39 @@ class TestLabels:
             replace(sc, user_names=(label, "bob"))
         with pytest.raises(ValueError, match="bad resource label"):
             replace(sc, resource_names=("low", label))
+
+
+class TestScenarioChecks:
+    """Scenario and RewardTables built directly, not through the parser."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"user_names": ("alice",)}, "user label count does not match dimensions"),
+            ({"resource_names": ("a", "b", "c")}, "resource label count does not match"),
+            ({"beta": 1.0}, "beta 1.0 outside \\[0, 1\\)"),
+            ({"beta": -0.1}, "beta -0.1 outside \\[0, 1\\)"),
+            (
+                {"rewards": RewardTables({(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0}, (0.0, 0.0))},
+                r"reward_access is not total: missing \[\(1, 1\)\], extraneous \[\]",
+            ),
+            (
+                {"rewards": RewardTables({(u, r): 1.0 for u in (0, 1) for r in (0, 1, 2)}, (0, 0))},
+                r"missing \[\], extraneous \[\(0, 2\), \(1, 2\)\]",
+            ),
+            (
+                {"rewards": RewardTables({(u, r): 1.0 for u in (0, 1) for r in (0, 1)}, (0.0,))},
+                "reward_resource has 1 entries, expected 2",
+            ),
+        ],
+        ids=[
+            "users", "resources", "beta 1", "beta below 0", "missing access",
+            "extra access", "resource rewards",
+        ],
+    )
+    def test_refused(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            replace(builtin_scenario("table2_once"), **change)
 
 
 class TestNonFiniteRewards:

@@ -269,7 +269,9 @@ class TestValidateStochastic:
         state = system.space.index_state(x)
         k = next_access_set(state.granted, state.request, Action.ALLOW, D22)
         dynamics = corrupt(system.parts.dynamics, k, x)
-        violations = validate_stochastic(replace(system.parts, dynamics=dynamics).mix(DRIFT))
+        violations = validate_stochastic(
+            replace(system, parts=replace(system.parts, dynamics=dynamics))
+        )
         if corrupt in (halve, overfill):
             want = [
                 (s, act)

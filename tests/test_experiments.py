@@ -12,7 +12,13 @@ import acmdp.dynamics
 import acmdp.experiments
 import acmdp.policy
 from acmdp import BUILTIN_NAMES, Action, EmergencyMatrix, RewardTables, builtin_scenario
-from acmdp.bellman import VERIFY_TOL, build_parts, decision_values, rounding_allowance
+from acmdp.bellman import (
+    VERIFY_TOL,
+    build_parts,
+    compile_system,
+    decision_values,
+    rounding_allowance,
+)
 from acmdp.experiments import (
     CHUNK_BYTES,
     SIGN_TOLS,
@@ -151,7 +157,8 @@ class TestRunSweep:
         calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
         alert_to_alert = sc.emergency.prob_alert_to_alert
         for point, lp_point in zip(vi.points, lp_sweep.points):
-            system = parts.mix(EmergencyMatrix.from_rates(point.probability, alert_to_alert))
+            emergency = EmergencyMatrix.from_rates(point.probability, alert_to_alert)
+            system = compile_system(dataclasses.replace(sc, emergency=emergency))
             values, _ = acmdp.policy.policy_iterate(system)
             dv = decision_values(system, values)[:, calm_empty]
             allowance = rounding_allowance(values, sc.beta)
@@ -251,7 +258,8 @@ class TestRunSweep:
         parts = build_parts(sc)
         calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
         for point in result.points:
-            system = parts.mix(EmergencyMatrix.from_rates(point.probability, 1.0))
+            emergency = EmergencyMatrix.from_rates(point.probability, 1.0)
+            system = compile_system(dataclasses.replace(sc, emergency=emergency))
             dv = decision_values(system, exact(system)[0])
             assert np.array_equal(point.dv, dv[:, calm_empty])
 

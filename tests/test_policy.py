@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -147,7 +148,7 @@ class TestOneKernel:
         values, bases = policy_iterate(system)
         assert bases == 2
         again, bases = policy_iterate(system, start=values)
-        levels = system.scenario.dims.num_access_bits + 1
+        levels = system.parts.scenario.dims.num_access_bits + 1
         assert bases == 1 and np.array_equal(again, values)
         assert kernel_calls == {
             "inside": 0,
@@ -291,18 +292,26 @@ def lattice_bound(solution, values):
     return residual / (1.0 - beta) + 2.0 * rounding_allowance(solution.values, beta)
 
 
-def test_import_leaves_sparse_linalg_unloaded():
-    # neither the import nor an LP solve needs scipy.sparse.linalg or
-    # scipy.linalg, and loading them costs import time and memory
+def test_import_leaves_sparse_linalg_unloaded(tmp_path):
+    # neither the import, both solvers, a sweep nor a value-table round trip
+    # needs scipy, and loading it costs import time and memory; only
+    # BellmanSystem.transitions loads it
     src = str(Path(acmdp.__file__).resolve().parents[1])
-    probe = (
-        "import sys, acmdp; "
-        "acmdp.solve_scenario(acmdp.builtin_scenario('table2_all'), 'lp'); "
-        "print(['scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules])"
+    probe = "; ".join(
+        [
+            "import sys, acmdp",
+            "sc = acmdp.builtin_scenario('table2_all')",
+            "solution = acmdp.solve_scenario(sc, 'lp')",
+            "acmdp.solve_scenario(sc, 'vi')",
+            "acmdp.run_sweep(acmdp.SweepSpec(sc, 0.0, 1.0, 0.25))",
+            f"acmdp.export_values(solution, {str(tmp_path / 'v.txt')!r})",
+            f"acmdp.import_values({str(tmp_path / 'v.txt')!r}, scenario=sc)",
+            "print('scipy' in sys.modules)",
+        ]
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert out.stdout.strip() == "[False, False]", out.stderr
+    assert out.stdout.strip() == "False", out.stderr
 
 
 class TestLpSolve:
@@ -484,14 +493,16 @@ class TestLpBatch:
     def test_random_2x3_columns_are_their_batches_of_one(
         self, behavior, variant, beta, seed, rates
     ):
-        parts = build_parts(small_scenario(2, 3, behavior, variant, beta=beta, seed=seed))
+        sc = small_scenario(2, 3, behavior, variant, beta=beta, seed=seed)
+        parts = build_parts(sc)
         emergencies = [EmergencyMatrix.from_rates(*r) for r in rates]
         values, _ = policy_iterate(parts.mix_batch(emergencies))
         assert values.shape == (len(parts.space), len(rates))
         for column, emergency in zip(values.T, emergencies):
             assert np.array_equal(column, policy_iterate(parts.mix_batch([emergency]))[0][:, 0])
             # and a single system is that batch of one
-            assert np.array_equal(column, policy_iterate(parts.mix(emergency))[0])
+            single = compile_system(dataclasses.replace(sc, emergency=emergency))
+            assert np.array_equal(column, policy_iterate(single)[0])
 
     def test_stopped_columns_leave_the_batch(self, monkeypatch):
         # each basis solves only the columns still running, and a column
@@ -584,6 +595,65 @@ class TestValueFiles:
         export_values(sol, path)
         with pytest.raises(ValueFileError, match="fingerprint"):
             import_values(path, scenario=builtin_scenario("table2_all"))
+
+    def test_missing_fingerprint(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{FILE_HEADER}\n\n")
+        with pytest.raises(ValueFileError, match="missing scenario fingerprint") as err:
+            import_values(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("storm,0,alice,low,1,allow,0,1", "bad emergency label 'storm'"),
+            ("calm,0,alice,low,1,grant,0,1", "bad action label 'grant'"),
+            ("calm,0,alice,low,one,allow,0,1", "malformed row"),
+            ("calm,x,alice,low,1,allow,0,1", "malformed row"),
+            ("calm,0,alice,low,nan,allow,inf,-inf", "non-finite number"),
+            ("calm,0,alice,low,1,allow,0,infinity", "non-finite number"),
+            ("calm,0,eps,low,1,allow,0,1", "eps must appear in both request fields"),
+            ("calm,0,alice,eps,1,allow,0,1", "eps must appear in both request fields"),
+            ("calm,0,a:b,low,1,allow,0,1", "bad user label 'a:b'"),
+            ("calm,0,alice,hi#gh,1,allow,0,1", "bad resource label 'hi#gh'"),
+            ("calm,0,,low,1,allow,0,1", "bad user label ''"),
+        ],
+    )
+    def test_refused_row_reports_its_line(self, tmp_path, row, message):
+        # line 3 is a good row; the refusal is at line 4, the first to name
+        # the label or carry the field
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{FILE_HEADER}\nabcd\ncalm,0,eps,eps,1,deny,1,0\n{row}\n")
+        with pytest.raises(ValueFileError, match=message) as err:
+            import_values(path)
+        assert err.value.line == 4
+
+    def test_no_concrete_request(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{FILE_HEADER}\nabcd\ncalm,0,eps,eps,1,deny,1,0\n")
+        with pytest.raises(ValueFileError, match="no concrete requests") as err:
+            import_values(path)
+        assert err.value.line == 3
+
+    def test_inferred_model_past_the_cap(self, tmp_path):
+        # four users and four resources need 16 access bits
+        rows = [f"calm,0,u{i},r{i},1,deny,1,0" for i in range(4)]
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join([FILE_HEADER, "abcd", *rows]) + "\n")
+        with pytest.raises(ValueFileError, match="16 bits, exceeding the cap of 12") as err:
+            import_values(path)
+        assert err.value.line == 3
+
+    def test_exponents_are_read(self, solved, tmp_path):
+        # %.12g exports write large and small numbers with an exponent
+        lines = exported(solved("table2_once"), tmp_path).read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[4:8] = ["1.5e+20", fields[5], "-2.5E-07", "3e2"]
+        lines[2] = ",".join(fields)
+        path = tmp_path / "edited.txt"
+        path.write_text("\n".join(lines) + "\n")
+        row = import_values(path).rows[0]
+        assert (row.value, row.dv_deny, row.dv_allow) == (1.5e20, -2.5e-7, 300.0)
 
 
 def exported(solution, tmp_path, name="values.txt"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -156,14 +157,15 @@ class TestBatch:
             assert sweeps == 1
             assert np.array_equal(values, batch.q.max(axis=0))
         for column, emergency in zip(values.T, emergencies):
-            exact, _ = policy_iterate(parts.mix(emergency))
+            exact, _ = policy_iterate(compile_system(dataclasses.replace(sc, emergency=emergency)))
             bound = DEFAULT_TOL + VERIFY_TOL / (1 - beta) + rounding_allowance(exact, beta)
             assert np.max(np.abs(column - exact)) <= bound
 
     def test_a_column_solves_as_a_batch_of_one(self):
         # columns do not mix: each stops on its own bound with the values a
         # batch of it alone returns
-        parts = build_parts(builtin_scenario("table2_all"))
+        sc = builtin_scenario("table2_all")
+        parts = build_parts(sc)
         emergencies = [EmergencyMatrix.from_rates(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
         values, sweeps = value_iterate(parts.mix_batch(emergencies))
         alone = [value_iterate(parts.mix_batch([e])) for e in emergencies]
@@ -172,7 +174,8 @@ class TestBatch:
         for column, (want, _), emergency in zip(values.T, alone, emergencies):
             assert np.array_equal(column, want[:, 0])
             # and a single system is that batch of one
-            assert np.array_equal(value_iterate(parts.mix(emergency))[0], want[:, 0])
+            single = compile_system(dataclasses.replace(sc, emergency=emergency))
+            assert np.array_equal(value_iterate(single)[0], want[:, 0])
 
     def test_stopped_columns_leave_the_batch(self, monkeypatch):
         # each backup takes only the columns still running, and a column
