@@ -136,7 +136,7 @@ class SystemParts:
 
 
 def build_parts(sc: Scenario) -> SystemParts:
-    """The E-free part of sc's system, to be mixed with E by SystemParts.mix_batch."""
+    """sc's E-free part for SystemParts.mix_batch: its rewards, and its shape's shared dynamics."""
     return SystemParts(
         sc, StateSpace(sc.dims), request_dynamics(sc.dims, sc.behavior), reward_parts(sc)
     )

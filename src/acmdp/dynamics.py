@@ -11,26 +11,28 @@ matrix is the Kronecker product E (x) R^a of the 2x2 emergency matrix with a
 matrix R^a over (granted set, request) rows.  Each row of R^a leads to one
 granted set and draws the next request uniformly from the requests that
 set's rows can draw, unless it can draw only the empty request (once's,
-after the empty request).  request_dynamics builds that structure once,
-with array arithmetic on the set bitmasks: RequestDynamics.weights holds
-each set's draw probabilities (sets x requests), and
-RequestDynamics.draw_index says, for every (action, state), whether it
-averages its next set's cells by those weights or reads that set's
-empty-request cell.  The Bellman kernel (bellman.decision_values) backs up
-through these draws in O(n) work per value column; no (2n, n) matrix is
-built.  Both solvers read only these two arrays.  P is never assembled
-for a solve: bellman assembles the compiled system from these factors,
-checks them (bellman.validate_stochastic), and builds P^a = E (x) R^a only
-on request (BellmanSystem.transitions).  tests/oracle.py describes the
-same process one state at a time (successors) and is the reference the
-tests compare this build against.
+after the empty request).  request_dynamics builds that structure with
+array arithmetic on the set bitmasks: RequestDynamics.weights holds each
+set's draw probabilities (sets x requests), and RequestDynamics.draw_index
+says, for every (action, state), whether it averages its next set's cells
+by those weights or reads that set's empty-request cell.  The Bellman
+kernel (bellman.decision_values) backs up through these draws in O(n) work
+per value column, and both solvers read only these two arrays.  bellman
+checks them (validate_stochastic) and builds P^a = E (x) R^a only on
+request (BellmanSystem.transitions).  tests/oracle.py describes the same
+process one state at a time (successors), the reference for this build.
+All of it depends on (dims, behaviour) alone: request_dynamics,
+set_request_rows, next_access_sets and RequestDynamics.lattice are cached,
+so every system of one shape shares them, and their arrays are read-only.
+CAP_BITS bounds the keys to 35 dims x 3 behaviours; one 12-bit dims holds
+9.0 MB (8.6 MiB) of them with all three behaviours built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -86,21 +88,29 @@ class EmergencyMatrix:
         return cls(((1.0, 0.0), (0.0, 1.0)))
 
 
+def _shared(array: np.ndarray) -> np.ndarray:
+    """array, made read-only: the cached builders hand the same array to every caller."""
+    array.flags.writeable = False
+    return array
+
+
+@cache
 def set_request_rows(d: ModelDims) -> tuple[np.ndarray, np.ndarray]:
     """Granted set and request position of every (granted set, request) row.
 
     Rows follow the StateSpace order within one emergency status; request
     position num_access_bits is the empty request.
     """
-    return np.divmod(np.arange(d.num_sets * (d.num_access_bits + 1)), d.num_access_bits + 1)
+    return tuple(map(_shared, np.divmod(np.arange(d.num_states // 2), d.num_access_bits + 1)))
 
 
+@cache
 def next_access_sets(d: ModelDims, act: Action) -> np.ndarray:
     """The next granted set of every (granted set, request) row: allow inserts, deny keeps."""
     k, r = set_request_rows(d)
-    if act is Action.DENY:
+    if Action(act) is Action.DENY:
         return k
-    return k | np.where(r < d.num_access_bits, 1 << r, 0)
+    return _shared(k | np.where(r < d.num_access_bits, 1 << r, 0))
 
 
 @dataclass(frozen=True)
@@ -116,7 +126,7 @@ class RequestDynamics:
     per emergency status e, a table of every set's average followed by every
     set's empty-request cell; (action a, state (e, x)) reads its entry
     draw_index[a * n + e * size + x], which is e * 2 * sets + k2 or
-    e * 2 * sets + sets + k2.
+    e * 2 * sets + sets + k2.  Shared by every system of its shape: read-only.
     """
 
     size: int  # (granted set, request) rows per emergency status
@@ -129,9 +139,24 @@ class RequestDynamics:
         j = np.flatnonzero(self.weights.any(axis=0))
         return slice(j[0], j[-1] + 1)
 
+    @cached_property
+    def lattice(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """policy.policy_iterate's plan of the granted-set lattice, (own, levels)."""
+        sets, per_set = self.weights.shape
+        states = np.arange(len(self.draw_index) // 2)[:, None]
+        # own[a, x, c]: (action a, state x) reads its own set's kind-c entry
+        kind, reached = np.divmod(self.draw_index.reshape(2, -1, 1) % (2 * sets), sets)
+        own = (reached == states // per_set % sets) & (kind == (0, 1))
+        # the sets of each popcount level, largest first, each level in ascending order
+        popcount = ((np.arange(sets)[:, None] >> np.arange(per_set - 1)) & 1).sum(axis=1)
+        levels = (np.flatnonzero(popcount == c) for c in range(per_set - 1, -1, -1))
+        return _shared(own), tuple(map(_shared, levels))
 
+
+@cache
 def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics:
-    """Where each (granted set, request) row leads under each action, and what it draws."""
+    """Where each row leads under each action and what it draws: cached, shared, read-only."""
+    behavior = RequestBehavior(behavior)
     bits, sets = d.num_access_bits, d.num_sets
     per_set = bits + 1
     _, r = set_request_rows(d)
@@ -151,4 +176,4 @@ def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics
     entries = [np.where(terminal, sets, 0) + next_access_sets(d, act) for act in ACTIONS]
     # entry (a, e, x) reads status e's block of the table
     draw_index = np.stack(entries)[:, None] + 2 * sets * np.arange(2)[:, None]
-    return RequestDynamics(len(r), weights, draw_index.ravel().astype(np.intp))
+    return RequestDynamics(len(r), _shared(weights), _shared(draw_index.ravel().astype(np.intp)))

@@ -68,24 +68,19 @@ def policy_iterate(
     mixes columns.  Returns the values and the most bases a column solved.
 
     Every transition keeps the granted set or reaches a strict superset, so a
-    basis is solved a popcount level of sets at a time from the full set down.
-    A state of set k reads a solved superset's entry or one of k's own four
-    draw-table entries T_k (bellman.draw_table), so T_k = draw_table(b)_k +
-    beta M_k T_k: b is the policy's decision values with this level's entries
-    zero, and M_k, E times draw_table of the indicator "reads its own set's
-    entry of this kind", has row sums at most 1, so I - beta M_k is regular.
+    basis is solved a popcount level of sets at a time from the full set down
+    (RequestDynamics.lattice, planned once per shape).  A state of set k reads
+    a solved superset's entry or one of k's own four draw-table entries T_k
+    (bellman.draw_table), so T_k = draw_table(b)_k + beta M_k T_k: b is the
+    policy's decision values with this level's entries zero, and M_k, E times
+    draw_table of the indicator "reads its own set's entry of this kind", has
+    row sums at most 1, so I - beta M_k is regular.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be zero or positive, got {tol}")
     batch, dynamics = system.as_batch(), system.parts.dynamics
-    sets, per_set = dynamics.weights.shape
-    states = np.arange(system.num_states)[:, None]
-    # own[a, x, c]: (action a, state x) reads its own set's kind-c entry
-    kind, reached = np.divmod(dynamics.draw_index.reshape(2, -1, 1) % (2 * sets), sets)
-    own = (reached == states // per_set % sets) & (kind == (0, 1))
-    # the sets of each popcount level, largest first, each level in ascending order
-    popcount = ((np.arange(sets)[:, None] >> np.arange(per_set - 1)) & 1).sum(axis=1)
-    levels = [np.flatnonzero(popcount == c) for c in range(per_set - 1, -1, -1)]
+    sets = len(dynamics.weights)
+    own, levels = dynamics.lattice
     dv = batch.q if start is None else decision_values(batch, np.reshape(start, batch.q.shape[1:]))
     policy = dv[1] > dv[0]  # (n, G): allow
     result = np.empty(policy.shape)
@@ -94,7 +89,7 @@ def policy_iterate(
         dv = batch.q  # the last basis's decision values are not needed: free them
         # shares[k, g, e, kind, ., c]: the draw table of own under pi
         shares = np.where(policy[..., None], own[1, :, None], own[0, :, None])
-        shares = draw_table(batch, shares.reshape(len(states), -1))
+        shares = draw_table(batch, shares.reshape(system.num_states, -1))
         shares = shares.reshape(2, 2, sets, -1, 2).transpose(2, 3, 0, 1, 4)
         mixing = batch.beta * batch.emergency.transpose(2, 0, 1)[:, :, None, :, None]
         blocks = np.eye(4) - (mixing * shares[..., None, :]).reshape(sets, -1, 4, 4)

@@ -10,6 +10,7 @@ from oracle import (
     request_distribution,
     successors,
 )
+from test_bellman import small_scenario
 
 from acmdp import (
     BUILTIN_NAMES,
@@ -25,6 +26,7 @@ from acmdp import (
     compile_system,
     validate_stochastic,
 )
+from acmdp.bellman import build_parts
 from acmdp.dynamics import next_access_sets, request_dynamics, set_request_rows
 from acmdp.states import ACTIONS
 
@@ -108,6 +110,66 @@ class TestGrantedSetLattice:
                         if k_read == k:
                             got = empty if kind else dynamics.weights[k]
                         assert np.array_equal(got, want), (act, e, k, req)
+
+
+def clear_shape_caches():
+    for builder in (request_dynamics, next_access_sets, set_request_rows):
+        builder.cache_clear()
+
+
+class TestSharedShapeBuild:
+    """The shape-only builders are cached: one read-only build per (dims, behaviour)."""
+
+    @pytest.mark.parametrize("act", ACTIONS)
+    def test_plain_action_values_build_the_actions_sets(self, act):
+        # built first from the plain int, then from the enum, each on an empty cache
+        clear_shape_caches()
+        plain = next_access_sets(D22, int(act))
+        clear_shape_caches()
+        assert np.array_equal(plain, next_access_sets(D22, act))
+
+    @pytest.mark.parametrize("behavior", list(RequestBehavior))
+    def test_plain_behaviour_values_build_the_behaviours_dynamics(self, behavior):
+        clear_shape_caches()
+        plain = request_dynamics(D22, behavior.value)
+        clear_shape_caches()
+        dynamics = request_dynamics(D22, behavior)
+        assert np.array_equal(plain.weights, dynamics.weights)
+        assert np.array_equal(plain.draw_index, dynamics.draw_index)
+
+    def test_invalid_plain_values_are_refused(self):
+        with pytest.raises(ValueError):
+            next_access_sets(D22, 2)
+        with pytest.raises(ValueError):
+            request_dynamics(D22, "twice")
+
+    def test_one_shape_shares_one_dynamics(self):
+        # rewards, E, beta and variant differ; dims and behaviour do not
+        a = small_scenario(2, 2, "once", "eps_zero", rates=(0.1, 1.0), beta=0.5, seed=1)
+        b = small_scenario(2, 2, "once", "eps_accrues", rates=(0.7, 0.2), beta=0.99, seed=2)
+        assert build_parts(a).dynamics is build_parts(b).dynamics
+        assert compile_system(a).parts.dynamics is compile_system(b).parts.dynamics
+
+    @pytest.mark.parametrize(
+        "other", [(2, 2, "all"), (2, 2, "unique"), (1, 2, "once"), (2, 1, "once"), (1, 4, "once")]
+    )
+    def test_another_shape_gets_another_dynamics(self, other):
+        users, resources, behavior = other
+        once = build_parts(small_scenario(2, 2, "once", "eps_zero")).dynamics
+        dynamics = build_parts(small_scenario(users, resources, behavior, "eps_zero")).dynamics
+        assert dynamics is not once
+
+    @pytest.mark.parametrize("behavior", list(RequestBehavior))
+    def test_cached_arrays_are_read_only(self, behavior):
+        dynamics = request_dynamics(D22, behavior)
+        own, levels = dynamics.lattice
+        arrays = [*set_request_rows(D22), *(next_access_sets(D22, act) for act in ACTIONS)]
+        arrays += [dynamics.weights, dynamics.draw_index, own, *levels]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+            with pytest.raises(ValueError, match="read-only"):
+                array += 0
 
 
 class TestRequestDistribution:

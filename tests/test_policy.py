@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import lattice_solve
 from test_bellman import small_scenario
+from test_dynamics import clear_shape_caches
 
 import acmdp.bellman
 import acmdp.value_iteration
@@ -43,6 +44,7 @@ from acmdp import (
     verify_solution,
 )
 from acmdp.bellman import VERIFY_TOL, build_parts, rounding_allowance
+from acmdp.dynamics import RequestDynamics
 from acmdp.policy import FILE_HEADER, TIE_TOL, SolverError, ValueFileError, state_labels
 from acmdp.value_iteration import DEFAULT_TOL as VI_TOL
 
@@ -292,6 +294,39 @@ def lattice_bound(solution, values):
     return residual / (1.0 - beta) + 2.0 * rounding_allowance(solution.values, beta)
 
 
+def random_scenarios(max_examples, **more):
+    """Run a test on small_scenario's random 1x1 to 2x3 models, and on more's strategies."""
+    return lambda test: settings(max_examples=max_examples, deadline=None)(
+        given(
+            users=st.integers(1, 2),
+            resources=st.integers(1, 3),
+            behavior=st.sampled_from(list(RequestBehavior)),
+            variant=st.sampled_from(list(RewardVariant)),
+            rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+            beta=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+            seed=st.integers(0, 2**16),
+            **more,
+        )(test)
+    )
+
+
+def dv_bound(solution):
+    """How far the solution's decision values may lie from the exact ones.
+
+    Its values lie within residual / (1 - beta) of the optimum, and a kernel
+    evaluation adds rounding on the scale of the largest decision value,
+    which is at least the largest value.
+    """
+    beta = solution.system.beta
+    residual = verify_solution(solution.values, solution.dv).residual
+    return residual / (1.0 - beta) + rounding_allowance(solution.dv, beta)
+
+
+def bitwise_equal(a, b):
+    """Same shape, dtype and bytes: equal to the last bit, signed zeros included."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_import_leaves_sparse_linalg_unloaded(tmp_path):
     # neither the import, both solvers, a sweep nor a value-table round trip
     # needs scipy, and loading it costs import time and memory; only
@@ -361,6 +396,7 @@ class TestLpSolve:
         # each granted set's block is a 4 x 4 system over its draw-table
         # entries, so the LP holds a few (2, n) arrays, 1.7 MB each at this size
         sc = small_scenario(3, 4, "once", "eps_accrues", rates=(0.1, 1.0))
+        clear_shape_caches()  # the peak includes building the shape's dynamics
         tracemalloc.start()
         try:
             solution = solve_scenario(sc, "lp")
@@ -443,16 +479,7 @@ class TestLpSolve:
         with pytest.raises(SolverError, match="no optimal policy basis within 1 bases"):
             policy_iterate(system, max_iter=1)
 
-    @settings(max_examples=50, deadline=None)
-    @given(
-        users=st.integers(1, 2),
-        resources=st.integers(1, 3),
-        behavior=st.sampled_from(list(RequestBehavior)),
-        variant=st.sampled_from(list(RewardVariant)),
-        rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-        beta=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
-        seed=st.integers(0, 2**16),
-    )
+    @random_scenarios(50)
     def test_random_scenarios_agree_with_both_oracles(
         self, users, resources, behavior, variant, rates, beta, seed
     ):
@@ -465,6 +492,97 @@ class TestLpSolve:
             assert_lp_agrees(solution, values, lattice_bound(solution, values))
         vi = solve_scenario(sc, "vi")
         assert_lp_agrees(solution, vi.values, vi_bound(vi.values, beta))
+
+
+class TestSharedShape:
+    """Systems of one (dims, behaviour) share its dynamics and lattice plan."""
+
+    @random_scenarios(25)
+    def test_shared_and_fresh_builds_solve_bitwise_alike(
+        self, users, resources, behavior, variant, rates, beta, seed
+    ):
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        other = small_scenario(users, resources, behavior, variant, (0.5, 0.5), 0.5, seed + 1)
+        clear_shape_caches()
+        fresh = [solve_scenario(sc, solver) for solver in ("lp", "vi")]
+        for solver in ("lp", "vi"):  # another scenario of the shape solves on the shared build
+            solve_scenario(other, solver)
+        for was in fresh:
+            now = solve_scenario(sc, was.solver)
+            assert now.system.parts.dynamics is was.system.parts.dynamics
+            assert bitwise_equal(now.values, was.values)
+            assert bitwise_equal(now.dv, was.dv)
+            assert bitwise_equal(now.policy.actions, was.policy.actions)
+
+    def test_a_shape_plans_its_lattice_once(self, monkeypatch):
+        plan, built = RequestDynamics.lattice.func, []
+
+        def counted(dynamics):
+            built.append(dynamics)
+            return plan(dynamics)
+
+        monkeypatch.setattr(RequestDynamics.lattice, "func", counted)
+        clear_shape_caches()
+        for name in ("table2_once", "modified_once"):
+            solve_scenario(builtin_scenario(name), "lp")
+        # an lp sweep solves every grid and bisection point by policy_iterate
+        result = run_sweep(SweepSpec(builtin_scenario("table2_once")), "lp")
+        assert any(c.bracket and c.bracket[0] < c.bracket[1] for c in result.crossovers)
+        assert len(built) == 1
+
+
+class TestRewardProperties:
+    """How the optimal values and decisions move when the rewards change."""
+
+    @random_scenarios(40, shrink=st.floats(0.0, 1.0, exclude_max=True), data=st.data())
+    def test_a_smaller_alert_penalty_never_raises_its_allow_gap(
+        self, users, resources, behavior, variant, rates, beta, seed, shrink, data
+    ):
+        # allow of a request on r grants r for good, so reward_resource[r] never
+        # reaches allow's decision value; deny's can only rise with it
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        r = data.draw(st.integers(0, resources - 1))
+        penalties = list(sc.rewards.reward_resource)
+        penalties[r] *= shrink
+        smaller = dataclasses.replace(
+            sc, rewards=RewardTables(sc.rewards.reward_access, tuple(penalties))
+        )
+        before, after = solve_scenario(sc, "lp"), solve_scenario(smaller, "lp")
+        # each gap lies within twice its decision values' bound of the exact gap
+        bound = 2.0 * (dv_bound(before) + dv_bound(after))
+        space = before.system.space
+        for u in range(users):
+            i = space.state_index(State(Emergency.CALM, 0, Access(u, r)))
+            gap_before = before.dv[1, i] - before.dv[0, i]
+            gap_after = after.dv[1, i] - after.dv[0, i]
+            assert gap_after <= gap_before + bound
+            if gap_before < -bound:
+                assert after.policy.action(i) is Action.DENY
+
+    @random_scenarios(40, c=st.floats(0.01, 100.0))
+    def test_positive_scaling_scales_values_and_keeps_the_policy(
+        self, users, resources, behavior, variant, rates, beta, seed, c
+    ):
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        rewards = sc.rewards
+        scaled = dataclasses.replace(
+            sc,
+            rewards=RewardTables(
+                {k: c * v for k, v in rewards.reward_access.items()},
+                tuple(c * v for v in rewards.reward_resource),
+            ),
+        )
+        base, big = solve_scenario(sc, "lp"), solve_scenario(scaled, "lp")
+        # c times the base solve and the scaled solve each lie within their
+        # bound of the scaled model's exact values and decision values
+        bound = c * dv_bound(base) + dv_bound(big)
+        assert np.max(np.abs(big.values - c * base.values)) <= bound
+        assert np.max(np.abs(big.dv - c * base.dv)) <= bound
+        # a gap beyond TIE_TOL and twice its bound has the sign of the exact gap
+        confident = (base.policy.gaps > TIE_TOL + 2 * dv_bound(base)) & (
+            big.policy.gaps > TIE_TOL + 2 * dv_bound(big)
+        )
+        assert np.array_equal(base.policy.actions[confident], big.policy.actions[confident])
 
 
 class TestLpBatch:
