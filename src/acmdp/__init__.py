@@ -23,6 +23,7 @@ from .policy import (
     export_values,
     extract_policy,
     import_values,
+    policy_evaluate,
     policy_iterate,
     solve_scenario,
 )

@@ -19,8 +19,8 @@ column: draw_table averages every set's cells by its weights and takes its
 empty-request cell, per status (the draw table), and price_table mixes the
 statuses' tables by beta E, gathers each (action, state)'s entry with
 RequestDynamics.draw_index, and adds q.  Value iteration, policy
-extraction and verify_solution call decision_values; the LP solve
-(policy.policy_iterate) calls the halves, since it solves for a basis's
+extraction and verify_solution call decision_values; the LP's basis solve
+(policy.policy_evaluate) calls the halves, since it solves for a policy's
 draw table.  validate_stochastic checks the factors.  No solver or check
 assembles P: BellmanSystem.transitions builds it on first use, for
 comparisons with other builds of the model.
@@ -111,6 +111,13 @@ class BellmanSystem:
         return BellmanSystem(
             self.parts, self.emergency.compress(keep, -1), self.q.compress(keep, -1)
         )
+
+    def as_columns(self, name: str, array: np.ndarray) -> np.ndarray:
+        """array, one entry per state of each system ((n,), or (n, G) as q[0]), as (n, G)."""
+        array = np.asarray(array)
+        if array.shape != self.q.shape[1:]:
+            raise ValueError(f"{name} has shape {array.shape}, expected {self.q.shape[1:]}")
+        return array.reshape(len(array), -1)
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,7 @@ class RequestDynamics:
 
     @cached_property
     def lattice(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """policy.policy_iterate's plan of the granted-set lattice, (own, levels)."""
+        """policy.policy_evaluate's plan of the granted-set lattice, (own, levels)."""
         sets, per_set = self.weights.shape
         states = np.arange(len(self.draw_index) // 2)[:, None]
         # own[a, x, c]: (action a, state x) reads its own set's kind-c entry

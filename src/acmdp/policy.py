@@ -8,9 +8,8 @@ decision value, breaking ties toward deny.
 The Bellman LP (min sum V s.t. V >= q^a + beta P^a V for every state and
 action) is solved by policy_iterate: Howard's policy iteration, which is
 the simplex method on the dual of this LP with block pivots.  Each basis
-is a policy, solved exactly by back-substitution over the granted sets,
-one 4 x 4 system of draw-table entries per set, with no assembled P, for
-one system or a batch that differs only in E.  It is the one exact solver.
+is a policy, whose values policy_evaluate solves exactly with no assembled
+P.  It is the one exact solver.
 
 Solved tables can be exported to a line-oriented text file and reloaded for
 use as a lightweight policy decision point.
@@ -49,6 +48,45 @@ class SolverError(RuntimeError):
     """The LP solve did not reach an optimal basis within its budget."""
 
 
+def policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
+    """The exact decision values of one fixed policy, shaped as decision_values'.
+
+    policy is an allow mask: (n,) for one system, or (n, G) for a batch of G
+    (bellman.SystemParts.mix_batch), one policy per column.  Its values V
+    solve (I - beta P_pi) V = q_pi, and V = np.where(policy, dv[1], dv[0]).
+    No step mixes columns.
+
+    Every transition keeps the granted set or reaches a strict superset, so
+    the system is solved a popcount level of sets at a time from the full
+    set down (RequestDynamics.lattice, planned once per shape).  A state of
+    set k reads a solved superset's entry or one of k's own four draw-table
+    entries T_k (bellman.draw_table), so T_k = draw_table(b)_k + beta M_k T_k:
+    b is the policy's decision values with this level's entries zero, and
+    M_k, E times draw_table of the indicator "reads its own set's entry of
+    this kind", has row sums at most 1, so I - beta M_k is regular.  A level
+    is one batched 4 x 4 solve per set and column; price_table of the
+    entries solved so far gives the decision values.
+    """
+    batch, dynamics = system.as_batch(), system.parts.dynamics
+    policy = system.as_columns("policy", policy)
+    sets = len(dynamics.weights)
+    own, levels = dynamics.lattice
+    # shares[k, g, e, kind, ., c]: the draw table of own under pi
+    shares = np.where(policy[..., None], own[1, :, None], own[0, :, None])
+    shares = draw_table(batch, shares.reshape(system.num_states, -1))
+    shares = shares.reshape(2, 2, sets, -1, 2).transpose(2, 3, 0, 1, 4)
+    mixing = batch.beta * batch.emergency.transpose(2, 0, 1)[:, :, None, :, None]
+    blocks = np.eye(4) - (mixing * shares[..., None, :]).reshape(sets, -1, 4, 4)
+    entries = np.zeros((4, sets, policy.shape[1]))  # V's draw table, (status, kind) by set
+    dv = batch.q
+    for level in levels:
+        rhs = draw_table(batch, np.where(policy, dv[1], dv[0])).reshape(4, sets, -1)
+        solved = np.linalg.solve(blocks[level], rhs[:, level].transpose(1, 2, 0)[..., None])
+        entries[:, level] = solved[..., 0].transpose(2, 0, 1)
+        dv = price_table(batch, entries.reshape(2, 2, sets, -1))
+    return dv.reshape(system.q.shape)
+
+
 def policy_iterate(
     system: BellmanSystem,
     tol: float = VERIFY_TOL,
@@ -61,52 +99,29 @@ def policy_iterate(
     batch of G (bellman.SystemParts.mix_batch) and values (n, G).  The first
     policy is greedy on decision_values(system, start); start None is zero,
     giving the myopic policy (allow where q[allow] > q[deny]).  Each basis
-    pi is solved exactly, (I - beta P_pi) V = q_pi, and every state whose
-    other action beats its current one by more than tol pivots at once.  A
-    column stops at a basis where none does, which violates no Bellman row
-    by more than tol, and leaves the batch (BellmanSystem.columns).  No step
-    mixes columns.  Returns the values and the most bases a column solved.
-
-    Every transition keeps the granted set or reaches a strict superset, so a
-    basis is solved a popcount level of sets at a time from the full set down
-    (RequestDynamics.lattice, planned once per shape).  A state of set k reads
-    a solved superset's entry or one of k's own four draw-table entries T_k
-    (bellman.draw_table), so T_k = draw_table(b)_k + beta M_k T_k: b is the
-    policy's decision values with this level's entries zero, and M_k, E times
-    draw_table of the indicator "reads its own set's entry of this kind", has
-    row sums at most 1, so I - beta M_k is regular.
+    pi is solved exactly by policy_evaluate, and every state whose other
+    action beats its current one by more than tol pivots at once.  A column
+    stops at a basis where none does, which violates no Bellman row by more
+    than tol, and leaves the batch (BellmanSystem.columns).  No step mixes
+    columns.  Returns the values and the most bases a column solved.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be zero or positive, got {tol}")
-    batch, dynamics = system.as_batch(), system.parts.dynamics
-    sets = len(dynamics.weights)
-    own, levels = dynamics.lattice
-    dv = batch.q if start is None else decision_values(batch, np.reshape(start, batch.q.shape[1:]))
+    batch = system.as_batch()
+    dv = batch.q if start is None else decision_values(batch, system.as_columns("start", start))
     policy = dv[1] > dv[0]  # (n, G): allow
     result = np.empty(policy.shape)
     running = np.arange(policy.shape[1])  # the result column of each column of the batch
     for bases in range(1, max_iter + 1):
-        dv = batch.q  # the last basis's decision values are not needed: free them
-        # shares[k, g, e, kind, ., c]: the draw table of own under pi
-        shares = np.where(policy[..., None], own[1, :, None], own[0, :, None])
-        shares = draw_table(batch, shares.reshape(system.num_states, -1))
-        shares = shares.reshape(2, 2, sets, -1, 2).transpose(2, 3, 0, 1, 4)
-        mixing = batch.beta * batch.emergency.transpose(2, 0, 1)[:, :, None, :, None]
-        blocks = np.eye(4) - (mixing * shares[..., None, :]).reshape(sets, -1, 4, 4)
-        entries = np.zeros((4, sets, len(running)))  # V's draw table, (status, kind) by set
-        for level in levels:
-            rhs = draw_table(batch, np.where(policy, dv[1], dv[0])).reshape(4, sets, -1)
-            solved = np.linalg.solve(blocks[level], rhs[:, level].transpose(1, 2, 0)[..., None])
-            entries[:, level] = solved[..., 0].transpose(2, 0, 1)
-            dv = price_table(batch, entries.reshape(2, 2, sets, -1))
+        del dv  # free the last decision values before the next basis's
+        dv = policy_evaluate(batch, policy)
         values = np.where(policy, dv[1], dv[0])
         better = np.where(policy, dv[0], dv[1]) > values + tol
-        if not better.any():
-            result[:, running] = values
-            return result.reshape(system.q.shape[1:]), bases
         stop = ~better.any(axis=0)
         if stop.any():  # stopped columns leave the batch: later bases solve only the others
             result[:, running[stop]] = values[:, stop]
+            if stop.all():
+                return result.reshape(system.q.shape[1:]), bases
             running, policy, better = running[~stop], policy[:, ~stop], better[:, ~stop]
             batch = batch.columns(~stop)
         policy ^= better

@@ -96,6 +96,8 @@ class Scenario:
     beta: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "behavior", RequestBehavior(self.behavior))
+        object.__setattr__(self, "variant", RewardVariant(self.variant))
         if len(self.user_names) != self.dims.num_users:
             raise ValueError("user label count does not match dimensions")
         if len(self.resource_names) != self.dims.num_resources:

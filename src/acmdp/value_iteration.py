@@ -63,15 +63,10 @@ def value_iterate(
     if not tol >= 0.0:
         raise ValueError(f"tol must be zero or positive, got {tol}")
     shape = system.q.shape[1:]
-    if start is None:
-        values = np.zeros(shape)
-    else:
-        values = np.asarray(start, dtype=float)
-        if values.shape != shape:
-            raise ValueError(f"start has shape {values.shape}, expected {shape}")
+    values = system.as_columns("start", np.zeros(shape) if start is None else start)
+    values = values.astype(float, copy=False)
     factor = system.beta / (1.0 - system.beta)
     batch = system.as_batch()
-    values = values.reshape(len(values), -1)
     result = np.empty(values.shape)
     running = np.arange(values.shape[1])  # the result column of each column of the batch
     # scale bounds max|V| per column from above; a column's is evaluated afresh

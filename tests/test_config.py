@@ -247,6 +247,24 @@ class TestScenarioChecks:
         with pytest.raises(ValueError, match=message):
             replace(builtin_scenario("table2_once"), **change)
 
+    @pytest.mark.parametrize("field, enum", [("behavior", RequestBehavior), ("variant", RewardVariant)])
+    def test_plain_strings_are_their_enums(self, field, enum):
+        # a plain string solves, renders and fingerprints as its member
+        for member in enum:
+            want = replace(builtin_scenario("table2_once"), **{field: member})
+            plain = replace(want, **{field: member.value})
+            assert type(getattr(plain, field)) is enum
+            assert render_scenario(plain) == render_scenario(want)
+            assert scenario_fingerprint(plain) == scenario_fingerprint(want)
+            solved, expected = solve_scenario(plain), solve_scenario(want)
+            assert solved.values.tobytes() == expected.values.tobytes()
+            assert solved.dv.tobytes() == expected.dv.tobytes()
+
+    @pytest.mark.parametrize("field, enum", [("behavior", RequestBehavior), ("variant", RewardVariant)])
+    def test_unknown_string_refused(self, field, enum):
+        with pytest.raises(ValueError, match=f"'sometimes' is not a valid {enum.__name__}"):
+            replace(builtin_scenario("table2_once"), **{field: "sometimes"})
+
 
 class TestNonFiniteRewards:
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import lattice_solve
+from oracle import lattice_solve, oracle_compile
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 from test_bellman import small_scenario
 from test_dynamics import clear_shape_caches
 
@@ -37,10 +40,12 @@ from acmdp import (
     export_values,
     extract_policy,
     import_values,
+    policy_evaluate,
     policy_iterate,
     run_sweep,
     self_check,
     solve_scenario,
+    value_iterate,
     verify_solution,
 )
 from acmdp.bellman import VERIFY_TOL, build_parts, rounding_allowance
@@ -159,6 +164,22 @@ class TestOneKernel:
             "backups": 0,
             "draw_table": (2 + 1) * (levels + 1),
             "price_table": (2 + 1) * levels,
+        }
+
+    @pytest.mark.parametrize("name", ["table1", "table2_all"])
+    def test_policy_evaluate_is_one_basis(self, kernel_calls, name):
+        # one draw_table call for the 4 x 4 systems, then per level one
+        # draw_table and one price_table call, as in each of policy_iterate's bases
+        system = compile_system(builtin_scenario(name))
+        policy_evaluate(system, system.q[1] > system.q[0])
+        levels = system.parts.scenario.dims.num_access_bits + 1
+        assert kernel_calls == {
+            "inside": 0,
+            "outside": 0,
+            "solves": 0,
+            "backups": 0,
+            "draw_table": levels + 1,
+            "price_table": levels,
         }
 
     def test_vi_solve_prices_the_result_once(self, kernel_calls):
@@ -658,6 +679,118 @@ class TestLpBatch:
         batch = parts.mix_batch([EmergencyMatrix.from_rates(p, 1.0) for p in (0.0, 0.3)])
         with pytest.raises(SolverError, match="no optimal policy basis within 1 bases"):
             policy_iterate(batch, max_iter=1)
+
+
+def oracle_evaluate(sc, policy):
+    """V_pi by spsolve of I - beta P_pi, with P and q from the per-state build."""
+    mats, q = oracle_compile(sc)
+    allow = sparse.diags(policy.astype(float))
+    chosen = allow @ mats[1] + (sparse.identity(len(policy)) - allow) @ mats[0]
+    lhs = sparse.identity(len(policy), format="csc") - sc.beta * chosen.tocsc()
+    return spsolve(lhs, np.where(policy, q[1], q[0]))
+
+
+def random_policies(seed, shape):
+    return np.random.default_rng(seed).random(shape) < 0.5
+
+
+class TestPolicyEvaluate:
+    """policy_evaluate: the exact decision values of one fixed policy."""
+
+    @staticmethod
+    def final_basis(system):
+        """policy_iterate's values on system, and the allow mask of its last basis."""
+        evaluate, bases = acmdp.policy.policy_evaluate, []
+
+        def recorded(batch, policy):
+            bases.append(policy[:, 0].copy())  # policy_iterate pivots the mask in place
+            return evaluate(batch, policy)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(acmdp.policy, "policy_evaluate", recorded)
+            values, count = policy_iterate(system)
+        assert len(bases) == count
+        return values, bases[-1]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_final_basis_gives_policy_iterate_values(self, name):
+        system = compile_system(builtin_scenario(name))
+        values, policy = self.final_basis(system)
+        dv = policy_evaluate(system, policy)
+        assert dv.shape == system.q.shape
+        assert bitwise_equal(np.where(policy, dv[1], dv[0]), values)
+        # the optimal basis's decision values are the kernel's pricing of its values
+        assert np.max(np.abs(dv - decision_values(system, values))) <= rounding_allowance(
+            dv, system.beta
+        )
+
+    @random_scenarios(15)
+    def test_random_final_basis_gives_policy_iterate_values(
+        self, users, resources, behavior, variant, rates, beta, seed
+    ):
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        system = compile_system(sc)
+        values, policy = self.final_basis(system)
+        dv = policy_evaluate(system, policy)
+        assert bitwise_equal(np.where(policy, dv[1], dv[0]), values)
+
+    @random_scenarios(40, mask=st.integers(0, 2**16))
+    def test_random_policies_match_a_sparse_solve(
+        self, users, resources, behavior, variant, rates, beta, seed, mask
+    ):
+        # both sides are exact solves of (I - beta P_pi) V = q_pi, built
+        # apart, so they differ by no more than the rounding of each
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        system = compile_system(sc)
+        policy = random_policies(mask, system.num_states)
+        dv = policy_evaluate(system, policy)
+        values = np.where(policy, dv[1], dv[0])
+        want = oracle_evaluate(sc, policy)
+        bound = rounding_allowance(values, beta) + rounding_allowance(want, beta)
+        assert np.max(np.abs(values - want)) <= bound
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        behavior=st.sampled_from(list(RequestBehavior)),
+        variant=st.sampled_from(list(RewardVariant)),
+        beta=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+        seed=st.integers(0, 2**16),
+        rates=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+    )
+    def test_batch_columns_are_their_batches_of_one(self, behavior, variant, beta, seed, rates):
+        parts = build_parts(small_scenario(2, 3, behavior, variant, beta=beta, seed=seed))
+        emergencies = [EmergencyMatrix.from_rates(*r) for r in rates]
+        policies = random_policies(seed, (len(parts.space), len(rates)))
+        dv = policy_evaluate(parts.mix_batch(emergencies), policies)
+        assert dv.shape == (2, len(parts.space), len(rates))
+        for g, emergency in enumerate(emergencies):
+            alone = policy_evaluate(parts.mix_batch([emergency]), policies[:, g : g + 1])
+            assert bitwise_equal(dv[..., g : g + 1], alone)
+
+    def test_mask_of_wrong_shape_raises(self):
+        system = compile_system(builtin_scenario("table2_all"))
+        batch = system.parts.mix_batch([EmergencyMatrix.identity()] * 3)
+        for target, shape in ((batch, (3, 160)), (batch, (160,)), (system, (160, 1))):
+            message = f"policy has shape {shape}, expected {target.q.shape[1:]}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                policy_evaluate(target, np.zeros(shape, dtype=bool))
+
+
+@pytest.mark.parametrize("solve", [policy_iterate, value_iterate])
+@pytest.mark.parametrize(
+    "width, shape",
+    [(None, (3,)), (None, (160, 1)), (3, (3, 160)), (3, (160,)), (3, (480,)), (1, (160,))],
+)
+def test_solvers_refuse_a_start_of_the_wrong_shape_alike(solve, width, shape):
+    # one system takes (n,) values and a batch of G takes (n, G): no reshape
+    # makes a transposed or flattened start fit
+    system = compile_system(builtin_scenario("table2_all"))
+    if width is not None:
+        system = system.parts.mix_batch([EmergencyMatrix.identity()] * width)
+    expected = system.q.shape[1:]
+    message = f"start has shape {shape}, expected {expected}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(system, start=np.zeros(shape))
 
 
 class TestValueFiles:

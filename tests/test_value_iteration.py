@@ -115,14 +115,6 @@ class TestValueIterate:
         assert warm_sweeps < cold_sweeps
         assert np.max(np.abs(warm - cold)) <= 1e-8
 
-    def test_start_of_wrong_shape_raises(self, table2_system):
-        with pytest.raises(ValueError, match="shape"):
-            value_iterate(table2_system, start=np.zeros(3))
-        # a batch of two takes one column per system
-        batch = table2_system.parts.mix_batch([EmergencyMatrix.identity()] * 2)
-        with pytest.raises(ValueError, match="shape"):
-            value_iterate(batch, start=np.zeros(160))
-
 
 # E as a rate pair: drawn, or with zero entries (identity, absorbing, swapping)
 RATES = st.one_of(
