@@ -21,9 +21,9 @@ statuses' tables by beta E, gathers each (action, state)'s entry with
 RequestDynamics.draw_index, and adds q.  Value iteration, policy
 extraction and verify_solution call decision_values; the LP's basis solve
 (policy.policy_evaluate) calls the halves, since it solves for a policy's
-draw table.  validate_stochastic checks the factors.  No solver or check
-assembles P: BellmanSystem.transitions builds it on first use, for
-comparisons with other builds of the model.
+draw table.  validate_stochastic checks the factors row by row.  No
+solver or check assembles P: BellmanSystem.transitions builds it on first
+use, for comparisons with other builds of the model.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .dynamics import ROW_SUM_TOL, EmergencyMatrix, RequestDynamics, request_dynamics
 from .rewards import Scenario, reward_parts
-from .states import ACTIONS, Action, Emergency, State, StateSpace
+from .states import ACTIONS, Emergency, StateSpace
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -218,7 +218,6 @@ def rounding_allowance(values: np.ndarray, beta: float) -> float:
 @dataclass
 class VerificationReport:
     max_violation: float  # largest amount any Bellman constraint is broken by
-    min_slack: np.ndarray  # per state, the smallest slack over both actions
     max_min_slack: float  # worst tightness: 0 when every state has a tight row
 
     @property
@@ -236,67 +235,40 @@ class VerificationReport:
 def verify_solution(values: np.ndarray, dv: np.ndarray) -> VerificationReport:
     """Slack analysis of a value vector against the Bellman rows, given its decision values."""
     slacks = values - dv
-    min_slack = slacks.min(axis=0)
     return VerificationReport(
         max_violation=float(max(0.0, -slacks.min())),
-        min_slack=min_slack,
-        max_min_slack=float(min_slack.max()),
+        max_min_slack=float(slacks.min(axis=0).max()),
     )
 
 
-@dataclass(frozen=True)
-class StochasticityViolation:
-    state: State
-    action: Action
-    total_mass: float
-    detail: str
+def validate_stochastic(system: BellmanSystem) -> list[str]:
+    """One problem per row of E, set's weights or draw index that leaves P^a not stochastic.
 
-
-def validate_stochastic(system: BellmanSystem) -> list[StochasticityViolation]:
-    """Check that every (state, action) row of a compiled system is a distribution.
-
-    Row (e, x) of P^a is row e of E times the draw-table entry that
-    RequestDynamics.draw_index gives (a, (e, x)): a set's weights, or a 1 at
-    its empty-request cell.  It is a distribution when E's rows sum to 1
-    with entries in [0, 1] (its zeros are dropped), the entry read lies in
-    status e's block of the table, and that entry's weights sum to 1 with
-    entries in [0, 1] (a zero weight is a request the set does not draw).
-    A (state, action) is flagged when any of these fails, with the product
-    of E's row sum and the entry's sum as its mass (0 for an index outside
-    the table).  Returns the violations in state-major, action-minor order;
-    empty means the model is well-formed.
+    Row (e, x) of P^a = E (x) R^a is row e of E times the table entry that
+    draw_index gives (a, (e, x)): a set's weights, or a 1 at its
+    empty-request cell.  Every row of E is read by its status's states,
+    every set's weights by deny from that set's concrete-request rows and
+    every index by its own (action, state), so P^a is stochastic exactly
+    when every row of E and of the weights has entries in [0, 1] and mass
+    within ROW_SUM_TOL of 1, and every index reads its own status's block.
     """
-    emergency, dynamics = system.emergency, system.parts.dynamics
-    weights, n = dynamics.weights, system.num_states
-    sets = len(weights)
-    status = np.arange(n) // dynamics.size
-    e_mass = emergency.sum(axis=1)
-    e_range = (emergency >= 0.0) & (emergency <= 1.0)
-    e_flagged = (np.abs(e_mass - 1.0) > ROW_SUM_TOL) | ~e_range.all(axis=1)
-    # the table's entries, per block: every set's average, then every set's empty-request cell
-    w_mass = np.concatenate([weights.sum(axis=1), np.ones(sets)])
-    w_range = ((weights >= 0.0) & (weights <= 1.0)).all(axis=1)
-    w_range = np.concatenate([w_range, np.ones(sets, bool)])
-    w_flagged = (np.abs(w_mass - 1.0) > ROW_SUM_TOL) | ~w_range
-    block, entry = np.divmod(dynamics.draw_index.reshape(2, n).T, 2 * sets)
-    misread = block != status[:, None]
-    flagged = e_flagged[status, None] | misread | w_flagged[entry]
-    found = []
-    for i, act in np.argwhere(flagged).tolist():
-        e, b, k = status[i], block[i, act], entry[i, act]
-        bad_e = [p for p in emergency[e].tolist() if not 0.0 <= p <= 1.0]
-        bad_w = [p for p in weights[k].tolist() if not 0.0 <= p <= 1.0] if k < sets else []
-        total = float(e_mass[b] * w_mass[k]) if b in (0, 1) else 0.0
-        if misread[i, act]:
-            index = int(dynamics.draw_index[act * n + i])
-            detail = f"draw index {index} reads outside the {Emergency(e).label} block"
-        elif bad_e:
-            detail = f"emergency probabilities {bad_e} outside [0, 1]"
-        elif bad_w:
-            detail = f"request probabilities {bad_w} outside [0, 1]"
-        else:
-            detail = f"mass {total} != 1"
-        found.append(
-            StochasticityViolation(system.space.index_state(i), Action(act), total, detail)
-        )
-    return found
+    dynamics = system.parts.dynamics
+    problems = []
+    for factor, rows, names in (
+        ("emergency row", system.emergency, [e.label for e in Emergency]),
+        ("request weights of set", dynamics.weights, range(len(dynamics.weights))),
+    ):
+        mass = rows.sum(axis=1)
+        # written so that a NaN fails both tests
+        fine = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1) & (np.abs(mass - 1.0) <= ROW_SUM_TOL)
+        problems += [
+            f"{factor} {names[i]} {rows[i].tolist()} has mass {mass[i]}"
+            for i in np.flatnonzero(~fine)
+        ]
+    index, n = dynamics.draw_index, system.num_states
+    status = np.arange(len(index)) % n // dynamics.size
+    problems += [
+        f"draw_index[{i}] = {index[i]} reads outside the {Emergency(status[i]).label} block"
+        for i in np.flatnonzero(index // (2 * len(dynamics.weights)) != status)
+    ]
+    return problems

@@ -18,8 +18,8 @@ says, for every (action, state), whether it averages its next set's cells
 by those weights or reads that set's empty-request cell.  The Bellman
 kernel (bellman.decision_values) backs up through these draws in O(n) work
 per value column, and both solvers read only these two arrays.  bellman
-checks them (validate_stochastic) and builds P^a = E (x) R^a only on
-request (BellmanSystem.transitions).  tests/oracle.py describes the same
+checks them row by row (validate_stochastic) and builds P^a = E (x) R^a
+only on request (BellmanSystem.transitions).  tests/oracle.py describes the same
 process one state at a time (successors), the reference for this build.
 All of it depends on (dims, behaviour) alone: request_dynamics,
 set_request_rows, next_access_sets and RequestDynamics.lattice are cached,

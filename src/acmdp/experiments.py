@@ -137,7 +137,8 @@ def _bisect(
 ) -> tuple[float, tuple[float, float]]:
     """Halve [lo, hi] to CROSSOVER_WIDTH; allow - deny at state differs in sign at its ends.
 
-    f_lo is the gap at lo.  Each point is a batch of one, solved by solve down
+    f_lo is the gap at lo; where it is zero, lo = hi and the bracket is
+    returned as it is.  Each point is a batch of one, solved by solve down
     rungs until its gap's sign is proven (see the module docstring): the
     bracket's first point from start None, each later solve from the last values.
     """
@@ -171,8 +172,9 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     in chunks of at most CHUNK_BYTES // (8 n SOLVER_ARRAYS) columns, each
     solved by the named solver and priced with one kernel call, of which
     only the (2, accesses, columns) decision values are kept.  A crossover
-    is the first grid point where allow - deny is exactly zero, or else the
-    first pair of neighbours whose gaps differ in sign, bisected (_bisect).
+    is bracketed by the first grid point p where allow - deny is exactly
+    zero, as [p, p], or else by the first pair of neighbours whose gaps
+    differ in sign, and bisected (_bisect).
     """
     check_solver(solver)
     # looked up at each call, so that a name rebound in this module is the one run
@@ -200,11 +202,10 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
         g = _first_crossing(gaps[pos])
         if g is None:
             crossovers.append(CrossoverResult(access, None, None, None))
-        elif gaps[pos, g] == 0.0:
-            crossovers.append(CrossoverResult(access, grid[g], (grid[g], grid[g]), 0.0))
         else:
+            hi = grid[g] if gaps[pos, g] == 0.0 else grid[g + 1]
             root, bracket = _bisect(
-                parts, solve, rungs, calm_empty[pos], grid[g], grid[g + 1], float(gaps[pos, g])
+                parts, solve, rungs, calm_empty[pos], grid[g], hi, float(gaps[pos, g])
             )
             crossovers.append(CrossoverResult(access, root, bracket, bracket[1] - bracket[0]))
     return SweepResult(spec, points, crossovers)
@@ -247,9 +248,9 @@ def self_check(sc: Scenario) -> list[CheckResult]:
     converge, both agreement checks are skipped (passed None), with its error.
     """
     system = compile_system(sc)
-    violations = validate_stochastic(system)
-    if violations:
-        detail = f"{len(violations)} violations, first: {violations[0].detail}"
+    problems = validate_stochastic(system)
+    if problems:
+        detail = f"{len(problems)} violations, first: {problems[0]}"
         return [CheckResult("stochasticity", False, detail)]
     checks = [CheckResult("stochasticity", True, "all successor distributions sum to 1")]
 

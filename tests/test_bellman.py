@@ -250,10 +250,12 @@ class TestVerifySolution:
 
     def test_inflated_values_feasible_but_slack(self, table1_system):
         optimal = lattice_solve(table1_system.parts.scenario)
-        report = verify_solution(optimal + 1.0, decision_values(table1_system, optimal + 1.0))
+        inflated = optimal + 1.0
+        dv = decision_values(table1_system, inflated)
+        report = verify_solution(inflated, dv)
         assert report.feasible()
         # beta = 0: inflating leaves every constraint with slack exactly 1
-        assert np.all(report.min_slack >= 1.0 - 1e-12)
+        assert np.all(inflated - dv >= 1.0 - 1e-12)
         assert not report.all_tight()
 
     @pytest.mark.parametrize("name", ["table2_unique", "table2_all", "modified_once"])

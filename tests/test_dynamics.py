@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle import (
     all_states,
     emergency_prob,
@@ -27,7 +29,7 @@ from acmdp import (
     validate_stochastic,
 )
 from acmdp.bellman import build_parts
-from acmdp.dynamics import next_access_sets, request_dynamics, set_request_rows
+from acmdp.dynamics import ROW_SUM_TOL, next_access_sets, request_dynamics, set_request_rows
 from acmdp.states import ACTIONS
 
 D22 = ModelDims(2, 2)
@@ -270,6 +272,11 @@ def overfill(dynamics, k, x):
     return replace(dynamics, weights=weights)
 
 
+def with_dynamics(system, dynamics):
+    """system with its request dynamics replaced, as a corrupted build would leave them."""
+    return replace(system, parts=replace(system.parts, dynamics=dynamics))
+
+
 def alert_entry(dynamics, x):
     """Position in draw_index of the alert state (alert, x) under allow."""
     return int(Action.ALLOW) * 2 * dynamics.size + dynamics.size + x
@@ -303,81 +310,117 @@ class TestValidateStochastic:
         for emergency in emergencies:
             assert validate_stochastic(compile_system(replace(sc, emergency=emergency))) == []
 
-    def test_broken_matrix_reported_everywhere(self):
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            (
+                ((0.7, 0.1), (0.0, 1.0)),
+                "emergency row calm [0.7, 0.1] has mass 0.7999999999999999",
+            ),
+            (((0.9, 0.1), (0.3, 0.2)), "emergency row alert [0.3, 0.2] has mass 0.5"),
+            (((1.25, -0.25), (0.0, 1.0)), "emergency row calm [1.25, -0.25] has mass 1.0"),
+            (((0.9, 0.1), (-0.5, 1.5)), "emergency row alert [-0.5, 1.5] has mass 1.0"),
+            (((0.9, math.nan), (0.0, 1.0)), "emergency row calm [0.9, nan] has mass nan"),
+        ],
+        ids=[
+            "calm row short",
+            "alert row halved",
+            "calm row out of range",
+            "alert row out of range",
+            "nan entry",
+        ],
+    )
+    def test_broken_emergency_row_reported_once(self, rows, problem):
         # bypass the constructor check to simulate a corrupted model
         broken = EmergencyMatrix.__new__(EmergencyMatrix)
-        object.__setattr__(broken, "rows", ((0.7, 0.1), (0.0, 1.0)))
-        violations = validate_stochastic(compile_system(model(broken, RequestBehavior.UNIQUE)))
-        # every calm-state (state, action) pair loses mass
-        assert len(violations) == 160
-        assert all(v.total_mass == pytest.approx(0.8) for v in violations)
+        object.__setattr__(broken, "rows", rows)
+        assert validate_stochastic(compile_system(model(broken, RequestBehavior.ONCE))) == [problem]
 
     @pytest.mark.parametrize(
-        "corrupt, mass, detail",
+        "corrupt, problem",
         [
-            (halve, 0.5, "mass 0.5 != 1"),
-            (overfill, 2.0, "request probabilities [1.25] outside"),
-            (read_calm_block, 1.0, "draw index 1 reads outside the alert block"),
-            (read_past_table, 0.0, "draw index 64 reads outside the alert block"),
+            (halve, "request weights of set 1 [0.125, 0.125, 0.125, 0.125, 0.0] has mass 0.5"),
+            (overfill, "request weights of set 1 [1.25, 0.25, 0.25, 0.25, 0.0] has mass 2.0"),
+            (read_calm_block, "draw_index[245] = 1 reads outside the alert block"),
+            (read_past_table, "draw_index[245] = 64 reads outside the alert block"),
         ],
         ids=["halved", "out of range", "alert row reads calm block", "reads past the table"],
     )
-    def test_broken_request_row_reported_for_its_states(self, corrupt, mass, detail):
-        # the weights of set k are read by every (state, action) whose next
-        # granted set is k, in both statuses; a draw index is read by its own
-        # (state, action) alone.  Exactly those are reported
+    def test_broken_request_row_reported_once(self, corrupt, problem):
+        # set k's weights are one row of the factor however many states read
+        # them; a draw index is read by its own (action, state) alone
         system = compile_system(model(DRIFT, RequestBehavior.ALL))
         x = 5  # (calm, {(0, 0)}, (0, 0)): allow keeps set 1
         state = system.space.index_state(x)
         k = next_access_set(state.granted, state.request, Action.ALLOW, D22)
-        dynamics = corrupt(system.parts.dynamics, k, x)
-        violations = validate_stochastic(
-            replace(system, parts=replace(system.parts, dynamics=dynamics))
-        )
-        if corrupt in (halve, overfill):
-            want = [
-                (s, act)
-                for s in all_states(system.space)
-                for act in ACTIONS
-                if next_access_set(s.granted, s.request, act, D22) == k
-            ]
-            assert {s.emergency for s, _ in want} == set(Emergency)
-        else:
-            alert = State(Emergency.ALERT, state.granted, state.request)
-            want = [(alert, Action.ALLOW)]
-        assert [(v.state, v.action) for v in violations] == want
-        assert all(v.total_mass == pytest.approx(mass) for v in violations)
-        assert all(v.detail.startswith(detail) for v in violations)
+        broken = with_dynamics(system, corrupt(system.parts.dynamics, k, x))
+        assert validate_stochastic(broken) == [problem]
 
-    @pytest.mark.parametrize(
-        "rows, status, mass, detail",
-        [
-            (((0.9, 0.1), (0.3, 0.2)), Emergency.ALERT, 0.5, "mass 0.5 != 1"),
-            (
-                ((1.25, -0.25), (0.0, 1.0)),
-                Emergency.CALM,
-                1.0,
-                "emergency probabilities [1.25, -0.25] outside",
-            ),
-            (
-                ((0.9, 0.1), (-0.5, 1.5)),
-                Emergency.ALERT,
-                1.0,
-                "emergency probabilities [-0.5, 1.5] outside",
-            ),
-        ],
-        ids=["alert row halved", "calm row out of range", "alert row out of range"],
-    )
-    def test_broken_emergency_row_reported_for_its_status(self, rows, status, mass, detail):
-        # row e of E scales every state of status e, under both actions; the
-        # other status's states stay clean even when the row sums to 1
+    def test_problems_are_listed_by_factor(self):
         broken = EmergencyMatrix.__new__(EmergencyMatrix)
-        object.__setattr__(broken, "rows", rows)
-        system = compile_system(model(broken, RequestBehavior.ONCE))
-        violations = validate_stochastic(system)
-        states = [system.space.index_state(i) for i in range(system.num_states)]
-        assert [(v.state, v.action) for v in violations] == [
-            (s, act) for s in states if s.emergency == status for act in ACTIONS
+        object.__setattr__(broken, "rows", ((0.9, 0.1), (0.3, 0.2)))
+        system = compile_system(model(broken, RequestBehavior.ALL))
+        dynamics = read_past_table(halve(overfill(system.parts.dynamics, 3, 0), 2, 0), 0, 7)
+        assert validate_stochastic(with_dynamics(system, dynamics)) == [
+            "emergency row alert [0.3, 0.2] has mass 0.5",
+            "request weights of set 2 [0.125, 0.125, 0.125, 0.125, 0.0] has mass 0.5",
+            "request weights of set 3 [1.25, 0.25, 0.25, 0.25, 0.0] has mass 2.0",
+            "draw_index[247] = 64 reads outside the alert block",
         ]
-        assert all(v.total_mass == pytest.approx(mass) for v in violations)
-        assert all(v.detail.startswith(detail) for v in violations)
+
+    @pytest.mark.parametrize("miss, flagged", [(0.5 * ROW_SUM_TOL, False), (2 * ROW_SUM_TOL, True)])
+    def test_mass_may_miss_1_by_row_sum_tol(self, miss, flagged):
+        system = compile_system(model(DRIFT, RequestBehavior.ONCE))
+        dynamics = system.parts.dynamics
+        for broken in (
+            replace(system, emergency=system.emergency * (1.0 - miss)),
+            with_dynamics(system, replace(dynamics, weights=dynamics.weights * (1.0 - miss))),
+        ):
+            assert bool(validate_stochastic(broken)) == flagged
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        users=st.integers(1, 2),
+        resources=st.integers(1, 3),
+        behavior=st.sampled_from(list(RequestBehavior)),
+        rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        corruptions=st.lists(
+            st.tuples(
+                st.integers(0, 2**16),
+                st.integers(0, 2**16),
+                st.one_of(st.just(1.0), st.floats(0.0, 1.0 - 2.0 * ROW_SUM_TOL)),
+                st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_flags_exactly_the_models_with_a_broken_row(
+        self, users, resources, behavior, rates, corruptions
+    ):
+        # each corruption picks a row of E or of the weights, scales it by
+        # s = 1 or s < 1 - ROW_SUM_TOL, and moves mass t from one of its
+        # entries to the next: no row's mass grows, so a row of P^a misses 1
+        # by more than ROW_SUM_TOL exactly when a row of E or weights it reads does
+        system = compile_system(small_scenario(users, resources, behavior, "eps_zero", rates))
+        emergency, weights = system.emergency.copy(), system.parts.dynamics.weights.copy()
+        names = set()
+        for row, entry, scale, shift in corruptions:
+            row %= 2 + len(weights)
+            target, i = (emergency, row) if row < 2 else (weights, row - 2)
+            j = entry % target.shape[1]
+            target[i] *= scale
+            target[i, j] -= shift
+            target[i, (j + 1) % target.shape[1]] += shift
+            names.add(
+                f"emergency row {Emergency(i).label}" if row < 2 else f"request weights of set {i}"
+            )
+        broken = with_dynamics(
+            replace(system, emergency=emergency), replace(system.parts.dynamics, weights=weights)
+        )
+        masses = np.concatenate([np.asarray(m.sum(axis=1)).ravel() for m in broken.transitions])
+        out_of_range = any(((f < 0.0) | (f > 1.0)).any() for f in (emergency, weights))
+        problems = validate_stochastic(broken)
+        assert bool(problems) == (np.any(np.abs(masses - 1.0) > ROW_SUM_TOL) or out_of_range)
+        # only corrupted rows are named, and each once
+        named = [p[: p.index(" [")] for p in problems]
+        assert len(set(named)) == len(named) and set(named) <= names

@@ -485,9 +485,11 @@ class TestSelfCheck:
         checks = self_check(builtin_scenario("table2_all"))
         assert [c.name for c in checks] == ["stochasticity"]
         assert not checks[0].passed
-        # the empty set is reached by deny from its five rows and by allow from
-        # its empty request, in both statuses: 12 (state, action) rows read it
-        assert checks[0].detail == "12 violations, first: mass 0.5 != 1"
+        # one row of one factor is broken, however many (state, action) rows read it
+        assert checks[0].detail == (
+            "1 violations, first: "
+            "request weights of set 0 [0.125, 0.125, 0.125, 0.125, 0.0] has mass 0.5"
+        )
 
     def test_broken_matrix_fails_stochasticity(self):
         from acmdp import EmergencyMatrix
