@@ -133,9 +133,9 @@ def _parse_access(text: str, loaded: LoadedValues) -> Access:
 
 
 def _parse_granted(text: str, loaded: LoadedValues) -> int:
-    """Granted-set spec 'user:resource,user:resource' (empty string = no grants)."""
+    """Granted-set spec 'user:resource,user:resource' (blank = no grants)."""
     k = 0
-    if not text:
+    if not text.strip():
         return 0
     for part in text.split(","):
         k = set_insert(k, _parse_access(part.strip(), loaded), loaded.dims)

@@ -276,7 +276,7 @@ class ValueRow:
     dv_allow: float
 
 
-_EMERGENCY_INDEX = {e.label: int(e) for e in Emergency}
+_EMERGENCY_LABELS = frozenset(e.label for e in Emergency)
 
 
 @dataclass
@@ -285,6 +285,7 @@ class LoadedValues:
 
     rows[i] is the row of state i in the StateSpace order of a model with
     these users and resources; import_values refuses a file that breaks it.
+    lookup finds a row by its own labels, one probe of a dict built here.
     """
 
     fingerprint: str
@@ -293,24 +294,25 @@ class LoadedValues:
     rows: list[ValueRow]
 
     def __post_init__(self) -> None:
-        self._space = StateSpace(ModelDims(len(self.user_names), len(self.resource_names)))
-        requests = _request_labels(self._space, self.user_names, self.resource_names)
-        self._requests = {labels: j for j, labels in enumerate(requests)}
+        self._dims = ModelDims(len(self.user_names), len(self.resource_names))
+        self._index = {
+            (row.emergency, row.set_index, row.req_user, row.req_resource): row
+            for row in self.rows
+        }
 
     @property
     def dims(self) -> ModelDims:
-        return self._space.dims
+        return self._dims
 
     def lookup(
         self, emergency: str, set_index: int, req_user: str, req_resource: str
     ) -> ValueRow:
-        e = _EMERGENCY_INDEX.get(emergency)
-        request = self._requests.get((req_user, req_resource))
-        if e is None or request is None or not 0 <= set_index < self._space.dims.num_sets:
+        try:
+            return self._index[emergency, set_index, req_user, req_resource]
+        except KeyError:
             raise KeyError(
                 f"no state ({emergency}, {set_index}, {req_user}, {req_resource}) in table"
-            )
-        return self.rows[self._space.position(e, set_index, request)]
+            ) from None
 
 
 def import_values(source: str | Path, scenario: Scenario | None = None) -> LoadedValues:
@@ -345,7 +347,7 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
         emergency, set_text, req_user, req_resource, value_t, action, dv_d, dv_a = (
             f.strip() for f in fields
         )
-        if emergency not in _EMERGENCY_INDEX:
+        if emergency not in _EMERGENCY_LABELS:
             raise ValueFileError(lineno, f"bad emergency label {emergency!r}")
         if action not in ("deny", "allow"):
             raise ValueFileError(lineno, f"bad action label {action!r}")

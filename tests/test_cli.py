@@ -301,6 +301,14 @@ class TestEval:
         assert f"dv_deny: {want.dv_deny:.2f}" in out
         assert f"dv_allow: {want.dv_allow:.2f}" in out
 
+    @pytest.mark.parametrize("granted", ["", " ", "\t ", "  \n"])
+    def test_blank_granted_is_no_grants(self, capsys, table1_values, granted):
+        query = ("eval", "--values", str(table1_values), "--emergency", "alert",
+                 "--request", "bob:low")
+        want = run(capsys, *query)
+        assert run(capsys, *query, "--granted", granted) == want
+        assert want[2] == ""
+
 
 class TestSelfcheck:
     def test_builtin_passes(self, capsys):
@@ -365,8 +373,9 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
         assert code in (0, 1), (argv, err)
 
 
-def test_readme_python_block_runs():
-    # the python block under README's "Library" runs as written
+def test_readme_python_block_runs(monkeypatch, tmp_path):
+    # the python block under README's "Library" runs as written; its table goes to tmp_path
+    monkeypatch.chdir(tmp_path)
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```")[0]
     exec(block, {})

@@ -50,7 +50,14 @@ from acmdp import (
 )
 from acmdp.bellman import VERIFY_TOL, build_parts, rounding_allowance
 from acmdp.dynamics import RequestDynamics
-from acmdp.policy import FILE_HEADER, TIE_TOL, SolverError, ValueFileError, state_labels
+from acmdp.policy import (
+    FILE_HEADER,
+    TIE_TOL,
+    LoadedValues,
+    SolverError,
+    ValueFileError,
+    state_labels,
+)
 from acmdp.value_iteration import DEFAULT_TOL as VI_TOL
 
 BOB_HIGH = Access(1, 1)
@@ -913,12 +920,23 @@ def exported(solution, tmp_path, name="values.txt"):
     return path
 
 
+def labels(row):
+    """The state a value-table row describes: (emergency, set, user, resource)."""
+    return row.emergency, row.set_index, row.req_user, row.req_resource
+
+
+def assert_refused(table, query):
+    """lookup raises KeyError naming the query, for a state the table lacks."""
+    message = "no state ({}, {}, {}, {}) in table".format(*query)
+    with pytest.raises(KeyError) as err:
+        table.lookup(*query)
+    assert err.value.args == (message,)
+
+
 def scan(rows, emergency, set_index, req_user, req_resource):
     """The row a linear scan finds: the reference for LoadedValues.lookup."""
     for row in rows:
-        if (row.emergency, row.set_index, row.req_user, row.req_resource) == (
-            emergency, set_index, req_user, req_resource
-        ):
+        if labels(row) == (emergency, set_index, req_user, req_resource):
             return row
     raise AssertionError("state not in table")
 
@@ -947,8 +965,7 @@ class TestLookup:
     def test_every_state_of_2x2(self, table_2x2):
         assert len(table_2x2.rows) == 160
         for row in table_2x2.rows:
-            query = (row.emergency, row.set_index, row.req_user, row.req_resource)
-            assert table_2x2.lookup(*query) == scan(table_2x2.rows, *query)
+            assert table_2x2.lookup(*labels(row)) == scan(table_2x2.rows, *labels(row))
 
     def test_random_states_of_2x3(self, tmp_path):
         sol = solve_scenario(small_scenario(2, 3, "all", "eps_zero"), solver="vi")
@@ -982,10 +999,43 @@ class TestLookup:
         ],
     )
     def test_unknown_state_raises_key_error(self, table_2x2, query):
-        message = "no state ({}, {}, {}, {}) in table".format(*query)
-        with pytest.raises(KeyError) as err:
-            table_2x2.lookup(*query)
-        assert err.value.args == (message,)
+        assert_refused(table_2x2, query)
+
+    @random_scenarios(20)
+    def test_every_row_is_found_by_its_labels(
+        self, tmp_path_factory, users, resources, behavior, variant, rates, beta, seed
+    ):
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        path = exported(solve_scenario(sc, "vi"), tmp_path_factory.mktemp("lookup"))
+        for table in (import_values(path), import_values(path, scenario=sc)):
+            for row in table.rows:
+                emergency, k, user, resource = labels(row)
+                assert table.lookup(emergency, k, user, resource) is row
+                assert scan(table.rows, emergency, k, user, resource) is row
+                assert table.lookup(emergency, np.int64(k), user, resource) is row
+            for query in [
+                ("calm", -1, "u0", "r0"),
+                ("alert", np.int64(-1), "eps", "eps"),
+                ("alert", table.dims.num_sets, "u0", "r0"),
+                ("calm", np.int64(table.dims.num_sets), "eps", "eps"),
+                ("storm", 0, "u0", "r0"),
+                ("calm", 0, f"u{users}", "r0"),
+                ("alert", 0, "u0", f"r{resources}"),
+                ("calm", 0, "eps", "r0"),
+                ("alert", 0, "u0", "eps"),
+            ]:
+                assert_refused(table, query)
+
+    def test_rows_out_of_state_order(self, table_2x2):
+        # the index is keyed by each row's labels, not by its position
+        rows = list(table_2x2.rows)
+        random.Random(5).shuffle(rows)
+        assert rows != table_2x2.rows
+        shuffled = LoadedValues(
+            table_2x2.fingerprint, table_2x2.user_names, table_2x2.resource_names, rows
+        )
+        for row in table_2x2.rows:
+            assert shuffled.lookup(*labels(row)) is row
 
 
 class TestRowOrder:
