@@ -13,7 +13,6 @@ from .experiments import SweepSpec, run_sweep, self_check, sweep_csv
 from .policy import (
     SOLVERS,
     LoadedValues,
-    SolverError,
     ValueFileError,
     export_values,
     import_values,
@@ -51,7 +50,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     unit = "policy bases" if args.solver == "lp" else "iterations"
     print(f"states: {solution.system.num_states}")
     print(f"{unit}: {solution.iterations}")
-    print(f"max residual: {solution.max_residual:.3g}")
+    print(f"max residual: {solution.report.max_violation:.3g}")
     if args.out:
         export_values(solution, args.out)
         print(f"values written to {args.out}")
@@ -232,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         for err in exc.errors:
             print(f"  {err}", file=sys.stderr)
         return 2
-    except (ValueFileError, SolverError, ConvergenceError, ValueError, KeyError, OSError) as exc:
+    except (ValueFileError, ConvergenceError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,16 +26,6 @@ from .states import ModelDims
 
 _NUMBER_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
 
-BUILTIN_NAMES = (
-    "table1",
-    "table2_unique",
-    "table2_once",
-    "table2_all",
-    "modified_unique",
-    "modified_once",
-    "modified_all",
-)
-
 
 class ScenarioParseError(ValueError):
     """Carries every violation found in a scenario file, with line numbers."""
@@ -200,47 +190,36 @@ def scenario_fingerprint(sc: Scenario) -> str:
     return hashlib.sha256(render_scenario(sc).encode()).hexdigest()[:16]
 
 
-_CLASSIC_REWARDS = RewardTables(
-    reward_access={(0, 0): 6.0, (0, 1): 10.0, (1, 0): 4.0, (1, 1): -10.0},
-    reward_resource=(0.0, -20.0),
-)
+_DRIFTING = EmergencyMatrix.from_rates(0.1, 1.0)
+# the paper's tables: name -> (beta, emergency, behavior, variant), in BUILTIN_NAMES order
+_BUILTINS = {
+    "table1": (0.0, EmergencyMatrix.identity(), RequestBehavior.UNIQUE, RewardVariant.EPS_ZERO),
+    "table2_unique": (0.9, _DRIFTING, RequestBehavior.UNIQUE, RewardVariant.EPS_ZERO),
+    "table2_once": (0.9, _DRIFTING, RequestBehavior.ONCE, RewardVariant.EPS_ZERO),
+    "table2_all": (0.9, _DRIFTING, RequestBehavior.ALL, RewardVariant.EPS_ZERO),
+    "modified_unique": (0.9, _DRIFTING, RequestBehavior.UNIQUE, RewardVariant.EPS_ACCRUES),
+    "modified_once": (0.9, _DRIFTING, RequestBehavior.ONCE, RewardVariant.EPS_ACCRUES),
+    "modified_all": (0.9, _DRIFTING, RequestBehavior.ALL, RewardVariant.EPS_ACCRUES),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
-def _classic_scenario(
-    beta: float,
-    emergency: EmergencyMatrix,
-    behavior: RequestBehavior,
-    variant: RewardVariant,
-) -> Scenario:
+def builtin_scenario(name: str) -> Scenario:
+    """Named reference configurations with known decision-value tables."""
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown builtin scenario {name!r}; choose from {BUILTIN_NAMES}")
+    beta, emergency, behavior, variant = _BUILTINS[name]
     # users alice/bob, resources low/high in table column order
     return Scenario(
         dims=ModelDims(2, 2),
         user_names=("alice", "bob"),
         resource_names=("low", "high"),
-        rewards=_CLASSIC_REWARDS,
+        rewards=RewardTables(
+            reward_access={(0, 0): 6.0, (0, 1): 10.0, (1, 0): 4.0, (1, 1): -10.0},
+            reward_resource=(0.0, -20.0),
+        ),
         emergency=emergency,
         behavior=behavior,
         variant=variant,
         beta=beta,
     )
-
-
-def builtin_scenario(name: str) -> Scenario:
-    """Named reference configurations with known decision-value tables."""
-    if name == "table1":
-        return _classic_scenario(
-            0.0, EmergencyMatrix.identity(), RequestBehavior.UNIQUE, RewardVariant.EPS_ZERO
-        )
-    drifting = EmergencyMatrix.from_rates(0.1, 1.0)
-    variants = {
-        "table2_unique": (RequestBehavior.UNIQUE, RewardVariant.EPS_ZERO),
-        "table2_once": (RequestBehavior.ONCE, RewardVariant.EPS_ZERO),
-        "table2_all": (RequestBehavior.ALL, RewardVariant.EPS_ZERO),
-        "modified_unique": (RequestBehavior.UNIQUE, RewardVariant.EPS_ACCRUES),
-        "modified_once": (RequestBehavior.ONCE, RewardVariant.EPS_ACCRUES),
-        "modified_all": (RequestBehavior.ALL, RewardVariant.EPS_ACCRUES),
-    }
-    if name not in variants:
-        raise KeyError(f"unknown builtin scenario {name!r}; choose from {BUILTIN_NAMES}")
-    behavior, variant = variants[name]
-    return _classic_scenario(0.9, drifting, behavior, variant)

@@ -43,13 +43,12 @@ from .bellman import (
     decision_values,
     rounding_allowance,
     validate_stochastic,
-    verify_solution,
 )
 from .dynamics import EmergencyMatrix
-from .policy import TIE_TOL, check_solver, policy_iterate, solve_system
+from .policy import TIE_TOL, solve_system, solver_function
 from .rewards import Scenario
 from .states import Access, Action, Emergency
-from .value_iteration import DEFAULT_TOL as VI_TOL, ConvergenceError, value_iterate
+from .value_iteration import DEFAULT_TOL as VI_TOL, ConvergenceError
 
 CROSSOVER_WIDTH = 1e-4
 GRID_SLACK = 1e-9
@@ -176,9 +175,8 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     zero, as [p, p], or else by the first pair of neighbours whose gaps
     differ in sign, and bisected (_bisect).
     """
-    check_solver(solver)
-    # looked up at each call, so that a name rebound in this module is the one run
-    solve, rungs = (value_iterate, SIGN_TOLS) if solver == "vi" else (policy_iterate, (VERIFY_TOL,))
+    solve = solver_function(solver)
+    rungs = SIGN_TOLS if solver == "vi" else (VERIFY_TOL,)
     grid = spec.grid()
     alert_to_alert = spec.scenario.emergency.prob_alert_to_alert
     parts = build_parts(spec.scenario)
@@ -239,8 +237,9 @@ def self_check(sc: Scenario) -> list[CheckResult]:
     """Cross-validate the whole pipeline on one compiled system.
 
     Five checks: the factors of the system are stochastic; the LP's values
-    are feasible and tight (verify_solution, which places them within
-    residual / (1 - beta) of the optimum, Puterman 1994, sections 6.2-6.3);
+    are feasible and tight (the verify_solution report that solve_system
+    keeps, which places them within residual / (1 - beta) of the optimum,
+    Puterman 1994, sections 6.2-6.3);
     and value iteration, a global solve that shares only the kernel with
     the LP's back-substitution, agrees with the LP on the values and on
     every confident decision.  Every bound an agreement check applies is
@@ -255,17 +254,16 @@ def self_check(sc: Scenario) -> list[CheckResult]:
     checks = [CheckResult("stochasticity", True, "all successor distributions sum to 1")]
 
     lp = solve_system(system, "lp")
-    lp_report = verify_solution(lp.values, lp.dv)
     checks += [
         CheckResult(
             "lp_feasibility",
-            lp_report.feasible(),
-            f"max residual {lp_report.max_violation:.3g} after {lp.iterations} policy bases",
+            lp.report.feasible(),
+            f"max residual {lp.report.max_violation:.3g} after {lp.iterations} policy bases",
         ),
         CheckResult(
             "lp_tightness",
-            lp_report.all_tight(),
-            f"worst minimum slack {lp_report.max_min_slack:.3g}",
+            lp.report.all_tight(),
+            f"worst minimum slack {lp.report.max_min_slack:.3g}",
         ),
     ]
 

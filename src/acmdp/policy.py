@@ -20,13 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .bellman import (
     VERIFY_TOL,
     BellmanSystem,
+    VerificationReport,
     compile_system,
     decision_values,
     draw_table,
@@ -36,16 +37,12 @@ from .bellman import (
 from .config import scenario_fingerprint
 from .rewards import Scenario, check_labels
 from .states import Action, CapacityError, Emergency, ModelDims, StateSpace
-from .value_iteration import value_iterate
+from .value_iteration import ConvergenceError, value_iterate
 
 TIE_TOL = 1e-9
 MAX_BASES = 1000
 FILE_HEADER = "ACMDP-VALUES v1"
 SOLVERS = ("lp", "vi")
-
-
-class SolverError(RuntimeError):
-    """The LP solve did not reach an optimal basis within its budget."""
 
 
 def policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
@@ -90,10 +87,9 @@ def policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
 def policy_iterate(
     system: BellmanSystem,
     tol: float = VERIFY_TOL,
-    max_iter: int = MAX_BASES,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Solve the Bellman LP, one policy per simplex basis.
+    """Solve the Bellman LP, one policy per simplex basis, at most MAX_BASES.
 
     system and start are value_iterate's: one system and values (n,), or a
     batch of G (bellman.SystemParts.mix_batch) and values (n, G).  The first
@@ -112,7 +108,7 @@ def policy_iterate(
     policy = dv[1] > dv[0]  # (n, G): allow
     result = np.empty(policy.shape)
     running = np.arange(policy.shape[1])  # the result column of each column of the batch
-    for bases in range(1, max_iter + 1):
+    for bases in range(1, MAX_BASES + 1):
         del dv  # free the last decision values before the next basis's
         dv = policy_evaluate(batch, policy)
         values = np.where(policy, dv[1], dv[0])
@@ -125,8 +121,8 @@ def policy_iterate(
             running, policy, better = running[~stop], policy[:, ~stop], better[:, ~stop]
             batch = batch.columns(~stop)
         policy ^= better
-    raise SolverError(
-        f"no optimal policy basis within {max_iter} bases (beta={system.beta}, tol={tol})"
+    raise ConvergenceError(
+        f"no optimal policy basis within {MAX_BASES} bases (beta={system.beta}, tol={tol})"
     )
 
 
@@ -160,13 +156,19 @@ class Solution:
     policy: PolicyMap
     solver: str
     iterations: int  # lp: policy bases solved; vi: value-iteration sweeps
-    max_residual: float
+    report: VerificationReport  # verify_solution of values and dv
 
 
-def check_solver(solver: str) -> None:
-    """Refuse a solver name that is not one of SOLVERS."""
+def solver_function(solver: str) -> Callable[..., tuple[np.ndarray, int]]:
+    """The solve function of a name in SOLVERS: policy_iterate or value_iterate.
+
+    Both are solve(system, tol=<own default>, start=None) -> (values, count),
+    and raise ConvergenceError when out of budget.  The names are looked up
+    at each call, so that a function rebound in this module is the one run.
+    """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected 'lp' or 'vi'")
+    return policy_iterate if solver == "lp" else value_iterate
 
 
 def solve_scenario(sc: Scenario, solver: str = "lp", tol: float | None = None) -> Solution:
@@ -183,11 +185,9 @@ def solve_scenario(sc: Scenario, solver: str = "lp", tol: float | None = None) -
 def solve_system(system: BellmanSystem, solver: str = "lp", tol: float | None = None) -> Solution:
     """Solve a compiled system; solver and tol are solve_scenario's.
 
-    The solution's dv, policy and max_residual come from one
-    decision_values call.
+    The solution's dv, policy and report come from one decision_values call.
     """
-    check_solver(solver)
-    solve = policy_iterate if solver == "lp" else value_iterate
+    solve = solver_function(solver)
     values, iterations = solve(system, **({} if tol is None else {"tol": tol}))
     dv = decision_values(system, values)
     return Solution(
@@ -198,7 +198,7 @@ def solve_system(system: BellmanSystem, solver: str = "lp", tol: float | None = 
         policy=extract_policy(dv),
         solver=solver,
         iterations=iterations,
-        max_residual=verify_solution(values, dv).max_violation,
+        report=verify_solution(values, dv),
     )
 
 

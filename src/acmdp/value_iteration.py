@@ -34,7 +34,7 @@ EPS = float(np.finfo(float).eps)
 
 
 class ConvergenceError(RuntimeError):
-    """Value iteration did not converge within the iteration budget."""
+    """A solver ran out of budget: DEFAULT_MAX_ITER sweeps or policy.MAX_BASES bases."""
 
 
 def bellman_backup(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
@@ -47,7 +47,6 @@ def bellman_backup(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
 def value_iterate(
     system: BellmanSystem,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Iterate from start (default zero) until the values are within tol of the optimum.
@@ -58,7 +57,7 @@ def value_iterate(
     leaves an error of at most beta / (1 - beta) eps max|V|, inside
     bellman.rounding_allowance.  Any start converges to the same fixed
     point; a start near it only saves sweeps.
-    Returns the values and the number of backups performed.
+    Returns the values and the number of backups, at most DEFAULT_MAX_ITER.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be zero or positive, got {tol}")
@@ -73,7 +72,7 @@ def value_iterate(
     # only once its span is small enough to be rounding, which spares that cost
     # per sweep and leaves each column's stop to its own values
     scale = np.abs(values).max(axis=0)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, DEFAULT_MAX_ITER + 1):
         updated = bellman_backup(batch, values)
         step = updated - values
         top, bottom = step.max(axis=0), step.min(axis=0)
@@ -95,5 +94,5 @@ def value_iterate(
             running, values, scale = running[keep], updated.compress(keep, 1), scale[keep]
             batch = batch.columns(keep)
     raise ConvergenceError(
-        f"no convergence to {tol} within {max_iter} iterations (beta={system.beta})"
+        f"no convergence to {tol} within {DEFAULT_MAX_ITER} iterations (beta={system.beta})"
     )

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import os
 import re
 import shlex
@@ -328,8 +327,7 @@ class TestSelfcheck:
         sc = dataclasses.replace(acmdp.builtin_scenario("modified_unique"), beta=0.9999)
         path = tmp_path / "slow.txt"
         path.write_text(render_scenario(sc))
-        budget = functools.partial(acmdp.value_iteration.value_iterate, max_iter=100)
-        monkeypatch.setattr(acmdp.policy, "value_iterate", budget)
+        monkeypatch.setattr(acmdp.value_iteration, "DEFAULT_MAX_ITER", 100)
         code, out, err = run(capsys, "selfcheck", "--scenario", str(path))
         assert code == 0, err
         assert out.count("PASS") == 3

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import tracemalloc
 
@@ -14,6 +13,7 @@ import acmdp.policy
 from acmdp import BUILTIN_NAMES, Action, EmergencyMatrix, RewardTables, builtin_scenario
 from acmdp.bellman import (
     VERIFY_TOL,
+    VerificationReport,
     build_parts,
     compile_system,
     decision_values,
@@ -204,7 +204,7 @@ class TestRunSweep:
         # None and every later one from the previous bisection point's values;
         # a point is first solved to the loosest rung, and each tighter solve
         # of it starts from its own looser values
-        solve = getattr(acmdp.experiments, name)
+        solve = getattr(acmdp.policy, name)
         solves = []
 
         def recorded(system, tol=default, start=None):
@@ -212,7 +212,7 @@ class TestRunSweep:
             solves.append((system.emergency, tol, start, values))
             return values, iterations
 
-        monkeypatch.setattr(acmdp.experiments, name, recorded)
+        monkeypatch.setattr(acmdp.policy, name, recorded)
         spec = SweepSpec(builtin_scenario("table2_all"), 0.0, 1.0, 0.25)
         result = run_sweep(spec, solver=solver)
         (grid_emergency, grid_tol, grid_start, _), bisection = solves[0], solves[1:]
@@ -236,7 +236,7 @@ class TestRunSweep:
         # batch of one, exactly and with no value iteration, which at
         # beta = 0.9999 took up to 96,743 sweeps for one modified_unique
         # bisection point; each grid point's values are its own exact solve's
-        exact = acmdp.experiments.policy_iterate
+        exact = acmdp.policy.policy_iterate
         widths = []
 
         def recorded(system, **kwargs):
@@ -246,8 +246,8 @@ class TestRunSweep:
         def unused(*args, **kwargs):
             raise AssertionError("an LP sweep ran value iteration")
 
-        monkeypatch.setattr(acmdp.experiments, "policy_iterate", recorded)
-        monkeypatch.setattr(acmdp.experiments, "value_iterate", unused)
+        monkeypatch.setattr(acmdp.policy, "policy_iterate", recorded)
+        monkeypatch.setattr(acmdp.policy, "value_iterate", unused)
         sc = dataclasses.replace(builtin_scenario(name), beta=beta)
         spec = SweepSpec(sc, 0.0, 1.0, 0.25)
         result = run_sweep(spec, solver="lp")
@@ -275,13 +275,13 @@ class TestRunSweep:
         width = CHUNK_BYTES // (8 * len(parts.space) * SOLVER_ARRAYS)
         assert width * 3 < len(spec.grid()) <= width * 4
         name = "policy_iterate" if solver == "lp" else "value_iterate"
-        solve, widths = getattr(acmdp.experiments, name), []
+        solve, widths = getattr(acmdp.policy, name), []
 
         def recorded(system, **kwargs):
             widths.append(system.q.shape[-1])
             return solve(system, **kwargs)
 
-        monkeypatch.setattr(acmdp.experiments, name, recorded)
+        monkeypatch.setattr(acmdp.policy, name, recorded)
         tracemalloc.start()
         try:
             result = run_sweep(spec, solver=solver)
@@ -300,8 +300,9 @@ class TestRunSweep:
         def unsolved(*args, **kwargs):
             raise AssertionError("a solver ran")
 
-        for name in ("policy_iterate", "value_iterate", "solve_system"):
-            monkeypatch.setattr(acmdp.experiments, name, unsolved)
+        for name in ("policy_iterate", "value_iterate"):
+            monkeypatch.setattr(acmdp.policy, name, unsolved)
+        monkeypatch.setattr(acmdp.experiments, "solve_system", unsolved)
         with pytest.raises(ValueError, match="unknown solver 'bogus'"):
             run_sweep(SweepSpec(builtin_scenario("table2_once")), "bogus")
 
@@ -320,8 +321,8 @@ class TestRunSweep:
             return call
 
         for name, default in (("value_iterate", VI_TOL), ("policy_iterate", VERIFY_TOL)):
-            solve = getattr(acmdp.experiments, name)
-            monkeypatch.setattr(acmdp.experiments, name, recorded(solve, default))
+            solve = getattr(acmdp.policy, name)
+            monkeypatch.setattr(acmdp.policy, name, recorded(solve, default))
         sc = builtin_scenario("table2_once")
         start = 0.15
         spec = SweepSpec(sc, start, 2 * (ONCE_ROOT + 1e-7) - start, 0.1)
@@ -449,6 +450,24 @@ class TestSelfCheck:
         self_check(builtin_scenario("table2_once"))
         assert len(calls) == 1
 
+    def test_lp_checks_read_the_solutions_report(self, monkeypatch):
+        # the LP's feasibility and tightness checks read the report solve_system
+        # made with the solution; they verify no values of their own
+        solve = acmdp.experiments.solve_system
+
+        def reported(system, solver):
+            solution = solve(system, solver)
+            if solver == "lp":
+                solution.report = VerificationReport(max_violation=0.5, max_min_slack=0.25)
+            return solution
+
+        monkeypatch.setattr(acmdp.experiments, "solve_system", reported)
+        checks = self_check(builtin_scenario("table2_once"))
+        feasibility, tightness = named(checks, "lp_feasibility"), named(checks, "lp_tightness")
+        assert feasibility.passed is False and tightness.passed is False
+        assert feasibility.detail.startswith("max residual 0.5 after ")
+        assert tightness.detail == "worst minimum slack 0.25"
+
     def test_high_discount_passes(self):
         sc = dataclasses.replace(builtin_scenario("table2_unique"), beta=0.99)
         checks = self_check(sc)
@@ -459,8 +478,7 @@ class TestSelfCheck:
         # on this model, which the LP solves in two bases; a budget of 100
         # sweeps fails the same way, sooner
         sc = dataclasses.replace(builtin_scenario("modified_unique"), beta=0.9999)
-        budget = functools.partial(acmdp.value_iteration.value_iterate, max_iter=100)
-        monkeypatch.setattr(acmdp.policy, "value_iterate", budget)
+        monkeypatch.setattr(acmdp.value_iteration, "DEFAULT_MAX_ITER", 100)
         checks = self_check(sc)
         assert [c.passed for c in checks] == [True, True, True, None, None]
         assert [c.name for c in checks[3:]] == ["lp_vi_agreement", "policy_agreement"]

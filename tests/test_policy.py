@@ -19,6 +19,7 @@ from test_bellman import small_scenario
 from test_dynamics import clear_shape_caches
 
 import acmdp.bellman
+import acmdp.policy
 import acmdp.value_iteration
 from acmdp import (
     Access,
@@ -54,11 +55,10 @@ from acmdp.policy import (
     FILE_HEADER,
     TIE_TOL,
     LoadedValues,
-    SolverError,
     ValueFileError,
     state_labels,
 )
-from acmdp.value_iteration import DEFAULT_TOL as VI_TOL
+from acmdp.value_iteration import DEFAULT_TOL as VI_TOL, ConvergenceError
 
 BOB_HIGH = Access(1, 1)
 ALICE_LOW, ALICE_HIGH = Access(0, 0), Access(0, 1)
@@ -224,9 +224,9 @@ class TestOneKernel:
 
         monkeypatch.setattr(acmdp.bellman.BellmanSystem, "transitions", property(unassembled))
         for name in BUILTIN_NAMES:
-            assert solve_scenario(builtin_scenario(name), "lp").max_residual <= VERIFY_TOL
+            assert solve_scenario(builtin_scenario(name), "lp").report.max_violation <= VERIFY_TOL
         sc = small_scenario(3, 3, "once", "eps_accrues", rates=(0.1, 1.0))
-        assert solve_scenario(sc, "lp").max_residual <= VERIFY_TOL
+        assert solve_scenario(sc, "lp").report.max_violation <= VERIFY_TOL
         result = run_sweep(SweepSpec(builtin_scenario("table2_once")), solver="lp")
         assert any(c.root is not None for c in result.crossovers)
         # the stochasticity check reads the factors
@@ -432,7 +432,7 @@ class TestLpSolve:
         finally:
             tracemalloc.stop()
         assert solution.system.num_states == 106_496
-        assert solution.max_residual <= VERIFY_TOL
+        assert solution.report.max_violation <= VERIFY_TOL
         assert peak < 25e6
 
     def test_value_iteration_converges_below_its_rounding(self):
@@ -483,11 +483,11 @@ class TestLpSolve:
         # the myopic basis is not optimal here; a tol above its violation keeps it
         myopic = solve_scenario(sc, "lp", tol=1e6)
         assert myopic.iterations == 1
-        assert myopic.max_residual > 1e-9
-        for tol in (1e-3, myopic.max_residual / 2):
+        assert myopic.report.max_violation > 1e-9
+        for tol in (1e-3, myopic.report.max_violation / 2):
             solution = solve_scenario(sc, "lp", tol=tol)
             assert solution.iterations > 1
-            assert solution.max_residual <= tol
+            assert solution.report.max_violation <= tol
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0])
     def test_nan_or_negative_tol_raises(self, tol):
@@ -498,14 +498,15 @@ class TestLpSolve:
             policy_iterate(system, tol=tol)
 
     def test_unknown_solver_raises(self):
-        # solve_system and run_sweep refuse a name by the one check_solver
+        # solve_system and run_sweep refuse a name by the one solver_function
         with pytest.raises(ValueError, match="unknown solver 'simplex'; expected 'lp' or 'vi'"):
             solve_scenario(builtin_scenario("table1"), "simplex")
 
-    def test_basis_budget_raises_solver_error(self):
+    def test_basis_budget_raises_convergence_error(self, monkeypatch):
         system = compile_system(builtin_scenario("table2_all"))
-        with pytest.raises(SolverError, match="no optimal policy basis within 1 bases"):
-            policy_iterate(system, max_iter=1)
+        monkeypatch.setattr(acmdp.policy, "MAX_BASES", 1)
+        with pytest.raises(ConvergenceError, match="no optimal policy basis within 1 bases"):
+            policy_iterate(system)
 
     @random_scenarios(50)
     def test_random_scenarios_agree_with_both_oracles(
@@ -681,11 +682,12 @@ class TestLpBatch:
         again, bases = policy_iterate(batch, start=values)
         assert bases == 1 and np.array_equal(again, values)
 
-    def test_basis_budget_raises_solver_error(self):
+    def test_basis_budget_raises_convergence_error(self, monkeypatch):
         parts = build_parts(builtin_scenario("table2_all"))
         batch = parts.mix_batch([EmergencyMatrix.from_rates(p, 1.0) for p in (0.0, 0.3)])
-        with pytest.raises(SolverError, match="no optimal policy basis within 1 bases"):
-            policy_iterate(batch, max_iter=1)
+        monkeypatch.setattr(acmdp.policy, "MAX_BASES", 1)
+        with pytest.raises(ConvergenceError, match="no optimal policy basis within 1 bases"):
+            policy_iterate(batch)
 
 
 def oracle_evaluate(sc, policy):
@@ -885,6 +887,22 @@ class TestValueFiles:
         with pytest.raises(ValueFileError, match=message) as err:
             import_values(path)
         assert err.value.line == 4
+
+    def test_blank_lines_inside_a_table_are_skipped(self, solved, tmp_path):
+        # an empty line and a line of spaces among the rows import to the same
+        # rows; a broken row after them is refused at its line in the file
+        sol = solved("table2_once")
+        lines = exported(sol, tmp_path).read_text().splitlines()
+        rows = import_values(tmp_path / "values.txt", scenario=sol.scenario).rows
+        lines[10:10], lines[51:51] = [""], ["   "]
+        path = tmp_path / "blank.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert import_values(path, scenario=sol.scenario).rows == rows
+        lines[80] = "calm,0,alice,low,1,grant,0,1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueFileError, match="bad action label 'grant'") as err:
+            import_values(path, scenario=sol.scenario)
+        assert err.value.line == 81
 
     def test_no_concrete_request(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -111,3 +111,10 @@ class TestEnumeration:
             space.index_state(160)
         with pytest.raises(ValueError):
             space.state_index(State(Emergency.CALM, 16, None))
+
+    @pytest.mark.parametrize("user, resource", [(2, 0), (0, 2), (-1, 0)])
+    def test_request_out_of_range(self, user, resource):
+        # unchecked, (2, 0) would read bit 4, the empty request's row, and
+        # (0, 2) bit 2, bob's request for low
+        with pytest.raises(ValueError, match=r"access .* out of range for ModelDims"):
+            StateSpace(D22).state_index(State(Emergency.CALM, 0, Access(user, resource)))

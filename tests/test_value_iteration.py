@@ -99,9 +99,10 @@ class TestValueIterate:
         i = modified_system.space.state_index(State(Emergency.CALM, 0, None))
         assert values[i] == pytest.approx(-105.26, abs=0.01)
 
-    def test_nonconvergence_raises(self, table2_system):
+    def test_nonconvergence_raises(self, monkeypatch, table2_system):
+        monkeypatch.setattr(acmdp.value_iteration, "DEFAULT_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            value_iterate(table2_system, max_iter=1)
+            value_iterate(table2_system)
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0])
     def test_nan_or_negative_tol_raises(self, table2_system, tol):
