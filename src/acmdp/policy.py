@@ -37,7 +37,7 @@ from .bellman import (
 from .config import scenario_fingerprint
 from .rewards import Scenario, check_labels
 from .states import Action, CapacityError, Emergency, ModelDims, StateSpace
-from .value_iteration import ConvergenceError, value_iterate
+from .value_iteration import Columns, solve_columns, value_iterate
 
 TIE_TOL = 1e-9
 MAX_BASES = 1000
@@ -91,39 +91,35 @@ def policy_iterate(
 ) -> tuple[np.ndarray, int]:
     """Solve the Bellman LP, one policy per simplex basis, at most MAX_BASES.
 
-    system and start are value_iterate's: one system and values (n,), or a
-    batch of G (bellman.SystemParts.mix_batch) and values (n, G).  The first
-    policy is greedy on decision_values(system, start); start None is zero,
-    giving the myopic policy (allow where q[allow] > q[deny]).  Each basis
-    pi is solved exactly by policy_evaluate, and every state whose other
-    action beats its current one by more than tol pivots at once.  A column
-    stops at a basis where none does, which violates no Bellman row by more
-    than tol, and leaves the batch (BellmanSystem.columns).  No step mixes
-    columns.  Returns the values and the most bases a column solved.
+    system and start are value_iterate's, and so is the loop
+    (value_iteration.solve_columns).  The first policy is greedy on
+    decision_values(system, start); start None is zero, giving the myopic
+    policy (allow where q[allow] > q[deny]).  Each basis pi is solved
+    exactly by policy_evaluate, and every state whose other action beats
+    its current one by more than tol pivots at once.  A column stops at a
+    basis where none does, which violates no Bellman row by more than tol.
+    Returns the values and the most bases a column solved.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be zero or positive, got {tol}")
-    batch = system.as_batch()
-    dv = batch.q if start is None else decision_values(batch, system.as_columns("start", start))
-    policy = dv[1] > dv[0]  # (n, G): allow
-    result = np.empty(policy.shape)
-    running = np.arange(policy.shape[1])  # the result column of each column of the batch
-    for bases in range(1, MAX_BASES + 1):
-        del dv  # free the last decision values before the next basis's
-        dv = policy_evaluate(batch, policy)
-        values = np.where(policy, dv[1], dv[0])
-        better = np.where(policy, dv[0], dv[1]) > values + tol
-        stop = ~better.any(axis=0)
-        if stop.any():  # stopped columns leave the batch: later bases solve only the others
-            result[:, running[stop]] = values[:, stop]
-            if stop.all():
-                return result.reshape(system.q.shape[1:]), bases
-            running, policy, better = running[~stop], policy[:, ~stop], better[:, ~stop]
-            batch = batch.columns(~stop)
-        policy ^= better
-    raise ConvergenceError(
-        f"no optimal policy basis within {MAX_BASES} bases (beta={system.beta}, tol={tol})"
-    )
+    failure = "no optimal policy basis within {budget} bases (beta={beta}, tol={tol})"
+    return solve_columns(system, tol, start, MAX_BASES, _first_policy, _pivot, failure)
+
+
+def _first_policy(batch: BellmanSystem, start: np.ndarray | None) -> Columns:
+    dv = batch.q if start is None else decision_values(batch, start)
+    return (dv[1] > dv[0],)  # (n, G): allow
+
+
+def _pivot(
+    batch: BellmanSystem, state: Columns, tol: float
+) -> tuple[Columns, np.ndarray, np.ndarray | None]:
+    """Solve the basis; where no state pivots the column stops, elsewhere they pivot."""
+    (policy,) = state
+    dv = policy_evaluate(batch, policy)
+    values = np.where(policy, dv[1], dv[0])
+    better = np.where(policy, dv[0], dv[1]) > values + tol
+    stop = ~better.any(axis=0)
+    policy ^= better  # no state of a stopped column pivots
+    return (policy,), stop, values[:, stop] if stop.any() else None
 
 
 @dataclass
@@ -154,7 +150,6 @@ class Solution:
     values: np.ndarray
     dv: np.ndarray  # (2, num_states)
     policy: PolicyMap
-    solver: str
     iterations: int  # lp: policy bases solved; vi: value-iteration sweeps
     report: VerificationReport  # verify_solution of values and dv
 
@@ -196,7 +191,6 @@ def solve_system(system: BellmanSystem, solver: str = "lp", tol: float | None = 
         values=values,
         dv=dv,
         policy=extract_policy(dv),
-        solver=solver,
         iterations=iterations,
         report=verify_solution(values, dv),
     )

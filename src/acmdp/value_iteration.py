@@ -3,10 +3,10 @@
 Each sweep is one call of the Bellman kernel (bellman.decision_values).  The
 kernel takes a trailing grid axis, so one loop solves a batch of systems
 that differ only in E (bellman.SystemParts.mix_batch), every column at
-once; a single system runs as a batch of one.  A column that has stopped
-leaves the batch (BellmanSystem.columns), so each sweep backs up only the
-columns still running.  The kernel works on each column apart, so a
-column's values do not depend on the batch it was solved in.
+once; a single system runs as a batch of one.  solve_columns is that loop,
+for policy.policy_iterate too: it retires stopped columns and keeps the
+budget.  The kernel works on each column apart, so a column's values do
+not depend on the batch it was solved in.
 
 Iteration stops on a proven error bound, per column.  With d = TV - V,
 M = max d and m = min d, the optimal values lie between TV + beta / (1 - beta) m
@@ -24,6 +24,8 @@ bellman.rounding_allowance covers the extra error.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .bellman import BellmanSystem, decision_values
@@ -31,10 +33,53 @@ from .bellman import BellmanSystem, decision_values
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 EPS = float(np.finfo(float).eps)
+# a solver's state between steps: arrays with a column per column of the batch, last axis
+Columns = tuple[np.ndarray, ...]
 
 
 class ConvergenceError(RuntimeError):
-    """A solver ran out of budget: DEFAULT_MAX_ITER sweeps or policy.MAX_BASES bases."""
+    """A solver ran out of the step budget it gave solve_columns."""
+
+
+def solve_columns(
+    system: BellmanSystem,
+    tol: float,
+    start: np.ndarray | None,
+    budget: int,
+    first: Callable[[BellmanSystem, np.ndarray | None], Columns],
+    step: Callable[[BellmanSystem, Columns, float], tuple[Columns, np.ndarray, np.ndarray | None]],
+    failure: str,
+) -> tuple[np.ndarray, int]:
+    """The fixed-point loop of both solvers; returns the values and the step count.
+
+    first(batch, start) gives the state from start's (n, G) columns or None.
+    step(batch, state, tol) gives the next state, the columns that stop and
+    their values, or None if none does.  A stopped column keeps them and
+    leaves the batch and the state, so later steps take only the columns
+    still running.  After budget steps it raises ConvergenceError with
+    failure, formatted with tol, budget and beta.
+    """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be zero or positive, got {tol}")
+    if start is not None:
+        start = system.as_columns("start", start)
+        if not np.isfinite(start).all():
+            raise ValueError("start has a non-finite value")
+    batch = system.as_batch()
+    state = first(batch, start)
+    del start  # the state keeps what it needs of it, and no more
+    result = np.empty(batch.q.shape[1:])
+    running = np.arange(result.shape[1])  # the result column of each column of the batch
+    for count in range(1, budget + 1):
+        state, stop, values = step(batch, state, tol)
+        if values is not None:
+            result[:, running[stop]] = values
+            if stop.all():
+                return result.reshape(system.q.shape[1:]), count
+            keep = ~stop
+            running, batch = running[keep], batch.columns(keep)
+            state = tuple(array.compress(keep, -1) for array in state)
+    raise ConvergenceError(failure.format(tol=tol, budget=budget, beta=system.beta))
 
 
 def bellman_backup(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
@@ -51,48 +96,44 @@ def value_iterate(
 ) -> tuple[np.ndarray, int]:
     """Iterate from start (default zero) until the values are within tol of the optimum.
 
-    The values have shape (n,), or (n, G) for a batch of G systems.  Each
-    column stops on its own bound (see the module docstring) and keeps the
-    values it stopped with, while the others go on.  A rounding-level stop
-    leaves an error of at most beta / (1 - beta) eps max|V|, inside
-    bellman.rounding_allowance.  Any start converges to the same fixed
-    point; a start near it only saves sweeps.
-    Returns the values and the number of backups, at most DEFAULT_MAX_ITER.
+    The values have shape (n,), or (n, G) for a batch of G systems, each
+    column of which stops on its own bound (see the module docstring).  A
+    rounding-level stop leaves an error of at most beta / (1 - beta) eps
+    max|V|, inside bellman.rounding_allowance.  Any start converges to the
+    same fixed point; a start near it only saves sweeps.  The count is of
+    backups, at most DEFAULT_MAX_ITER.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be zero or positive, got {tol}")
-    shape = system.q.shape[1:]
-    values = system.as_columns("start", np.zeros(shape) if start is None else start)
-    values = values.astype(float, copy=False)
-    factor = system.beta / (1.0 - system.beta)
-    batch = system.as_batch()
-    result = np.empty(values.shape)
-    running = np.arange(values.shape[1])  # the result column of each column of the batch
+    failure = "no convergence to {tol} within {budget} iterations (beta={beta})"
+    return solve_columns(system, tol, start, DEFAULT_MAX_ITER, _first_values, _sweep, failure)
+
+
+def _first_values(batch: BellmanSystem, start: np.ndarray | None) -> Columns:
+    values = np.zeros(batch.q.shape[1:]) if start is None else start.astype(float, copy=False)
     # scale bounds max|V| per column from above; a column's is evaluated afresh
     # only once its span is small enough to be rounding, which spares that cost
     # per sweep and leaves each column's stop to its own values
-    scale = np.abs(values).max(axis=0)
-    for iteration in range(1, DEFAULT_MAX_ITER + 1):
-        updated = bellman_backup(batch, values)
-        step = updated - values
-        top, bottom = step.max(axis=0), step.min(axis=0)
-        half_span = 0.5 * (top - bottom)
-        scale += np.maximum(top, -bottom)
-        stop = factor * half_span <= tol
-        rounding = (half_span <= EPS * scale) & ~stop
-        if rounding.any():
-            scale[rounding] = np.abs(updated[:, rounding]).max(axis=0)
-            stop |= half_span <= EPS * scale
-        values = updated
-        if stop.any():
-            midpoint = factor * 0.5 * (top + bottom)
-            result[:, running[stop]] = updated[:, stop] + midpoint[stop]
-            if stop.all():
-                return result.reshape(shape), iteration
-            # stopped columns leave the batch: later sweeps back up only the others
-            keep = ~stop
-            running, values, scale = running[keep], updated.compress(keep, 1), scale[keep]
-            batch = batch.columns(keep)
-    raise ConvergenceError(
-        f"no convergence to {tol} within {DEFAULT_MAX_ITER} iterations (beta={system.beta})"
-    )
+    return values, np.abs(values).max(axis=0)
+
+
+def _sweep(
+    batch: BellmanSystem, state: Columns, tol: float
+) -> tuple[Columns, np.ndarray, np.ndarray | None]:
+    """One backup and the span stop; a stopped column's values are its bounds' midpoint."""
+    values, scale = state
+    factor = batch.beta / (1.0 - batch.beta)
+    updated = bellman_backup(batch, values)
+    step = updated - values
+    top, bottom = step.max(axis=0), step.min(axis=0)
+    del step  # free it before the stopped columns' values are formed
+    half_span = 0.5 * (top - bottom)
+    scale += np.maximum(top, -bottom)
+    stop = factor * half_span <= tol
+    rounding = (half_span <= EPS * scale) & ~stop
+    if rounding.any():
+        scale[rounding] = np.abs(updated[:, rounding]).max(axis=0)
+        stop |= half_span <= EPS * scale
+    midpoints = None
+    if stop.any():
+        midpoints = updated[:, stop]  # in place below: a second copy would set the peak
+        midpoints += factor * 0.5 * (top[stop] + bottom[stop])
+    return (updated, scale), stop, midpoints

@@ -296,6 +296,25 @@ class TestRunSweep:
         dv = decision_values(batch, solve(batch)[0])[:, calm_empty]
         assert np.array_equal(np.stack([point.dv for point in result.points], -1), dv)
 
+    @pytest.mark.parametrize("solver", ["lp", "vi"])
+    @pytest.mark.parametrize("name", ["modified_once", "table2_all"])
+    def test_a_solve_holds_under_solver_arrays_per_column(self, solver, name):
+        # SOLVER_ARRAYS sizes a sweep's chunks, so a solve of a 101-column
+        # batch must hold fewer (states, columns) arrays at its traced peak;
+        # the second call is measured, once the shape's lattice plan is built
+        parts = build_parts(builtin_scenario(name))
+        grid = np.linspace(0.0, 0.2, 101)
+        solve = acmdp.policy.solver_function(solver)
+        for _ in range(2):
+            batch = parts.mix_batch([EmergencyMatrix.from_rates(p, 1.0) for p in grid])
+            tracemalloc.start()
+            try:
+                solve(batch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < SOLVER_ARRAYS * 8 * len(parts.space) * len(grid)
+
     def test_unknown_solver_raises_before_any_solve(self, monkeypatch):
         def unsolved(*args, **kwargs):
             raise AssertionError("a solver ran")

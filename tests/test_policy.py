@@ -533,11 +533,11 @@ class TestSharedShape:
         sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
         other = small_scenario(users, resources, behavior, variant, (0.5, 0.5), 0.5, seed + 1)
         clear_shape_caches()
-        fresh = [solve_scenario(sc, solver) for solver in ("lp", "vi")]
+        fresh = {solver: solve_scenario(sc, solver) for solver in ("lp", "vi")}
         for solver in ("lp", "vi"):  # another scenario of the shape solves on the shared build
             solve_scenario(other, solver)
-        for was in fresh:
-            now = solve_scenario(sc, was.solver)
+        for solver, was in fresh.items():
+            now = solve_scenario(sc, solver)
             assert now.system.parts.dynamics is was.system.parts.dynamics
             assert bitwise_equal(now.values, was.values)
             assert bitwise_equal(now.dv, was.dv)
@@ -800,6 +800,27 @@ def test_solvers_refuse_a_start_of_the_wrong_shape_alike(solve, width, shape):
     message = f"start has shape {shape}, expected {expected}"
     with pytest.raises(ValueError, match=re.escape(message)):
         solve(system, start=np.zeros(shape))
+
+
+@pytest.mark.parametrize("solve", [policy_iterate, value_iterate])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("width", [None, 3])
+def test_solvers_refuse_a_non_finite_start_before_any_step(monkeypatch, solve, bad, width):
+    # a NaN start would run value iteration to its budget and read as the
+    # all-deny policy, so one non-finite entry is refused before any step
+    system = compile_system(builtin_scenario("table2_all"))
+    if width is not None:
+        system = system.parts.mix_batch([EmergencyMatrix.identity()] * width)
+    start = np.ones(system.q.shape[1:])
+    start.flat[-1] = bad  # the last state of the last column
+
+    def unstepped(*args):
+        raise AssertionError("a solver step ran")
+
+    monkeypatch.setattr(acmdp.value_iteration, "bellman_backup", unstepped)
+    monkeypatch.setattr(acmdp.policy, "policy_evaluate", unstepped)
+    with pytest.raises(ValueError, match="^start has a non-finite value$"):
+        solve(system, start=start)
 
 
 class TestValueFiles:
