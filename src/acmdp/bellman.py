@@ -78,8 +78,9 @@ class BellmanSystem:
         Row x of R^a is the row of the draw table that its calm state reads
         (RequestDynamics.draw_index): set k's weights at set k's cells, or
         a 1 at set k's empty-request cell.  E's zeros and the weights' are
-        dropped, so every entry is a positive-probability successor.  No
-        solver reads it, so scipy is loaded here and nowhere else in the package.
+        dropped, so every entry is a positive-probability successor.  No solver
+        or command reads it, only comparisons with other builds of the model (the
+        tests, the benchmark's checks); it needs scipy, a test dependency, loaded here.
         """
         from scipy import sparse
 

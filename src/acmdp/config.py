@@ -22,7 +22,6 @@ import numpy as np
 
 from .dynamics import EmergencyMatrix, RequestBehavior
 from .rewards import RewardTables, RewardVariant, Scenario, check_labels
-from .states import ModelDims
 
 _NUMBER_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
 
@@ -141,11 +140,10 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     if not errors:
         try:
             return Scenario(
-                dims=ModelDims(len(users), len(resources)),
                 user_names=users,
                 resource_names=resources,
                 rewards=RewardTables(access, tuple(penalties.values())),
-                emergency=EmergencyMatrix.from_rates(*rates),
+                emergency=EmergencyMatrix(*rates),
                 behavior=behavior,
                 variant=variant,
                 beta=beta,
@@ -190,7 +188,7 @@ def scenario_fingerprint(sc: Scenario) -> str:
     return hashlib.sha256(render_scenario(sc).encode()).hexdigest()[:16]
 
 
-_DRIFTING = EmergencyMatrix.from_rates(0.1, 1.0)
+_DRIFTING = EmergencyMatrix(0.1, 1.0)
 # the paper's tables: name -> (beta, emergency, behavior, variant), in BUILTIN_NAMES order
 _BUILTINS = {
     "table1": (0.0, EmergencyMatrix.identity(), RequestBehavior.UNIQUE, RewardVariant.EPS_ZERO),
@@ -211,7 +209,6 @@ def builtin_scenario(name: str) -> Scenario:
     beta, emergency, behavior, variant = _BUILTINS[name]
     # users alice/bob, resources low/high in table column order
     return Scenario(
-        dims=ModelDims(2, 2),
         user_names=("alice", "bob"),
         resource_names=("low", "high"),
         rewards=RewardTables(

@@ -1,9 +1,9 @@
 """Transition dynamics: the product of three independent factors.
 
-The emergency status evolves by a 2x2 stochastic matrix, the granted set
-changes deterministically (allow inserts the pending access, deny keeps the
-set), and the next pending request is drawn according to the configured
-request behaviour.
+The emergency status evolves by a 2x2 stochastic matrix (EmergencyMatrix, set
+by its two rates of turning and of staying alert), the granted set changes
+deterministically (allow inserts the pending access, deny keeps the set), and
+the next pending request is drawn according to the configured request behaviour.
 
 Because the emergency chain is independent of the (granted set, request)
 part and states are ordered emergency-major, each action's transition
@@ -30,7 +30,7 @@ CAP_BITS bounds the keys to 35 dims x 3 behaviours; one 12-bit dims holds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 
@@ -54,38 +54,26 @@ class RequestBehavior(str, Enum):
 
 @dataclass(frozen=True)
 class EmergencyMatrix:
-    """Row-stochastic 2x2 matrix over (calm, alert)."""
+    """The 2x2 chain over (calm, alert), held as its two rates of turning alert.
 
-    rows: tuple[tuple[float, float], tuple[float, float]]
+    c = prob_calm_to_alert and a = prob_alert_to_alert lie in [0, 1], NaN refused;
+    rows, derived once, is the row-stochastic matrix ((1 - c, c), (1 - a, a)).
+    """
+
+    prob_calm_to_alert: float
+    prob_alert_to_alert: float
+    rows: tuple[tuple[float, float], tuple[float, float]] = field(init=False)
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            for p in row:
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"emergency probability {p} outside [0, 1]")
-            if abs(sum(row) - 1.0) > ROW_SUM_TOL:
-                raise ValueError(f"emergency row {row} does not sum to 1")
-
-    @property
-    def prob_calm_to_alert(self) -> float:
-        return self.rows[0][1]
-
-    @property
-    def prob_alert_to_alert(self) -> float:
-        return self.rows[1][1]
-
-    @classmethod
-    def from_rates(cls, calm_to_alert: float, alert_to_alert: float) -> "EmergencyMatrix":
-        return cls(
-            (
-                (1.0 - calm_to_alert, calm_to_alert),
-                (1.0 - alert_to_alert, alert_to_alert),
-            )
-        )
+        c, a = self.prob_calm_to_alert, self.prob_alert_to_alert
+        for p in (c, a):
+            if not 0.0 <= p <= 1.0:  # false for NaN
+                raise ValueError(f"emergency probability {p} outside [0, 1]")
+        object.__setattr__(self, "rows", ((1.0 - c, c), (1.0 - a, a)))
 
     @classmethod
     def identity(cls) -> "EmergencyMatrix":
-        return cls(((1.0, 0.0), (0.0, 1.0)))
+        return cls(0.0, 1.0)
 
 
 def _shared(array: np.ndarray) -> np.ndarray:
@@ -170,7 +158,7 @@ def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics
     else:
         drawable[:, :bits] = (np.arange(sets)[:, None] >> np.arange(bits)) & 1 == 0
         drawable[:, bits] = True
-    weights = np.where(drawable, 1.0 / drawable.sum(axis=1, keepdims=True), 0.0)
+    weights = np.where(drawable, 1.0 / drawable.sum(axis=1)[:, None], 0.0)
     # once's empty request is terminal: such a row draws it again, whatever its set
     terminal = (r == bits) & (behavior is RequestBehavior.ONCE)
     entries = [np.where(terminal, sets, 0) + next_access_sets(d, act) for act in ACTIONS]

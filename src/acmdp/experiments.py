@@ -14,11 +14,13 @@ CHUNK_BYTES caps, so a sweep's memory does not grow with its grid.  Of a
 bisection point only the sign of one access's gap allow - deny is read, so
 it is solved as a batch of one down a ladder of tolerances, each rung from
 the last one's values: SIGN_TOLS for value iteration, VERIFY_TOL alone for
-the LP.  Values within tol of the optimum V* move each decision value
-q^a + beta P^a V by at most beta tol from its optimal one, so a gap whose
-size exceeds 2 beta (tol + rounding_allowance) has the sign of the optimal
-gap, and the point stops there.  At the last rung the sign is taken as
-computed.
+the LP.  Value iteration's values lie within tol of the optimum V*, which
+moves each decision value q^a + beta P^a V by at most beta tol from its
+optimal one, so a gap whose size exceeds 2 beta (tol + rounding_allowance)
+has the sign of the optimal gap, and the point stops there.  The LP's tol
+bounds a Bellman residual instead, placing its values within tol / (1 - beta)
+of V*, so the proof does not cover it.  At the last rung, the LP's only one,
+the sign is taken as computed.
 
 self_check compiles a scenario once and runs five checks on that system:
 stochasticity of its factors, the LP's feasibility and tightness, and the
@@ -57,8 +59,10 @@ GRID_SLACK = 1e-9
 MAX_GRID_POINTS = 100_001
 # the bytes of (states, columns) arrays a sweep may hold to solve a chunk of its grid
 CHUNK_BYTES = 16 * 2**20
-# such arrays a chunk's mix, solve and pricing hold at their peak (tracemalloc,
-# 160 to 10,240 states): at most 15.6 for the LP and 10.5 for value iteration
+# such arrays a chunk's mix, solve and pricing hold at their peak: traced with
+# tracemalloc on the second solve of the first and last chunks of a 101-point
+# grid at run_sweep's width, on random 2x2, 2x3 and 3x3 models under once and
+# all, at most 11.8 for the LP and 8.6 for value iteration
 SOLVER_ARRAYS = 16
 # the tolerances a bisection point is solved to by value iteration, in turn,
 # until the sign of its gap is proven; the last one takes it as computed
@@ -146,13 +150,14 @@ def _bisect(
     values = None
     while hi - lo > CROSSOVER_WIDTH:
         mid = 0.5 * (lo + hi)
-        point = parts.mix_batch([EmergencyMatrix.from_rates(mid, alert_to_alert)])
+        point = parts.mix_batch([EmergencyMatrix(mid, alert_to_alert)])
         for tol in rungs:
             values, _ = solve(point, tol=tol, start=values)
             dv = decision_values(point, values)[:, state, 0]
             f_mid = float(dv[Action.ALLOW] - dv[Action.DENY])
-            # the values lie within tol + rounding of the optimum, and each
-            # decision value q^a + beta P^a V within beta times that of its own
+            # value iteration's values lie within tol + rounding of the optimum,
+            # and each decision value q^a + beta P^a V within beta times that of
+            # its own; the LP's one rung is the last, its sign taken as computed
             if abs(f_mid) > 2.0 * beta * (tol + rounding_allowance(values, beta)):
                 break
         if f_mid == 0.0:
@@ -188,7 +193,7 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     chunks = []
     for first in range(0, len(grid), width):
         chunk = grid[first : first + width]
-        batch = parts.mix_batch([EmergencyMatrix.from_rates(p, alert_to_alert) for p in chunk])
+        batch = parts.mix_batch([EmergencyMatrix(p, alert_to_alert) for p in chunk])
         values, _ = solve(batch)
         chunks.append(decision_values(batch, values)[:, calm_empty])
     dvs = np.concatenate(chunks, axis=-1)

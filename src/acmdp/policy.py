@@ -18,7 +18,7 @@ use as a lightweight policy decision point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -286,17 +286,14 @@ class LoadedValues:
     user_names: tuple[str, ...]
     resource_names: tuple[str, ...]
     rows: list[ValueRow]
+    dims: ModelDims = field(init=False)  # the table's shape, from its labels
 
     def __post_init__(self) -> None:
-        self._dims = ModelDims(len(self.user_names), len(self.resource_names))
+        self.dims = ModelDims(len(self.user_names), len(self.resource_names))
         self._index = {
             (row.emergency, row.set_index, row.req_user, row.req_resource): row
             for row in self.rows
         }
-
-    @property
-    def dims(self) -> ModelDims:
-        return self._dims
 
     def lookup(
         self, emergency: str, set_index: int, req_user: str, req_resource: str
@@ -352,6 +349,16 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
             raise ValueFileError(lineno, f"malformed row {raw!r}") from None
         if not all(map(math.isfinite, (value, dv_deny, dv_allow))):
             raise ValueFileError(lineno, f"non-finite number in row {raw!r}")
+        # export_values writes allow exactly when dv_allow - dv_deny > TIE_TOL.  Printing
+        # to 12 significant digits moves each value by at most 5e-12 of its printed size,
+        # so the gap by 5e-12 (|dv_deny| + |dv_allow|); twice that also covers the float
+        # rounding of both comparisons, a few parts in 1e16 of the same sum
+        gap = dv_allow - dv_deny
+        margin = 1e-11 * (abs(dv_deny) + abs(dv_allow))
+        if (gap > TIE_TOL) != (action == "allow") and abs(gap - TIE_TOL) > margin:
+            raise ValueFileError(
+                lineno, f"action {action} contradicts dv_deny {dv_d} and dv_allow {dv_a}"
+            )
         if (req_user == "eps") != (req_resource == "eps"):
             raise ValueFileError(lineno, "eps must appear in both request fields")
         if req_user != "eps":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -86,7 +86,6 @@ def check_labels(kind: str, names: tuple[str, ...]) -> tuple[str, ...]:
 class Scenario:
     """Full parameterization of one access control decision process."""
 
-    dims: ModelDims
     user_names: tuple[str, ...]
     resource_names: tuple[str, ...]
     rewards: RewardTables
@@ -94,14 +93,12 @@ class Scenario:
     behavior: RequestBehavior
     variant: RewardVariant
     beta: float
+    dims: ModelDims = field(init=False)  # the model's shape, from the labels
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "behavior", RequestBehavior(self.behavior))
         object.__setattr__(self, "variant", RewardVariant(self.variant))
-        if len(self.user_names) != self.dims.num_users:
-            raise ValueError("user label count does not match dimensions")
-        if len(self.resource_names) != self.dims.num_resources:
-            raise ValueError("resource label count does not match dimensions")
+        object.__setattr__(self, "dims", ModelDims(len(self.user_names), len(self.resource_names)))
         check_labels("user", self.user_names)
         check_labels("resource", self.resource_names)
         if not 0.0 <= self.beta < 1.0:

@@ -35,7 +35,7 @@ def assert_matches_oracle(sc):
 
 def at_rate(sc, calm_to_alert):
     """sc with its calm-to-alert probability replaced."""
-    emergency = EmergencyMatrix.from_rates(calm_to_alert, sc.emergency.prob_alert_to_alert)
+    emergency = EmergencyMatrix(calm_to_alert, sc.emergency.prob_alert_to_alert)
     return dataclasses.replace(sc, emergency=emergency)
 
 
@@ -43,14 +43,13 @@ def small_scenario(users, resources, behavior, variant, rates=(0.3, 0.8), beta=0
     rng = np.random.default_rng(seed)
     dims = ModelDims(users, resources)
     return Scenario(
-        dims=dims,
         user_names=tuple(f"u{i}" for i in range(users)),
         resource_names=tuple(f"r{i}" for i in range(resources)),
         rewards=RewardTables(
             {(a.user, a.resource): float(rng.integers(-100, 200)) / 10 for a in dims.accesses()},
             tuple(float(rng.integers(-300, 0)) / 10 for _ in range(resources)),
         ),
-        emergency=EmergencyMatrix.from_rates(*rates),
+        emergency=EmergencyMatrix(*rates),
         behavior=RequestBehavior(behavior),
         variant=RewardVariant(variant),
         beta=beta,
@@ -203,7 +202,7 @@ class TestMixEmergency:
         field = next(iter(change))
         assert getattr(sc, field) != change[field]
         built = dataclasses.replace(sc, **change)
-        emergency = EmergencyMatrix.from_rates(0.37, 0.6)
+        emergency = EmergencyMatrix(0.37, 0.6)
         mixed = build_parts(built).mix_batch([emergency])
         at_e = dataclasses.replace(built, emergency=emergency)
         assert_same_column(mixed, 0, compile_system(at_e))
@@ -226,7 +225,7 @@ class TestKernel:
                 users, resources, behavior, variant, beta=beta, seed=int(rng.integers(2**16))
             )
             parts = build_parts(sc)
-            emergencies = [EmergencyMatrix.from_rates(*rng.uniform(0.0, 1.0, 2)) for _ in range(3)]
+            emergencies = [EmergencyMatrix(*rng.uniform(0.0, 1.0, 2)) for _ in range(3)]
             batch = parts.mix_batch(emergencies)
             assert batch.q.flags.c_contiguous
             values = rng.normal(scale=100.0, size=batch.q.shape[1:])

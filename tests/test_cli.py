@@ -259,6 +259,19 @@ class TestEval:
         assert code == 1
         assert "decision: deny" in out
 
+    def test_an_action_against_its_decision_values_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "once.txt"
+        run(capsys, "solve", "--builtin", "table2_once", "--out", str(path))
+        text = path.read_text()
+        row = next(line for line in text.splitlines() if line.startswith("calm,0,bob,high,"))
+        path.write_text(text.replace(row, row.replace(",deny,", ",allow,")))
+        code, out, err = run(
+            capsys, "eval", "--values", str(path), "--emergency", "calm", "--request", "bob:high"
+        )
+        assert code == 2
+        assert out == ""
+        assert "action allow contradicts" in err
+
     def test_unknown_label_errors(self, capsys, table1_values):
         code, _, err = run(
             capsys,
@@ -388,3 +401,35 @@ def test_readme_tolerances_name_existing_constants():
     assert len({name for _, name in names}) >= 15
     for module, name in names:
         assert hasattr(getattr(acmdp, module), name), f"{module}.{name}"
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency: with it masked every command exits as it
+    # does with it, so a module-level scipy import in the package fails here
+    probe = "\n".join(
+        [
+            "import sys",
+            "sys.modules['scipy'] = None  # any import of scipy raises ImportError",
+            "from acmdp.cli import main",
+            "print([main(argv.split()) for argv in sys.argv[1:]])",
+        ]
+    )
+    commands = [
+        "solve --builtin table2_once --solver lp --out values.txt",
+        "solve --builtin table2_once --solver vi",
+        "decisions --builtin table2_all --csv grid.csv",
+        "sweep --builtin table2_once --solver lp --step 0.25",
+        "sweep --builtin table2_once --solver vi --step 0.25",
+        "eval --builtin table2_once --values values.txt --emergency calm --request bob:high",
+        "selfcheck --builtin table2_unique",
+    ]
+    src = str(Path(acmdp.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *commands],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 1, 0]"

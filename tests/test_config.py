@@ -221,8 +221,19 @@ class TestScenarioChecks:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"user_names": ("alice",)}, "user label count does not match dimensions"),
-            ({"resource_names": ("a", "b", "c")}, "resource label count does not match"),
+            (
+                {"user_names": ("alice",)},
+                r"reward_access is not total: missing \[\], extraneous \[\(1, 0\), \(1, 1\)\]",
+            ),
+            (
+                {"resource_names": ("a", "b", "c")},
+                r"reward_access is not total: missing \[\(0, 2\), \(1, 2\)\], extraneous \[\]",
+            ),
+            ({"user_names": ()}, "need at least one user and one resource, got 0 x 2"),
+            (
+                {"user_names": ("a", "b", "c", "d"), "resource_names": ("w", "x", "y", "z")},
+                "4 users x 4 resources needs 16 bits, exceeding the cap of 12",
+            ),
             ({"beta": 1.0}, "beta 1.0 outside \\[0, 1\\)"),
             ({"beta": -0.1}, "beta -0.1 outside \\[0, 1\\)"),
             (
@@ -239,7 +250,7 @@ class TestScenarioChecks:
             ),
         ],
         ids=[
-            "users", "resources", "beta 1", "beta below 0", "missing access",
+            "users", "resources", "no users", "past the cap", "beta 1", "beta below 0", "missing access",
             "extra access", "resource rewards",
         ],
     )
@@ -301,14 +312,13 @@ def scenarios(draw):
     users, resources = draw(labels), draw(labels)
     dims = ModelDims(len(users), len(resources))
     return Scenario(
-        dims=dims,
         user_names=tuple(users),
         resource_names=tuple(resources),
         rewards=RewardTables(
             {(a.user, a.resource): draw(rewards) for a in dims.accesses()},
             tuple(draw(rewards) for _ in resources),
         ),
-        emergency=EmergencyMatrix.from_rates(draw(st.floats(0, 1)), draw(st.floats(0, 1))),
+        emergency=EmergencyMatrix(draw(st.floats(0, 1)), draw(st.floats(0, 1))),
         behavior=draw(st.sampled_from(RequestBehavior)),
         variant=draw(st.sampled_from(RewardVariant)),
         beta=draw(st.floats(0, 1, exclude_max=True)),
@@ -364,7 +374,7 @@ class TestBuiltins:
         # repr would write 1e-08, which the format refuses
         sc = replace(
             builtin_scenario("modified_unique"),
-            emergency=EmergencyMatrix.from_rates(1e-8, 1 - 1e-8),
+            emergency=EmergencyMatrix(1e-8, 1 - 1e-8),
         )
         text = render_scenario(sc)
         assert "calm_to_alert = 0.00000001" in text
@@ -373,6 +383,19 @@ class TestBuiltins:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_stochastic(self, name):
         assert validate_stochastic(compile_system(builtin_scenario(name))) == []
+
+    def test_fingerprints_are_pinned(self):
+        # every exported table carries its scenario's fingerprint, so a drift in
+        # render_scenario or in the scenario's fields would make stored tables stale
+        assert {name: scenario_fingerprint(builtin_scenario(name)) for name in BUILTIN_NAMES} == {
+            "table1": "69c19f2976a6aeb1",
+            "table2_unique": "7f1daeca09384eb7",
+            "table2_once": "a7048bdbe9e1dc0c",
+            "table2_all": "46d54d8ff10264dd",
+            "modified_unique": "65b7c42fe2f80c65",
+            "modified_once": "4cdd18321db61ef2",
+            "modified_all": "aed8b51d896b7227",
+        }
 
     def test_fingerprint_distinguishes_scenarios(self):
         prints = {scenario_fingerprint(builtin_scenario(n)) for n in BUILTIN_NAMES}

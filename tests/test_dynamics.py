@@ -33,7 +33,7 @@ from acmdp.dynamics import ROW_SUM_TOL, next_access_sets, request_dynamics, set_
 from acmdp.states import ACTIONS
 
 D22 = ModelDims(2, 2)
-DRIFT = EmergencyMatrix.from_rates(0.1, 1.0)
+DRIFT = EmergencyMatrix(0.1, 1.0)
 
 
 def model(emergency, behavior):
@@ -46,19 +46,20 @@ def dist_as_dict(pairs):
 
 
 class TestEmergencyMatrix:
-    def test_row_sum_enforced(self):
-        with pytest.raises(ValueError):
-            EmergencyMatrix(((0.7, 0.1), (0.0, 1.0)))
-
     def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            EmergencyMatrix(((1.5, -0.5), (0.0, 1.0)))
+        # a NaN rate fails the range test as well
+        for rate in (1.5, -0.5, math.nan):
+            for rates in ((rate, 1.0), (0.1, rate)):
+                with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+                    EmergencyMatrix(*rates)
 
     def test_rates(self):
-        m = EmergencyMatrix.from_rates(0.1, 1.0)
+        m = EmergencyMatrix(0.1, 1.0)
         assert emergency_prob(m, Emergency.CALM, Emergency.ALERT) == pytest.approx(0.1)
         assert emergency_prob(m, Emergency.CALM, Emergency.CALM) == pytest.approx(0.9)
         assert emergency_prob(m, Emergency.ALERT, Emergency.CALM) == 0.0
+        assert EmergencyMatrix(0.25, 0.5).rows == ((0.75, 0.25), (0.5, 0.5))
+        assert EmergencyMatrix.identity().rows == ((1.0, 0.0), (0.0, 1.0))
 
 
 class TestNextAccessSet:
@@ -305,7 +306,7 @@ class TestValidateStochastic:
         # rates of 0 and 1 leave zeros in E, which the check accepts
         sc = builtin_scenario(name)
         emergencies = [sc.emergency] + [
-            EmergencyMatrix.from_rates(p, q) for p in (0.0, 1.0) for q in (0.0, 1.0)
+            EmergencyMatrix(p, q) for p in (0.0, 1.0) for q in (0.0, 1.0)
         ]
         for emergency in emergencies:
             assert validate_stochastic(compile_system(replace(sc, emergency=emergency))) == []

@@ -38,7 +38,7 @@ ONCE_ROOT = 0.18970940314837131  # where allow overtakes deny for (bob, high) un
 
 def exact_gap(sc, probability, pos):
     """allow - deny of the calm, nothing-granted state of access pos, by the LP."""
-    emergency = EmergencyMatrix.from_rates(probability, sc.emergency.prob_alert_to_alert)
+    emergency = EmergencyMatrix(probability, sc.emergency.prob_alert_to_alert)
     solution = acmdp.solve_scenario(dataclasses.replace(sc, emergency=emergency), "lp")
     state = solution.system.space.position(0, 0, pos)
     return solution.dv[int(Action.ALLOW), state] - solution.dv[int(Action.DENY), state]
@@ -157,7 +157,7 @@ class TestRunSweep:
         calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
         alert_to_alert = sc.emergency.prob_alert_to_alert
         for point, lp_point in zip(vi.points, lp_sweep.points):
-            emergency = EmergencyMatrix.from_rates(point.probability, alert_to_alert)
+            emergency = EmergencyMatrix(point.probability, alert_to_alert)
             system = compile_system(dataclasses.replace(sc, emergency=emergency))
             values, _ = acmdp.policy.policy_iterate(system)
             dv = decision_values(system, values)[:, calm_empty]
@@ -258,7 +258,7 @@ class TestRunSweep:
         parts = build_parts(sc)
         calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
         for point in result.points:
-            emergency = EmergencyMatrix.from_rates(point.probability, 1.0)
+            emergency = EmergencyMatrix(point.probability, 1.0)
             system = compile_system(dataclasses.replace(sc, emergency=emergency))
             dv = decision_values(system, exact(system)[0])
             assert np.array_equal(point.dv, dv[:, calm_empty])
@@ -291,7 +291,7 @@ class TestRunSweep:
         assert widths[:4] == [width] * 3 + [len(spec.grid()) - 3 * width]
         assert max(widths) == width
         assert peak < 1.25 * CHUNK_BYTES
-        batch = parts.mix_batch([EmergencyMatrix.from_rates(p, 1.0) for p in spec.grid()])
+        batch = parts.mix_batch([EmergencyMatrix(p, 1.0) for p in spec.grid()])
         calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
         dv = decision_values(batch, solve(batch)[0])[:, calm_empty]
         assert np.array_equal(np.stack([point.dv for point in result.points], -1), dv)
@@ -306,7 +306,7 @@ class TestRunSweep:
         grid = np.linspace(0.0, 0.2, 101)
         solve = acmdp.policy.solver_function(solver)
         for _ in range(2):
-            batch = parts.mix_batch([EmergencyMatrix.from_rates(p, 1.0) for p in grid])
+            batch = parts.mix_batch([EmergencyMatrix(p, 1.0) for p in grid])
             tracemalloc.start()
             try:
                 solve(batch)

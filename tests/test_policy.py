@@ -53,6 +53,7 @@ from acmdp.bellman import VERIFY_TOL, build_parts, rounding_allowance
 from acmdp.dynamics import RequestDynamics
 from acmdp.policy import (
     FILE_HEADER,
+    SOLVERS,
     TIE_TOL,
     LoadedValues,
     ValueFileError,
@@ -248,13 +249,12 @@ class TestExtractPolicy:
 
     def test_degenerate_rewards_deny_everywhere(self):
         sc = Scenario(
-            dims=ModelDims(2, 2),
             user_names=("alice", "bob"),
             resource_names=("low", "high"),
             rewards=RewardTables(
                 {(u, r): 0.0 for u in range(2) for r in range(2)}, (0.0, 0.0)
             ),
-            emergency=EmergencyMatrix.from_rates(0.1, 1.0),
+            emergency=EmergencyMatrix(0.1, 1.0),
             behavior=RequestBehavior.ALL,
             variant=RewardVariant.EPS_ZERO,
             beta=0.9,
@@ -274,7 +274,6 @@ class TestExtractPolicy:
         base = solved("table2_once", "vi")
         sc = base.scenario
         scaled = Scenario(
-            dims=sc.dims,
             user_names=sc.user_names,
             resource_names=sc.resource_names,
             rewards=RewardTables(
@@ -622,7 +621,7 @@ class TestLpBatch:
         sc = builtin_scenario(name)
         parts = build_parts(sc)
         alert_to_alert = sc.emergency.prob_alert_to_alert
-        emergencies = [EmergencyMatrix.from_rates(i / 100, alert_to_alert) for i in range(101)]
+        emergencies = [EmergencyMatrix(i / 100, alert_to_alert) for i in range(101)]
         values, bases = policy_iterate(parts.mix_batch(emergencies))
         alone = [policy_iterate(parts.mix_batch([e])) for e in emergencies]
         assert bases == max(b for _, b in alone)
@@ -642,7 +641,7 @@ class TestLpBatch:
     ):
         sc = small_scenario(2, 3, behavior, variant, beta=beta, seed=seed)
         parts = build_parts(sc)
-        emergencies = [EmergencyMatrix.from_rates(*r) for r in rates]
+        emergencies = [EmergencyMatrix(*r) for r in rates]
         values, _ = policy_iterate(parts.mix_batch(emergencies))
         assert values.shape == (len(parts.space), len(rates))
         for column, emergency in zip(values.T, emergencies):
@@ -656,7 +655,7 @@ class TestLpBatch:
         # returns the values it would return alone
         sc = small_scenario(2, 2, "once", "eps_accrues", rates=(0.1, 1.0), seed=25)
         parts = build_parts(sc)
-        emergencies = [EmergencyMatrix.from_rates(p, 1.0) for p in (0.0, 0.1, 0.2, 0.5)]
+        emergencies = [EmergencyMatrix(p, 1.0) for p in (0.0, 0.1, 0.2, 0.5)]
         alone = [policy_iterate(parts.mix_batch([e])) for e in emergencies]
         assert [b for _, b in alone] == [1, 2, 3, 1]
         price, widths = acmdp.policy.price_table, []
@@ -676,7 +675,7 @@ class TestLpBatch:
 
     def test_optimal_start_solves_in_one_basis(self):
         parts = build_parts(builtin_scenario("modified_once"))
-        batch = parts.mix_batch([EmergencyMatrix.from_rates(p, 1.0) for p in (0.0, 0.3, 1.0)])
+        batch = parts.mix_batch([EmergencyMatrix(p, 1.0) for p in (0.0, 0.3, 1.0)])
         values, bases = policy_iterate(batch)
         assert bases == 2
         again, bases = policy_iterate(batch, start=values)
@@ -684,7 +683,7 @@ class TestLpBatch:
 
     def test_basis_budget_raises_convergence_error(self, monkeypatch):
         parts = build_parts(builtin_scenario("table2_all"))
-        batch = parts.mix_batch([EmergencyMatrix.from_rates(p, 1.0) for p in (0.0, 0.3)])
+        batch = parts.mix_batch([EmergencyMatrix(p, 1.0) for p in (0.0, 0.3)])
         monkeypatch.setattr(acmdp.policy, "MAX_BASES", 1)
         with pytest.raises(ConvergenceError, match="no optimal policy basis within 1 bases"):
             policy_iterate(batch)
@@ -768,7 +767,7 @@ class TestPolicyEvaluate:
     )
     def test_batch_columns_are_their_batches_of_one(self, behavior, variant, beta, seed, rates):
         parts = build_parts(small_scenario(2, 3, behavior, variant, beta=beta, seed=seed))
-        emergencies = [EmergencyMatrix.from_rates(*r) for r in rates]
+        emergencies = [EmergencyMatrix(*r) for r in rates]
         policies = random_policies(seed, (len(parts.space), len(rates)))
         dv = policy_evaluate(parts.mix_batch(emergencies), policies)
         assert dv.shape == (2, len(parts.space), len(rates))
@@ -924,6 +923,63 @@ class TestValueFiles:
         with pytest.raises(ValueFileError, match="bad action label 'grant'") as err:
             import_values(path, scenario=sol.scenario)
         assert err.value.line == 81
+
+    def test_an_action_its_decision_values_rule_out_is_refused(self, solved, tmp_path):
+        # allow where deny's decision value is higher: eval would serve it
+        sol = solved("table2_once")
+        lines = exported(sol, tmp_path).read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("calm,0,bob,high,"))
+        fields = lines[at].split(",")
+        assert fields[5] == "deny"
+        fields[5] = "allow"
+        lines[at] = ",".join(fields)
+        path = tmp_path / "edited.txt"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"action allow contradicts dv_deny {fields[6]} and dv_allow {fields[7]}"
+        for scenario in (None, sol.scenario):
+            with pytest.raises(ValueFileError, match=re.escape(message)) as err:
+                import_values(path, scenario=scenario)
+            assert err.value.line == at + 1
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_every_builtin_table_imports(self, solved, tmp_path, name, solver):
+        sol = solved(name, solver)
+        loaded = import_values(exported(sol, tmp_path), scenario=sol.scenario)
+        assert [row.action for row in loaded.rows] == [
+            sol.policy.action(i).label for i in range(len(loaded.rows))
+        ]
+
+    @pytest.mark.parametrize(
+        "dv_allow, imports",
+        [
+            # 12 digits of 500 print to 1e-9, and rounding moves a gap by up to
+            # 5e-12 * 1000 = 5e-9: true gaps in [TIE_TOL - 5e-9, TIE_TOL + 5e-9]
+            # could have printed as these, with either action
+            ("499.999999997", ("deny", "allow")),
+            ("500", ("deny", "allow")),
+            ("500.000000006", ("deny", "allow")),
+            # beyond twice that bound only one action is possible
+            ("499.99999998", ("deny",)),
+            ("500.00000002", ("allow",)),
+        ],
+    )
+    def test_a_gap_within_rounding_of_the_tie_tolerance_imports(
+        self, solved, tmp_path, dv_allow, imports
+    ):
+        sol = solved("table2_once")
+        lines = exported(sol, tmp_path).read_text().splitlines()
+        for action in ("deny", "allow"):
+            fields = lines[2].split(",")
+            fields[5:8] = [action, "500", dv_allow]
+            path = tmp_path / "edited.txt"
+            path.write_text("\n".join([*lines[:2], ",".join(fields), *lines[3:]]) + "\n")
+            if action in imports:
+                assert import_values(path, scenario=sol.scenario).rows[0].action == action
+            else:
+                with pytest.raises(ValueFileError, match=f"action {action} contradicts") as err:
+                    import_values(path, scenario=sol.scenario)
+                assert err.value.line == 3
 
     def test_no_concrete_request(self, tmp_path):
         path = tmp_path / "bad.txt"

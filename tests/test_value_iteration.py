@@ -142,7 +142,7 @@ class TestBatch:
     ):
         sc = small_scenario(users, resources, behavior, variant, beta=beta, seed=seed)
         parts = build_parts(sc)
-        emergencies = [EmergencyMatrix.from_rates(*r) for r in rates]
+        emergencies = [EmergencyMatrix(*r) for r in rates]
         batch = parts.mix_batch(emergencies)
         values, sweeps = value_iterate(batch)
         assert values.shape == (batch.num_states, len(rates))
@@ -159,7 +159,7 @@ class TestBatch:
         # batch of it alone returns
         sc = builtin_scenario("table2_all")
         parts = build_parts(sc)
-        emergencies = [EmergencyMatrix.from_rates(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
+        emergencies = [EmergencyMatrix(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
         values, sweeps = value_iterate(parts.mix_batch(emergencies))
         alone = [value_iterate(parts.mix_batch([e])) for e in emergencies]
         assert sweeps == max(s for _, s in alone)
@@ -174,7 +174,7 @@ class TestBatch:
         # each backup takes only the columns still running, and a column
         # returns the values it would return alone
         parts = build_parts(builtin_scenario("table2_all"))
-        emergencies = [EmergencyMatrix.from_rates(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
+        emergencies = [EmergencyMatrix(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
         alone = [value_iterate(parts.mix_batch([e])) for e in emergencies]
         stops = sorted(s for _, s in alone)
         assert stops[0] < stops[-1]
