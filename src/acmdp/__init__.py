@@ -27,7 +27,7 @@ from .policy import (
     policy_iterate,
     solve_scenario,
 )
-from .rewards import RewardTables, RewardVariant, Scenario
+from .rewards import RewardVariant, Scenario
 from .states import (
     Access,
     Action,

@@ -43,6 +43,7 @@ if TYPE_CHECKING:
 
 VERIFY_TOL = 1e-9  # largest Bellman-row violation a feasible solution may leave
 TIGHT_TOL = 1e-7  # largest slack of a tight state's tightest row
+EPS = float(np.finfo(float).eps)
 ROUNDING_ULPS = 4  # rounding_allowance, in units of eps * max|V| / (1 - beta)
 
 
@@ -213,7 +214,7 @@ def rounding_allowance(values: np.ndarray, beta: float) -> float:
     last.  The allowance covers the sum of the first two, 2.58 and 2.47 on
     the two samples.
     """
-    return float(ROUNDING_ULPS * np.finfo(float).eps * np.abs(values).max() / (1.0 - beta))
+    return float(ROUNDING_ULPS * EPS * np.abs(values).max() / (1.0 - beta))
 
 
 @dataclass

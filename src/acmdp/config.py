@@ -21,7 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .dynamics import EmergencyMatrix, RequestBehavior
-from .rewards import RewardTables, RewardVariant, Scenario, check_labels
+from .rewards import RewardVariant, Scenario, check_labels
 
 _NUMBER_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
 
@@ -112,8 +112,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             errors.append(f"line {line}: {' '.join(names)}: {exc}")
             return None
 
-    def table(section: str, axes: tuple[tuple[str, ...] | None, ...]) -> dict:
-        """The section's numbers by label indices, one for each combination of labels."""
+    def table(section: str, axes: tuple[tuple[str, ...] | None, ...]) -> tuple:
+        """The section's numbers, one per combination of labels, in label-product order."""
         for names, (_, line) in entries[section].items():
             for kind, name, axis in zip(_SECTIONS[section][0], names, axes):
                 if axis is not None and name not in axis:
@@ -121,10 +121,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         if None in axes:  # without the labels only the numbers can be checked
             for names in entries[section]:
                 value(section, names, _number)
-            return {}
-        indices = itertools.product(*(range(len(axis)) for axis in axes))
-        labels = itertools.product(*axes)
-        return {i: value(section, names, _number) for i, names in zip(indices, labels)}
+            return ()
+        return tuple(value(section, names, _number) for names in itertools.product(*axes))
 
     users = value("model", ("users",), lambda t: check_labels("user", tuple(t.split())))
     resources = value(
@@ -142,7 +140,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             return Scenario(
                 user_names=users,
                 resource_names=resources,
-                rewards=RewardTables(access, tuple(penalties.values())),
+                reward_access=access,
+                reward_resource=penalties,
                 emergency=EmergencyMatrix(*rates),
                 behavior=behavior,
                 variant=variant,
@@ -174,13 +173,10 @@ def render_scenario(sc: Scenario) -> str:
         "",
         "[reward_access]",
     ]
-    for u, uname in enumerate(sc.user_names):
-        for r, rname in enumerate(sc.resource_names):
-            lines.append(f"{uname} {rname} = {_fmt_num(sc.rewards.reward_access[(u, r)])}")
-    lines.append("")
-    lines.append("[reward_resource]")
-    for r, rname in enumerate(sc.resource_names):
-        lines.append(f"{rname} = {_fmt_num(sc.rewards.reward_resource[r])}")
+    labels = itertools.product(sc.user_names, sc.resource_names)
+    lines += [f"{u} {r} = {_fmt_num(x)}" for (u, r), x in zip(labels, sc.reward_access)]
+    lines += ["", "[reward_resource]"]
+    lines += [f"{r} = {_fmt_num(x)}" for r, x in zip(sc.resource_names, sc.reward_resource)]
     return "\n".join(lines) + "\n"
 
 
@@ -207,14 +203,12 @@ def builtin_scenario(name: str) -> Scenario:
     if name not in _BUILTINS:
         raise KeyError(f"unknown builtin scenario {name!r}; choose from {BUILTIN_NAMES}")
     beta, emergency, behavior, variant = _BUILTINS[name]
-    # users alice/bob, resources low/high in table column order
+    # users alice/bob, resources low/high in table column order; grants in bit order
     return Scenario(
         user_names=("alice", "bob"),
         resource_names=("low", "high"),
-        rewards=RewardTables(
-            reward_access={(0, 0): 6.0, (0, 1): 10.0, (1, 0): 4.0, (1, 1): -10.0},
-            reward_resource=(0.0, -20.0),
-        ),
+        reward_access=(6.0, 10.0, 4.0, -10.0),
+        reward_resource=(0.0, -20.0),
         emergency=emergency,
         behavior=behavior,
         variant=variant,

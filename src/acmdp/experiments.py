@@ -141,9 +141,11 @@ def _bisect(
     """Halve [lo, hi] to CROSSOVER_WIDTH; allow - deny at state differs in sign at its ends.
 
     f_lo is the gap at lo; where it is zero, lo = hi and the bracket is
-    returned as it is.  Each point is a batch of one, solved by solve down
-    rungs until its gap's sign is proven (see the module docstring): the
-    bracket's first point from start None, each later solve from the last values.
+    returned as it is.  A midpoint whose gap is exactly zero closes the
+    bracket there, as [mid, mid].  Each point is a batch of one, solved by
+    solve down rungs until its gap's sign is proven (see the module
+    docstring): the bracket's first point from start None, each later solve
+    from the last values.
     """
     beta = parts.scenario.beta
     alert_to_alert = parts.scenario.emergency.prob_alert_to_alert
@@ -161,8 +163,8 @@ def _bisect(
             if abs(f_mid) > 2.0 * beta * (tol + rounding_allowance(values, beta)):
                 break
         if f_mid == 0.0:
-            return mid, (lo, hi)
-        if (f_lo < 0) == (f_mid < 0):
+            lo = hi = mid
+        elif (f_lo < 0) == (f_mid < 0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
@@ -176,9 +178,12 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     in chunks of at most CHUNK_BYTES // (8 n SOLVER_ARRAYS) columns, each
     solved by the named solver and priced with one kernel call, of which
     only the (2, accesses, columns) decision values are kept.  A crossover
-    is bracketed by the first grid point p where allow - deny is exactly
-    zero, as [p, p], or else by the first pair of neighbours whose gaps
-    differ in sign, and bisected (_bisect).
+    is bracketed at the earliest grid index g (_first_crossing) where the
+    gap allow - deny is exactly zero, as [p_g, p_g], or where it is negative
+    at p_g and not at p_g+1 or the other way round, as [p_g, p_g+1], and
+    bisected (_bisect).  Zero counts as not negative, so a step from a
+    negative gap into an exact zero is a flip: it is bisected from the point
+    before the zero rather than reported at the zero.
     """
     solve = solver_function(solver)
     rungs = SIGN_TOLS if solver == "vi" else (VERIFY_TOL,)

@@ -33,34 +33,6 @@ class RewardVariant(str, Enum):
     EPS_ACCRUES = "eps_accrues"
 
 
-@dataclass(frozen=True)
-class RewardTables:
-    """Per-access grant utilities and per-resource alert penalties.
-
-    reward_access is keyed by (user, resource) index pairs and must be total.
-    """
-
-    reward_access: dict[tuple[int, int], float]
-    reward_resource: tuple[float, ...]
-
-    def check(self, dims: ModelDims) -> None:
-        expected = {(a.user, a.resource) for a in dims.accesses()}
-        if set(self.reward_access) != expected:
-            missing = sorted(expected - set(self.reward_access))
-            extra = sorted(set(self.reward_access) - expected)
-            raise ValueError(
-                f"reward_access is not total: missing {missing}, extraneous {extra}"
-            )
-        if len(self.reward_resource) != dims.num_resources:
-            raise ValueError(
-                f"reward_resource has {len(self.reward_resource)} entries, "
-                f"expected {dims.num_resources}"
-            )
-        rewards = (*self.reward_access.values(), *self.reward_resource)
-        if not all(map(math.isfinite, rewards)):
-            raise ValueError(f"rewards must be finite, got {rewards}")
-
-
 # Labels are written into both file formats: scenario lines split on whitespace and
 # read '#', '=' and brackets as syntax; value-table rows split on ',' and name the
 # empty request 'eps'; and eval names an access 'user:resource'.
@@ -88,7 +60,10 @@ class Scenario:
 
     user_names: tuple[str, ...]
     resource_names: tuple[str, ...]
-    rewards: RewardTables
+    # reward_access[u * len(resource_names) + r] is the utility of granting (u, r),
+    # in access-bit order; reward_resource[r] is resource r's alert penalty
+    reward_access: tuple[float, ...]
+    reward_resource: tuple[float, ...]
     emergency: EmergencyMatrix
     behavior: RequestBehavior
     variant: RewardVariant
@@ -98,12 +73,20 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "behavior", RequestBehavior(self.behavior))
         object.__setattr__(self, "variant", RewardVariant(self.variant))
+        object.__setattr__(self, "reward_access", tuple(map(float, self.reward_access)))
+        object.__setattr__(self, "reward_resource", tuple(map(float, self.reward_resource)))
         object.__setattr__(self, "dims", ModelDims(len(self.user_names), len(self.resource_names)))
         check_labels("user", self.user_names)
         check_labels("resource", self.resource_names)
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta {self.beta} outside [0, 1)")
-        self.rewards.check(self.dims)
+        d = self.dims
+        for name, size in (("reward_access", d.num_access_bits), ("reward_resource", d.num_resources)):
+            if len(getattr(self, name)) != size:
+                raise ValueError(f"{name} has {len(getattr(self, name))} entries, expected {size}")
+        rewards = self.reward_access + self.reward_resource
+        if not all(map(math.isfinite, rewards)):
+            raise ValueError(f"rewards must be finite, got {rewards}")
 
 
 def alert_penalties(sc: Scenario) -> np.ndarray:
@@ -111,7 +94,7 @@ def alert_penalties(sc: Scenario) -> np.ndarray:
     d = sc.dims
     k = np.arange(d.num_sets)
     total = np.zeros(d.num_sets)
-    for r, penalty in enumerate(sc.rewards.reward_resource):
+    for r, penalty in enumerate(sc.reward_resource):
         column = sum(1 << (u * d.num_resources + r) for u in range(d.num_users))
         total += np.where(k & column, 0.0, penalty)
     return total
@@ -128,11 +111,10 @@ def reward_parts(sc: Scenario) -> np.ndarray:
     """
     d = sc.dims
     _, r = set_request_rows(d)
-    grants = [sc.rewards.reward_access[(a.user, a.resource)] for a in d.accesses()]
     penalties = np.stack((np.zeros(d.num_sets), alert_penalties(sc)))
     parts = []
     for act in ACTIONS:
-        gain = np.array(grants + [0.0])[r] if act is Action.ALLOW else np.zeros(len(r))
+        gain = np.array([*sc.reward_access, 0.0])[r] if act is Action.ALLOW else np.zeros(len(r))
         parts.append(gain + penalties[:, next_access_sets(d, act)])
     out = np.stack(parts)
     if sc.variant is RewardVariant.EPS_ZERO:

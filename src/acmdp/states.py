@@ -43,7 +43,7 @@ class Action(IntEnum):
 ACTIONS = (Action.DENY, Action.ALLOW)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Access:
     """A (user, resource) pair; granting it adds it to the granted set."""
 

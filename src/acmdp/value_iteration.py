@@ -28,11 +28,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bellman import BellmanSystem, decision_values
+from .bellman import EPS, BellmanSystem, decision_values
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
-EPS = float(np.finfo(float).eps)
 # a solver's state between steps: arrays with a column per column of the batch, last axis
 Columns = tuple[np.ndarray, ...]
 

@@ -100,7 +100,7 @@ def reward_emresource(sc: Scenario, e: Emergency, k: int) -> float:
             (k >> (u * d.num_resources + r)) & 1 for u in range(d.num_users)
         )
         if not accessed:
-            total += sc.rewards.reward_resource[r]
+            total += sc.reward_resource[r]
     return total
 
 
@@ -110,7 +110,7 @@ def reward_transition(sc: Scenario, s: State, act: Action, s2: State) -> float:
         return 0.0
     gain = 0.0
     if act is Action.ALLOW and s.request is not None:
-        gain = sc.rewards.reward_access[(s.request.user, s.request.resource)]
+        gain = sc.reward_access[access_bit_index(s.request, sc.dims)]
     return gain + reward_emresource(sc, s2.emergency, s2.granted)
 
 

@@ -18,7 +18,6 @@ from acmdp import (
     BUILTIN_NAMES,
     Emergency,
     ModelDims,
-    RewardTables,
     State,
     StateSpace,
     builtin_scenario,
@@ -214,10 +213,8 @@ def test_criterion_9_property_suite():
         sc = base.scenario
         scaled = dataclasses.replace(
             sc,
-            rewards=RewardTables(
-                {k: c * v for k, v in sc.rewards.reward_access.items()},
-                tuple(c * v for v in sc.rewards.reward_resource),
-            ),
+            reward_access=tuple(c * v for v in sc.reward_access),
+            reward_resource=tuple(c * v for v in sc.reward_resource),
         )
         sol = solve_scenario(scaled, "vi")
         assert np.allclose(sol.values, c * base.values, rtol=1e-7, atol=1e-7)

@@ -11,7 +11,6 @@ from acmdp import (
     EmergencyMatrix,
     ModelDims,
     RequestBehavior,
-    RewardTables,
     RewardVariant,
     Scenario,
     builtin_scenario,
@@ -45,10 +44,8 @@ def small_scenario(users, resources, behavior, variant, rates=(0.3, 0.8), beta=0
     return Scenario(
         user_names=tuple(f"u{i}" for i in range(users)),
         resource_names=tuple(f"r{i}" for i in range(resources)),
-        rewards=RewardTables(
-            {(a.user, a.resource): float(rng.integers(-100, 200)) / 10 for a in dims.accesses()},
-            tuple(float(rng.integers(-300, 0)) / 10 for _ in range(resources)),
-        ),
+        reward_access=tuple(float(rng.integers(-100, 200)) / 10 for _ in dims.accesses()),
+        reward_resource=tuple(float(rng.integers(-300, 0)) / 10 for _ in range(resources)),
         emergency=EmergencyMatrix(*rates),
         behavior=RequestBehavior(behavior),
         variant=RewardVariant(variant),
@@ -191,7 +188,7 @@ class TestMixEmergency:
             {"behavior": RequestBehavior.ONCE},
             {"variant": RewardVariant.EPS_ACCRUES},
             {"user_names": ("ann", "bob")},
-            {"rewards": RewardTables({(u, r): 1.0 for u in range(2) for r in range(2)}, (0, -5))},
+            {"reward_access": (1.0, 1.0, 1.0, 1.0), "reward_resource": (0, -5)},
         ],
         ids=lambda change: next(iter(change)),
     )

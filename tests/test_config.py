@@ -2,6 +2,7 @@ import string
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from acmdp import (
     EmergencyMatrix,
     ModelDims,
     RequestBehavior,
-    RewardTables,
     RewardVariant,
     Scenario,
     ScenarioParseError,
@@ -66,8 +66,19 @@ class TestParse:
         assert sc.variant is RewardVariant.EPS_ZERO
         # indices follow declaration order: high before low in this file
         assert sc.resource_names == ("high", "low")
-        assert sc.rewards.reward_access[(1, 0)] == -10  # bob high
+        assert sc.reward_access[1 * 2 + 0] == -10  # bob high, at bit u * NR + r
         assert sc.emergency.prob_calm_to_alert == pytest.approx(0.1)
+
+    def test_bit_order_comes_from_the_labels(self):
+        # the same file with its [reward_access] lines in reverse
+        head, tail = SAMPLE_FILE.split("[reward_access]\n")
+        access, rest = tail.split("\n\n", 1)
+        lines = "\n".join(reversed(access.splitlines()))
+        reordered = parse_scenario(f"{head}[reward_access]\n{lines}\n\n{rest}")
+        sc = parse_scenario(SAMPLE_FILE)
+        assert reordered == sc
+        assert reordered.reward_access == sc.reward_access == (10.0, 6.0, -10.0, 4.0)
+        assert scenario_fingerprint(reordered) == scenario_fingerprint(sc)
 
     def test_probability_out_of_range(self):
         bad = SAMPLE_FILE.replace("calm_to_alert = 0.1", "calm_to_alert = 1.2")
@@ -216,19 +227,13 @@ class TestLabels:
 
 
 class TestScenarioChecks:
-    """Scenario and RewardTables built directly, not through the parser."""
+    """Scenarios built directly, not through the parser."""
 
     @pytest.mark.parametrize(
         "change, message",
         [
-            (
-                {"user_names": ("alice",)},
-                r"reward_access is not total: missing \[\], extraneous \[\(1, 0\), \(1, 1\)\]",
-            ),
-            (
-                {"resource_names": ("a", "b", "c")},
-                r"reward_access is not total: missing \[\(0, 2\), \(1, 2\)\], extraneous \[\]",
-            ),
+            ({"user_names": ("alice",)}, "reward_access has 4 entries, expected 2"),
+            ({"resource_names": ("a", "b", "c")}, "reward_access has 4 entries, expected 6"),
             ({"user_names": ()}, "need at least one user and one resource, got 0 x 2"),
             (
                 {"user_names": ("a", "b", "c", "d"), "resource_names": ("w", "x", "y", "z")},
@@ -236,18 +241,9 @@ class TestScenarioChecks:
             ),
             ({"beta": 1.0}, "beta 1.0 outside \\[0, 1\\)"),
             ({"beta": -0.1}, "beta -0.1 outside \\[0, 1\\)"),
-            (
-                {"rewards": RewardTables({(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0}, (0.0, 0.0))},
-                r"reward_access is not total: missing \[\(1, 1\)\], extraneous \[\]",
-            ),
-            (
-                {"rewards": RewardTables({(u, r): 1.0 for u in (0, 1) for r in (0, 1, 2)}, (0, 0))},
-                r"missing \[\], extraneous \[\(0, 2\), \(1, 2\)\]",
-            ),
-            (
-                {"rewards": RewardTables({(u, r): 1.0 for u in (0, 1) for r in (0, 1)}, (0.0,))},
-                "reward_resource has 1 entries, expected 2",
-            ),
+            ({"reward_access": (1.0,) * 3}, "reward_access has 3 entries, expected 4"),
+            ({"reward_access": (1.0,) * 6}, "reward_access has 6 entries, expected 4"),
+            ({"reward_resource": (0.0,)}, "reward_resource has 1 entries, expected 2"),
         ],
         ids=[
             "users", "resources", "no users", "past the cap", "beta 1", "beta below 0", "missing access",
@@ -276,16 +272,26 @@ class TestScenarioChecks:
         with pytest.raises(ValueError, match=f"'sometimes' is not a valid {enum.__name__}"):
             replace(builtin_scenario("table2_once"), **{field: "sometimes"})
 
+    @pytest.mark.parametrize("kind", [list, np.array])
+    def test_rewards_are_tuples_of_floats(self, kind):
+        # a list or an array passed in is copied, so the scenario stays immutable
+        want = builtin_scenario("table2_once")
+        grants, penalties = kind(want.reward_access), kind(want.reward_resource)
+        sc = replace(want, reward_access=grants, reward_resource=penalties)
+        grants[0] = penalties[0] = 99.0
+        for got in (sc.reward_access, sc.reward_resource):
+            assert type(got) is tuple and all(type(x) is float for x in got)
+        assert sc == want and hash(sc) == hash(want)
+
 
 class TestNonFiniteRewards:
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_scenario_refuses(self, bad):
         sc = builtin_scenario("table2_once")
         with pytest.raises(ValueError, match="finite"):
-            replace(sc, rewards=RewardTables(sc.rewards.reward_access, (0.0, bad)))
-        access = {**sc.rewards.reward_access, (1, 1): bad}
+            replace(sc, reward_resource=(0.0, bad))
         with pytest.raises(ValueError, match="finite"):
-            replace(sc, rewards=RewardTables(access, sc.rewards.reward_resource))
+            replace(sc, reward_access=(*sc.reward_access[:3], bad))
 
 
 def test_readme_example_parses():
@@ -314,10 +320,8 @@ def scenarios(draw):
     return Scenario(
         user_names=tuple(users),
         resource_names=tuple(resources),
-        rewards=RewardTables(
-            {(a.user, a.resource): draw(rewards) for a in dims.accesses()},
-            tuple(draw(rewards) for _ in resources),
-        ),
+        reward_access=tuple(draw(rewards) for _ in dims.accesses()),
+        reward_resource=tuple(draw(rewards) for _ in resources),
         emergency=EmergencyMatrix(draw(st.floats(0, 1)), draw(st.floats(0, 1))),
         behavior=draw(st.sampled_from(RequestBehavior)),
         variant=draw(st.sampled_from(RewardVariant)),
@@ -330,6 +334,7 @@ class TestRoundTrip:
     @given(sc=scenarios())
     def test_render_parses_back_and_exports_import(self, sc, tmp_path_factory):
         assert parse_scenario(render_scenario(sc)) == sc
+        assert hash(parse_scenario(render_scenario(sc))) == hash(sc)
         if sc.dims.num_users == 1:
             path = tmp_path_factory.mktemp("values") / "values.txt"
             export_values(solve_scenario(sc), path)
@@ -357,13 +362,9 @@ class TestBuiltins:
 
     def test_builtin_rewards(self):
         sc = builtin_scenario("table2_once")
-        assert sc.rewards.reward_access == {
-            (0, 0): 6,
-            (0, 1): 10,
-            (1, 0): 4,
-            (1, 1): -10,
-        }
-        assert sc.rewards.reward_resource == (0, -20)
+        # alice low, alice high, bob low, bob high
+        assert sc.reward_access == (6, 10, 4, -10)
+        assert sc.reward_resource == (0, -20)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_round_trip(self, name):

@@ -10,7 +10,7 @@ import acmdp.bellman
 import acmdp.dynamics
 import acmdp.experiments
 import acmdp.policy
-from acmdp import BUILTIN_NAMES, Action, EmergencyMatrix, RewardTables, builtin_scenario
+from acmdp import BUILTIN_NAMES, Action, EmergencyMatrix, builtin_scenario
 from acmdp.bellman import (
     VERIFY_TOL,
     VerificationReport,
@@ -357,16 +357,21 @@ class TestRunSweep:
         assert vi.bracket == lp.bracket
         assert vi.bracket[0] <= ONCE_ROOT <= vi.bracket[1]
 
-    def test_exact_zero_at_the_stop_is_a_crossover(self):
+    @pytest.mark.parametrize("solver", ["lp", "vi"])
+    @pytest.mark.parametrize("grid", [(0.0, 0.5, 0.25), (0.25, 0.75, 0.5)])
+    def test_exact_zero_at_the_stop_is_a_crossover(self, grid, solver):
         # with the high resource's alert reward and (bob, high)'s grant negated,
-        # allow - deny falls from 10 to exactly 0 at the stop, 0.5
+        # allow - deny falls from 10 to exactly 0 at 0.5: the first grid's stop,
+        # and the second grid's first bisection midpoint, which closes the bracket
         sc = builtin_scenario("table2_unique")
-        rewards = dict(sc.rewards.reward_access)
-        rewards[(1, 1)] = 10.0
-        flipped = dataclasses.replace(sc, rewards=RewardTables(rewards, (0.0, 20.0)))
-        result = run_sweep(SweepSpec(flipped, 0.0, 0.5, 0.25), solver="vi")
-        point = result.points[-1]
-        assert point.dv[int(Action.ALLOW), BOB_HIGH_POS] == point.dv[int(Action.DENY), BOB_HIGH_POS]
+        grants = list(sc.reward_access)
+        grants[BOB_HIGH_POS] = 10.0
+        flipped = dataclasses.replace(sc, reward_access=grants, reward_resource=(0.0, 20.0))
+        result = run_sweep(SweepSpec(flipped, *grid), solver=solver)
+        for point in result.points:
+            if point.probability == 0.5:
+                dv = point.dv[:, BOB_HIGH_POS]
+                assert dv[int(Action.ALLOW)] == dv[int(Action.DENY)]
         crossover = result.crossovers[BOB_HIGH_POS]
         assert (crossover.root, crossover.bracket, crossover.width) == (0.5, (0.5, 0.5), 0.0)
 

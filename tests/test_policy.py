@@ -29,7 +29,6 @@ from acmdp import (
     EmergencyMatrix,
     ModelDims,
     RequestBehavior,
-    RewardTables,
     RewardVariant,
     Scenario,
     State,
@@ -251,9 +250,8 @@ class TestExtractPolicy:
         sc = Scenario(
             user_names=("alice", "bob"),
             resource_names=("low", "high"),
-            rewards=RewardTables(
-                {(u, r): 0.0 for u in range(2) for r in range(2)}, (0.0, 0.0)
-            ),
+            reward_access=(0.0, 0.0, 0.0, 0.0),
+            reward_resource=(0.0, 0.0),
             emergency=EmergencyMatrix(0.1, 1.0),
             behavior=RequestBehavior.ALL,
             variant=RewardVariant.EPS_ZERO,
@@ -276,10 +274,8 @@ class TestExtractPolicy:
         scaled = Scenario(
             user_names=sc.user_names,
             resource_names=sc.resource_names,
-            rewards=RewardTables(
-                {k: 2.0 * v for k, v in sc.rewards.reward_access.items()},
-                tuple(2.0 * v for v in sc.rewards.reward_resource),
-            ),
+            reward_access=tuple(2.0 * v for v in sc.reward_access),
+            reward_resource=tuple(2.0 * v for v in sc.reward_resource),
             emergency=sc.emergency,
             behavior=sc.behavior,
             variant=sc.variant,
@@ -570,11 +566,9 @@ class TestRewardProperties:
         # reaches allow's decision value; deny's can only rise with it
         sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
         r = data.draw(st.integers(0, resources - 1))
-        penalties = list(sc.rewards.reward_resource)
+        penalties = list(sc.reward_resource)
         penalties[r] *= shrink
-        smaller = dataclasses.replace(
-            sc, rewards=RewardTables(sc.rewards.reward_access, tuple(penalties))
-        )
+        smaller = dataclasses.replace(sc, reward_resource=penalties)
         before, after = solve_scenario(sc, "lp"), solve_scenario(smaller, "lp")
         # each gap lies within twice its decision values' bound of the exact gap
         bound = 2.0 * (dv_bound(before) + dv_bound(after))
@@ -592,13 +586,10 @@ class TestRewardProperties:
         self, users, resources, behavior, variant, rates, beta, seed, c
     ):
         sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
-        rewards = sc.rewards
         scaled = dataclasses.replace(
             sc,
-            rewards=RewardTables(
-                {k: c * v for k, v in rewards.reward_access.items()},
-                tuple(c * v for v in rewards.reward_resource),
-            ),
+            reward_access=tuple(c * v for v in sc.reward_access),
+            reward_resource=tuple(c * v for v in sc.reward_resource),
         )
         base, big = solve_scenario(sc, "lp"), solve_scenario(scaled, "lp")
         # c times the base solve and the scaled solve each lie within their
