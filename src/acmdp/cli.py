@@ -23,6 +23,7 @@ from .states import Access, Emergency, set_insert
 from .value_iteration import ConvergenceError
 
 
+SOLVER_HELP = "lp: the LP by policy iteration, exact; vi: value iteration (default lp)"
 TOL_HELP = (
     "solver tolerance: for lp, the largest Bellman-row violation the final "
     "policy basis may leave (default 1e-9); for vi, the largest distance of "
@@ -180,32 +181,56 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve a scenario and export the value table")
     _add_scenario_args(solve)
-    solve.add_argument("--solver", choices=SOLVERS, default="lp")
+    solve.add_argument("--solver", choices=SOLVERS, default="lp", help=SOLVER_HELP)
     solve.add_argument("--tol", type=float, help=TOL_HELP)
     solve.add_argument("--out", type=Path, help="value-table output path")
     solve.set_defaults(func=cmd_solve)
 
     decisions = sub.add_parser("decisions", help="print the decision-value grid")
     _add_scenario_args(decisions)
-    decisions.add_argument("--solver", choices=SOLVERS, default="lp")
+    decisions.add_argument("--solver", choices=SOLVERS, default="lp", help=SOLVER_HELP)
     decisions.add_argument("--tol", type=float, help=TOL_HELP)
     decisions.add_argument("--csv", type=Path, help="also write the grid as CSV")
     decisions.set_defaults(func=cmd_decisions)
 
     sweep = sub.add_parser("sweep", help="sweep the calm-to-alert probability")
     _add_scenario_args(sweep)
-    sweep.add_argument("--solver", choices=SOLVERS, default="lp")
-    sweep.add_argument("--start", type=float, default=0.0)
-    sweep.add_argument("--stop", type=float, default=1.0)
-    sweep.add_argument("--step", type=float, default=0.01)
+    sweep.add_argument("--solver", choices=SOLVERS, default="lp", help=SOLVER_HELP)
+    sweep.add_argument(
+        "--start",
+        type=float,
+        default=0.0,
+        help="first calm-to-alert probability of the grid, in [0, 1] and at most --stop "
+        "(default 0)",
+    )
+    sweep.add_argument(
+        "--stop",
+        type=float,
+        default=1.0,
+        help="last calm-to-alert probability of the grid, in [0, 1] and at least --start "
+        "(default 1)",
+    )
+    sweep.add_argument(
+        "--step",
+        type=float,
+        default=0.01,
+        help="spacing of the grid from --start, which always ends at --stop (default 0.01)",
+    )
     sweep.add_argument("--out", type=Path, help="CSV output path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)
 
     evaluate = sub.add_parser("eval", help="query a solved value table")
     # with a scenario, a table whose fingerprint does not match is refused
     _add_scenario_args(evaluate, required=False)
-    evaluate.add_argument("--values", type=Path, required=True)
-    evaluate.add_argument("--emergency", choices=("calm", "alert"), required=True)
+    evaluate.add_argument(
+        "--values", type=Path, required=True, help="value table written by solve --out"
+    )
+    evaluate.add_argument(
+        "--emergency",
+        choices=("calm", "alert"),
+        required=True,
+        help="alert status of the state to decide",
+    )
     evaluate.add_argument(
         "--granted", default="", help="granted accesses, e.g. 'alice:high,bob:low'"
     )

@@ -10,17 +10,14 @@ the E-free parts, which can change nothing else.
 
 Both solvers solve a batch of such systems (bellman.SystemParts.mix_batch),
 so one path serves both.  The grid is solved in chunks whose width
-CHUNK_BYTES caps, so a sweep's memory does not grow with its grid.  Of a
-bisection point only the sign of one access's gap allow - deny is read, so
-it is solved as a batch of one down a ladder of tolerances, each rung from
-the last one's values: SIGN_TOLS for value iteration, VERIFY_TOL alone for
-the LP.  Value iteration's values lie within tol of the optimum V*, which
-moves each decision value q^a + beta P^a V by at most beta tol from its
-optimal one, so a gap whose size exceeds 2 beta (tol + rounding_allowance)
-has the sign of the optimal gap, and the point stops there.  The LP's tol
-bounds a Bellman residual instead, placing its values within tol / (1 - beta)
-of V*, so the proof does not cover it.  At the last rung, the LP's only one,
-the sign is taken as computed.
+CHUNK_BYTES caps, so a sweep's memory does not grow with its grid, and each
+access's first crossing is bisected as soon as the chunk that holds it is
+solved.  Of a bisection point only the sign of one access's gap
+allow - deny is read, so it is solved once, as a batch of one, from the mean
+of the values at its bracket's two ends.  Value iteration solves it
+with value_iterate's sign_of, which stops as soon as the sign is proven, or
+else at its DEFAULT_TOL with the sign taken as computed; the LP solves
+it exactly, to VERIFY_TOL, and takes the sign as computed.
 
 self_check compiles a scenario once and runs five checks on that system:
 stochasticity of its factors, the LP's feasibility and tightness, and the
@@ -33,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -59,14 +57,12 @@ GRID_SLACK = 1e-9
 MAX_GRID_POINTS = 100_001
 # the bytes of (states, columns) arrays a sweep may hold to solve a chunk of its grid
 CHUNK_BYTES = 16 * 2**20
-# such arrays a chunk's mix, solve and pricing hold at their peak: traced with
-# tracemalloc on the second solve of the first and last chunks of a 101-point
-# grid at run_sweep's width, on random 2x2, 2x3 and 3x3 models under once and
-# all, at most 11.8 for the LP and 8.6 for value iteration
-SOLVER_ARRAYS = 16
-# the tolerances a bisection point is solved to by value iteration, in turn,
-# until the sign of its gap is proven; the last one takes it as computed
-SIGN_TOLS = (1e-3, 1e-6, VI_TOL)
+# such arrays a chunk's mix, solve and pricing hold at their peak, per solver:
+# traced with tracemalloc on the second solve of the first and last chunks of
+# a 101-point grid at run_sweep's width, on random 2x2, 2x3 and 3x3 models
+# under once and all, at most 11.8 for the LP and 8.6 for value iteration;
+# each count leaves about a third more
+SOLVER_ARRAYS = {"lp": 16, "vi": 12}
 
 
 @dataclass(frozen=True)
@@ -132,90 +128,90 @@ def _first_crossing(gaps: np.ndarray) -> int | None:
 def _bisect(
     parts: SystemParts,
     solve: Callable[..., tuple[np.ndarray, int]],
-    rungs: tuple[float, ...],
     state: int,
     lo: float,
     hi: float,
     f_lo: float,
+    ends: tuple[np.ndarray, np.ndarray],
 ) -> tuple[float, tuple[float, float]]:
     """Halve [lo, hi] to CROSSOVER_WIDTH; allow - deny at state differs in sign at its ends.
 
     f_lo is the gap at lo; where it is zero, lo = hi and the bracket is
     returned as it is.  A midpoint whose gap is exactly zero closes the
-    bracket there, as [mid, mid].  Each point is a batch of one, solved by
-    solve down rungs until its gap's sign is proven (see the module
-    docstring): the bracket's first point from start None, each later solve
-    from the last values.
+    bracket there, as [mid, mid].  ends holds the (n, 1) values solved at lo
+    and at hi.  Each point is a batch of one, solved once by
+    solve(point, start=...) from the mean of its bracket's ends' values, and
+    its own values then stand for the end it replaces.
     """
-    beta = parts.scenario.beta
     alert_to_alert = parts.scenario.emergency.prob_alert_to_alert
-    values = None
+    at_lo, at_hi = ends
     while hi - lo > CROSSOVER_WIDTH:
         mid = 0.5 * (lo + hi)
         point = parts.mix_batch([EmergencyMatrix(mid, alert_to_alert)])
-        for tol in rungs:
-            values, _ = solve(point, tol=tol, start=values)
-            dv = decision_values(point, values)[:, state, 0]
-            f_mid = float(dv[Action.ALLOW] - dv[Action.DENY])
-            # value iteration's values lie within tol + rounding of the optimum,
-            # and each decision value q^a + beta P^a V within beta times that of
-            # its own; the LP's one rung is the last, its sign taken as computed
-            if abs(f_mid) > 2.0 * beta * (tol + rounding_allowance(values, beta)):
-                break
+        values, _ = solve(point, start=0.5 * (at_lo + at_hi))
+        dv = decision_values(point, values)[:, state, 0]
+        f_mid = float(dv[Action.ALLOW] - dv[Action.DENY])
         if f_mid == 0.0:
             lo = hi = mid
         elif (f_lo < 0) == (f_mid < 0):
-            lo, f_lo = mid, f_mid
+            lo, f_lo, at_lo = mid, f_mid, values
         else:
-            hi = mid
+            hi, at_hi = mid, values
     return 0.5 * (lo + hi), (lo, hi)
 
 
 def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
-    """Solve every grid point, then bisect each bracketed crossover.
+    """Solve every grid point, bisecting each access's first crossing as it is found.
 
     The scenario is compiled once.  The grid is mixed (SystemParts.mix_batch)
-    in chunks of at most CHUNK_BYTES // (8 n SOLVER_ARRAYS) columns, each
-    solved by the named solver and priced with one kernel call, of which
-    only the (2, accesses, columns) decision values are kept.  A crossover
-    is bracketed at the earliest grid index g (_first_crossing) where the
-    gap allow - deny is exactly zero, as [p_g, p_g], or where it is negative
-    at p_g and not at p_g+1 or the other way round, as [p_g, p_g+1], and
-    bisected (_bisect).  Zero counts as not negative, so a step from a
-    negative gap into an exact zero is a flip: it is bisected from the point
-    before the zero rather than reported at the zero.
+    in chunks of at most CHUNK_BYTES // (8 n SOLVER_ARRAYS[solver]) columns,
+    each solved by the named solver and priced with one kernel call, of which
+    only the (2, accesses, columns) decision values outlive the chunk.  A
+    crossover is bracketed at the earliest grid index g (_first_crossing)
+    where the gap allow - deny is exactly zero, as [p_g, p_g], or where it is
+    negative at p_g and not at p_g+1 or the other way round, as [p_g, p_g+1],
+    and bisected (_bisect) from the values solved at both ends, before the
+    next chunk is solved.  The previous chunk's last column is kept, so that
+    a bracket across two chunks is found.  Zero counts as not negative, so a
+    step from a negative gap into an exact zero is a flip: it is bisected
+    from the point before the zero rather than reported at the zero.
     """
     solve = solver_function(solver)
-    rungs = SIGN_TOLS if solver == "vi" else (VERIFY_TOL,)
     grid = spec.grid()
     alert_to_alert = spec.scenario.emergency.prob_alert_to_alert
     parts = build_parts(spec.scenario)
+    accesses = list(spec.scenario.dims.accesses())
     # the (calm, nothing granted, access) states; accesses are requests 0.. in bit order
-    calm_empty = parts.space.position(
-        int(Emergency.CALM), 0, np.arange(spec.scenario.dims.num_access_bits)
-    )
-    width = max(1, CHUNK_BYTES // (8 * len(parts.space) * SOLVER_ARRAYS))
+    calm_empty = parts.space.position(int(Emergency.CALM), 0, np.arange(len(accesses)))
+    width = max(1, CHUNK_BYTES // (8 * len(parts.space) * SOLVER_ARRAYS[solver]))
     chunks = []
+    crossovers = [CrossoverResult(access, None, None, None) for access in accesses]
     for first in range(0, len(grid), width):
         chunk = grid[first : first + width]
         batch = parts.mix_batch([EmergencyMatrix(p, alert_to_alert) for p in chunk])
         values, _ = solve(batch)
         chunks.append(decision_values(batch, values)[:, calm_empty])
+        gaps = chunks[-1][Action.ALLOW] - chunks[-1][Action.DENY]  # (accesses, columns)
+        if first:  # column -1, the previous chunk's last
+            gaps = np.concatenate([last_gaps, gaps], axis=1)
+        for pos, state in enumerate(calm_empty):
+            g = None if crossovers[pos].bracket else _first_crossing(gaps[pos])
+            if g is None:
+                continue
+            # columns of the chunk's values, -1 standing for the previous chunk's last
+            left = g - 1 if first else g
+            right = left if gaps[pos, g] == 0.0 else left + 1
+            ends = tuple(values[:, c, None] if c >= 0 else last_values for c in (left, right))
+            sign_solve = partial(solve, sign_of=state) if solver == "vi" else solve
+            root, bracket = _bisect(
+                parts, sign_solve, state, grid[first + left], grid[first + right],
+                float(gaps[pos, g]), ends,
+            )
+            crossovers[pos] = CrossoverResult(accesses[pos], root, bracket, bracket[1] - bracket[0])
+        last_gaps, last_values = gaps[:, -1:], values[:, -1:].copy()
+        del batch, values  # a sweep holds one chunk at a time
     dvs = np.concatenate(chunks, axis=-1)
     points = [SweepPoint(p, dvs[..., g]) for g, p in enumerate(grid)]
-
-    gaps = dvs[Action.ALLOW] - dvs[Action.DENY]  # (accesses, G)
-    crossovers = []
-    for pos, access in enumerate(spec.scenario.dims.accesses()):
-        g = _first_crossing(gaps[pos])
-        if g is None:
-            crossovers.append(CrossoverResult(access, None, None, None))
-        else:
-            hi = grid[g] if gaps[pos, g] == 0.0 else grid[g + 1]
-            root, bracket = _bisect(
-                parts, solve, rungs, calm_empty[pos], grid[g], hi, float(gaps[pos, g])
-            )
-            crossovers.append(CrossoverResult(access, root, bracket, bracket[1] - bracket[0]))
     return SweepResult(spec, points, crossovers)
 
 

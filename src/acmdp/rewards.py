@@ -73,8 +73,12 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "behavior", RequestBehavior(self.behavior))
         object.__setattr__(self, "variant", RewardVariant(self.variant))
-        object.__setattr__(self, "reward_access", tuple(map(float, self.reward_access)))
-        object.__setattr__(self, "reward_resource", tuple(map(float, self.reward_resource)))
+        for name in ("reward_access", "reward_resource"):
+            entries = getattr(self, name)
+            # float() would read "1.5" or True as a number, and a string as its characters
+            if any(isinstance(x, (str, bool, np.bool_)) for x in entries):
+                raise TypeError(f"{name} entries must be numbers, got {entries!r}")
+            object.__setattr__(self, name, tuple(map(float, entries)))
         object.__setattr__(self, "dims", ModelDims(len(self.user_names), len(self.resource_names)))
         check_labels("user", self.user_names)
         check_labels("resource", self.resource_names)

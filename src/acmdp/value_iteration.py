@@ -20,15 +20,25 @@ beta does.  Where the bound lies below the rounding of the values (high
 beta, large values), a column stops instead once (M - m) / 2 is at most
 eps max|V|, about one unit in the last place of its largest value;
 bellman.rounding_allowance covers the extra error.
+
+value_iterate's sign_of stops a column sooner where only the sign of
+allow - deny at one state is wanted.  The same bounds put V* - V between
+m / (1 - beta) and M / (1 - beta) in every state, and each row of P^a sums
+to 1, so each optimal decision value q^a + beta P^a V* lies within
+[m, M] beta / (1 - beta) of the one V gives, and the optimal gap within
+beta / (1 - beta) (M - m) of V's.  Once V's gap exceeds that plus
+2 beta rounding_allowance(V, beta) in size, its sign is the optimal gap's.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .bellman import EPS, BellmanSystem, decision_values
+from .bellman import EPS, ROUNDING_ULPS, BellmanSystem, decision_values
+from .states import Action
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -92,6 +102,7 @@ def value_iterate(
     system: BellmanSystem,
     tol: float = DEFAULT_TOL,
     start: np.ndarray | None = None,
+    sign_of: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """Iterate from start (default zero) until the values are within tol of the optimum.
 
@@ -101,9 +112,19 @@ def value_iterate(
     max|V|, inside bellman.rounding_allowance.  Any start converges to the
     same fixed point; a start near it only saves sweeps.  The count is of
     backups, at most DEFAULT_MAX_ITER.
+
+    With sign_of, a state, a column also stops once the sign of its
+    allow - deny at that state is proven: once the gap, read from the
+    decision values each sweep computes of its values V, is larger in size
+    than beta / (1 - beta) (M - m) plus 2 beta rounding_allowance(V, beta)
+    (see the module docstring).  Such a column returns V itself, so
+    decision_values of the result gives the proven gap to the last bit.  A
+    column whose sign is never proven stops within tol, its sign taken as
+    computed.
     """
     failure = "no convergence to {tol} within {budget} iterations (beta={beta})"
-    return solve_columns(system, tol, start, DEFAULT_MAX_ITER, _first_values, _sweep, failure)
+    step = _sweep if sign_of is None else partial(_sign_sweep, state=sign_of)
+    return solve_columns(system, tol, start, DEFAULT_MAX_ITER, _first_values, step, failure)
 
 
 def _first_values(batch: BellmanSystem, start: np.ndarray | None) -> Columns:
@@ -119,20 +140,55 @@ def _sweep(
 ) -> tuple[Columns, np.ndarray, np.ndarray | None]:
     """One backup and the span stop; a stopped column's values are its bounds' midpoint."""
     values, scale = state
+    return _span_stop(batch, values, scale, bellman_backup(batch, values), tol)
+
+
+def _sign_sweep(
+    batch: BellmanSystem, columns: Columns, tol: float, state: int
+) -> tuple[Columns, np.ndarray, np.ndarray | None]:
+    """_sweep, whose columns also stop once the sign of allow - deny at state is proven."""
+    values, scale = columns
+    dv = decision_values(batch, values)
+    gap = dv[Action.ALLOW, state] - dv[Action.DENY, state]
+    return _span_stop(batch, values, scale, np.maximum(dv[0], dv[1]), tol, gap)
+
+
+def _span_stop(
+    batch: BellmanSystem,
+    values: np.ndarray,
+    scale: np.ndarray,
+    updated: np.ndarray,
+    tol: float,
+    gap: np.ndarray | None = None,
+) -> tuple[Columns, np.ndarray, np.ndarray | None]:
+    """The stop of a sweep from values to updated, their backup, as a solve_columns step.
+
+    With gap, each column's allow - deny at one state read from values'
+    decision values, a column whose gap's sign is proven stops too, and
+    keeps values (see value_iterate).
+    """
     factor = batch.beta / (1.0 - batch.beta)
-    updated = bellman_backup(batch, values)
     step = updated - values
     top, bottom = step.max(axis=0), step.min(axis=0)
     del step  # free it before the stopped columns' values are formed
     half_span = 0.5 * (top - bottom)
+    proven = None
+    if gap is not None:
+        # scale bounds max|values| from above, so this allowance bounds rounding_allowance's
+        allowance = ROUNDING_ULPS * EPS * scale / (1.0 - batch.beta)
+        proven = np.abs(gap) > 2.0 * (factor * half_span + batch.beta * allowance)
     scale += np.maximum(top, -bottom)
     stop = factor * half_span <= tol
     rounding = (half_span <= EPS * scale) & ~stop
     if rounding.any():
         scale[rounding] = np.abs(updated[:, rounding]).max(axis=0)
         stop |= half_span <= EPS * scale
+    if proven is not None:
+        stop |= proven
     midpoints = None
     if stop.any():
         midpoints = updated[:, stop]  # in place below: a second copy would set the peak
         midpoints += factor * 0.5 * (top[stop] + bottom[stop])
+        if proven is not None:
+            midpoints[:, proven[stop]] = values[:, stop & proven]
     return (updated, scale), stop, midpoints

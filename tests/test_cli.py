@@ -11,7 +11,7 @@ from test_bellman import small_scenario
 
 import acmdp
 from acmdp import import_values, render_scenario
-from acmdp.cli import main
+from acmdp.cli import build_parser, main
 
 BAD_SCENARIO_FILE = """\
 [model]
@@ -369,6 +369,18 @@ class TestSelfcheck:
         bad.write_text(BAD_SCENARIO_FILE)
         code, _, err = run(capsys, "selfcheck", "--scenario", str(bad))
         assert code == 2
+
+
+def test_every_option_has_help():
+    # no option of any command is listed bare by --help
+    (commands,) = [action for action in build_parser()._actions if action.dest == "command"]
+    bare = [
+        (name, action.option_strings)
+        for name, command in commands.choices.items()
+        for action in command._actions
+        if not action.help
+    ]
+    assert not bare
 
 
 def test_readme_commands_run(capsys, monkeypatch, tmp_path):

@@ -254,6 +254,18 @@ class TestScenarioChecks:
         with pytest.raises(ValueError, match=message):
             replace(builtin_scenario("table2_once"), **change)
 
+    @pytest.mark.parametrize(
+        "entries",
+        ["1234", ("1.5", 2, 3, 4), (True, 2, 3, 4)],
+        ids=["string", "str entry", "bool entry"],
+    )
+    def test_reward_entries_must_be_numbers(self, entries):
+        # float() would take each of these: a string as its characters, "1.5" and True as numbers
+        with pytest.raises(TypeError, match="reward_access entries must be numbers"):
+            replace(builtin_scenario("table2_once"), reward_access=entries)
+        with pytest.raises(TypeError, match="reward_resource entries must be numbers"):
+            replace(builtin_scenario("table2_once"), reward_resource=entries[:2])
+
     @pytest.mark.parametrize("field, enum", [("behavior", RequestBehavior), ("variant", RewardVariant)])
     def test_plain_strings_are_their_enums(self, field, enum):
         # a plain string solves, renders and fingerprints as its member

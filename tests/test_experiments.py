@@ -21,7 +21,6 @@ from acmdp.bellman import (
 )
 from acmdp.experiments import (
     CHUNK_BYTES,
-    SIGN_TOLS,
     SOLVER_ARRAYS,
     _first_crossing,
     SweepSpec,
@@ -34,6 +33,16 @@ from acmdp.value_iteration import DEFAULT_TOL as VI_TOL
 
 BOB_HIGH_POS = 3  # bit order: alice/low, alice/high, bob/low, bob/high
 ONCE_ROOT = 0.18970940314837131  # where allow overtakes deny for (bob, high) under table2_once
+# (root, bracket) of (bob, high), the one access that crosses, on each builtin's default grid
+BUILTIN_CROSSOVERS = {
+    "table1": (0.49996093750000004, (0.499921875, 0.5)),
+    "table2_unique": (0.49996093750000004, (0.499921875, 0.5)),
+    "table2_once": (0.1897265625, (0.1896875, 0.189765625)),
+    "table2_all": (0.09644531249999999, (0.09640625, 0.096484375)),
+    "modified_unique": (0.0052734374999999995, (0.0052343749999999994, 0.0053124999999999995)),
+    "modified_once": (0.010820312499999998, (0.01078125, 0.010859375)),
+    "modified_all": (0.09644531249999999, (0.09640625, 0.096484375)),
+}
 
 
 def exact_gap(sc, probability, pos):
@@ -168,6 +177,53 @@ class TestRunSweep:
         assert lp_sweep.crossovers[BOB_HIGH_POS].bracket is not None
         assert [c.bracket for c in vi.crossovers] == [c.bracket for c in lp_sweep.crossovers]
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_crossovers_are_pinned(self, name):
+        # both solvers report each builtin's crossovers to the last bit
+        spec = SweepSpec(builtin_scenario(name))
+        for solver in ("vi", "lp"):
+            found = [(c.root, c.bracket) for c in run_sweep(spec, solver=solver).crossovers]
+            assert found == [(None, None)] * 3 + [BUILTIN_CROSSOVERS[name]], solver
+
+    @pytest.mark.parametrize(
+        "scenario, vi_sweeps, lp_bases",
+        [
+            (builtin_scenario("table2_unique"), 7, 7),
+            (builtin_scenario("table2_once"), 24, 7),
+            (builtin_scenario("table2_all"), 40, 10),
+            (small_scenario(3, 3, "all", "eps_accrues", rates=(0.1, 1.0)), None, 60),
+        ],
+        ids=["table2_unique", "table2_once", "table2_all", "random_3x3_all"],
+    )
+    def test_bisection_work_is_bounded(self, monkeypatch, scenario, vi_sweeps, lp_bases):
+        # value iteration's bisection points take at most half the sweeps, and
+        # the LP's no more bases, than when each point was solved down a ladder
+        # of tolerances (1e-3, 1e-6, 1e-10) from the previous point's values
+        # (15, 48 and 80 sweeps; 7, 7, 10 and 60 bases), each point solved once
+        counts = []
+
+        def record(name):
+            solve = getattr(acmdp.policy, name)
+
+            def call(system, **kwargs):
+                values, count = solve(system, **kwargs)
+                if kwargs.get("start") is not None:  # a bisection point, not the grid
+                    counts.append((system.emergency.tobytes(), count))
+                return values, count
+
+            monkeypatch.setattr(acmdp.policy, name, call)
+
+        record("value_iterate")
+        record("policy_iterate")
+        for solver, most in (("vi", vi_sweeps), ("lp", lp_bases)):
+            if most is None:
+                continue
+            counts.clear()
+            result = run_sweep(SweepSpec(scenario), solver=solver)
+            assert any(c.width for c in result.crossovers)
+            assert len({point for point, _ in counts}) == len(counts)
+            assert sum(count for _, count in counts) <= most, solver
+
     @pytest.mark.parametrize("solver", ["lp", "vi"])
     def test_one_build_per_sweep(self, monkeypatch, solver):
         # under either solver, a 160-state grid is one batch mixed into the one
@@ -192,43 +248,36 @@ class TestRunSweep:
         assert batches[0] == len(result.points)
         assert len(batches) > 1 and set(batches[1:]) == {1}
 
-    @pytest.mark.parametrize(
-        "solver, name, default, rungs",
-        [
-            ("vi", "value_iterate", VI_TOL, SIGN_TOLS),
-            ("lp", "policy_iterate", VERIFY_TOL, (VERIFY_TOL,)),
-        ],
-    )
-    def test_bisection_starts_from_its_bracket(self, monkeypatch, solver, name, default, rungs):
-        # under either solver, each bracket's first bisection point starts from
-        # None and every later one from the previous bisection point's values;
-        # a point is first solved to the loosest rung, and each tighter solve
-        # of it starts from its own looser values
+    @pytest.mark.parametrize("solver, name", [("vi", "value_iterate"), ("lp", "policy_iterate")])
+    def test_bisection_starts_from_its_bracket(self, monkeypatch, solver, name):
+        # under either solver, each bisection point is solved once, from the
+        # mean of the values solved at its bracket's two ends: the grid's
+        # columns on either side of the crossing, or a point bisected before
         solve = getattr(acmdp.policy, name)
         solves = []
 
-        def recorded(system, tol=default, start=None):
-            values, iterations = solve(system, tol=tol, start=start)
-            solves.append((system.emergency, tol, start, values))
-            return values, iterations
+        def recorded(system, **kwargs):
+            values, count = solve(system, **kwargs)
+            solves.append((system.emergency[0, 1, 0], kwargs.get("start"), values))
+            return values, count
 
         monkeypatch.setattr(acmdp.policy, name, recorded)
         spec = SweepSpec(builtin_scenario("table2_all"), 0.0, 1.0, 0.25)
+        grid = spec.grid()
         result = run_sweep(spec, solver=solver)
-        (grid_emergency, grid_tol, grid_start, _), bisection = solves[0], solves[1:]
-        assert grid_start is None and grid_tol == default
-        assert grid_emergency.shape[-1] == len(spec.grid())
-        starts = [start for _, _, start, _ in bisection]
+        (_, grid_start, grid_values), solves = solves[0], solves[1:]
+        assert grid_start is None and grid_values.shape[1] == len(grid)
+        solved = {p: grid_values[:, g, None] for g, p in enumerate(grid)}
+        for mid, start, values in solves:
+            assert mid not in solved  # one solve per point
+            lo = max(p for p in solved if p < mid)
+            hi = min(p for p in solved if p > mid)
+            assert mid == 0.5 * (lo + hi)
+            assert np.array_equal(start, 0.5 * (solved[lo] + solved[hi]))
+            solved[mid] = values
+        # a 0.25-wide bracket takes 12 halvings to reach CROSSOVER_WIDTH
         bisected = [c for c in result.crossovers if c.width]
-        assert bisected and starts[0] is None
-        assert sum(start is None for start in starts) == len(bisected)
-        for previous, (emergency, tol, start, _) in zip(bisection, bisection[1:]):
-            assert start is None or start is previous[3]
-            if np.array_equal(emergency, previous[0]):  # the same point, one rung down
-                assert tol == rungs[rungs.index(previous[1]) + 1]
-            else:
-                assert tol == rungs[0]
-        assert bisection[0][1] == rungs[0]
+        assert bisected and len(solves) == 12 * len(bisected)
 
     @pytest.mark.parametrize("name, beta", [("table2_all", 0.9), ("modified_unique", 0.9999)])
     def test_lp_sweep_runs_no_value_iteration(self, monkeypatch, name, beta):
@@ -263,22 +312,22 @@ class TestRunSweep:
             dv = decision_values(system, exact(system)[0])
             assert np.array_equal(point.dv, dv[:, calm_empty])
 
-    @pytest.mark.parametrize("solver", ["lp", "vi"])
-    def test_grid_is_solved_in_chunks_of_the_byte_budget(self, monkeypatch, solver):
-        # a 2x3 grid of 501 points spans four chunks: no solve sees more
-        # columns than a chunk, the chunks' decision values are the one-batch
-        # solve's, and the traced peak stays near the budget, where a one-batch
-        # value-iteration grid held 29 MB
+    @pytest.mark.parametrize("solver, step", [("lp", 2e-3), ("vi", 1.5e-3)], ids=["lp", "vi"])
+    def test_grid_is_solved_in_chunks_of_the_byte_budget(self, monkeypatch, solver, step):
+        # a 2x3 grid spans four chunks of the solver's width: no solve sees
+        # more columns than a chunk, the chunks' decision values are the
+        # one-batch solve's, and the traced peak stays near the budget, where a
+        # one-batch value-iteration grid of 501 points held 29 MB
         sc = small_scenario(2, 3, "all", "eps_accrues", rates=(0.1, 1.0))
-        spec = SweepSpec(sc, step=2e-3)
+        spec = SweepSpec(sc, step=step)
         parts = build_parts(sc)
-        width = CHUNK_BYTES // (8 * len(parts.space) * SOLVER_ARRAYS)
+        width = CHUNK_BYTES // (8 * len(parts.space) * SOLVER_ARRAYS[solver])
         assert width * 3 < len(spec.grid()) <= width * 4
         name = "policy_iterate" if solver == "lp" else "value_iterate"
         solve, widths = getattr(acmdp.policy, name), []
 
         def recorded(system, **kwargs):
-            widths.append(system.q.shape[-1])
+            widths.append((system.q.shape[-1], kwargs.get("start") is None))
             return solve(system, **kwargs)
 
         monkeypatch.setattr(acmdp.policy, name, recorded)
@@ -288,8 +337,10 @@ class TestRunSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert widths[:4] == [width] * 3 + [len(spec.grid()) - 3 * width]
-        assert max(widths) == width
+        # the grid's solves start from None, an LP bisection point's from its bracket
+        grid_widths = [columns for columns, grid in widths if grid]
+        assert grid_widths == [width] * 3 + [len(spec.grid()) - 3 * width]
+        assert max(columns for columns, _ in widths) == width
         assert peak < 1.25 * CHUNK_BYTES
         batch = parts.mix_batch([EmergencyMatrix(p, 1.0) for p in spec.grid()])
         calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
@@ -297,11 +348,36 @@ class TestRunSweep:
         assert np.array_equal(np.stack([point.dv for point in result.points], -1), dv)
 
     @pytest.mark.parametrize("solver", ["lp", "vi"])
+    def test_a_crossing_between_chunks_is_bisected_alike(self, monkeypatch, solver):
+        # at one column a chunk, every bracket spans two chunks: the sweep keeps
+        # the previous chunk's last column, and reports what one chunk reports
+        spec = SweepSpec(builtin_scenario("table2_all"), step=0.05)
+        whole = run_sweep(spec, solver=solver)
+        states = len(build_parts(spec.scenario).space)
+        monkeypatch.setattr(acmdp.experiments, "CHUNK_BYTES", 8 * states * SOLVER_ARRAYS[solver])
+        batch, widths = acmdp.bellman.SystemParts.mix_batch, []
+
+        def counted_batch(parts, emergencies):
+            widths.append(len(emergencies))
+            return batch(parts, emergencies)
+
+        monkeypatch.setattr(acmdp.bellman.SystemParts, "mix_batch", counted_batch)
+        split = run_sweep(spec, solver=solver)
+        assert set(widths) == {1} and len(widths) > len(spec.grid())
+        assert whole.crossovers[BOB_HIGH_POS].width
+        assert [(c.root, c.bracket) for c in split.crossovers] == [
+            (c.root, c.bracket) for c in whole.crossovers
+        ]
+        for one, other in zip(split.points, whole.points):
+            assert np.array_equal(one.dv, other.dv)
+
+    @pytest.mark.parametrize("solver", ["lp", "vi"])
     @pytest.mark.parametrize("name", ["modified_once", "table2_all"])
     def test_a_solve_holds_under_solver_arrays_per_column(self, solver, name):
-        # SOLVER_ARRAYS sizes a sweep's chunks, so a solve of a 101-column
-        # batch must hold fewer (states, columns) arrays at its traced peak;
-        # the second call is measured, once the shape's lattice plan is built
+        # SOLVER_ARRAYS[solver] sizes a sweep's chunks, so a solve of a
+        # 101-column batch must hold fewer (states, columns) arrays at its
+        # traced peak; the second call is measured, once the shape's lattice
+        # plan is built
         parts = build_parts(builtin_scenario(name))
         grid = np.linspace(0.0, 0.2, 101)
         solve = acmdp.policy.solver_function(solver)
@@ -313,7 +389,7 @@ class TestRunSweep:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < SOLVER_ARRAYS * 8 * len(parts.space) * len(grid)
+        assert peak < SOLVER_ARRAYS[solver] * 8 * len(parts.space) * len(grid)
 
     def test_unknown_solver_raises_before_any_solve(self, monkeypatch):
         def unsolved(*args, **kwargs):
@@ -325,37 +401,56 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="unknown solver 'bogus'"):
             run_sweep(SweepSpec(builtin_scenario("table2_once")), "bogus")
 
-    def test_point_next_to_the_root_descends_the_ladder(self, monkeypatch):
+    def test_point_next_to_the_root_is_solved_once(self, monkeypatch):
         # the first bisection point lies 1e-7 above the table2_once root, where
-        # allow - deny is about 4e-6: no solve to the loosest rung can prove
-        # its sign, and a sign taken unproven there puts the root outside.
-        # Under both solvers the point starts from None; the LP solves it once
+        # allow - deny is about 4e-6, and a sign taken wrong there puts the
+        # root outside.  Under both solvers each point is solved once, the
+        # first from the mean of the grid's two columns, and value iteration
+        # stops on the proof of its sign, sooner than at its tolerance
         solves = []
 
-        def recorded(solve, default):
-            def call(system, tol=default, start=None):
-                solves.append((solve.__name__, tol, start))
-                return solve(system, tol=tol, start=start)
-
-            return call
-
-        for name, default in (("value_iterate", VI_TOL), ("policy_iterate", VERIFY_TOL)):
+        def record(name):
             solve = getattr(acmdp.policy, name)
-            monkeypatch.setattr(acmdp.policy, name, recorded(solve, default))
+
+            def call(system, **kwargs):
+                values, count = solve(system, **kwargs)
+                solves.append((name, system, kwargs, values))
+                return values, count
+
+            monkeypatch.setattr(acmdp.policy, name, call)
+
+        record("value_iterate")
+        record("policy_iterate")
         sc = builtin_scenario("table2_once")
         start = 0.15
         spec = SweepSpec(sc, start, 2 * (ONCE_ROOT + 1e-7) - start, 0.1)
         assert len(spec.grid()) == 2
         assert 0.5 * sum(spec.grid()) == pytest.approx(ONCE_ROOT + 1e-7, abs=1e-12)
-        vi = run_sweep(spec, solver="vi").crossovers[BOB_HIGH_POS]
-        (_, loosest, first), (_, tighter, _) = solves[1:3]
-        assert loosest == SIGN_TOLS[0] and first is None and tighter != SIGN_TOLS[0]
-        solves.clear()
-        lp = run_sweep(spec, solver="lp").crossovers[BOB_HIGH_POS]
-        assert {name for name, _, _ in solves} == {"policy_iterate"}
-        assert solves[1][1:] == (VERIFY_TOL, None) and solves[2][2] is not None
-        assert vi.bracket == lp.bracket
-        assert vi.bracket[0] <= ONCE_ROOT <= vi.bracket[1]
+        state = int(build_parts(sc).space.position(0, 0, BOB_HIGH_POS))
+        brackets = []
+        for solver, name, point_kwargs in (
+            ("vi", "value_iterate", {"sign_of": state}),
+            ("lp", "policy_iterate", {}),
+        ):
+            solves.clear()
+            brackets.append(run_sweep(spec, solver=solver).crossovers[BOB_HIGH_POS].bracket)
+            (_, grid, grid_kwargs, grid_values), *points = solves
+            assert grid.q.shape[-1] == 2 and grid_kwargs == {}
+            for used, point, kwargs, _ in points:
+                assert used == name and point.q.shape[-1] == 1
+                assert kwargs.keys() == {"start", *point_kwargs}
+                assert kwargs.get("sign_of") == point_kwargs.get("sign_of")
+            # 0.079 wide, the bracket takes 10 halvings to reach CROSSOVER_WIDTH, one solve each
+            distinct = {point.emergency.tobytes() for _, point, _, _ in points}
+            assert len(distinct) == len(points) == 10
+            _, first, kwargs, values = points[0]
+            assert np.array_equal(kwargs["start"], 0.5 * (grid_values[:, :1] + grid_values[:, 1:]))
+            if solver == "vi":  # stopped on the proof, not on the tolerance
+                unproven, _ = acmdp.value_iteration.value_iterate(first, start=kwargs["start"])
+                assert not np.array_equal(values, unproven)
+        vi, lp = brackets
+        assert vi == lp
+        assert vi[0] <= ONCE_ROOT <= vi[1]
 
     @pytest.mark.parametrize("solver", ["lp", "vi"])
     @pytest.mark.parametrize("grid", [(0.0, 0.5, 0.25), (0.25, 0.75, 0.5)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_bellman import small_scenario
+from test_policy import dv_bound, random_scenarios
 
 import acmdp.value_iteration
 from acmdp import (
@@ -24,6 +25,7 @@ from acmdp import (
     value_iterate,
 )
 from acmdp.bellman import VERIFY_TOL, build_parts, rounding_allowance
+from acmdp.policy import solve_system
 from acmdp.value_iteration import DEFAULT_TOL
 
 
@@ -192,3 +194,62 @@ class TestBatch:
         assert widths[stops[0] - 1] == 4 > widths[stops[0]]
         for column, (want, _) in zip(values.T, alone):
             assert np.array_equal(column, want[:, 0])
+
+
+def proves(system, state, start):
+    """value_iterate's values from start with sign_of state, and whether it
+    stopped on its sign proof; without the proof it returns the values it
+    returns without sign_of."""
+    values, _ = value_iterate(system, start=start, sign_of=state)
+    return values, not np.array_equal(values, value_iterate(system, start=start)[0])
+
+
+class TestSignOf:
+    @random_scenarios(40, probability=st.floats(0.0, 1.0), start_scale=st.floats(0.0, 100.0))
+    def test_a_proven_sign_is_the_lps(
+        self, users, resources, behavior, variant, rates, beta, seed, probability, start_scale
+    ):
+        # from a random start, wherever the step stops on its proof, the sign of
+        # the gap read from the values it returns is the LP's, whenever the LP's
+        # gap exceeds the LP's own error
+        sc = small_scenario(
+            users, resources, behavior, variant, (probability, rates[1]), beta, seed
+        )
+        system = compile_system(sc)
+        lp = solve_system(system, "lp")
+        start = np.random.default_rng(seed).normal(scale=start_scale, size=system.num_states)
+        lp_gaps = lp.dv[1] - lp.dv[0]
+        for state in system.space.position(0, 0, np.arange(sc.dims.num_access_bits)):
+            values, proven = proves(system, state, start)
+            dv = decision_values(system, values)[:, state]
+            if proven and abs(lp_gaps[state]) > dv_bound(lp):
+                assert (dv[1] > dv[0]) == (lp_gaps[state] > 0)
+
+    def test_no_proof_at_an_exact_tie(self):
+        # table2_unique's (bob, high) gap is 20 q - 10, exactly 0 at q = 0.5:
+        # from any start the step stops at its tolerance, with no claim of a sign
+        sc = builtin_scenario("table2_unique")
+        system = compile_system(dataclasses.replace(sc, emergency=EmergencyMatrix(0.5, 1.0)))
+        state = system.space.state_index(State(Emergency.CALM, 0, Access(1, 1)))
+        exact, _ = policy_iterate(system)
+        assert decision_values(system, exact)[1, state] == decision_values(system, exact)[0, state]
+        rng = np.random.default_rng(0)
+        for start in (None, exact, exact + 1e-3, rng.normal(scale=50, size=system.num_states)):
+            assert not proves(system, state, start)[1]
+
+    def test_proof_stops_sooner_and_returns_the_values_it_read(self):
+        # table2_all's (bob, high) gap at q = 0.5 is about 17.6: its sign is
+        # proven from zero in a few of the sweeps the tolerance needs, and the
+        # values returned meet the proof's bound, read from their own backup
+        sc = builtin_scenario("table2_all")
+        system = compile_system(dataclasses.replace(sc, emergency=EmergencyMatrix(0.5, 1.0)))
+        state = system.space.state_index(State(Emergency.CALM, 0, Access(1, 1)))
+        values, sweeps = value_iterate(system, sign_of=state)
+        assert 5 * sweeps < value_iterate(system)[1]
+        dv = decision_values(system, values)
+        step = dv.max(axis=0) - values
+        span = sc.beta / (1 - sc.beta) * (step.max() - step.min())
+        gap = dv[1, state] - dv[0, state]
+        assert abs(gap) > span + 2 * sc.beta * rounding_allowance(values, sc.beta)
+        exact = decision_values(system, policy_iterate(system)[0])[:, state]
+        assert gap > 0 and abs(gap - (exact[1] - exact[0])) <= span
