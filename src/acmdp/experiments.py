@@ -104,9 +104,17 @@ class SweepPoint:
 @dataclass
 class CrossoverResult:
     access: Access
-    root: float | None
-    bracket: tuple[float, float] | None
-    width: float | None
+    bracket: tuple[float, float] | None  # None where the grid shows no crossing
+
+    @property
+    def root(self) -> float | None:
+        """The bracket's midpoint."""
+        return None if self.bracket is None else 0.5 * (self.bracket[0] + self.bracket[1])
+
+    @property
+    def width(self) -> float | None:
+        """The bracket's width."""
+        return None if self.bracket is None else self.bracket[1] - self.bracket[0]
 
 
 @dataclass
@@ -133,7 +141,7 @@ def _bisect(
     hi: float,
     f_lo: float,
     ends: tuple[np.ndarray, np.ndarray],
-) -> tuple[float, tuple[float, float]]:
+) -> tuple[float, float]:
     """Halve [lo, hi] to CROSSOVER_WIDTH; allow - deny at state differs in sign at its ends.
 
     f_lo is the gap at lo; where it is zero, lo = hi and the bracket is
@@ -157,7 +165,7 @@ def _bisect(
             lo, f_lo, at_lo = mid, f_mid, values
         else:
             hi, at_hi = mid, values
-    return 0.5 * (lo + hi), (lo, hi)
+    return lo, hi
 
 
 def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
@@ -185,7 +193,7 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     calm_empty = parts.space.position(int(Emergency.CALM), 0, np.arange(len(accesses)))
     width = max(1, CHUNK_BYTES // (8 * len(parts.space) * SOLVER_ARRAYS[solver]))
     chunks = []
-    crossovers = [CrossoverResult(access, None, None, None) for access in accesses]
+    crossovers = [CrossoverResult(access, None) for access in accesses]
     for first in range(0, len(grid), width):
         chunk = grid[first : first + width]
         batch = parts.mix_batch([EmergencyMatrix(p, alert_to_alert) for p in chunk])
@@ -203,11 +211,11 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
             right = left if gaps[pos, g] == 0.0 else left + 1
             ends = tuple(values[:, c, None] if c >= 0 else last_values for c in (left, right))
             sign_solve = partial(solve, sign_of=state) if solver == "vi" else solve
-            root, bracket = _bisect(
+            bracket = _bisect(
                 parts, sign_solve, state, grid[first + left], grid[first + right],
                 float(gaps[pos, g]), ends,
             )
-            crossovers[pos] = CrossoverResult(accesses[pos], root, bracket, bracket[1] - bracket[0])
+            crossovers[pos] = CrossoverResult(accesses[pos], bracket)
         last_gaps, last_values = gaps[:, -1:], values[:, -1:].copy()
         del batch, values  # a sweep holds one chunk at a time
     dvs = np.concatenate(chunks, axis=-1)

@@ -79,6 +79,12 @@ class Scenario:
             if any(isinstance(x, (str, bool, np.bool_)) for x in entries):
                 raise TypeError(f"{name} entries must be numbers, got {entries!r}")
             object.__setattr__(self, name, tuple(map(float, entries)))
+        for name in ("user_names", "resource_names"):
+            labels = getattr(self, name)
+            # tuple() would read a string as its characters, each a label
+            if isinstance(labels, str):
+                raise TypeError(f"{name} must be a sequence of labels, got the string {labels!r}")
+            object.__setattr__(self, name, tuple(labels))
         object.__setattr__(self, "dims", ModelDims(len(self.user_names), len(self.resource_names)))
         check_labels("user", self.user_names)
         check_labels("resource", self.resource_names)

@@ -1,10 +1,12 @@
 """Fixed-point value iteration, used as an independent check on the LP.
 
-Each sweep is one call of the Bellman kernel (bellman.decision_values).  The
-kernel takes a trailing grid axis, so one loop solves a batch of systems
-that differ only in E (bellman.SystemParts.mix_batch), every column at
-once; a single system runs as a batch of one.  solve_columns is that loop,
-for policy.policy_iterate too: it retires stopped columns and keeps the
+Each sweep is one step, _sweep: one call of the Bellman kernel
+(bellman.decision_values) gives the backup TV and the gap at sign_of, and
+every stop below is read from the one span of TV - V.  The kernel takes a
+trailing grid axis, so one loop solves a batch of systems that differ
+only in E (bellman.SystemParts.mix_batch), every column at once; a single
+system runs as a batch of one.  solve_columns is that loop, for
+policy.policy_iterate too: it retires stopped columns and keeps the
 budget.  The kernel works on each column apart, so a column's values do
 not depend on the batch it was solved in.
 
@@ -92,7 +94,7 @@ def solve_columns(
 
 
 def bellman_backup(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
-    """One synchronous application of max_a [q + beta * P V]."""
+    """One synchronous application of max_a [q + beta * P V]; _sweep forms it inline."""
     dv = decision_values(system, values)
     # equal to dv.max(axis=0), which took about 1 us longer at 160 states
     return np.maximum(dv[0], dv[1])
@@ -123,7 +125,7 @@ def value_iterate(
     computed.
     """
     failure = "no convergence to {tol} within {budget} iterations (beta={beta})"
-    step = _sweep if sign_of is None else partial(_sign_sweep, state=sign_of)
+    step = partial(_sweep, sign_of=sign_of)
     return solve_columns(system, tol, start, DEFAULT_MAX_ITER, _first_values, step, failure)
 
 
@@ -136,59 +138,38 @@ def _first_values(batch: BellmanSystem, start: np.ndarray | None) -> Columns:
 
 
 def _sweep(
-    batch: BellmanSystem, state: Columns, tol: float
+    batch: BellmanSystem, state: Columns, tol: float, sign_of: int | None
 ) -> tuple[Columns, np.ndarray, np.ndarray | None]:
-    """One backup and the span stop; a stopped column's values are its bounds' midpoint."""
-    values, scale = state
-    return _span_stop(batch, values, scale, bellman_backup(batch, values), tol)
+    """One kernel call and every stop (see the module docstring), as a solve_columns step.
 
-
-def _sign_sweep(
-    batch: BellmanSystem, columns: Columns, tol: float, state: int
-) -> tuple[Columns, np.ndarray, np.ndarray | None]:
-    """_sweep, whose columns also stop once the sign of allow - deny at state is proven."""
-    values, scale = columns
-    dv = decision_values(batch, values)
-    gap = dv[Action.ALLOW, state] - dv[Action.DENY, state]
-    return _span_stop(batch, values, scale, np.maximum(dv[0], dv[1]), tol, gap)
-
-
-def _span_stop(
-    batch: BellmanSystem,
-    values: np.ndarray,
-    scale: np.ndarray,
-    updated: np.ndarray,
-    tol: float,
-    gap: np.ndarray | None = None,
-) -> tuple[Columns, np.ndarray, np.ndarray | None]:
-    """The stop of a sweep from values to updated, their backup, as a solve_columns step.
-
-    With gap, each column's allow - deny at one state read from values'
-    decision values, a column whose gap's sign is proven stops too, and
-    keeps values (see value_iterate).
+    A stopped column returns its bounds' midpoint, or values if its sign is proven.
     """
+    values, scale = state
+    dv = decision_values(batch, values)
+    if sign_of is not None:
+        gap = dv[Action.ALLOW, sign_of] - dv[Action.DENY, sign_of]
+    updated = np.maximum(dv[0], dv[1])  # the backup, as bellman_backup forms it
+    del dv  # free it before the step is formed
     factor = batch.beta / (1.0 - batch.beta)
     step = updated - values
     top, bottom = step.max(axis=0), step.min(axis=0)
     del step  # free it before the stopped columns' values are formed
     half_span = 0.5 * (top - bottom)
-    proven = None
-    if gap is not None:
+    stop = factor * half_span <= tol
+    proven = np.zeros_like(stop)
+    if sign_of is not None:
         # scale bounds max|values| from above, so this allowance bounds rounding_allowance's
         allowance = ROUNDING_ULPS * EPS * scale / (1.0 - batch.beta)
         proven = np.abs(gap) > 2.0 * (factor * half_span + batch.beta * allowance)
+        stop |= proven
     scale += np.maximum(top, -bottom)
-    stop = factor * half_span <= tol
     rounding = (half_span <= EPS * scale) & ~stop
     if rounding.any():
         scale[rounding] = np.abs(updated[:, rounding]).max(axis=0)
         stop |= half_span <= EPS * scale
-    if proven is not None:
-        stop |= proven
     midpoints = None
     if stop.any():
         midpoints = updated[:, stop]  # in place below: a second copy would set the peak
         midpoints += factor * 0.5 * (top[stop] + bottom[stop])
-        if proven is not None:
-            midpoints[:, proven[stop]] = values[:, stop & proven]
+        midpoints[:, proven[stop]] = values[:, proven]
     return (updated, scale), stop, midpoints

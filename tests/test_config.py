@@ -266,6 +266,12 @@ class TestScenarioChecks:
         with pytest.raises(TypeError, match="reward_resource entries must be numbers"):
             replace(builtin_scenario("table2_once"), reward_resource=entries[:2])
 
+    @pytest.mark.parametrize("field", ["user_names", "resource_names"])
+    def test_labels_must_not_be_a_string(self, field):
+        # tuple() would take "ab" as the labels a and b
+        with pytest.raises(TypeError, match=f"{field} must be a sequence of labels"):
+            replace(builtin_scenario("table2_once"), **{field: "ab"})
+
     @pytest.mark.parametrize("field, enum", [("behavior", RequestBehavior), ("variant", RewardVariant)])
     def test_plain_strings_are_their_enums(self, field, enum):
         # a plain string solves, renders and fingerprints as its member
@@ -294,6 +300,19 @@ class TestScenarioChecks:
         for got in (sc.reward_access, sc.reward_resource):
             assert type(got) is tuple and all(type(x) is float for x in got)
         assert sc == want and hash(sc) == hash(want)
+
+    def test_labels_are_tuples(self):
+        # a list passed in is copied, so the scenario stays hashable, and its
+        # shape and rendering stay those of the labels it was built with
+        want = builtin_scenario("table2_once")
+        users, resources = list(want.user_names), list(want.resource_names)
+        sc = replace(want, user_names=users, resource_names=resources)
+        users.append("carol")
+        resources.append("mid")
+        assert type(sc.user_names) is tuple and type(sc.resource_names) is tuple
+        assert sc == want and hash(sc) == hash(want)
+        assert sc.dims == want.dims
+        assert parse_scenario(render_scenario(sc)) == want
 
 
 class TestNonFiniteRewards:

@@ -807,7 +807,7 @@ def test_solvers_refuse_a_non_finite_start_before_any_step(monkeypatch, solve, b
     def unstepped(*args):
         raise AssertionError("a solver step ran")
 
-    monkeypatch.setattr(acmdp.value_iteration, "bellman_backup", unstepped)
+    monkeypatch.setattr(acmdp.value_iteration, "decision_values", unstepped)
     monkeypatch.setattr(acmdp.policy, "policy_evaluate", unstepped)
     with pytest.raises(ValueError, match="^start has a non-finite value$"):
         solve(system, start=start)

@@ -172,22 +172,27 @@ class TestBatch:
             single = compile_system(dataclasses.replace(sc, emergency=emergency))
             assert np.array_equal(value_iterate(single)[0], want[:, 0])
 
-    def test_stopped_columns_leave_the_batch(self, monkeypatch):
-        # each backup takes only the columns still running, and a column
-        # returns the values it would return alone
+    @pytest.mark.parametrize(
+        "sign_of", [None, State(Emergency.CALM, 0, Access(1, 1))], ids=["none", "calm_bob_high"]
+    )
+    def test_stopped_columns_leave_the_batch(self, monkeypatch, sign_of):
+        # each sweep prices only the columns still running, once, with or
+        # without a sign to prove, and a column returns the values it would
+        # return alone
         parts = build_parts(builtin_scenario("table2_all"))
+        state = None if sign_of is None else parts.space.state_index(sign_of)
         emergencies = [EmergencyMatrix(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
-        alone = [value_iterate(parts.mix_batch([e])) for e in emergencies]
+        alone = [value_iterate(parts.mix_batch([e]), sign_of=state) for e in emergencies]
         stops = sorted(s for _, s in alone)
         assert stops[0] < stops[-1]
-        backup, widths = acmdp.value_iteration.bellman_backup, []
+        price, widths = acmdp.value_iteration.decision_values, []
 
         def recorded(system, values):
             widths.append(values.shape[1])
-            return backup(system, values)
+            return price(system, values)
 
-        monkeypatch.setattr(acmdp.value_iteration, "bellman_backup", recorded)
-        values, sweeps = value_iterate(parts.mix_batch(emergencies))
+        monkeypatch.setattr(acmdp.value_iteration, "decision_values", recorded)
+        values, sweeps = value_iterate(parts.mix_batch(emergencies), sign_of=state)
         assert sweeps == stops[-1]
         # all four columns until the first stops, then only those still running
         assert widths == [sum(s >= i for s in stops) for i in range(1, sweeps + 1)]
