@@ -40,6 +40,6 @@ from .states import (
     set_contains,
     set_insert,
 )
-from .value_iteration import ConvergenceError, bellman_backup, value_iterate
+from .value_iteration import ConvergenceError, value_iterate
 
 __version__ = "0.1.0"

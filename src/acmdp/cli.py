@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bellman import VERIFY_TOL
 from .config import BUILTIN_NAMES, ScenarioParseError, builtin_scenario, parse_scenario
 from .experiments import SweepSpec, run_sweep, self_check, sweep_csv
 from .policy import (
@@ -20,14 +21,14 @@ from .policy import (
 )
 from .rewards import Scenario
 from .states import Access, Emergency, set_insert
-from .value_iteration import ConvergenceError
+from .value_iteration import DEFAULT_TOL, ConvergenceError
 
 
-SOLVER_HELP = "lp: the LP by policy iteration, exact; vi: value iteration (default lp)"
+SOLVER_HELP = "lp: the LP by policy iteration, exact; vi: value iteration (default %(default)s)"
 TOL_HELP = (
     "solver tolerance: for lp, the largest Bellman-row violation the final "
-    "policy basis may leave (default 1e-9); for vi, the largest distance of "
-    "its values from the optimal ones (default 1e-10)"
+    f"policy basis may leave (default {VERIFY_TOL:g}); for vi, the largest distance "
+    f"of its values from the optimal ones (default {DEFAULT_TOL:g})"
 )
 
 
@@ -41,7 +42,7 @@ def _load_scenario(args: argparse.Namespace) -> Scenario | None:
     if args.builtin:
         return builtin_scenario(args.builtin)
     if args.scenario:
-        return parse_scenario(args.scenario.read_text(), source=str(args.scenario))
+        return parse_scenario(args.scenario.read_text(encoding="utf-8"), source=str(args.scenario))
     return None
 
 
@@ -92,7 +93,7 @@ def cmd_decisions(args: argparse.Namespace) -> int:
                 )
             )
     if args.csv:
-        Path(args.csv).write_text("\n".join(csv_lines) + "\n")
+        Path(args.csv).write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
         print(f"csv written to {args.csv}")
     return 0
 
@@ -103,7 +104,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     result = run_sweep(spec, solver=args.solver)
     csv_text = sweep_csv(result)
     if args.out:
-        Path(args.out).write_text(csv_text)
+        Path(args.out).write_text(csv_text, encoding="utf-8")
         print(f"csv written to {args.out}")
     else:
         sys.stdout.write(csv_text)
@@ -178,43 +179,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve access control decision processes and inspect decision values.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    solving = argparse.ArgumentParser(add_help=False)  # the options of every command that solves
+    solving.add_argument("--solver", choices=SOLVERS, default="lp", help=SOLVER_HELP)
 
-    solve = sub.add_parser("solve", help="solve a scenario and export the value table")
+    solve = sub.add_parser(
+        "solve", parents=[solving], help="solve a scenario and export the value table"
+    )
     _add_scenario_args(solve)
-    solve.add_argument("--solver", choices=SOLVERS, default="lp", help=SOLVER_HELP)
     solve.add_argument("--tol", type=float, help=TOL_HELP)
     solve.add_argument("--out", type=Path, help="value-table output path")
     solve.set_defaults(func=cmd_solve)
 
-    decisions = sub.add_parser("decisions", help="print the decision-value grid")
+    decisions = sub.add_parser("decisions", parents=[solving], help="print the decision-value grid")
     _add_scenario_args(decisions)
-    decisions.add_argument("--solver", choices=SOLVERS, default="lp", help=SOLVER_HELP)
     decisions.add_argument("--tol", type=float, help=TOL_HELP)
     decisions.add_argument("--csv", type=Path, help="also write the grid as CSV")
     decisions.set_defaults(func=cmd_decisions)
 
-    sweep = sub.add_parser("sweep", help="sweep the calm-to-alert probability")
+    sweep = sub.add_parser("sweep", parents=[solving], help="sweep the calm-to-alert probability")
     _add_scenario_args(sweep)
-    sweep.add_argument("--solver", choices=SOLVERS, default="lp", help=SOLVER_HELP)
     sweep.add_argument(
         "--start",
         type=float,
-        default=0.0,
+        default=SweepSpec.start,
         help="first calm-to-alert probability of the grid, in [0, 1] and at most --stop "
-        "(default 0)",
+        "(default %(default)s)",
     )
     sweep.add_argument(
         "--stop",
         type=float,
-        default=1.0,
+        default=SweepSpec.stop,
         help="last calm-to-alert probability of the grid, in [0, 1] and at least --start "
-        "(default 1)",
+        "(default %(default)s)",
     )
     sweep.add_argument(
         "--step",
         type=float,
-        default=0.01,
-        help="spacing of the grid from --start, which always ends at --stop (default 0.01)",
+        default=SweepSpec.step,
+        help="spacing of the grid from --start, which always ends at --stop (default %(default)s)",
     )
     sweep.add_argument("--out", type=Path, help="CSV output path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)

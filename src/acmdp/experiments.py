@@ -1,8 +1,8 @@
 """Parameter sweeps, crossover detection, and the solver self-check.
 
-The sweep varies the calm-to-alert probability while keeping the alert
-status absorbing, solves the model at each grid point, and tracks the
-decision values of every access from the calm, nothing-granted states.
+The sweep varies the calm-to-alert probability (the alert-to-alert one
+stays the scenario's), solves the model at each grid point, and tracks
+every access's decision values from the calm, nothing-granted states.
 Crossovers (where allow overtakes deny) are bracketed on the grid and then
 pinned down by bisection.  Only the emergency matrix E changes along a
 sweep, so the scenario is compiled once and every point mixes its E into
@@ -140,31 +140,30 @@ def _bisect(
     lo: float,
     hi: float,
     f_lo: float,
-    ends: tuple[np.ndarray, np.ndarray],
+    ends: np.ndarray,
 ) -> tuple[float, float]:
     """Halve [lo, hi] to CROSSOVER_WIDTH; allow - deny at state differs in sign at its ends.
 
     f_lo is the gap at lo; where it is zero, lo = hi and the bracket is
     returned as it is.  A midpoint whose gap is exactly zero closes the
-    bracket there, as [mid, mid].  ends holds the (n, 1) values solved at lo
-    and at hi.  Each point is a batch of one, solved once by
-    solve(point, start=...) from the mean of its bracket's ends' values, and
-    its own values then stand for the end it replaces.
+    bracket there, as [mid, mid].  ends, overwritten here, holds the (n, 2)
+    values solved at lo and at hi.  Each point is a batch of one, solved
+    once by solve(point, start=...) from the mean of ends' columns, and its
+    own values then take the column of the end it replaces.
     """
     alert_to_alert = parts.scenario.emergency.prob_alert_to_alert
-    at_lo, at_hi = ends
     while hi - lo > CROSSOVER_WIDTH:
         mid = 0.5 * (lo + hi)
         point = parts.mix_batch([EmergencyMatrix(mid, alert_to_alert)])
-        values, _ = solve(point, start=0.5 * (at_lo + at_hi))
+        values, _ = solve(point, start=0.5 * (ends[:, :1] + ends[:, 1:]))
         dv = decision_values(point, values)[:, state, 0]
         f_mid = float(dv[Action.ALLOW] - dv[Action.DENY])
         if f_mid == 0.0:
             lo = hi = mid
         elif (f_lo < 0) == (f_mid < 0):
-            lo, f_lo, at_lo = mid, f_mid, values
+            lo, f_lo, ends[:, :1] = mid, f_mid, values
         else:
-            hi, at_hi = mid, values
+            hi, ends[:, 1:] = mid, values
     return lo, hi
 
 
@@ -175,14 +174,15 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     in chunks of at most CHUNK_BYTES // (8 n SOLVER_ARRAYS[solver]) columns,
     each solved by the named solver and priced with one kernel call, of which
     only the (2, accesses, columns) decision values outlive the chunk.  A
-    crossover is bracketed at the earliest grid index g (_first_crossing)
-    where the gap allow - deny is exactly zero, as [p_g, p_g], or where it is
+    chunk's window is its columns, after the first chunk led by the previous
+    chunk's last, so that a bracket across two chunks is found.  A crossover
+    is bracketed at the window's earliest column g (_first_crossing) where
+    the gap allow - deny is exactly zero, as [p_g, p_g], or where it is
     negative at p_g and not at p_g+1 or the other way round, as [p_g, p_g+1],
     and bisected (_bisect) from the values solved at both ends, before the
-    next chunk is solved.  The previous chunk's last column is kept, so that
-    a bracket across two chunks is found.  Zero counts as not negative, so a
-    step from a negative gap into an exact zero is a flip: it is bisected
-    from the point before the zero rather than reported at the zero.
+    next chunk is solved.  Zero counts as not negative, so a step from a
+    negative gap into an exact zero is a flip: it is bisected from the point
+    before the zero rather than reported at the zero.
     """
     solve = solver_function(solver)
     grid = spec.grid()
@@ -200,20 +200,19 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
         values, _ = solve(batch)
         chunks.append(decision_values(batch, values)[:, calm_empty])
         gaps = chunks[-1][Action.ALLOW] - chunks[-1][Action.DENY]  # (accesses, columns)
-        if first:  # column -1, the previous chunk's last
+        if first:  # the window: the previous chunk's last column, then this chunk's
             gaps = np.concatenate([last_gaps, gaps], axis=1)
+            values = np.concatenate([last_values, values], axis=1)
+        window = grid[max(first - 1, 0) : first + width]
         for pos, state in enumerate(calm_empty):
             g = None if crossovers[pos].bracket else _first_crossing(gaps[pos])
             if g is None:
                 continue
-            # columns of the chunk's values, -1 standing for the previous chunk's last
-            left = g - 1 if first else g
-            right = left if gaps[pos, g] == 0.0 else left + 1
-            ends = tuple(values[:, c, None] if c >= 0 else last_values for c in (left, right))
+            h = g if gaps[pos, g] == 0.0 else g + 1
             sign_solve = partial(solve, sign_of=state) if solver == "vi" else solve
             bracket = _bisect(
-                parts, sign_solve, state, grid[first + left], grid[first + right],
-                float(gaps[pos, g]), ends,
+                parts, sign_solve, state, window[g], window[h], float(gaps[pos, g]),
+                values[:, [g, h]],
             )
             crossovers[pos] = CrossoverResult(accesses[pos], bracket)
         last_gaps, last_values = gaps[:, -1:], values[:, -1:].copy()

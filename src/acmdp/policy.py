@@ -247,7 +247,7 @@ def export_values(solution: Solution, destination: str | Path) -> None:
                 ]
             )
         )
-    Path(destination).write_text("\n".join(lines) + "\n")
+    Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class ValueFileError(ValueError):
@@ -315,7 +315,7 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
     the order of first appearance in the rows, and each label must pass
     rewards.check_labels at the line that first names it.
     """
-    lines = Path(source).read_text().splitlines()
+    lines = Path(source).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != FILE_HEADER:
         found = lines[0] if lines else "<empty file>"
         raise ValueFileError(1, f"expected header {FILE_HEADER!r}, found {found!r}")

@@ -93,13 +93,6 @@ def solve_columns(
     raise ConvergenceError(failure.format(tol=tol, budget=budget, beta=system.beta))
 
 
-def bellman_backup(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
-    """One synchronous application of max_a [q + beta * P V]; _sweep forms it inline."""
-    dv = decision_values(system, values)
-    # equal to dv.max(axis=0), which took about 1 us longer at 160 states
-    return np.maximum(dv[0], dv[1])
-
-
 def value_iterate(
     system: BellmanSystem,
     tol: float = DEFAULT_TOL,
@@ -148,7 +141,7 @@ def _sweep(
     dv = decision_values(batch, values)
     if sign_of is not None:
         gap = dv[Action.ALLOW, sign_of] - dv[Action.DENY, sign_of]
-    updated = np.maximum(dv[0], dv[1])  # the backup, as bellman_backup forms it
+    updated = np.maximum(dv[0], dv[1])  # the backup; dv.max(axis=0) took about 1 us longer
     del dv  # free it before the step is formed
     factor = batch.beta / (1.0 - batch.beta)
     step = updated - values

@@ -10,8 +10,11 @@ import pytest
 from test_bellman import small_scenario
 
 import acmdp
-from acmdp import import_values, render_scenario
-from acmdp.cli import build_parser, main
+from acmdp import builtin_scenario, export_values, import_values, render_scenario, solve_scenario
+from acmdp.bellman import VERIFY_TOL
+from acmdp.cli import TOL_HELP, build_parser, main
+from acmdp.experiments import SweepSpec
+from acmdp.value_iteration import DEFAULT_TOL
 
 BAD_SCENARIO_FILE = """\
 [model]
@@ -383,6 +386,13 @@ def test_every_option_has_help():
     assert not bare
 
 
+def test_defaults_are_the_librarys():
+    # the CLI states no default of its own where the library has one
+    args = build_parser().parse_args(["sweep", "--builtin", "table1"])
+    assert (args.start, args.stop, args.step) == (SweepSpec.start, SweepSpec.stop, SweepSpec.step)
+    assert f"{VERIFY_TOL:g}" in TOL_HELP and f"{DEFAULT_TOL:g}" in TOL_HELP
+
+
 def test_readme_commands_run(capsys, monkeypatch, tmp_path):
     # each acmdp line of the sh block under README's "Command line", in order;
     # eval exits 1 on deny
@@ -445,3 +455,34 @@ def test_commands_run_without_scipy(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 1, 0]"
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # a label check_labels allows may be non-ASCII: scenario files and value
+    # tables are read and written as UTF-8, as scenario_fingerprint hashes
+    # them, whatever the locale's encoding
+    sc = dataclasses.replace(builtin_scenario("table2_once"), user_names=("josé", "bob"))
+    (tmp_path / "s.txt").write_bytes(render_scenario(sc).encode("utf-8"))
+    export_values(solve_scenario(sc), tmp_path / "elsewhere.txt")
+    probe = "from acmdp.cli import main; import sys; print([main(a.split()) for a in sys.argv[1:]])"
+    commands = [
+        "solve --scenario s.txt --out u.txt",
+        "eval --scenario s.txt --values u.txt --emergency calm --request bob:low",
+        "eval --scenario s.txt --values elsewhere.txt --emergency calm --request bob:low",
+        "decisions --scenario s.txt --csv d.csv",
+        "sweep --scenario s.txt --step 0.25 --out w.csv",
+    ]
+    src = str(Path(acmdp.__file__).resolve().parents[1])
+    ascii_env = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8"}
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *commands],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src, **ascii_env),
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]", out.stderr
+    assert "josé" in (tmp_path / "d.csv").read_text(encoding="utf-8")
+    assert "josé" in (tmp_path / "w.csv").read_text(encoding="utf-8")

@@ -152,12 +152,22 @@ class TestRunSweep:
         assert names[-1] == "dv_bob_high_allow"
 
 
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_vi_grid_agrees_with_per_point_lp(self, name):
+    @pytest.mark.parametrize(
+        "sc",
+        [builtin_scenario(name) for name in BUILTIN_NAMES]
+        + [
+            dataclasses.replace(
+                builtin_scenario("table2_once"), emergency=EmergencyMatrix(0.1, 0.6)
+            )
+        ],
+        ids=[*BUILTIN_NAMES, "table2_once_alert_to_alert_0.6"],
+    )
+    def test_vi_grid_agrees_with_per_point_lp(self, sc):
         # the batched grid against an LP solve of each point on its own, within
         # self_check's lp_vi_agreement bound; the LP sweep's grid within rounding
-        # of it; and every bracket as the LP sweep's
-        sc = builtin_scenario(name)
+        # of it; and every bracket as the LP sweep's.  Every point keeps the
+        # scenario's alert-to-alert rate: at 0.6 instead of an absorbing alert
+        # status, table2_once's (bob, high) bracket moves from 0.1897 to 0.2160
         spec = SweepSpec(sc)
         vi = run_sweep(spec, solver="vi")
         # the CLI sweeps with the LP by default
@@ -248,36 +258,58 @@ class TestRunSweep:
         assert batches[0] == len(result.points)
         assert len(batches) > 1 and set(batches[1:]) == {1}
 
-    @pytest.mark.parametrize("solver, name", [("vi", "value_iterate"), ("lp", "policy_iterate")])
-    def test_bisection_starts_from_its_bracket(self, monkeypatch, solver, name):
+    @pytest.mark.parametrize(
+        "solver, name, one_column",
+        [
+            pytest.param(
+                solver, name, one_column, id=f"{solver}-{name}" + one_column * "-one_column"
+            )
+            for one_column in (False, True)
+            for solver, name in (("vi", "value_iterate"), ("lp", "policy_iterate"))
+        ],
+    )
+    def test_bisection_starts_from_its_bracket(self, monkeypatch, solver, name, one_column):
         # under either solver, each bisection point is solved once, from the
         # mean of the values solved at its bracket's two ends: the grid's
-        # columns on either side of the crossing, or a point bisected before
+        # columns on either side of the crossing, or a point bisected before.
+        # At one column a chunk, a bracket's first point starts from columns
+        # of two chunks, so the previous chunk's last column must be its own
         solve = getattr(acmdp.policy, name)
         solves = []
 
         def recorded(system, **kwargs):
             values, count = solve(system, **kwargs)
-            solves.append((system.emergency[0, 1, 0], kwargs.get("start"), values))
+            solves.append((system.emergency[0, 1], kwargs.get("start"), values))
             return values, count
 
         monkeypatch.setattr(acmdp.policy, name, recorded)
         spec = SweepSpec(builtin_scenario("table2_all"), 0.0, 1.0, 0.25)
+        if one_column:
+            column_bytes = 8 * len(build_parts(spec.scenario).space) * SOLVER_ARRAYS[solver]
+            monkeypatch.setattr(acmdp.experiments, "CHUNK_BYTES", column_bytes)
         grid = spec.grid()
         result = run_sweep(spec, solver=solver)
-        (_, grid_start, grid_values), solves = solves[0], solves[1:]
-        assert grid_start is None and grid_values.shape[1] == len(grid)
-        solved = {p: grid_values[:, g, None] for g, p in enumerate(grid)}
+        # the grid's solves start from None, a bisection point's from its bracket
+        chunks = [(ps, values) for ps, start, values in solves if start is None]
+        assert [p for ps, _ in chunks for p in ps] == grid
+        assert len(chunks) == (len(grid) if one_column else 1)
+        solved = {p: values[:, g, None] for ps, values in chunks for g, p in enumerate(ps)}
+        chunk_of = {p: c for c, (ps, _) in enumerate(chunks) for p in ps}
+        solves = [(ps[0], start, values) for ps, start, values in solves if start is not None]
+        firsts = 0
         for mid, start, values in solves:
             assert mid not in solved  # one solve per point
             lo = max(p for p in solved if p < mid)
             hi = min(p for p in solved if p > mid)
             assert mid == 0.5 * (lo + hi)
             assert np.array_equal(start, 0.5 * (solved[lo] + solved[hi]))
+            if lo in chunk_of and hi in chunk_of:  # a bracket's first point
+                firsts += 1
+                assert (chunk_of[lo] != chunk_of[hi]) == one_column
             solved[mid] = values
         # a 0.25-wide bracket takes 12 halvings to reach CROSSOVER_WIDTH
         bisected = [c for c in result.crossovers if c.width]
-        assert bisected and len(solves) == 12 * len(bisected)
+        assert bisected and firsts == len(bisected) and len(solves) == 12 * len(bisected)
 
     @pytest.mark.parametrize("name, beta", [("table2_all", 0.9), ("modified_unique", 0.9999)])
     def test_lp_sweep_runs_no_value_iteration(self, monkeypatch, name, beta):

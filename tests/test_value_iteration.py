@@ -17,7 +17,6 @@ from acmdp import (
     RequestBehavior,
     RewardVariant,
     State,
-    bellman_backup,
     builtin_scenario,
     compile_system,
     decision_values,
@@ -27,6 +26,11 @@ from acmdp import (
 from acmdp.bellman import VERIFY_TOL, build_parts, rounding_allowance
 from acmdp.policy import solve_system
 from acmdp.value_iteration import DEFAULT_TOL
+
+
+def backup(system, values):
+    """One synchronous application of max_a [q + beta * P V]."""
+    return decision_values(system, values).max(axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -43,15 +47,10 @@ class TestBackup:
     def test_beta_zero_is_max_q(self):
         system = compile_system(builtin_scenario("table1"))
         start = np.full(system.num_states, 123.0)  # ignored when beta = 0
-        assert np.array_equal(bellman_backup(system, start), system.q.max(axis=0))
-
-    def test_is_max_of_decision_values(self, table2_system):
-        values = np.random.default_rng(5).normal(scale=50, size=160)
-        expected = decision_values(table2_system, values).max(axis=0)
-        assert np.array_equal(bellman_backup(table2_system, values), expected)
+        assert np.array_equal(backup(system, start), system.q.max(axis=0))
 
     def test_first_backup_from_zero(self, table2_system):
-        backed = bellman_backup(table2_system, np.zeros(160))
+        backed = backup(table2_system, np.zeros(160))
         i = table2_system.space.state_index(State(Emergency.CALM, 0, Access(0, 0)))
         # max(deny -2, allow 4)
         assert backed[i] == pytest.approx(4.0)
@@ -62,7 +61,7 @@ class TestBackup:
         for _ in range(20):
             v1 = rng.normal(scale=50, size=160)
             v2 = rng.normal(scale=50, size=160)
-            lhs = np.max(np.abs(bellman_backup(table2_system, v1) - bellman_backup(table2_system, v2)))
+            lhs = np.max(np.abs(backup(table2_system, v1) - backup(table2_system, v2)))
             assert lhs <= beta * np.max(np.abs(v1 - v2)) + 1e-9
 
     def test_monotone(self, table2_system):
@@ -70,9 +69,7 @@ class TestBackup:
         for _ in range(20):
             v1 = rng.normal(scale=50, size=160)
             v2 = v1 + rng.uniform(0, 10, size=160)
-            assert np.all(
-                bellman_backup(table2_system, v1) <= bellman_backup(table2_system, v2) + 1e-12
-            )
+            assert np.all(backup(table2_system, v1) <= backup(table2_system, v2) + 1e-12)
 
 
 class TestValueIterate:
@@ -86,7 +83,7 @@ class TestValueIterate:
         values = np.zeros(160)
         last = np.inf
         for _ in range(30):
-            updated = bellman_backup(table2_system, values)
+            updated = backup(table2_system, values)
             dist = np.max(np.abs(updated - values))
             assert dist <= last + 1e-12
             values, last = updated, dist
