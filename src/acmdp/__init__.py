@@ -15,7 +15,7 @@ from .config import (
     render_scenario,
     scenario_fingerprint,
 )
-from .dynamics import EmergencyMatrix, RequestBehavior
+from .dynamics import RequestBehavior
 from .experiments import SweepSpec, run_sweep, self_check, sweep_csv
 from .policy import (
     PolicyMap,

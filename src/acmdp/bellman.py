@@ -7,10 +7,11 @@ structure of both R^a (dynamics.request_dynamics: each set's draw weights
 and, per (action, state), the draw-table entry it reads) and the reward
 of every (action, next status, row) (rewards.reward_parts), all by array
 arithmetic with no Python loop per state.  SystemParts.mix_batch then
-returns the batch of G systems of the built scenario, one emergency matrix
-E per trailing grid column, with q weighted by each E's rows; compile_system
-is column 0 of the batch of the scenario's own E.  A mix can change nothing
-but E, so a sweep over E builds the parts once.  The per-state reference
+returns the batch of G systems of the built scenario, one pair of rates
+(calm_to_alert, alert_to_alert) and so one emergency matrix E per trailing
+grid column, with q weighted by each E's rows; compile_system is column 0
+of the batch of the scenario's own rates.  A mix can change nothing but E,
+so a sweep over the rates builds the parts once.  The per-state reference
 build the tests compare against is tests/oracle.py.
 
 decision_values is the one kernel that evaluates q^a + beta P^a V, on the
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dynamics import ROW_SUM_TOL, EmergencyMatrix, RequestDynamics, request_dynamics
+from .dynamics import ROW_SUM_TOL, RequestDynamics, request_dynamics
 from .rewards import Scenario, reward_parts
 from .states import ACTIONS, Emergency, StateSpace
 
@@ -131,17 +132,18 @@ class SystemParts:
     dynamics: RequestDynamics
     rewards: np.ndarray  # (action, next status, row): see rewards.reward_parts
 
-    def mix_batch(self, emergencies: Sequence[EmergencyMatrix]) -> BellmanSystem:
-        """The batch of the built scenario's systems with each of emergencies as E, in order.
+    def mix_batch(self, rates: Sequence[tuple[float, float]]) -> BellmanSystem:
+        """The batch of the built scenario's systems, one per (calm_to_alert, alert_to_alert).
 
-        E is (2, 2, G) and q, C-contiguous (2, n, G), is
-        q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x].
+        Column g's E is ((1 - c, c), (1 - a, a)) of rates[g] = (c, a), each
+        rate in [0, 1]; E is C-contiguous (2, 2, G) and q, C-contiguous
+        (2, n, G), is q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x].
         """
-        matrices = np.array([e.rows for e in emergencies], dtype=float).transpose(1, 2, 0)
-        matrices = np.ascontiguousarray(matrices)
+        c, a = np.asarray(rates, dtype=float).T
+        matrices = np.array([[1.0 - c, c], [1.0 - a, a]])
         rewards = self.rewards[:, None, :, :, None]
         q = matrices[:, 0, None] * rewards[:, :, 0] + matrices[:, 1, None] * rewards[:, :, 1]
-        return BellmanSystem(self, matrices, q.reshape(2, -1, len(emergencies)))
+        return BellmanSystem(self, matrices, q.reshape(2, -1, len(c)))
 
 
 def build_parts(sc: Scenario) -> SystemParts:
@@ -153,7 +155,7 @@ def build_parts(sc: Scenario) -> SystemParts:
 
 def compile_system(sc: Scenario) -> BellmanSystem:
     """Transition matrices and immediate rewards of every action: the batch of sc's E, column 0."""
-    batch = build_parts(sc).mix_batch([sc.emergency])
+    batch = build_parts(sc).mix_batch([(sc.calm_to_alert, sc.alert_to_alert)])
     return BellmanSystem(batch.parts, batch.emergency[..., 0], batch.q[..., 0])
 
 

@@ -121,6 +121,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _decoded(text: str) -> str:
+    """An argument as UTF-8 text: under a locale that cannot decode its bytes, such as C's
+    ASCII, Python hands them over as lone surrogates (PEP 383), which no label matches."""
+    try:
+        return text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not UTF-8 text") from None
+
+
 def _parse_access(text: str, loaded: LoadedValues) -> Access:
     """An access 'user:resource' named with the loaded table's labels."""
     if ":" not in text:
@@ -234,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="alert status of the state to decide",
     )
     evaluate.add_argument(
-        "--granted", default="", help="granted accesses, e.g. 'alice:high,bob:low'"
+        "--granted", type=_decoded, default="", help="granted accesses, e.g. 'alice:high,bob:low'"
     )
     evaluate.add_argument(
-        "--request", required=True, help="pending request 'user:resource' or 'eps'"
+        "--request", type=_decoded, required=True, help="pending request 'user:resource' or 'eps'"
     )
     evaluate.set_defaults(func=cmd_eval)
 

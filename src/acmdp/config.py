@@ -20,7 +20,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dynamics import EmergencyMatrix, RequestBehavior
+from .dynamics import RequestBehavior
 from .rewards import RewardVariant, Scenario, check_labels
 
 _NUMBER_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
@@ -142,7 +142,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                 resource_names=resources,
                 reward_access=access,
                 reward_resource=penalties,
-                emergency=EmergencyMatrix(*rates),
+                **dict(zip(_RATES, rates)),
                 behavior=behavior,
                 variant=variant,
                 beta=beta,
@@ -168,8 +168,8 @@ def render_scenario(sc: Scenario) -> str:
         f"reward_variant = {sc.variant.value}",
         "",
         "[emergency]",
-        f"calm_to_alert = {_fmt_num(sc.emergency.prob_calm_to_alert)}",
-        f"alert_to_alert = {_fmt_num(sc.emergency.prob_alert_to_alert)}",
+        f"calm_to_alert = {_fmt_num(sc.calm_to_alert)}",
+        f"alert_to_alert = {_fmt_num(sc.alert_to_alert)}",
         "",
         "[reward_access]",
     ]
@@ -184,10 +184,10 @@ def scenario_fingerprint(sc: Scenario) -> str:
     return hashlib.sha256(render_scenario(sc).encode()).hexdigest()[:16]
 
 
-_DRIFTING = EmergencyMatrix(0.1, 1.0)
-# the paper's tables: name -> (beta, emergency, behavior, variant), in BUILTIN_NAMES order
+_DRIFTING = (0.1, 1.0)
+# the paper's tables: name -> (beta, _RATES, behavior, variant), in BUILTIN_NAMES order
 _BUILTINS = {
-    "table1": (0.0, EmergencyMatrix.identity(), RequestBehavior.UNIQUE, RewardVariant.EPS_ZERO),
+    "table1": (0.0, (0.0, 1.0), RequestBehavior.UNIQUE, RewardVariant.EPS_ZERO),
     "table2_unique": (0.9, _DRIFTING, RequestBehavior.UNIQUE, RewardVariant.EPS_ZERO),
     "table2_once": (0.9, _DRIFTING, RequestBehavior.ONCE, RewardVariant.EPS_ZERO),
     "table2_all": (0.9, _DRIFTING, RequestBehavior.ALL, RewardVariant.EPS_ZERO),
@@ -202,14 +202,14 @@ def builtin_scenario(name: str) -> Scenario:
     """Named reference configurations with known decision-value tables."""
     if name not in _BUILTINS:
         raise KeyError(f"unknown builtin scenario {name!r}; choose from {BUILTIN_NAMES}")
-    beta, emergency, behavior, variant = _BUILTINS[name]
+    beta, rates, behavior, variant = _BUILTINS[name]
     # users alice/bob, resources low/high in table column order; grants in bit order
     return Scenario(
         user_names=("alice", "bob"),
         resource_names=("low", "high"),
         reward_access=(6.0, 10.0, 4.0, -10.0),
         reward_resource=(0.0, -20.0),
-        emergency=emergency,
+        **dict(zip(_RATES, rates)),
         behavior=behavior,
         variant=variant,
         beta=beta,

@@ -1,9 +1,11 @@
 """Transition dynamics: the product of three independent factors.
 
-The emergency status evolves by a 2x2 stochastic matrix (EmergencyMatrix, set
-by its two rates of turning and of staying alert), the granted set changes
-deterministically (allow inserts the pending access, deny keeps the set), and
-the next pending request is drawn according to the configured request behaviour.
+The emergency status evolves by a 2x2 stochastic matrix E, set by the
+scenario's rates of turning and of staying alert (Scenario.calm_to_alert and
+Scenario.alert_to_alert, from which bellman.SystemParts.mix_batch forms E),
+the granted set changes deterministically (allow inserts the pending access,
+deny keeps the set), and the next pending request is drawn according to the
+configured request behaviour.
 
 Because the emergency chain is independent of the (granted set, request)
 part and states are ordered emergency-major, each action's transition
@@ -30,7 +32,7 @@ CAP_BITS bounds the keys to 35 dims x 3 behaviours; one 12-bit dims holds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 
@@ -50,30 +52,6 @@ class RequestBehavior(str, Enum):
     UNIQUE = "unique"
     ONCE = "once"
     ALL = "all"
-
-
-@dataclass(frozen=True)
-class EmergencyMatrix:
-    """The 2x2 chain over (calm, alert), held as its two rates of turning alert.
-
-    c = prob_calm_to_alert and a = prob_alert_to_alert lie in [0, 1], NaN refused;
-    rows, derived once, is the row-stochastic matrix ((1 - c, c), (1 - a, a)).
-    """
-
-    prob_calm_to_alert: float
-    prob_alert_to_alert: float
-    rows: tuple[tuple[float, float], tuple[float, float]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        c, a = self.prob_calm_to_alert, self.prob_alert_to_alert
-        for p in (c, a):
-            if not 0.0 <= p <= 1.0:  # false for NaN
-                raise ValueError(f"emergency probability {p} outside [0, 1]")
-        object.__setattr__(self, "rows", ((1.0 - c, c), (1.0 - a, a)))
-
-    @classmethod
-    def identity(cls) -> "EmergencyMatrix":
-        return cls(0.0, 1.0)
 
 
 def _shared(array: np.ndarray) -> np.ndarray:

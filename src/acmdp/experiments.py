@@ -5,8 +5,8 @@ stays the scenario's), solves the model at each grid point, and tracks
 every access's decision values from the calm, nothing-granted states.
 Crossovers (where allow overtakes deny) are bracketed on the grid and then
 pinned down by bisection.  Only the emergency matrix E changes along a
-sweep, so the scenario is compiled once and every point mixes its E into
-the E-free parts, which can change nothing else.
+sweep, so the scenario is compiled once and every point p mixes the rates
+(p, alert_to_alert) into the E-free parts, which can change nothing else.
 
 Both solvers solve a batch of such systems (bellman.SystemParts.mix_batch),
 so one path serves both.  The grid is solved in chunks whose width
@@ -44,7 +44,6 @@ from .bellman import (
     rounding_allowance,
     validate_stochastic,
 )
-from .dynamics import EmergencyMatrix
 from .policy import TIE_TOL, solve_system, solver_function
 from .rewards import Scenario
 from .states import Access, Action, Emergency
@@ -151,10 +150,9 @@ def _bisect(
     once by solve(point, start=...) from the mean of ends' columns, and its
     own values then take the column of the end it replaces.
     """
-    alert_to_alert = parts.scenario.emergency.prob_alert_to_alert
     while hi - lo > CROSSOVER_WIDTH:
         mid = 0.5 * (lo + hi)
-        point = parts.mix_batch([EmergencyMatrix(mid, alert_to_alert)])
+        point = parts.mix_batch([(mid, parts.scenario.alert_to_alert)])
         values, _ = solve(point, start=0.5 * (ends[:, :1] + ends[:, 1:]))
         dv = decision_values(point, values)[:, state, 0]
         f_mid = float(dv[Action.ALLOW] - dv[Action.DENY])
@@ -186,7 +184,6 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     """
     solve = solver_function(solver)
     grid = spec.grid()
-    alert_to_alert = spec.scenario.emergency.prob_alert_to_alert
     parts = build_parts(spec.scenario)
     accesses = list(spec.scenario.dims.accesses())
     # the (calm, nothing granted, access) states; accesses are requests 0.. in bit order
@@ -196,7 +193,7 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     crossovers = [CrossoverResult(access, None) for access in accesses]
     for first in range(0, len(grid), width):
         chunk = grid[first : first + width]
-        batch = parts.mix_batch([EmergencyMatrix(p, alert_to_alert) for p in chunk])
+        batch = parts.mix_batch([(p, spec.scenario.alert_to_alert) for p in chunk])
         values, _ = solve(batch)
         chunks.append(decision_values(batch, values)[:, calm_empty])
         gaps = chunks[-1][Action.ALLOW] - chunks[-1][Action.DENY]  # (accesses, columns)

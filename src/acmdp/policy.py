@@ -343,6 +343,10 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
         if action not in ("deny", "allow"):
             raise ValueFileError(lineno, f"bad action label {action!r}")
         try:
+            # int() and float() also read '_' and non-ASCII digits, which export_values never writes
+            plain = set_text + value_t + dv_d + dv_a
+            if not (plain.isascii() and set_text.isdigit()) or "_" in plain:
+                raise ValueError
             set_index = int(set_text)
             value, dv_deny, dv_allow = float(value_t), float(dv_d), float(dv_a)
         except ValueError:

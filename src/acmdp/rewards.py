@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import EmergencyMatrix, RequestBehavior, next_access_sets, set_request_rows
+from .dynamics import RequestBehavior, next_access_sets, set_request_rows
 from .states import ACTIONS, Action, ModelDims
 
 
@@ -64,7 +64,9 @@ class Scenario:
     # in access-bit order; reward_resource[r] is resource r's alert penalty
     reward_access: tuple[float, ...]
     reward_resource: tuple[float, ...]
-    emergency: EmergencyMatrix
+    # the emergency chain E = ((1 - c, c), (1 - a, a)) of c = calm_to_alert, a = alert_to_alert
+    calm_to_alert: float
+    alert_to_alert: float
     behavior: RequestBehavior
     variant: RewardVariant
     beta: float
@@ -90,6 +92,9 @@ class Scenario:
         check_labels("resource", self.resource_names)
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta {self.beta} outside [0, 1)")
+        for name in ("calm_to_alert", "alert_to_alert"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # false for NaN
+                raise ValueError(f"{name} {getattr(self, name)} outside [0, 1]")
         d = self.dims
         for name, size in (("reward_access", d.num_access_bits), ("reward_resource", d.num_resources)):
             if len(getattr(self, name)) != size:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from acmdp.dynamics import EmergencyMatrix, RequestBehavior
+from acmdp.dynamics import RequestBehavior
 from acmdp.rewards import RewardVariant, Scenario
 from acmdp.states import (
     ACTIONS,
@@ -41,8 +41,10 @@ def all_states(space: StateSpace) -> list[State]:
     return [space.index_state(i) for i in range(len(space))]
 
 
-def emergency_prob(m: EmergencyMatrix, src: Emergency, dst: Emergency) -> float:
-    return m.rows[int(src)][int(dst)]
+def emergency_prob(sc: Scenario, src: Emergency, dst: Emergency) -> float:
+    """E[src, dst]: the rate of turning alert from src, or its complement for calm."""
+    alert = sc.calm_to_alert if src is Emergency.CALM else sc.alert_to_alert
+    return alert if dst is Emergency.ALERT else 1.0 - alert
 
 
 def next_access_set(k: int, req: Request, act: Action, d: ModelDims) -> int:
@@ -81,7 +83,7 @@ def successors(sc: Scenario, s: State, act: Action) -> list[tuple[State, float]]
     requests = request_distribution(sc.behavior, k2, sc.dims, s.request)
     out: list[tuple[State, float]] = []
     for e2 in (Emergency.CALM, Emergency.ALERT):
-        pe = emergency_prob(sc.emergency, s.emergency, e2)
+        pe = emergency_prob(sc, s.emergency, e2)
         if pe == 0.0:
             continue
         for req2, pr in requests:

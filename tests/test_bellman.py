@@ -8,7 +8,6 @@ from oracle import lattice_solve, oracle_compile
 
 from acmdp import (
     BUILTIN_NAMES,
-    EmergencyMatrix,
     ModelDims,
     RequestBehavior,
     RewardVariant,
@@ -34,8 +33,13 @@ def assert_matches_oracle(sc):
 
 def at_rate(sc, calm_to_alert):
     """sc with its calm-to-alert probability replaced."""
-    emergency = EmergencyMatrix(calm_to_alert, sc.emergency.prob_alert_to_alert)
-    return dataclasses.replace(sc, emergency=emergency)
+    return dataclasses.replace(sc, calm_to_alert=calm_to_alert)
+
+
+def with_rates(sc, rates):
+    """sc with its (calm_to_alert, alert_to_alert) replaced by rates."""
+    calm_to_alert, alert_to_alert = rates
+    return dataclasses.replace(sc, calm_to_alert=calm_to_alert, alert_to_alert=alert_to_alert)
 
 
 def small_scenario(users, resources, behavior, variant, rates=(0.3, 0.8), beta=0.9, seed=0):
@@ -46,7 +50,8 @@ def small_scenario(users, resources, behavior, variant, rates=(0.3, 0.8), beta=0
         resource_names=tuple(f"r{i}" for i in range(resources)),
         reward_access=tuple(float(rng.integers(-100, 200)) / 10 for _ in dims.accesses()),
         reward_resource=tuple(float(rng.integers(-300, 0)) / 10 for _ in range(resources)),
-        emergency=EmergencyMatrix(*rates),
+        calm_to_alert=rates[0],
+        alert_to_alert=rates[1],
         behavior=RequestBehavior(behavior),
         variant=RewardVariant(variant),
         beta=beta,
@@ -112,11 +117,10 @@ class TestFactoredCompile:
 
     def test_corrupted_emergency_matrix_matches_oracle(self):
         # bypass the constructor check: q must still follow the per-state sums
-        broken = EmergencyMatrix.__new__(EmergencyMatrix)
-        object.__setattr__(broken, "rows", ((0.7, 0.1), (0.0, 1.0)))
         for behavior in RequestBehavior:
             sc = small_scenario(2, 2, behavior.value, "eps_accrues")
-            assert_matches_oracle(dataclasses.replace(sc, emergency=broken))
+            object.__setattr__(sc, "calm_to_alert", 1.5)  # calm row (-0.5, 1.5)
+            assert_matches_oracle(sc)
 
 
 def assert_same_column(batch, g, want):
@@ -154,7 +158,7 @@ class TestMixEmergency:
     def test_one_build_mixed_anywhere_matches_a_fresh_compile(self, name):
         sc = mix_scenario(name)
         at_p = [at_rate(sc, p) for p in (0.0, 0.37, 1.0)]
-        batch = build_parts(sc).mix_batch([point.emergency for point in at_p])
+        batch = build_parts(sc).mix_batch([(p.calm_to_alert, p.alert_to_alert) for p in at_p])
         for g, point in enumerate(at_p):
             assert_same_column(batch, g, compile_system(point))
 
@@ -199,10 +203,8 @@ class TestMixEmergency:
         field = next(iter(change))
         assert getattr(sc, field) != change[field]
         built = dataclasses.replace(sc, **change)
-        emergency = EmergencyMatrix(0.37, 0.6)
-        mixed = build_parts(built).mix_batch([emergency])
-        at_e = dataclasses.replace(built, emergency=emergency)
-        assert_same_column(mixed, 0, compile_system(at_e))
+        mixed = build_parts(built).mix_batch([(0.37, 0.6)])
+        assert_same_column(mixed, 0, compile_system(with_rates(built, (0.37, 0.6))))
 
 
 KERNEL_DIMS = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)]
@@ -222,13 +224,13 @@ class TestKernel:
                 users, resources, behavior, variant, beta=beta, seed=int(rng.integers(2**16))
             )
             parts = build_parts(sc)
-            emergencies = [EmergencyMatrix(*rng.uniform(0.0, 1.0, 2)) for _ in range(3)]
-            batch = parts.mix_batch(emergencies)
+            rates = [tuple(rng.uniform(0.0, 1.0, 2)) for _ in range(3)]
+            batch = parts.mix_batch(rates)
             assert batch.q.flags.c_contiguous
             values = rng.normal(scale=100.0, size=batch.q.shape[1:])
             dv = decision_values(batch, values)
-            for g, emergency in enumerate(emergencies):
-                single = compile_system(dataclasses.replace(sc, emergency=emergency))
+            for g, pair in enumerate(rates):
+                single = compile_system(with_rates(sc, pair))
                 column = values[:, g]
                 bound = 8 * eps * (np.abs(single.q).max() + beta * np.abs(column).max())
                 for got in (dv[..., g], decision_values(single, column)):

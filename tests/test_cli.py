@@ -411,7 +411,11 @@ def test_readme_python_block_runs(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```")[0]
-    exec(block, {})
+    names = {}
+    exec(block, names)
+    # the parameter variation it shows: bob's high access turns to deny at a calmer rate
+    assert names["solution"].policy.action(names["i"]) is acmdp.Action.ALLOW
+    assert names["calmer"].policy.action(names["i"]) is acmdp.Action.DENY
 
 
 def test_readme_tolerances_name_existing_constants():
@@ -469,6 +473,9 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
         "solve --scenario s.txt --out u.txt",
         "eval --scenario s.txt --values u.txt --emergency calm --request bob:low",
         "eval --scenario s.txt --values elsewhere.txt --emergency calm --request bob:low",
+        # the locale cannot decode josé's bytes: the arguments arrive surrogate-escaped
+        "eval --scenario s.txt --values u.txt --emergency calm --request josé:low",
+        "eval --scenario s.txt --values u.txt --emergency calm --request bob:low --granted josé:low",
         "decisions --scenario s.txt --csv d.csv",
         "sweep --scenario s.txt --step 0.25 --out w.csv",
     ]
@@ -483,6 +490,26 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
         encoding="utf-8",
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]", out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0]", out.stderr
     assert "josé" in (tmp_path / "d.csv").read_text(encoding="utf-8")
     assert "josé" in (tmp_path / "w.csv").read_text(encoding="utf-8")
+
+
+def test_surrogate_escaped_labels_are_their_utf8_text(tmp_path, capsys):
+    # how Python hands over josé's UTF-8 bytes under an ASCII locale, and a
+    # byte that is not UTF-8 at all
+    sc = dataclasses.replace(builtin_scenario("table2_once"), user_names=("josé", "bob"))
+    scenario, values = tmp_path / "s.txt", tmp_path / "u.txt"
+    scenario.write_text(render_scenario(sc), encoding="utf-8")
+    export_values(solve_scenario(sc), values)
+    common = ["eval", "--scenario", str(scenario), "--values", str(values), "--emergency", "calm"]
+    for request in (["--request", "jos\udcc3\udca9:low"], ["--request", "josé:low"]):
+        assert main(common + request) == 0
+        assert capsys.readouterr().out.startswith("decision: allow\n")
+    assert main(common + ["--request", "bob:low", "--granted", "jos\udcc3\udca9:low"]) == 0
+    for option in ("--request", "--granted"):
+        args = {"--request": "bob:low", option: "jos\udce9:low"}
+        with pytest.raises(SystemExit) as exc:
+            main(common + [part for pair in args.items() for part in pair])
+        assert exc.value.code == 2
+        assert f"argument {option}: 'jos\\udce9:low' is not UTF-8 text" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from acmdp import (
     BUILTIN_NAMES,
-    EmergencyMatrix,
     ModelDims,
     RequestBehavior,
     RewardVariant,
@@ -67,7 +66,7 @@ class TestParse:
         # indices follow declaration order: high before low in this file
         assert sc.resource_names == ("high", "low")
         assert sc.reward_access[1 * 2 + 0] == -10  # bob high, at bit u * NR + r
-        assert sc.emergency.prob_calm_to_alert == pytest.approx(0.1)
+        assert sc.calm_to_alert == pytest.approx(0.1)
 
     def test_bit_order_comes_from_the_labels(self):
         # the same file with its [reward_access] lines in reverse
@@ -254,6 +253,13 @@ class TestScenarioChecks:
         with pytest.raises(ValueError, match=message):
             replace(builtin_scenario("table2_once"), **change)
 
+    @pytest.mark.parametrize("field", ["calm_to_alert", "alert_to_alert"])
+    @pytest.mark.parametrize("rate", [1.5, -0.5, float("nan")])
+    def test_rate_out_of_range_refused(self, field, rate):
+        # a NaN rate fails the range test as well
+        with pytest.raises(ValueError, match=f"{field} {rate} outside \\[0, 1\\]"):
+            replace(builtin_scenario("table2_once"), **{field: rate})
+
     @pytest.mark.parametrize(
         "entries",
         ["1234", ("1.5", 2, 3, 4), (True, 2, 3, 4)],
@@ -353,7 +359,8 @@ def scenarios(draw):
         resource_names=tuple(resources),
         reward_access=tuple(draw(rewards) for _ in dims.accesses()),
         reward_resource=tuple(draw(rewards) for _ in resources),
-        emergency=EmergencyMatrix(draw(st.floats(0, 1)), draw(st.floats(0, 1))),
+        calm_to_alert=draw(st.floats(0, 1)),
+        alert_to_alert=draw(st.floats(0, 1)),
         behavior=draw(st.sampled_from(RequestBehavior)),
         variant=draw(st.sampled_from(RewardVariant)),
         beta=draw(st.floats(0, 1, exclude_max=True)),
@@ -378,11 +385,11 @@ class TestBuiltins:
     def test_table1_parameters(self):
         sc = builtin_scenario("table1")
         assert sc.beta == 0.0
-        assert sc.emergency.prob_calm_to_alert == 0.0
+        assert sc.calm_to_alert == 0.0
         assert sc.behavior is RequestBehavior.UNIQUE
 
     def test_table2_all_emergency(self):
-        assert builtin_scenario("table2_all").emergency.prob_calm_to_alert == pytest.approx(0.1)
+        assert builtin_scenario("table2_all").calm_to_alert == pytest.approx(0.1)
 
     def test_modified_variant(self):
         assert builtin_scenario("modified_unique").variant is RewardVariant.EPS_ACCRUES
@@ -405,8 +412,7 @@ class TestBuiltins:
     def test_round_trip_without_exponents(self):
         # repr would write 1e-08, which the format refuses
         sc = replace(
-            builtin_scenario("modified_unique"),
-            emergency=EmergencyMatrix(1e-8, 1 - 1e-8),
+            builtin_scenario("modified_unique"), calm_to_alert=1e-8, alert_to_alert=1 - 1e-8
         )
         text = render_scenario(sc)
         assert "calm_to_alert = 0.00000001" in text

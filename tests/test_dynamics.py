@@ -12,14 +12,13 @@ from oracle import (
     request_distribution,
     successors,
 )
-from test_bellman import small_scenario
+from test_bellman import small_scenario, with_rates
 
 from acmdp import (
     BUILTIN_NAMES,
     Access,
     Action,
     Emergency,
-    EmergencyMatrix,
     ModelDims,
     RequestBehavior,
     State,
@@ -33,33 +32,29 @@ from acmdp.dynamics import ROW_SUM_TOL, next_access_sets, request_dynamics, set_
 from acmdp.states import ACTIONS
 
 D22 = ModelDims(2, 2)
-DRIFT = EmergencyMatrix(0.1, 1.0)
+DRIFT = (0.1, 1.0)  # (calm_to_alert, alert_to_alert)
+STILL = (0.0, 1.0)  # E is the identity: the status never changes
 
 
-def model(emergency, behavior):
+def model(rates, behavior):
     """A 2x2 scenario with these dynamics."""
-    return replace(builtin_scenario("table2_unique"), emergency=emergency, behavior=behavior)
+    return replace(with_rates(builtin_scenario("table2_unique"), rates), behavior=behavior)
 
 
 def dist_as_dict(pairs):
     return {key: p for key, p in pairs}
 
 
-class TestEmergencyMatrix:
-    def test_range_enforced(self):
-        # a NaN rate fails the range test as well
-        for rate in (1.5, -0.5, math.nan):
-            for rates in ((rate, 1.0), (0.1, rate)):
-                with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
-                    EmergencyMatrix(*rates)
-
+class TestEmergencyChain:
     def test_rates(self):
-        m = EmergencyMatrix(0.1, 1.0)
+        m = model(DRIFT, RequestBehavior.UNIQUE)
         assert emergency_prob(m, Emergency.CALM, Emergency.ALERT) == pytest.approx(0.1)
         assert emergency_prob(m, Emergency.CALM, Emergency.CALM) == pytest.approx(0.9)
         assert emergency_prob(m, Emergency.ALERT, Emergency.CALM) == 0.0
-        assert EmergencyMatrix(0.25, 0.5).rows == ((0.75, 0.25), (0.5, 0.5))
-        assert EmergencyMatrix.identity().rows == ((1.0, 0.0), (0.0, 1.0))
+        chain = compile_system(model((0.25, 0.5), RequestBehavior.UNIQUE)).emergency
+        assert chain.tolist() == [[0.75, 0.25], [0.5, 0.5]]
+        still = compile_system(model(STILL, RequestBehavior.UNIQUE)).emergency
+        assert still.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 class TestNextAccessSet:
@@ -215,7 +210,7 @@ class TestRequestDistribution:
 
 class TestSuccessors:
     def test_fully_deterministic_case(self):
-        m = model(EmergencyMatrix.identity(), RequestBehavior.UNIQUE)
+        m = model(STILL, RequestBehavior.UNIQUE)
         succ = successors(m, State(Emergency.CALM, 0, Access(0, 0)), Action.ALLOW)
         assert succ == [(State(Emergency.CALM, 1, None), 1.0)]
 
@@ -236,7 +231,7 @@ class TestSuccessors:
         assert all(s.granted == 2 for s, _ in succ)
 
     def test_no_zero_probability_entries(self):
-        m = model(EmergencyMatrix.identity(), RequestBehavior.ONCE)
+        m = model(STILL, RequestBehavior.ONCE)
         for s in all_states(StateSpace(D22)):
             for act in (Action.DENY, Action.ALLOW):
                 assert all(p > 0.0 for _, p in successors(m, s, act))
@@ -305,11 +300,11 @@ class TestValidateStochastic:
     def test_builtins_pass_at_extreme_rates(self, name):
         # rates of 0 and 1 leave zeros in E, which the check accepts
         sc = builtin_scenario(name)
-        emergencies = [sc.emergency] + [
-            EmergencyMatrix(p, q) for p in (0.0, 1.0) for q in (0.0, 1.0)
+        rates = [(sc.calm_to_alert, sc.alert_to_alert)] + [
+            (p, q) for p in (0.0, 1.0) for q in (0.0, 1.0)
         ]
-        for emergency in emergencies:
-            assert validate_stochastic(compile_system(replace(sc, emergency=emergency))) == []
+        for pair in rates:
+            assert validate_stochastic(compile_system(with_rates(sc, pair))) == []
 
     @pytest.mark.parametrize(
         "rows, problem",
@@ -332,10 +327,9 @@ class TestValidateStochastic:
         ],
     )
     def test_broken_emergency_row_reported_once(self, rows, problem):
-        # bypass the constructor check to simulate a corrupted model
-        broken = EmergencyMatrix.__new__(EmergencyMatrix)
-        object.__setattr__(broken, "rows", rows)
-        assert validate_stochastic(compile_system(model(broken, RequestBehavior.ONCE))) == [problem]
+        # put the rows into a compiled system to simulate a corrupted model
+        system = compile_system(model(DRIFT, RequestBehavior.ONCE))
+        assert validate_stochastic(replace(system, emergency=np.array(rows))) == [problem]
 
     @pytest.mark.parametrize(
         "corrupt, problem",
@@ -358,9 +352,8 @@ class TestValidateStochastic:
         assert validate_stochastic(broken) == [problem]
 
     def test_problems_are_listed_by_factor(self):
-        broken = EmergencyMatrix.__new__(EmergencyMatrix)
-        object.__setattr__(broken, "rows", ((0.9, 0.1), (0.3, 0.2)))
-        system = compile_system(model(broken, RequestBehavior.ALL))
+        system = compile_system(model(DRIFT, RequestBehavior.ALL))
+        system = replace(system, emergency=np.array(((0.9, 0.1), (0.3, 0.2))))
         dynamics = read_past_table(halve(overfill(system.parts.dynamics, 3, 0), 2, 0), 0, 7)
         assert validate_stochastic(with_dynamics(system, dynamics)) == [
             "emergency row alert [0.3, 0.2] has mass 0.5",

@@ -4,13 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_bellman import small_scenario
+from test_bellman import at_rate, small_scenario
 
 import acmdp.bellman
 import acmdp.dynamics
 import acmdp.experiments
 import acmdp.policy
-from acmdp import BUILTIN_NAMES, Action, EmergencyMatrix, builtin_scenario
+from acmdp import BUILTIN_NAMES, Action, builtin_scenario
 from acmdp.bellman import (
     VERIFY_TOL,
     VerificationReport,
@@ -47,8 +47,7 @@ BUILTIN_CROSSOVERS = {
 
 def exact_gap(sc, probability, pos):
     """allow - deny of the calm, nothing-granted state of access pos, by the LP."""
-    emergency = EmergencyMatrix(probability, sc.emergency.prob_alert_to_alert)
-    solution = acmdp.solve_scenario(dataclasses.replace(sc, emergency=emergency), "lp")
+    solution = acmdp.solve_scenario(at_rate(sc, probability), "lp")
     state = solution.system.space.position(0, 0, pos)
     return solution.dv[int(Action.ALLOW), state] - solution.dv[int(Action.DENY), state]
 
@@ -156,9 +155,7 @@ class TestRunSweep:
         "sc",
         [builtin_scenario(name) for name in BUILTIN_NAMES]
         + [
-            dataclasses.replace(
-                builtin_scenario("table2_once"), emergency=EmergencyMatrix(0.1, 0.6)
-            )
+            dataclasses.replace(builtin_scenario("table2_once"), alert_to_alert=0.6)
         ],
         ids=[*BUILTIN_NAMES, "table2_once_alert_to_alert_0.6"],
     )
@@ -174,10 +171,8 @@ class TestRunSweep:
         lp_sweep = run_sweep(spec, solver="lp")
         parts = build_parts(sc)
         calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
-        alert_to_alert = sc.emergency.prob_alert_to_alert
         for point, lp_point in zip(vi.points, lp_sweep.points):
-            emergency = EmergencyMatrix(point.probability, alert_to_alert)
-            system = compile_system(dataclasses.replace(sc, emergency=emergency))
+            system = compile_system(at_rate(sc, point.probability))
             values, _ = acmdp.policy.policy_iterate(system)
             dv = decision_values(system, values)[:, calm_empty]
             allowance = rounding_allowance(values, sc.beta)
@@ -247,9 +242,9 @@ class TestRunSweep:
             builds.append(sc)
             return build(sc)
 
-        def counted_batch(parts, emergencies):
-            batches.append(len(emergencies))
-            return batch(parts, emergencies)
+        def counted_batch(parts, rates):
+            batches.append(len(rates))
+            return batch(parts, rates)
 
         monkeypatch.setattr(acmdp.experiments, "build_parts", counted_build)
         monkeypatch.setattr(acmdp.bellman.SystemParts, "mix_batch", counted_batch)
@@ -339,8 +334,7 @@ class TestRunSweep:
         parts = build_parts(sc)
         calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
         for point in result.points:
-            emergency = EmergencyMatrix(point.probability, 1.0)
-            system = compile_system(dataclasses.replace(sc, emergency=emergency))
+            system = compile_system(at_rate(sc, point.probability))
             dv = decision_values(system, exact(system)[0])
             assert np.array_equal(point.dv, dv[:, calm_empty])
 
@@ -374,7 +368,7 @@ class TestRunSweep:
         assert grid_widths == [width] * 3 + [len(spec.grid()) - 3 * width]
         assert max(columns for columns, _ in widths) == width
         assert peak < 1.25 * CHUNK_BYTES
-        batch = parts.mix_batch([EmergencyMatrix(p, 1.0) for p in spec.grid()])
+        batch = parts.mix_batch([(p, 1.0) for p in spec.grid()])
         calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
         dv = decision_values(batch, solve(batch)[0])[:, calm_empty]
         assert np.array_equal(np.stack([point.dv for point in result.points], -1), dv)
@@ -389,9 +383,9 @@ class TestRunSweep:
         monkeypatch.setattr(acmdp.experiments, "CHUNK_BYTES", 8 * states * SOLVER_ARRAYS[solver])
         batch, widths = acmdp.bellman.SystemParts.mix_batch, []
 
-        def counted_batch(parts, emergencies):
-            widths.append(len(emergencies))
-            return batch(parts, emergencies)
+        def counted_batch(parts, rates):
+            widths.append(len(rates))
+            return batch(parts, rates)
 
         monkeypatch.setattr(acmdp.bellman.SystemParts, "mix_batch", counted_batch)
         split = run_sweep(spec, solver=solver)
@@ -414,7 +408,7 @@ class TestRunSweep:
         grid = np.linspace(0.0, 0.2, 101)
         solve = acmdp.policy.solver_function(solver)
         for _ in range(2):
-            batch = parts.mix_batch([EmergencyMatrix(p, 1.0) for p in grid])
+            batch = parts.mix_batch([(p, 1.0) for p in grid])
             tracemalloc.start()
             try:
                 solve(batch)
@@ -661,11 +655,9 @@ class TestSelfCheck:
         )
 
     def test_broken_matrix_fails_stochasticity(self):
-        from acmdp import EmergencyMatrix
-
+        # bypass the constructor check: the calm row of E is (-0.5, 1.5)
         sc = builtin_scenario("table2_unique")
-        broken = EmergencyMatrix.__new__(EmergencyMatrix)
-        object.__setattr__(broken, "rows", ((0.7, 0.1), (0.0, 1.0)))
-        checks = self_check(dataclasses.replace(sc, emergency=broken))
+        object.__setattr__(sc, "calm_to_alert", 1.5)
+        checks = self_check(sc)
         assert checks[0].name == "stochasticity"
         assert not checks[0].passed

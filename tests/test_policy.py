@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from oracle import lattice_solve, oracle_compile
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
-from test_bellman import small_scenario
+from test_bellman import small_scenario, with_rates
 from test_dynamics import clear_shape_caches
 
 import acmdp.bellman
@@ -26,7 +26,6 @@ from acmdp import (
     Action,
     BUILTIN_NAMES,
     Emergency,
-    EmergencyMatrix,
     ModelDims,
     RequestBehavior,
     RewardVariant,
@@ -252,7 +251,8 @@ class TestExtractPolicy:
             resource_names=("low", "high"),
             reward_access=(0.0, 0.0, 0.0, 0.0),
             reward_resource=(0.0, 0.0),
-            emergency=EmergencyMatrix(0.1, 1.0),
+            calm_to_alert=0.1,
+            alert_to_alert=1.0,
             behavior=RequestBehavior.ALL,
             variant=RewardVariant.EPS_ZERO,
             beta=0.9,
@@ -276,7 +276,8 @@ class TestExtractPolicy:
             resource_names=sc.resource_names,
             reward_access=tuple(2.0 * v for v in sc.reward_access),
             reward_resource=tuple(2.0 * v for v in sc.reward_resource),
-            emergency=sc.emergency,
+            calm_to_alert=sc.calm_to_alert,
+            alert_to_alert=sc.alert_to_alert,
             behavior=sc.behavior,
             variant=sc.variant,
             beta=sc.beta,
@@ -611,10 +612,9 @@ class TestLpBatch:
     def test_grid_columns_are_their_batches_of_one(self, name):
         sc = builtin_scenario(name)
         parts = build_parts(sc)
-        alert_to_alert = sc.emergency.prob_alert_to_alert
-        emergencies = [EmergencyMatrix(i / 100, alert_to_alert) for i in range(101)]
-        values, bases = policy_iterate(parts.mix_batch(emergencies))
-        alone = [policy_iterate(parts.mix_batch([e])) for e in emergencies]
+        rates = [(i / 100, sc.alert_to_alert) for i in range(101)]
+        values, bases = policy_iterate(parts.mix_batch(rates))
+        alone = [policy_iterate(parts.mix_batch([pair])) for pair in rates]
         assert bases == max(b for _, b in alone)
         for column, (want, _) in zip(values.T, alone):
             assert np.array_equal(column, want[:, 0])
@@ -632,13 +632,12 @@ class TestLpBatch:
     ):
         sc = small_scenario(2, 3, behavior, variant, beta=beta, seed=seed)
         parts = build_parts(sc)
-        emergencies = [EmergencyMatrix(*r) for r in rates]
-        values, _ = policy_iterate(parts.mix_batch(emergencies))
+        values, _ = policy_iterate(parts.mix_batch(rates))
         assert values.shape == (len(parts.space), len(rates))
-        for column, emergency in zip(values.T, emergencies):
-            assert np.array_equal(column, policy_iterate(parts.mix_batch([emergency]))[0][:, 0])
+        for column, pair in zip(values.T, rates):
+            assert np.array_equal(column, policy_iterate(parts.mix_batch([pair]))[0][:, 0])
             # and a single system is that batch of one
-            single = compile_system(dataclasses.replace(sc, emergency=emergency))
+            single = compile_system(with_rates(sc, pair))
             assert np.array_equal(column, policy_iterate(single)[0])
 
     def test_stopped_columns_leave_the_batch(self, monkeypatch):
@@ -646,8 +645,8 @@ class TestLpBatch:
         # returns the values it would return alone
         sc = small_scenario(2, 2, "once", "eps_accrues", rates=(0.1, 1.0), seed=25)
         parts = build_parts(sc)
-        emergencies = [EmergencyMatrix(p, 1.0) for p in (0.0, 0.1, 0.2, 0.5)]
-        alone = [policy_iterate(parts.mix_batch([e])) for e in emergencies]
+        rates = [(p, 1.0) for p in (0.0, 0.1, 0.2, 0.5)]
+        alone = [policy_iterate(parts.mix_batch([pair])) for pair in rates]
         assert [b for _, b in alone] == [1, 2, 3, 1]
         price, widths = acmdp.policy.price_table, []
 
@@ -656,7 +655,7 @@ class TestLpBatch:
             return price(system, table)
 
         monkeypatch.setattr(acmdp.policy, "price_table", recorded)
-        values, bases = policy_iterate(parts.mix_batch(emergencies))
+        values, bases = policy_iterate(parts.mix_batch(rates))
         assert bases == 3
         # each basis prices its columns once per granted-set level
         levels = sc.dims.num_access_bits + 1
@@ -666,7 +665,7 @@ class TestLpBatch:
 
     def test_optimal_start_solves_in_one_basis(self):
         parts = build_parts(builtin_scenario("modified_once"))
-        batch = parts.mix_batch([EmergencyMatrix(p, 1.0) for p in (0.0, 0.3, 1.0)])
+        batch = parts.mix_batch([(p, 1.0) for p in (0.0, 0.3, 1.0)])
         values, bases = policy_iterate(batch)
         assert bases == 2
         again, bases = policy_iterate(batch, start=values)
@@ -674,7 +673,7 @@ class TestLpBatch:
 
     def test_basis_budget_raises_convergence_error(self, monkeypatch):
         parts = build_parts(builtin_scenario("table2_all"))
-        batch = parts.mix_batch([EmergencyMatrix(p, 1.0) for p in (0.0, 0.3)])
+        batch = parts.mix_batch([(p, 1.0) for p in (0.0, 0.3)])
         monkeypatch.setattr(acmdp.policy, "MAX_BASES", 1)
         with pytest.raises(ConvergenceError, match="no optimal policy basis within 1 bases"):
             policy_iterate(batch)
@@ -758,17 +757,16 @@ class TestPolicyEvaluate:
     )
     def test_batch_columns_are_their_batches_of_one(self, behavior, variant, beta, seed, rates):
         parts = build_parts(small_scenario(2, 3, behavior, variant, beta=beta, seed=seed))
-        emergencies = [EmergencyMatrix(*r) for r in rates]
         policies = random_policies(seed, (len(parts.space), len(rates)))
-        dv = policy_evaluate(parts.mix_batch(emergencies), policies)
+        dv = policy_evaluate(parts.mix_batch(rates), policies)
         assert dv.shape == (2, len(parts.space), len(rates))
-        for g, emergency in enumerate(emergencies):
-            alone = policy_evaluate(parts.mix_batch([emergency]), policies[:, g : g + 1])
+        for g, pair in enumerate(rates):
+            alone = policy_evaluate(parts.mix_batch([pair]), policies[:, g : g + 1])
             assert bitwise_equal(dv[..., g : g + 1], alone)
 
     def test_mask_of_wrong_shape_raises(self):
         system = compile_system(builtin_scenario("table2_all"))
-        batch = system.parts.mix_batch([EmergencyMatrix.identity()] * 3)
+        batch = system.parts.mix_batch([(0.0, 1.0)] * 3)
         for target, shape in ((batch, (3, 160)), (batch, (160,)), (system, (160, 1))):
             message = f"policy has shape {shape}, expected {target.q.shape[1:]}"
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -785,7 +783,7 @@ def test_solvers_refuse_a_start_of_the_wrong_shape_alike(solve, width, shape):
     # makes a transposed or flattened start fit
     system = compile_system(builtin_scenario("table2_all"))
     if width is not None:
-        system = system.parts.mix_batch([EmergencyMatrix.identity()] * width)
+        system = system.parts.mix_batch([(0.0, 1.0)] * width)
     expected = system.q.shape[1:]
     message = f"start has shape {shape}, expected {expected}"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -800,7 +798,7 @@ def test_solvers_refuse_a_non_finite_start_before_any_step(monkeypatch, solve, b
     # all-deny policy, so one non-finite entry is refused before any step
     system = compile_system(builtin_scenario("table2_all"))
     if width is not None:
-        system = system.parts.mix_batch([EmergencyMatrix.identity()] * width)
+        system = system.parts.mix_batch([(0.0, 1.0)] * width)
     start = np.ones(system.q.shape[1:])
     start.flat[-1] = bad  # the last state of the last column
 
@@ -899,6 +897,34 @@ class TestValueFiles:
             import_values(path)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize(
+        "field, spelling",
+        [
+            (1, "0_0"),
+            (1, "\u0660"),  # ARABIC-INDIC DIGIT ZERO
+            (1, "+0"),
+            (4, "{}_0"),
+            (4, "1_0"),
+            (6, "{}\u0660"),
+            (7, "\uff11{}"),  # FULLWIDTH DIGIT ONE
+        ],
+        ids=["set 0_0", "arabic-indic set", "signed set", "value _0", "1_0", "dv_deny", "dv_allow"],
+    )
+    def test_spellings_export_never_writes_are_refused(self, solved, tmp_path, field, spelling):
+        # int() and float() read each of these as a number, the set index as
+        # set 0; export_values writes str(k) and %.12g
+        sol = solved("table2_once")
+        lines = exported(sol, tmp_path).read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[field] = spelling.format(fields[field])
+        lines[2] = ",".join(fields)
+        path = tmp_path / "edited.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for scenario in (None, sol.scenario):
+            with pytest.raises(ValueFileError, match="malformed row") as err:
+                import_values(path, scenario=scenario)
+            assert err.value.line == 3
+
     def test_blank_lines_inside_a_table_are_skipped(self, solved, tmp_path):
         # an empty line and a line of spaces among the rows import to the same
         # rows; a broken row after them is refused at its line in the file
@@ -989,10 +1015,10 @@ class TestValueFiles:
         assert err.value.line == 3
 
     def test_exponents_are_read(self, solved, tmp_path):
-        # %.12g exports write large and small numbers with an exponent
+        # %.12g exports write large and small numbers with an exponent; a sign is read too
         lines = exported(solved("table2_once"), tmp_path).read_text().splitlines()
         fields = lines[2].split(",")
-        fields[4:8] = ["1.5e+20", fields[5], "-2.5E-07", "3e2"]
+        fields[4:8] = ["1.5e+20", fields[5], "-2.5E-07", "+3e2"]
         lines[2] = ",".join(fields)
         path = tmp_path / "edited.txt"
         path.write_text("\n".join(lines) + "\n")

@@ -1,11 +1,10 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_bellman import small_scenario
+from test_bellman import at_rate, small_scenario, with_rates
 from test_policy import dv_bound, random_scenarios
 
 import acmdp.value_iteration
@@ -13,7 +12,6 @@ from acmdp import (
     Access,
     ConvergenceError,
     Emergency,
-    EmergencyMatrix,
     RequestBehavior,
     RewardVariant,
     State,
@@ -141,15 +139,14 @@ class TestBatch:
     ):
         sc = small_scenario(users, resources, behavior, variant, beta=beta, seed=seed)
         parts = build_parts(sc)
-        emergencies = [EmergencyMatrix(*r) for r in rates]
-        batch = parts.mix_batch(emergencies)
+        batch = parts.mix_batch(rates)
         values, sweeps = value_iterate(batch)
         assert values.shape == (batch.num_states, len(rates))
         if beta == 0.0:
             assert sweeps == 1
             assert np.array_equal(values, batch.q.max(axis=0))
-        for column, emergency in zip(values.T, emergencies):
-            exact, _ = policy_iterate(compile_system(dataclasses.replace(sc, emergency=emergency)))
+        for column, pair in zip(values.T, rates):
+            exact, _ = policy_iterate(compile_system(with_rates(sc, pair)))
             bound = DEFAULT_TOL + VERIFY_TOL / (1 - beta) + rounding_allowance(exact, beta)
             assert np.max(np.abs(column - exact)) <= bound
 
@@ -158,15 +155,15 @@ class TestBatch:
         # batch of it alone returns
         sc = builtin_scenario("table2_all")
         parts = build_parts(sc)
-        emergencies = [EmergencyMatrix(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
-        values, sweeps = value_iterate(parts.mix_batch(emergencies))
-        alone = [value_iterate(parts.mix_batch([e])) for e in emergencies]
+        rates = [(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
+        values, sweeps = value_iterate(parts.mix_batch(rates))
+        alone = [value_iterate(parts.mix_batch([pair])) for pair in rates]
         assert sweeps == max(s for _, s in alone)
         assert len({s for _, s in alone}) > 1
-        for column, (want, _), emergency in zip(values.T, alone, emergencies):
+        for column, (want, _), pair in zip(values.T, alone, rates):
             assert np.array_equal(column, want[:, 0])
             # and a single system is that batch of one
-            single = compile_system(dataclasses.replace(sc, emergency=emergency))
+            single = compile_system(with_rates(sc, pair))
             assert np.array_equal(value_iterate(single)[0], want[:, 0])
 
     @pytest.mark.parametrize(
@@ -178,8 +175,8 @@ class TestBatch:
         # return alone
         parts = build_parts(builtin_scenario("table2_all"))
         state = None if sign_of is None else parts.space.state_index(sign_of)
-        emergencies = [EmergencyMatrix(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
-        alone = [value_iterate(parts.mix_batch([e]), sign_of=state) for e in emergencies]
+        rates = [(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
+        alone = [value_iterate(parts.mix_batch([pair]), sign_of=state) for pair in rates]
         stops = sorted(s for _, s in alone)
         assert stops[0] < stops[-1]
         price, widths = acmdp.value_iteration.decision_values, []
@@ -189,7 +186,7 @@ class TestBatch:
             return price(system, values)
 
         monkeypatch.setattr(acmdp.value_iteration, "decision_values", recorded)
-        values, sweeps = value_iterate(parts.mix_batch(emergencies), sign_of=state)
+        values, sweeps = value_iterate(parts.mix_batch(rates), sign_of=state)
         assert sweeps == stops[-1]
         # all four columns until the first stops, then only those still running
         assert widths == [sum(s >= i for s in stops) for i in range(1, sweeps + 1)]
@@ -231,7 +228,7 @@ class TestSignOf:
         # table2_unique's (bob, high) gap is 20 q - 10, exactly 0 at q = 0.5:
         # from any start the step stops at its tolerance, with no claim of a sign
         sc = builtin_scenario("table2_unique")
-        system = compile_system(dataclasses.replace(sc, emergency=EmergencyMatrix(0.5, 1.0)))
+        system = compile_system(at_rate(sc, 0.5))
         state = system.space.state_index(State(Emergency.CALM, 0, Access(1, 1)))
         exact, _ = policy_iterate(system)
         assert decision_values(system, exact)[1, state] == decision_values(system, exact)[0, state]
@@ -244,7 +241,7 @@ class TestSignOf:
         # proven from zero in a few of the sweeps the tolerance needs, and the
         # values returned meet the proof's bound, read from their own backup
         sc = builtin_scenario("table2_all")
-        system = compile_system(dataclasses.replace(sc, emergency=EmergencyMatrix(0.5, 1.0)))
+        system = compile_system(at_rate(sc, 0.5))
         state = system.space.state_index(State(Emergency.CALM, 0, Access(1, 1)))
         values, sweeps = value_iterate(system, sign_of=state)
         assert 5 * sweeps < value_iterate(system)[1]
