@@ -35,7 +35,6 @@ from .states import (
     Emergency,
     ModelDims,
     State,
-    StateSpace,
     access_bit_index,
     set_contains,
     set_insert,

@@ -37,7 +37,7 @@ import numpy as np
 
 from .dynamics import ROW_SUM_TOL, RequestDynamics, request_dynamics
 from .rewards import Scenario, reward_parts
-from .states import ACTIONS, Emergency, StateSpace
+from .states import ACTIONS, Emergency, ModelDims
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -62,12 +62,12 @@ class BellmanSystem:
     q: np.ndarray  # (2, n) immediate rewards indexed by Action; (2, n, G) for a batch
 
     @property
-    def space(self) -> StateSpace:
-        return self.parts.space
+    def space(self) -> ModelDims:
+        return self.parts.scenario.dims
 
     @property
     def num_states(self) -> int:
-        return len(self.parts.space)
+        return self.space.num_states
 
     @property
     def beta(self) -> float:
@@ -128,7 +128,6 @@ class SystemParts:
     """The part of a compiled system that does not depend on the emergency matrix E."""
 
     scenario: Scenario
-    space: StateSpace
     dynamics: RequestDynamics
     rewards: np.ndarray  # (action, next status, row): see rewards.reward_parts
 
@@ -148,9 +147,7 @@ class SystemParts:
 
 def build_parts(sc: Scenario) -> SystemParts:
     """sc's E-free part for SystemParts.mix_batch: its rewards, and its shape's shared dynamics."""
-    return SystemParts(
-        sc, StateSpace(sc.dims), request_dynamics(sc.dims, sc.behavior), reward_parts(sc)
-    )
+    return SystemParts(sc, request_dynamics(sc.dims, sc.behavior), reward_parts(sc))
 
 
 def compile_system(sc: Scenario) -> BellmanSystem:

@@ -62,7 +62,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_decisions(args: argparse.Namespace) -> int:
     sc = _load_scenario(args)
     solution = solve_scenario(sc, solver=args.solver, tol=args.tol)
-    space = solution.system.space
 
     accesses = list(sc.dims.accesses())
     headers = [
@@ -73,7 +72,7 @@ def cmd_decisions(args: argparse.Namespace) -> int:
     csv_lines = ["status,user,resource,dv_deny,dv_allow,chosen,gap"]
     for emergency in (Emergency.CALM, Emergency.ALERT):
         # the (status, nothing granted, access) states; accesses are requests 0.. in bit order
-        rows = space.position(int(emergency), 0, np.arange(len(accesses)))
+        rows = sc.dims.position(int(emergency), 0, np.arange(len(accesses)))
         status = emergency.label.capitalize().ljust(8)
         for act_idx, act_label in ((0, "deny"), (1, "allow")):
             cells = [f"{dv:.2f}".rjust(col_width) for dv in solution.dv[act_idx, rows]]

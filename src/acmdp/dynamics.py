@@ -64,8 +64,8 @@ def _shared(array: np.ndarray) -> np.ndarray:
 def set_request_rows(d: ModelDims) -> tuple[np.ndarray, np.ndarray]:
     """Granted set and request position of every (granted set, request) row.
 
-    Rows follow the StateSpace order within one emergency status; request
-    position num_access_bits is the empty request.
+    Rows follow the state order (ModelDims.index_state) within one emergency
+    status; request position num_access_bits is the empty request.
     """
     return tuple(map(_shared, np.divmod(np.arange(d.num_states // 2), d.num_access_bits + 1)))
 

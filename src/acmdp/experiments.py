@@ -185,10 +185,11 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     solve = solver_function(solver)
     grid = spec.grid()
     parts = build_parts(spec.scenario)
-    accesses = list(spec.scenario.dims.accesses())
+    dims = spec.scenario.dims
+    accesses = list(dims.accesses())
     # the (calm, nothing granted, access) states; accesses are requests 0.. in bit order
-    calm_empty = parts.space.position(int(Emergency.CALM), 0, np.arange(len(accesses)))
-    width = max(1, CHUNK_BYTES // (8 * len(parts.space) * SOLVER_ARRAYS[solver]))
+    calm_empty = dims.position(int(Emergency.CALM), 0, np.arange(len(accesses)))
+    width = max(1, CHUNK_BYTES // (8 * dims.num_states * SOLVER_ARRAYS[solver]))
     chunks = []
     crossovers = [CrossoverResult(access, None) for access in accesses]
     for first in range(0, len(grid), width):

@@ -36,7 +36,7 @@ from .bellman import (
 )
 from .config import scenario_fingerprint
 from .rewards import Scenario, check_labels
-from .states import Action, CapacityError, Emergency, ModelDims, StateSpace
+from .states import Action, CapacityError, Emergency, ModelDims
 from .value_iteration import Columns, solve_columns, value_iterate
 
 TIE_TOL = 1e-9
@@ -201,26 +201,26 @@ def _fmt(x: float) -> str:
 
 
 def _request_labels(
-    space: StateSpace, user_names: Sequence[str], resource_names: Sequence[str]
+    dims: ModelDims, user_names: Sequence[str], resource_names: Sequence[str]
 ) -> list[tuple[str, str]]:
     """(user, resource) of each request in request-index order; ("eps", "eps") if empty."""
     return [
         ("eps", "eps") if req is None else (user_names[req.user], resource_names[req.resource])
-        for req in space.requests
+        for req in dims.requests
     ]
 
 
 def state_labels(
-    space: StateSpace, user_names: Sequence[str], resource_names: Sequence[str]
+    dims: ModelDims, user_names: Sequence[str], resource_names: Sequence[str]
 ) -> Iterator[tuple[str, int, str, str]]:
     """(emergency, granted set, request user, request resource) of every state.
 
-    The labels come in state-index order (StateSpace.index_state), which is
+    The labels come in state-index order (ModelDims.index_state), which is
     the row order of a value-table file.
     """
-    requests = _request_labels(space, user_names, resource_names)
+    requests = _request_labels(dims, user_names, resource_names)
     for emergency in Emergency:
-        for k in range(space.dims.num_sets):
+        for k in range(dims.num_sets):
             for user, resource in requests:
                 yield emergency.label, k, user, resource
 
@@ -228,10 +228,9 @@ def state_labels(
 def export_values(solution: Solution, destination: str | Path) -> None:
     """Write the solved value table in the versioned text format, rows in state order."""
     sc = solution.scenario
-    space = solution.system.space
     lines = [FILE_HEADER, scenario_fingerprint(sc)]
     for i, (emergency, k, req_user, req_resource) in enumerate(
-        state_labels(space, sc.user_names, sc.resource_names)
+        state_labels(sc.dims, sc.user_names, sc.resource_names)
     ):
         lines.append(
             ",".join(
@@ -277,7 +276,7 @@ _EMERGENCY_LABELS = frozenset(e.label for e in Emergency)
 class LoadedValues:
     """A reloaded value table, queryable by state description.
 
-    rows[i] is the row of state i in the StateSpace order of a model with
+    rows[i] is the row of state ModelDims.index_state(i) of a model with
     these users and resources; import_values refuses a file that breaks it.
     lookup finds a row by its own labels, one probe of a dict built here.
     """
@@ -348,6 +347,8 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
             if not (plain.isascii() and set_text.isdigit()) or "_" in plain:
                 raise ValueError
             set_index = int(set_text)
+            if str(set_index) != set_text:  # zero-padded: export_values writes str(k)
+                raise ValueError
             value, dv_deny, dv_allow = float(value_t), float(dv_d), float(dv_a)
         except ValueError:
             raise ValueFileError(lineno, f"malformed row {raw!r}") from None
@@ -385,11 +386,11 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
     if not user_names or not resource_names:
         raise ValueFileError(3, "no concrete requests found; cannot infer dimensions")
     try:
-        space = StateSpace(ModelDims(len(user_names), len(resource_names)))
+        dims = ModelDims(len(user_names), len(resource_names))
     except CapacityError as exc:
         raise ValueFileError(3, str(exc)) from None
     for row, lineno, want in zip(
-        rows, linenos, state_labels(space, user_names, resource_names)
+        rows, linenos, state_labels(dims, user_names, resource_names)
     ):
         found = (row.emergency, row.set_index, row.req_user, row.req_resource)
         if found != want:
@@ -398,15 +399,15 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
                 f"expected state {_show(want)}, found {_show(found)}: "
                 f"rows must list every state once, in state order",
             )
-    if len(rows) < len(space):
+    if len(rows) < dims.num_states:
         raise ValueFileError(
             len(lines),
-            f"incomplete table: {len(rows)} rows for a {len(space)}-state model "
+            f"incomplete table: {len(rows)} rows for a {dims.num_states}-state model "
             f"({len(user_names)} users x {len(resource_names)} resources)",
         )
-    if len(rows) > len(space):
+    if len(rows) > dims.num_states:
         raise ValueFileError(
-            linenos[len(space)], f"extra row after the last of {len(space)} states"
+            linenos[dims.num_states], f"extra row after the last of {dims.num_states} states"
         )
     return LoadedValues(fingerprint, user_names, resource_names, rows)
 

@@ -75,12 +75,18 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "behavior", RequestBehavior(self.behavior))
         object.__setattr__(self, "variant", RewardVariant(self.variant))
+        # float() would read "1.5" or True as a number, and a string as its characters;
+        # stored as floats, an np.float32 rate renders, parses back and hashes as itself
         for name in ("reward_access", "reward_resource"):
             entries = getattr(self, name)
-            # float() would read "1.5" or True as a number, and a string as its characters
             if any(isinstance(x, (str, bool, np.bool_)) for x in entries):
                 raise TypeError(f"{name} entries must be numbers, got {entries!r}")
             object.__setattr__(self, name, tuple(map(float, entries)))
+        for name in ("beta", "calm_to_alert", "alert_to_alert"):
+            x = getattr(self, name)
+            if isinstance(x, (str, bool, np.bool_)):
+                raise TypeError(f"{name} must be a number, got {x!r}")
+            object.__setattr__(self, name, float(x))
         for name in ("user_names", "resource_names"):
             labels = getattr(self, name)
             # tuple() would read a string as its characters, each a label

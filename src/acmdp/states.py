@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterator, Optional
 
 CAP_BITS = 12  # the most access bits a model may have: 3 x 4 is 106,496 states
@@ -57,6 +58,13 @@ Request = Optional[Access]
 
 @dataclass(frozen=True)
 class ModelDims:
+    """The shape of a model, and the deterministic order of its states.
+
+    States are ordered emergency-major, then by granted-set index, then by
+    request (concrete accesses in bit order, the empty request last);
+    state_index and index_state are the bijection with [0, num_states).
+    """
+
     num_users: int
     num_resources: int
 
@@ -94,6 +102,35 @@ class ModelDims:
             for r in range(self.num_resources):
                 yield Access(u, r)
 
+    @cached_property
+    def requests(self) -> tuple[Request, ...]:
+        """The requests in request-index order: position() takes an index into it."""
+        return (*self.accesses(), None)
+
+    def position(self, emergency: int, granted: int, request: int) -> int:
+        """State index from integer coordinates, request indexing self.requests.
+
+        The coordinates are not range-checked; state_index checks them.
+        """
+        return (emergency * self.num_sets + granted) * (self.num_access_bits + 1) + request
+
+    def state_index(self, s: State) -> int:
+        if not 0 <= s.granted < self.num_sets:
+            raise ValueError(f"granted-set index {s.granted} out of range")
+        if s.request is None:
+            request = self.num_access_bits
+        else:
+            self.check_access(s.request)
+            request = access_bit_index(s.request, self)
+        return self.position(int(s.emergency), s.granted, request)
+
+    def index_state(self, i: int) -> State:
+        if not 0 <= i < self.num_states:
+            raise ValueError(f"state index {i} out of range [0, {self.num_states})")
+        i, req = divmod(i, self.num_access_bits + 1)
+        emergency, granted = divmod(i, self.num_sets)
+        return State(Emergency(emergency), granted, self.requests[req])
+
 
 def access_bit_index(a: Access, d: ModelDims) -> int:
     """Bit position of an access in the granted-set mask: u * NR + r."""
@@ -113,44 +150,3 @@ class State:
     emergency: Emergency
     granted: int
     request: Request
-
-
-class StateSpace:
-    """Deterministic order of all states with a bijective index.
-
-    Ordering is emergency-major, then granted-set index, then request
-    (concrete accesses in bit order, the empty request last).
-    """
-
-    def __init__(self, dims: ModelDims):
-        self.dims = dims
-        # the requests in request-index order: position() takes an index into it
-        self.requests: tuple[Request, ...] = (*dims.accesses(), None)
-
-    def __len__(self) -> int:
-        return self.dims.num_states
-
-    def _request_index(self, req: Request) -> int:
-        if req is None:
-            return self.dims.num_access_bits
-        self.dims.check_access(req)
-        return access_bit_index(req, self.dims)
-
-    def position(self, emergency: int, granted: int, request: int) -> int:
-        """State index from integer coordinates, request indexing self.requests.
-
-        The coordinates are not range-checked; state_index checks them.
-        """
-        return (emergency * self.dims.num_sets + granted) * len(self.requests) + request
-
-    def state_index(self, s: State) -> int:
-        if not 0 <= s.granted < self.dims.num_sets:
-            raise ValueError(f"granted-set index {s.granted} out of range")
-        return self.position(int(s.emergency), s.granted, self._request_index(s.request))
-
-    def index_state(self, i: int) -> State:
-        if not 0 <= i < len(self):
-            raise ValueError(f"state index {i} out of range [0, {len(self)})")
-        i, req = divmod(i, len(self.requests))
-        emergency, granted = divmod(i, self.dims.num_sets)
-        return State(Emergency(emergency), granted, self.requests[req])

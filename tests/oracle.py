@@ -30,15 +30,14 @@ from acmdp.states import (
     ModelDims,
     Request,
     State,
-    StateSpace,
     access_bit_index,
     set_insert,
 )
 
 
-def all_states(space: StateSpace) -> list[State]:
-    """Every state of the space, in index order."""
-    return [space.index_state(i) for i in range(len(space))]
+def all_states(dims: ModelDims) -> list[State]:
+    """Every state of a model of this shape, in index order."""
+    return [dims.index_state(i) for i in range(dims.num_states)]
 
 
 def emergency_prob(sc: Scenario, src: Emergency, dst: Emergency) -> float:
@@ -125,17 +124,16 @@ def immediate_reward(sc: Scenario, s: State, act: Action) -> float:
 
 def oracle_compile(sc: Scenario) -> tuple[list[sparse.csr_matrix], np.ndarray]:
     """The per-state build: walk successors() and reward_transition()."""
-    space = StateSpace(sc.dims)
-    n = len(space)
+    n = sc.dims.num_states
     q = np.zeros((2, n))
     mats = []
     for act in ACTIONS:
         rows, cols, data = [], [], []
-        for i, s in enumerate(all_states(space)):
+        for i, s in enumerate(all_states(sc.dims)):
             total = 0.0
             for s2, p in successors(sc, s, act):
                 rows.append(i)
-                cols.append(space.state_index(s2))
+                cols.append(sc.dims.state_index(s2))
                 data.append(p)
                 total += p * reward_transition(sc, s, act, s2)
             q[int(act), i] = total
@@ -156,7 +154,7 @@ def lattice_solve(sc: Scenario) -> np.ndarray:
     """
     mats, q = oracle_compile(sc)
     dense = [m.toarray() for m in mats]
-    granted = np.array([s.granted for s in all_states(StateSpace(sc.dims))])
+    granted = np.array([s.granted for s in all_states(sc.dims)])
     for m in mats:
         rows, cols = m.nonzero()
         assert np.all(granted[cols] & granted[rows] == granted[rows])

@@ -19,7 +19,6 @@ from acmdp import (
     Emergency,
     ModelDims,
     State,
-    StateSpace,
     builtin_scenario,
     compile_system,
     decision_values,
@@ -200,8 +199,7 @@ def test_criterion_8_lp_optimality_structure():
 def test_criterion_9_property_suite():
     # state-index bijection
     for dims in (ModelDims(2, 2), ModelDims(3, 2)):
-        space = StateSpace(dims)
-        assert all(space.state_index(space.index_state(i)) == i for i in range(len(space)))
+        assert all(dims.state_index(dims.index_state(i)) == i for i in range(dims.num_states))
 
     # transition stochasticity, all behaviours
     for behavior in ("unique", "once", "all"):

@@ -272,6 +272,21 @@ class TestScenarioChecks:
         with pytest.raises(TypeError, match="reward_resource entries must be numbers"):
             replace(builtin_scenario("table2_once"), reward_resource=entries[:2])
 
+    @pytest.mark.parametrize("field", ["beta", "calm_to_alert", "alert_to_alert"])
+    def test_scalars_must_be_numbers(self, field):
+        # float() would read True as 1.0, which is a rate in range
+        with pytest.raises(TypeError, match=f"{field} must be a number, got True"):
+            replace(builtin_scenario("table2_once"), **{field: True})
+
+    @pytest.mark.parametrize("field", ["beta", "calm_to_alert", "alert_to_alert"])
+    def test_scalars_are_floats(self, field):
+        # an np.float32 is stored as the float it is, so the scenario parsed
+        # back from its rendering is equal to it and hashes alike
+        sc = replace(builtin_scenario("table2_once"), **{field: np.float32(0.1)})
+        assert type(getattr(sc, field)) is float
+        parsed = parse_scenario(render_scenario(sc))
+        assert parsed == sc and hash(parsed) == hash(sc)
+
     @pytest.mark.parametrize("field", ["user_names", "resource_names"])
     def test_labels_must_not_be_a_string(self, field):
         # tuple() would take "ab" as the labels a and b

@@ -22,7 +22,6 @@ from acmdp import (
     ModelDims,
     RequestBehavior,
     State,
-    StateSpace,
     builtin_scenario,
     compile_system,
     validate_stochastic,
@@ -87,24 +86,23 @@ class TestGrantedSetLattice:
         # the LP solves them as k's own draw-table entries.  Read them from
         # weights and draw_index, in both statuses, and compare with the oracle
         d = ModelDims(users, resources)
-        space = StateSpace(d)
         dynamics = request_dynamics(d, behavior)
         sets, size = d.num_sets, dynamics.size
-        empty = np.zeros(len(space.requests))
+        empty = np.zeros(len(d.requests))
         empty[-1] = 1.0
         for act in ACTIONS:
             for k in range(sets):
-                for r, req in enumerate(space.requests):
-                    want = np.zeros(len(space.requests))
+                for r, req in enumerate(d.requests):
+                    want = np.zeros(len(d.requests))
                     k2 = next_access_set(k, req, act, d)
                     if k2 == k:
                         for req2, p in request_distribution(behavior, k2, d, req):
-                            want[space.requests.index(req2)] = p
-                    x = k * len(space.requests) + r
+                            want[d.requests.index(req2)] = p
+                    x = k * len(d.requests) + r
                     for e in range(2):
                         entry = dynamics.draw_index[int(act) * 2 * size + e * size + x]
                         kind, k_read = divmod(entry - e * 2 * sets, sets)
-                        got = np.zeros(len(space.requests))
+                        got = np.zeros(len(d.requests))
                         if k_read == k:
                             got = empty if kind else dynamics.weights[k]
                         assert np.array_equal(got, want), (act, e, k, req)
@@ -232,25 +230,25 @@ class TestSuccessors:
 
     def test_no_zero_probability_entries(self):
         m = model(STILL, RequestBehavior.ONCE)
-        for s in all_states(StateSpace(D22)):
+        for s in all_states(D22):
             for act in (Action.DENY, Action.ALLOW):
                 assert all(p > 0.0 for _, p in successors(m, s, act))
 
     def test_unique_successors_all_empty_request(self):
         m = model(DRIFT, RequestBehavior.UNIQUE)
-        for s in all_states(StateSpace(D22)):
+        for s in all_states(D22):
             for act in (Action.DENY, Action.ALLOW):
                 assert all(s2.request is None for s2, _ in successors(m, s, act))
 
     def test_all_successors_never_empty_request(self):
         m = model(DRIFT, RequestBehavior.ALL)
-        for s in all_states(StateSpace(D22)):
+        for s in all_states(D22):
             for act in (Action.DENY, Action.ALLOW):
                 assert all(s2.request is not None for s2, _ in successors(m, s, act))
 
     def test_granted_component_is_deterministic(self):
         m = model(DRIFT, RequestBehavior.ONCE)
-        for s in all_states(StateSpace(D22)):
+        for s in all_states(D22):
             for act in (Action.DENY, Action.ALLOW):
                 grants = {s2.granted for s2, _ in successors(m, s, act)}
                 assert grants == {next_access_set(s.granted, s.request, act, D22)}

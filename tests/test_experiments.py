@@ -169,8 +169,7 @@ class TestRunSweep:
         vi = run_sweep(spec, solver="vi")
         # the CLI sweeps with the LP by default
         lp_sweep = run_sweep(spec, solver="lp")
-        parts = build_parts(sc)
-        calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
+        calm_empty = sc.dims.position(0, 0, np.arange(sc.dims.num_access_bits))
         for point, lp_point in zip(vi.points, lp_sweep.points):
             system = compile_system(at_rate(sc, point.probability))
             values, _ = acmdp.policy.policy_iterate(system)
@@ -280,7 +279,7 @@ class TestRunSweep:
         monkeypatch.setattr(acmdp.policy, name, recorded)
         spec = SweepSpec(builtin_scenario("table2_all"), 0.0, 1.0, 0.25)
         if one_column:
-            column_bytes = 8 * len(build_parts(spec.scenario).space) * SOLVER_ARRAYS[solver]
+            column_bytes = 8 * spec.scenario.dims.num_states * SOLVER_ARRAYS[solver]
             monkeypatch.setattr(acmdp.experiments, "CHUNK_BYTES", column_bytes)
         grid = spec.grid()
         result = run_sweep(spec, solver=solver)
@@ -331,8 +330,7 @@ class TestRunSweep:
         # a 0.25-wide bracket takes 12 halvings to reach CROSSOVER_WIDTH
         bisected = [c for c in result.crossovers if c.width]
         assert bisected and widths == [len(grid)] + [1] * 12 * len(bisected)
-        parts = build_parts(sc)
-        calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
+        calm_empty = sc.dims.position(0, 0, np.arange(sc.dims.num_access_bits))
         for point in result.points:
             system = compile_system(at_rate(sc, point.probability))
             dv = decision_values(system, exact(system)[0])
@@ -347,7 +345,7 @@ class TestRunSweep:
         sc = small_scenario(2, 3, "all", "eps_accrues", rates=(0.1, 1.0))
         spec = SweepSpec(sc, step=step)
         parts = build_parts(sc)
-        width = CHUNK_BYTES // (8 * len(parts.space) * SOLVER_ARRAYS[solver])
+        width = CHUNK_BYTES // (8 * sc.dims.num_states * SOLVER_ARRAYS[solver])
         assert width * 3 < len(spec.grid()) <= width * 4
         name = "policy_iterate" if solver == "lp" else "value_iterate"
         solve, widths = getattr(acmdp.policy, name), []
@@ -369,7 +367,7 @@ class TestRunSweep:
         assert max(columns for columns, _ in widths) == width
         assert peak < 1.25 * CHUNK_BYTES
         batch = parts.mix_batch([(p, 1.0) for p in spec.grid()])
-        calm_empty = parts.space.position(0, 0, np.arange(sc.dims.num_access_bits))
+        calm_empty = sc.dims.position(0, 0, np.arange(sc.dims.num_access_bits))
         dv = decision_values(batch, solve(batch)[0])[:, calm_empty]
         assert np.array_equal(np.stack([point.dv for point in result.points], -1), dv)
 
@@ -379,7 +377,7 @@ class TestRunSweep:
         # the previous chunk's last column, and reports what one chunk reports
         spec = SweepSpec(builtin_scenario("table2_all"), step=0.05)
         whole = run_sweep(spec, solver=solver)
-        states = len(build_parts(spec.scenario).space)
+        states = spec.scenario.dims.num_states
         monkeypatch.setattr(acmdp.experiments, "CHUNK_BYTES", 8 * states * SOLVER_ARRAYS[solver])
         batch, widths = acmdp.bellman.SystemParts.mix_batch, []
 
@@ -415,7 +413,7 @@ class TestRunSweep:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < SOLVER_ARRAYS[solver] * 8 * len(parts.space) * len(grid)
+        assert peak < SOLVER_ARRAYS[solver] * 8 * parts.scenario.dims.num_states * len(grid)
 
     def test_unknown_solver_raises_before_any_solve(self, monkeypatch):
         def unsolved(*args, **kwargs):
@@ -452,7 +450,7 @@ class TestRunSweep:
         spec = SweepSpec(sc, start, 2 * (ONCE_ROOT + 1e-7) - start, 0.1)
         assert len(spec.grid()) == 2
         assert 0.5 * sum(spec.grid()) == pytest.approx(ONCE_ROOT + 1e-7, abs=1e-12)
-        state = int(build_parts(sc).space.position(0, 0, BOB_HIGH_POS))
+        state = int(sc.dims.position(0, 0, BOB_HIGH_POS))
         brackets = []
         for solver, name, point_kwargs in (
             ("vi", "value_iterate", {"sign_of": state}),

@@ -31,7 +31,6 @@ from acmdp import (
     RewardVariant,
     Scenario,
     State,
-    StateSpace,
     SweepSpec,
     builtin_scenario,
     compile_system,
@@ -633,7 +632,7 @@ class TestLpBatch:
         sc = small_scenario(2, 3, behavior, variant, beta=beta, seed=seed)
         parts = build_parts(sc)
         values, _ = policy_iterate(parts.mix_batch(rates))
-        assert values.shape == (len(parts.space), len(rates))
+        assert values.shape == (sc.dims.num_states, len(rates))
         for column, pair in zip(values.T, rates):
             assert np.array_equal(column, policy_iterate(parts.mix_batch([pair]))[0][:, 0])
             # and a single system is that batch of one
@@ -757,9 +756,9 @@ class TestPolicyEvaluate:
     )
     def test_batch_columns_are_their_batches_of_one(self, behavior, variant, beta, seed, rates):
         parts = build_parts(small_scenario(2, 3, behavior, variant, beta=beta, seed=seed))
-        policies = random_policies(seed, (len(parts.space), len(rates)))
+        policies = random_policies(seed, (parts.scenario.dims.num_states, len(rates)))
         dv = policy_evaluate(parts.mix_batch(rates), policies)
-        assert dv.shape == (2, len(parts.space), len(rates))
+        assert dv.shape == (2, parts.scenario.dims.num_states, len(rates))
         for g, pair in enumerate(rates):
             alone = policy_evaluate(parts.mix_batch([pair]), policies[:, g : g + 1])
             assert bitwise_equal(dv[..., g : g + 1], alone)
@@ -903,12 +902,16 @@ class TestValueFiles:
             (1, "0_0"),
             (1, "\u0660"),  # ARABIC-INDIC DIGIT ZERO
             (1, "+0"),
+            (1, "00"),
             (4, "{}_0"),
             (4, "1_0"),
             (6, "{}\u0660"),
             (7, "\uff11{}"),  # FULLWIDTH DIGIT ONE
         ],
-        ids=["set 0_0", "arabic-indic set", "signed set", "value _0", "1_0", "dv_deny", "dv_allow"],
+        ids=[
+            "set 0_0", "arabic-indic set", "signed set", "zero-padded set", "value _0", "1_0",
+            "dv_deny", "dv_allow",
+        ],
     )
     def test_spellings_export_never_writes_are_refused(self, solved, tmp_path, field, spelling):
         # int() and float() read each of these as a number, the set index as
@@ -1056,13 +1059,13 @@ def scan(rows, emergency, set_index, req_user, req_resource):
 class TestStateLabels:
     @pytest.mark.parametrize("users,resources", [(2, 2), (2, 3), (1, 1)])
     def test_follow_state_index(self, users, resources):
-        space = StateSpace(ModelDims(users, resources))
+        dims = ModelDims(users, resources)
         user_names = [f"u{i}" for i in range(users)]
         resource_names = [f"r{i}" for i in range(resources)]
-        labels = list(state_labels(space, user_names, resource_names))
-        assert len(labels) == len(space)
+        labels = list(state_labels(dims, user_names, resource_names))
+        assert len(labels) == dims.num_states
         for i, (emergency, k, user, resource) in enumerate(labels):
-            s = space.index_state(i)
+            s = dims.index_state(i)
             req = ("eps", "eps") if s.request is None else (
                 user_names[s.request.user], resource_names[s.request.resource]
             )

@@ -14,7 +14,6 @@ from acmdp import (
     Emergency,
     RewardVariant,
     State,
-    StateSpace,
     builtin_scenario,
 )
 from acmdp.dynamics import set_request_rows
@@ -77,7 +76,7 @@ class TestRewardTransition:
             assert reward_transition(sc, s, act, s2) == -20
 
     def test_eps_zero_everywhere_property(self, table2):
-        for s in all_states(StateSpace(table2.dims)):
+        for s in all_states(table2.dims):
             if s.request is not None:
                 continue
             for act in (Action.DENY, Action.ALLOW):
@@ -116,13 +115,13 @@ class TestImmediateReward:
         # independent oracle: dense successor distribution dotted with dense
         # per-transition rewards over the full state product
         sc = builtin_scenario("table2_once")
-        space = StateSpace(sc.dims)
-        for s in all_states(space):
+        dims = sc.dims
+        for s in all_states(dims):
             for act in (Action.DENY, Action.ALLOW):
-                dense = {space.state_index(s2): p for s2, p in successors(sc, s, act)}
+                dense = {dims.state_index(s2): p for s2, p in successors(sc, s, act)}
                 expected = sum(
-                    dense.get(j, 0.0) * reward_transition(sc, s, act, space.index_state(j))
-                    for j in range(len(space))
+                    dense.get(j, 0.0) * reward_transition(sc, s, act, dims.index_state(j))
+                    for j in range(dims.num_states)
                 )
                 got = immediate_reward(sc, s, act)
                 assert got == pytest.approx(expected, abs=1e-12)

@@ -9,7 +9,6 @@ from acmdp import (
     Emergency,
     ModelDims,
     State,
-    StateSpace,
     access_bit_index,
     set_contains,
     set_insert,
@@ -81,22 +80,21 @@ class TestDims:
 
 class TestEnumeration:
     def test_state_counts(self):
-        assert len(StateSpace(D22)) == 160
-        assert len(StateSpace(ModelDims(1, 1))) == 8
+        assert D22.num_states == 160
+        assert ModelDims(1, 1).num_states == 8
 
     @pytest.mark.parametrize("nu,nr", [(2, 2), (3, 2)])
     def test_bijection_exhaustive(self, nu, nr):
-        space = StateSpace(ModelDims(nu, nr))
+        dims = ModelDims(nu, nr)
         seen = set()
-        for i in range(len(space)):
-            s = space.index_state(i)
-            assert space.state_index(s) == i
+        for i in range(dims.num_states):
+            s = dims.index_state(i)
+            assert dims.state_index(s) == i
             seen.add(s)
-        assert len(seen) == len(space)
+        assert len(seen) == dims.num_states
 
     def test_ordering(self):
-        space = StateSpace(D22)
-        states = all_states(space)
+        states = all_states(D22)
         # emergency-major: first half calm, second half alert
         assert all(s.emergency is Emergency.CALM for s in states[:80])
         assert all(s.emergency is Emergency.ALERT for s in states[80:])
@@ -106,15 +104,14 @@ class TestEnumeration:
         assert states[5] == State(Emergency.CALM, 1, Access(0, 0))
 
     def test_index_out_of_range(self):
-        space = StateSpace(D22)
         with pytest.raises(ValueError):
-            space.index_state(160)
+            D22.index_state(160)
         with pytest.raises(ValueError):
-            space.state_index(State(Emergency.CALM, 16, None))
+            D22.state_index(State(Emergency.CALM, 16, None))
 
     @pytest.mark.parametrize("user, resource", [(2, 0), (0, 2), (-1, 0)])
     def test_request_out_of_range(self, user, resource):
         # unchecked, (2, 0) would read bit 4, the empty request's row, and
         # (0, 2) bit 2, bob's request for low
         with pytest.raises(ValueError, match=r"access .* out of range for ModelDims"):
-            StateSpace(D22).state_index(State(Emergency.CALM, 0, Access(user, resource)))
+            D22.state_index(State(Emergency.CALM, 0, Access(user, resource)))

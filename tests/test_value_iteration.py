@@ -174,7 +174,7 @@ class TestBatch:
         # without a sign to prove, and a column returns the values it would
         # return alone
         parts = build_parts(builtin_scenario("table2_all"))
-        state = None if sign_of is None else parts.space.state_index(sign_of)
+        state = None if sign_of is None else parts.scenario.dims.state_index(sign_of)
         rates = [(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
         alone = [value_iterate(parts.mix_batch([pair]), sign_of=state) for pair in rates]
         stops = sorted(s for _, s in alone)
