@@ -42,7 +42,8 @@ def _load_scenario(args: argparse.Namespace) -> Scenario | None:
     if args.builtin:
         return builtin_scenario(args.builtin)
     if args.scenario:
-        return parse_scenario(args.scenario.read_text(encoding="utf-8"), source=str(args.scenario))
+        text = args.scenario.read_text(encoding="utf-8-sig")
+        return parse_scenario(text, source=str(args.scenario))
     return None
 
 

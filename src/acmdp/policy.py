@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -200,25 +200,18 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _request_labels(
-    dims: ModelDims, user_names: Sequence[str], resource_names: Sequence[str]
-) -> list[tuple[str, str]]:
-    """(user, resource) of each request in request-index order; ("eps", "eps") if empty."""
-    return [
-        ("eps", "eps") if req is None else (user_names[req.user], resource_names[req.resource])
-        for req in dims.requests
-    ]
-
-
 def state_labels(
     dims: ModelDims, user_names: Sequence[str], resource_names: Sequence[str]
 ) -> Iterator[tuple[str, int, str, str]]:
     """(emergency, granted set, request user, request resource) of every state.
 
     The labels come in state-index order (ModelDims.index_state), which is
-    the row order of a value-table file.
+    the row order of a value-table file; the empty request is ("eps", "eps").
     """
-    requests = _request_labels(dims, user_names, resource_names)
+    requests = [
+        ("eps", "eps") if req is None else (user_names[req.user], resource_names[req.resource])
+        for req in dims.requests
+    ]
     for emergency in Emergency:
         for k in range(dims.num_sets):
             for user, resource in requests:
@@ -257,8 +250,9 @@ class ValueFileError(ValueError):
         super().__init__(f"line {line}: {msg}")
 
 
-@dataclass(frozen=True)
-class ValueRow:
+class ValueRow(NamedTuple):
+    """One value-table row, its fields in file order: row[:4] is its state."""
+
     emergency: str
     set_index: int
     req_user: str  # "eps" for the empty request
@@ -278,7 +272,7 @@ class LoadedValues:
 
     rows[i] is the row of state ModelDims.index_state(i) of a model with
     these users and resources; import_values refuses a file that breaks it.
-    lookup finds a row by its own labels, one probe of a dict built here.
+    lookup finds a row by its state, row[:4], one probe of a dict built here.
     """
 
     fingerprint: str
@@ -289,10 +283,7 @@ class LoadedValues:
 
     def __post_init__(self) -> None:
         self.dims = ModelDims(len(self.user_names), len(self.resource_names))
-        self._index = {
-            (row.emergency, row.set_index, row.req_user, row.req_resource): row
-            for row in self.rows
-        }
+        self._index = {row[:4]: row for row in self.rows}
 
     def lookup(
         self, emergency: str, set_index: int, req_user: str, req_resource: str
@@ -314,7 +305,7 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
     the order of first appearance in the rows, and each label must pass
     rewards.check_labels at the line that first names it.
     """
-    lines = Path(source).read_text(encoding="utf-8").splitlines()
+    lines = Path(source).read_text(encoding="utf-8-sig").splitlines()
     if not lines or lines[0] != FILE_HEADER:
         found = lines[0] if lines else "<empty file>"
         raise ValueFileError(1, f"expected header {FILE_HEADER!r}, found {found!r}")
@@ -389,14 +380,11 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
         dims = ModelDims(len(user_names), len(resource_names))
     except CapacityError as exc:
         raise ValueFileError(3, str(exc)) from None
-    for row, lineno, want in zip(
-        rows, linenos, state_labels(dims, user_names, resource_names)
-    ):
-        found = (row.emergency, row.set_index, row.req_user, row.req_resource)
-        if found != want:
+    for row, lineno, want in zip(rows, linenos, state_labels(dims, user_names, resource_names)):
+        if row[:4] != want:
             raise ValueFileError(
                 lineno,
-                f"expected state {_show(want)}, found {_show(found)}: "
+                f"expected state {_show(want)}, found {_show(row[:4])}: "
                 f"rows must list every state once, in state order",
             )
     if len(rows) < dims.num_states:

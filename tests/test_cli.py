@@ -97,6 +97,21 @@ class TestSolve:
         assert err == f"error: tol must be zero or positive, got {float(tol)}\n"
         assert not out_file.exists()
 
+    def test_a_leading_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        # an editor may save the scenario as UTF-8 with a BOM; it solves as the plain file
+        text = render_scenario(builtin_scenario("table2_once")).encode("utf-8")
+        (tmp_path / "plain.txt").write_bytes(text)
+        (tmp_path / "bom.txt").write_bytes(b"\xef\xbb\xbf" + text)
+        outputs = []
+        for name in ("plain", "bom"):
+            values = tmp_path / f"{name}_values.txt"
+            code, out, err = run(
+                capsys, "solve", "--scenario", str(tmp_path / f"{name}.txt"), "--out", str(values)
+            )
+            assert (code, err) == (0, "")
+            outputs.append((out.replace(str(values), "<values>"), values.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_scenario_file_errors(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text(BAD_SCENARIO_FILE)

@@ -944,6 +944,18 @@ class TestValueFiles:
             import_values(path, scenario=sol.scenario)
         assert err.value.line == 81
 
+    def test_a_leading_byte_order_mark_is_ignored(self, solved, tmp_path):
+        # an editor may save the table as UTF-8 with a BOM; it imports to the same rows
+        sol = solved("table2_once")
+        path = exported(sol, tmp_path)
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for scenario in (None, sol.scenario):
+            plain = import_values(path, scenario=scenario)
+            loaded = import_values(bom, scenario=scenario)
+            assert loaded.fingerprint == plain.fingerprint
+            assert loaded.rows == plain.rows
+
     def test_an_action_its_decision_values_rule_out_is_refused(self, solved, tmp_path):
         # allow where deny's decision value is higher: eval would serve it
         sol = solved("table2_once")
@@ -1140,6 +1152,17 @@ class TestLookup:
                 ("alert", 0, "u0", "eps"),
             ]:
                 assert_refused(table, query)
+
+    def test_loaded_rows_cannot_be_changed(self, solved, tmp_path):
+        sol = solved("table2_once")
+        path = exported(sol, tmp_path)
+        for table in (import_values(path), import_values(path, scenario=sol.scenario)):
+            row = next(row for row in table.rows if row.action == "deny")
+            hash(row)
+            with pytest.raises(AttributeError):
+                row.action = "allow"
+            assert table.lookup(*labels(row)) is row
+            assert row.action == "deny"
 
     def test_rows_out_of_state_order(self, table_2x2):
         # the index is keyed by each row's labels, not by its position
