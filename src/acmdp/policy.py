@@ -218,20 +218,20 @@ def state_labels(
                 yield emergency.label, k, user, resource
 
 
+def _state_text(labels: tuple[str, int, str, str]) -> str:
+    """A row's text up to its value: its state's four fields as export_values writes them."""
+    return "%s,%s,%s,%s," % labels
+
+
 def export_values(solution: Solution, destination: str | Path) -> None:
     """Write the solved value table in the versioned text format, rows in state order."""
     sc = solution.scenario
     lines = [FILE_HEADER, scenario_fingerprint(sc)]
-    for i, (emergency, k, req_user, req_resource) in enumerate(
-        state_labels(sc.dims, sc.user_names, sc.resource_names)
-    ):
+    for i, labels in enumerate(state_labels(sc.dims, sc.user_names, sc.resource_names)):
         lines.append(
-            ",".join(
+            _state_text(labels)
+            + ",".join(
                 [
-                    emergency,
-                    str(k),
-                    req_user,
-                    req_resource,
                     _fmt(solution.values[i]),
                     solution.policy.action(i).label,
                     _fmt(solution.dv[0, i]),
@@ -261,9 +261,6 @@ class ValueRow(NamedTuple):
     action: str
     dv_deny: float
     dv_allow: float
-
-
-_EMERGENCY_LABELS = frozenset(e.label for e in Emergency)
 
 
 @dataclass
@@ -296,13 +293,32 @@ class LoadedValues:
             ) from None
 
 
+def _first_named(lines: list[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The users and resources in the order the rows first name them, each checked there."""
+    names: tuple[dict[str, None], dict[str, None]] = ({}, {})  # insertion-ordered sets
+    for lineno, raw in enumerate(lines[2:], start=3):
+        fields = raw.split(",")
+        if len(fields) != 8:
+            continue  # refused at its line when the rows are read
+        for kind, seen, label in zip(("user", "resource"), names, fields[2:4]):
+            if label != "eps" and label not in seen:
+                try:
+                    check_labels(kind, (label,))
+                except ValueError as exc:
+                    raise ValueFileError(lineno, str(exc)) from None
+                seen[label] = None
+    return tuple(names[0]), tuple(names[1])
+
+
 def import_values(source: str | Path, scenario: Scenario | None = None) -> LoadedValues:
     """Parse and validate a value-table file.
 
-    The rows must list every state once, in state order (state_labels),
-    with finite numbers.  The user and resource order is the scenario's
-    when one is supplied, and its fingerprint must match; otherwise it is
-    the order of first appearance in the rows, and each label must pass
+    Row i must be state i (state_labels), its state fields and action the
+    very text export_values writes; its numbers are read by float() from
+    ASCII text without '_', must be finite, and must not rule out its
+    action.  The user and resource order is the scenario's when one is
+    supplied, and its fingerprint must match; otherwise it is the order of
+    first appearance in the rows, and each label must pass
     rewards.check_labels at the line that first names it.
     """
     lines = Path(source).read_text(encoding="utf-8-sig").splitlines()
@@ -315,30 +331,37 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
     if scenario is not None and scenario_fingerprint(scenario) != fingerprint:
         raise ValueFileError(2, "scenario fingerprint does not match")
 
+    if scenario is not None:
+        user_names, resource_names = scenario.user_names, scenario.resource_names
+    else:
+        user_names, resource_names = _first_named(lines)
+    if not user_names or not resource_names:
+        raise ValueFileError(3, "no concrete requests found; cannot infer dimensions")
+    try:
+        dims = ModelDims(len(user_names), len(resource_names))
+    except CapacityError as exc:
+        raise ValueFileError(3, str(exc)) from None
+
     rows: list[ValueRow] = []
-    linenos: list[int] = []
-    users: dict[str, None] = {}  # insertion-ordered sets
-    resources: dict[str, None] = {}
-    for lineno, raw in enumerate(lines[2:], start=3):
-        if not raw.strip():
-            continue
+    numbered = ((n, raw) for n, raw in enumerate(lines[2:], start=3) if raw.strip())
+    # the states come first, so that zip stops before it takes a row past the last
+    for want, (lineno, raw) in zip(state_labels(dims, user_names, resource_names), numbered):
         fields = raw.split(",")
         if len(fields) != 8:
             raise ValueFileError(lineno, f"expected 8 fields, found {len(fields)}")
-        emergency, set_text, req_user, req_resource, value_t, action, dv_d, dv_a = (
-            f.strip() for f in fields
-        )
-        if emergency not in _EMERGENCY_LABELS:
-            raise ValueFileError(lineno, f"bad emergency label {emergency!r}")
+        if not raw.startswith(_state_text(want)):  # the row's first 4 fields, exactly
+            raise ValueFileError(
+                lineno,
+                f"expected state {_show(want)}, found {_show(fields[:4])}: "
+                f"rows must list every state once, in state order",
+            )
+        value_t, action, dv_d, dv_a = fields[4:]
         if action not in ("deny", "allow"):
             raise ValueFileError(lineno, f"bad action label {action!r}")
+        numbers = value_t + dv_d + dv_a
+        # float() also reads '_' and non-ASCII digits, which export_values never writes
         try:
-            # int() and float() also read '_' and non-ASCII digits, which export_values never writes
-            plain = set_text + value_t + dv_d + dv_a
-            if not (plain.isascii() and set_text.isdigit()) or "_" in plain:
-                raise ValueError
-            set_index = int(set_text)
-            if str(set_index) != set_text:  # zero-padded: export_values writes str(k)
+            if not numbers.isascii() or "_" in numbers:
                 raise ValueError
             value, dv_deny, dv_allow = float(value_t), float(dv_d), float(dv_a)
         except ValueError:
@@ -355,50 +378,19 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
             raise ValueFileError(
                 lineno, f"action {action} contradicts dv_deny {dv_d} and dv_allow {dv_a}"
             )
-        if (req_user == "eps") != (req_resource == "eps"):
-            raise ValueFileError(lineno, "eps must appear in both request fields")
-        if req_user != "eps":
-            if req_user not in users or req_resource not in resources:
-                try:
-                    check_labels("user", (req_user,))
-                    check_labels("resource", (req_resource,))
-                except ValueError as exc:
-                    raise ValueFileError(lineno, str(exc)) from None
-            users[req_user] = resources[req_resource] = None
-        rows.append(
-            ValueRow(emergency, set_index, req_user, req_resource, value, action, dv_deny, dv_allow)
-        )
-        linenos.append(lineno)
+        rows.append(ValueRow(*want, value, action, dv_deny, dv_allow))
 
-    if scenario is not None:
-        user_names, resource_names = scenario.user_names, scenario.resource_names
-    else:
-        user_names, resource_names = tuple(users), tuple(resources)
-    if not user_names or not resource_names:
-        raise ValueFileError(3, "no concrete requests found; cannot infer dimensions")
-    try:
-        dims = ModelDims(len(user_names), len(resource_names))
-    except CapacityError as exc:
-        raise ValueFileError(3, str(exc)) from None
-    for row, lineno, want in zip(rows, linenos, state_labels(dims, user_names, resource_names)):
-        if row[:4] != want:
-            raise ValueFileError(
-                lineno,
-                f"expected state {_show(want)}, found {_show(row[:4])}: "
-                f"rows must list every state once, in state order",
-            )
     if len(rows) < dims.num_states:
         raise ValueFileError(
             len(lines),
             f"incomplete table: {len(rows)} rows for a {dims.num_states}-state model "
             f"({len(user_names)} users x {len(resource_names)} resources)",
         )
-    if len(rows) > dims.num_states:
-        raise ValueFileError(
-            linenos[dims.num_states], f"extra row after the last of {dims.num_states} states"
-        )
+    extra = next(numbered, None)
+    if extra is not None:
+        raise ValueFileError(extra[0], f"extra row after the last of {dims.num_states} states")
     return LoadedValues(fingerprint, user_names, resource_names, rows)
 
 
-def _show(labels: tuple[str, int, str, str]) -> str:
+def _show(labels: Sequence[object]) -> str:
     return "(" + ", ".join(map(str, labels)) + ")"

@@ -8,12 +8,21 @@ from pathlib import Path
 
 import pytest
 from test_bellman import small_scenario
+from test_policy import random_scenarios
 
 import acmdp
-from acmdp import builtin_scenario, export_values, import_values, render_scenario, solve_scenario
+from acmdp import (
+    BUILTIN_NAMES,
+    builtin_scenario,
+    export_values,
+    import_values,
+    render_scenario,
+    solve_scenario,
+)
 from acmdp.bellman import VERIFY_TOL
 from acmdp.cli import TOL_HELP, build_parser, main
 from acmdp.experiments import SweepSpec
+from acmdp.policy import SOLVERS
 from acmdp.value_iteration import DEFAULT_TOL
 
 BAD_SCENARIO_FILE = """\
@@ -289,6 +298,77 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert "action allow contradicts" in err
+
+    @pytest.mark.parametrize(
+        "pattern, replacement, message",
+        [
+            # a consistent edit: the row's own action, values and decision values agree
+            ("high,.*", "high,9,allow,-1.5,9", "the table's values give dv_deny"),
+            ("^calm,", " calm ,", "line 6: expected state (calm, 0, bob, high)"),
+        ],
+        ids=["consistent edit", "padded emergency"],
+    )
+    def test_an_edited_row_exits_2(self, capsys, tmp_path, pattern, replacement, message):
+        path = tmp_path / "once.txt"
+        run(capsys, "solve", "--builtin", "table2_once", "--out", str(path))
+        lines = path.read_text().splitlines()
+        assert lines[5].startswith("calm,0,bob,high,")
+        lines[5] = re.sub(pattern, replacement, lines[5], count=1)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(
+            capsys, "eval", "--builtin", "table2_once", "--values", str(path),
+            "--emergency", "calm", "--request", "bob:high",
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("shift, exit_code", [(0.2, 1), (2.0, 2)])
+    def test_the_certificate_refuses_past_its_bound(self, capsys, tmp_path, shift, exit_code):
+        # a decision value may stray from the one the table's values give by
+        # 1e-11 (|dv| + max|V|); exported tables stray by a quarter of that at most
+        path = tmp_path / "once.txt"
+        run(capsys, "solve", "--builtin", "table2_once", "--out", str(path))
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        assert lines[5].startswith("calm,0,bob,high,") and fields[5] == "deny"
+        max_value = max(abs(float(line.split(",")[4])) for line in lines[2:])
+        dv_deny = float(fields[6])
+        fields[6] = repr(dv_deny + shift * 1e-11 * (abs(dv_deny) + max_value))
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        query = ("--values", str(path), "--emergency", "calm", "--request", "bob:high")
+        assert run(capsys, "eval", *query)[0] == 1  # no scenario, no certificate
+        code, _, err = run(capsys, "eval", "--builtin", "table2_once", *query)
+        assert code == exit_code
+        if exit_code == 2:
+            assert err.startswith("error: state (calm, 0, bob, high): the table's values give")
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_every_builtin_table_passes_the_certificate(self, capsys, tmp_path, name, solver):
+        path = tmp_path / "values.txt"
+        run(capsys, "solve", "--builtin", name, "--solver", solver, "--out", str(path))
+        code, _, err = run(
+            capsys, "eval", "--builtin", name, "--values", str(path),
+            "--emergency", "alert", "--request", "eps",
+        )
+        assert (code, err) in ((0, ""), (1, ""))
+
+    @random_scenarios(20)
+    def test_random_tables_pass_the_certificate(
+        self, tmp_path_factory, users, resources, behavior, variant, rates, beta, seed
+    ):
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        directory = tmp_path_factory.mktemp("certificate")
+        (directory / "s.txt").write_text(render_scenario(sc))
+        for solver in SOLVERS:
+            export_values(solve_scenario(sc, solver), directory / "values.txt")
+            code = main(
+                ["eval", "--scenario", str(directory / "s.txt"), "--values",
+                 str(directory / "values.txt"), "--emergency", "calm", "--request", "u0:r0"]
+            )
+            assert code in (0, 1)
 
     def test_unknown_label_errors(self, capsys, table1_values):
         code, _, err = run(
