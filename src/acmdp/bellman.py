@@ -141,7 +141,8 @@ class SystemParts:
         c, a = np.asarray(rates, dtype=float).T
         matrices = np.array([[1.0 - c, c], [1.0 - a, a]])
         rewards = self.rewards[:, None, :, :, None]
-        q = matrices[:, 0, None] * rewards[:, :, 0] + matrices[:, 1, None] * rewards[:, :, 1]
+        q = np.multiply(matrices[:, 0, None], rewards[:, :, 0])
+        q += matrices[:, 1, None] * rewards[:, :, 1]
         return BellmanSystem(self, matrices, q.reshape(2, -1, len(c)))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bellman import VERIFY_TOL, compile_system, decision_values
+from .bellman import VERIFY_TOL
 from .config import BUILTIN_NAMES, ScenarioParseError, builtin_scenario, parse_scenario
 from .experiments import SweepSpec, run_sweep, self_check, sweep_csv
 from .policy import (
@@ -152,35 +152,9 @@ def _parse_granted(text: str, loaded: LoadedValues) -> int:
     return k
 
 
-def _certify(loaded: LoadedValues, sc: Scenario) -> None:
-    """Refuse a table whose decision values are not those its own values give.
-
-    export_values writes the decision values of the values it writes, each
-    to 12 significant digits.  Printing moves a decision value by at most
-    5e-12 |dv|, and each value by at most 5e-12 max|V|, which moves
-    beta P V by no more; twice the sum also covers the float rounding of
-    the kernel, a few parts in 1e16 of the same sum.
-    """
-    rows = loaded.rows
-    values = np.array([row.value for row in rows])
-    written = np.array([[row.dv_deny for row in rows], [row.dv_allow for row in rows]])
-    priced = decision_values(compile_system(sc), values)
-    stray = (np.abs(priced - written) > 1e-11 * (np.abs(written) + np.abs(values).max())).any(0)
-    if stray.any():
-        i = int(stray.argmax())
-        row = rows[i]
-        raise ValueError(
-            f"state ({row.emergency}, {row.set_index}, {row.req_user}, {row.req_resource}): "
-            f"the table's values give dv_deny {priced[0, i]:.12g} and dv_allow "
-            f"{priced[1, i]:.12g}, but its row has {row.dv_deny:.12g} and {row.dv_allow:.12g}"
-        )
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     sc = _load_scenario(args)
     loaded = import_values(args.values, scenario=sc)
-    if sc is not None:
-        _certify(loaded, sc)
     if args.request == "eps":
         req_user = req_resource = "eps"
     else:
@@ -258,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     evaluate = sub.add_parser("eval", help="query a solved value table")
-    # with a scenario, a table whose fingerprint does not match is refused
+    # with a scenario, import_values refuses another scenario's table and wrong numbers
     _add_scenario_args(evaluate, required=False)
     evaluate.add_argument(
         "--values", type=Path, required=True, help="value table written by solve --out"

@@ -40,6 +40,7 @@ from .states import Action, CapacityError, Emergency, ModelDims
 from .value_iteration import Columns, solve_columns, value_iterate
 
 TIE_TOL = 1e-9
+PRINT_TOL = 1e-11  # twice the relative error of a number printed to 12 digits, to cover rounding
 MAX_BASES = 1000
 FILE_HEADER = "ACMDP-VALUES v1"
 SOLVERS = ("lp", "vi")
@@ -317,9 +318,9 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
     very text export_values writes; its numbers are read by float() from
     ASCII text without '_', must be finite, and must not rule out its
     action.  The user and resource order is the scenario's when one is
-    supplied, and its fingerprint must match; otherwise it is the order of
-    first appearance in the rows, and each label must pass
-    rewards.check_labels at the line that first names it.
+    supplied, its fingerprint must match, and _certify checks the numbers;
+    otherwise it is the order of first appearance in the rows, and each
+    label must pass rewards.check_labels at the line that first names it.
     """
     lines = Path(source).read_text(encoding="utf-8-sig").splitlines()
     if not lines or lines[0] != FILE_HEADER:
@@ -368,12 +369,10 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
             raise ValueFileError(lineno, f"malformed row {raw!r}") from None
         if not all(map(math.isfinite, (value, dv_deny, dv_allow))):
             raise ValueFileError(lineno, f"non-finite number in row {raw!r}")
-        # export_values writes allow exactly when dv_allow - dv_deny > TIE_TOL.  Printing
-        # to 12 significant digits moves each value by at most 5e-12 of its printed size,
-        # so the gap by 5e-12 (|dv_deny| + |dv_allow|); twice that also covers the float
-        # rounding of both comparisons, a few parts in 1e16 of the same sum
+        # export_values writes allow exactly when dv_allow - dv_deny > TIE_TOL; printing
+        # moves the gap by at most PRINT_TOL / 2 (|dv_deny| + |dv_allow|)
         gap = dv_allow - dv_deny
-        margin = 1e-11 * (abs(dv_deny) + abs(dv_allow))
+        margin = PRINT_TOL * (abs(dv_deny) + abs(dv_allow))
         if (gap > TIE_TOL) != (action == "allow") and abs(gap - TIE_TOL) > margin:
             raise ValueFileError(
                 lineno, f"action {action} contradicts dv_deny {dv_d} and dv_allow {dv_a}"
@@ -389,7 +388,32 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
     extra = next(numbered, None)
     if extra is not None:
         raise ValueFileError(extra[0], f"extra row after the last of {dims.num_states} states")
+    if scenario is not None:
+        _certify(rows, scenario, lines)
     return LoadedValues(fingerprint, user_names, resource_names, rows)
+
+
+def _certify(rows: list[ValueRow], sc: Scenario, lines: list[str]) -> None:
+    """Refuse the row whose decision values stray furthest from those the values give.
+
+    Printing moves each dv by PRINT_TOL / 2 |dv| at most and each V_j by PRINT_TOL / 2
+    |V_j|, so a row's beta P V by PRINT_TOL / 2 beta P |V|: each row's bound is its own.
+    """
+    system = compile_system(sc)
+    values = np.array([row.value for row in rows])
+    written = np.array([[row.dv_deny for row in rows], [row.dv_allow for row in rows]])
+    priced = decision_values(system, values)
+    reach = decision_values(system, np.abs(values)) - system.q  # beta P |V|
+    excess = (np.abs(priced - written) - PRINT_TOL * (np.abs(written) + reach)).max(0)
+    i = int(excess.argmax())
+    if excess[i] > 0:  # of the lines that are not blank, the header's two come before row i
+        lineno = [n for n, raw in enumerate(lines, start=1) if raw.strip()][i + 2]
+        raise ValueFileError(
+            lineno,
+            f"state {_show(rows[i][:4])}: the table's values give dv_deny {priced[0, i]:.12g} "
+            f"and dv_allow {priced[1, i]:.12g}, but its row has {written[0, i]:.12g} and "
+            f"{written[1, i]:.12g}",
+        )
 
 
 def _show(labels: Sequence[object]) -> str:

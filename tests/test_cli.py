@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_bellman import small_scenario
 from test_policy import random_scenarios
@@ -14,6 +15,7 @@ import acmdp
 from acmdp import (
     BUILTIN_NAMES,
     builtin_scenario,
+    compile_system,
     export_values,
     import_values,
     render_scenario,
@@ -22,7 +24,7 @@ from acmdp import (
 from acmdp.bellman import VERIFY_TOL
 from acmdp.cli import TOL_HELP, build_parser, main
 from acmdp.experiments import SweepSpec
-from acmdp.policy import SOLVERS
+from acmdp.policy import PRINT_TOL, SOLVERS
 from acmdp.value_iteration import DEFAULT_TOL
 
 BAD_SCENARIO_FILE = """\
@@ -300,20 +302,30 @@ class TestEval:
         assert "action allow contradicts" in err
 
     @pytest.mark.parametrize(
-        "pattern, replacement, message",
+        "edits, message",
         [
             # a consistent edit: the row's own action, values and decision values agree
-            ("high,.*", "high,9,allow,-1.5,9", "the table's values give dv_deny"),
-            ("^calm,", " calm ,", "line 6: expected state (calm, 0, bob, high)"),
+            (
+                [(5, "high,.*", "high,9,allow,-1.5,9")],
+                "line 6: state (calm, 0, bob, high): the table's values give dv_deny",
+            ),
+            # and a huge value of the state (calm, 1, alice, low), which no row reads
+            (
+                [(5, "high,.*", "high,9,allow,-1.5,9"), (7, "low,[^,]*", "low,1e300")],
+                "line 6: state (calm, 0, bob, high): the table's values give dv_deny",
+            ),
+            ([(5, "^calm,", " calm ,")], "line 6: expected state (calm, 0, bob, high)"),
         ],
-        ids=["consistent edit", "padded emergency"],
+        ids=["consistent edit", "and a huge unread value", "padded emergency"],
     )
-    def test_an_edited_row_exits_2(self, capsys, tmp_path, pattern, replacement, message):
+    def test_an_edited_row_exits_2(self, capsys, tmp_path, edits, message):
         path = tmp_path / "once.txt"
         run(capsys, "solve", "--builtin", "table2_once", "--out", str(path))
         lines = path.read_text().splitlines()
         assert lines[5].startswith("calm,0,bob,high,")
-        lines[5] = re.sub(pattern, replacement, lines[5], count=1)
+        assert lines[7].startswith("calm,1,alice,low,")
+        for at, pattern, replacement in edits:
+            lines[at] = re.sub(pattern, replacement, lines[at], count=1)
         path.write_text("\n".join(lines) + "\n")
         code, out, err = run(
             capsys, "eval", "--builtin", "table2_once", "--values", str(path),
@@ -326,15 +338,18 @@ class TestEval:
     @pytest.mark.parametrize("shift, exit_code", [(0.2, 1), (2.0, 2)])
     def test_the_certificate_refuses_past_its_bound(self, capsys, tmp_path, shift, exit_code):
         # a decision value may stray from the one the table's values give by
-        # 1e-11 (|dv| + max|V|); exported tables stray by a quarter of that at most
+        # PRINT_TOL (|dv| + beta P |V|), P its row's successors; exported tables
+        # stray by less than half of that
         path = tmp_path / "once.txt"
         run(capsys, "solve", "--builtin", "table2_once", "--out", str(path))
         lines = path.read_text().splitlines()
         fields = lines[5].split(",")
         assert lines[5].startswith("calm,0,bob,high,") and fields[5] == "deny"
-        max_value = max(abs(float(line.split(",")[4])) for line in lines[2:])
+        values = np.array([abs(float(line.split(",")[4])) for line in lines[2:]])
+        system = compile_system(builtin_scenario("table2_once"))
+        reach = system.beta * float((system.transitions[0] @ values)[3])  # deny, state 3
         dv_deny = float(fields[6])
-        fields[6] = repr(dv_deny + shift * 1e-11 * (abs(dv_deny) + max_value))
+        fields[6] = repr(dv_deny + shift * PRINT_TOL * (abs(dv_deny) + reach))
         lines[5] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         query = ("--values", str(path), "--emergency", "calm", "--request", "bob:high")
@@ -342,7 +357,7 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--builtin", "table2_once", *query)
         assert code == exit_code
         if exit_code == 2:
-            assert err.startswith("error: state (calm, 0, bob, high): the table's values give")
+            assert err.startswith("error: line 6: state (calm, 0, bob, high): the table's values")
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     @pytest.mark.parametrize("solver", SOLVERS)

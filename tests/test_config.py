@@ -1,3 +1,4 @@
+import re
 import string
 from dataclasses import replace
 from pathlib import Path
@@ -453,3 +454,39 @@ class TestBuiltins:
     def test_fingerprint_distinguishes_scenarios(self):
         prints = {scenario_fingerprint(builtin_scenario(n)) for n in BUILTIN_NAMES}
         assert len(prints) == len(BUILTIN_NAMES)
+
+
+# characters a hand edit or a tool may leave in a scenario file: a BOM, CR, NBSP,
+# full-width and Arabic-Indic digits, and text the format gives a meaning to
+EDIT_CHARS = [
+    "\ufeff", "\r", "\xa0", "\uff10", "\uff11", "\u0660", "\u0661", "_", "+", "#", "=",
+    "[", "]", " ", "\t", "\n",
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(BUILTIN_NAMES),
+    edit=st.sampled_from(["insert", "delete", "replace"]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    char=st.one_of(st.sampled_from(EDIT_CHARS), st.characters(blacklist_categories=("Cs",))),
+)
+def test_a_one_character_edit_is_refused_or_parses_to_a_scenario_that_round_trips(
+    name, edit, where, char
+):
+    # the parser refuses an edited file naming only lines it has, or reads a
+    # scenario whose canonical rendering parses back to it
+    text = render_scenario(builtin_scenario(name))
+    at = int(where * len(text))
+    edited = text[:at] + ("" if edit == "delete" else char) + text[at + (edit != "insert") :]
+    try:
+        sc = parse_scenario(edited)
+    except ScenarioParseError as err:
+        assert err.errors
+        for message in err.errors:
+            for line in re.findall(r"\bline (\d+)", message):
+                assert 1 <= int(line) <= len(edited.splitlines())
+    else:
+        again = parse_scenario(render_scenario(sc))
+        assert again == sc
+        assert scenario_fingerprint(again) == scenario_fingerprint(sc)

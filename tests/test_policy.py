@@ -1031,6 +1031,8 @@ class TestValueFiles:
     def test_a_gap_within_rounding_of_the_tie_tolerance_imports(
         self, solved, tmp_path, dv_allow, imports
     ):
+        # the action check reads only the row, so it is made without the scenario,
+        # whose certificate refuses decision values the table's values do not give
         sol = solved("table2_once")
         lines = exported(sol, tmp_path).read_text().splitlines()
         for action in ("deny", "allow"):
@@ -1039,11 +1041,48 @@ class TestValueFiles:
             path = tmp_path / "edited.txt"
             path.write_text("\n".join([*lines[:2], ",".join(fields), *lines[3:]]) + "\n")
             if action in imports:
-                assert import_values(path, scenario=sol.scenario).rows[0].action == action
+                assert import_values(path).rows[0].action == action
+                message = "state (calm, 0, alice, low): the table's values give dv_deny"
             else:
                 with pytest.raises(ValueFileError, match=f"action {action} contradicts") as err:
-                    import_values(path, scenario=sol.scenario)
+                    import_values(path)
                 assert err.value.line == 3
+                message = f"action {action} contradicts"
+            with pytest.raises(ValueFileError, match=re.escape(message)) as err:
+                import_values(path, scenario=sol.scenario)
+            assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            # the row's value, action and decision values agree with each other
+            {5: "calm,0,bob,high,9,allow,-1.5,9"},
+            # and a huge value of a state no row reads, which widens no row's bound
+            {5: "calm,0,bob,high,9,allow,-1.5,9", 7: "calm,1,alice,low,1e300,{}"},
+        ],
+        ids=["consistent edit", "and a huge unread value"],
+    )
+    def test_decision_values_its_values_do_not_give_are_refused(self, solved, tmp_path, edits):
+        sol = solved("table2_once")
+        lines = exported(sol, tmp_path).read_text().splitlines()
+        for at, row in edits.items():
+            rest = lines[at].split(",", 5)
+            assert rest[:4] == row.split(",")[:4]
+            lines[at] = row.format(rest[5])
+        path = tmp_path / "edited.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert import_values(path).lookup("calm", 0, "bob", "high").action == "allow"
+        with pytest.raises(ValueFileError) as err:
+            import_values(path, scenario=sol.scenario)
+        assert err.value.line == 6
+        assert str(err.value).startswith(
+            "line 6: state (calm, 0, bob, high): the table's values give dv_deny "
+        )
+        assert str(err.value).endswith(", but its row has -1.5 and 9")
+        lines[3:3] = [""]  # a blank line is skipped, and the row's line counts it
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueFileError, match="^line 7: state \\(calm, 0, bob, high\\)"):
+            import_values(path, scenario=sol.scenario)
 
     def test_no_concrete_request(self, tmp_path):
         path = tmp_path / "bad.txt"
