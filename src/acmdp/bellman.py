@@ -135,10 +135,15 @@ class SystemParts:
         """The batch of the built scenario's systems, one per (calm_to_alert, alert_to_alert).
 
         Column g's E is ((1 - c, c), (1 - a, a)) of rates[g] = (c, a), each
-        rate in [0, 1]; E is C-contiguous (2, 2, G) and q, C-contiguous
-        (2, n, G), is q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x].
+        rate in [0, 1] (ValueError otherwise); E is C-contiguous (2, 2, G) and q,
+        C-contiguous (2, n, G), is q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x].
         """
-        c, a = np.asarray(rates, dtype=float).T
+        rates = np.asarray(rates, dtype=float)
+        if not (rates.min() >= 0.0 and rates.max() <= 1.0):  # written so that NaN fails
+            g, k = np.argwhere(~((rates >= 0.0) & (rates <= 1.0)))[0]
+            name = ("calm_to_alert", "alert_to_alert")[k]
+            raise ValueError(f"column {g}: {name} {rates[g, k]} outside [0, 1]")
+        c, a = rates.T
         matrices = np.array([[1.0 - c, c], [1.0 - a, a]])
         rewards = self.rewards[:, None, :, :, None]
         q = np.multiply(matrices[:, 0, None], rewards[:, :, 0])

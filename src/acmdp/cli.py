@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bellman import VERIFY_TOL
 from .config import BUILTIN_NAMES, ScenarioParseError, builtin_scenario, parse_scenario
 from .experiments import SweepSpec, run_sweep, self_check, sweep_csv
 from .policy import (
@@ -21,15 +20,10 @@ from .policy import (
 )
 from .rewards import Scenario
 from .states import Access, Emergency, set_insert
-from .value_iteration import DEFAULT_TOL, ConvergenceError
+from .value_iteration import ConvergenceError
 
 
 SOLVER_HELP = "lp: the LP by policy iteration, exact; vi: value iteration (default %(default)s)"
-TOL_HELP = (
-    "solver tolerance: for lp, the largest Bellman-row violation the final "
-    f"policy basis may leave (default {VERIFY_TOL:g}); for vi, the largest distance "
-    f"of its values from the optimal ones (default {DEFAULT_TOL:g})"
-)
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -49,7 +43,7 @@ def _load_scenario(args: argparse.Namespace) -> Scenario | None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     sc = _load_scenario(args)
-    solution = solve_scenario(sc, solver=args.solver, tol=args.tol)
+    solution = solve_scenario(sc, solver=args.solver)
     unit = "policy bases" if args.solver == "lp" else "iterations"
     print(f"states: {solution.system.num_states}")
     print(f"{unit}: {solution.iterations}")
@@ -62,7 +56,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_decisions(args: argparse.Namespace) -> int:
     sc = _load_scenario(args)
-    solution = solve_scenario(sc, solver=args.solver, tol=args.tol)
+    solution = solve_scenario(sc, solver=args.solver)
 
     accesses = list(sc.dims.accesses())
     headers = [
@@ -196,13 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", parents=[solving], help="solve a scenario and export the value table"
     )
     _add_scenario_args(solve)
-    solve.add_argument("--tol", type=float, help=TOL_HELP)
     solve.add_argument("--out", type=Path, help="value-table output path")
     solve.set_defaults(func=cmd_solve)
 
     decisions = sub.add_parser("decisions", parents=[solving], help="print the decision-value grid")
     _add_scenario_args(decisions)
-    decisions.add_argument("--tol", type=float, help=TOL_HELP)
     decisions.add_argument("--csv", type=Path, help="also write the grid as CSV")
     decisions.set_defaults(func=cmd_decisions)
 

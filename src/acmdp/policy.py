@@ -32,6 +32,7 @@ from .bellman import (
     decision_values,
     draw_table,
     price_table,
+    rounding_allowance,
     verify_solution,
 )
 from .config import scenario_fingerprint
@@ -167,24 +168,18 @@ def solver_function(solver: str) -> Callable[..., tuple[np.ndarray, int]]:
     return policy_iterate if solver == "lp" else value_iterate
 
 
-def solve_scenario(sc: Scenario, solver: str = "lp", tol: float | None = None) -> Solution:
+def solve_scenario(sc: Scenario, solver: str = "lp") -> Solution:
     """Compile a scenario and solve it with the LP (policy_iterate) or value iteration.
 
-    tol defaults to each solver's own tolerance: for the LP, the largest
-    Bellman-row violation the final basis may leave (1e-9); for value
-    iteration, the bound on the distance of its values from the optimum
-    (1e-10).
+    Each stops at its own default tol (VERIFY_TOL, value_iteration.DEFAULT_TOL);
+    a caller that wants another stop calls policy_iterate or value_iterate.
     """
-    return solve_system(compile_system(sc), solver, tol)
+    return solve_system(compile_system(sc), solver)
 
 
-def solve_system(system: BellmanSystem, solver: str = "lp", tol: float | None = None) -> Solution:
-    """Solve a compiled system; solver and tol are solve_scenario's.
-
-    The solution's dv, policy and report come from one decision_values call.
-    """
-    solve = solver_function(solver)
-    values, iterations = solve(system, **({} if tol is None else {"tol": tol}))
+def solve_system(system: BellmanSystem, solver: str = "lp") -> Solution:
+    """Solve a compiled system by solve_scenario's solver, then price its values once."""
+    values, iterations = solver_function(solver)(system)
     dv = decision_values(system, values)
     return Solution(
         scenario=system.parts.scenario,
@@ -394,26 +389,33 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
 
 
 def _certify(rows: list[ValueRow], sc: Scenario, lines: list[str]) -> None:
-    """Refuse the row whose decision values stray furthest from those the values give.
+    """Refuse the row whose decision values, else whose value, stray furthest past a bound.
 
     Printing moves each dv by PRINT_TOL / 2 |dv| at most and each V_j by PRINT_TOL / 2
     |V_j|, so a row's beta P V by PRINT_TOL / 2 beta P |V|: each row's bound is its own.
+    Either solver leaves V within VERIFY_TOL and the dvs' rounding_allowance of its
+    larger dv.  A table that meets both bounds has a Bellman residual of at most their
+    sum, so its values lie within that over 1 - beta of the optimum (Puterman 1994,
+    sections 6.2-6.3).  The allowance reads the dvs, so an unread huge V_j widens none.
     """
     system = compile_system(sc)
     values = np.array([row.value for row in rows])
     written = np.array([[row.dv_deny for row in rows], [row.dv_allow for row in rows]])
     priced = decision_values(system, values)
     reach = decision_values(system, np.abs(values)) - system.q  # beta P |V|
-    excess = (np.abs(priced - written) - PRINT_TOL * (np.abs(written) + reach)).max(0)
-    i = int(excess.argmax())
-    if excess[i] > 0:  # of the lines that are not blank, the header's two come before row i
-        lineno = [n for n, raw in enumerate(lines, start=1) if raw.strip()][i + 2]
-        raise ValueFileError(
-            lineno,
-            f"state {_show(rows[i][:4])}: the table's values give dv_deny {priced[0, i]:.12g} "
-            f"and dv_allow {priced[1, i]:.12g}, but its row has {written[0, i]:.12g} and "
-            f"{written[1, i]:.12g}",
-        )
+    strays = (np.abs(priced - written) - PRINT_TOL * (np.abs(written) + reach)).max(0)
+    bound = VERIFY_TOL + PRINT_TOL * (np.abs(values) + np.abs(written).max(0) + reach.max(0))
+    residual = np.abs(values - written.max(0)) - bound - rounding_allowance(written, sc.beta)
+    for excess, says in (
+        (strays, "the table's values give dv_deny {:.12g} and dv_allow {:.12g}, but its row has"),
+        (residual, "its value {2:.12g} is not the larger of its decision values"),
+    ):
+        i = int(excess.argmax())
+        if excess[i] > 0:  # of the lines that are not blank, the header's two come before row i
+            lineno = [n for n, raw in enumerate(lines, start=1) if raw.strip()][i + 2]
+            shown = says.format(*priced[:, i], values[i])
+            shown += f" {written[0, i]:.12g} and {written[1, i]:.12g}"
+            raise ValueFileError(lineno, f"state {_show(rows[i][:4])}: {shown}")
 
 
 def _show(labels: Sequence[object]) -> str:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -115,12 +116,13 @@ class TestFactoredCompile:
             small_scenario(users, resources, behavior, variant, rates, beta, seed)
         )
 
-    def test_corrupted_emergency_matrix_matches_oracle(self):
-        # bypass the constructor check: q must still follow the per-state sums
+    def test_corrupted_emergency_matrix_is_refused(self):
+        # bypass the constructor check: the compile refuses the calm row (-0.5, 1.5)
         for behavior in RequestBehavior:
             sc = small_scenario(2, 2, behavior.value, "eps_accrues")
-            object.__setattr__(sc, "calm_to_alert", 1.5)  # calm row (-0.5, 1.5)
-            assert_matches_oracle(sc)
+            object.__setattr__(sc, "calm_to_alert", 1.5)
+            with pytest.raises(ValueError, match=re.escape("calm_to_alert 1.5 outside [0, 1]")):
+                compile_system(sc)
 
 
 def assert_same_column(batch, g, want):
@@ -205,6 +207,19 @@ class TestMixEmergency:
         built = dataclasses.replace(sc, **change)
         mixed = build_parts(built).mix_batch([(0.37, 0.6)])
         assert_same_column(mixed, 0, compile_system(with_rates(built, (0.37, 0.6))))
+
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            ([(1.5, -0.2)], "column 0: calm_to_alert 1.5 outside [0, 1]"),
+            ([(0.1, 1.0), (0.2, -1e-300)], "column 1: alert_to_alert -1e-300 outside [0, 1]"),
+            ([(0.1, 1.0), (0.2, 0.5), (float("nan"), 0.5)], "column 2: calm_to_alert nan"),
+        ],
+    )
+    def test_a_rate_outside_0_1_is_refused(self, rates, message):
+        # such a rate makes E, and so P, not stochastic, which neither solver would notice
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_parts(builtin_scenario("table2_once")).mix_batch(rates)
 
 
 KERNEL_DIMS = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)]

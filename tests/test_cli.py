@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_bellman import small_scenario
-from test_policy import random_scenarios
+from test_policy import not_optimal, random_scenarios, residual_share
 
 import acmdp
 from acmdp import (
@@ -21,11 +21,9 @@ from acmdp import (
     render_scenario,
     solve_scenario,
 )
-from acmdp.bellman import VERIFY_TOL
-from acmdp.cli import TOL_HELP, build_parser, main
+from acmdp.cli import build_parser, main
 from acmdp.experiments import SweepSpec
 from acmdp.policy import PRINT_TOL, SOLVERS
-from acmdp.value_iteration import DEFAULT_TOL
 
 BAD_SCENARIO_FILE = """\
 [model]
@@ -84,29 +82,6 @@ class TestSolve:
             lf, rf = left.split(","), right.split(",")
             assert lf[:4] == rf[:4]
             assert float(lf[4]) == pytest.approx(float(rf[4]), abs=1e-6)
-
-    def test_vi_tolerance_is_honoured(self, capsys):
-        def vi_iterations(*tol):
-            code, out, _ = run(
-                capsys, "solve", "--builtin", "table2_all", "--solver", "vi", *tol
-            )
-            assert code == 0
-            return int(out.split("iterations:")[1].split()[0])
-
-        assert vi_iterations("--tol", "1e-3") < vi_iterations()
-
-    @pytest.mark.parametrize("command", ["solve", "decisions"])
-    @pytest.mark.parametrize("solver", ["lp", "vi"])
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
-    def test_nan_or_negative_tol_exits_2(self, capsys, tmp_path, command, solver, tol):
-        argv = [command, "--builtin", "modified_once", "--solver", solver, "--tol", tol]
-        out_file = tmp_path / "values.txt"
-        if command == "solve":
-            argv += ["--out", str(out_file)]
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == f"error: tol must be zero or positive, got {float(tol)}\n"
-        assert not out_file.exists()
 
     def test_a_leading_byte_order_mark_is_ignored(self, capsys, tmp_path):
         # an editor may save the scenario as UTF-8 with a BOM; it solves as the plain file
@@ -359,6 +334,18 @@ class TestEval:
         if exit_code == 2:
             assert err.startswith("error: line 6: state (calm, 0, bob, high): the table's values")
 
+    @pytest.mark.parametrize(
+        "edit, unchecked", [("forged", 0), ("shifted", 1), ("forged, huge", 0)]
+    )
+    def test_values_that_are_not_optimal_exit_2(self, capsys, tmp_path, edit, unchecked):
+        # without a scenario the table is served: forged's wrong allow exits 0
+        path = not_optimal(solve_scenario(builtin_scenario("table2_once")), tmp_path, edit)
+        query = ("--values", str(path), "--emergency", "calm", "--request", "bob:high")
+        assert run(capsys, "eval", *query)[0] == unchecked
+        code, out, err = run(capsys, "eval", "--builtin", "table2_once", *query)
+        assert (code, out) == (2, "")
+        assert re.match(r"error: line \d+: state \(.*\): its value \S+ is not the larger", err)
+
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_every_builtin_table_passes_the_certificate(self, capsys, tmp_path, name, solver):
@@ -384,6 +371,8 @@ class TestEval:
                  str(directory / "values.txt"), "--emergency", "calm", "--request", "u0:r0"]
             )
             assert code in (0, 1)
+            rows = import_values(directory / "values.txt").rows
+            assert residual_share(compile_system(sc), rows) < 0.5
 
     def test_unknown_label_errors(self, capsys, table1_values):
         code, _, err = run(
@@ -500,7 +489,6 @@ def test_defaults_are_the_librarys():
     # the CLI states no default of its own where the library has one
     args = build_parser().parse_args(["sweep", "--builtin", "table1"])
     assert (args.start, args.stop, args.step) == (SweepSpec.start, SweepSpec.stop, SweepSpec.step)
-    assert f"{VERIFY_TOL:g}" in TOL_HELP and f"{DEFAULT_TOL:g}" in TOL_HELP
 
 
 def test_readme_commands_run(capsys, monkeypatch, tmp_path):

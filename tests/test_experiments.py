@@ -652,10 +652,9 @@ class TestSelfCheck:
             "request weights of set 0 [0.125, 0.125, 0.125, 0.125, 0.0] has mass 0.5"
         )
 
-    def test_broken_matrix_fails_stochasticity(self):
-        # bypass the constructor check: the calm row of E is (-0.5, 1.5)
+    def test_broken_matrix_is_refused_before_any_check(self):
+        # bypass the constructor check: the compile refuses the calm row (-0.5, 1.5)
         sc = builtin_scenario("table2_unique")
         object.__setattr__(sc, "calm_to_alert", 1.5)
-        checks = self_check(sc)
-        assert checks[0].name == "stochasticity"
-        assert not checks[0].passed
+        with pytest.raises(ValueError, match=r"column 0: calm_to_alert 1.5 outside \[0, 1\]"):
+            self_check(sc)

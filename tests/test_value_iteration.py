@@ -106,6 +106,15 @@ class TestValueIterate:
         with pytest.raises(ValueError, match=f"tol must be zero or positive, got {tol}"):
             value_iterate(table2_system, tol=tol)
 
+    def test_a_looser_tol_stops_sooner_and_within_it(self):
+        system = compile_system(builtin_scenario("table2_all"))
+        exact, _ = policy_iterate(system)
+        values, sweeps = value_iterate(system, tol=1e-3)
+        assert sweeps < value_iterate(system)[1]
+        # the LP's values lie within VERIFY_TOL / (1 - beta) of the optimum
+        bound = 1e-3 + VERIFY_TOL / (1 - system.beta) + rounding_allowance(exact, system.beta)
+        assert np.max(np.abs(values - exact)) <= bound
+
     def test_warm_start_reaches_same_fixed_point_sooner(self):
         system = compile_system(builtin_scenario("table2_all"))
         cold, cold_sweeps = value_iterate(system)
