@@ -211,10 +211,11 @@ def rounding_allowance(values: np.ndarray, beta: float) -> float:
     error by up to 1 / (1 - beta).  Measured in these units against values
     refined in np.longdouble, on two samples of 900 random 1x1 to 2x2
     scenarios with beta up to 0.999, rewards scaled up to 100-fold and a
-    fifth solved by value iteration to tol 0: value iteration, with its span
-    stop and the shift to the bounds' midpoint, exceeded its tol by at most
-    1.85 (its rounding-level stop accounts for up to 1), policy iteration
-    erred by at most 0.75, and the two differed by at most 1.94 beyond tol.
+    fifth solved by value iteration with a DEFAULT_TOL of 0: value iteration,
+    with its span stop and the shift to the bounds' midpoint, exceeded its
+    DEFAULT_TOL by at most 1.85 (its rounding-level stop accounts for up to
+    1), policy iteration erred by at most 0.75, and the two differed by at
+    most 1.94 beyond DEFAULT_TOL.
     A value-iteration sign test needs the first, an LP-VI comparison the
     last.  The allowance covers the sum of the first two, 2.58 and 2.47 on
     the two samples.
@@ -258,6 +259,8 @@ def validate_stochastic(system: BellmanSystem) -> list[str]:
     every index by its own (action, state), so P^a is stochastic exactly
     when every row of E and of the weights has entries in [0, 1] and mass
     within ROW_SUM_TOL of 1, and every index reads its own status's block.
+    Only a hand-built system breaks E: mix_batch refuses a rate outside [0, 1]
+    before it forms E, and each row (1 - c, c) then sums to 1 within an ulp.
     """
     dynamics = system.parts.dynamics
     problems = []

@@ -56,11 +56,12 @@ GRID_SLACK = 1e-9
 MAX_GRID_POINTS = 100_001
 # the bytes of (states, columns) arrays a sweep may hold to solve a chunk of its grid
 CHUNK_BYTES = 16 * 2**20
-# such arrays a chunk's mix, solve and pricing hold at their peak, per solver:
-# traced with tracemalloc on the second solve of the first and last chunks of
-# a 101-point grid at run_sweep's width, on random 2x2, 2x3 and 3x3 models
-# under once and all, at most 11.8 for the LP and 8.6 for value iteration;
-# each count leaves about a third more
+# such arrays a chunk's mix, solve and pricing hold at their peak, per solver,
+# traced with tracemalloc on the second call: on the default 101-point grid,
+# the first and last chunks at run_sweep's width of random 2x2, 2x3 and 3x3
+# models under once and all, at most 11.8 for the LP and 8.7 for value
+# iteration; on 101 points over p in [0, 0.2] of modified_once and table2_all,
+# as the tests trace them, at most 13.2 and 7.1; each count leaves a fifth more
 SOLVER_ARRAYS = {"lp": 16, "vi": 12}
 
 

@@ -9,7 +9,8 @@ The Bellman LP (min sum V s.t. V >= q^a + beta P^a V for every state and
 action) is solved by policy_iterate: Howard's policy iteration, which is
 the simplex method on the dual of this LP with block pivots.  Each basis
 is a policy, whose values policy_evaluate solves exactly with no assembled
-P.  It is the one exact solver.
+P.  It is the one exact solver, and stops at VERIFY_TOL as value iteration
+stops at its DEFAULT_TOL: each reads its constant when it runs.
 
 Solved tables can be exported to a line-oriented text file and reloaded for
 use as a lightweight policy decision point.
@@ -87,9 +88,7 @@ def policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
 
 
 def policy_iterate(
-    system: BellmanSystem,
-    tol: float = VERIFY_TOL,
-    start: np.ndarray | None = None,
+    system: BellmanSystem, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
     """Solve the Bellman LP, one policy per simplex basis, at most MAX_BASES.
 
@@ -98,12 +97,12 @@ def policy_iterate(
     decision_values(system, start); start None is zero, giving the myopic
     policy (allow where q[allow] > q[deny]).  Each basis pi is solved
     exactly by policy_evaluate, and every state whose other action beats
-    its current one by more than tol pivots at once.  A column stops at a
-    basis where none does, which violates no Bellman row by more than tol.
-    Returns the values and the most bases a column solved.
+    its current one by more than VERIFY_TOL pivots at once.  A column stops
+    at a basis where none does, which violates no Bellman row by more than
+    VERIFY_TOL.  Returns the values and the most bases a column solved.
     """
-    failure = "no optimal policy basis within {budget} bases (beta={beta}, tol={tol})"
-    return solve_columns(system, tol, start, MAX_BASES, _first_policy, _pivot, failure)
+    failure = f"no optimal policy basis within {{budget}} bases (beta={{beta}}, tol={VERIFY_TOL})"
+    return solve_columns(system, start, MAX_BASES, _first_policy, _pivot, failure)
 
 
 def _first_policy(batch: BellmanSystem, start: np.ndarray | None) -> Columns:
@@ -111,14 +110,12 @@ def _first_policy(batch: BellmanSystem, start: np.ndarray | None) -> Columns:
     return (dv[1] > dv[0],)  # (n, G): allow
 
 
-def _pivot(
-    batch: BellmanSystem, state: Columns, tol: float
-) -> tuple[Columns, np.ndarray, np.ndarray | None]:
+def _pivot(batch: BellmanSystem, state: Columns) -> tuple[Columns, np.ndarray, np.ndarray | None]:
     """Solve the basis; where no state pivots the column stops, elsewhere they pivot."""
     (policy,) = state
     dv = policy_evaluate(batch, policy)
     values = np.where(policy, dv[1], dv[0])
-    better = np.where(policy, dv[0], dv[1]) > values + tol
+    better = np.where(policy, dv[0], dv[1]) > values + VERIFY_TOL
     stop = ~better.any(axis=0)
     policy ^= better  # no state of a stopped column pivots
     return (policy,), stop, values[:, stop] if stop.any() else None
@@ -159,8 +156,9 @@ class Solution:
 def solver_function(solver: str) -> Callable[..., tuple[np.ndarray, int]]:
     """The solve function of a name in SOLVERS: policy_iterate or value_iterate.
 
-    Both are solve(system, tol=<own default>, start=None) -> (values, count),
-    and raise ConvergenceError when out of budget.  The names are looked up
+    Both are solve(system, start=None) -> (values, count), stop at their own
+    tolerance (VERIFY_TOL, value_iteration.DEFAULT_TOL) and raise
+    ConvergenceError when out of budget.  The names are looked up
     at each call, so that a function rebound in this module is the one run.
     """
     if solver not in SOLVERS:
@@ -171,8 +169,7 @@ def solver_function(solver: str) -> Callable[..., tuple[np.ndarray, int]]:
 def solve_scenario(sc: Scenario, solver: str = "lp") -> Solution:
     """Compile a scenario and solve it with the LP (policy_iterate) or value iteration.
 
-    Each stops at its own default tol (VERIFY_TOL, value_iteration.DEFAULT_TOL);
-    a caller that wants another stop calls policy_iterate or value_iterate.
+    Each stops at its own tolerance, VERIFY_TOL or value_iteration.DEFAULT_TOL.
     """
     return solve_system(compile_system(sc), solver)
 

@@ -7,21 +7,23 @@ trailing grid axis, so one loop solves a batch of systems that differ
 only in E (bellman.SystemParts.mix_batch), every column at once; a single
 system runs as a batch of one.  solve_columns is that loop, for
 policy.policy_iterate too: it retires stopped columns and keeps the
-budget.  The kernel works on each column apart, so a column's values do
-not depend on the batch it was solved in.
+budget, and each step stops at its solver's one tolerance, a module
+constant read when it runs.  The kernel works on each column apart, so a
+column's values do not depend on the batch it was solved in.
 
 Iteration stops on a proven error bound, per column.  With d = TV - V,
 M = max d and m = min d, the optimal values lie between TV + beta / (1 - beta) m
 and TV + beta / (1 - beta) M (MacQueen 1966, Porteus 1971; Puterman 1994,
 section 6.6), so the midpoint TV + beta / (1 - beta) (M + m) / 2 is within
 beta / (1 - beta) (M - m) / 2 of them.  A column stops once that is at most
-tol and returns the midpoint.  Since M - m <= 2 ||d||, this stops no later
-than the sup-norm rule (Puterman 1994, Theorem 6.3.1), and far sooner where
-the values still drift by a near-constant step, as a cold start at high
-beta does.  Where the bound lies below the rounding of the values (high
-beta, large values), a column stops instead once (M - m) / 2 is at most
-eps max|V|, about one unit in the last place of its largest value;
-bellman.rounding_allowance covers the extra error.
+DEFAULT_TOL, which each sweep reads when it runs, and returns the midpoint.
+Since M - m <= 2 ||d||, this stops no later than the sup-norm rule
+(Puterman 1994, Theorem 6.3.1), and far sooner where the values still
+drift by a near-constant step, as a cold start at high beta does.  Where
+the bound lies below the rounding of the values (high beta, large values),
+a column stops instead once (M - m) / 2 is at most eps max|V|, about one
+unit in the last place of its largest value; bellman.rounding_allowance
+covers the extra error.
 
 value_iterate's sign_of stops a column sooner where only the sign of
 allow - deny at one state is wanted.  The same bounds put V* - V between
@@ -54,24 +56,21 @@ class ConvergenceError(RuntimeError):
 
 def solve_columns(
     system: BellmanSystem,
-    tol: float,
     start: np.ndarray | None,
     budget: int,
     first: Callable[[BellmanSystem, np.ndarray | None], Columns],
-    step: Callable[[BellmanSystem, Columns, float], tuple[Columns, np.ndarray, np.ndarray | None]],
+    step: Callable[[BellmanSystem, Columns], tuple[Columns, np.ndarray, np.ndarray | None]],
     failure: str,
 ) -> tuple[np.ndarray, int]:
     """The fixed-point loop of both solvers; returns the values and the step count.
 
     first(batch, start) gives the state from start's (n, G) columns or None.
-    step(batch, state, tol) gives the next state, the columns that stop and
-    their values, or None if none does.  A stopped column keeps them and
-    leaves the batch and the state, so later steps take only the columns
-    still running.  After budget steps it raises ConvergenceError with
-    failure, formatted with tol, budget and beta.
+    step(batch, state) gives the next state, the columns that stop at the
+    solver's own tolerance and their values, or None if none does.  A
+    stopped column keeps them and leaves the batch and the state, so later
+    steps take only the columns still running.  After budget steps it
+    raises ConvergenceError with failure, formatted with budget and beta.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be zero or positive, got {tol}")
     if start is not None:
         start = system.as_columns("start", start)
         if not np.isfinite(start).all():
@@ -82,7 +81,7 @@ def solve_columns(
     result = np.empty(batch.q.shape[1:])
     running = np.arange(result.shape[1])  # the result column of each column of the batch
     for count in range(1, budget + 1):
-        state, stop, values = step(batch, state, tol)
+        state, stop, values = step(batch, state)
         if values is not None:
             result[:, running[stop]] = values
             if stop.all():
@@ -90,16 +89,13 @@ def solve_columns(
             keep = ~stop
             running, batch = running[keep], batch.columns(keep)
             state = tuple(array.compress(keep, -1) for array in state)
-    raise ConvergenceError(failure.format(tol=tol, budget=budget, beta=system.beta))
+    raise ConvergenceError(failure.format(budget=budget, beta=system.beta))
 
 
 def value_iterate(
-    system: BellmanSystem,
-    tol: float = DEFAULT_TOL,
-    start: np.ndarray | None = None,
-    sign_of: int | None = None,
+    system: BellmanSystem, start: np.ndarray | None = None, sign_of: int | None = None
 ) -> tuple[np.ndarray, int]:
-    """Iterate from start (default zero) until the values are within tol of the optimum.
+    """Iterate from start (default zero) until the values are within DEFAULT_TOL of the optimum.
 
     The values have shape (n,), or (n, G) for a batch of G systems, each
     column of which stops on its own bound (see the module docstring).  A
@@ -114,12 +110,12 @@ def value_iterate(
     than beta / (1 - beta) (M - m) plus 2 beta rounding_allowance(V, beta)
     (see the module docstring).  Such a column returns V itself, so
     decision_values of the result gives the proven gap to the last bit.  A
-    column whose sign is never proven stops within tol, its sign taken as
-    computed.
+    column whose sign is never proven stops within DEFAULT_TOL, its sign
+    taken as computed.
     """
-    failure = "no convergence to {tol} within {budget} iterations (beta={beta})"
+    failure = f"no convergence to {DEFAULT_TOL} within {{budget}} iterations (beta={{beta}})"
     step = partial(_sweep, sign_of=sign_of)
-    return solve_columns(system, tol, start, DEFAULT_MAX_ITER, _first_values, step, failure)
+    return solve_columns(system, start, DEFAULT_MAX_ITER, _first_values, step, failure)
 
 
 def _first_values(batch: BellmanSystem, start: np.ndarray | None) -> Columns:
@@ -131,7 +127,7 @@ def _first_values(batch: BellmanSystem, start: np.ndarray | None) -> Columns:
 
 
 def _sweep(
-    batch: BellmanSystem, state: Columns, tol: float, sign_of: int | None
+    batch: BellmanSystem, state: Columns, sign_of: int | None
 ) -> tuple[Columns, np.ndarray, np.ndarray | None]:
     """One kernel call and every stop (see the module docstring), as a solve_columns step.
 
@@ -148,7 +144,7 @@ def _sweep(
     top, bottom = step.max(axis=0), step.min(axis=0)
     del step  # free it before the stopped columns' values are formed
     half_span = 0.5 * (top - bottom)
-    stop = factor * half_span <= tol
+    stop = factor * half_span <= DEFAULT_TOL
     proven = np.zeros_like(stop)
     if sign_of is not None:
         # scale bounds max|values| from above, so this allowance bounds rounding_allowance's

@@ -2,11 +2,13 @@
 
 Every name the table writes must exist, and every module-level tolerance or
 budget constant (*_TOL, *_TOLS, MAX_*, DEFAULT_*) must have a row, so that
-the table cannot drift from the code in either direction.
+the table cannot drift from the code in either direction.  Those constants
+are the only tolerances: no function or method takes one.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -87,3 +89,19 @@ def test_every_tolerance_and_budget_has_a_row():
     listed = {code_names(row[0])[0] for row in table_rows()}
     missing = [f"{m}.{n}" for m, n in constants() if f"{m}.{n}" not in listed]
     assert constants() and not missing, f"README's Tolerances table lacks {missing}"
+
+
+def test_no_function_takes_a_tolerance():
+    # each solve reads its module's constant when it runs, so none has a per-call stop
+    takers = set()
+    for name in sorted(MODULES):
+        module = importlib.import_module(f"acmdp.{name}")
+        classes = [c for _, c in inspect.getmembers(module, inspect.isclass)]
+        for owner in [module, *(c for c in classes if c.__module__ == module.__name__)]:
+            for _, fn in inspect.getmembers(owner, inspect.isfunction):
+                takers |= {
+                    f"{fn.__module__}.{fn.__qualname__}({param})"
+                    for param in inspect.signature(fn).parameters
+                    if param == "tol" or param.endswith("_tol")
+                }
+    assert not takers, f"these take a tolerance: {sorted(takers)}"

@@ -290,6 +290,14 @@ def read_past_table(dynamics, k, x):
 
 
 class TestValidateStochastic:
+    """A compiled system's E cannot break: mix_batch refuses a rate outside [0, 1]
+    and each row (1 - c, c) sums to 1 within an ulp.  So the emergency-row
+    problems are reached only by hand-built systems, whose E is set by
+    replace: test_broken_emergency_row_reported_once,
+    test_problems_are_listed_by_factor, test_mass_may_miss_1_by_row_sum_tol
+    and test_flags_exactly_the_models_with_a_broken_row.
+    """
+
     @pytest.mark.parametrize("behavior", list(RequestBehavior))
     def test_well_formed_models_pass(self, behavior):
         assert validate_stochastic(compile_system(model(DRIFT, behavior))) == []
@@ -303,6 +311,13 @@ class TestValidateStochastic:
         ]
         for pair in rates:
             assert validate_stochastic(compile_system(with_rates(sc, pair))) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_a_compiled_emergency_row_sums_to_1_within_an_ulp(self, rates):
+        emergency = build_parts(model(DRIFT, RequestBehavior.ONCE)).mix_batch([rates]).emergency
+        assert np.all(np.abs(emergency.sum(axis=1) - 1.0) <= np.spacing(1.0))
+        assert np.all((emergency >= 0.0) & (emergency <= 1.0))
 
     @pytest.mark.parametrize(
         "rows, problem",
@@ -325,7 +340,8 @@ class TestValidateStochastic:
         ],
     )
     def test_broken_emergency_row_reported_once(self, rows, problem):
-        # put the rows into a compiled system to simulate a corrupted model
+        # hand-built: the rows replace a compiled system's E, which mix_batch
+        # cannot form from rates
         system = compile_system(model(DRIFT, RequestBehavior.ONCE))
         assert validate_stochastic(replace(system, emergency=np.array(rows))) == [problem]
 

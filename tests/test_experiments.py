@@ -398,22 +398,27 @@ class TestRunSweep:
     @pytest.mark.parametrize("solver", ["lp", "vi"])
     @pytest.mark.parametrize("name", ["modified_once", "table2_all"])
     def test_a_solve_holds_under_solver_arrays_per_column(self, solver, name):
-        # SOLVER_ARRAYS[solver] sizes a sweep's chunks, so a solve of a
-        # 101-column batch must hold fewer (states, columns) arrays at its
-        # traced peak; the second call is measured, once the shape's lattice
-        # plan is built
+        # SOLVER_ARRAYS[solver] sizes a sweep's chunks, so a 101-column chunk's
+        # mix, solve and pricing, held as run_sweep holds them, must hold fewer
+        # (states, columns) arrays at their traced peak; the second call is
+        # measured, once the shape's lattice plan is built
         parts = build_parts(builtin_scenario(name))
         grid = np.linspace(0.0, 0.2, 101)
         solve = acmdp.policy.solver_function(solver)
+        dims = parts.scenario.dims
+        calm_empty = dims.position(0, 0, np.arange(dims.num_access_bits))
         for _ in range(2):
-            batch = parts.mix_batch([(p, 1.0) for p in grid])
             tracemalloc.start()
             try:
-                solve(batch)
+                batch = parts.mix_batch([(p, 1.0) for p in grid])
+                values, _ = solve(batch)
+                kept = decision_values(batch, values)[:, calm_empty]
+                del batch, values
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < SOLVER_ARRAYS[solver] * 8 * parts.scenario.dims.num_states * len(grid)
+        assert kept.shape == (2, dims.num_access_bits, len(grid))
+        assert peak < SOLVER_ARRAYS[solver] * 8 * dims.num_states * len(grid)
 
     def test_unknown_solver_raises_before_any_solve(self, monkeypatch):
         def unsolved(*args, **kwargs):
