@@ -504,6 +504,15 @@ class TestLpSolve:
         with pytest.raises(ConvergenceError, match="no optimal policy basis within 1 bases"):
             policy_iterate(system)
 
+    def test_basis_budget_error_names_the_tolerance_read_when_it_runs(self, monkeypatch):
+        # the text keeps its form and names VERIFY_TOL as it stands at the solve
+        system = compile_system(builtin_scenario("table2_all"))
+        monkeypatch.setattr(acmdp.policy, "MAX_BASES", 1)
+        monkeypatch.setattr(acmdp.policy, "VERIFY_TOL", 1e-3)
+        text = f"no optimal policy basis within 1 bases (beta={system.beta}, tol=0.001)"
+        with pytest.raises(ConvergenceError, match=re.escape(text)):
+            policy_iterate(system)
+
     @random_scenarios(50)
     def test_random_scenarios_agree_with_both_oracles(
         self, users, resources, behavior, variant, rates, beta, seed

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,14 @@ class TestValueIterate:
     def test_nonconvergence_raises(self, monkeypatch, table2_system):
         monkeypatch.setattr(acmdp.value_iteration, "DEFAULT_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
+            value_iterate(table2_system)
+
+    def test_nonconvergence_names_the_tolerance_read_when_it_runs(self, monkeypatch, table2_system):
+        # the text keeps its form and names DEFAULT_TOL as it stands at the solve
+        monkeypatch.setattr(acmdp.value_iteration, "DEFAULT_MAX_ITER", 1)
+        monkeypatch.setattr(acmdp.value_iteration, "DEFAULT_TOL", 1e-3)
+        text = f"no convergence to 0.001 within 1 iterations (beta={table2_system.beta})"
+        with pytest.raises(ConvergenceError, match=re.escape(text)):
             value_iterate(table2_system)
 
     def test_a_looser_tol_stops_sooner_and_within_it(self, monkeypatch):
