@@ -42,8 +42,7 @@ from .states import ACTIONS, Emergency, ModelDims
 if TYPE_CHECKING:
     from scipy import sparse
 
-VERIFY_TOL = 1e-9  # largest Bellman-row violation a feasible solution may leave
-TIGHT_TOL = 1e-7  # largest slack of a tight state's tightest row
+VERIFY_TOL = 1e-9  # how far a Bellman row may be off: its violation, its slack, a tie
 EPS = float(np.finfo(float).eps)
 ROUNDING_ULPS = 4  # rounding_allowance, in units of eps * max|V| / (1 - beta)
 
@@ -225,6 +224,8 @@ def rounding_allowance(values: np.ndarray, beta: float) -> float:
 
 @dataclass
 class VerificationReport:
+    """How far a value vector's Bellman rows are off, each half judged by VERIFY_TOL."""
+
     max_violation: float  # largest amount any Bellman constraint is broken by
     max_min_slack: float  # worst tightness: 0 when every state has a tight row
 
@@ -237,7 +238,7 @@ class VerificationReport:
         return self.max_violation <= VERIFY_TOL
 
     def all_tight(self) -> bool:
-        return self.max_min_slack <= TIGHT_TOL
+        return self.max_min_slack <= VERIFY_TOL
 
 
 def verify_solution(values: np.ndarray, dv: np.ndarray) -> VerificationReport:

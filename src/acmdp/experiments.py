@@ -44,7 +44,7 @@ from .bellman import (
     rounding_allowance,
     validate_stochastic,
 )
-from .policy import TIE_TOL, solve_system, solver_function
+from .policy import solve_system, solver_function
 from .rewards import Scenario
 from .states import Access, Action, Emergency
 from .value_iteration import DEFAULT_TOL as VI_TOL, ConvergenceError
@@ -295,8 +295,8 @@ def self_check(sc: Scenario) -> list[CheckResult]:
     checks.append(CheckResult("lp_vi_agreement", gap <= vi_bound, detail))
 
     # a decision value q^a + beta P^a V moves by at most beta ||V_lp - V_vi||,
-    # so a gap above floor keeps its sign beyond TIE_TOL under both solves
-    floor = TIE_TOL + 2.0 * sc.beta * vi_bound
+    # so a gap above floor keeps its sign beyond VERIFY_TOL under both solves
+    floor = VERIFY_TOL + 2.0 * sc.beta * vi_bound
     disagreements = int(np.sum((lp.policy.actions != vi.policy.actions) & (lp.policy.gaps > floor)))
     checks.append(
         CheckResult(

@@ -41,7 +41,6 @@ from .rewards import Scenario, check_labels
 from .states import Action, CapacityError, Emergency, ModelDims
 from .value_iteration import Columns, solve_columns, value_iterate
 
-TIE_TOL = 1e-9
 PRINT_TOL = 1e-11  # twice the relative error of a number printed to 12 digits, to cover rounding
 MAX_BASES = 1000
 FILE_HEADER = "ACMDP-VALUES v1"
@@ -133,10 +132,9 @@ class PolicyMap:
 
 
 def extract_policy(dv: np.ndarray) -> PolicyMap:
-    """The policy of a (2, num_states) decision-value array."""
+    """The policy of a (2, num_states) decision-value array; allow must win by over VERIFY_TOL."""
     gaps = np.abs(dv[1] - dv[0])
-    # allow only when it beats deny by more than the tie tolerance
-    actions = np.where(dv[1] > dv[0] + TIE_TOL, int(Action.ALLOW), int(Action.DENY))
+    actions = np.where(dv[1] > dv[0] + VERIFY_TOL, int(Action.ALLOW), int(Action.DENY))
     return PolicyMap(actions=actions, gaps=gaps)
 
 
@@ -361,11 +359,11 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
             raise ValueFileError(lineno, f"malformed row {raw!r}") from None
         if not all(map(math.isfinite, (value, dv_deny, dv_allow))):
             raise ValueFileError(lineno, f"non-finite number in row {raw!r}")
-        # export_values writes allow exactly when dv_allow - dv_deny > TIE_TOL; printing
+        # export_values writes allow exactly when dv_allow - dv_deny > VERIFY_TOL; printing
         # moves the gap by at most PRINT_TOL / 2 (|dv_deny| + |dv_allow|)
         gap = dv_allow - dv_deny
         margin = PRINT_TOL * (abs(dv_deny) + abs(dv_allow))
-        if (gap > TIE_TOL) != (action == "allow") and abs(gap - TIE_TOL) > margin:
+        if (gap > VERIFY_TOL) != (action == "allow") and abs(gap - VERIFY_TOL) > margin:
             raise ValueFileError(
                 lineno, f"action {action} contradicts dv_deny {dv_d} and dv_allow {dv_a}"
             )

@@ -14,9 +14,16 @@ lattice_solve solves the MDP exactly from that per-state build, without
 the package's compile or solvers: the granted set only grows, so the
 values of the larger sets are found first and are constants for the
 smaller ones.
+
+exact_decision_values prices one fixed policy exactly, in fractions.Fraction:
+the helpers above take a number type, and with Fraction they read each
+stored float as the rational it is and draw each of m requests with
+probability exactly 1/m, so no step rounds.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
@@ -40,10 +47,12 @@ def all_states(dims: ModelDims) -> list[State]:
     return [dims.index_state(i) for i in range(dims.num_states)]
 
 
-def emergency_prob(sc: Scenario, src: Emergency, dst: Emergency) -> float:
+def emergency_prob(
+    sc: Scenario, src: Emergency, dst: Emergency, number: type = float
+) -> float:
     """E[src, dst]: the rate of turning alert from src, or its complement for calm."""
-    alert = sc.calm_to_alert if src is Emergency.CALM else sc.alert_to_alert
-    return alert if dst is Emergency.ALERT else 1.0 - alert
+    alert = number(sc.calm_to_alert if src is Emergency.CALM else sc.alert_to_alert)
+    return alert if dst is Emergency.ALERT else 1 - alert
 
 
 def next_access_set(k: int, req: Request, act: Action, d: ModelDims) -> int:
@@ -54,7 +63,7 @@ def next_access_set(k: int, req: Request, act: Action, d: ModelDims) -> int:
 
 
 def request_distribution(
-    b: RequestBehavior, k_next: int, d: ModelDims, current: Request
+    b: RequestBehavior, k_next: int, d: ModelDims, current: Request, number: type = float
 ) -> list[tuple[Request, float]]:
     """Distribution of the next pending request.
 
@@ -63,26 +72,28 @@ def request_distribution(
     reached, no further requests arrive.
     """
     if b is RequestBehavior.UNIQUE:
-        return [(None, 1.0)]
+        return [(None, number(1))]
     if b is RequestBehavior.ALL:
-        p = 1.0 / d.num_access_bits
+        p = number(1) / d.num_access_bits
         return [(a, p) for a in d.accesses()]
     # once: the empty request is terminal; otherwise draw uniformly among
     # the not-yet-granted accesses and the empty request
     if current is None:
-        return [(None, 1.0)]
+        return [(None, number(1))]
     pending = [a for a in d.accesses() if not (k_next >> access_bit_index(a, d)) & 1]
-    p = 1.0 / (len(pending) + 1)
+    p = number(1) / (len(pending) + 1)
     return [(a, p) for a in pending] + [(None, p)]
 
 
-def successors(sc: Scenario, s: State, act: Action) -> list[tuple[State, float]]:
+def successors(
+    sc: Scenario, s: State, act: Action, number: type = float
+) -> list[tuple[State, float]]:
     """All positive-probability successor states of (s, act) under sc's dynamics."""
     k2 = next_access_set(s.granted, s.request, act, sc.dims)
-    requests = request_distribution(sc.behavior, k2, sc.dims, s.request)
+    requests = request_distribution(sc.behavior, k2, sc.dims, s.request, number)
     out: list[tuple[State, float]] = []
     for e2 in (Emergency.CALM, Emergency.ALERT):
-        pe = emergency_prob(sc, s.emergency, e2)
+        pe = emergency_prob(sc, s.emergency, e2, number)
         if pe == 0.0:
             continue
         for req2, pr in requests:
@@ -90,29 +101,31 @@ def successors(sc: Scenario, s: State, act: Action) -> list[tuple[State, float]]
     return out
 
 
-def reward_emresource(sc: Scenario, e: Emergency, k: int) -> float:
+def reward_emresource(sc: Scenario, e: Emergency, k: int, number: type = float) -> float:
     """Alert-status penalty: sum of resource rewards nobody is accessing."""
     if e is Emergency.CALM:
-        return 0.0
+        return number(0)
     d = sc.dims
-    total = 0.0
+    total = number(0)
     for r in range(d.num_resources):
         accessed = any(
             (k >> (u * d.num_resources + r)) & 1 for u in range(d.num_users)
         )
         if not accessed:
-            total += sc.reward_resource[r]
+            total += number(sc.reward_resource[r])
     return total
 
 
-def reward_transition(sc: Scenario, s: State, act: Action, s2: State) -> float:
+def reward_transition(
+    sc: Scenario, s: State, act: Action, s2: State, number: type = float
+) -> float:
     """Reward of one transition, per the configured variant."""
     if sc.variant is RewardVariant.EPS_ZERO and s.request is None:
-        return 0.0
-    gain = 0.0
+        return number(0)
+    gain = number(0)
     if act is Action.ALLOW and s.request is not None:
-        gain = sc.reward_access[access_bit_index(s.request, sc.dims)]
-    return gain + reward_emresource(sc, s2.emergency, s2.granted)
+        gain = number(sc.reward_access[access_bit_index(s.request, sc.dims)])
+    return gain + reward_emresource(sc, s2.emergency, s2.granted, number)
 
 
 def immediate_reward(sc: Scenario, s: State, act: Action) -> float:
@@ -179,3 +192,55 @@ def lattice_solve(sc: Scenario) -> np.ndarray:
             policy[switch] = 1 - policy[switch]
         values[here] = v
     return values
+
+
+def exact_decision_values(sc: Scenario, policy: np.ndarray) -> np.ndarray:
+    """The exact q^a + beta P^a V_pi of an allow mask pi, a (2, n) object array of Fractions.
+
+    V_pi solves (I - beta P_pi) V = q_pi one granted set at a time, from the
+    full set down: each set's states reach only their own set and its strict
+    supersets, whose values are solved by then.  Each set's block is solved
+    by Gauss-Jordan elimination, exactly.
+    """
+    beta, states = Fraction(sc.beta), all_states(sc.dims)
+    moves = [[successors(sc, s, act, Fraction) for s in states] for act in ACTIONS]
+    q = [
+        [
+            sum(p * reward_transition(sc, s, act, s2, Fraction) for s2, p in moves[act][i])
+            for i, s in enumerate(states)
+        ]
+        for act in ACTIONS
+    ]
+    values: dict[State, Fraction] = {}
+    for k in sorted(range(sc.dims.num_sets), key=lambda k: -bin(k).count("1")):
+        block = [(i, s) for i, s in enumerate(states) if s.granted == k]
+        column = {s: c for c, (_, s) in enumerate(block)}
+        rows = []
+        for c, (i, s) in enumerate(block):
+            act = int(policy[i])
+            row = [Fraction(int(c == j)) for j in range(len(block))] + [q[act][i]]
+            for s2, p in moves[act][i]:
+                if s2 in column:
+                    row[column[s2]] -= beta * p
+                else:
+                    row[-1] += beta * p * values[s2]
+            rows.append(row)
+        values.update(zip(column, _gauss_jordan(rows)))
+    dv = [
+        [q[act][i] + beta * sum(p * values[s2] for s2, p in row) for i, row in enumerate(rows)]
+        for act, rows in enumerate(moves)
+    ]
+    return np.array(dv, dtype=object)
+
+
+def _gauss_jordan(rows: list[list[Fraction]]) -> list[Fraction]:
+    """x with A x = b, for the rows [A | b] of a regular A, in exact arithmetic."""
+    for c in range(len(rows)):
+        pivot = next(r for r in range(c, len(rows)) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        lead = rows[c][c]
+        rows[c] = [x / lead for x in rows[c]]
+        for r, row in enumerate(rows):
+            if r != c and row[c] != 0:
+                rows[r] = [x - row[c] * y for x, y in zip(row, rows[c])]
+    return [row[-1] for row in rows]

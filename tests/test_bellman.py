@@ -18,7 +18,7 @@ from acmdp import (
     decision_values,
     verify_solution,
 )
-from acmdp.bellman import build_parts
+from acmdp.bellman import VERIFY_TOL, build_parts
 
 
 def assert_matches_oracle(sc):
@@ -263,13 +263,15 @@ class TestVerifySolution:
 
     def test_inflated_values_feasible_but_slack(self, table1_system):
         optimal = lattice_solve(table1_system.parts.scenario)
-        inflated = optimal + 1.0
-        dv = decision_values(table1_system, inflated)
-        report = verify_solution(inflated, dv)
-        assert report.feasible()
-        # beta = 0: inflating leaves every constraint with slack exactly 1
-        assert np.all(inflated - dv >= 1.0 - 1e-12)
-        assert not report.all_tight()
+        # a slack of twice VERIFY_TOL is not tight: all_tight reads the same tolerance
+        for inflation in (1.0, 2 * VERIFY_TOL):
+            inflated = optimal + inflation
+            dv = decision_values(table1_system, inflated)
+            report = verify_solution(inflated, dv)
+            assert report.feasible()
+            # beta = 0: inflating leaves every constraint with slack exactly the inflation
+            assert np.all(inflated - dv >= inflation - 1e-12)
+            assert not report.all_tight(), inflation
 
     @pytest.mark.parametrize("name", ["table2_unique", "table2_all", "modified_once"])
     def test_residual_bounds_the_distance_to_the_optimum(self, name):

@@ -522,7 +522,7 @@ def test_readme_tolerances_name_existing_constants():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
     names = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`", section)
-    assert len({name for _, name in names}) >= 15
+    assert len({name for _, name in names}) >= 14
     for module, name in names:
         assert hasattr(getattr(acmdp, module), name), f"{module}.{name}"
 

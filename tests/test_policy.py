@@ -6,13 +6,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import lattice_solve, oracle_compile
+from oracle import exact_decision_values, lattice_solve, oracle_compile
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 from test_bellman import small_scenario, with_rates
@@ -53,7 +54,6 @@ from acmdp.policy import (
     FILE_HEADER,
     PRINT_TOL,
     SOLVERS,
-    TIE_TOL,
     LoadedValues,
     ValueFileError,
     state_labels,
@@ -246,6 +246,12 @@ class TestExtractPolicy:
         i = sol.system.space.state_index(State(Emergency.CALM, 0, BOB_HIGH))
         assert sol.policy.action(i) is Action.ALLOW
 
+    @pytest.mark.parametrize("gap, action", [(1e-6, "deny"), (1e-2, "allow")])
+    def test_allow_must_beat_deny_by_more_than_verify_tol(self, monkeypatch, gap, action):
+        # extract_policy reads the margin when it runs, as the LP's pivot does
+        monkeypatch.setattr(acmdp.policy, "VERIFY_TOL", 1e-3)
+        assert extract_policy(np.array([[5.0], [5.0 + gap]])).action(0).label == action
+
     def test_degenerate_rewards_deny_everywhere(self):
         sc = Scenario(
             user_names=("alice", "bob"),
@@ -382,6 +388,29 @@ class TestLpSolve:
         solution = solve_scenario(builtin_scenario(name), "lp")
         assert_lp_agrees(solution, lattice_solve(solution.scenario), 1e-9)
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins_are_optimal_in_exact_arithmetic(self, solved, name):
+        solution = solved(name)
+        sc, policy = solution.scenario, solution.policy.actions
+        dv = exact_decision_values(sc, policy)
+        exact = np.where(policy == 1, dv[1], dv[0])
+        # no state's other action beats the exported one by more than the pivot's margin
+        assert max(np.where(policy == 1, dv[0], dv[1]) - exact) <= Fraction(VERIFY_TOL)
+        allowance = rounding_allowance(solution.values, sc.beta)
+        bound = solution.report.residual / (1.0 - sc.beta) + allowance
+        error = max(abs(Fraction(v) - x) for v, x in zip(solution.values, exact))
+        # the 7 builtins' worst errors reach at most 0.052 of the allowance
+        assert error <= Fraction(bound)
+
+    def test_an_exact_tie_denies(self):
+        # at calm_to_alert = 1/2, (calm, nothing granted, bob:high) ties exactly
+        sc = dataclasses.replace(builtin_scenario("table2_unique"), calm_to_alert=0.5)
+        solution = solve_scenario(sc, "lp")
+        dv = exact_decision_values(sc, solution.policy.actions)
+        i = sc.dims.state_index(State(Emergency.CALM, 0, BOB_HIGH))
+        assert dv[1][i] - dv[0][i] == 0
+        assert solution.policy.action(i) is Action.DENY
+
     @pytest.mark.parametrize("behavior", [b.value for b in RequestBehavior])
     @pytest.mark.parametrize("variant", [v.value for v in RewardVariant])
     def test_2x3_matches_lattice_solve(self, behavior, variant):
@@ -473,7 +502,7 @@ class TestLpSolve:
         solution = solve_scenario(sc, "lp")
         assert solution.iterations == 1
         assert np.array_equal(solution.values, q.max(axis=0))
-        assert np.array_equal(solution.policy.actions, np.where(q[1] > q[0] + TIE_TOL, 1, 0))
+        assert np.array_equal(solution.policy.actions, np.where(q[1] > q[0] + VERIFY_TOL, 1, 0))
 
     def test_tol_bounds_the_final_violation(self, monkeypatch):
         # the pivot test reads VERIFY_TOL when it runs, so setting it sets the stop
@@ -607,9 +636,9 @@ class TestRewardProperties:
         bound = c * dv_bound(base) + dv_bound(big)
         assert np.max(np.abs(big.values - c * base.values)) <= bound
         assert np.max(np.abs(big.dv - c * base.dv)) <= bound
-        # a gap beyond TIE_TOL and twice its bound has the sign of the exact gap
-        confident = (base.policy.gaps > TIE_TOL + 2 * dv_bound(base)) & (
-            big.policy.gaps > TIE_TOL + 2 * dv_bound(big)
+        # a gap beyond VERIFY_TOL and twice its bound has the sign of the exact gap
+        confident = (base.policy.gaps > VERIFY_TOL + 2 * dv_bound(base)) & (
+            big.policy.gaps > VERIFY_TOL + 2 * dv_bound(big)
         )
         assert np.array_equal(base.policy.actions[confident], big.policy.actions[confident])
 
@@ -1030,7 +1059,7 @@ class TestValueFiles:
         "dv_allow, imports",
         [
             # 12 digits of 500 print to 1e-9, and rounding moves a gap by up to
-            # 5e-12 * 1000 = 5e-9: true gaps in [TIE_TOL - 5e-9, TIE_TOL + 5e-9]
+            # 5e-12 * 1000 = 5e-9: true gaps in [VERIFY_TOL - 5e-9, VERIFY_TOL + 5e-9]
             # could have printed as these, with either action
             ("499.999999997", ("deny", "allow")),
             ("500", ("deny", "allow")),
