@@ -26,19 +26,17 @@ from .value_iteration import ConvergenceError
 SOLVER_HELP = "lp: the LP by policy iteration, exact; vi: value iteration (default %(default)s)"
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--scenario", type=Path, help="path to a scenario file")
     group.add_argument("--builtin", choices=BUILTIN_NAMES, help="built-in scenario name")
 
 
-def _load_scenario(args: argparse.Namespace) -> Scenario | None:
+def _load_scenario(args: argparse.Namespace) -> Scenario:
     if args.builtin:
         return builtin_scenario(args.builtin)
-    if args.scenario:
-        text = args.scenario.read_text(encoding="utf-8-sig")
-        return parse_scenario(text, source=str(args.scenario))
-    return None
+    text = args.scenario.read_text(encoding="utf-8-sig")
+    return parse_scenario(text, source=str(args.scenario))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -224,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     evaluate = sub.add_parser("eval", help="query a solved value table")
-    # with a scenario, import_values refuses another scenario's table and wrong numbers
-    _add_scenario_args(evaluate, required=False)
+    _add_scenario_args(evaluate)
     evaluate.add_argument(
         "--values", type=Path, required=True, help="value table written by solve --out"
     )

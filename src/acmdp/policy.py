@@ -37,8 +37,8 @@ from .bellman import (
     verify_solution,
 )
 from .config import scenario_fingerprint
-from .rewards import Scenario, check_labels
-from .states import Action, CapacityError, Emergency, ModelDims
+from .rewards import Scenario
+from .states import ACTIONS, Action, Emergency, ModelDims
 from .value_iteration import Columns, solve_columns, value_iterate
 
 PRINT_TOL = 1e-11  # twice the relative error of a number printed to 12 digits, to cover rounding
@@ -187,10 +187,6 @@ def solve_system(system: BellmanSystem, solver: str = "lp") -> Solution:
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def state_labels(
     dims: ModelDims, user_names: Sequence[str], resource_names: Sequence[str]
 ) -> Iterator[tuple[str, int, str, str]]:
@@ -216,21 +212,16 @@ def _state_text(labels: tuple[str, int, str, str]) -> str:
 
 def export_values(solution: Solution, destination: str | Path) -> None:
     """Write the solved value table in the versioned text format, rows in state order."""
-    sc = solution.scenario
-    lines = [FILE_HEADER, scenario_fingerprint(sc)]
-    for i, labels in enumerate(state_labels(sc.dims, sc.user_names, sc.resource_names)):
-        lines.append(
-            _state_text(labels)
-            + ",".join(
-                [
-                    _fmt(solution.values[i]),
-                    solution.policy.action(i).label,
-                    _fmt(solution.dv[0, i]),
-                    _fmt(solution.dv[1, i]),
-                ]
-            )
-        )
-    Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sc, dv = solution.scenario, solution.dv
+    states = map(_state_text, state_labels(sc.dims, sc.user_names, sc.resource_names))
+    labels = [action.label for action in ACTIONS]  # indexed by Action value
+    actions = map(labels.__getitem__, solution.policy.actions.tolist())
+    rows = map(
+        "{}{:.12g},{},{:.12g},{:.12g}".format,
+        states, solution.values.tolist(), actions, dv[0].tolist(), dv[1].tolist(),
+    )
+    text = "\n".join([FILE_HEADER, scenario_fingerprint(sc), *rows]) + "\n"
+    Path(destination).write_text(text, encoding="utf-8")
 
 
 class ValueFileError(ValueError):
@@ -284,33 +275,14 @@ class LoadedValues:
             ) from None
 
 
-def _first_named(lines: list[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The users and resources in the order the rows first name them, each checked there."""
-    names: tuple[dict[str, None], dict[str, None]] = ({}, {})  # insertion-ordered sets
-    for lineno, raw in enumerate(lines[2:], start=3):
-        fields = raw.split(",")
-        if len(fields) != 8:
-            continue  # refused at its line when the rows are read
-        for kind, seen, label in zip(("user", "resource"), names, fields[2:4]):
-            if label != "eps" and label not in seen:
-                try:
-                    check_labels(kind, (label,))
-                except ValueError as exc:
-                    raise ValueFileError(lineno, str(exc)) from None
-                seen[label] = None
-    return tuple(names[0]), tuple(names[1])
+def import_values(source: str | Path, scenario: Scenario) -> LoadedValues:
+    """Parse a value-table file and check it against the scenario it was solved from.
 
-
-def import_values(source: str | Path, scenario: Scenario | None = None) -> LoadedValues:
-    """Parse and validate a value-table file.
-
-    Row i must be state i (state_labels), its state fields and action the
-    very text export_values writes; its numbers are read by float() from
-    ASCII text without '_', must be finite, and must not rule out its
-    action.  The user and resource order is the scenario's when one is
-    supplied, its fingerprint must match, and _certify checks the numbers;
-    otherwise it is the order of first appearance in the rows, and each
-    label must pass rewards.check_labels at the line that first names it.
+    Its fingerprint must be the scenario's.  Row i must be state i of the
+    scenario's users and resources (state_labels), its state fields and
+    action the very text export_values writes; its numbers are read by
+    float() from ASCII text without '_', must be finite, and must not rule
+    out its action.  _certify then checks the numbers against the model.
     """
     lines = Path(source).read_text(encoding="utf-8-sig").splitlines()
     if not lines or lines[0] != FILE_HEADER:
@@ -319,24 +291,14 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
     if len(lines) < 2 or not lines[1].strip():
         raise ValueFileError(2, "missing scenario fingerprint")
     fingerprint = lines[1].strip()
-    if scenario is not None and scenario_fingerprint(scenario) != fingerprint:
+    if scenario_fingerprint(scenario) != fingerprint:
         raise ValueFileError(2, "scenario fingerprint does not match")
-
-    if scenario is not None:
-        user_names, resource_names = scenario.user_names, scenario.resource_names
-    else:
-        user_names, resource_names = _first_named(lines)
-    if not user_names or not resource_names:
-        raise ValueFileError(3, "no concrete requests found; cannot infer dimensions")
-    try:
-        dims = ModelDims(len(user_names), len(resource_names))
-    except CapacityError as exc:
-        raise ValueFileError(3, str(exc)) from None
+    dims, users, resources = scenario.dims, scenario.user_names, scenario.resource_names
 
     rows: list[ValueRow] = []
     numbered = ((n, raw) for n, raw in enumerate(lines[2:], start=3) if raw.strip())
     # the states come first, so that zip stops before it takes a row past the last
-    for want, (lineno, raw) in zip(state_labels(dims, user_names, resource_names), numbered):
+    for want, (lineno, raw) in zip(state_labels(dims, users, resources), numbered):
         fields = raw.split(",")
         if len(fields) != 8:
             raise ValueFileError(lineno, f"expected 8 fields, found {len(fields)}")
@@ -373,14 +335,13 @@ def import_values(source: str | Path, scenario: Scenario | None = None) -> Loade
         raise ValueFileError(
             len(lines),
             f"incomplete table: {len(rows)} rows for a {dims.num_states}-state model "
-            f"({len(user_names)} users x {len(resource_names)} resources)",
+            f"({len(users)} users x {len(resources)} resources)",
         )
     extra = next(numbered, None)
     if extra is not None:
         raise ValueFileError(extra[0], f"extra row after the last of {dims.num_states} states")
-    if scenario is not None:
-        _certify(rows, scenario, lines)
-    return LoadedValues(fingerprint, user_names, resource_names, rows)
+    _certify(rows, scenario, lines)
+    return LoadedValues(fingerprint, users, resources, rows)
 
 
 def _certify(rows: list[ValueRow], sc: Scenario, lines: list[str]) -> None:

@@ -210,6 +210,8 @@ class TestEval:
         code, out, _ = run(
             capsys,
             "eval",
+            "--builtin",
+            "table1",
             "--values",
             str(table1_values),
             "--emergency",
@@ -225,6 +227,8 @@ class TestEval:
         code, out, _ = run(
             capsys,
             "eval",
+            "--builtin",
+            "table2_all",
             "--values",
             str(all_values),
             "--emergency",
@@ -240,6 +244,8 @@ class TestEval:
         code, out, _ = run(
             capsys,
             "eval",
+            "--builtin",
+            "table1",
             "--values",
             str(table1_values),
             "--emergency",
@@ -270,7 +276,8 @@ class TestEval:
         row = next(line for line in text.splitlines() if line.startswith("calm,0,bob,high,"))
         path.write_text(text.replace(row, row.replace(",deny,", ",allow,")))
         code, out, err = run(
-            capsys, "eval", "--values", str(path), "--emergency", "calm", "--request", "bob:high"
+            capsys, "eval", "--builtin", "table2_once", "--values", str(path),
+            "--emergency", "calm", "--request", "bob:high",
         )
         assert code == 2
         assert out == ""
@@ -328,23 +335,40 @@ class TestEval:
         lines[5] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         query = ("--values", str(path), "--emergency", "calm", "--request", "bob:high")
-        assert run(capsys, "eval", *query)[0] == 1  # no scenario, no certificate
         code, _, err = run(capsys, "eval", "--builtin", "table2_once", *query)
         assert code == exit_code
         if exit_code == 2:
             assert err.startswith("error: line 6: state (calm, 0, bob, high): the table's values")
 
-    @pytest.mark.parametrize(
-        "edit, unchecked", [("forged", 0), ("shifted", 1), ("forged, huge", 0)]
-    )
-    def test_values_that_are_not_optimal_exit_2(self, capsys, tmp_path, edit, unchecked):
-        # without a scenario the table is served: forged's wrong allow exits 0
+    @pytest.mark.parametrize("edit", ["forged", "shifted", "forged, huge"])
+    def test_values_that_are_not_optimal_exit_2(self, capsys, tmp_path, edit):
         path = not_optimal(solve_scenario(builtin_scenario("table2_once")), tmp_path, edit)
         query = ("--values", str(path), "--emergency", "calm", "--request", "bob:high")
-        assert run(capsys, "eval", *query)[0] == unchecked
         code, out, err = run(capsys, "eval", "--builtin", "table2_once", *query)
         assert (code, out) == (2, "")
         assert re.match(r"error: line \d+: state \(.*\): its value \S+ is not the larger", err)
+
+    @pytest.mark.parametrize("table", ["honest", "consistent edit", "forged", "shifted"])
+    def test_eval_without_a_scenario_exits_2(self, capsys, tmp_path, table):
+        # every table is checked against its scenario, so eval needs --builtin or
+        # --scenario as every other command does, for an honest or an edited table
+        solution = solve_scenario(builtin_scenario("table2_once"))
+        if table in ("forged", "shifted"):
+            path = not_optimal(solution, tmp_path, table)
+        else:
+            path = tmp_path / "values.txt"
+            export_values(solution, path)
+        if table == "consistent edit":
+            lines = path.read_text().splitlines()
+            assert lines[5].startswith("calm,0,bob,high,")
+            lines[5] = "calm,0,bob,high,9,allow,-1.5,9"
+            path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--values", str(path), "--emergency", "calm", "--request", "bob:high"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "one of the arguments --scenario --builtin is required" in captured.err
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     @pytest.mark.parametrize("solver", SOLVERS)
@@ -371,13 +395,15 @@ class TestEval:
                  str(directory / "values.txt"), "--emergency", "calm", "--request", "u0:r0"]
             )
             assert code in (0, 1)
-            rows = import_values(directory / "values.txt").rows
+            rows = import_values(directory / "values.txt", scenario=sc).rows
             assert residual_share(compile_system(sc), rows) < 0.5
 
     def test_unknown_label_errors(self, capsys, table1_values):
         code, _, err = run(
             capsys,
             "eval",
+            "--builtin",
+            "table1",
             "--values",
             str(table1_values),
             "--emergency",
@@ -399,7 +425,8 @@ class TestEval:
     )
     def test_unknown_access_exits_2(self, capsys, table1_values, extra, message):
         code, out, err = run(
-            capsys, "eval", "--values", str(table1_values), "--emergency", "calm", *extra
+            capsys, "eval", "--builtin", "table1", "--values", str(table1_values),
+            "--emergency", "calm", *extra,
         )
         assert code == 2
         assert out == ""
@@ -407,18 +434,19 @@ class TestEval:
 
     def test_granted_sets_the_access_bit(self, capsys, table1_values):
         # alice:high is access (0, 1), bit 0 * 2 + 1, so the granted set is 2
-        want = import_values(table1_values).lookup("alert", 2, "bob", "low")
+        table = import_values(table1_values, scenario=builtin_scenario("table1"))
+        want = table.lookup("alert", 2, "bob", "low")
         _, out, _ = run(
-            capsys, "eval", "--values", str(table1_values), "--emergency", "alert",
-            "--granted", "alice:high", "--request", "bob:low",
+            capsys, "eval", "--builtin", "table1", "--values", str(table1_values),
+            "--emergency", "alert", "--granted", "alice:high", "--request", "bob:low",
         )
         assert f"dv_deny: {want.dv_deny:.2f}" in out
         assert f"dv_allow: {want.dv_allow:.2f}" in out
 
     @pytest.mark.parametrize("granted", ["", " ", "\t ", "  \n"])
     def test_blank_granted_is_no_grants(self, capsys, table1_values, granted):
-        query = ("eval", "--values", str(table1_values), "--emergency", "alert",
-                 "--request", "bob:low")
+        query = ("eval", "--builtin", "table1", "--values", str(table1_values),
+                 "--emergency", "alert", "--request", "bob:low")
         want = run(capsys, *query)
         assert run(capsys, *query, "--granted", granted) == want
         assert want[2] == ""

@@ -20,6 +20,10 @@ LAYERS = (
     "sweep_vi",
     "policy_evaluate",
     "decision_values",
+    "verify",
+    "export",
+    "import",
+    "lookup",
 )
 
 

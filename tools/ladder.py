@@ -11,6 +11,9 @@ model's caches, heap or peak memory carry into the next.  There it times the
 compile (compile_system), a solve by each solver (solve_system, which also
 prices the values), a 101-point run_sweep by each solver, and one
 policy_evaluate of the optimal policy and one decision_values call alone.
+Then the table layers of the lp solution: verify_solution, export_values to
+a file, import_values of that file against the scenario, and a batch of
+LOOKUPS seeded LoadedValues.lookup queries.
 
 Each layer is called until it has run for SECONDS, and at least CALLS times,
 and is reported as CPU and wall milliseconds: its first call, which builds the
@@ -29,6 +32,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -48,8 +52,11 @@ from acmdp import (  # noqa: E402
     builtin_scenario,
     compile_system,
     decision_values,
+    export_values,
+    import_values,
     policy_evaluate,
     run_sweep,
+    verify_solution,
 )
 from acmdp.policy import solve_system  # noqa: E402
 
@@ -59,6 +66,7 @@ RATES = (0.1, 1.0)
 SEED = 1
 SECONDS = 1.0  # least time each layer is called for
 CALLS = 3  # least calls of each layer: the first is reported apart from the median
+LOOKUPS = 1000  # queries of one lookup call
 
 
 def scenario(name: str) -> Scenario:
@@ -125,6 +133,15 @@ def measure(name: str) -> dict:
     layers["policy_evaluate"] = timed(lambda: policy_evaluate(system, allow))
     values = solution.values
     layers["decision_values"] = timed(lambda: decision_values(system, values))
+    layers["verify"] = timed(lambda: verify_solution(values, solution.dv))
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "values.txt"
+        layers["export"] = timed(lambda: export_values(solution, path))
+        layers["import"] = timed(lambda: import_values(path, scenario=sc))
+        table = import_values(path, scenario=sc)
+    picks = np.random.default_rng(SEED).integers(len(table.rows), size=LOOKUPS)
+    queries = [table.rows[i][:4] for i in picks]
+    layers["lookup"] = timed(lambda: [table.lookup(*query) for query in queries])
     return {
         "users": sc.dims.num_users,
         "resources": sc.dims.num_resources,
