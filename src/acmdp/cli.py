@@ -12,7 +12,6 @@ from .config import BUILTIN_NAMES, ScenarioParseError, builtin_scenario, parse_s
 from .experiments import SweepSpec, run_sweep, self_check, sweep_csv
 from .policy import (
     SOLVERS,
-    LoadedValues,
     ValueFileError,
     export_values,
     import_values,
@@ -122,25 +121,25 @@ def _decoded(text: str) -> str:
         raise argparse.ArgumentTypeError(f"{text!r} is not UTF-8 text") from None
 
 
-def _parse_access(text: str, loaded: LoadedValues) -> Access:
-    """An access 'user:resource' named with the loaded table's labels."""
+def _parse_access(text: str, sc: Scenario) -> Access:
+    """An access 'user:resource' named with the scenario's labels."""
     if ":" not in text:
         raise ValueError(f"accesses look like user:resource, got {text!r}")
     uname, rname = (t.strip() for t in text.split(":", 1))
-    if uname not in loaded.user_names:
+    if uname not in sc.user_names:
         raise ValueError(f"unknown user {uname!r}")
-    if rname not in loaded.resource_names:
+    if rname not in sc.resource_names:
         raise ValueError(f"unknown resource {rname!r}")
-    return Access(loaded.user_names.index(uname), loaded.resource_names.index(rname))
+    return Access(sc.user_names.index(uname), sc.resource_names.index(rname))
 
 
-def _parse_granted(text: str, loaded: LoadedValues) -> int:
+def _parse_granted(text: str, sc: Scenario) -> int:
     """Granted-set spec 'user:resource,user:resource' (blank = no grants)."""
     k = 0
     if not text.strip():
         return 0
     for part in text.split(","):
-        k = set_insert(k, _parse_access(part.strip(), loaded), loaded.dims)
+        k = set_insert(k, _parse_access(part.strip(), sc), sc.dims)
     return k
 
 
@@ -150,9 +149,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.request == "eps":
         req_user = req_resource = "eps"
     else:
-        a = _parse_access(args.request, loaded)
-        req_user, req_resource = loaded.user_names[a.user], loaded.resource_names[a.resource]
-    k = _parse_granted(args.granted, loaded)
+        a = _parse_access(args.request, sc)
+        req_user, req_resource = sc.user_names[a.user], sc.resource_names[a.resource]
+    k = _parse_granted(args.granted, sc)
     row = loaded.lookup(args.emergency, k, req_user, req_resource)
     gap = abs(row.dv_allow - row.dv_deny)
     print(f"decision: {row.action}")

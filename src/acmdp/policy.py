@@ -19,7 +19,7 @@ use as a lightweight policy decision point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -38,7 +38,7 @@ from .bellman import (
 )
 from .config import scenario_fingerprint
 from .rewards import Scenario
-from .states import ACTIONS, Action, Emergency, ModelDims
+from .states import ACTIONS, Action, Emergency
 from .value_iteration import Columns, solve_columns, value_iterate
 
 PRINT_TOL = 1e-11  # twice the relative error of a number printed to 12 digits, to cover rounding
@@ -187,20 +187,19 @@ def solve_system(system: BellmanSystem, solver: str = "lp") -> Solution:
     )
 
 
-def state_labels(
-    dims: ModelDims, user_names: Sequence[str], resource_names: Sequence[str]
-) -> Iterator[tuple[str, int, str, str]]:
-    """(emergency, granted set, request user, request resource) of every state.
+def state_labels(sc: Scenario) -> Iterator[tuple[str, int, str, str]]:
+    """(emergency, granted set, request user, request resource) of every state of sc.
 
     The labels come in state-index order (ModelDims.index_state), which is
     the row order of a value-table file; the empty request is ("eps", "eps").
     """
+    users, resources = sc.user_names, sc.resource_names
     requests = [
-        ("eps", "eps") if req is None else (user_names[req.user], resource_names[req.resource])
-        for req in dims.requests
+        ("eps", "eps") if req is None else (users[req.user], resources[req.resource])
+        for req in sc.dims.requests
     ]
     for emergency in Emergency:
-        for k in range(dims.num_sets):
+        for k in range(sc.dims.num_sets):
             for user, resource in requests:
                 yield emergency.label, k, user, resource
 
@@ -213,7 +212,7 @@ def _state_text(labels: tuple[str, int, str, str]) -> str:
 def export_values(solution: Solution, destination: str | Path) -> None:
     """Write the solved value table in the versioned text format, rows in state order."""
     sc, dv = solution.scenario, solution.dv
-    states = map(_state_text, state_labels(sc.dims, sc.user_names, sc.resource_names))
+    states = map(_state_text, state_labels(sc))
     labels = [action.label for action in ACTIONS]  # indexed by Action value
     actions = map(labels.__getitem__, solution.policy.actions.tolist())
     rows = map(
@@ -249,19 +248,15 @@ class ValueRow(NamedTuple):
 class LoadedValues:
     """A reloaded value table, queryable by state description.
 
-    rows[i] is the row of state ModelDims.index_state(i) of a model with
-    these users and resources; import_values refuses a file that breaks it.
-    lookup finds a row by its state, row[:4], one probe of a dict built here.
+    scenario is the one import_values checked the table against: rows[i] is
+    the row of its state ModelDims.index_state(i).  lookup finds a row by its
+    state, row[:4], one probe of a dict built here.
     """
 
-    fingerprint: str
-    user_names: tuple[str, ...]
-    resource_names: tuple[str, ...]
+    scenario: Scenario
     rows: list[ValueRow]
-    dims: ModelDims = field(init=False)  # the table's shape, from its labels
 
     def __post_init__(self) -> None:
-        self.dims = ModelDims(len(self.user_names), len(self.resource_names))
         self._index = {row[:4]: row for row in self.rows}
 
     def lookup(
@@ -290,15 +285,14 @@ def import_values(source: str | Path, scenario: Scenario) -> LoadedValues:
         raise ValueFileError(1, f"expected header {FILE_HEADER!r}, found {found!r}")
     if len(lines) < 2 or not lines[1].strip():
         raise ValueFileError(2, "missing scenario fingerprint")
-    fingerprint = lines[1].strip()
-    if scenario_fingerprint(scenario) != fingerprint:
+    if scenario_fingerprint(scenario) != lines[1].strip():
         raise ValueFileError(2, "scenario fingerprint does not match")
-    dims, users, resources = scenario.dims, scenario.user_names, scenario.resource_names
+    dims = scenario.dims
 
     rows: list[ValueRow] = []
     numbered = ((n, raw) for n, raw in enumerate(lines[2:], start=3) if raw.strip())
     # the states come first, so that zip stops before it takes a row past the last
-    for want, (lineno, raw) in zip(state_labels(dims, users, resources), numbered):
+    for want, (lineno, raw) in zip(state_labels(scenario), numbered):
         fields = raw.split(",")
         if len(fields) != 8:
             raise ValueFileError(lineno, f"expected 8 fields, found {len(fields)}")
@@ -335,13 +329,13 @@ def import_values(source: str | Path, scenario: Scenario) -> LoadedValues:
         raise ValueFileError(
             len(lines),
             f"incomplete table: {len(rows)} rows for a {dims.num_states}-state model "
-            f"({len(users)} users x {len(resources)} resources)",
+            f"({dims.num_users} users x {dims.num_resources} resources)",
         )
     extra = next(numbered, None)
     if extra is not None:
         raise ValueFileError(extra[0], f"extra row after the last of {dims.num_states} states")
     _certify(rows, scenario, lines)
-    return LoadedValues(fingerprint, users, resources, rows)
+    return LoadedValues(scenario, rows)
 
 
 def _certify(rows: list[ValueRow], sc: Scenario, lines: list[str]) -> None:

@@ -393,8 +393,11 @@ class TestRoundTrip:
             path = tmp_path_factory.mktemp("values") / "values.txt"
             export_values(solve_scenario(sc), path)
             loaded = import_values(path, scenario=sc)
-            assert loaded.user_names == sc.user_names
-            assert loaded.resource_names == sc.resource_names
+            assert loaded.scenario is sc
+            # the rows list the requests in access-bit order, u * resources + r
+            requests = [row[2:4] for row in loaded.rows if row.req_user != "eps"]
+            assert list(dict.fromkeys(u for u, _ in requests)) == list(sc.user_names)
+            assert list(dict.fromkeys(r for _, r in requests)) == list(sc.resource_names)
 
 
 class TestBuiltins:

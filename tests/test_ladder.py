@@ -51,3 +51,4 @@ def test_measure_times_every_layer_of_table2_once(ladder):
         assert layer["calls"] == 2
         assert layer["cpu_ms"] > 0, name
     assert result["peak_rss_mb"] > 0
+    assert result["table_mib"] > 0

@@ -27,7 +27,6 @@ from acmdp import (
     Action,
     BUILTIN_NAMES,
     Emergency,
-    ModelDims,
     RequestBehavior,
     RewardVariant,
     Scenario,
@@ -856,8 +855,8 @@ class TestValueFiles:
         export_values(sol, path)
         loaded = import_values(path, scenario=sol.scenario)
         assert len(loaded.rows) == 160
-        assert loaded.user_names == ("alice", "bob")
-        assert loaded.resource_names == ("low", "high")
+        assert loaded.scenario.user_names == ("alice", "bob")
+        assert loaded.scenario.resource_names == ("low", "high")
         for i, row in enumerate(loaded.rows):
             assert row.dv_deny == pytest.approx(sol.dv[0, i], rel=1e-11, abs=1e-11)
             assert row.dv_allow == pytest.approx(sol.dv[1, i], rel=1e-11, abs=1e-11)
@@ -865,6 +864,13 @@ class TestValueFiles:
         # a second export of the reloaded data would be byte-identical
         export_values(sol, tmp_path / "again.txt")
         assert (tmp_path / "again.txt").read_text() == path.read_text()
+
+    def test_a_loaded_table_is_its_scenario_and_its_rows(self, solved, tmp_path):
+        # the labels and the shape of a loaded table are its scenario's, held once
+        sol = solved("table2_once")
+        loaded = import_values(exported(sol, tmp_path), scenario=sol.scenario)
+        assert [f.name for f in dataclasses.fields(LoadedValues)] == ["scenario", "rows"]
+        assert loaded.scenario is sol.scenario
 
     def test_lookup(self, solved, tmp_path):
         sol = solved("table1")
@@ -1007,7 +1013,7 @@ class TestValueFiles:
         bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         plain = import_values(path, scenario=sol.scenario)
         loaded = import_values(bom, scenario=sol.scenario)
-        assert loaded.fingerprint == plain.fingerprint
+        assert loaded.scenario is plain.scenario
         assert loaded.rows == plain.rows
 
     def test_an_action_its_decision_values_rule_out_is_refused(self, solved, tmp_path):
@@ -1172,7 +1178,7 @@ def not_optimal(solution, directory, edit):
         path.write_text("\n".join(lines) + "\n")
         return path
     k = set_insert(0, Access(1, 1), sc.dims)
-    granted = [s[1] == k for s in state_labels(sc.dims, sc.user_names, sc.resource_names)]
+    granted = [s[1] == k for s in state_labels(sc)]
     values = solution.values + 10.0 * np.array(granted)
     dv = decision_values(solution.system, values)
     edited = dataclasses.replace(solution, values=values, dv=dv, policy=extract_policy(dv))
@@ -1221,10 +1227,9 @@ def scan(rows, emergency, set_index, req_user, req_resource):
 class TestStateLabels:
     @pytest.mark.parametrize("users,resources", [(2, 2), (2, 3), (1, 1)])
     def test_follow_state_index(self, users, resources):
-        dims = ModelDims(users, resources)
-        user_names = [f"u{i}" for i in range(users)]
-        resource_names = [f"r{i}" for i in range(resources)]
-        labels = list(state_labels(dims, user_names, resource_names))
+        sc = small_scenario(users, resources, "once", "eps_zero")
+        dims, user_names, resource_names = sc.dims, sc.user_names, sc.resource_names
+        labels = list(state_labels(sc))
         assert len(labels) == dims.num_states
         for i, (emergency, k, user, resource) in enumerate(labels):
             s = dims.index_state(i)
@@ -1294,8 +1299,8 @@ class TestLookup:
         for query in [
             ("calm", -1, "u0", "r0"),
             ("alert", np.int64(-1), "eps", "eps"),
-            ("alert", table.dims.num_sets, "u0", "r0"),
-            ("calm", np.int64(table.dims.num_sets), "eps", "eps"),
+            ("alert", table.scenario.dims.num_sets, "u0", "r0"),
+            ("calm", np.int64(table.scenario.dims.num_sets), "eps", "eps"),
             ("storm", 0, "u0", "r0"),
             ("calm", 0, f"u{users}", "r0"),
             ("alert", 0, "u0", f"r{resources}"),
@@ -1319,9 +1324,7 @@ class TestLookup:
         rows = list(table_2x2.rows)
         random.Random(5).shuffle(rows)
         assert rows != table_2x2.rows
-        shuffled = LoadedValues(
-            table_2x2.fingerprint, table_2x2.user_names, table_2x2.resource_names, rows
-        )
+        shuffled = LoadedValues(table_2x2.scenario, rows)
         for row in table_2x2.rows:
             assert shuffled.lookup(*labels(row)) is row
 

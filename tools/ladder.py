@@ -13,7 +13,9 @@ prices the values), a 101-point run_sweep by each solver, and one
 policy_evaluate of the optimal policy and one decision_values call alone.
 Then the table layers of the lp solution: verify_solution, export_values to
 a file, import_values of that file against the scenario, and a batch of
-LOOKUPS seeded LoadedValues.lookup queries.
+LOOKUPS seeded LoadedValues.lookup queries.  A model's table_mib is the
+memory one more, untimed import_values retains once it returns, traced by
+tracemalloc after peak_rss_mb is read, so that tracing cannot raise the peak.
 
 Each layer is called until it has run for SECONDS, and at least CALLS times,
 and is reported as CPU and wall milliseconds: its first call, which builds the
@@ -34,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -139,9 +142,17 @@ def measure(name: str) -> dict:
         layers["export"] = timed(lambda: export_values(solution, path))
         layers["import"] = timed(lambda: import_values(path, scenario=sc))
         table = import_values(path, scenario=sc)
-    picks = np.random.default_rng(SEED).integers(len(table.rows), size=LOOKUPS)
-    queries = [table.rows[i][:4] for i in picks]
-    layers["lookup"] = timed(lambda: [table.lookup(*query) for query in queries])
+        picks = np.random.default_rng(SEED).integers(len(table.rows), size=LOOKUPS)
+        queries = [table.rows[i][:4] for i in picks]
+        layers["lookup"] = timed(lambda: [table.lookup(*query) for query in queries])
+        peak = peak_rss_mb()
+        # table is still held: freed, it would fill the interpreter's free lists,
+        # and tracemalloc does not see an object taken from them
+        tracemalloc.start()
+        held = import_values(path, scenario=sc)
+        table_mib = tracemalloc.get_traced_memory()[0] / 2**20
+        tracemalloc.stop()
+        del held, table
     return {
         "users": sc.dims.num_users,
         "resources": sc.dims.num_resources,
@@ -149,7 +160,8 @@ def measure(name: str) -> dict:
         "states": sc.dims.num_states,
         "grid_points": len(spec.grid()),
         "layers": layers,
-        "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb": peak,
+        "table_mib": table_mib,
     }
 
 
