@@ -134,10 +134,16 @@ class SystemParts:
         """The batch of the built scenario's systems, one per (calm_to_alert, alert_to_alert).
 
         Column g's E is ((1 - c, c), (1 - a, a)) of rates[g] = (c, a), each
-        rate in [0, 1] (ValueError otherwise); E is C-contiguous (2, 2, G) and q,
+        rate in [0, 1]; rates that are not one or more such pairs, or a rate
+        outside [0, 1], raise ValueError.  E is C-contiguous (2, 2, G) and q,
         C-contiguous (2, n, G), is q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x].
         """
         rates = np.asarray(rates, dtype=float)
+        if rates.shape[1:] != (2,) or not rates.size:
+            raise ValueError(
+                "rates must be a non-empty sequence of (calm_to_alert, alert_to_alert) pairs, "
+                f"got shape {rates.shape}"
+            )
         if not (rates.min() >= 0.0 and rates.max() <= 1.0):  # written so that NaN fails
             g, k = np.argwhere(~((rates >= 0.0) & (rates <= 1.0)))[0]
             name = ("calm_to_alert", "alert_to_alert")[k]

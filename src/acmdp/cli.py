@@ -25,12 +25,6 @@ from .value_iteration import ConvergenceError
 SOLVER_HELP = "lp: the LP by policy iteration, exact; vi: value iteration (default %(default)s)"
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--scenario", type=Path, help="path to a scenario file")
-    group.add_argument("--builtin", choices=BUILTIN_NAMES, help="built-in scenario name")
-
-
 def _load_scenario(args: argparse.Namespace) -> Scenario:
     if args.builtin:
         return builtin_scenario(args.builtin)
@@ -44,7 +38,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     unit = "policy bases" if args.solver == "lp" else "iterations"
     print(f"states: {solution.system.num_states}")
     print(f"{unit}: {solution.iterations}")
-    print(f"max residual: {solution.report.max_violation:.3g}")
+    print(f"max residual: {solution.report.residual:.3g}")
     if args.out:
         export_values(solution, args.out)
         print(f"values written to {args.out}")
@@ -182,21 +176,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     solving = argparse.ArgumentParser(add_help=False)  # the options of every command that solves
     solving.add_argument("--solver", choices=SOLVERS, default="lp", help=SOLVER_HELP)
+    scenario = argparse.ArgumentParser(add_help=False)  # the options of every command
+    given = scenario.add_mutually_exclusive_group(required=True)
+    given.add_argument("--scenario", type=Path, help="path to a scenario file")
+    given.add_argument("--builtin", choices=BUILTIN_NAMES, help="built-in scenario name")
 
     solve = sub.add_parser(
-        "solve", parents=[solving], help="solve a scenario and export the value table"
+        "solve", parents=[solving, scenario], help="solve a scenario and export the value table"
     )
-    _add_scenario_args(solve)
     solve.add_argument("--out", type=Path, help="value-table output path")
     solve.set_defaults(func=cmd_solve)
 
-    decisions = sub.add_parser("decisions", parents=[solving], help="print the decision-value grid")
-    _add_scenario_args(decisions)
+    decisions = sub.add_parser(
+        "decisions", parents=[solving, scenario], help="print the decision-value grid"
+    )
     decisions.add_argument("--csv", type=Path, help="also write the grid as CSV")
     decisions.set_defaults(func=cmd_decisions)
 
-    sweep = sub.add_parser("sweep", parents=[solving], help="sweep the calm-to-alert probability")
-    _add_scenario_args(sweep)
+    sweep = sub.add_parser(
+        "sweep", parents=[solving, scenario], help="sweep the calm-to-alert probability"
+    )
     sweep.add_argument(
         "--start",
         type=float,
@@ -220,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", type=Path, help="CSV output path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)
 
-    evaluate = sub.add_parser("eval", help="query a solved value table")
-    _add_scenario_args(evaluate)
+    evaluate = sub.add_parser("eval", parents=[scenario], help="query a solved value table")
     evaluate.add_argument(
         "--values", type=Path, required=True, help="value table written by solve --out"
     )
@@ -239,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.set_defaults(func=cmd_eval)
 
-    selfcheck = sub.add_parser("selfcheck", help="check the model and cross-validate lp against vi")
-    _add_scenario_args(selfcheck)
+    selfcheck = sub.add_parser(
+        "selfcheck", parents=[scenario], help="check the model and cross-validate lp against vi"
+    )
     selfcheck.set_defaults(func=cmd_selfcheck)
 
     return parser

@@ -23,11 +23,11 @@ per value column, and both solvers read only these two arrays.  bellman
 checks them row by row (validate_stochastic) and builds P^a = E (x) R^a
 only on request (BellmanSystem.transitions).  tests/oracle.py describes the same
 process one state at a time (successors), the reference for this build.
-All of it depends on (dims, behaviour) alone: request_dynamics,
-set_request_rows, next_access_sets and RequestDynamics.lattice are cached,
-so every system of one shape shares them, and their arrays are read-only.
+All of it depends on (dims, behaviour) alone and is cached, so every system
+of one shape shares it, and its arrays are read-only: row_moves per dims,
+request_dynamics and RequestDynamics.lattice per (dims, behaviour).
 CAP_BITS bounds the keys to 35 dims x 3 behaviours; one 12-bit dims holds
-9.0 MB (8.6 MiB) of them with all three behaviours built.
+9.06 MB (8.64 MiB) of them with all three behaviours and lattices built.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .states import ACTIONS, Action, ModelDims
+from .states import ModelDims
 
 ROW_SUM_TOL = 1e-9  # largest amount a probability row may miss 1 by
 
@@ -61,29 +61,23 @@ def _shared(array: np.ndarray) -> np.ndarray:
 
 
 @cache
-def set_request_rows(d: ModelDims) -> tuple[np.ndarray, np.ndarray]:
-    """Granted set and request position of every (granted set, request) row.
+def row_moves(d: ModelDims) -> tuple[np.ndarray, np.ndarray]:
+    """Request position of every (granted set, request) row, and its next granted sets.
 
     Rows follow the state order (ModelDims.index_state) within one emergency
     status; request position num_access_bits is the empty request.
+    moves[a] is each row's next granted set under action a: deny keeps the
+    set, allow inserts the row's access.
     """
-    return tuple(map(_shared, np.divmod(np.arange(d.num_states // 2), d.num_access_bits + 1)))
-
-
-@cache
-def next_access_sets(d: ModelDims, act: Action) -> np.ndarray:
-    """The next granted set of every (granted set, request) row: allow inserts, deny keeps."""
-    k, r = set_request_rows(d)
-    if Action(act) is Action.DENY:
-        return k
-    return _shared(k | np.where(r < d.num_access_bits, 1 << r, 0))
+    k, r = np.divmod(np.arange(d.num_states // 2), d.num_access_bits + 1)
+    return _shared(r), _shared(np.stack((k, k | np.where(r < d.num_access_bits, 1 << r, 0))))
 
 
 @dataclass(frozen=True)
 class RequestDynamics:
     """The E-free part of both actions' transition matrices, as request draws.
 
-    Row x of R^a leads to the granted set k2 = next_access_sets(d, a)[x] and
+    Row x of R^a leads to the granted set k2 = moves[a, x] (row_moves) and
     draws the next request from those that set's rows can draw, with
     probabilities weights[k2]; a row that can draw only the empty request
     (once's, after the empty request) draws it for sure.  So (R^a W)[x] is
@@ -125,7 +119,7 @@ def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics
     behavior = RequestBehavior(behavior)
     bits, sets = d.num_access_bits, d.num_sets
     per_set = bits + 1
-    _, r = set_request_rows(d)
+    r, moves = row_moves(d)
     # drawable[k, j]: a row reaching set k can draw request j (j = bits is the
     # empty request), as the RequestBehavior comments describe
     drawable = np.zeros((sets, per_set), dtype=bool)
@@ -139,7 +133,6 @@ def request_dynamics(d: ModelDims, behavior: RequestBehavior) -> RequestDynamics
     weights = np.where(drawable, 1.0 / drawable.sum(axis=1)[:, None], 0.0)
     # once's empty request is terminal: such a row draws it again, whatever its set
     terminal = (r == bits) & (behavior is RequestBehavior.ONCE)
-    entries = [np.where(terminal, sets, 0) + next_access_sets(d, act) for act in ACTIONS]
-    # entry (a, e, x) reads status e's block of the table
-    draw_index = np.stack(entries)[:, None] + 2 * sets * np.arange(2)[:, None]
+    # entry (a, e, x) reads status e's block of the table, at set moves[a, x]
+    draw_index = moves[:, None] + np.where(terminal, sets, 0) + 2 * sets * np.arange(2)[:, None]
     return RequestDynamics(len(r), _shared(weights), _shared(draw_index.ravel().astype(np.intp)))

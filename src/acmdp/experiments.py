@@ -270,7 +270,7 @@ def self_check(sc: Scenario) -> list[CheckResult]:
         CheckResult(
             "lp_feasibility",
             lp.report.feasible(),
-            f"max residual {lp.report.max_violation:.3g} after {lp.iterations} policy bases",
+            f"max violation {lp.report.max_violation:.3g} after {lp.iterations} policy bases",
         ),
         CheckResult(
             "lp_tightness",

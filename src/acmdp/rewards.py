@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import RequestBehavior, next_access_sets, set_request_rows
+from .dynamics import RequestBehavior, row_moves
 from .states import ACTIONS, Action, ModelDims
 
 
@@ -131,12 +131,12 @@ def reward_parts(sc: Scenario) -> np.ndarray:
     Shape (2, 2, rows per status), indexed by Action, then Emergency.
     """
     d = sc.dims
-    _, r = set_request_rows(d)
+    r, moves = row_moves(d)
     penalties = np.stack((np.zeros(d.num_sets), alert_penalties(sc)))
     parts = []
     for act in ACTIONS:
         gain = np.array([*sc.reward_access, 0.0])[r] if act is Action.ALLOW else np.zeros(len(r))
-        parts.append(gain + penalties[:, next_access_sets(d, act)])
+        parts.append(gain + penalties[:, moves[act]])
     out = np.stack(parts)
     if sc.variant is RewardVariant.EPS_ZERO:
         out[:, :, r == d.num_access_bits] = 0.0

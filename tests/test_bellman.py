@@ -221,6 +221,15 @@ class TestMixEmergency:
         with pytest.raises(ValueError, match=re.escape(message)):
             build_parts(builtin_scenario("table2_once")).mix_batch(rates)
 
+    @pytest.mark.parametrize(
+        "rates, shape", [([], "(0,)"), ([(0.1, 0.2, 0.3)], "(1, 3)"), ((0.1, 0.2), "(2,)")]
+    )
+    def test_rates_that_are_not_pairs_are_refused(self, rates, shape):
+        # before the range check, which would fail inside numpy on each of them
+        pairs = "rates must be a non-empty sequence of (calm_to_alert, alert_to_alert) pairs"
+        with pytest.raises(ValueError, match=re.escape(f"{pairs}, got shape {shape}")):
+            build_parts(builtin_scenario("table2_once")).mix_batch(rates)
+
 
 KERNEL_DIMS = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)]
 

@@ -66,6 +66,14 @@ class TestSolve:
         residual = float(out.split("max residual:")[1].strip())
         assert residual <= 1e-9
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_prints_the_reports_residual(self, capsys, solver):
+        # ||V - TV||, both halves: value iteration's values break no row, yet leave none tight
+        code, out, _ = run(capsys, "solve", "--builtin", "table2_once", "--solver", solver)
+        report = solve_scenario(builtin_scenario("table2_once"), solver).report
+        assert code == 0
+        assert f"max residual: {report.residual:.3g}\n" in out
+
     def test_3x3_scenario_file_default_solver(self, capsys, scenario_3x3):
         code, out, _ = run(capsys, "solve", "--scenario", str(scenario_3x3))
         assert code == 0

@@ -27,7 +27,7 @@ from acmdp import (
     validate_stochastic,
 )
 from acmdp.bellman import build_parts
-from acmdp.dynamics import ROW_SUM_TOL, next_access_sets, request_dynamics, set_request_rows
+from acmdp.dynamics import ROW_SUM_TOL, request_dynamics, row_moves
 from acmdp.states import ACTIONS
 
 D22 = ModelDims(2, 2)
@@ -76,8 +76,9 @@ class TestGrantedSetLattice:
     @pytest.mark.parametrize("act", ACTIONS)
     def test_next_set_contains_the_set(self, users, resources, act):
         d = ModelDims(users, resources)
-        k, _ = set_request_rows(d)
-        assert np.array_equal(next_access_sets(d, act) & k, k)
+        _, moves = row_moves(d)
+        k = np.arange(d.num_states // 2) // len(d.requests)  # each row's set, in state order
+        assert np.array_equal(moves[act] & k, k)
 
     @pytest.mark.parametrize("behavior", list(RequestBehavior))
     @pytest.mark.parametrize("users, resources", [(1, 1), (2, 2), (1, 3)])
@@ -109,20 +110,19 @@ class TestGrantedSetLattice:
 
 
 def clear_shape_caches():
-    for builder in (request_dynamics, next_access_sets, set_request_rows):
+    for builder in (request_dynamics, row_moves):
         builder.cache_clear()
 
 
 class TestSharedShapeBuild:
-    """The shape-only builders are cached: one read-only build per (dims, behaviour)."""
+    """The shape-only builders are cached: one read-only build per dims, and per (dims, behaviour)."""
 
-    @pytest.mark.parametrize("act", ACTIONS)
-    def test_plain_action_values_build_the_actions_sets(self, act):
-        # built first from the plain int, then from the enum, each on an empty cache
+    def test_every_behaviour_reads_one_row_build(self):
         clear_shape_caches()
-        plain = next_access_sets(D22, int(act))
-        clear_shape_caches()
-        assert np.array_equal(plain, next_access_sets(D22, act))
+        for behavior in RequestBehavior:
+            request_dynamics(D22, behavior)
+        info = row_moves.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
 
     @pytest.mark.parametrize("behavior", list(RequestBehavior))
     def test_plain_behaviour_values_build_the_behaviours_dynamics(self, behavior):
@@ -134,8 +134,6 @@ class TestSharedShapeBuild:
         assert np.array_equal(plain.draw_index, dynamics.draw_index)
 
     def test_invalid_plain_values_are_refused(self):
-        with pytest.raises(ValueError):
-            next_access_sets(D22, 2)
         with pytest.raises(ValueError):
             request_dynamics(D22, "twice")
 
@@ -159,7 +157,7 @@ class TestSharedShapeBuild:
     def test_cached_arrays_are_read_only(self, behavior):
         dynamics = request_dynamics(D22, behavior)
         own, levels = dynamics.lattice
-        arrays = [*set_request_rows(D22), *(next_access_sets(D22, act) for act in ACTIONS)]
+        arrays = [*row_moves(D22)]
         arrays += [dynamics.weights, dynamics.draw_index, own, *levels]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):

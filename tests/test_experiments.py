@@ -613,7 +613,7 @@ class TestSelfCheck:
         checks = self_check(builtin_scenario("table2_once"))
         feasibility, tightness = named(checks, "lp_feasibility"), named(checks, "lp_tightness")
         assert feasibility.passed is False and tightness.passed is False
-        assert feasibility.detail.startswith("max residual 0.5 after ")
+        assert feasibility.detail.startswith("max violation 0.5 after ")
         assert tightness.detail == "worst minimum slack 0.25"
 
     def test_high_discount_passes(self):

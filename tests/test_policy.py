@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import exact_decision_values, lattice_solve, oracle_compile
 from scipy import sparse
@@ -770,18 +770,27 @@ class TestPolicyEvaluate:
         assert bitwise_equal(np.where(policy, dv[1], dv[0]), values)
 
     @random_scenarios(40, mask=st.integers(0, 2**16))
+    @example(1, 1, RequestBehavior.ONCE, RewardVariant.EPS_ZERO, (0.0, 5e-324), 0.0, 0, 3156)
     def test_random_policies_match_a_sparse_solve(
         self, users, resources, behavior, variant, rates, beta, seed, mask
     ):
         # both sides are exact solves of (I - beta P_pi) V = q_pi, built
-        # apart, so they differ by no more than the rounding of each
+        # apart, so they differ by no more than the rounding of each.  The
+        # reference also forms each successor's probability, E times a draw
+        # weight, which can underflow: each of an entry's at most 2 (B + 1)
+        # products p * r then loses up to smallest_subnormal / 2 * |r|, an
+        # absolute error the relative allowances do not cover (the example:
+        # 5e-324 * 0.5 is 0, so its q has no alert penalty where ours has one)
         sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
         system = compile_system(sc)
         policy = random_policies(mask, system.num_states)
         dv = policy_evaluate(system, policy)
         values = np.where(policy, dv[1], dv[0])
         want = oracle_evaluate(sc, policy)
-        bound = rounding_allowance(values, beta) + rounding_allowance(want, beta)
+        products = 2 * (sc.dims.num_access_bits + 1)
+        tiny = np.finfo(float).smallest_subnormal
+        underflow = products * tiny / 2 * np.abs(system.parts.rewards).max() / (1.0 - beta)
+        bound = rounding_allowance(values, beta) + rounding_allowance(want, beta) + underflow
         assert np.max(np.abs(values - want)) <= bound
 
     @settings(max_examples=15, deadline=None)

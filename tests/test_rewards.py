@@ -16,7 +16,7 @@ from acmdp import (
     State,
     builtin_scenario,
 )
-from acmdp.dynamics import set_request_rows
+from acmdp.dynamics import row_moves
 from acmdp.rewards import reward_parts
 
 ALICE_LOW, ALICE_HIGH = Access(0, 0), Access(0, 1)
@@ -90,7 +90,7 @@ class TestRewardParts:
         # under eps_zero the compile's q is E @ parts, so it is 0 on these
         # rows only if the parts are; under eps_accrues the alert penalty stays
         sc = builtin_scenario(name)
-        _, r = set_request_rows(sc.dims)
+        r, _ = row_moves(sc.dims)
         empty = reward_parts(sc)[:, :, r == sc.dims.num_access_bits]
         if sc.variant is RewardVariant.EPS_ZERO:
             assert np.all(empty == 0.0)
