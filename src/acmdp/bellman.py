@@ -29,6 +29,7 @@ use, for comparisons with other builds of the model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -138,12 +139,16 @@ class SystemParts:
         outside [0, 1], raise ValueError.  E is C-contiguous (2, 2, G) and q,
         C-contiguous (2, n, G), is q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x].
         """
-        rates = np.asarray(rates, dtype=float)
+        try:
+            rates = np.asarray(rates, dtype=float)
+        except ValueError:  # ragged pairs, which numpy's message names no shape for
+            rates = np.asarray(rates, dtype=object)  # shaped up to where the pairs differ
         if rates.shape[1:] != (2,) or not rates.size:
             raise ValueError(
                 "rates must be a non-empty sequence of (calm_to_alert, alert_to_alert) pairs, "
                 f"got shape {rates.shape}"
             )
+        rates = rates.astype(float, copy=False)  # a pair's entry that is not a number raises
         if not (rates.min() >= 0.0 and rates.max() <= 1.0):  # written so that NaN fails
             g, k = np.argwhere(~((rates >= 0.0) & (rates <= 1.0)))[0]
             name = ("calm_to_alert", "alert_to_alert")[k]
@@ -248,8 +253,14 @@ class VerificationReport:
 
 
 def verify_solution(values: np.ndarray, dv: np.ndarray) -> VerificationReport:
-    """Slack analysis of a value vector against the Bellman rows, given its decision values."""
+    """Slack analysis of a value vector against the Bellman rows, given its decision values.
+
+    A slack that is not finite, as of values or decision values that overflowed,
+    reports both halves as infinite, since a NaN would compare as within VERIFY_TOL.
+    """
     slacks = values - dv
+    if not np.isfinite(slacks).all():
+        return VerificationReport(max_violation=math.inf, max_min_slack=math.inf)
     return VerificationReport(
         max_violation=float(max(0.0, -slacks.min())),
         max_min_slack=float(slacks.min(axis=0).max()),

@@ -249,7 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # rewards that overflow are refused by the one error line below, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ScenarioParseError as exc:
         print(f"scenario error in {exc.source}:", file=sys.stderr)
         for err in exc.errors:

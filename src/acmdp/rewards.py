@@ -8,9 +8,13 @@ penalty of the reached state.  reward_parts gives, in closed form, the
 E-free part of each action's expected one-step reward: the reward of every
 (granted set, request) row for either next emergency status, with the
 variant's rule already applied, which the compile
-(bellman.SystemParts.mix_batch) weights by the rows of E.  tests/oracle.py
-sums the same rewards transition by transition (reward_transition,
-immediate_reward) as the reference.
+(bellman.SystemParts.mix_batch) weights by the rows of E.  It is array
+arithmetic with no Python loop: each resource's bit column (its accesses'
+bits, one per user), every granted set's unheld resources by one & with
+those columns, their penalties summed in resource order, and then both
+actions' gains plus the penalty of each row's next set (dynamics.row_moves)
+in one expression.  tests/oracle.py sums the same rewards transition by
+transition (reward_transition, immediate_reward) as the reference.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import RequestBehavior, row_moves
-from .states import ACTIONS, Action, ModelDims
+from .states import ModelDims
 
 
 class RewardVariant(str, Enum):
@@ -110,34 +114,27 @@ class Scenario:
             raise ValueError(f"rewards must be finite, got {rewards}")
 
 
-def alert_penalties(sc: Scenario) -> np.ndarray:
-    """Alert penalty of every granted-set index: the rewards of resources nobody accesses."""
-    d = sc.dims
-    k = np.arange(d.num_sets)
-    total = np.zeros(d.num_sets)
-    for r, penalty in enumerate(sc.reward_resource):
-        column = sum(1 << (u * d.num_resources + r) for u in range(d.num_users))
-        total += np.where(k & column, 0.0, penalty)
-    return total
-
-
 def reward_parts(sc: Scenario) -> np.ndarray:
     """Reward of every (action, next status e2, (granted set, request) row x).
 
     The reward of a transition depends on the next status e2 and granted set
-    k', not on the next request, so it is gain(act, x) + penalty(e2, k'(x));
+    k', not on the next request, so it is gain(a, x) + penalty(e2, k'(x));
     the expected reward from (e, x) is sum_e2 E[e, e2] times it.  Under
     eps_zero the empty-request rows are worth 0 for both next statuses.
     Shape (2, 2, rows per status), indexed by Action, then Emergency.
     """
     d = sc.dims
     r, moves = row_moves(d)
-    penalties = np.stack((np.zeros(d.num_sets), alert_penalties(sc)))
-    parts = []
-    for act in ACTIONS:
-        gain = np.array([*sc.reward_access, 0.0])[r] if act is Action.ALLOW else np.zeros(len(r))
-        parts.append(gain + penalties[:, moves[act]])
-    out = np.stack(parts)
+    # columns[r]: the bits of resource r's accesses, one per user
+    columns = (1 << np.arange(d.num_access_bits)).reshape(d.num_users, d.num_resources).sum(0)
+    penalty = np.array(sc.reward_resource)[:, None]
+    # unheld[r, k]: resource r's penalty where set k holds none of its accesses, else 0
+    unheld = np.where(np.arange(d.num_sets) & columns[:, None], 0.0, penalty)
+    # an outer-axis sum adds the terms in resource order, for any number of resources
+    penalties = np.stack((np.zeros(d.num_sets), unheld.sum(axis=0)))
+    gain = np.array([[0.0] * (d.num_access_bits + 1), [*sc.reward_access, 0.0]])[:, r]
+    # out[a, e2, x] = gain[a, x] + penalties[e2, moves[a, x]]
+    out = gain[:, None] + penalties[np.arange(2)[:, None], moves[:, None]]
     if sc.variant is RewardVariant.EPS_ZERO:
         out[:, :, r == d.num_access_bits] = 0.0
     return out

@@ -70,6 +70,8 @@ def solve_columns(
     stopped column keeps them and leaves the batch and the state, so later
     steps take only the columns still running.  After budget steps it
     raises ConvergenceError with failure, formatted with budget and beta.
+    Values that are not finite (rewards so large that they overflow) stop
+    their column, and once every column has stopped raise ValueError.
     """
     if start is not None:
         start = system.as_columns("start", start)
@@ -85,6 +87,13 @@ def solve_columns(
         if values is not None:
             result[:, running[stop]] = values
             if stop.all():
+                if not np.isfinite(result).all():
+                    sc = system.parts.scenario
+                    scale = max(map(abs, sc.reward_access + sc.reward_resource))
+                    raise ValueError(
+                        f"the solved values are not finite: rewards up to {scale:.4g} in size "
+                        f"overflow a float at beta={system.beta}"
+                    )
                 return result.reshape(system.q.shape[1:]), count
             keep = ~stop
             running, batch = running[keep], batch.columns(keep)
@@ -144,7 +153,7 @@ def _sweep(
     top, bottom = step.max(axis=0), step.min(axis=0)
     del step  # free it before the stopped columns' values are formed
     half_span = 0.5 * (top - bottom)
-    stop = factor * half_span <= DEFAULT_TOL
+    stop = ~(factor * half_span > DEFAULT_TOL)  # NaN stops, for solve_columns to refuse
     proven = np.zeros_like(stop)
     if sign_of is not None:
         # scale bounds max|values| from above, so this allowance bounds rounding_allowance's

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -222,10 +223,17 @@ class TestMixEmergency:
             build_parts(builtin_scenario("table2_once")).mix_batch(rates)
 
     @pytest.mark.parametrize(
-        "rates, shape", [([], "(0,)"), ([(0.1, 0.2, 0.3)], "(1, 3)"), ((0.1, 0.2), "(2,)")]
+        "rates, shape",
+        [
+            ([], "(0,)"),
+            ([(0.1, 0.2, 0.3)], "(1, 3)"),
+            ((0.1, 0.2), "(2,)"),
+            ([(0.1, 0.2), (0.3,)], "(2,)"),
+        ],
     )
     def test_rates_that_are_not_pairs_are_refused(self, rates, shape):
-        # before the range check, which would fail inside numpy on each of them
+        # before the range check, which would fail inside numpy on each of them; ragged
+        # pairs are shaped up to where they differ, as numpy would not name them
         pairs = "rates must be a non-empty sequence of (calm_to_alert, alert_to_alert) pairs"
         with pytest.raises(ValueError, match=re.escape(f"{pairs}, got shape {shape}")):
             build_parts(builtin_scenario("table2_once")).mix_batch(rates)
@@ -296,6 +304,18 @@ class TestVerifySolution:
                 report = verify_solution(values, decision_values(system, values))
                 distance = np.max(np.abs(values - optimal))
                 assert 0.0 < distance <= report.residual / (1 - system.beta) + 1e-10
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_that_are_not_finite_are_neither_feasible_nor_tight(self, bad):
+        # max(0.0, nan) is 0.0: a NaN slack once read as no violation and a residual of 0
+        system = compile_system(builtin_scenario("table2_once"))
+        values = lattice_solve(system.parts.scenario)
+        values[7] = bad
+        report = verify_solution(values, decision_values(system, values))
+        assert not report.feasible()
+        assert not report.all_tight()
+        assert report.residual == math.inf
 
     def test_deflated_values_violate(self, table1_system):
         optimal = lattice_solve(table1_system.parts.scenario)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_bellman import small_scenario
-from test_policy import not_optimal, random_scenarios, residual_share
+from test_policy import OVERFLOW, not_optimal, overflowing, random_scenarios, residual_share
 
 import acmdp
 from acmdp import (
@@ -507,6 +507,29 @@ class TestSelfcheck:
         bad.write_text(BAD_SCENARIO_FILE)
         code, _, err = run(capsys, "selfcheck", "--scenario", str(bad))
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--out", "table.txt"],
+        ["solve", "--solver", "vi", "--out", "table.txt"],
+        ["decisions"],
+        ["decisions", "--solver", "vi"],
+        ["sweep", "--step", "0.25"],
+        ["sweep", "--step", "0.25", "--solver", "vi"],
+        ["selfcheck"],
+    ],
+    ids=" ".join,
+)
+def test_values_that_overflow_exit_2_with_one_error_line(capsys, tmp_path, argv):
+    # no numpy warning reaches the user, and no table is written
+    path = tmp_path / "overflow.txt"
+    path.write_text(render_scenario(overflowing()))
+    argv = [str(tmp_path / arg) if arg == "table.txt" else arg for arg in argv]
+    code, out, err = run(capsys, *argv, "--scenario", str(path))
+    assert (code, out, err) == (2, "", f"error: {OVERFLOW} at beta=0.9\n")
+    assert not (tmp_path / "table.txt").exists()
 
 
 def test_every_option_has_help():

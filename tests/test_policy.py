@@ -857,6 +857,63 @@ def test_solvers_refuse_a_non_finite_start_before_any_step(monkeypatch, solve, b
         solve(system, start=start)
 
 
+def overflowing(name="table2_once", **changes):
+    """A builtin whose grants are each worth 1.5e308 and whose alert penalties are each -1.5e308.
+
+    Every reward is finite, but table2_once's alert penalty of the empty set,
+    -3e308, is not; with calm_to_alert 0 a calm state's q is 0 * -inf, NaN.
+    Under table2_all's own penalties the rewards are finite and the values not.
+    """
+    sc = builtin_scenario(name)
+    penalties = (-1.5e308,) * 2 if name == "table2_once" else sc.reward_resource
+    return dataclasses.replace(
+        sc, reward_access=(1.5e308,) * 4, reward_resource=penalties, **changes
+    )
+
+
+OVERFLOW = "the solved values are not finite: rewards up to 1.5e+308 in size overflow a float"
+
+
+OVERFLOW_WARNINGS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+
+
+@OVERFLOW_WARNINGS
+@pytest.mark.parametrize("solve", [policy_iterate, value_iterate])
+@pytest.mark.parametrize(
+    "sc",
+    [overflowing(), overflowing(calm_to_alert=0.0), overflowing("table2_all")],
+    ids=["penalties", "nan-q", "values"],
+)
+def test_solvers_refuse_values_that_are_not_finite(sc, solve):
+    # a NaN column stops at once: value iteration once swept it to its budget
+    system = compile_system(sc)
+    with pytest.raises(ValueError, match=f"^{re.escape(OVERFLOW)} at beta={sc.beta}$"):
+        solve(system)
+
+
+@OVERFLOW_WARNINGS
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_sweeps_refuse_values_that_are_not_finite(solver):
+    with pytest.raises(ValueError, match=re.escape(OVERFLOW)):
+        run_sweep(SweepSpec(overflowing(), step=0.25), solver)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_rewards_near_the_float_maximum_solve_when_the_values_are_finite(solver):
+    # a bound of (max|reward_access| + sum|reward_resource|) / (1 - beta) would be inf here
+    sc = dataclasses.replace(
+        builtin_scenario("table2_all"),
+        reward_access=(1e305, -1e305, 1e305, 1e305),
+        reward_resource=(-1e305, -1e305),
+        beta=0.999,
+    )
+    solution = solve_scenario(sc, solver)
+    assert np.isfinite(solution.values).all() and np.isfinite(solution.dv).all()
+    assert np.abs(solution.values).max() > 7e307
+
+
 class TestValueFiles:
     def test_round_trip(self, solved, tmp_path):
         sol = solved("table2_once")

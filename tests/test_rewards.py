@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from oracle import (
@@ -7,6 +9,7 @@ from oracle import (
     reward_transition,
     successors,
 )
+from test_bellman import small_scenario
 
 from acmdp import (
     Access,
@@ -96,6 +99,21 @@ class TestRewardParts:
             assert np.all(empty == 0.0)
         else:
             assert np.any(empty != 0.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (2, 5), (1, 12), (3, 4)])
+    def test_alert_penalties_are_the_oracles_sums_bit_for_bit(self, shape):
+        # deny keeps the set, so an empty-request row's alert part under eps_accrues is its
+        # set's penalty; the oracle adds the unheld resources' rewards from 0.0 in resource
+        # order, the order the compile must sum in for 12 resources to match it
+        users, resources = shape
+        sc = dataclasses.replace(
+            small_scenario(users, resources, "all", "eps_accrues", seed=users * 13 + resources),
+            reward_resource=tuple(-(1.1**r) for r in range(resources)),
+        )
+        sets, per_set = sc.dims.num_sets, sc.dims.num_access_bits + 1
+        parts = reward_parts(sc)[Action.DENY, Emergency.ALERT].reshape(sets, per_set)[:, -1]
+        want = np.array([reward_emresource(sc, Emergency.ALERT, k) for k in range(sets)])
+        assert np.array_equal(parts, want)
 
 
 class TestImmediateReward:
