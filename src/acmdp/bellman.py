@@ -19,12 +19,15 @@ factors P^a = E (x) R^a.  It composes two halves, each O(n) work per value
 column: draw_table averages every set's cells by its weights and takes its
 empty-request cell, per status (the draw table), and price_table mixes the
 statuses' tables by beta E, gathers each (action, state)'s entry with
-RequestDynamics.draw_index, and adds q.  Value iteration, policy
+RequestDynamics.draw_index, and adds q.  Their loop-invariant factors are
+built once: the drawn weights per shape (RequestDynamics.drawn_weights), and
+beta E per system (BellmanSystem.mixing).  Value iteration, policy
 extraction and verify_solution call decision_values; the LP's basis solve
 (policy.policy_evaluate) calls the halves, since it solves for a policy's
-draw table.  validate_stochastic checks the factors row by row.  No
-solver or check assembles P: BellmanSystem.transitions builds it on first
-use, for comparisons with other builds of the model.
+draw table: one block inverse per basis, then one matmul per lattice level.
+validate_stochastic checks the factors row by row.  No solver or check
+assembles P: BellmanSystem.transitions builds it on first use, for
+comparisons with other builds of the model.
 """
 
 from __future__ import annotations
@@ -102,6 +105,13 @@ class BellmanSystem:
         emergency = sparse.csr_matrix(self.emergency)
         index = dynamics.draw_index.reshape(2, -1)[:, : dynamics.size]
         return tuple(sparse.kron(emergency, table[index[a]], format="csr") for a in ACTIONS)
+
+    @cached_property
+    def mixing(self) -> np.ndarray:
+        """beta E as (2, 2, 1, G), G = 1 for one system: price_table's factor, built once."""
+        mixing = self.beta * self.emergency.reshape(2, 2, 1, -1)
+        mixing.flags.writeable = False
+        return mixing
 
     def as_batch(self) -> BellmanSystem:
         """This batch, or this single system as a batch of one (views, no copy)."""
@@ -190,10 +200,10 @@ def draw_table(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
     sets, per_set = dynamics.weights.shape
     cells = values.reshape(2, sets, per_set, -1).transpose(2, 0, 1, 3)  # [j, e, k, column]
     table = np.empty((2, 2, sets, cells.shape[-1]))
-    drawn = cells[dynamics.drawn]
-    terms = np.empty(drawn.shape)  # C order: the sum below runs along its outermost axis
-    np.multiply(dynamics.weights.T[dynamics.drawn, None, :, None], drawn, out=terms)
-    # an outermost-axis sum adds the terms in request order, for any number of columns
+    # with drawn_weights C-contiguous the product is laid out [e][j][k][column] in
+    # memory: the request axis is outside the set axis, so the sum below runs
+    # along it in request order, for any number of columns
+    terms = dynamics.drawn_weights * cells[dynamics.drawn]
     np.add.reduce(terms, axis=0, out=table[:, 0])
     table[:, 1] = cells[-1]
     return table
@@ -204,9 +214,8 @@ def price_table(system: BellmanSystem, table: np.ndarray) -> np.ndarray:
     _, _, sets, columns = table.shape
     table = table.reshape(2, 2 * sets, columns)
     # mixed[e] = sum_e2 beta E[e, e2] table[e2], per column
-    mixing = system.beta * system.emergency.reshape(2, 2, 1, -1)
-    mixed = mixing[:, 0] * table[0]
-    mixed += mixing[:, 1] * table[1]
+    mixed = system.mixing[:, 0] * table[0]
+    mixed += system.mixing[:, 1] * table[1]
     index = system.parts.dynamics.draw_index
     out = mixed.reshape(-1, columns).take(index, axis=0).reshape(system.q.shape)
     out += system.q
@@ -216,9 +225,9 @@ def price_table(system: BellmanSystem, table: np.ndarray) -> np.ndarray:
 def rounding_allowance(values: np.ndarray, beta: float) -> float:
     """Distance a computed solution may lie from its exact one by rounding alone.
 
-    A kernel evaluation or an LU solve is exact up to a few units in the last
-    place of the largest value, and a beta-contraction amplifies such an
-    error by up to 1 / (1 - beta).  Measured in these units against values
+    A kernel evaluation or a basis solve is exact up to a few units in the
+    last place of the largest value, and a beta-contraction amplifies such
+    an error by up to 1 / (1 - beta).  Measured in these units against values
     refined in np.longdouble, on two samples of 900 random 1x1 to 2x2
     scenarios with beta up to 0.999, rewards scaled up to 100-fold and a
     fifth solved by value iteration with a DEFAULT_TOL of 0: value iteration,
@@ -228,7 +237,9 @@ def rounding_allowance(values: np.ndarray, beta: float) -> float:
     most 1.94 beyond DEFAULT_TOL.
     A value-iteration sign test needs the first, an LP-VI comparison the
     last.  The allowance covers the sum of the first two, 2.58 and 2.47 on
-    the two samples.
+    the two samples.  Priced exactly in Fraction arithmetic instead
+    (tests/oracle.py), on 1,000 such scenarios with beta up to 0.999, the
+    values of policy iteration's last basis erred by at most 0.23.
     """
     return float(ROUNDING_ULPS * EPS * np.abs(values).max() / (1.0 - beta))
 

@@ -23,6 +23,13 @@ from .value_iteration import ConvergenceError
 
 
 SOLVER_HELP = "lp: the LP by policy iteration, exact; vi: value iteration (default %(default)s)"
+# from this size on a float's spacing is at least 0.125, so two decimals say nothing
+EXPONENT_FROM = 1e15
+
+
+def _shown(value: float) -> str:
+    """A decision value as decisions and eval print it: two decimals, or exponent form when huge."""
+    return f"{value:.2f}" if abs(value) < EXPONENT_FROM else f"{value:.2e}"
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
@@ -61,7 +68,7 @@ def cmd_decisions(args: argparse.Namespace) -> int:
         rows = sc.dims.position(int(emergency), 0, np.arange(len(accesses)))
         status = emergency.label.capitalize().ljust(8)
         for act_idx, act_label in ((0, "deny"), (1, "allow")):
-            cells = [f"{dv:.2f}".rjust(col_width) for dv in solution.dv[act_idx, rows]]
+            cells = [_shown(dv).rjust(col_width) for dv in solution.dv[act_idx, rows]]
             print(f"{status}{act_label:<8}" + "".join(cells))
         for a, i in zip(accesses, rows):
             csv_lines.append(
@@ -149,9 +156,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     row = loaded.lookup(args.emergency, k, req_user, req_resource)
     gap = abs(row.dv_allow - row.dv_deny)
     print(f"decision: {row.action}")
-    print(f"dv_deny: {row.dv_deny:.2f}")
-    print(f"dv_allow: {row.dv_allow:.2f}")
-    print(f"gap: {gap:.2f}")
+    print(f"dv_deny: {_shown(row.dv_deny)}")
+    print(f"dv_allow: {_shown(row.dv_allow)}")
+    print(f"gap: {_shown(gap)}")
     return 0 if row.action == "allow" else 1
 
 

@@ -25,9 +25,10 @@ only on request (BellmanSystem.transitions).  tests/oracle.py describes the same
 process one state at a time (successors), the reference for this build.
 All of it depends on (dims, behaviour) alone and is cached, so every system
 of one shape shares it, and its arrays are read-only: row_moves per dims,
-request_dynamics and RequestDynamics.lattice per (dims, behaviour).
-CAP_BITS bounds the keys to 35 dims x 3 behaviours; one 12-bit dims holds
-9.06 MB (8.64 MiB) of them with all three behaviours and lattices built.
+request_dynamics, RequestDynamics.lattice and RequestDynamics.drawn_weights
+per (dims, behaviour).  CAP_BITS bounds the keys to 35 dims x 3 behaviours;
+one 12-bit dims holds 9.91 MB (9.45 MiB) of them with all three behaviours,
+their lattices and drawn weights built.
 """
 
 from __future__ import annotations
@@ -98,6 +99,15 @@ class RequestDynamics:
         """The span of requests that some set draws: weights is zero outside it."""
         j = np.flatnonzero(self.weights.any(axis=0))
         return slice(j[0], j[-1] + 1)
+
+    @cached_property
+    def drawn_weights(self) -> np.ndarray:
+        """weights.T over the drawn span, [j, 1, k, 1]: the factor bellman.draw_table's cells take.
+
+        A C-contiguous copy, so that the product with the cells is laid out
+        request-major inside each status (see draw_table).
+        """
+        return _shared(np.ascontiguousarray(self.weights.T[self.drawn, None, :, None]))
 
     @cached_property
     def lattice(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:

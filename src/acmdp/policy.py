@@ -62,25 +62,28 @@ def policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
     entries T_k (bellman.draw_table), so T_k = draw_table(b)_k + beta M_k T_k:
     b is the policy's decision values with this level's entries zero, and
     M_k, E times draw_table of the indicator "reads its own set's entry of
-    this kind", has row sums at most 1, so I - beta M_k is regular.  A level
-    is one batched 4 x 4 solve per set and column; price_table of the
-    entries solved so far gives the decision values.
+    this kind", has row sums at most 1, so I - beta M_k is regular.  Every
+    set's and column's 4 x 4 block is inverted once per basis, in one
+    batched np.linalg.inv; a level is then one stacked matmul of its sets'
+    inverses with their right-hand sides, and price_table of the entries
+    solved so far gives the decision values.
     """
     batch, dynamics = system.as_batch(), system.parts.dynamics
     policy = system.as_columns("policy", policy)
     sets = len(dynamics.weights)
     own, levels = dynamics.lattice
-    # shares[k, g, e, kind, ., c]: the draw table of own under pi
-    shares = np.where(policy[..., None], own[1, :, None], own[0, :, None])
+    # shares[k, g, e, kind, ., c]: the draw table of own under pi, own[1] where pi
+    # allows and own[0] elsewhere (selected by & and ^, which broadcast faster than np.where)
+    shares = own[0, :, None] ^ (policy[..., None] & (own[0] ^ own[1])[:, None])
     shares = draw_table(batch, shares.reshape(system.num_states, -1))
     shares = shares.reshape(2, 2, sets, -1, 2).transpose(2, 3, 0, 1, 4)
-    mixing = batch.beta * batch.emergency.transpose(2, 0, 1)[:, :, None, :, None]
-    blocks = np.eye(4) - (mixing * shares[..., None, :]).reshape(sets, -1, 4, 4)
+    mixing = batch.mixing.transpose(3, 0, 2, 1)[..., None]  # [g, e, ., e2, .]
+    inverse = np.linalg.inv(np.eye(4) - (mixing * shares[..., None, :]).reshape(sets, -1, 4, 4))
     entries = np.zeros((4, sets, policy.shape[1]))  # V's draw table, (status, kind) by set
     dv = batch.q
     for level in levels:
         rhs = draw_table(batch, np.where(policy, dv[1], dv[0])).reshape(4, sets, -1)
-        solved = np.linalg.solve(blocks[level], rhs[:, level].transpose(1, 2, 0)[..., None])
+        solved = np.matmul(inverse[level], rhs[:, level].transpose(1, 2, 0)[..., None])
         entries[:, level] = solved[..., 0].transpose(2, 0, 1)
         dv = price_table(batch, entries.reshape(2, 2, sets, -1))
     return dv.reshape(system.q.shape)

@@ -81,15 +81,16 @@ class ModelDims:
                 f"the powerset state space would be intractable"
             )
 
-    @property
+    # the sizes are cached, since the kernel and the solvers read them at every call
+    @cached_property
     def num_access_bits(self) -> int:
         return self.num_users * self.num_resources
 
-    @property
+    @cached_property
     def num_sets(self) -> int:
         return 1 << self.num_access_bits
 
-    @property
+    @cached_property
     def num_states(self) -> int:
         return 2 * self.num_sets * (self.num_access_bits + 1)
 

@@ -19,7 +19,7 @@ from acmdp import (
     decision_values,
     verify_solution,
 )
-from acmdp.bellman import VERIFY_TOL, build_parts
+from acmdp.bellman import VERIFY_TOL, build_parts, draw_table
 
 
 def assert_matches_oracle(sc):
@@ -269,6 +269,26 @@ class TestKernel:
                     for act, mat in enumerate(single.transitions):
                         want = single.q[act] + beta * (mat @ column)
                         assert np.max(np.abs(got[act] - want)) <= bound
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (1, 9)])
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_draw_table_adds_the_requests_in_order(self, shape, columns):
+        # the weights-average of every set sums its terms one request after
+        # another, also past 8 requests, where a sum along the innermost axis
+        # would pair them: so a column's entry does not depend on its batch
+        rng = np.random.default_rng(columns)
+        for behavior in RequestBehavior:
+            parts = build_parts(small_scenario(*shape, behavior, "eps_zero"))
+            batch = parts.mix_batch([(0.3, 0.8)] * columns)
+            weights, drawn = parts.dynamics.weights, parts.dynamics.drawn
+            values = rng.normal(scale=100.0, size=batch.q.shape[1:])
+            cells = values.reshape(2, *weights.shape, columns)  # [e, k, j, column]
+            want = weights[:, drawn.start, None] * cells[:, :, drawn.start]
+            for j in range(drawn.start + 1, drawn.stop):
+                want = want + weights[:, j, None] * cells[:, :, j]
+            table = draw_table(batch, values)
+            assert table[:, 0].tobytes() == want.tobytes()
+            assert table[:, 1].tobytes() == cells[:, :, -1].tobytes()
 
 
 class TestVerifySolution:

@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_bellman import small_scenario
-from test_policy import OVERFLOW, not_optimal, overflowing, random_scenarios, residual_share
+from test_policy import (
+    OVERFLOW,
+    near_the_float_maximum,
+    not_optimal,
+    overflowing,
+    random_scenarios,
+    residual_share,
+)
 
 import acmdp
 from acmdp import (
@@ -21,7 +28,7 @@ from acmdp import (
     render_scenario,
     solve_scenario,
 )
-from acmdp.cli import build_parser, main
+from acmdp.cli import EXPONENT_FROM, _shown, build_parser, main
 from acmdp.experiments import SweepSpec
 from acmdp.policy import PRINT_TOL, SOLVERS
 
@@ -138,6 +145,33 @@ class TestDecisions:
         bob_high = [ln for ln in lines if ln.startswith("calm,bob,high")][0]
         assert bob_high.split(",")[5] == "deny"
 
+    def test_huge_values_print_in_exponent_form(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text(render_scenario(near_the_float_maximum()))
+        code, out, _ = run(capsys, "decisions", "--scenario", str(path))
+        assert code == 0
+        cells = [cell for line in out.splitlines()[1:] for cell in line.split()[2:]]
+        assert len(cells) == 16
+        assert all(re.fullmatch(r"7\.\d\de\+307", cell) for cell in cells), cells
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (0.0, "0.00"),
+        (-10.0, "-10.00"),
+        (EXPONENT_FROM - 0.125, "999999999999999.88"),
+        (EXPONENT_FROM, "1.00e+15"),
+        (-EXPONENT_FROM, "-1.00e+15"),
+        (7.4812e307, "7.48e+307"),
+        (float("inf"), "inf"),
+        (float("nan"), "nan"),
+    ],
+)
+def test_decision_values_print_two_decimals_below_the_exponent_size(value, shown):
+    # the largest float below 1e15 still prints its two decimals
+    assert _shown(value) == shown
+
 
 class TestSweep:
     def test_csv_and_crossover_output(self, capsys, tmp_path):
@@ -247,6 +281,18 @@ class TestEval:
         assert code == 0
         assert "decision: allow" in out
         assert "gap: 50.45" in out
+
+    def test_huge_values_print_in_exponent_form(self, capsys, tmp_path):
+        scenario, values = tmp_path / "huge.txt", tmp_path / "values.txt"
+        scenario.write_text(render_scenario(near_the_float_maximum()))
+        run(capsys, "solve", "--scenario", str(scenario), "--out", str(values))
+        query = ["--values", str(values), "--emergency", "calm", "--request", "alice:low"]
+        code, out, _ = run(capsys, "eval", "--scenario", str(scenario), *query)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "decision: allow"
+        for line, name in zip(lines[1:], ("dv_deny", "dv_allow", "gap")):
+            assert re.fullmatch(rf"{name}: \d\.\d\de\+30[57]", line), line
 
     def test_granted_set_query(self, capsys, table1_values):
         code, out, _ = run(

@@ -158,7 +158,7 @@ class TestSharedShapeBuild:
         dynamics = request_dynamics(D22, behavior)
         own, levels = dynamics.lattice
         arrays = [*row_moves(D22)]
-        arrays += [dynamics.weights, dynamics.draw_index, own, *levels]
+        arrays += [dynamics.weights, dynamics.draw_index, dynamics.drawn_weights, own, *levels]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]

@@ -307,7 +307,7 @@ def assert_lp_agrees(solution, values, bound):
 
 
 def vi_bound(values, beta):
-    """Value iteration's proven error, tol, plus the rounding of it and of the LU."""
+    """Value iteration's proven error, tol, plus the rounding of it and of the basis solve."""
     return VI_TOL + rounding_allowance(values, beta)
 
 
@@ -325,19 +325,35 @@ def lattice_bound(solution, values):
 
 
 def random_scenarios(max_examples, **more):
-    """Run a test on small_scenario's random 1x1 to 2x3 models, and on more's strategies."""
-    return lambda test: settings(max_examples=max_examples, deadline=None)(
-        given(
-            users=st.integers(1, 2),
-            resources=st.integers(1, 3),
-            behavior=st.sampled_from(list(RequestBehavior)),
-            variant=st.sampled_from(list(RewardVariant)),
-            rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-            beta=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
-            seed=st.integers(0, 2**16),
-            **more,
-        )(test)
+    """Run a test on small_scenario's random 1x1 to 2x3 models, and on more's strategies.
+
+    A strategy in more replaces the default of its name.
+    """
+    strategies = dict(
+        users=st.integers(1, 2),
+        resources=st.integers(1, 3),
+        behavior=st.sampled_from(list(RequestBehavior)),
+        variant=st.sampled_from(list(RewardVariant)),
+        rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        beta=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+        seed=st.integers(0, 2**16),
     )
+    return lambda test: settings(max_examples=max_examples, deadline=None)(
+        given(**{**strategies, **more})(test)
+    )
+
+
+def exact_error(sc, policy, values):
+    """How far values lie from the exact values of the allow mask policy, as a Fraction.
+
+    tests/oracle.py prices the policy in Fraction arithmetic, and no state's
+    other action may beat its chosen one by more than VERIFY_TOL, the
+    pivot's margin.
+    """
+    dv = exact_decision_values(sc, policy)
+    exact = np.where(policy == 1, dv[1], dv[0])
+    assert max(np.where(policy == 1, dv[0], dv[1]) - exact) <= Fraction(VERIFY_TOL)
+    return max(abs(Fraction(v) - x) for v, x in zip(values, exact))
 
 
 def dv_bound(solution):
@@ -390,16 +406,28 @@ class TestLpSolve:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtins_are_optimal_in_exact_arithmetic(self, solved, name):
         solution = solved(name)
-        sc, policy = solution.scenario, solution.policy.actions
-        dv = exact_decision_values(sc, policy)
-        exact = np.where(policy == 1, dv[1], dv[0])
-        # no state's other action beats the exported one by more than the pivot's margin
-        assert max(np.where(policy == 1, dv[0], dv[1]) - exact) <= Fraction(VERIFY_TOL)
+        sc = solution.scenario
+        error = exact_error(sc, solution.policy.actions, solution.values)
         allowance = rounding_allowance(solution.values, sc.beta)
         bound = solution.report.residual / (1.0 - sc.beta) + allowance
-        error = max(abs(Fraction(v) - x) for v, x in zip(solution.values, exact))
-        # the 7 builtins' worst errors reach at most 0.052 of the allowance
+        # the 7 builtins' worst errors reach at most 0.023 of the allowance
         assert error <= Fraction(bound)
+
+    @random_scenarios(50, resources=st.integers(1, 2))
+    def test_random_scenarios_are_optimal_in_exact_arithmetic(
+        self, users, resources, behavior, variant, rates, beta, seed
+    ):
+        # the LP's last basis, priced exactly on random 1x1 to 2x2 models
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        system = compile_system(sc)
+        values, basis = TestPolicyEvaluate.final_basis(system)
+        error = exact_error(sc, basis, values)
+        allowance = rounding_allowance(values, beta)
+        residual = verify_solution(values, decision_values(system, values)).residual
+        # within its certificate of the exact values, as every solution is
+        assert error <= Fraction(residual / (1.0 - beta) + allowance)
+        # and within the rounding of its basis solve, block inverses and matmuls, alone
+        assert error <= Fraction(allowance)
 
     def test_an_exact_tie_denies(self):
         # at calm_to_alert = 1/2, (calm, nothing granted, bob:high) ties exactly
@@ -900,16 +928,20 @@ def test_sweeps_refuse_values_that_are_not_finite(solver):
         run_sweep(SweepSpec(overflowing(), step=0.25), solver)
 
 
-@pytest.mark.parametrize("solver", SOLVERS)
-def test_rewards_near_the_float_maximum_solve_when_the_values_are_finite(solver):
-    # a bound of (max|reward_access| + sum|reward_resource|) / (1 - beta) would be inf here
-    sc = dataclasses.replace(
+def near_the_float_maximum():
+    """table2_all with rewards of 1e305 in size at beta 0.999: its values reach past 7e307."""
+    return dataclasses.replace(
         builtin_scenario("table2_all"),
         reward_access=(1e305, -1e305, 1e305, 1e305),
         reward_resource=(-1e305, -1e305),
         beta=0.999,
     )
-    solution = solve_scenario(sc, solver)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_rewards_near_the_float_maximum_solve_when_the_values_are_finite(solver):
+    # a bound of (max|reward_access| + sum|reward_resource|) / (1 - beta) would be inf here
+    solution = solve_scenario(near_the_float_maximum(), solver)
     assert np.isfinite(solution.values).all() and np.isfinite(solution.dv).all()
     assert np.abs(solution.values).max() > 7e307
 
