@@ -48,7 +48,8 @@ if TYPE_CHECKING:
 
 VERIFY_TOL = 1e-9  # how far a Bellman row may be off: its violation, its slack, a tie
 EPS = float(np.finfo(float).eps)
-ROUNDING_ULPS = 4  # rounding_allowance, in units of eps * max|V| / (1 - beta)
+TINY = float(np.finfo(float).tiny)  # the least normal float; below it floats are EPS * TINY apart
+ROUNDING_ULPS = 4  # rounding_allowance, in units of eps * max(max|V|, TINY) / (1 - beta)
 
 
 @dataclass
@@ -240,13 +241,19 @@ def rounding_allowance(values: np.ndarray, beta: float) -> float:
     the two samples.  Priced exactly in Fraction arithmetic instead
     (tests/oracle.py), on 1,000 such scenarios with beta up to 0.999, the
     values of policy iteration's last basis erred by at most 0.23.
+    A unit is never taken below EPS * TINY, the spacing of the subnormal
+    floats, which is what an underflowing product of a tiny rate loses.
     """
-    return float(ROUNDING_ULPS * EPS * np.abs(values).max() / (1.0 - beta))
+    return float(ROUNDING_ULPS * EPS * max(np.abs(values).max(), TINY) / (1.0 - beta))
 
 
 @dataclass
 class VerificationReport:
-    """How far a value vector's Bellman rows are off, each half judged by VERIFY_TOL."""
+    """How far a value vector's Bellman rows are off, each half judged by VERIFY_TOL.
+
+    A caller that knows how far rounding alone can move a row passes that as
+    rounding, and each half is then judged by VERIFY_TOL plus it.
+    """
 
     max_violation: float  # largest amount any Bellman constraint is broken by
     max_min_slack: float  # worst tightness: 0 when every state has a tight row
@@ -256,11 +263,13 @@ class VerificationReport:
         """||V - TV||: V lies within residual / (1 - beta) of the optimum."""
         return max(self.max_violation, self.max_min_slack)
 
-    def feasible(self) -> bool:
-        return self.max_violation <= VERIFY_TOL
+    def feasible(self, rounding: float = 0.0) -> bool:
+        """No row is broken by more than VERIFY_TOL plus rounding."""
+        return self.max_violation <= VERIFY_TOL + rounding
 
-    def all_tight(self) -> bool:
-        return self.max_min_slack <= VERIFY_TOL
+    def all_tight(self, rounding: float = 0.0) -> bool:
+        """Every state has a row within VERIFY_TOL plus rounding of tight."""
+        return self.max_min_slack <= VERIFY_TOL + rounding
 
 
 def verify_solution(values: np.ndarray, dv: np.ndarray) -> VerificationReport:

@@ -251,7 +251,11 @@ def self_check(sc: Scenario) -> list[CheckResult]:
     Five checks: the factors of the system are stochastic; the LP's values
     are feasible and tight (the verify_solution report that solve_system
     keeps, which places them within residual / (1 - beta) of the optimum,
-    Puterman 1994, sections 6.2-6.3);
+    Puterman 1994, sections 6.2-6.3), each half judged by VERIFY_TOL plus
+    twice A = rounding_allowance(V, beta): V lies within A of the exact
+    values, which moves a row's slack V - (q + beta P V) by at most
+    (1 + beta) A, and the kernel rounds a row by a few ulps of max|V|,
+    within (1 - beta) A = ROUNDING_ULPS ulps;
     and value iteration, a global solve that shares only the kernel with
     the LP's back-substitution, agrees with the LP on the values and on
     every confident decision.  Every bound an agreement check applies is
@@ -266,15 +270,17 @@ def self_check(sc: Scenario) -> list[CheckResult]:
     checks = [CheckResult("stochasticity", True, "all successor distributions sum to 1")]
 
     lp = solve_system(system, "lp")
+    allowance = rounding_allowance(lp.values, sc.beta)
+    rounding = 2.0 * allowance  # (1 + beta) A for V's error, (1 - beta) A for the kernel's
     checks += [
         CheckResult(
             "lp_feasibility",
-            lp.report.feasible(),
+            lp.report.feasible(rounding),
             f"max violation {lp.report.max_violation:.3g} after {lp.iterations} policy bases",
         ),
         CheckResult(
             "lp_tightness",
-            lp.report.all_tight(),
+            lp.report.all_tight(rounding),
             f"worst minimum slack {lp.report.max_min_slack:.3g}",
         ),
     ]
@@ -284,7 +290,6 @@ def self_check(sc: Scenario) -> list[CheckResult]:
     except ConvergenceError as exc:
         why = f"skipped, value iteration stopped: {exc}"
         return checks + [CheckResult(n, None, why) for n in ("lp_vi_agreement", "policy_agreement")]
-    allowance = rounding_allowance(lp.values, sc.beta)
     # value iteration stops within VI_TOL of the optimum; a final LP violation
     # of at most VERIFY_TOL leaves the LP within VERIFY_TOL / (1 - beta) of it.
     # The LP's measured residual r would not do in place of VERIFY_TOL: values

@@ -96,19 +96,27 @@ def policy_iterate(
 
     system and start are value_iterate's, and so is the loop
     (value_iteration.solve_columns).  The first policy is greedy on
-    decision_values(system, start); start None is zero, giving the myopic
-    policy (allow where q[allow] > q[deny]).  Each basis pi is solved
-    exactly by policy_evaluate, and every state whose other action beats
-    its current one by more than VERIFY_TOL pivots at once.  A column stops
-    at a basis where none does, which violates no Bellman row by more than
-    VERIFY_TOL.  Returns the values and the most bases a column solved.
+    decision_values(system, start).  With start None it is greedy on the
+    fail-safe lookahead q + beta P q[deny] / (1 - beta): the state each
+    action reaches is valued as its deny reward recurring forever.  That
+    start is optimal on six of the seven builtins; the myopic policy
+    (allow where q[allow] > q[deny]), which start zero gives, misses the
+    later alert penalties a grant changes and was not optimal on four.
+    Each basis pi is solved exactly by policy_evaluate, and every state
+    whose other action beats its current one by more than VERIFY_TOL
+    pivots at once.  A column stops at a basis where none does, which
+    violates no Bellman row by more than VERIFY_TOL.  Returns the values
+    and the most bases a column solved.
     """
     failure = f"no optimal policy basis within {{budget}} bases (beta={{beta}}, tol={VERIFY_TOL})"
     return solve_columns(system, start, MAX_BASES, _first_policy, _pivot, failure)
 
 
 def _first_policy(batch: BellmanSystem, start: np.ndarray | None) -> Columns:
-    dv = batch.q if start is None else decision_values(batch, start)
+    if start is not None:
+        dv = decision_values(batch, start)
+    else:  # the fail-safe lookahead times 1 - beta > 0, so that no huge reward overflows
+        dv = decision_values(batch, batch.q[0]) - batch.beta * batch.q
     return (dv[1] > dv[0],)  # (n, G): allow
 
 

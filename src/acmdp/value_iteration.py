@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bellman import EPS, ROUNDING_ULPS, BellmanSystem, decision_values
+from .bellman import EPS, ROUNDING_ULPS, TINY, BellmanSystem, decision_values
 from .states import Action
 
 DEFAULT_TOL = 1e-10
@@ -129,10 +129,11 @@ def value_iterate(
 
 def _first_values(batch: BellmanSystem, start: np.ndarray | None) -> Columns:
     values = np.zeros(batch.q.shape[1:]) if start is None else start.astype(float, copy=False)
-    # scale bounds max|V| per column from above; a column's is evaluated afresh
-    # only once its span is small enough to be rounding, which spares that cost
-    # per sweep and leaves each column's stop to its own values
-    return values, np.abs(values).max(axis=0)
+    # scale bounds max(max|V|, TINY) per column from above, as rounding_allowance
+    # takes it; a column's is evaluated afresh only once its span is small enough
+    # to be rounding, which spares that cost per sweep and leaves each column's
+    # stop to its own values
+    return values, np.maximum(np.abs(values).max(axis=0), TINY)
 
 
 def _sweep(
@@ -156,14 +157,14 @@ def _sweep(
     stop = ~(factor * half_span > DEFAULT_TOL)  # NaN stops, for solve_columns to refuse
     proven = np.zeros_like(stop)
     if sign_of is not None:
-        # scale bounds max|values| from above, so this allowance bounds rounding_allowance's
+        # scale bounds max(max|values|, TINY) from above, so this bounds rounding_allowance
         allowance = ROUNDING_ULPS * EPS * scale / (1.0 - batch.beta)
         proven = np.abs(gap) > 2.0 * (factor * half_span + batch.beta * allowance)
         stop |= proven
     scale += np.maximum(top, -bottom)
     rounding = (half_span <= EPS * scale) & ~stop
     if rounding.any():
-        scale[rounding] = np.abs(updated[:, rounding]).max(axis=0)
+        scale[rounding] = np.maximum(np.abs(updated[:, rounding]).max(axis=0), TINY)
         stop |= half_span <= EPS * scale
     midpoints = None
     if stop.any():

@@ -69,7 +69,7 @@ class TestSolve:
     def test_table2_all_lp_residual(self, capsys):
         code, out, _ = run(capsys, "solve", "--builtin", "table2_all", "--solver", "lp")
         assert code == 0
-        assert "policy bases: 2" in out
+        assert "policy bases: 1" in out
         residual = float(out.split("max residual:")[1].strip())
         assert residual <= 1e-9
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from test_bellman import at_rate, small_scenario
+from test_policy import near_the_float_maximum
 
 import acmdp.bellman
 import acmdp.dynamics
@@ -616,6 +617,33 @@ class TestSelfCheck:
         assert feasibility.detail.startswith("max violation 0.5 after ")
         assert tightness.detail == "worst minimum slack 0.25"
 
+    def test_values_near_the_float_maximum_pass(self):
+        # rounding alone breaks rows of values near 7.5e307 by about 1e292: far past
+        # VERIFY_TOL, and far inside twice the rounding allowance, about 1.3e296
+        checks = self_check(near_the_float_maximum())
+        assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+        assert named(checks, "lp_feasibility").detail.startswith("max violation 9.98e+291 ")
+
+    @pytest.mark.parametrize("name", ["table2_once", "huge"])
+    @pytest.mark.parametrize("past, passes", [(0, True), (1, False)])
+    def test_lp_checks_fail_past_their_rounding_term(self, monkeypatch, name, past, passes):
+        # a report at VERIFY_TOL + 2 rounding_allowance passes; one ulp past it fails
+        sc = near_the_float_maximum() if name == "huge" else builtin_scenario(name)
+        solve = acmdp.experiments.solve_system
+
+        def reported(system, solver):
+            solution = solve(system, solver)
+            if solver == "lp":
+                bound = VERIFY_TOL + 2.0 * rounding_allowance(solution.values, sc.beta)
+                bound = math.nextafter(bound, math.inf) if past else bound
+                solution.report = VerificationReport(max_violation=bound, max_min_slack=bound)
+            return solution
+
+        monkeypatch.setattr(acmdp.experiments, "solve_system", reported)
+        checks = self_check(sc)
+        assert named(checks, "lp_feasibility").passed is passes
+        assert named(checks, "lp_tightness").passed is passes
+
     def test_high_discount_passes(self):
         sc = dataclasses.replace(builtin_scenario("table2_unique"), beta=0.99)
         checks = self_check(sc)
@@ -623,7 +651,7 @@ class TestSelfCheck:
 
     def test_vi_without_convergence_skips_the_agreement_checks(self, monkeypatch):
         # at beta = 0.9999 value iteration needs far more sweeps than its budget
-        # on this model, which the LP solves in two bases; a budget of 100
+        # on this model, which the LP solves in one basis; a budget of 100
         # sweeps fails the same way, sooner
         sc = dataclasses.replace(builtin_scenario("modified_unique"), beta=0.9999)
         monkeypatch.setattr(acmdp.value_iteration, "DEFAULT_MAX_ITER", 100)

@@ -45,6 +45,7 @@ def ladder(monkeypatch):
 def test_measure_times_every_layer_of_table2_once(ladder):
     result = ladder.measure("table2_once")
     assert result["states"] == 160
+    assert result["lp_bases"] == 2
     assert set(result["layers"]) == set(LAYERS)
     for name in LAYERS:
         layer = result["layers"][name]

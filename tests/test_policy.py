@@ -135,19 +135,20 @@ def kernel_calls(monkeypatch):
 class TestOneKernel:
     """A solve prices its final values with decision_values exactly once."""
 
-    @pytest.mark.parametrize("name", ["table1", "table2_all"])
+    @pytest.mark.parametrize("name", ["table1", "table2_all", "table2_once"])
     def test_lp_solve_prices_each_basis_and_the_result(self, kernel_calls, name):
-        # a basis takes one draw_table call for its 4 x 4 systems, then per
-        # granted-set level one draw_table call for the right-hand side and
-        # one price_table call for the level's decision values, the last of
-        # which prices the basis; decision_values prices the result once
+        # the fail-safe start is one decision_values call; a basis takes one
+        # draw_table call for its 4 x 4 systems, then per granted-set level
+        # one draw_table call for the right-hand side and one price_table
+        # call for the level's decision values, the last of which prices the
+        # basis; decision_values prices the result once
         solution = solve_scenario(builtin_scenario(name), "lp")
         levels = solution.scenario.dims.num_access_bits + 1
         bases = solution.iterations
-        assert bases == (1 if name == "table1" else 2)
+        assert bases == (2 if name == "table2_once" else 1)
         assert kernel_calls == {
             "inside": 0,
-            "outside": 1,
+            "outside": 2,
             "solves": 0,
             "backups": 0,
             "draw_table": bases * (levels + 1),
@@ -155,9 +156,10 @@ class TestOneKernel:
         }
 
     def test_lp_start_is_priced_once(self, kernel_calls):
-        # a start costs one decision_values call for the first policy; from
-        # the optimal values that policy is optimal, so one basis follows
-        system = compile_system(builtin_scenario("table2_all"))
+        # a start, given or the fail-safe one, costs one decision_values call
+        # for the first policy; from the optimal values that policy is
+        # optimal, so one basis follows
+        system = compile_system(builtin_scenario("table2_once"))
         values, bases = policy_iterate(system)
         assert bases == 2
         again, bases = policy_iterate(system, start=values)
@@ -165,7 +167,7 @@ class TestOneKernel:
         assert bases == 1 and np.array_equal(again, values)
         assert kernel_calls == {
             "inside": 0,
-            "outside": 1,
+            "outside": 2,
             "solves": 0,
             "backups": 0,
             "draw_table": (2 + 1) * (levels + 1),
@@ -414,6 +416,10 @@ class TestLpSolve:
         assert error <= Fraction(bound)
 
     @random_scenarios(50, resources=st.integers(1, 2))
+    # a subnormal rate: its products underflow, and every value lies below TINY
+    @example(
+        1, 1, RequestBehavior.UNIQUE, RewardVariant.EPS_ZERO, (0.0, 2.2250738585e-313), 0.0, 11
+    )
     def test_random_scenarios_are_optimal_in_exact_arithmetic(
         self, users, resources, behavior, variant, rates, beta, seed
     ):
@@ -428,6 +434,66 @@ class TestLpSolve:
         assert error <= Fraction(residual / (1.0 - beta) + allowance)
         # and within the rounding of its basis solve, block inverses and matmuls, alone
         assert error <= Fraction(allowance)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_the_fail_safe_start_is_optimal_on_every_builtin_but_table2_once(self, solved, name):
+        # the start prices a deny's successor as if every later request were
+        # denied, too pessimistic on table2_once, where four calm states pivot
+        assert solved(name).iterations == (2 if name == "table2_once" else 1)
+
+    @staticmethod
+    def assert_both_solvers_exact(sc):
+        """Price the LP's last basis exactly; check it and value iteration against it.
+
+        The basis's exact improvement g, the most any state's other action
+        beats its chosen one by, is at most VERIFY_TOL; the optimal values
+        then lie within g / (1 - beta) above its exact values, and value
+        iteration's within DEFAULT_TOL and the rounding allowance of them.
+        """
+        system = compile_system(sc)
+        values, basis = TestPolicyEvaluate.final_basis(system)
+        dv = exact_decision_values(sc, basis)
+        exact = np.where(basis, dv[1], dv[0])
+        improvement = max(0, max(np.where(basis, dv[0], dv[1]) - exact))
+        assert improvement <= Fraction(VERIFY_TOL)
+        vi, _ = value_iterate(system)
+        bound = VI_TOL + rounding_allowance(vi, sc.beta) + improvement / (1 - Fraction(sc.beta))
+        assert max(abs(Fraction(v) - x) for v, x in zip(vi, exact)) <= bound
+
+    @random_scenarios(15, resources=st.integers(1, 2))
+    def test_random_scenarios_give_both_solvers_exact_values(
+        self, users, resources, behavior, variant, rates, beta, seed
+    ):
+        # value iteration and the LP's last basis, on random 1x1 to 2x2 models
+        self.assert_both_solvers_exact(
+            small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        )
+
+    @random_scenarios(2, resources=st.just(3))
+    def test_random_3_resource_scenarios_give_both_solvers_exact_values(
+        self, users, resources, behavior, variant, rates, beta, seed
+    ):
+        # the same on 1x3 and 2x3 models, capped: a 2x3 exact pricing takes 0.6-1.5 s
+        self.assert_both_solvers_exact(
+            small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        )
+
+    @random_scenarios(40)
+    def test_the_start_changes_only_the_path(
+        self, users, resources, behavior, variant, rates, beta, seed
+    ):
+        # from the fail-safe start and from zero, whose first policy is the
+        # myopic one, the LP decides alike wherever a gap exceeds VERIFY_TOL,
+        # and where both end at one basis, at the same values to the last bit
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        system = compile_system(sc)
+        values, basis = TestPolicyEvaluate.final_basis(system)
+        myopic, myopic_basis = TestPolicyEvaluate.final_basis(system, np.zeros(system.num_states))
+        ours, theirs = (extract_policy(decision_values(system, v)) for v in (values, myopic))
+        sure = (ours.gaps > VERIFY_TOL) | (theirs.gaps > VERIFY_TOL)
+        assert np.array_equal(ours.actions[sure], theirs.actions[sure])
+        if np.array_equal(basis, myopic_basis):
+            assert bitwise_equal(values, myopic)
 
     def test_an_exact_tie_denies(self):
         # at calm_to_alert = 1/2, (calm, nothing granted, bob:high) ties exactly
@@ -533,17 +599,17 @@ class TestLpSolve:
 
     def test_tol_bounds_the_final_violation(self, monkeypatch):
         # the pivot test reads VERIFY_TOL when it runs, so setting it sets the stop
-        system = compile_system(builtin_scenario("table2_all"))
+        system = compile_system(builtin_scenario("table2_once"))
 
         def violation(values):
             return verify_solution(values, decision_values(system, values)).max_violation
 
-        # the myopic basis is not optimal here; a tol above its violation keeps it
+        # the first basis is not optimal here; a tol above its violation keeps it
         monkeypatch.setattr(acmdp.policy, "VERIFY_TOL", 1e6)
-        myopic, bases = policy_iterate(system)
+        first, bases = policy_iterate(system)
         assert bases == 1
-        assert violation(myopic) > 1e-9
-        for tol in (1e-3, violation(myopic) / 2):
+        assert violation(first) > 1e-9
+        for tol in (1e-3, violation(first) / 2):
             monkeypatch.setattr(acmdp.policy, "VERIFY_TOL", tol)
             values, bases = policy_iterate(system)
             assert bases > 1
@@ -555,14 +621,14 @@ class TestLpSolve:
             solve_scenario(builtin_scenario("table1"), "simplex")
 
     def test_basis_budget_raises_convergence_error(self, monkeypatch):
-        system = compile_system(builtin_scenario("table2_all"))
+        system = compile_system(builtin_scenario("table2_once"))
         monkeypatch.setattr(acmdp.policy, "MAX_BASES", 1)
         with pytest.raises(ConvergenceError, match="no optimal policy basis within 1 bases"):
             policy_iterate(system)
 
     def test_basis_budget_error_names_the_tolerance_read_when_it_runs(self, monkeypatch):
         # the text keeps its form and names VERIFY_TOL as it stands at the solve
-        system = compile_system(builtin_scenario("table2_all"))
+        system = compile_system(builtin_scenario("table2_once"))
         monkeypatch.setattr(acmdp.policy, "MAX_BASES", 1)
         monkeypatch.setattr(acmdp.policy, "VERIFY_TOL", 1e-3)
         text = f"no optimal policy basis within 1 bases (beta={system.beta}, tol=0.001)"
@@ -708,7 +774,7 @@ class TestLpBatch:
     def test_stopped_columns_leave_the_batch(self, monkeypatch):
         # each basis solves only the columns still running, and a column
         # returns the values it would return alone
-        sc = small_scenario(2, 2, "once", "eps_accrues", rates=(0.1, 1.0), seed=25)
+        sc = small_scenario(2, 2, "once", "eps_zero", rates=(0.1, 1.0), seed=2)
         parts = build_parts(sc)
         rates = [(p, 1.0) for p in (0.0, 0.1, 0.2, 0.5)]
         alone = [policy_iterate(parts.mix_batch([pair])) for pair in rates]
@@ -729,7 +795,7 @@ class TestLpBatch:
             assert np.array_equal(column, want[:, 0])
 
     def test_optimal_start_solves_in_one_basis(self):
-        parts = build_parts(builtin_scenario("modified_once"))
+        parts = build_parts(builtin_scenario("table2_once"))
         batch = parts.mix_batch([(p, 1.0) for p in (0.0, 0.3, 1.0)])
         values, bases = policy_iterate(batch)
         assert bases == 2
@@ -737,7 +803,7 @@ class TestLpBatch:
         assert bases == 1 and np.array_equal(again, values)
 
     def test_basis_budget_raises_convergence_error(self, monkeypatch):
-        parts = build_parts(builtin_scenario("table2_all"))
+        parts = build_parts(builtin_scenario("table2_once"))
         batch = parts.mix_batch([(p, 1.0) for p in (0.0, 0.3)])
         monkeypatch.setattr(acmdp.policy, "MAX_BASES", 1)
         with pytest.raises(ConvergenceError, match="no optimal policy basis within 1 bases"):
@@ -761,8 +827,8 @@ class TestPolicyEvaluate:
     """policy_evaluate: the exact decision values of one fixed policy."""
 
     @staticmethod
-    def final_basis(system):
-        """policy_iterate's values on system, and the allow mask of its last basis."""
+    def final_basis(system, start=None):
+        """policy_iterate's values on system from start, and the allow mask of its last basis."""
         evaluate, bases = acmdp.policy.policy_evaluate, []
 
         def recorded(batch, policy):
@@ -771,7 +837,7 @@ class TestPolicyEvaluate:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(acmdp.policy, "policy_evaluate", recorded)
-            values, count = policy_iterate(system)
+            values, count = policy_iterate(system, start)
         assert len(bases) == count
         return values, bases[-1]
 

@@ -19,6 +19,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_bellman import small_scenario
@@ -85,16 +86,30 @@ def test_a_relabelled_scenario_solves_to_the_relabelled_values(
     sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
     user_order = data.draw(st.permutations(range(users)), label="users")
     resource_order = data.draw(st.permutations(range(resources)), label="resources")
+    assert_relabelled_alike(sc, user_order, resource_order, solver)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("behavior", ["once", "all"])
+def test_a_relabelled_3x4_scenario_solves_to_the_relabelled_values(behavior, solver):
+    # the largest shape, 106,496 states, with every user and every resource moved
+    sc = small_scenario(3, 4, behavior, "eps_accrues", (0.1, 1.0), 0.9, seed=1)
+    assert_relabelled_alike(sc, (2, 0, 1), (3, 2, 0, 1), solver)
+
+
+def assert_relabelled_alike(sc, user_order, resource_order, solver):
+    """Solve sc and its relabelled copy by solver: values and sure actions must agree."""
     renamed, old_bit = relabelled(sc, user_order, resource_order)
     original, solution = solve_scenario(sc, solver), solve_scenario(renamed, solver)
     old = original_states(sc, old_bit)
     # the two solves run the same arithmetic up to the order of its sums
-    allowance = rounding_allowance(original.values, beta)
+    allowance = rounding_allowance(original.values, sc.beta)
     assert np.max(np.abs(solution.values - original.values[old])) <= allowance
     # each decision value moves by at most the same allowance, taken of the decision
     # values; allow wins where its gap exceeds VERIFY_TOL (extract_policy)
     gap = original.dv[1, old] - original.dv[0, old]
-    sure = np.abs(gap - VERIFY_TOL) > 2.0 * rounding_allowance(original.dv, beta)
+    sure = np.abs(gap - VERIFY_TOL) > 2.0 * rounding_allowance(original.dv, sc.beta)
     assert np.array_equal(solution.policy.actions[sure], original.policy.actions[old][sure])
 
 

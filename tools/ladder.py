@@ -9,8 +9,9 @@ under the once and all request behaviours, each seeded and with rates
 Each model runs in a fresh process of this script (--model), so that no
 model's caches, heap or peak memory carry into the next.  There it times the
 compile (compile_system), a solve by each solver (solve_system, which also
-prices the values), a 101-point run_sweep by each solver, and one
-policy_evaluate of the optimal policy and one decision_values call alone.
+prices the values; lp_bases counts the LP's bases), a 101-point run_sweep by
+each solver, and one policy_evaluate of the optimal policy and one
+decision_values call alone.
 Then the table layers of the lp solution: verify_solution, export_values to
 a file, import_values of that file against the scenario, and a batch of
 LOOKUPS seeded LoadedValues.lookup queries.  A model's table_mib is the
@@ -159,6 +160,7 @@ def measure(name: str) -> dict:
         "behavior": sc.behavior.value,
         "states": sc.dims.num_states,
         "grid_points": len(spec.grid()),
+        "lp_bases": solution.iterations,
         "layers": layers,
         "peak_rss_mb": peak,
         "table_mib": table_mib,
