@@ -22,9 +22,11 @@ statuses' tables by beta E, gathers each (action, state)'s entry with
 RequestDynamics.draw_index, and adds q.  Their loop-invariant factors are
 built once: the drawn weights per shape (RequestDynamics.drawn_weights), and
 beta E per system (BellmanSystem.mixing).  Value iteration, policy
-extraction and verify_solution call decision_values; the LP's basis solve
-(policy.policy_evaluate) calls the halves, since it solves for a policy's
-draw table: one block inverse per basis, then one matmul per lattice level.
+extraction and verify_solution call decision_values.  The LP's basis solve
+(policy.policy_evaluate) solves for a policy's draw table itself, one
+lattice level at a time on that level's cells, with draw_table's and
+price_table's products in their order, and calls price_table once per
+basis to price the solved table; it makes no draw_table call.
 validate_stochastic checks the factors row by row.  No solver or check
 assembles P: BellmanSystem.transitions builds it on first use, for
 comparisons with other builds of the model.
@@ -164,12 +166,13 @@ class SystemParts:
             g, k = np.argwhere(~((rates >= 0.0) & (rates <= 1.0)))[0]
             name = ("calm_to_alert", "alert_to_alert")[k]
             raise ValueError(f"column {g}: {name} {rates[g, k]} outside [0, 1]")
-        c, a = rates.T
-        matrices = np.array([[1.0 - c, c], [1.0 - a, a]])
+        matrices = np.empty((2, 2, len(rates)))  # [e, e2, g]: column g's (1 - c, c), (1 - a, a)
+        matrices[:, 1] = rates.T
+        np.subtract(1.0, rates.T, out=matrices[:, 0])
         rewards = self.rewards[:, None, :, :, None]
         q = np.multiply(matrices[:, 0, None], rewards[:, :, 0])
         q += matrices[:, 1, None] * rewards[:, :, 1]
-        return BellmanSystem(self, matrices, q.reshape(2, -1, len(c)))
+        return BellmanSystem(self, matrices, q.reshape(2, -1, len(rates)))
 
 
 def build_parts(sc: Scenario) -> SystemParts:

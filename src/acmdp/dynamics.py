@@ -24,11 +24,13 @@ checks them row by row (validate_stochastic) and builds P^a = E (x) R^a
 only on request (BellmanSystem.transitions).  tests/oracle.py describes the same
 process one state at a time (successors), the reference for this build.
 All of it depends on (dims, behaviour) alone and is cached, so every system
-of one shape shares it, and its arrays are read-only: row_moves per dims,
-request_dynamics, RequestDynamics.lattice and RequestDynamics.drawn_weights
-per (dims, behaviour).  CAP_BITS bounds the keys to 35 dims x 3 behaviours;
-one 12-bit dims holds 9.91 MB (9.45 MiB) of them with all three behaviours,
-their lattices and drawn weights built.
+of one shape shares it, and its arrays are read-only: row_moves and
+held_resources per dims; request_dynamics, RequestDynamics.drawn_weights,
+RequestDynamics.lattice and RequestDynamics.level_weights per (dims,
+behaviour).  CAP_BITS bounds the keys to 35 dims x 3 behaviours; one 12-bit
+dims holds 14.62 MB (13.94 MiB) of them with all three behaviours, their
+lattice plans and both kinds of drawn weights built (traced by tracemalloc),
+of which the plans' cells are 1.70 MB a behaviour.
 """
 
 from __future__ import annotations
@@ -74,6 +76,13 @@ def row_moves(d: ModelDims) -> tuple[np.ndarray, np.ndarray]:
     return _shared(r), _shared(np.stack((k, k | np.where(r < d.num_access_bits, 1 << r, 0))))
 
 
+@cache
+def held_resources(d: ModelDims) -> np.ndarray:
+    """held[r, k]: granted set k holds some access of resource r, one access per user."""
+    columns = (1 << np.arange(d.num_access_bits)).reshape(d.num_users, d.num_resources).sum(0)
+    return _shared(np.arange(d.num_sets) & columns[:, None] != 0)
+
+
 @dataclass(frozen=True)
 class RequestDynamics:
     """The E-free part of both actions' transition matrices, as request draws.
@@ -111,16 +120,43 @@ class RequestDynamics:
 
     @cached_property
     def lattice(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """policy.policy_evaluate's plan of the granted-set lattice, (own, levels)."""
+        """policy.policy_evaluate's plan of the granted-set lattice, (cells, levels).
+
+        levels holds the sets of each popcount level, the full set's level
+        first, each in ascending order; concatenated, they are the level
+        order.  cells is (2, per_set, 2, sets), indexed [., j, e, s] by
+        request, status and set in level order, so that a level's cells are
+        one slice of the last axis.  cells[0] is each cell's state.
+        cells[1] is the row its allow reads of the solved kind-0 entries
+        mixed by beta E, laid out by set in level order and then status:
+        2 t + e where allow moves it to the set t, which lies in the level
+        just above, and 2 * sets, a row of zeros, where allow keeps its set.
+        A moved cell reads a kind-0 entry: the one kind-1 reader, once's
+        empty request, is never moved by allow.
+        """
         sets, per_set = self.weights.shape
-        states = np.arange(len(self.draw_index) // 2)[:, None]
-        # own[a, x, c]: (action a, state x) reads its own set's kind-c entry
-        kind, reached = np.divmod(self.draw_index.reshape(2, -1, 1) % (2 * sets), sets)
-        own = (reached == states // per_set % sets) & (kind == (0, 1))
-        # the sets of each popcount level, largest first, each level in ascending order
         popcount = ((np.arange(sets)[:, None] >> np.arange(per_set - 1)) & 1).sum(axis=1)
-        levels = (np.flatnonzero(popcount == c) for c in range(per_set - 1, -1, -1))
-        return _shared(own), tuple(map(_shared, levels))
+        levels = [np.flatnonzero(popcount == c) for c in range(per_set - 1, -1, -1)]
+        order = np.concatenate(levels)
+        rank = np.argsort(order)
+        # reached[e, s, j]: the set whose entry allow reads at request j, status e, set order[s]
+        entry = self.draw_index[len(self.draw_index) // 2 :].reshape(2, sets, per_set)
+        reached = entry[:, order] % sets
+        moved = reached != order[:, None]
+        rows = np.where(moved, 2 * rank[reached] + np.arange(2)[:, None, None], 2 * sets)
+        states = (np.arange(2)[:, None] * sets + order) * per_set
+        cells = np.stack((states[..., None] + np.arange(per_set), rows)).transpose(0, 3, 1, 2)
+        return _shared(np.ascontiguousarray(cells)), tuple(map(_shared, levels))
+
+    @cached_property
+    def level_weights(self) -> np.ndarray:
+        """drawn_weights with its sets in the lattice's level order, [j, 1, s, 1].
+
+        C-contiguous, as drawn_weights is: the index on the set axis alone
+        would lay the copy out set-major.
+        """
+        order = np.concatenate(self.lattice[1])
+        return _shared(np.ascontiguousarray(self.drawn_weights[:, :, order]))
 
 
 @cache

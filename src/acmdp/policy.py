@@ -31,7 +31,6 @@ from .bellman import (
     VerificationReport,
     compile_system,
     decision_values,
-    draw_table,
     price_table,
     rounding_allowance,
     verify_solution,
@@ -57,36 +56,70 @@ def policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
 
     Every transition keeps the granted set or reaches a strict superset, so
     the system is solved a popcount level of sets at a time from the full
-    set down (RequestDynamics.lattice, planned once per shape).  A state of
-    set k reads a solved superset's entry or one of k's own four draw-table
-    entries T_k (bellman.draw_table), so T_k = draw_table(b)_k + beta M_k T_k:
-    b is the policy's decision values with this level's entries zero, and
-    M_k, E times draw_table of the indicator "reads its own set's entry of
-    this kind", has row sums at most 1, so I - beta M_k is regular.  Every
-    set's and column's 4 x 4 block is inverted once per basis, in one
-    batched np.linalg.inv; a level is then one stacked matmul of its sets'
-    inverses with their right-hand sides, and price_table of the entries
-    solved so far gives the decision values.
+    set down, each level on its own cells (RequestDynamics.lattice, planned
+    once per shape, lays the cells out level by level).  A cell of set k
+    reads one of k's own four draw-table entries T_k (bellman.draw_table),
+    or, where the policy allows an access k lacks, the kind-0 entry of a
+    set of the level just solved.  So T_k = b_k + beta M_k T_k, where b_k
+    is the draw table of q_pi plus what the cells that move read, and M_k,
+    E times the share of k's weights that reads each own entry, has row
+    sums at most 1, so I - beta M_k is regular.  Once per basis the solve
+    gathers q_pi and the entry each cell's allow reads, reduces the shares
+    from that, and inverts every set's and column's 4 x 4 block in one
+    batched np.linalg.inv.  A level then mixes the level above's kind-0
+    entries by beta E, adds them to q_pi at its moving cells, averages its
+    cells by its sets' weights and applies its sets' inverses in one
+    stacked matmul.  After the last level, one price_table of the solved
+    entries gives the decision values.  Every product and sum is the one
+    decision_values makes, in its order, so the values are bit for bit
+    those of the solve on the whole draw table (tests/oracle.py).
     """
     batch, dynamics = system.as_batch(), system.parts.dynamics
     policy = system.as_columns("policy", policy)
-    sets = len(dynamics.weights)
-    own, levels = dynamics.lattice
-    # shares[k, g, e, kind, ., c]: the draw table of own under pi, own[1] where pi
-    # allows and own[0] elsewhere (selected by & and ^, which broadcast faster than np.where)
-    shares = own[0, :, None] ^ (policy[..., None] & (own[0] ^ own[1])[:, None])
-    shares = draw_table(batch, shares.reshape(system.num_states, -1))
-    shares = shares.reshape(2, 2, sets, -1, 2).transpose(2, 3, 0, 1, 4)
+    (cells, rows), levels = dynamics.lattice
+    weights, drawn = dynamics.level_weights, dynamics.drawn
+    (sets, per_set), columns = dynamics.weights.shape, policy.shape[1]
+    # per cell [j, e, s, g]: q_pi, and the flat index into mixed that its value
+    # reads: its next set's entry where the policy moves it up a level, else a 0
+    q = np.where(policy, batch.q[1], batch.q[0]).take(cells, axis=0)
+    zero = 2 * sets * columns
+    allowed = rows[..., None] * columns + np.arange(columns)
+    reads = np.where(policy.take(cells, axis=0), allowed, zero)
+    # shares[s, g, e, kind, c]: the share of the kind's weights that reads the
+    # set's own kind-c entry.  terminal is 1 where the empty request, the last
+    # drawn, reads kind 1 (once): its entry from the calm empty set lies past sets
+    terminal = int(dynamics.draw_index[per_set - 1] >= sets)
+    shares = np.zeros((sets, columns, 2, 2, 2))
+    own = slice(drawn.start, drawn.stop - terminal)
+    stays = np.where(reads[own] < zero, 0.0, weights[: len(weights) - terminal])
+    np.add.reduce(stays, axis=0, out=shares[..., 0, 0].transpose(2, 0, 1))
+    if terminal:
+        shares[..., 0, 1] = weights[-1, 0, :, :, None]
+    shares[..., 1, terminal] = 1.0
     mixing = batch.mixing.transpose(3, 0, 2, 1)[..., None]  # [g, e, ., e2, .]
     inverse = np.linalg.inv(np.eye(4) - (mixing * shares[..., None, :]).reshape(sets, -1, 4, 4))
-    entries = np.zeros((4, sets, policy.shape[1]))  # V's draw table, (status, kind) by set
-    dv = batch.q
+    # the right-hand sides, [e, kind, s, g]; the solved draw table, [s, g, (e, kind), .],
+    # and its kind-0 entries, [s, g, e2]; those mixed by beta E, [s, e, g], then zeros
+    rhs = np.empty((2, 2, sets, columns))
+    vectors = rhs.reshape(4, sets, columns).transpose(1, 2, 0)[..., None]
+    solved = np.empty((sets, columns, 4, 1))
+    kind0 = solved[:, :, ::2, 0]
+    beta_e = batch.mixing[:, :, 0].transpose(0, 2, 1)  # beta E[e, e2], [e, g, e2]
+    mixed = np.zeros((2 * sets + 1) * columns)
+    entries = mixed[:zero].reshape(sets, 2, columns)  # [s, e, g]
+    stop = 0
     for level in levels:
-        rhs = draw_table(batch, np.where(policy, dv[1], dv[0])).reshape(4, sets, -1)
-        solved = np.matmul(inverse[level], rhs[:, level].transpose(1, 2, 0)[..., None])
-        entries[:, level] = solved[..., 0].transpose(2, 0, 1)
-        dv = price_table(batch, entries.reshape(2, 2, sets, -1))
-    return dv.reshape(system.q.shape)
+        here = slice(stop, stop := stop + len(level))
+        values = mixed.take(reads[:, :, here]) + q[:, :, here]
+        np.add.reduce(weights[:, :, here] * values[drawn], axis=0, out=rhs[:, 0, here])
+        rhs[:, 1, here] = values[-1]
+        np.matmul(inverse[here], vectors[here], out=solved[here])
+        if stop < sets:  # beta E[e, 0] T_calm + beta E[e, 1] T_alert, as price_table mixes
+            terms = beta_e * kind0[here, None]
+            np.add(terms[..., 0], terms[..., 1], out=entries[here])
+    table = np.empty((4, sets, columns))
+    table[:, np.concatenate(levels)] = solved[..., 0].transpose(2, 0, 1)
+    return price_table(batch, table.reshape(2, 2, sets, columns)).reshape(system.q.shape)
 
 
 def policy_iterate(

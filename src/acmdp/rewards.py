@@ -9,12 +9,12 @@ E-free part of each action's expected one-step reward: the reward of every
 (granted set, request) row for either next emergency status, with the
 variant's rule already applied, which the compile
 (bellman.SystemParts.mix_batch) weights by the rows of E.  It is array
-arithmetic with no Python loop: each resource's bit column (its accesses'
-bits, one per user), every granted set's unheld resources by one & with
-those columns, their penalties summed in resource order, and then both
-actions' gains plus the penalty of each row's next set (dynamics.row_moves)
-in one expression.  tests/oracle.py sums the same rewards transition by
-transition (reward_transition, immediate_reward) as the reference.
+arithmetic with no Python loop: the penalties of every granted set's
+unheld resources (dynamics.held_resources, cached per dims beside
+dynamics.row_moves), summed in resource order, and then both actions'
+gains plus the penalty of each row's next set in one expression.
+tests/oracle.py sums the same rewards transition by transition
+(reward_transition, immediate_reward) as the reference.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import RequestBehavior, row_moves
+from .dynamics import RequestBehavior, held_resources, row_moves
 from .states import ModelDims
 
 
@@ -125,16 +125,15 @@ def reward_parts(sc: Scenario) -> np.ndarray:
     """
     d = sc.dims
     r, moves = row_moves(d)
-    # columns[r]: the bits of resource r's accesses, one per user
-    columns = (1 << np.arange(d.num_access_bits)).reshape(d.num_users, d.num_resources).sum(0)
-    penalty = np.array(sc.reward_resource)[:, None]
-    # unheld[r, k]: resource r's penalty where set k holds none of its accesses, else 0
-    unheld = np.where(np.arange(d.num_sets) & columns[:, None], 0.0, penalty)
-    # an outer-axis sum adds the terms in resource order, for any number of resources
-    penalties = np.stack((np.zeros(d.num_sets), unheld.sum(axis=0)))
-    gain = np.array([[0.0] * (d.num_access_bits + 1), [*sc.reward_access, 0.0]])[:, r]
+    bits = d.num_access_bits
+    # penalties[e2, k]: 0 when calm; when alert, the penalties of the resources set k
+    # holds none of, summed along the outer axis, in resource order for any number
+    penalties = np.zeros((2, d.num_sets))
+    unheld = np.where(held_resources(d), 0.0, np.array(sc.reward_resource)[:, None])
+    np.add.reduce(unheld, axis=0, out=penalties[1])
+    gain = np.array([[0.0] * (bits + 1), [*sc.reward_access, 0.0]])[:, r]
     # out[a, e2, x] = gain[a, x] + penalties[e2, moves[a, x]]
     out = gain[:, None] + penalties[np.arange(2)[:, None], moves[:, None]]
-    if sc.variant is RewardVariant.EPS_ZERO:
-        out[:, :, r == d.num_access_bits] = 0.0
+    if sc.variant is RewardVariant.EPS_ZERO:  # the empty-request rows, every (bits + 1)-th
+        out[..., bits :: bits + 1] = 0.0
     return out

@@ -19,6 +19,11 @@ exact_decision_values prices one fixed policy exactly, in fractions.Fraction:
 the helpers above take a number type, and with Fraction they read each
 stored float as the rational it is and draw each of m requests with
 probability exactly 1/m, so no step rounds.
+
+reference_policy_evaluate is the package's basis solve as it was before the
+solve was restricted to one level's cells: the same arithmetic in the same
+order, on the whole draw table at every level, so that the restricted solve
+(policy.policy_evaluate) must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 
+from acmdp.bellman import BellmanSystem, draw_table, price_table
 from acmdp.dynamics import RequestBehavior
 from acmdp.rewards import RewardVariant, Scenario
 from acmdp.states import (
@@ -244,3 +250,40 @@ def _gauss_jordan(rows: list[list[Fraction]]) -> list[Fraction]:
             if r != c and row[c] != 0:
                 rows[r] = [x - row[c] * y for x, y in zip(row, rows[c])]
     return [row[-1] for row in rows]
+
+
+def reference_policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
+    """policy.policy_evaluate's decision values, one popcount level at a time on every state.
+
+    Every transition keeps the granted set or reaches a strict superset, so
+    the levels are solved from the full set down.  A state of set k reads a
+    solved superset's entry or one of k's own four draw-table entries T_k, so
+    T_k = draw_table(b)_k + beta M_k T_k: b is the policy's decision values
+    with this level's entries zero, and M_k is E times draw_table of the
+    indicator "reads its own set's entry of this kind".  Each level takes a
+    draw_table of every state and a price_table of every set.
+    """
+    batch, dynamics = system.as_batch(), system.parts.dynamics
+    policy = system.as_columns("policy", policy)
+    sets, per_set = dynamics.weights.shape
+    states = np.arange(len(dynamics.draw_index) // 2)[:, None]
+    # own[a, x, c]: (action a, state x) reads its own set's kind-c entry
+    kind, reached = np.divmod(dynamics.draw_index.reshape(2, -1, 1) % (2 * sets), sets)
+    own = (reached == states // per_set % sets) & (kind == (0, 1))
+    # the sets of each popcount level, largest first, each level in ascending order
+    popcount = ((np.arange(sets)[:, None] >> np.arange(per_set - 1)) & 1).sum(axis=1)
+    levels = [np.flatnonzero(popcount == c) for c in range(per_set - 1, -1, -1)]
+    # shares[k, g, e, kind, ., c]: the draw table of own under pi
+    shares = own[0, :, None] ^ (policy[..., None] & (own[0] ^ own[1])[:, None])
+    shares = draw_table(batch, shares.reshape(system.num_states, -1))
+    shares = shares.reshape(2, 2, sets, -1, 2).transpose(2, 3, 0, 1, 4)
+    mixing = batch.mixing.transpose(3, 0, 2, 1)[..., None]  # [g, e, ., e2, .]
+    inverse = np.linalg.inv(np.eye(4) - (mixing * shares[..., None, :]).reshape(sets, -1, 4, 4))
+    entries = np.zeros((4, sets, policy.shape[1]))  # V's draw table, (status, kind) by set
+    dv = batch.q
+    for level in levels:
+        rhs = draw_table(batch, np.where(policy, dv[1], dv[0])).reshape(4, sets, -1)
+        solved = np.matmul(inverse[level], rhs[:, level].transpose(1, 2, 0)[..., None])
+        entries[:, level] = solved[..., 0].transpose(2, 0, 1)
+        dv = price_table(batch, entries.reshape(2, 2, sets, -1))
+    return dv.reshape(system.q.shape)

@@ -27,7 +27,7 @@ from acmdp import (
     validate_stochastic,
 )
 from acmdp.bellman import build_parts
-from acmdp.dynamics import ROW_SUM_TOL, request_dynamics, row_moves
+from acmdp.dynamics import ROW_SUM_TOL, held_resources, request_dynamics, row_moves
 from acmdp.states import ACTIONS
 
 D22 = ModelDims(2, 2)
@@ -108,9 +108,35 @@ class TestGrantedSetLattice:
                             got = empty if kind else dynamics.weights[k]
                         assert np.array_equal(got, want), (act, e, k, req)
 
+    @pytest.mark.parametrize("dims", [D22, ModelDims(1, 3), ModelDims(2, 3)])
+    @pytest.mark.parametrize("behavior", list(RequestBehavior))
+    def test_the_lattice_lays_out_every_state_level_by_level(self, dims, behavior):
+        dynamics = request_dynamics(dims, behavior)
+        (cells, rows), levels = dynamics.lattice
+        sets, per_set = dims.num_sets, dims.num_access_bits + 1
+        order = np.concatenate(levels).tolist()
+        count = [bin(k).count("1") for k in order]
+        assert sorted(order) == list(range(sets)) and count == sorted(count, reverse=True)
+        assert [len(level) for level in levels] == [
+            math.comb(per_set - 1, c) for c in range(per_set - 1, -1, -1)
+        ]
+        assert np.array_equal(dynamics.level_weights, dynamics.drawn_weights[:, :, order])
+        assert dynamics.level_weights.flags.c_contiguous
+        assert cells.shape == rows.shape == (per_set, 2, sets)
+        for j, e, s in np.ndindex(per_set, 2, sets):
+            k, request = order[s], dims.requests[j]
+            assert cells[j, e, s] == dims.state_index(State(Emergency(e), k, request))
+            # allow reads the row of its next set when it moves there, a zero row when not
+            reached = next_access_set(k, request, Action.ALLOW, dims)
+            if reached == k:
+                assert rows[j, e, s] == 2 * sets
+            else:
+                assert rows[j, e, s] == 2 * order.index(reached) + e
+                assert bin(reached).count("1") == count[s] + 1
+
 
 def clear_shape_caches():
-    for builder in (request_dynamics, row_moves):
+    for builder in (request_dynamics, row_moves, held_resources):
         builder.cache_clear()
 
 
@@ -164,6 +190,13 @@ class TestSharedShapeBuild:
                 array[0] = array[0]
             with pytest.raises(ValueError, match="read-only"):
                 array += 0
+
+    @pytest.mark.parametrize("behavior", list(RequestBehavior))
+    def test_the_other_cached_arrays_are_read_only(self, behavior):
+        dynamics = request_dynamics(D22, behavior)
+        for array in (dynamics.level_weights, held_resources(D22)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
 
 
 class TestRequestDistribution:

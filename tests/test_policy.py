@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import exact_decision_values, lattice_solve, oracle_compile
+from oracle import (
+    exact_decision_values,
+    lattice_solve,
+    oracle_compile,
+    reference_policy_evaluate,
+)
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 from test_bellman import small_scenario, with_rates
@@ -137,13 +142,11 @@ class TestOneKernel:
 
     @pytest.mark.parametrize("name", ["table1", "table2_all", "table2_once"])
     def test_lp_solve_prices_each_basis_and_the_result(self, kernel_calls, name):
-        # the fail-safe start is one decision_values call; a basis takes one
-        # draw_table call for its 4 x 4 systems, then per granted-set level
-        # one draw_table call for the right-hand side and one price_table
-        # call for the level's decision values, the last of which prices the
-        # basis; decision_values prices the result once
+        # the fail-safe start is one decision_values call; a basis solves its
+        # granted-set levels on their own cells, with no draw_table call, and
+        # one price_table call prices it after the last level;
+        # decision_values prices the result once
         solution = solve_scenario(builtin_scenario(name), "lp")
-        levels = solution.scenario.dims.num_access_bits + 1
         bases = solution.iterations
         assert bases == (2 if name == "table2_once" else 1)
         assert kernel_calls == {
@@ -151,8 +154,8 @@ class TestOneKernel:
             "outside": 2,
             "solves": 0,
             "backups": 0,
-            "draw_table": bases * (levels + 1),
-            "price_table": bases * levels,
+            "draw_table": 0,
+            "price_table": bases,
         }
 
     def test_lp_start_is_priced_once(self, kernel_calls):
@@ -163,31 +166,29 @@ class TestOneKernel:
         values, bases = policy_iterate(system)
         assert bases == 2
         again, bases = policy_iterate(system, start=values)
-        levels = system.parts.scenario.dims.num_access_bits + 1
         assert bases == 1 and np.array_equal(again, values)
         assert kernel_calls == {
             "inside": 0,
             "outside": 2,
             "solves": 0,
             "backups": 0,
-            "draw_table": (2 + 1) * (levels + 1),
-            "price_table": (2 + 1) * levels,
+            "draw_table": 0,
+            "price_table": 2 + 1,
         }
 
     @pytest.mark.parametrize("name", ["table1", "table2_all"])
     def test_policy_evaluate_is_one_basis(self, kernel_calls, name):
-        # one draw_table call for the 4 x 4 systems, then per level one
-        # draw_table and one price_table call, as in each of policy_iterate's bases
+        # no draw_table call, and one price_table call after the last level,
+        # as in each of policy_iterate's bases
         system = compile_system(builtin_scenario(name))
         policy_evaluate(system, system.q[1] > system.q[0])
-        levels = system.parts.scenario.dims.num_access_bits + 1
         assert kernel_calls == {
             "inside": 0,
             "outside": 0,
             "solves": 0,
             "backups": 0,
-            "draw_table": levels + 1,
-            "price_table": levels,
+            "draw_table": 0,
+            "price_table": 1,
         }
 
     def test_vi_solve_prices_the_result_once(self, kernel_calls):
@@ -788,9 +789,8 @@ class TestLpBatch:
         monkeypatch.setattr(acmdp.policy, "price_table", recorded)
         values, bases = policy_iterate(parts.mix_batch(rates))
         assert bases == 3
-        # each basis prices its columns once per granted-set level
-        levels = sc.dims.num_access_bits + 1
-        assert widths == [4] * levels + [2] * levels + [1] * levels
+        # each basis prices its columns once, after its last granted-set level
+        assert widths == [4, 2, 1]
         for column, (want, _) in zip(values.T, alone):
             assert np.array_equal(column, want[:, 0])
 
@@ -911,6 +911,66 @@ class TestPolicyEvaluate:
             message = f"policy has shape {shape}, expected {target.q.shape[1:]}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 policy_evaluate(target, np.zeros(shape, dtype=bool))
+
+
+class TestLevelSolve:
+    """policy_evaluate is bit for bit tests/oracle.py's solve on the whole draw table.
+
+    It solves each popcount level on that level's cells alone and prices the
+    states once per basis, with the products and sums of the reference in
+    the reference's order, so every decision value is the same float.
+    """
+
+    @staticmethod
+    def assert_as_the_reference(system, policy):
+        dv = policy_evaluate(system, policy)
+        assert bitwise_equal(dv, reference_policy_evaluate(system, policy))
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name):
+        sc = builtin_scenario(name)
+        system = compile_system(sc)
+        optimal = solve_scenario(sc, "lp").policy.actions == int(Action.ALLOW)
+        n = system.num_states
+        for policy in (system.q[1] > system.q[0], optimal, *random_policies(7, (3, n))):
+            self.assert_as_the_reference(system, policy)
+        rates = np.random.default_rng(7).random((7, 2))
+        self.assert_as_the_reference(build_parts(sc).mix_batch(rates), random_policies(8, (n, 7)))
+
+    @random_scenarios(
+        30, users=st.integers(1, 3), resources=st.integers(1, 3), mask=st.integers(0, 2**16)
+    )
+    def test_random_models_and_policies(
+        self, users, resources, behavior, variant, rates, beta, seed, mask
+    ):
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        system = compile_system(sc)
+        self.assert_as_the_reference(system, random_policies(mask, system.num_states))
+        self.assert_as_the_reference(system, system.q[1] > system.q[0])
+
+    @random_scenarios(
+        20,
+        users=st.integers(1, 3),
+        resources=st.integers(1, 3),
+        mask=st.integers(0, 2**16),
+        batch=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=5),
+    )
+    def test_random_batches(
+        self, users, resources, behavior, variant, rates, beta, seed, mask, batch
+    ):
+        parts = build_parts(small_scenario(users, resources, behavior, variant, rates, beta, seed))
+        policies = random_policies(mask, (parts.scenario.dims.num_states, len(batch)))
+        self.assert_as_the_reference(parts.mix_batch(batch), policies)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("behavior", ["once", "all"])
+    def test_3x4(self, behavior):
+        # 13 levels and 4,096 sets, past the reach of the Hypothesis models
+        sc = small_scenario(3, 4, behavior, "eps_accrues", rates=(0.1, 1.0))
+        system = compile_system(sc)
+        assert len(system.parts.dynamics.lattice[1]) == 13 and sc.dims.num_sets == 4096
+        for policy in (system.q[1] > system.q[0], random_policies(1, system.num_states)):
+            self.assert_as_the_reference(system, policy)
 
 
 @pytest.mark.parametrize("solve", [policy_iterate, value_iterate])
