@@ -1,35 +1,27 @@
 """Assembly of the Bellman system, its one evaluation kernel, and its checks.
 
-compile_system turns a scenario into the factors of its transition matrices
-and the immediate-reward vectors, in two steps.  build_parts builds the
-part that does not depend on the 2x2 emergency matrix E: the request-draw
-structure of both R^a (dynamics.request_dynamics: each set's draw weights
-and, per (action, state), the draw-table entry it reads) and the reward
-of every (action, next status, row) (rewards.reward_parts), all by array
-arithmetic with no Python loop per state.  SystemParts.mix_batch then
-returns the batch of G systems of the built scenario, one pair of rates
-(calm_to_alert, alert_to_alert) and so one emergency matrix E per trailing
-grid column, with q weighted by each E's rows; compile_system is column 0
-of the batch of the scenario's own rates.  A mix can change nothing but E,
-so a sweep over the rates builds the parts once.  The per-state reference
-build the tests compare against is tests/oracle.py.
+compile_system turns a scenario into one BellmanSystem: the factors of its
+transition matrices and its immediate rewards q.  Of these, only E, the 2x2
+emergency matrix, and q depend on the rates (calm_to_alert,
+alert_to_alert): the request draws of both R^a (dynamics.request_dynamics,
+shared by every system of one shape) and the reward of every (action, next
+status, row) (rewards.reward_parts) do not.  BellmanSystem.mix_batch mixes
+a batch of one pair of rates per trailing grid column from them, so a sweep
+over the rates compiles once; compile_system takes column 0 of the mix of
+the scenario's own rates.  The per-state reference build the tests compare
+against is tests/oracle.py.
 
 decision_values is the one kernel that evaluates q^a + beta P^a V, on the
 factors P^a = E (x) R^a.  It composes two halves, each O(n) work per value
 column: draw_table averages every set's cells by its weights and takes its
 empty-request cell, per status (the draw table), and price_table mixes the
 statuses' tables by beta E, gathers each (action, state)'s entry with
-RequestDynamics.draw_index, and adds q.  Their loop-invariant factors are
-built once: the drawn weights per shape (RequestDynamics.drawn_weights), and
-beta E per system (BellmanSystem.mixing).  Value iteration, policy
-extraction and verify_solution call decision_values.  The LP's basis solve
-(policy.policy_evaluate) solves for a policy's draw table itself, one
-lattice level at a time on that level's cells, with draw_table's and
-price_table's products in their order, and calls price_table once per
-basis to price the solved table; it makes no draw_table call.
-validate_stochastic checks the factors row by row.  No solver or check
-assembles P: BellmanSystem.transitions builds it on first use, for
-comparisons with other builds of the model.
+RequestDynamics.draw_index, and adds q.  Value iteration, policy extraction
+and verify_solution call decision_values; the LP's basis solve
+(policy.policy_evaluate) solves for a policy's draw table itself and prices
+it with price_table.  validate_stochastic checks the factors row by row.
+No solver or check assembles P: BellmanSystem.transitions builds it on
+first use, for comparisons with other builds of the model.
 """
 
 from __future__ import annotations
@@ -60,16 +52,19 @@ class BellmanSystem:
 
     A batch carries a trailing grid axis: one E per column, q of shape
     (2, n, G), values (n, G).  It has no transitions; it serves
-    decision_values and both solvers.
+    decision_values and both solvers.  Every system mixed from another
+    (mix_batch, as_batch, columns) shares its scenario, dynamics and rewards.
     """
 
-    parts: SystemParts  # the E-free part it was mixed from
+    scenario: Scenario
+    dynamics: RequestDynamics  # shared by every system of its shape
+    rewards: np.ndarray  # (action, next status, row): see rewards.reward_parts
     emergency: np.ndarray  # E, (2, 2); for a batch, (2, 2, G)
     q: np.ndarray  # (2, n) immediate rewards indexed by Action; (2, n, G) for a batch
 
     @property
     def space(self) -> ModelDims:
-        return self.parts.scenario.dims
+        return self.scenario.dims
 
     @property
     def num_states(self) -> int:
@@ -77,7 +72,7 @@ class BellmanSystem:
 
     @property
     def beta(self) -> float:
-        return self.parts.scenario.beta
+        return self.scenario.beta
 
     @cached_property
     def transitions(self) -> tuple[sparse.csr_matrix, ...]:
@@ -92,7 +87,7 @@ class BellmanSystem:
         """
         from scipy import sparse
 
-        dynamics = self.parts.dynamics
+        dynamics = self.dynamics
         sets, per_set = dynamics.weights.shape
         k, j = np.nonzero(dynamics.weights)
         table = sparse.csr_matrix(
@@ -116,17 +111,19 @@ class BellmanSystem:
         mixing.flags.writeable = False
         return mixing
 
+    def mix_batch(self, rates: Sequence[tuple[float, float]]) -> BellmanSystem:
+        """The batch of this scenario's systems, one per (calm_to_alert, alert_to_alert) (_mix)."""
+        return self._with(*_mix(self.rewards, rates))
+
     def as_batch(self) -> BellmanSystem:
         """This batch, or this single system as a batch of one (views, no copy)."""
         if self.q.ndim == 3:
             return self
-        return BellmanSystem(self.parts, self.emergency[..., None], self.q[..., None])
+        return self._with(self.emergency[..., None], self.q[..., None])
 
     def columns(self, keep: np.ndarray) -> BellmanSystem:
         """The batch of this batch's columns where keep is true, in order."""
-        return BellmanSystem(
-            self.parts, self.emergency.compress(keep, -1), self.q.compress(keep, -1)
-        )
+        return self._with(self.emergency.compress(keep, -1), self.q.compress(keep, -1))
 
     def as_columns(self, name: str, array: np.ndarray) -> np.ndarray:
         """array, one entry per state of each system ((n,), or (n, G) as q[0]), as (n, G)."""
@@ -135,55 +132,49 @@ class BellmanSystem:
             raise ValueError(f"{name} has shape {array.shape}, expected {self.q.shape[1:]}")
         return array.reshape(len(array), -1)
 
-
-@dataclass(frozen=True)
-class SystemParts:
-    """The part of a compiled system that does not depend on the emergency matrix E."""
-
-    scenario: Scenario
-    dynamics: RequestDynamics
-    rewards: np.ndarray  # (action, next status, row): see rewards.reward_parts
-
-    def mix_batch(self, rates: Sequence[tuple[float, float]]) -> BellmanSystem:
-        """The batch of the built scenario's systems, one per (calm_to_alert, alert_to_alert).
-
-        Column g's E is ((1 - c, c), (1 - a, a)) of rates[g] = (c, a), each
-        rate in [0, 1]; rates that are not one or more such pairs, or a rate
-        outside [0, 1], raise ValueError.  E is C-contiguous (2, 2, G) and q,
-        C-contiguous (2, n, G), is q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x].
-        """
-        try:
-            rates = np.asarray(rates, dtype=float)
-        except ValueError:  # ragged pairs, which numpy's message names no shape for
-            rates = np.asarray(rates, dtype=object)  # shaped up to where the pairs differ
-        if rates.shape[1:] != (2,) or not rates.size:
-            raise ValueError(
-                "rates must be a non-empty sequence of (calm_to_alert, alert_to_alert) pairs, "
-                f"got shape {rates.shape}"
-            )
-        rates = rates.astype(float, copy=False)  # a pair's entry that is not a number raises
-        if not (rates.min() >= 0.0 and rates.max() <= 1.0):  # written so that NaN fails
-            g, k = np.argwhere(~((rates >= 0.0) & (rates <= 1.0)))[0]
-            name = ("calm_to_alert", "alert_to_alert")[k]
-            raise ValueError(f"column {g}: {name} {rates[g, k]} outside [0, 1]")
-        matrices = np.empty((2, 2, len(rates)))  # [e, e2, g]: column g's (1 - c, c), (1 - a, a)
-        matrices[:, 1] = rates.T
-        np.subtract(1.0, rates.T, out=matrices[:, 0])
-        rewards = self.rewards[:, None, :, :, None]
-        q = np.multiply(matrices[:, 0, None], rewards[:, :, 0])
-        q += matrices[:, 1, None] * rewards[:, :, 1]
-        return BellmanSystem(self, matrices, q.reshape(2, -1, len(rates)))
+    def _with(self, emergency: np.ndarray, q: np.ndarray) -> BellmanSystem:
+        return BellmanSystem(self.scenario, self.dynamics, self.rewards, emergency, q)
 
 
-def build_parts(sc: Scenario) -> SystemParts:
-    """sc's E-free part for SystemParts.mix_batch: its rewards, and its shape's shared dynamics."""
-    return SystemParts(sc, request_dynamics(sc.dims, sc.behavior), reward_parts(sc))
+def _mix(
+    rewards: np.ndarray, rates: Sequence[tuple[float, float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """E and q of the systems of rewards, one per (calm_to_alert, alert_to_alert).
+
+    Column g's E is ((1 - c, c), (1 - a, a)) of rates[g] = (c, a), each
+    rate in [0, 1]; rates that are not one or more such pairs, or a rate
+    outside [0, 1], raise ValueError.  E is C-contiguous (2, 2, G) and q,
+    C-contiguous (2, n, G), is q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x].
+    """
+    try:
+        rates = np.asarray(rates, dtype=float)
+    except ValueError:  # ragged pairs, which numpy's message names no shape for
+        rates = np.asarray(rates, dtype=object)  # shaped up to where the pairs differ
+    if rates.shape[1:] != (2,) or not rates.size:
+        raise ValueError(
+            "rates must be a non-empty sequence of (calm_to_alert, alert_to_alert) pairs, "
+            f"got shape {rates.shape}"
+        )
+    rates = rates.astype(float, copy=False)  # a pair's entry that is not a number raises
+    if not (rates.min() >= 0.0 and rates.max() <= 1.0):  # written so that NaN fails
+        g, k = np.argwhere(~((rates >= 0.0) & (rates <= 1.0)))[0]
+        name = ("calm_to_alert", "alert_to_alert")[k]
+        raise ValueError(f"column {g}: {name} {rates[g, k]} outside [0, 1]")
+    matrices = np.empty((2, 2, len(rates)))  # [e, e2, g]: column g's (1 - c, c), (1 - a, a)
+    matrices[:, 1] = rates.T
+    np.subtract(1.0, rates.T, out=matrices[:, 0])
+    rewards = rewards[:, None, :, :, None]
+    q = np.multiply(matrices[:, 0, None], rewards[:, :, 0])
+    q += matrices[:, 1, None] * rewards[:, :, 1]
+    return matrices, q.reshape(2, -1, len(rates))
 
 
 def compile_system(sc: Scenario) -> BellmanSystem:
-    """Transition matrices and immediate rewards of every action: the batch of sc's E, column 0."""
-    batch = build_parts(sc).mix_batch([(sc.calm_to_alert, sc.alert_to_alert)])
-    return BellmanSystem(batch.parts, batch.emergency[..., 0], batch.q[..., 0])
+    """Transition matrices and immediate rewards of every action: the mix of sc's E, column 0."""
+    rewards = reward_parts(sc)
+    emergency, q = _mix(rewards, [(sc.calm_to_alert, sc.alert_to_alert)])
+    dynamics = request_dynamics(sc.dims, sc.behavior)
+    return BellmanSystem(sc, dynamics, rewards, emergency[..., 0], q[..., 0])
 
 
 def decision_values(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
@@ -200,7 +191,7 @@ def draw_table(system: BellmanSystem, values: np.ndarray) -> np.ndarray:
 
     Kind 0 averages the set's cells by its weights; kind 1 is its empty-request cell.
     """
-    dynamics = system.parts.dynamics
+    dynamics = system.dynamics
     sets, per_set = dynamics.weights.shape
     cells = values.reshape(2, sets, per_set, -1).transpose(2, 0, 1, 3)  # [j, e, k, column]
     table = np.empty((2, 2, sets, cells.shape[-1]))
@@ -220,7 +211,7 @@ def price_table(system: BellmanSystem, table: np.ndarray) -> np.ndarray:
     # mixed[e] = sum_e2 beta E[e, e2] table[e2], per column
     mixed = system.mixing[:, 0] * table[0]
     mixed += system.mixing[:, 1] * table[1]
-    index = system.parts.dynamics.draw_index
+    index = system.dynamics.draw_index
     out = mixed.reshape(-1, columns).take(index, axis=0).reshape(system.q.shape)
     out += system.q
     return out
@@ -300,10 +291,10 @@ def validate_stochastic(system: BellmanSystem) -> list[str]:
     every index by its own (action, state), so P^a is stochastic exactly
     when every row of E and of the weights has entries in [0, 1] and mass
     within ROW_SUM_TOL of 1, and every index reads its own status's block.
-    Only a hand-built system breaks E: mix_batch refuses a rate outside [0, 1]
+    Only a hand-built system breaks E: a mix refuses a rate outside [0, 1]
     before it forms E, and each row (1 - c, c) then sums to 1 within an ulp.
     """
-    dynamics = system.parts.dynamics
+    dynamics = system.dynamics
     problems = []
     for factor, rows, names in (
         ("emergency row", system.emergency, [e.label for e in Emergency]),

@@ -2,7 +2,7 @@
 
 The emergency status evolves by a 2x2 stochastic matrix E, set by the
 scenario's rates of turning and of staying alert (Scenario.calm_to_alert and
-Scenario.alert_to_alert, from which bellman.SystemParts.mix_batch forms E),
+Scenario.alert_to_alert, from which bellman.compile_system forms E),
 the granted set changes deterministically (allow inserts the pending access,
 deny keeps the set), and the next pending request is drawn according to the
 configured request behaviour.
@@ -19,18 +19,15 @@ set's draw probabilities (sets x requests), and RequestDynamics.draw_index
 says, for every (action, state), whether it averages its next set's cells
 by those weights or reads that set's empty-request cell.  The Bellman
 kernel (bellman.decision_values) backs up through these draws in O(n) work
-per value column, and both solvers read only these two arrays.  bellman
-checks them row by row (validate_stochastic) and builds P^a = E (x) R^a
-only on request (BellmanSystem.transitions).  tests/oracle.py describes the same
-process one state at a time (successors), the reference for this build.
+per value column, and the LP's basis solve through a plan of them
+(RequestDynamics.lattice).  bellman checks them row by row
+(validate_stochastic) and builds P^a = E (x) R^a only on request
+(BellmanSystem.transitions).  tests/oracle.py describes the same process
+one state at a time (successors), the reference for this build.
 All of it depends on (dims, behaviour) alone and is cached, so every system
 of one shape shares it, and its arrays are read-only: row_moves and
-held_resources per dims; request_dynamics, RequestDynamics.drawn_weights,
-RequestDynamics.lattice and RequestDynamics.level_weights per (dims,
-behaviour).  CAP_BITS bounds the keys to 35 dims x 3 behaviours; one 12-bit
-dims holds 14.62 MB (13.94 MiB) of them with all three behaviours, their
-lattice plans and both kinds of drawn weights built (traced by tracemalloc),
-of which the plans' cells are 1.70 MB a behaviour.
+held_resources per dims, request_dynamics and its cached properties per
+(dims, behaviour).  README.md gives the size of these caches.
 """
 
 from __future__ import annotations
@@ -119,12 +116,18 @@ class RequestDynamics:
         return _shared(np.ascontiguousarray(self.weights.T[self.drawn, None, :, None]))
 
     @cached_property
-    def lattice(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """policy.policy_evaluate's plan of the granted-set lattice, (cells, levels).
+    def terminal(self) -> int:
+        """1 if the empty request, the last drawn, reads its set's kind-1 entry (once), else 0."""
+        sets, per_set = self.weights.shape
+        return int(self.draw_index[per_set - 1] >= sets)
+
+    @cached_property
+    def lattice(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+        """policy.policy_evaluate's plan of the granted-set lattice, (cells, levels, order).
 
         levels holds the sets of each popcount level, the full set's level
-        first, each in ascending order; concatenated, they are the level
-        order.  cells is (2, per_set, 2, sets), indexed [., j, e, s] by
+        first, each in ascending order; order, their concatenation, is the
+        level order.  cells is (2, per_set, 2, sets), indexed [., j, e, s] by
         request, status and set in level order, so that a level's cells are
         one slice of the last axis.  cells[0] is each cell's state.
         cells[1] is the row its allow reads of the solved kind-0 entries
@@ -146,7 +149,7 @@ class RequestDynamics:
         rows = np.where(moved, 2 * rank[reached] + np.arange(2)[:, None, None], 2 * sets)
         states = (np.arange(2)[:, None] * sets + order) * per_set
         cells = np.stack((states[..., None] + np.arange(per_set), rows)).transpose(0, 3, 1, 2)
-        return _shared(np.ascontiguousarray(cells)), tuple(map(_shared, levels))
+        return _shared(np.ascontiguousarray(cells)), tuple(map(_shared, levels)), _shared(order)
 
     @cached_property
     def level_weights(self) -> np.ndarray:
@@ -155,8 +158,7 @@ class RequestDynamics:
         C-contiguous, as drawn_weights is: the index on the set axis alone
         would lay the copy out set-major.
         """
-        order = np.concatenate(self.lattice[1])
-        return _shared(np.ascontiguousarray(self.drawn_weights[:, :, order]))
+        return _shared(np.ascontiguousarray(self.drawn_weights[:, :, self.lattice[2]]))
 
 
 @cache

@@ -6,9 +6,9 @@ every access's decision values from the calm, nothing-granted states.
 Crossovers (where allow overtakes deny) are bracketed on the grid and then
 pinned down by bisection.  Only the emergency matrix E changes along a
 sweep, so the scenario is compiled once and every point p mixes the rates
-(p, alert_to_alert) into the E-free parts, which can change nothing else.
+(p, alert_to_alert) into that system, which can change nothing else.
 
-Both solvers solve a batch of such systems (bellman.SystemParts.mix_batch),
+Both solvers solve a batch of such systems (bellman.BellmanSystem.mix_batch),
 so one path serves both.  The grid is solved in chunks whose width
 CHUNK_BYTES caps, so a sweep's memory does not grow with its grid, and each
 access's first crossing is bisected as soon as the chunk that holds it is
@@ -37,8 +37,7 @@ import numpy as np
 
 from .bellman import (
     VERIFY_TOL,
-    SystemParts,
-    build_parts,
+    BellmanSystem,
     compile_system,
     decision_values,
     rounding_allowance,
@@ -134,7 +133,7 @@ def _first_crossing(gaps: np.ndarray) -> int | None:
 
 
 def _bisect(
-    parts: SystemParts,
+    system: BellmanSystem,
     solve: Callable[..., tuple[np.ndarray, int]],
     state: int,
     lo: float,
@@ -153,7 +152,7 @@ def _bisect(
     """
     while hi - lo > CROSSOVER_WIDTH:
         mid = 0.5 * (lo + hi)
-        point = parts.mix_batch([(mid, parts.scenario.alert_to_alert)])
+        point = system.mix_batch([(mid, system.scenario.alert_to_alert)])
         values, _ = solve(point, start=0.5 * (ends[:, :1] + ends[:, 1:]))
         dv = decision_values(point, values)[:, state, 0]
         f_mid = float(dv[Action.ALLOW] - dv[Action.DENY])
@@ -169,7 +168,7 @@ def _bisect(
 def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     """Solve every grid point, bisecting each access's first crossing as it is found.
 
-    The scenario is compiled once.  The grid is mixed (SystemParts.mix_batch)
+    The scenario is compiled once.  The grid is mixed (BellmanSystem.mix_batch)
     in chunks of at most CHUNK_BYTES // (8 n SOLVER_ARRAYS[solver]) columns,
     each solved by the named solver and priced with one kernel call, of which
     only the (2, accesses, columns) decision values outlive the chunk.  A
@@ -185,7 +184,7 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     """
     solve = solver_function(solver)
     grid = spec.grid()
-    parts = build_parts(spec.scenario)
+    system = compile_system(spec.scenario)
     dims = spec.scenario.dims
     accesses = list(dims.accesses())
     # the (calm, nothing granted, access) states; accesses are requests 0.. in bit order
@@ -195,7 +194,7 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     crossovers = [CrossoverResult(access, None) for access in accesses]
     for first in range(0, len(grid), width):
         chunk = grid[first : first + width]
-        batch = parts.mix_batch([(p, spec.scenario.alert_to_alert) for p in chunk])
+        batch = system.mix_batch([(p, spec.scenario.alert_to_alert) for p in chunk])
         values, _ = solve(batch)
         chunks.append(decision_values(batch, values)[:, calm_empty])
         gaps = chunks[-1][Action.ALLOW] - chunks[-1][Action.DENY]  # (accesses, columns)
@@ -210,7 +209,7 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
             h = g if gaps[pos, g] == 0.0 else g + 1
             sign_solve = partial(solve, sign_of=state) if solver == "vi" else solve
             bracket = _bisect(
-                parts, sign_solve, state, window[g], window[h], float(gaps[pos, g]),
+                system, sign_solve, state, window[g], window[h], float(gaps[pos, g]),
                 values[:, [g, h]],
             )
             crossovers[pos] = CrossoverResult(accesses[pos], bracket)

@@ -50,7 +50,7 @@ def policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
     """The exact decision values of one fixed policy, shaped as decision_values'.
 
     policy is an allow mask: (n,) for one system, or (n, G) for a batch of G
-    (bellman.SystemParts.mix_batch), one policy per column.  Its values V
+    (BellmanSystem.mix_batch), one policy per column.  Its values V
     solve (I - beta P_pi) V = q_pi, and V = np.where(policy, dv[1], dv[0]).
     No step mixes columns.
 
@@ -74,11 +74,11 @@ def policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
     decision_values makes, in its order, so the values are bit for bit
     those of the solve on the whole draw table (tests/oracle.py).
     """
-    batch, dynamics = system.as_batch(), system.parts.dynamics
+    batch, dynamics = system.as_batch(), system.dynamics
     policy = system.as_columns("policy", policy)
-    (cells, rows), levels = dynamics.lattice
-    weights, drawn = dynamics.level_weights, dynamics.drawn
-    (sets, per_set), columns = dynamics.weights.shape, policy.shape[1]
+    (cells, rows), levels, order = dynamics.lattice
+    weights, drawn, terminal = dynamics.level_weights, dynamics.drawn, dynamics.terminal
+    sets, columns = len(dynamics.weights), policy.shape[1]
     # per cell [j, e, s, g]: q_pi, and the flat index into mixed that its value
     # reads: its next set's entry where the policy moves it up a level, else a 0
     q = np.where(policy, batch.q[1], batch.q[0]).take(cells, axis=0)
@@ -86,9 +86,8 @@ def policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
     allowed = rows[..., None] * columns + np.arange(columns)
     reads = np.where(policy.take(cells, axis=0), allowed, zero)
     # shares[s, g, e, kind, c]: the share of the kind's weights that reads the
-    # set's own kind-c entry.  terminal is 1 where the empty request, the last
-    # drawn, reads kind 1 (once): its entry from the calm empty set lies past sets
-    terminal = int(dynamics.draw_index[per_set - 1] >= sets)
+    # set's own kind-c entry.  The empty request, the last drawn, reads kind 1
+    # where RequestDynamics.terminal is 1 (once)
     shares = np.zeros((sets, columns, 2, 2, 2))
     own = slice(drawn.start, drawn.stop - terminal)
     stays = np.where(reads[own] < zero, 0.0, weights[: len(weights) - terminal])
@@ -118,7 +117,7 @@ def policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
             terms = beta_e * kind0[here, None]
             np.add(terms[..., 0], terms[..., 1], out=entries[here])
     table = np.empty((4, sets, columns))
-    table[:, np.concatenate(levels)] = solved[..., 0].transpose(2, 0, 1)
+    table[:, order] = solved[..., 0].transpose(2, 0, 1)
     return price_table(batch, table.reshape(2, 2, sets, columns)).reshape(system.q.shape)
 
 
@@ -221,7 +220,7 @@ def solve_system(system: BellmanSystem, solver: str = "lp") -> Solution:
     values, iterations = solver_function(solver)(system)
     dv = decision_values(system, values)
     return Solution(
-        scenario=system.parts.scenario,
+        scenario=system.scenario,
         system=system,
         values=values,
         dv=dv,

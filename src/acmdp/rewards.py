@@ -7,14 +7,10 @@ transition reward is either forced to zero or keeps accruing the resource
 penalty of the reached state.  reward_parts gives, in closed form, the
 E-free part of each action's expected one-step reward: the reward of every
 (granted set, request) row for either next emergency status, with the
-variant's rule already applied, which the compile
-(bellman.SystemParts.mix_batch) weights by the rows of E.  It is array
-arithmetic with no Python loop: the penalties of every granted set's
-unheld resources (dynamics.held_resources, cached per dims beside
-dynamics.row_moves), summed in resource order, and then both actions'
-gains plus the penalty of each row's next set in one expression.
-tests/oracle.py sums the same rewards transition by transition
-(reward_transition, immediate_reward) as the reference.
+variant's rule already applied.  A compiled system (bellman.BellmanSystem)
+weights it by the rows of each E it is mixed with.  tests/oracle.py sums
+the same rewards transition by transition (reward_transition,
+immediate_reward) as the reference.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Each sweep is one step, _sweep: one call of the Bellman kernel
 (bellman.decision_values) gives the backup TV and the gap at sign_of, and
 every stop below is read from the one span of TV - V.  The kernel takes a
 trailing grid axis, so one loop solves a batch of systems that differ
-only in E (bellman.SystemParts.mix_batch), every column at once; a single
+only in E (bellman.BellmanSystem.mix_batch), every column at once; a single
 system runs as a batch of one.  solve_columns is that loop, for
 policy.policy_iterate too: it retires stopped columns and keeps the
 budget, and each step stops at its solver's one tolerance, a module
@@ -88,7 +88,7 @@ def solve_columns(
             result[:, running[stop]] = values
             if stop.all():
                 if not np.isfinite(result).all():
-                    sc = system.parts.scenario
+                    sc = system.scenario
                     scale = max(map(abs, sc.reward_access + sc.reward_resource))
                     raise ValueError(
                         f"the solved values are not finite: rewards up to {scale:.4g} in size "

@@ -263,7 +263,7 @@ def reference_policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.n
     indicator "reads its own set's entry of this kind".  Each level takes a
     draw_table of every state and a price_table of every set.
     """
-    batch, dynamics = system.as_batch(), system.parts.dynamics
+    batch, dynamics = system.as_batch(), system.dynamics
     policy = system.as_columns("policy", policy)
     sets, per_set = dynamics.weights.shape
     states = np.arange(len(dynamics.draw_index) // 2)[:, None]

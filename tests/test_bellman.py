@@ -19,7 +19,7 @@ from acmdp import (
     decision_values,
     verify_solution,
 )
-from acmdp.bellman import VERIFY_TOL, build_parts, draw_table
+from acmdp.bellman import VERIFY_TOL, draw_table
 
 
 def assert_matches_oracle(sc):
@@ -129,13 +129,13 @@ class TestFactoredCompile:
 def assert_same_column(batch, g, want):
     """Column g of a batch is the system want, bit for bit.
 
-    A system is its E, its q and the arrays of its E-free parts, from which
-    BellmanSystem.transitions is built.
+    A system is its E, its q and the arrays of its E-free rewards and
+    dynamics, from which BellmanSystem.transitions is built.
     """
-    assert np.array_equal(batch.emergency[..., g], want.emergency)
-    assert np.array_equal(batch.q[..., g], want.q)
-    assert np.array_equal(batch.parts.rewards, want.parts.rewards)
-    got, expected = batch.parts.dynamics, want.parts.dynamics
+    assert batch.emergency[..., g].tobytes() == want.emergency.tobytes()
+    assert batch.q[..., g].tobytes() == want.q.tobytes()
+    assert np.array_equal(batch.rewards, want.rewards)
+    got, expected = batch.dynamics, want.dynamics
     assert got.size == expected.size
     assert np.array_equal(got.weights, expected.weights)
     assert np.array_equal(got.draw_index, expected.draw_index)
@@ -155,15 +155,25 @@ def mix_scenario(name):
 
 
 class TestMixEmergency:
-    """compile_system is build_parts then mix_batch; a sweep builds once and mixes per point."""
+    """A compiled system mixes any rates; a sweep compiles once and mixes per point."""
 
     @pytest.mark.parametrize("name", MIX_SCENARIOS)
     def test_one_build_mixed_anywhere_matches_a_fresh_compile(self, name):
+        # the scenario's compile, a compile at other rates, a batch mixed from
+        # it, a batch of one and a batch's columns all mix the same systems,
+        # and every system mixed from one compile reads its dynamics and rewards
         sc = mix_scenario(name)
-        at_p = [at_rate(sc, p) for p in (0.0, 0.37, 1.0)]
-        batch = build_parts(sc).mix_batch([(p.calm_to_alert, p.alert_to_alert) for p in at_p])
-        for g, point in enumerate(at_p):
-            assert_same_column(batch, g, compile_system(point))
+        rates = [(0.0, 0.6), (0.37, 1.0), (1.0, 0.0)]
+        other = compile_system(with_rates(sc, (0.9, 0.1)))
+        batch = other.mix_batch([(0.5, 0.5), (0.2, 0.3)])
+        sources = [other, batch, other.as_batch(), batch.columns(np.array([False, True]))]
+        for source in [compile_system(sc), *sources]:
+            mixed = source.mix_batch(rates)
+            assert mixed.dynamics is source.dynamics and mixed.rewards is source.rewards
+            for g, pair in enumerate(rates):
+                assert_same_column(mixed, g, compile_system(with_rates(sc, pair)))
+        for system in sources:
+            assert system.dynamics is other.dynamics and system.rewards is other.rewards
 
     def test_zero_emergency_entries_are_dropped(self):
         sc = builtin_scenario("table2_all")  # alert -> alert = 1
@@ -206,7 +216,7 @@ class TestMixEmergency:
         field = next(iter(change))
         assert getattr(sc, field) != change[field]
         built = dataclasses.replace(sc, **change)
-        mixed = build_parts(built).mix_batch([(0.37, 0.6)])
+        mixed = compile_system(built).mix_batch([(0.37, 0.6)])
         assert_same_column(mixed, 0, compile_system(with_rates(built, (0.37, 0.6))))
 
     @pytest.mark.parametrize(
@@ -220,7 +230,7 @@ class TestMixEmergency:
     def test_a_rate_outside_0_1_is_refused(self, rates, message):
         # such a rate makes E, and so P, not stochastic, which neither solver would notice
         with pytest.raises(ValueError, match=re.escape(message)):
-            build_parts(builtin_scenario("table2_once")).mix_batch(rates)
+            compile_system(builtin_scenario("table2_once")).mix_batch(rates)
 
     @pytest.mark.parametrize(
         "rates, shape",
@@ -236,7 +246,7 @@ class TestMixEmergency:
         # pairs are shaped up to where they differ, as numpy would not name them
         pairs = "rates must be a non-empty sequence of (calm_to_alert, alert_to_alert) pairs"
         with pytest.raises(ValueError, match=re.escape(f"{pairs}, got shape {shape}")):
-            build_parts(builtin_scenario("table2_once")).mix_batch(rates)
+            compile_system(builtin_scenario("table2_once")).mix_batch(rates)
 
 
 KERNEL_DIMS = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)]
@@ -255,9 +265,8 @@ class TestKernel:
             sc = small_scenario(
                 users, resources, behavior, variant, beta=beta, seed=int(rng.integers(2**16))
             )
-            parts = build_parts(sc)
             rates = [tuple(rng.uniform(0.0, 1.0, 2)) for _ in range(3)]
-            batch = parts.mix_batch(rates)
+            batch = compile_system(sc).mix_batch(rates)
             assert batch.q.flags.c_contiguous
             values = rng.normal(scale=100.0, size=batch.q.shape[1:])
             dv = decision_values(batch, values)
@@ -278,9 +287,9 @@ class TestKernel:
         # would pair them: so a column's entry does not depend on its batch
         rng = np.random.default_rng(columns)
         for behavior in RequestBehavior:
-            parts = build_parts(small_scenario(*shape, behavior, "eps_zero"))
-            batch = parts.mix_batch([(0.3, 0.8)] * columns)
-            weights, drawn = parts.dynamics.weights, parts.dynamics.drawn
+            system = compile_system(small_scenario(*shape, behavior, "eps_zero"))
+            batch = system.mix_batch([(0.3, 0.8)] * columns)
+            weights, drawn = system.dynamics.weights, system.dynamics.drawn
             values = rng.normal(scale=100.0, size=batch.q.shape[1:])
             cells = values.reshape(2, *weights.shape, columns)  # [e, k, j, column]
             want = weights[:, drawn.start, None] * cells[:, :, drawn.start]
@@ -293,13 +302,13 @@ class TestKernel:
 
 class TestVerifySolution:
     def test_lp_optimum_is_feasible_and_tight(self, table1_system):
-        optimal = lattice_solve(table1_system.parts.scenario)
+        optimal = lattice_solve(table1_system.scenario)
         report = verify_solution(optimal, decision_values(table1_system, optimal))
         assert report.max_violation <= 1e-9
         assert report.all_tight()
 
     def test_inflated_values_feasible_but_slack(self, table1_system):
-        optimal = lattice_solve(table1_system.parts.scenario)
+        optimal = lattice_solve(table1_system.scenario)
         # a slack of twice VERIFY_TOL is not tight: all_tight reads the same tolerance
         for inflation in (1.0, 2 * VERIFY_TOL):
             inflated = optimal + inflation
@@ -316,7 +325,7 @@ class TestVerifySolution:
         # bound that lets the certificate stand in for a second exact solver;
         # 1e-10 covers the oracle's own error and the kernel's rounding
         system = compile_system(builtin_scenario(name))
-        optimal = lattice_solve(system.parts.scenario)
+        optimal = lattice_solve(system.scenario)
         rng = np.random.default_rng(11)
         for scale in (1e-6, 1e-2, 10.0):
             # a uniform shift is slack everywhere and meets the bound exactly
@@ -330,7 +339,7 @@ class TestVerifySolution:
     def test_values_that_are_not_finite_are_neither_feasible_nor_tight(self, bad):
         # max(0.0, nan) is 0.0: a NaN slack once read as no violation and a residual of 0
         system = compile_system(builtin_scenario("table2_once"))
-        values = lattice_solve(system.parts.scenario)
+        values = lattice_solve(system.scenario)
         values[7] = bad
         report = verify_solution(values, decision_values(system, values))
         assert not report.feasible()
@@ -338,7 +347,7 @@ class TestVerifySolution:
         assert report.residual == math.inf
 
     def test_deflated_values_violate(self, table1_system):
-        optimal = lattice_solve(table1_system.parts.scenario)
+        optimal = lattice_solve(table1_system.scenario)
         report = verify_solution(optimal - 1.0, decision_values(table1_system, optimal - 1.0))
         assert not report.feasible()
         assert report.max_violation == pytest.approx(1.0)

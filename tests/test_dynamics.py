@@ -26,7 +26,6 @@ from acmdp import (
     compile_system,
     validate_stochastic,
 )
-from acmdp.bellman import build_parts
 from acmdp.dynamics import ROW_SUM_TOL, held_resources, request_dynamics, row_moves
 from acmdp.states import ACTIONS
 
@@ -112,9 +111,10 @@ class TestGrantedSetLattice:
     @pytest.mark.parametrize("behavior", list(RequestBehavior))
     def test_the_lattice_lays_out_every_state_level_by_level(self, dims, behavior):
         dynamics = request_dynamics(dims, behavior)
-        (cells, rows), levels = dynamics.lattice
+        (cells, rows), levels, order = dynamics.lattice
         sets, per_set = dims.num_sets, dims.num_access_bits + 1
-        order = np.concatenate(levels).tolist()
+        assert np.array_equal(order, np.concatenate(levels))
+        order = order.tolist()
         count = [bin(k).count("1") for k in order]
         assert sorted(order) == list(range(sets)) and count == sorted(count, reverse=True)
         assert [len(level) for level in levels] == [
@@ -167,24 +167,24 @@ class TestSharedShapeBuild:
         # rewards, E, beta and variant differ; dims and behaviour do not
         a = small_scenario(2, 2, "once", "eps_zero", rates=(0.1, 1.0), beta=0.5, seed=1)
         b = small_scenario(2, 2, "once", "eps_accrues", rates=(0.7, 0.2), beta=0.99, seed=2)
-        assert build_parts(a).dynamics is build_parts(b).dynamics
-        assert compile_system(a).parts.dynamics is compile_system(b).parts.dynamics
+        assert compile_system(a).dynamics is compile_system(b).dynamics
 
     @pytest.mark.parametrize(
         "other", [(2, 2, "all"), (2, 2, "unique"), (1, 2, "once"), (2, 1, "once"), (1, 4, "once")]
     )
     def test_another_shape_gets_another_dynamics(self, other):
         users, resources, behavior = other
-        once = build_parts(small_scenario(2, 2, "once", "eps_zero")).dynamics
-        dynamics = build_parts(small_scenario(users, resources, behavior, "eps_zero")).dynamics
+        once = compile_system(small_scenario(2, 2, "once", "eps_zero")).dynamics
+        dynamics = compile_system(small_scenario(users, resources, behavior, "eps_zero")).dynamics
         assert dynamics is not once
 
     @pytest.mark.parametrize("behavior", list(RequestBehavior))
     def test_cached_arrays_are_read_only(self, behavior):
         dynamics = request_dynamics(D22, behavior)
-        own, levels = dynamics.lattice
+        cells, levels, order = dynamics.lattice
         arrays = [*row_moves(D22)]
-        arrays += [dynamics.weights, dynamics.draw_index, dynamics.drawn_weights, own, *levels]
+        arrays += [dynamics.weights, dynamics.draw_index, dynamics.drawn_weights, cells, *levels]
+        arrays.append(order)
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
@@ -299,7 +299,7 @@ def overfill(dynamics, k, x):
 
 def with_dynamics(system, dynamics):
     """system with its request dynamics replaced, as a corrupted build would leave them."""
-    return replace(system, parts=replace(system.parts, dynamics=dynamics))
+    return replace(system, dynamics=dynamics)
 
 
 def alert_entry(dynamics, x):
@@ -321,7 +321,7 @@ def read_past_table(dynamics, k, x):
 
 
 class TestValidateStochastic:
-    """A compiled system's E cannot break: mix_batch refuses a rate outside [0, 1]
+    """A compiled system's E cannot break: a mix refuses a rate outside [0, 1]
     and each row (1 - c, c) sums to 1 within an ulp.  So the emergency-row
     problems are reached only by hand-built systems, whose E is set by
     replace: test_broken_emergency_row_reported_once,
@@ -346,7 +346,7 @@ class TestValidateStochastic:
     @settings(max_examples=60, deadline=None)
     @given(rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
     def test_a_compiled_emergency_row_sums_to_1_within_an_ulp(self, rates):
-        emergency = build_parts(model(DRIFT, RequestBehavior.ONCE)).mix_batch([rates]).emergency
+        emergency = compile_system(model(DRIFT, RequestBehavior.ONCE)).mix_batch([rates]).emergency
         assert np.all(np.abs(emergency.sum(axis=1) - 1.0) <= np.spacing(1.0))
         assert np.all((emergency >= 0.0) & (emergency <= 1.0))
 
@@ -371,7 +371,7 @@ class TestValidateStochastic:
         ],
     )
     def test_broken_emergency_row_reported_once(self, rows, problem):
-        # hand-built: the rows replace a compiled system's E, which mix_batch
+        # hand-built: the rows replace a compiled system's E, which a mix
         # cannot form from rates
         system = compile_system(model(DRIFT, RequestBehavior.ONCE))
         assert validate_stochastic(replace(system, emergency=np.array(rows))) == [problem]
@@ -393,13 +393,13 @@ class TestValidateStochastic:
         x = 5  # (calm, {(0, 0)}, (0, 0)): allow keeps set 1
         state = system.space.index_state(x)
         k = next_access_set(state.granted, state.request, Action.ALLOW, D22)
-        broken = with_dynamics(system, corrupt(system.parts.dynamics, k, x))
+        broken = with_dynamics(system, corrupt(system.dynamics, k, x))
         assert validate_stochastic(broken) == [problem]
 
     def test_problems_are_listed_by_factor(self):
         system = compile_system(model(DRIFT, RequestBehavior.ALL))
         system = replace(system, emergency=np.array(((0.9, 0.1), (0.3, 0.2))))
-        dynamics = read_past_table(halve(overfill(system.parts.dynamics, 3, 0), 2, 0), 0, 7)
+        dynamics = read_past_table(halve(overfill(system.dynamics, 3, 0), 2, 0), 0, 7)
         assert validate_stochastic(with_dynamics(system, dynamics)) == [
             "emergency row alert [0.3, 0.2] has mass 0.5",
             "request weights of set 2 [0.125, 0.125, 0.125, 0.125, 0.0] has mass 0.5",
@@ -410,7 +410,7 @@ class TestValidateStochastic:
     @pytest.mark.parametrize("miss, flagged", [(0.5 * ROW_SUM_TOL, False), (2 * ROW_SUM_TOL, True)])
     def test_mass_may_miss_1_by_row_sum_tol(self, miss, flagged):
         system = compile_system(model(DRIFT, RequestBehavior.ONCE))
-        dynamics = system.parts.dynamics
+        dynamics = system.dynamics
         for broken in (
             replace(system, emergency=system.emergency * (1.0 - miss)),
             with_dynamics(system, replace(dynamics, weights=dynamics.weights * (1.0 - miss))),
@@ -441,7 +441,7 @@ class TestValidateStochastic:
         # entries to the next: no row's mass grows, so a row of P^a misses 1
         # by more than ROW_SUM_TOL exactly when a row of E or weights it reads does
         system = compile_system(small_scenario(users, resources, behavior, "eps_zero", rates))
-        emergency, weights = system.emergency.copy(), system.parts.dynamics.weights.copy()
+        emergency, weights = system.emergency.copy(), system.dynamics.weights.copy()
         names = set()
         for row, entry, scale, shift in corruptions:
             row %= 2 + len(weights)
@@ -454,7 +454,7 @@ class TestValidateStochastic:
                 f"emergency row {Emergency(i).label}" if row < 2 else f"request weights of set {i}"
             )
         broken = with_dynamics(
-            replace(system, emergency=emergency), replace(system.parts.dynamics, weights=weights)
+            replace(system, emergency=emergency), replace(system.dynamics, weights=weights)
         )
         masses = np.concatenate([np.asarray(m.sum(axis=1)).ravel() for m in broken.transitions])
         out_of_range = any(((f < 0.0) | (f > 1.0)).any() for f in (emergency, weights))

@@ -15,7 +15,6 @@ from acmdp import BUILTIN_NAMES, Action, builtin_scenario
 from acmdp.bellman import (
     VERIFY_TOL,
     VerificationReport,
-    build_parts,
     compile_system,
     decision_values,
     rounding_allowance,
@@ -231,23 +230,23 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("solver", ["lp", "vi"])
     def test_one_build_per_sweep(self, monkeypatch, solver):
-        # under either solver, a 160-state grid is one batch mixed into the one
-        # build, and each bisection point a batch of one; a sweep that compiled
-        # every solve would build once per solve
-        build = acmdp.experiments.build_parts
-        batch = acmdp.bellman.SystemParts.mix_batch
+        # under either solver, a 160-state grid is one batch mixed from the one
+        # compile, and each bisection point a batch of one; a sweep that compiled
+        # every solve would compile once per solve
+        build = acmdp.experiments.compile_system
+        batch = acmdp.bellman.BellmanSystem.mix_batch
         builds, batches = [], []
 
         def counted_build(sc):
             builds.append(sc)
             return build(sc)
 
-        def counted_batch(parts, rates):
+        def counted_batch(system, rates):
             batches.append(len(rates))
-            return batch(parts, rates)
+            return batch(system, rates)
 
-        monkeypatch.setattr(acmdp.experiments, "build_parts", counted_build)
-        monkeypatch.setattr(acmdp.bellman.SystemParts, "mix_batch", counted_batch)
+        monkeypatch.setattr(acmdp.experiments, "compile_system", counted_build)
+        monkeypatch.setattr(acmdp.bellman.BellmanSystem, "mix_batch", counted_batch)
         result = run_sweep(SweepSpec(builtin_scenario("table2_once")), solver=solver)
         assert len(builds) == 1
         assert batches[0] == len(result.points)
@@ -345,7 +344,7 @@ class TestRunSweep:
         # one-batch value-iteration grid of 501 points held 29 MB
         sc = small_scenario(2, 3, "all", "eps_accrues", rates=(0.1, 1.0))
         spec = SweepSpec(sc, step=step)
-        parts = build_parts(sc)
+        system = compile_system(sc)
         width = CHUNK_BYTES // (8 * sc.dims.num_states * SOLVER_ARRAYS[solver])
         assert width * 3 < len(spec.grid()) <= width * 4
         name = "policy_iterate" if solver == "lp" else "value_iterate"
@@ -367,7 +366,7 @@ class TestRunSweep:
         assert grid_widths == [width] * 3 + [len(spec.grid()) - 3 * width]
         assert max(columns for columns, _ in widths) == width
         assert peak < 1.25 * CHUNK_BYTES
-        batch = parts.mix_batch([(p, 1.0) for p in spec.grid()])
+        batch = system.mix_batch([(p, 1.0) for p in spec.grid()])
         calm_empty = sc.dims.position(0, 0, np.arange(sc.dims.num_access_bits))
         dv = decision_values(batch, solve(batch)[0])[:, calm_empty]
         assert np.array_equal(np.stack([point.dv for point in result.points], -1), dv)
@@ -380,13 +379,13 @@ class TestRunSweep:
         whole = run_sweep(spec, solver=solver)
         states = spec.scenario.dims.num_states
         monkeypatch.setattr(acmdp.experiments, "CHUNK_BYTES", 8 * states * SOLVER_ARRAYS[solver])
-        batch, widths = acmdp.bellman.SystemParts.mix_batch, []
+        batch, widths = acmdp.bellman.BellmanSystem.mix_batch, []
 
-        def counted_batch(parts, rates):
+        def counted_batch(system, rates):
             widths.append(len(rates))
-            return batch(parts, rates)
+            return batch(system, rates)
 
-        monkeypatch.setattr(acmdp.bellman.SystemParts, "mix_batch", counted_batch)
+        monkeypatch.setattr(acmdp.bellman.BellmanSystem, "mix_batch", counted_batch)
         split = run_sweep(spec, solver=solver)
         assert set(widths) == {1} and len(widths) > len(spec.grid())
         assert whole.crossovers[BOB_HIGH_POS].width
@@ -403,15 +402,15 @@ class TestRunSweep:
         # mix, solve and pricing, held as run_sweep holds them, must hold fewer
         # (states, columns) arrays at their traced peak; the second call is
         # measured, once the shape's lattice plan is built
-        parts = build_parts(builtin_scenario(name))
+        system = compile_system(builtin_scenario(name))
         grid = np.linspace(0.0, 0.2, 101)
         solve = acmdp.policy.solver_function(solver)
-        dims = parts.scenario.dims
+        dims = system.scenario.dims
         calm_empty = dims.position(0, 0, np.arange(dims.num_access_bits))
         for _ in range(2):
             tracemalloc.start()
             try:
-                batch = parts.mix_batch([(p, 1.0) for p in grid])
+                batch = system.mix_batch([(p, 1.0) for p in grid])
                 values, _ = solve(batch)
                 kept = decision_values(batch, values)[:, calm_empty]
                 del batch, values

@@ -52,7 +52,7 @@ from acmdp import (
     value_iterate,
     verify_solution,
 )
-from acmdp.bellman import VERIFY_TOL, build_parts, rounding_allowance
+from acmdp.bellman import VERIFY_TOL, rounding_allowance
 from acmdp.dynamics import RequestDynamics
 from acmdp.policy import (
     FILE_HEADER,
@@ -666,7 +666,7 @@ class TestSharedShape:
             solve_scenario(other, solver)
         for solver, was in fresh.items():
             now = solve_scenario(sc, solver)
-            assert now.system.parts.dynamics is was.system.parts.dynamics
+            assert now.system.dynamics is was.system.dynamics
             assert bitwise_equal(now.values, was.values)
             assert bitwise_equal(now.dv, was.dv)
             assert bitwise_equal(now.policy.actions, was.policy.actions)
@@ -743,10 +743,10 @@ class TestLpBatch:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_grid_columns_are_their_batches_of_one(self, name):
         sc = builtin_scenario(name)
-        parts = build_parts(sc)
+        system = compile_system(sc)
         rates = [(i / 100, sc.alert_to_alert) for i in range(101)]
-        values, bases = policy_iterate(parts.mix_batch(rates))
-        alone = [policy_iterate(parts.mix_batch([pair])) for pair in rates]
+        values, bases = policy_iterate(system.mix_batch(rates))
+        alone = [policy_iterate(system.mix_batch([pair])) for pair in rates]
         assert bases == max(b for _, b in alone)
         for column, (want, _) in zip(values.T, alone):
             assert np.array_equal(column, want[:, 0])
@@ -763,11 +763,11 @@ class TestLpBatch:
         self, behavior, variant, beta, seed, rates
     ):
         sc = small_scenario(2, 3, behavior, variant, beta=beta, seed=seed)
-        parts = build_parts(sc)
-        values, _ = policy_iterate(parts.mix_batch(rates))
+        system = compile_system(sc)
+        values, _ = policy_iterate(system.mix_batch(rates))
         assert values.shape == (sc.dims.num_states, len(rates))
         for column, pair in zip(values.T, rates):
-            assert np.array_equal(column, policy_iterate(parts.mix_batch([pair]))[0][:, 0])
+            assert np.array_equal(column, policy_iterate(system.mix_batch([pair]))[0][:, 0])
             # and a single system is that batch of one
             single = compile_system(with_rates(sc, pair))
             assert np.array_equal(column, policy_iterate(single)[0])
@@ -776,9 +776,9 @@ class TestLpBatch:
         # each basis solves only the columns still running, and a column
         # returns the values it would return alone
         sc = small_scenario(2, 2, "once", "eps_zero", rates=(0.1, 1.0), seed=2)
-        parts = build_parts(sc)
+        system = compile_system(sc)
         rates = [(p, 1.0) for p in (0.0, 0.1, 0.2, 0.5)]
-        alone = [policy_iterate(parts.mix_batch([pair])) for pair in rates]
+        alone = [policy_iterate(system.mix_batch([pair])) for pair in rates]
         assert [b for _, b in alone] == [1, 2, 3, 1]
         price, widths = acmdp.policy.price_table, []
 
@@ -787,7 +787,7 @@ class TestLpBatch:
             return price(system, table)
 
         monkeypatch.setattr(acmdp.policy, "price_table", recorded)
-        values, bases = policy_iterate(parts.mix_batch(rates))
+        values, bases = policy_iterate(system.mix_batch(rates))
         assert bases == 3
         # each basis prices its columns once, after its last granted-set level
         assert widths == [4, 2, 1]
@@ -795,16 +795,16 @@ class TestLpBatch:
             assert np.array_equal(column, want[:, 0])
 
     def test_optimal_start_solves_in_one_basis(self):
-        parts = build_parts(builtin_scenario("table2_once"))
-        batch = parts.mix_batch([(p, 1.0) for p in (0.0, 0.3, 1.0)])
+        system = compile_system(builtin_scenario("table2_once"))
+        batch = system.mix_batch([(p, 1.0) for p in (0.0, 0.3, 1.0)])
         values, bases = policy_iterate(batch)
         assert bases == 2
         again, bases = policy_iterate(batch, start=values)
         assert bases == 1 and np.array_equal(again, values)
 
     def test_basis_budget_raises_convergence_error(self, monkeypatch):
-        parts = build_parts(builtin_scenario("table2_once"))
-        batch = parts.mix_batch([(p, 1.0) for p in (0.0, 0.3)])
+        system = compile_system(builtin_scenario("table2_once"))
+        batch = system.mix_batch([(p, 1.0) for p in (0.0, 0.3)])
         monkeypatch.setattr(acmdp.policy, "MAX_BASES", 1)
         with pytest.raises(ConvergenceError, match="no optimal policy basis within 1 bases"):
             policy_iterate(batch)
@@ -883,7 +883,7 @@ class TestPolicyEvaluate:
         want = oracle_evaluate(sc, policy)
         products = 2 * (sc.dims.num_access_bits + 1)
         tiny = np.finfo(float).smallest_subnormal
-        underflow = products * tiny / 2 * np.abs(system.parts.rewards).max() / (1.0 - beta)
+        underflow = products * tiny / 2 * np.abs(system.rewards).max() / (1.0 - beta)
         bound = rounding_allowance(values, beta) + rounding_allowance(want, beta) + underflow
         assert np.max(np.abs(values - want)) <= bound
 
@@ -896,17 +896,17 @@ class TestPolicyEvaluate:
         rates=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=4),
     )
     def test_batch_columns_are_their_batches_of_one(self, behavior, variant, beta, seed, rates):
-        parts = build_parts(small_scenario(2, 3, behavior, variant, beta=beta, seed=seed))
-        policies = random_policies(seed, (parts.scenario.dims.num_states, len(rates)))
-        dv = policy_evaluate(parts.mix_batch(rates), policies)
-        assert dv.shape == (2, parts.scenario.dims.num_states, len(rates))
+        system = compile_system(small_scenario(2, 3, behavior, variant, beta=beta, seed=seed))
+        policies = random_policies(seed, (system.scenario.dims.num_states, len(rates)))
+        dv = policy_evaluate(system.mix_batch(rates), policies)
+        assert dv.shape == (2, system.scenario.dims.num_states, len(rates))
         for g, pair in enumerate(rates):
-            alone = policy_evaluate(parts.mix_batch([pair]), policies[:, g : g + 1])
+            alone = policy_evaluate(system.mix_batch([pair]), policies[:, g : g + 1])
             assert bitwise_equal(dv[..., g : g + 1], alone)
 
     def test_mask_of_wrong_shape_raises(self):
         system = compile_system(builtin_scenario("table2_all"))
-        batch = system.parts.mix_batch([(0.0, 1.0)] * 3)
+        batch = system.mix_batch([(0.0, 1.0)] * 3)
         for target, shape in ((batch, (3, 160)), (batch, (160,)), (system, (160, 1))):
             message = f"policy has shape {shape}, expected {target.q.shape[1:]}"
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -935,7 +935,8 @@ class TestLevelSolve:
         for policy in (system.q[1] > system.q[0], optimal, *random_policies(7, (3, n))):
             self.assert_as_the_reference(system, policy)
         rates = np.random.default_rng(7).random((7, 2))
-        self.assert_as_the_reference(build_parts(sc).mix_batch(rates), random_policies(8, (n, 7)))
+        batch = system.mix_batch(rates)
+        self.assert_as_the_reference(batch, random_policies(8, (n, 7)))
 
     @random_scenarios(
         30, users=st.integers(1, 3), resources=st.integers(1, 3), mask=st.integers(0, 2**16)
@@ -958,9 +959,10 @@ class TestLevelSolve:
     def test_random_batches(
         self, users, resources, behavior, variant, rates, beta, seed, mask, batch
     ):
-        parts = build_parts(small_scenario(users, resources, behavior, variant, rates, beta, seed))
-        policies = random_policies(mask, (parts.scenario.dims.num_states, len(batch)))
-        self.assert_as_the_reference(parts.mix_batch(batch), policies)
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        system = compile_system(sc)
+        policies = random_policies(mask, (system.scenario.dims.num_states, len(batch)))
+        self.assert_as_the_reference(system.mix_batch(batch), policies)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("behavior", ["once", "all"])
@@ -968,7 +970,7 @@ class TestLevelSolve:
         # 13 levels and 4,096 sets, past the reach of the Hypothesis models
         sc = small_scenario(3, 4, behavior, "eps_accrues", rates=(0.1, 1.0))
         system = compile_system(sc)
-        assert len(system.parts.dynamics.lattice[1]) == 13 and sc.dims.num_sets == 4096
+        assert len(system.dynamics.lattice[1]) == 13 and sc.dims.num_sets == 4096
         for policy in (system.q[1] > system.q[0], random_policies(1, system.num_states)):
             self.assert_as_the_reference(system, policy)
 
@@ -983,7 +985,7 @@ def test_solvers_refuse_a_start_of_the_wrong_shape_alike(solve, width, shape):
     # makes a transposed or flattened start fit
     system = compile_system(builtin_scenario("table2_all"))
     if width is not None:
-        system = system.parts.mix_batch([(0.0, 1.0)] * width)
+        system = system.mix_batch([(0.0, 1.0)] * width)
     expected = system.q.shape[1:]
     message = f"start has shape {shape}, expected {expected}"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -998,7 +1000,7 @@ def test_solvers_refuse_a_non_finite_start_before_any_step(monkeypatch, solve, b
     # all-deny policy, so one non-finite entry is refused before any step
     system = compile_system(builtin_scenario("table2_all"))
     if width is not None:
-        system = system.parts.mix_batch([(0.0, 1.0)] * width)
+        system = system.mix_batch([(0.0, 1.0)] * width)
     start = np.ones(system.q.shape[1:])
     start.flat[-1] = bad  # the last state of the last column
 

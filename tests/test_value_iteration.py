@@ -21,7 +21,7 @@ from acmdp import (
     policy_iterate,
     value_iterate,
 )
-from acmdp.bellman import VERIFY_TOL, build_parts, rounding_allowance
+from acmdp.bellman import VERIFY_TOL, rounding_allowance
 from acmdp.policy import solve_system
 from acmdp.value_iteration import DEFAULT_TOL
 
@@ -153,8 +153,8 @@ class TestBatch:
         self, users, resources, behavior, variant, beta, seed, rates
     ):
         sc = small_scenario(users, resources, behavior, variant, beta=beta, seed=seed)
-        parts = build_parts(sc)
-        batch = parts.mix_batch(rates)
+        system = compile_system(sc)
+        batch = system.mix_batch(rates)
         values, sweeps = value_iterate(batch)
         assert values.shape == (batch.num_states, len(rates))
         if beta == 0.0:
@@ -169,10 +169,10 @@ class TestBatch:
         # columns do not mix: each stops on its own bound with the values a
         # batch of it alone returns
         sc = builtin_scenario("table2_all")
-        parts = build_parts(sc)
+        system = compile_system(sc)
         rates = [(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
-        values, sweeps = value_iterate(parts.mix_batch(rates))
-        alone = [value_iterate(parts.mix_batch([pair])) for pair in rates]
+        values, sweeps = value_iterate(system.mix_batch(rates))
+        alone = [value_iterate(system.mix_batch([pair])) for pair in rates]
         assert sweeps == max(s for _, s in alone)
         assert len({s for _, s in alone}) > 1
         for column, (want, _), pair in zip(values.T, alone, rates):
@@ -188,10 +188,10 @@ class TestBatch:
         # each sweep prices only the columns still running, once, with or
         # without a sign to prove, and a column returns the values it would
         # return alone
-        parts = build_parts(builtin_scenario("table2_all"))
-        state = None if sign_of is None else parts.scenario.dims.state_index(sign_of)
+        system = compile_system(builtin_scenario("table2_all"))
+        state = None if sign_of is None else system.scenario.dims.state_index(sign_of)
         rates = [(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
-        alone = [value_iterate(parts.mix_batch([pair]), sign_of=state) for pair in rates]
+        alone = [value_iterate(system.mix_batch([pair]), sign_of=state) for pair in rates]
         stops = sorted(s for _, s in alone)
         assert stops[0] < stops[-1]
         price, widths = acmdp.value_iteration.decision_values, []
@@ -201,7 +201,7 @@ class TestBatch:
             return price(system, values)
 
         monkeypatch.setattr(acmdp.value_iteration, "decision_values", recorded)
-        values, sweeps = value_iterate(parts.mix_batch(rates), sign_of=state)
+        values, sweeps = value_iterate(system.mix_batch(rates), sign_of=state)
         assert sweeps == stops[-1]
         # all four columns until the first stops, then only those still running
         assert widths == [sum(s >= i for s in stops) for i in range(1, sweeps + 1)]
