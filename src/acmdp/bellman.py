@@ -234,7 +234,10 @@ def rounding_allowance(values: np.ndarray, beta: float) -> float:
     last.  The allowance covers the sum of the first two, 2.58 and 2.47 on
     the two samples.  Priced exactly in Fraction arithmetic instead
     (tests/oracle.py), on 1,000 such scenarios with beta up to 0.999, the
-    values of policy iteration's last basis erred by at most 0.23.
+    values of policy iteration's last basis erred by at most 0.96, as with
+    an LU solve of each block: at small beta the rounding of q and of the
+    pricing dominates.  On 1,000 with beta from 0.9 to 0.999 the closed-form
+    block solve erred by at most 0.51, and the LU solve by 0.71.
     A unit is never taken below EPS * TINY, the spacing of the subnormal
     floats, which is what an underflowing product of a tiny rate loses.
     """

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +81,29 @@ def held_resources(d: ModelDims) -> np.ndarray:
     return _shared(np.arange(d.num_sets) & columns[:, None] != 0)
 
 
+class Lattice(NamedTuple):
+    """policy.policy_evaluate's plan of the granted-set lattice, one per (dims, behaviour).
+
+    The basis solve works on cells, each a state; they are laid out by set
+    in level order, then status, then request, so that a level's cells are
+    one slice and a set's 2 (B + 1) cells one row.  Per column, the solve
+    fills a (sets + 1, 6) table: for the set of level-order position t,
+    row t holds its kind-0 entries, beta E times them, and its kind-1
+    entries, each for status 0 then 1; row sets holds zeros.  reads[a, c]
+    is where action a's value at cell c reads that table: 6 t + 2 + e, the
+    mixed kind-0 entry at status e of the set t the action moves the cell
+    to, which lies in the level just above; else 6 sets, a zero, for a
+    cell that reads its own set's kind-0 entries, or 6 sets + 1, a zero,
+    for one that reads its own kind-1 entries (once's empty request).
+    """
+
+    cells: np.ndarray  # (n,): the state of each cell
+    reads: np.ndarray  # (2, n), by action
+    levels: tuple[np.ndarray, ...]  # the sets of each popcount level, the full set's first
+    order: np.ndarray  # their concatenation, the level order
+    draw: np.ndarray  # [t, (kind, e), cell of t]: kind 0 by its weights, kind 1 its empty request
+
+
 @dataclass(frozen=True)
 class RequestDynamics:
     """The E-free part of both actions' transition matrices, as request draws.
@@ -122,43 +146,33 @@ class RequestDynamics:
         return int(self.draw_index[per_set - 1] >= sets)
 
     @cached_property
-    def lattice(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-        """policy.policy_evaluate's plan of the granted-set lattice, (cells, levels, order).
-
-        levels holds the sets of each popcount level, the full set's level
-        first, each in ascending order; order, their concatenation, is the
-        level order.  cells is (2, per_set, 2, sets), indexed [., j, e, s] by
-        request, status and set in level order, so that a level's cells are
-        one slice of the last axis.  cells[0] is each cell's state.
-        cells[1] is the row its allow reads of the solved kind-0 entries
-        mixed by beta E, laid out by set in level order and then status:
-        2 t + e where allow moves it to the set t, which lies in the level
-        just above, and 2 * sets, a row of zeros, where allow keeps its set.
-        A moved cell reads a kind-0 entry: the one kind-1 reader, once's
-        empty request, is never moved by allow.
-        """
+    def lattice(self) -> Lattice:
+        """policy.policy_evaluate's plan of the granted-set lattice: see Lattice."""
         sets, per_set = self.weights.shape
         popcount = ((np.arange(sets)[:, None] >> np.arange(per_set - 1)) & 1).sum(axis=1)
         levels = [np.flatnonzero(popcount == c) for c in range(per_set - 1, -1, -1)]
         order = np.concatenate(levels)
-        rank = np.argsort(order)
-        # reached[e, s, j]: the set whose entry allow reads at request j, status e, set order[s]
-        entry = self.draw_index[len(self.draw_index) // 2 :].reshape(2, sets, per_set)
-        reached = entry[:, order] % sets
-        moved = reached != order[:, None]
-        rows = np.where(moved, 2 * rank[reached] + np.arange(2)[:, None, None], 2 * sets)
-        states = (np.arange(2)[:, None] * sets + order) * per_set
-        cells = np.stack((states[..., None] + np.arange(per_set), rows)).transpose(0, 3, 1, 2)
-        return _shared(np.ascontiguousarray(cells)), tuple(map(_shared, levels)), _shared(order)
-
-    @cached_property
-    def level_weights(self) -> np.ndarray:
-        """drawn_weights with its sets in the lattice's level order, [j, 1, s, 1].
-
-        C-contiguous, as drawn_weights is: the index on the set axis alone
-        would lay the copy out set-major.
-        """
-        return _shared(np.ascontiguousarray(self.drawn_weights[:, :, self.lattice[2]]))
+        # kind[a, e, s, j] and reached[a, e, s, j]: the entry action a reads at status e,
+        # set order[s] and request j
+        entry = self.draw_index.reshape(2, 2, sets, per_set)[:, :, order] % (2 * sets)
+        kind, reached = np.divmod(entry, sets)
+        status = np.arange(2)[:, None, None]
+        reads = np.where(
+            reached != order[:, None], 6 * np.argsort(order)[reached] + 2 + status, 6 * sets + kind
+        )
+        states = (status[..., 0] * sets + order) * per_set  # [e, s]: each cell's first state
+        cells = states.T[..., None] + np.arange(per_set)
+        draw = np.zeros((sets, 2, 2, 2, per_set))  # [s, kind, e, e2, j]
+        for e in range(2):
+            draw[:, 0, e, e] = self.weights[order]
+            draw[:, 1, e, e, -1] = 1.0
+        return Lattice(
+            _shared(cells.ravel()),
+            _shared(reads.transpose(0, 2, 1, 3).reshape(2, -1)),
+            tuple(map(_shared, levels)),
+            _shared(order),
+            _shared(draw.reshape(sets, 4, 2 * per_set)),
+        )
 
 
 @cache

@@ -61,64 +61,93 @@ def policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
     reads one of k's own four draw-table entries T_k (bellman.draw_table),
     or, where the policy allows an access k lacks, the kind-0 entry of a
     set of the level just solved.  So T_k = b_k + beta M_k T_k, where b_k
-    is the draw table of q_pi plus what the cells that move read, and M_k,
-    E times the share of k's weights that reads each own entry, has row
-    sums at most 1, so I - beta M_k is regular.  Once per basis the solve
-    gathers q_pi and the entry each cell's allow reads, reduces the shares
-    from that, and inverts every set's and column's 4 x 4 block in one
-    batched np.linalg.inv.  A level then mixes the level above's kind-0
-    entries by beta E, adds them to q_pi at its moving cells, averages its
-    cells by its sets' weights and applies its sets' inverses in one
-    stacked matmul.  After the last level, one price_table of the solved
-    entries gives the decision values.  Every product and sum is the one
-    decision_values makes, in its order, so the values are bit for bit
-    those of the solve on the whole draw table (tests/oracle.py).
+    is the draw table of q_pi plus what the cells that move read.  In the
+    order (kind, status), I - beta M_k is [[A, 0], [-beta E, I]], or under
+    once [[A, -w beta E], [0, I - beta E]], with w the empty request's
+    weight and A = I - diag(s) beta E, s the share of each status's
+    weights that reads its own kind-0 entry.  diag(s) beta E and beta E are
+    nonnegative with rows that sum to at most beta < 1, so A and
+    I - beta E are strictly diagonally dominant, and each 2 x 2 inverse is
+    its adjugate over its determinant, with no pivot (_resolvent).  Once
+    per basis the solve builds every set's and column's (6, 4) operator
+    (_operator): four rows give T_k from b_k, and two give beta E times
+    T_k's kind-0 entries, which the level below reads.  A level then makes
+    four numpy calls: it gathers what its cells read, adds q_pi, and
+    applies its sets' draw matrices (RequestDynamics.lattice) and then
+    their operators, each a stacked matrix-vector product per column.
+    After the last level, one price_table of the solved entries gives the
+    decision values.  The closed form rounds differently from an LU solve
+    of each block: it agrees with tests/oracle.py's reference within
+    rounding_allowance.
     """
-    batch, dynamics = system.as_batch(), system.dynamics
+    batch, plan = system.as_batch(), system.dynamics.lattice
     policy = system.as_columns("policy", policy)
-    (cells, rows), levels, order = dynamics.lattice
-    weights, drawn, terminal = dynamics.level_weights, dynamics.drawn, dynamics.terminal
-    sets, columns = len(dynamics.weights), policy.shape[1]
-    # per cell [j, e, s, g]: q_pi, and the flat index into mixed that its value
-    # reads: its next set's entry where the policy moves it up a level, else a 0
-    q = np.where(policy, batch.q[1], batch.q[0]).take(cells, axis=0)
-    zero = 2 * sets * columns
-    allowed = rows[..., None] * columns + np.arange(columns)
-    reads = np.where(policy.take(cells, axis=0), allowed, zero)
-    # shares[s, g, e, kind, c]: the share of the kind's weights that reads the
-    # set's own kind-c entry.  The empty request, the last drawn, reads kind 1
-    # where RequestDynamics.terminal is 1 (once)
-    shares = np.zeros((sets, columns, 2, 2, 2))
-    own = slice(drawn.start, drawn.stop - terminal)
-    stays = np.where(reads[own] < zero, 0.0, weights[: len(weights) - terminal])
-    np.add.reduce(stays, axis=0, out=shares[..., 0, 0].transpose(2, 0, 1))
-    if terminal:
-        shares[..., 0, 1] = weights[-1, 0, :, :, None]
-    shares[..., 1, terminal] = 1.0
-    mixing = batch.mixing.transpose(3, 0, 2, 1)[..., None]  # [g, e, ., e2, .]
-    inverse = np.linalg.inv(np.eye(4) - (mixing * shares[..., None, :]).reshape(sets, -1, 4, 4))
-    # the right-hand sides, [e, kind, s, g]; the solved draw table, [s, g, (e, kind), .],
-    # and its kind-0 entries, [s, g, e2]; those mixed by beta E, [s, e, g], then zeros
-    rhs = np.empty((2, 2, sets, columns))
-    vectors = rhs.reshape(4, sets, columns).transpose(1, 2, 0)[..., None]
-    solved = np.empty((sets, columns, 4, 1))
-    kind0 = solved[:, :, ::2, 0]
-    beta_e = batch.mixing[:, :, 0].transpose(0, 2, 1)  # beta E[e, e2], [e, g, e2]
-    mixed = np.zeros((2 * sets + 1) * columns)
-    entries = mixed[:zero].reshape(sets, 2, columns)  # [s, e, g]
+    columns, sets = policy.shape[1], len(plan.order)
+    # per column and cell, laid out [g, set, (status, request)]: q_pi, and where
+    # its value reads the solved table, made a flat index into it below
+    q = np.where(policy, batch.q[1], batch.q[0]).T.take(plan.cells, axis=1)
+    reads = np.where(policy.T.take(plan.cells, axis=1), plan.reads[1], plan.reads[0])
+    own = (reads == 6 * sets).reshape(columns, sets, -1, 1)
+    # s, [g, t, e], and after the last set s = (1, 1): that A is I - beta E, once's kind-1 block
+    shares = np.ones((columns, sets + 1, 2, 1))
+    np.matmul(plan.draw[:, :2], own, out=shares[:, :sets])
+    # w: the weight of the last cell, status 1's empty request, in its status's kind 0
+    exits = plan.draw[:, 1, -1] if system.dynamics.terminal else None
+    operator = _operator(batch.mixing[:, :, 0].transpose(2, 0, 1), shares[..., 0], exits)
+    solved = np.zeros((columns, sets + 1, 6))
+    reads += np.arange(0, solved.size, solved[0].size)[:, None]
+    reads, q, flat = reads.reshape(columns, sets, -1), q.reshape(columns, sets, -1), solved.ravel()
     stop = 0
-    for level in levels:
+    for level in plan.levels:
         here = slice(stop, stop := stop + len(level))
-        values = mixed.take(reads[:, :, here]) + q[:, :, here]
-        np.add.reduce(weights[:, :, here] * values[drawn], axis=0, out=rhs[:, 0, here])
-        rhs[:, 1, here] = values[-1]
-        np.matmul(inverse[here], vectors[here], out=solved[here])
-        if stop < sets:  # beta E[e, 0] T_calm + beta E[e, 1] T_alert, as price_table mixes
-            terms = beta_e * kind0[here, None]
-            np.add(terms[..., 0], terms[..., 1], out=entries[here])
-    table = np.empty((4, sets, columns))
-    table[:, order] = solved[..., 0].transpose(2, 0, 1)
-    return price_table(batch, table.reshape(2, 2, sets, columns)).reshape(system.q.shape)
+        values = flat.take(reads[:, here])
+        values += q[:, here]
+        rhs = np.matmul(plan.draw[here], values[..., None])
+        np.matmul(operator[:, here], rhs, out=solved[:, here, :, None])
+    table = np.empty((2, 2, sets, columns))  # [e, kind, set, g], as draw_table's
+    table[:, :, plan.order] = solved[:, :sets].reshape(columns, sets, 3, 2)[:, :, ::2].T
+    return price_table(batch, table).reshape(system.q.shape)
+
+
+def _operator(mixing: np.ndarray, shares: np.ndarray, exits: np.ndarray | None) -> np.ndarray:
+    """Each set's solve operator per column, (G, sets + 1, 6, 4): see policy_evaluate.
+
+    mixing is beta E, (G, 2, 2); shares is s, (G, sets + 1, 2), (1, 1) after
+    the last set; exits is w per set under once, else None.  Row blocks: T's
+    kind-0 entries, beta E times them, T's kind-1 entries; column blocks:
+    b's kind 0, kind 1.  The last row is no set's: it holds (I - beta E)^-1
+    and beta E times that, which under once give every set's kind 1.
+    """
+    operator = np.zeros((*shares.shape[:2], 6, 4))
+    inverse, mixed = operator[..., :2, :2], operator[..., 2:4, :2]
+    _resolvent(shares[..., None] * mixing[:, None], out=inverse)
+    np.matmul(mixing[:, None], inverse, out=mixed)
+    if exits is None:  # T's kind 1 is b's plus beta E times T's kind 0
+        operator[..., 4:, :2] = mixed
+        operator[..., 4:, 2:] = _IDENTITY
+    else:  # T's kind 1 solves alone, and kind 0 reads it through w beta E
+        sets = operator[:, :-1]
+        np.matmul(sets[..., :4, :2], mixed[:, -1:], out=sets[..., :4, 2:])
+        sets[..., :4, 2:] *= exits[:, None, None]
+        sets[..., 4:, 2:] = inverse[:, -1:]
+    return operator
+
+
+_IDENTITY = np.eye(2)
+
+
+def _resolvent(matrices: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(I - M)^-1 of each 2 x 2 M stacked on the leading axes: its adjugate over its determinant.
+
+    Every M here is nonnegative with rows that sum to at most beta < 1, so
+    I - M is strictly diagonally dominant and its determinant positive.
+    """
+    adjugate = 1.0 - matrices[..., ::-1, ::-1]  # its diagonal: 1 - m11, 1 - m00
+    adjugate[..., 0, 1] = matrices[..., 0, 1]
+    adjugate[..., 1, 0] = matrices[..., 1, 0]
+    determinant = adjugate[..., 0, 0] * adjugate[..., 1, 1]
+    determinant -= adjugate[..., 0, 1] * adjugate[..., 1, 0]
+    return np.divide(adjugate, determinant[..., None, None], out=out)
 
 
 def policy_iterate(

@@ -20,10 +20,12 @@ the helpers above take a number type, and with Fraction they read each
 stored float as the rational it is and draw each of m requests with
 probability exactly 1/m, so no step rounds.
 
-reference_policy_evaluate is the package's basis solve as it was before the
-solve was restricted to one level's cells: the same arithmetic in the same
-order, on the whole draw table at every level, so that the restricted solve
-(policy.policy_evaluate) must equal it bit for bit.
+basis_blocks assembles each granted set's 4 x 4 block of a policy's basis,
+I - beta M_k, and reference_policy_evaluate solves the basis a popcount
+level at a time by np.linalg.inv of those blocks, on the whole draw table
+at every level.  policy.policy_evaluate solves each block by a closed form
+instead, which rounds differently: it must agree with the reference within
+rounding_allowance, and its operators with np.linalg.inv of the blocks.
 """
 
 from __future__ import annotations
@@ -252,16 +254,14 @@ def _gauss_jordan(rows: list[list[Fraction]]) -> list[Fraction]:
     return [row[-1] for row in rows]
 
 
-def reference_policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
-    """policy.policy_evaluate's decision values, one popcount level at a time on every state.
+def basis_blocks(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
+    """I - beta M_k of every set k and column of an allow mask, (sets, G, 4, 4).
 
-    Every transition keeps the granted set or reaches a strict superset, so
-    the levels are solved from the full set down.  A state of set k reads a
-    solved superset's entry or one of k's own four draw-table entries T_k, so
-    T_k = draw_table(b)_k + beta M_k T_k: b is the policy's decision values
-    with this level's entries zero, and M_k is E times draw_table of the
-    indicator "reads its own set's entry of this kind".  Each level takes a
-    draw_table of every state and a price_table of every set.
+    A state of set k reads a solved superset's entry or one of k's own four
+    draw-table entries T_k, so T_k = draw_table(b)_k + beta M_k T_k, where b
+    is what the states read beyond T_k and M_k is E times draw_table of the
+    indicator "reads its own set's entry of this kind".  Rows and columns
+    are ordered (status, kind), as draw_table's entries.
     """
     batch, dynamics = system.as_batch(), system.dynamics
     policy = system.as_columns("policy", policy)
@@ -270,15 +270,30 @@ def reference_policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.n
     # own[a, x, c]: (action a, state x) reads its own set's kind-c entry
     kind, reached = np.divmod(dynamics.draw_index.reshape(2, -1, 1) % (2 * sets), sets)
     own = (reached == states // per_set % sets) & (kind == (0, 1))
-    # the sets of each popcount level, largest first, each level in ascending order
-    popcount = ((np.arange(sets)[:, None] >> np.arange(per_set - 1)) & 1).sum(axis=1)
-    levels = [np.flatnonzero(popcount == c) for c in range(per_set - 1, -1, -1)]
     # shares[k, g, e, kind, ., c]: the draw table of own under pi
     shares = own[0, :, None] ^ (policy[..., None] & (own[0] ^ own[1])[:, None])
     shares = draw_table(batch, shares.reshape(system.num_states, -1))
     shares = shares.reshape(2, 2, sets, -1, 2).transpose(2, 3, 0, 1, 4)
     mixing = batch.mixing.transpose(3, 0, 2, 1)[..., None]  # [g, e, ., e2, .]
-    inverse = np.linalg.inv(np.eye(4) - (mixing * shares[..., None, :]).reshape(sets, -1, 4, 4))
+    return np.eye(4) - (mixing * shares[..., None, :]).reshape(sets, -1, 4, 4)
+
+
+def reference_policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
+    """policy_evaluate's decision values, by LAPACK and one popcount level at a time on every state.
+
+    Every transition keeps the granted set or reaches a strict superset, so
+    the levels are solved from the full set down.  Each set's block
+    (basis_blocks) is inverted by np.linalg.inv.  Each level takes a
+    draw_table of every state, with this level's entries zero, and a
+    price_table of every set.
+    """
+    batch, dynamics = system.as_batch(), system.dynamics
+    policy = system.as_columns("policy", policy)
+    sets, per_set = dynamics.weights.shape
+    # the sets of each popcount level, largest first, each level in ascending order
+    popcount = ((np.arange(sets)[:, None] >> np.arange(per_set - 1)) & 1).sum(axis=1)
+    levels = [np.flatnonzero(popcount == c) for c in range(per_set - 1, -1, -1)]
+    inverse = np.linalg.inv(basis_blocks(batch, policy))
     entries = np.zeros((4, sets, policy.shape[1]))  # V's draw table, (status, kind) by set
     dv = batch.q
     for level in levels:

@@ -111,7 +111,7 @@ class TestGrantedSetLattice:
     @pytest.mark.parametrize("behavior", list(RequestBehavior))
     def test_the_lattice_lays_out_every_state_level_by_level(self, dims, behavior):
         dynamics = request_dynamics(dims, behavior)
-        (cells, rows), levels, order = dynamics.lattice
+        cells, reads, levels, order, draw = dynamics.lattice
         sets, per_set = dims.num_sets, dims.num_access_bits + 1
         assert np.array_equal(order, np.concatenate(levels))
         order = order.tolist()
@@ -120,19 +120,32 @@ class TestGrantedSetLattice:
         assert [len(level) for level in levels] == [
             math.comb(per_set - 1, c) for c in range(per_set - 1, -1, -1)
         ]
-        assert np.array_equal(dynamics.level_weights, dynamics.drawn_weights[:, :, order])
-        assert dynamics.level_weights.flags.c_contiguous
-        assert cells.shape == rows.shape == (per_set, 2, sets)
-        for j, e, s in np.ndindex(per_set, 2, sets):
+        assert cells.shape == (dims.num_states,) and reads.shape == (2, dims.num_states)
+        assert draw.shape == (sets, 4, 2 * per_set)
+        cell = iter(range(dims.num_states))
+        for s, e, j in np.ndindex(sets, 2, per_set):
+            c = next(cell)
             k, request = order[s], dims.requests[j]
-            assert cells[j, e, s] == dims.state_index(State(Emergency(e), k, request))
-            # allow reads the row of its next set when it moves there, a zero row when not
-            reached = next_access_set(k, request, Action.ALLOW, dims)
-            if reached == k:
-                assert rows[j, e, s] == 2 * sets
-            else:
-                assert rows[j, e, s] == 2 * order.index(reached) + e
-                assert bin(reached).count("1") == count[s] + 1
+            state = State(Emergency(e), k, request)
+            assert cells[c] == dims.state_index(state)
+            # each action reads the mixed kind-0 entry of its next set where it
+            # moves there, else a zero: 6 sets where the state reads its own set's
+            # kind 0, 6 sets + 1 where its kind 1 (once's empty request)
+            for act in ACTIONS:
+                reached = next_access_set(k, request, act, dims)
+                if reached != k:
+                    assert reads[act, c] == 6 * order.index(reached) + 2 + e
+                    assert bin(reached).count("1") == count[s] + 1
+                else:
+                    terminal = request is None and behavior is RequestBehavior.ONCE
+                    assert reads[act, c] == 6 * sets + terminal
+            # draw[s] averages the set's cells of each status by its weights (kind 0)
+            # and picks that status's empty request (kind 1), rows ordered (kind, status)
+            for row, (kind, status) in enumerate(np.ndindex(2, 2)):
+                want = 0.0
+                if status == e:
+                    want = float(j == per_set - 1) if kind else dynamics.weights[k, j]
+                assert draw[s, row, e * per_set + j] == want
 
 
 def clear_shape_caches():
@@ -181,22 +194,20 @@ class TestSharedShapeBuild:
     @pytest.mark.parametrize("behavior", list(RequestBehavior))
     def test_cached_arrays_are_read_only(self, behavior):
         dynamics = request_dynamics(D22, behavior)
-        cells, levels, order = dynamics.lattice
+        cells, reads, levels, order, draw = dynamics.lattice
         arrays = [*row_moves(D22)]
-        arrays += [dynamics.weights, dynamics.draw_index, dynamics.drawn_weights, cells, *levels]
-        arrays.append(order)
+        arrays += [dynamics.weights, dynamics.draw_index, dynamics.drawn_weights, cells, reads]
+        arrays += [*levels, order, draw]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
             with pytest.raises(ValueError, match="read-only"):
                 array += 0
 
-    @pytest.mark.parametrize("behavior", list(RequestBehavior))
-    def test_the_other_cached_arrays_are_read_only(self, behavior):
-        dynamics = request_dynamics(D22, behavior)
-        for array in (dynamics.level_weights, held_resources(D22)):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[0]
+    def test_the_held_resources_are_read_only(self):
+        array = held_resources(D22)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
 
 
 class TestRequestDistribution:

@@ -21,6 +21,8 @@ from acmdp.bellman import (
 )
 from acmdp.experiments import (
     CHUNK_BYTES,
+    GRID_SLACK,
+    MAX_GRID_POINTS,
     SOLVER_ARRAYS,
     _first_crossing,
     SweepSpec,
@@ -75,6 +77,15 @@ class TestSweepSpec:
         for step in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"step must be positive and finite, got {step}"):
                 SweepSpec(builtin_scenario("table2_unique"), 0.0, 1.0, step)
+
+    def test_a_grid_of_max_grid_points_is_accepted_and_one_more_refused(self):
+        # this step puts the float count at MAX_GRID_POINTS exactly
+        sc = builtin_scenario("table2_unique")
+        step = 1.0 / (MAX_GRID_POINTS - 1 + GRID_SLACK)
+        assert (1.0 - 0.0) / step - GRID_SLACK + 1.0 == MAX_GRID_POINTS
+        assert len(SweepSpec(sc, 0.0, 1.0, step).grid()) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match=f"more than the {MAX_GRID_POINTS} a sweep may have"):
+            SweepSpec(sc, 0.0, 1.0, 1.0 / MAX_GRID_POINTS)
 
     def test_step_count_below_the_slack_keeps_start(self):
         # a step count within GRID_SLACK of zero is still one step while
@@ -549,6 +560,20 @@ class TestSelfCheck:
         assert len(checks) == 5
         assert "(bound " in named(checks, "lp_vi_agreement").detail
         assert "exceeds" in named(checks, "policy_agreement").detail
+
+    @pytest.mark.parametrize("name, scale", [("table1", 1), ("table2_all", 1), ("table2_once", 1e9)])
+    def test_the_printed_lp_vi_bound_is_its_derivation(self, name, scale):
+        # VI_TOL shows at beta 0 (table1), VERIFY_TOL / (1 - beta) at beta 0.9, and
+        # the LP's rounding_allowance with every reward scaled up 1e9-fold
+        sc = builtin_scenario(name)
+        sc = dataclasses.replace(
+            sc,
+            reward_access=tuple(scale * x for x in sc.reward_access),
+            reward_resource=tuple(scale * x for x in sc.reward_resource),
+        )
+        lp_values = acmdp.solve_scenario(sc, "lp").values
+        bound = VI_TOL + VERIFY_TOL / (1 - sc.beta) + rounding_allowance(lp_values, sc.beta)
+        assert f"(bound {bound:.3g})" in named(self_check(sc), "lp_vi_agreement").detail
 
     @pytest.mark.parametrize("shift", [-10, 10], ids=["down", "up"])
     def test_values_moved_by_ten_bounds_fail(self, monkeypatch, shift):

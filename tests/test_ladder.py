@@ -1,4 +1,4 @@
-"""tools/ladder.py still runs: one model's layers, timed in this process.
+"""tools/ladder.py still runs: one model's layers, and a comparison of two trees.
 
 The script is loaded from its path, as `python3 tools/ladder.py --model` runs
 it, with every layer called twice and for no least time, so that the check
@@ -53,3 +53,22 @@ def test_measure_times_every_layer_of_table2_once(ladder):
         assert layer["cpu_ms"] > 0, name
     assert result["peak_rss_mb"] > 0
     assert result["table_mib"] > 0
+
+
+def test_against_compares_two_trees_on_the_2x2_models(ladder):
+    # this tree against itself, in alternating fresh processes: a null comparison
+    models = ["2x2-once", "2x2-all"]
+    report = ladder.compare(ladder.ROOT, models, rounds=2, seconds=0)
+    assert list(report) == models
+    for name in models:
+        assert report[name]["rounds"] == 2 and report[name]["states"] == 160
+        assert set(report[name]["layers"]) == set(LAYERS)
+        for layer in report[name]["layers"].values():
+            for side in ("parent", "change"):
+                assert 0 < layer[side]["q1"] <= layer[side]["median"] <= layer[side]["q3"]
+            assert layer["won"] in (0, 1, 2)
+
+
+def test_against_refuses_a_tree_whose_path_has_another_length(ladder):
+    with pytest.raises(ValueError, match="path length"):
+        ladder.compare(ladder.ROOT / "parent", ["2x2-once"], rounds=1, seconds=0)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import (
+    basis_blocks,
     exact_decision_values,
     lattice_solve,
     oracle_compile,
@@ -52,7 +53,7 @@ from acmdp import (
     value_iterate,
     verify_solution,
 )
-from acmdp.bellman import VERIFY_TOL, rounding_allowance
+from acmdp.bellman import EPS, VERIFY_TOL, rounding_allowance
 from acmdp.dynamics import RequestDynamics
 from acmdp.policy import (
     FILE_HEADER,
@@ -65,6 +66,8 @@ from acmdp.policy import (
 from acmdp.value_iteration import DEFAULT_TOL as VI_TOL, ConvergenceError
 
 BOB_HIGH = Access(1, 1)
+KIND_MAJOR = [0, 2, 1, 3]  # a block's (status, kind) rows in the order (kind, status)
+OPERATOR_ULPS = 2  # the closed-form block inverse's error, in EPS kappa(B) ||B^-1|| (infinity norm)
 ALICE_LOW, ALICE_HIGH = Access(0, 0), Access(0, 1)
 
 
@@ -914,17 +917,48 @@ class TestPolicyEvaluate:
 
 
 class TestLevelSolve:
-    """policy_evaluate is bit for bit tests/oracle.py's solve on the whole draw table.
+    """policy_evaluate agrees with tests/oracle.py's LAPACK solve and with exact arithmetic.
 
-    It solves each popcount level on that level's cells alone and prices the
-    states once per basis, with the products and sums of the reference in
-    the reference's order, so every decision value is the same float.
+    It solves each set's block by a closed-form operator, which rounds
+    differently from the reference's np.linalg.inv of the block: the two
+    agree within rounding_allowance, as each agrees with the exact values.
     """
 
     @staticmethod
     def assert_as_the_reference(system, policy):
         dv = policy_evaluate(system, policy)
-        assert bitwise_equal(dv, reference_policy_evaluate(system, policy))
+        want = reference_policy_evaluate(system, policy)
+        assert dv.shape == want.shape
+        assert np.max(np.abs(dv - want)) <= rounding_allowance(want, system.beta)
+
+    @staticmethod
+    def assert_operator_inverts_the_blocks(system, policy):
+        # each set's operator, recorded as policy_evaluate builds it, holds the
+        # inverse of the set's block (I - beta M_k, tests/oracle.py) in the order
+        # (kind, status), and beta E times its kind-0 rows.  A backward-stable
+        # inverse of B lies within a few EPS kappa(B) ||B^-1|| of the exact one
+        # (Higham 2002, section 14.1), so the two lie within OPERATOR_ULPS of
+        # that, in the infinity norm; measured, at most 0.5
+        operators, build = [], acmdp.policy._operator
+
+        def recorded(*args):
+            operators.append(build(*args))
+            return operators[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(acmdp.policy, "_operator", recorded)
+            policy_evaluate(system, policy)
+        batch, plan = system.as_batch(), system.dynamics.lattice
+        blocks = basis_blocks(batch, system.as_columns("policy", policy))[plan.order]
+        blocks = blocks.transpose(1, 0, 2, 3)[..., KIND_MAJOR, :][..., KIND_MAJOR]  # [g, t]
+        inverse = np.linalg.inv(blocks)
+        mixing = batch.mixing[:, :, 0].transpose(2, 0, 1)[:, None]
+        kind0, kind1 = inverse[..., :2, :], inverse[..., 2:, :]
+        want = np.concatenate([kind0, mixing @ kind0, kind1], axis=-2)
+        (operator,) = operators
+        error = np.abs(operator[:, : len(plan.order)] - want).sum(-1).max(-1)
+        scale = EPS * np.abs(blocks).sum(-1).max(-1) * np.abs(inverse).sum(-1).max(-1) ** 2
+        assert np.all(error <= OPERATOR_ULPS * scale)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtins(self, name):
@@ -934,9 +968,41 @@ class TestLevelSolve:
         n = system.num_states
         for policy in (system.q[1] > system.q[0], optimal, *random_policies(7, (3, n))):
             self.assert_as_the_reference(system, policy)
+            self.assert_operator_inverts_the_blocks(system, policy)
         rates = np.random.default_rng(7).random((7, 2))
         batch = system.mix_batch(rates)
         self.assert_as_the_reference(batch, random_policies(8, (n, 7)))
+        self.assert_operator_inverts_the_blocks(batch, random_policies(8, (n, 7)))
+
+    @random_scenarios(
+        40,
+        users=st.integers(1, 3),
+        rates=st.tuples(st.sampled_from([5e-324, 1e-310]) | st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        beta=st.sampled_from([0.0, 0.9999]) | st.floats(0.0, 0.99),
+        mask=st.integers(0, 2**16),
+    )
+    def test_operator_inverts_the_blocks(
+        self, users, resources, behavior, variant, rates, beta, seed, mask
+    ):
+        # beta 0 makes every block I, 0.9999 the worst conditioned; a subnormal
+        # rate underflows the products of E
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        system = compile_system(sc)
+        for policy in (random_policies(mask, system.num_states), system.q[1] > system.q[0]):
+            self.assert_operator_inverts_the_blocks(system, policy)
+
+    @random_scenarios(15, resources=st.integers(1, 2), mask=st.integers(0, 2**16))
+    def test_random_policies_are_exact_within_the_allowance(
+        self, users, resources, behavior, variant, rates, beta, seed, mask
+    ):
+        # on 1x1 to 2x2 models, against tests/oracle.py's pricing in Fraction
+        sc = small_scenario(users, resources, behavior, variant, rates, beta, seed)
+        system = compile_system(sc)
+        for policy in (random_policies(mask, system.num_states), system.q[1] > system.q[0]):
+            dv = policy_evaluate(system, policy)
+            exact = exact_decision_values(sc, policy)
+            error = max(abs(Fraction(x) - y) for x, y in zip(dv.ravel(), exact.ravel()))
+            assert error <= rounding_allowance(dv, beta)
 
     @random_scenarios(
         30, users=st.integers(1, 3), resources=st.integers(1, 3), mask=st.integers(0, 2**16)
@@ -970,7 +1036,7 @@ class TestLevelSolve:
         # 13 levels and 4,096 sets, past the reach of the Hypothesis models
         sc = small_scenario(3, 4, behavior, "eps_accrues", rates=(0.1, 1.0))
         system = compile_system(sc)
-        assert len(system.dynamics.lattice[1]) == 13 and sc.dims.num_sets == 4096
+        assert len(system.dynamics.lattice.levels) == 13 and sc.dims.num_sets == 4096
         for policy in (system.q[1] > system.q[0], random_policies(1, system.num_states)):
             self.assert_as_the_reference(system, policy)
 
@@ -1354,6 +1420,54 @@ class TestValueFiles:
         assert [float(x) for x in said.groups()[2:]] == [float(fields[i]) for i in (4, 6, 7)]
         if edit == "forged, huge":
             assert err.value.line == 8
+
+    @pytest.mark.parametrize("share, passes", [(0.99, True), (1.01, False)])
+    def test_a_value_at_a_share_of_its_bound(self, solved, tmp_path, share, passes):
+        # (calm, 1, alice, low), a state no row reads, is given a value past its
+        # larger decision value by share of its row's bound B_i (residual_share),
+        # which with |V_i| = |top| + d is d = share (c + PRINT_TOL (|top| + d))
+        sol = solved("table2_once")
+        lines = exported(sol, tmp_path).read_text().splitlines()
+        rows = import_values(tmp_path / "values.txt", scenario=sol.scenario).rows
+        system, i = sol.system, sol.scenario.dims.state_index(State(Emergency.CALM, 1, ALICE_LOW))
+        values = np.array([row.value for row in rows])
+        dv = np.array([[row.dv_deny for row in rows], [row.dv_allow for row in rows]])
+        reach = system.beta * np.array([(mat @ np.abs(values))[i] for mat in system.transitions])
+        c = VERIFY_TOL + PRINT_TOL * (np.abs(dv[:, i]).max() + reach.max())
+        c += rounding_allowance(dv, system.beta)
+        top = dv[:, i].max()
+        d = share * (c + PRINT_TOL * abs(top)) / (1.0 - share * PRINT_TOL)
+        rows[i] = rows[i]._replace(value=top + math.copysign(d, top))
+        assert residual_share(system, rows) == pytest.approx(share, rel=1e-6)
+        if passes:
+            acmdp.policy._certify(rows, sol.scenario, lines)
+        else:
+            with pytest.raises(ValueFileError, match="is not the larger of its decision values"):
+                acmdp.policy._certify(rows, sol.scenario, lines)
+
+    @pytest.mark.parametrize("share, passes", [(0.99, True), (1.01, False)])
+    def test_a_decision_value_at_a_share_of_its_bound(self, solved, tmp_path, share, passes):
+        # a row's smaller decision value is written away from the one its values
+        # give by share of PRINT_TOL (|dv| + beta (P^a |V|)_i), with |dv| = |priced| + d,
+        # each priced here with P^a assembled
+        sol = solved("table2_once")
+        lines = exported(sol, tmp_path).read_text().splitlines()
+        rows = import_values(tmp_path / "values.txt", scenario=sol.scenario).rows
+        system, i = sol.system, sol.scenario.dims.state_index(State(Emergency.CALM, 0, ALICE_LOW))
+        values = np.array([row.value for row in rows])
+        a = int(rows[i].dv_allow < rows[i].dv_deny)  # the smaller, by far
+        assert abs(rows[i].dv_allow - rows[i].dv_deny) > 1.0
+        mat = system.transitions[a]
+        priced = system.q[a, i] + system.beta * (mat @ values)[i]
+        reach = system.beta * (mat @ np.abs(values))[i]
+        d = share * PRINT_TOL * (abs(priced) + reach) / (1.0 - share * PRINT_TOL)
+        forged = float(priced + math.copysign(d, priced))
+        rows[i] = rows[i]._replace(**{("dv_deny", "dv_allow")[a]: forged})
+        if passes:
+            acmdp.policy._certify(rows, sol.scenario, lines)
+        else:
+            with pytest.raises(ValueFileError, match="the table's values give dv_deny"):
+                acmdp.policy._certify(rows, sol.scenario, lines)
 
     def test_exponents_are_read(self, solved, tmp_path):
         # %.12g exports write large and small numbers with an exponent; a sign and a

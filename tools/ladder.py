@@ -2,6 +2,7 @@
 
     python3 tools/ladder.py                          # to BENCH_baseline.json
     python3 tools/ladder.py --out BENCH_new.json
+    python3 tools/ladder.py --against ../parent --rounds 5 --models 3x4-once
 
 The models are random 2x2, 2x3, 3x3 and 3x4 scenarios (users x resources)
 under the once and all request behaviours, each seeded and with rates
@@ -23,6 +24,15 @@ and is reported as CPU and wall milliseconds: its first call, which builds the
 per-shape caches, and the median of the calls after it.  A model's peak_rss_mb
 is its process's high-water resident set (VmHWM; ru_maxrss where /proc is
 missing).  BLAS runs on one thread, as in bench/run.py.
+
+One full run measures the machine's state as much as the code, so only a
+comparison made in one session supports a claim.  --against DIR runs each
+model's processes in ROUNDS rounds, each a process importing DIR's src and
+one importing this tree's, in alternating order; both run this script's
+measure.  Each layer is reported by both sides' medians and interquartile
+ranges of CPU ms over the rounds, and the rounds whose change process read
+it faster.  The two trees' paths must have the same length: the length of
+the checkout's path has moved a benchmark's timings.
 """
 
 from __future__ import annotations
@@ -44,7 +54,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+# a process of --against imports the package named by --src, before any import of it
+SRC = sys.argv[sys.argv.index("--src") + 1] if "--src" in sys.argv else str(ROOT / "src")
+sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
@@ -71,6 +83,7 @@ SEED = 1
 SECONDS = 1.0  # least time each layer is called for
 CALLS = 3  # least calls of each layer: the first is reported apart from the median
 LOOKUPS = 1000  # queries of one lookup call
+ROUNDS = 5  # rounds of --against
 
 
 def scenario(name: str) -> Scenario:
@@ -167,31 +180,104 @@ def measure(name: str) -> dict:
     }
 
 
+def child(name: str, seconds: float) -> dict:
+    """measure(name), each layer called for at least seconds: a --model process's work."""
+    global SECONDS
+    SECONDS = seconds
+    return measure(name)
+
+
+def run_model(name: str, src: Path, seconds: float) -> dict:
+    """measure(name) in a fresh process that imports the package from src."""
+    command = [sys.executable, __file__, "--model", name, "--src", str(src), "--seconds", str(seconds)]
+    began = time.perf_counter()
+    out = subprocess.run(command, check=True, capture_output=True, text=True).stdout
+    result = json.loads(out)
+    result["process_s"] = time.perf_counter() - began
+    return result
+
+
+def quartiles(samples: list[float]) -> tuple[float, float, float]:
+    """The first quartile, median and third quartile of samples."""
+    if len(samples) == 1:
+        return samples[0], samples[0], samples[0]
+    low, median, high = statistics.quantiles(samples, n=4, method="inclusive")
+    return low, median, high
+
+
+def compare(against: Path, models: list[str], rounds: int, seconds: float) -> dict:
+    """Each layer of each model, by alternating fresh processes of against's src and ROOT's.
+
+    Round r runs the parent first when r is even.  A layer's entry holds
+    both sides' quartiles of CPU ms over the rounds and the rounds whose
+    change process read it faster.
+    """
+    trees = {"parent": Path(against).resolve(), "change": ROOT}
+    if len(str(trees["parent"])) != len(str(ROOT)):
+        raise ValueError(
+            f"{trees['parent']} and {ROOT} differ in path length; "
+            f"put the two trees in directories whose paths have the same length"
+        )
+    report = {}
+    for name in models:
+        runs = {"parent": [], "change": []}
+        for r in range(rounds):
+            for side in ("parent", "change")[:: 1 if r % 2 == 0 else -1]:
+                runs[side].append(run_model(name, trees[side] / "src", seconds))
+        layers = {}
+        for layer in runs["change"][0]["layers"]:
+            ms = {side: [run["layers"][layer]["cpu_ms"] for run in runs[side]] for side in runs}
+            layers[layer] = {
+                **{side: dict(zip(("q1", "median", "q3"), quartiles(ms[side]))) for side in ms},
+                "won": sum(new < old for old, new in zip(ms["parent"], ms["change"])),
+            }
+        report[name] = {"rounds": rounds, "states": runs["change"][0]["states"], "layers": layers}
+        print(f"{name}: {report[name]['states']} states")
+        for layer, row in layers.items():
+            parent, change = row["parent"], row["change"]
+            print(
+                f"  {layer:16} {parent['median']:10.4g} [{parent['q1']:.4g}, {parent['q3']:.4g}]"
+                f" -> {change['median']:10.4g} [{change['q1']:.4g}, {change['q3']:.4g}] ms,"
+                f" won {row['won']}/{rounds}"
+            )
+    return report
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_baseline.json")
+    parser.add_argument("--out", type=Path, help="report path (default BENCH_baseline.json)")
+    parser.add_argument("--against", type=Path, help="compare with the tree at this path")
+    parser.add_argument("--rounds", type=int, default=ROUNDS, help="rounds of --against")
+    parser.add_argument("--models", nargs="+", choices=MODELS, default=MODELS)
+    parser.add_argument("--seconds", type=float, default=SECONDS, help="least time per layer")
     parser.add_argument("--model", choices=MODELS, help=argparse.SUPPRESS)
+    parser.add_argument("--src", help=argparse.SUPPRESS)  # read before the imports above
     args = parser.parse_args()
     if args.model:  # the child: one model, as JSON on stdout
-        print(json.dumps(measure(args.model)))
+        print(json.dumps(child(args.model, args.seconds)))
         return 0
-    results = {}
-    for name in MODELS:
-        began = time.perf_counter()
-        child = [sys.executable, __file__, "--model", name]
-        out = subprocess.run(child, check=True, capture_output=True, text=True).stdout
-        results[name] = json.loads(out)
-        results[name]["process_s"] = time.perf_counter() - began
-        print(f"{name}: {results[name]['states']} states, {results[name]['process_s']:.1f} s")
-    report = {
+    header = {
         "command": " ".join(["python3", "tools/ladder.py", *sys.argv[1:]]),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "models": results,
     }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"written to {args.out}")
+    if args.against:
+        try:
+            report = {**header, "models": compare(args.against, args.models, args.rounds, args.seconds)}
+        except ValueError as error:
+            parser.error(str(error))
+        if args.out:
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
+            print(f"written to {args.out}")
+        return 0
+    results = {}
+    for name in args.models:
+        results[name] = run_model(name, ROOT / "src", args.seconds)
+        print(f"{name}: {results[name]['states']} states, {results[name]['process_s']:.1f} s")
+    out = args.out or ROOT / "BENCH_baseline.json"
+    out.write_text(json.dumps({**header, "models": results}, indent=1) + "\n")
+    print(f"written to {out}")
     return 0
 
 
