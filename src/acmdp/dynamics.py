@@ -101,7 +101,7 @@ class Lattice(NamedTuple):
     reads: np.ndarray  # (2, n), by action
     levels: tuple[np.ndarray, ...]  # the sets of each popcount level, the full set's first
     order: np.ndarray  # their concatenation, the level order
-    draw: np.ndarray  # [t, (kind, e), cell of t]: kind 0 by its weights, kind 1 its empty request
+    draw: np.ndarray  # [t, request, kind]: kind 0 t's weights, kind 1 picks the empty request
 
 
 @dataclass(frozen=True)
@@ -162,16 +162,15 @@ class RequestDynamics:
         )
         states = (status[..., 0] * sets + order) * per_set  # [e, s]: each cell's first state
         cells = states.T[..., None] + np.arange(per_set)
-        draw = np.zeros((sets, 2, 2, 2, per_set))  # [s, kind, e, e2, j]
-        for e in range(2):
-            draw[:, 0, e, e] = self.weights[order]
-            draw[:, 1, e, e, -1] = 1.0
+        draw = np.zeros((sets, per_set, 2))
+        draw[..., 0] = self.weights[order]
+        draw[:, -1, 1] = 1.0
         return Lattice(
             _shared(cells.ravel()),
             _shared(reads.transpose(0, 2, 1, 3).reshape(2, -1)),
             tuple(map(_shared, levels)),
             _shared(order),
-            _shared(draw.reshape(sets, 4, 2 * per_set)),
+            _shared(draw),
         )
 
 

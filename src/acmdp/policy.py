@@ -73,8 +73,9 @@ def policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
     (_operator): four rows give T_k from b_k, and two give beta E times
     T_k's kind-0 entries, which the level below reads.  A level then makes
     four numpy calls: it gathers what its cells read, adds q_pi, and
-    applies its sets' draw matrices (RequestDynamics.lattice) and then
-    their operators, each a stacked matrix-vector product per column.
+    applies its sets' draw matrices (RequestDynamics.lattice), which give
+    each status's two entries of b_k, and then their operators, each a
+    stacked matmul per column.
     After the last level, one price_table of the solved entries gives the
     decision values.  The closed form rounds differently from an LU solve
     of each block: it agrees with tests/oracle.py's reference within
@@ -83,27 +84,28 @@ def policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.ndarray:
     batch, plan = system.as_batch(), system.dynamics.lattice
     policy = system.as_columns("policy", policy)
     columns, sets = policy.shape[1], len(plan.order)
-    # per column and cell, laid out [g, set, (status, request)]: q_pi, and where
+    # per column and cell, laid out [g, set, status, request]: q_pi, and where
     # its value reads the solved table, made a flat index into it below
     q = np.where(policy, batch.q[1], batch.q[0]).T.take(plan.cells, axis=1)
     reads = np.where(policy.T.take(plan.cells, axis=1), plan.reads[1], plan.reads[0])
-    own = (reads == 6 * sets).reshape(columns, sets, -1, 1)
+    shape = (columns, sets, 2, -1)
+    own = (reads == 6 * sets).reshape(shape)
     # s, [g, t, e], and after the last set s = (1, 1): that A is I - beta E, once's kind-1 block
     shares = np.ones((columns, sets + 1, 2, 1))
-    np.matmul(plan.draw[:, :2], own, out=shares[:, :sets])
-    # w: the weight of the last cell, status 1's empty request, in its status's kind 0
-    exits = plan.draw[:, 1, -1] if system.dynamics.terminal else None
+    np.matmul(own, plan.draw[..., :1], out=shares[:, :sets])
+    # w: the weight of the empty request, the last cell of each status
+    exits = plan.draw[:, -1, 0] if system.dynamics.terminal else None
     operator = _operator(batch.mixing[:, :, 0].transpose(2, 0, 1), shares[..., 0], exits)
     solved = np.zeros((columns, sets + 1, 6))
     reads += np.arange(0, solved.size, solved[0].size)[:, None]
-    reads, q, flat = reads.reshape(columns, sets, -1), q.reshape(columns, sets, -1), solved.ravel()
+    reads, q, flat = reads.reshape(shape), q.reshape(shape), solved.ravel()
     stop = 0
     for level in plan.levels:
         here = slice(stop, stop := stop + len(level))
         values = flat.take(reads[:, here])
         values += q[:, here]
-        rhs = np.matmul(plan.draw[here], values[..., None])
-        np.matmul(operator[:, here], rhs, out=solved[:, here, :, None])
+        rhs = np.matmul(values, plan.draw[here])  # b, [g, t, e, kind]
+        np.matmul(operator[:, here], rhs.reshape(columns, -1, 4, 1), out=solved[:, here, :, None])
     table = np.empty((2, 2, sets, columns))  # [e, kind, set, g], as draw_table's
     table[:, :, plan.order] = solved[:, :sets].reshape(columns, sets, 3, 2)[:, :, ::2].T
     return price_table(batch, table).reshape(system.q.shape)
@@ -114,23 +116,25 @@ def _operator(mixing: np.ndarray, shares: np.ndarray, exits: np.ndarray | None) 
 
     mixing is beta E, (G, 2, 2); shares is s, (G, sets + 1, 2), (1, 1) after
     the last set; exits is w per set under once, else None.  Row blocks: T's
-    kind-0 entries, beta E times them, T's kind-1 entries; column blocks:
-    b's kind 0, kind 1.  The last row is no set's: it holds (I - beta E)^-1
-    and beta E times that, which under once give every set's kind 1.
+    kind-0 entries, beta E times them, T's kind-1 entries; columns: b's
+    entries in the order (status, kind), as the draw matrices give them.
+    The last row is no set's: it holds (I - beta E)^-1 and beta E times
+    that, which under once give every set's kind 1.
     """
-    operator = np.zeros((*shares.shape[:2], 6, 4))
-    inverse, mixed = operator[..., :2, :2], operator[..., 2:4, :2]
+    operator = np.zeros((*shares.shape[:2], 6, 2, 2))
+    kinds = operator.swapaxes(-1, -2)  # its column blocks: b's kind 0, kind 1
+    inverse, mixed = kinds[..., :2, 0, :], kinds[..., 2:4, 0, :]
     _resolvent(shares[..., None] * mixing[:, None], out=inverse)
     np.matmul(mixing[:, None], inverse, out=mixed)
     if exits is None:  # T's kind 1 is b's plus beta E times T's kind 0
-        operator[..., 4:, :2] = mixed
-        operator[..., 4:, 2:] = _IDENTITY
+        kinds[..., 4:, 0, :] = mixed
+        kinds[..., 4:, 1, :] = _IDENTITY
     else:  # T's kind 1 solves alone, and kind 0 reads it through w beta E
-        sets = operator[:, :-1]
-        np.matmul(sets[..., :4, :2], mixed[:, -1:], out=sets[..., :4, 2:])
-        sets[..., :4, 2:] *= exits[:, None, None]
-        sets[..., 4:, 2:] = inverse[:, -1:]
-    return operator
+        sets = kinds[:, :-1]
+        np.matmul(sets[..., :4, 0, :], mixed[:, -1:], out=sets[..., :4, 1, :])
+        sets[..., :4, 1, :] *= exits[:, None, None]
+        sets[..., 4:, 1, :] = inverse[:, -1:]
+    return operator.reshape(*shares.shape[:2], 6, 4)
 
 
 _IDENTITY = np.eye(2)

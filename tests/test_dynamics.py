@@ -121,7 +121,7 @@ class TestGrantedSetLattice:
             math.comb(per_set - 1, c) for c in range(per_set - 1, -1, -1)
         ]
         assert cells.shape == (dims.num_states,) and reads.shape == (2, dims.num_states)
-        assert draw.shape == (sets, 4, 2 * per_set)
+        assert draw.shape == (sets, per_set, 2)
         cell = iter(range(dims.num_states))
         for s, e, j in np.ndindex(sets, 2, per_set):
             c = next(cell)
@@ -139,13 +139,10 @@ class TestGrantedSetLattice:
                 else:
                     terminal = request is None and behavior is RequestBehavior.ONCE
                     assert reads[act, c] == 6 * sets + terminal
-            # draw[s] averages the set's cells of each status by its weights (kind 0)
-            # and picks that status's empty request (kind 1), rows ordered (kind, status)
-            for row, (kind, status) in enumerate(np.ndindex(2, 2)):
-                want = 0.0
-                if status == e:
-                    want = float(j == per_set - 1) if kind else dynamics.weights[k, j]
-                assert draw[s, row, e * per_set + j] == want
+            # draw[s] averages each status's cells of the set by its weights (kind 0)
+            # and picks that status's empty request (kind 1)
+            assert draw[s, j, 0] == dynamics.weights[k, j]
+            assert draw[s, j, 1] == float(j == per_set - 1)
 
 
 def clear_shape_caches():

@@ -956,7 +956,8 @@ class TestLevelSolve:
         kind0, kind1 = inverse[..., :2, :], inverse[..., 2:, :]
         want = np.concatenate([kind0, mixing @ kind0, kind1], axis=-2)
         (operator,) = operators
-        error = np.abs(operator[:, : len(plan.order)] - want).sum(-1).max(-1)
+        # the operator's columns are in the order (status, kind)
+        error = np.abs(operator[:, : len(plan.order), :, KIND_MAJOR] - want).sum(-1).max(-1)
         scale = EPS * np.abs(blocks).sum(-1).max(-1) * np.abs(inverse).sum(-1).max(-1) ** 2
         assert np.all(error <= OPERATOR_ULPS * scale)
 

@@ -2,7 +2,7 @@
 
     python3 tools/ladder.py                          # to BENCH_baseline.json
     python3 tools/ladder.py --out BENCH_new.json
-    python3 tools/ladder.py --against ../parent --rounds 5 --models 3x4-once
+    python3 tools/ladder.py --against ../parent --out BENCH_against.json
 
 The models are random 2x2, 2x3, 3x3 and 3x4 scenarios (users x resources)
 under the once and all request behaviours, each seeded and with rates
@@ -29,10 +29,11 @@ One full run measures the machine's state as much as the code, so only a
 comparison made in one session supports a claim.  --against DIR runs each
 model's processes in ROUNDS rounds, each a process importing DIR's src and
 one importing this tree's, in alternating order; both run this script's
-measure.  Each layer is reported by both sides' medians and interquartile
-ranges of CPU ms over the rounds, and the rounds whose change process read
-it faster.  The two trees' paths must have the same length: the length of
-the checkout's path has moved a benchmark's timings.
+measure, each layer for AGAINST_SECONDS.  Each layer is reported by both
+sides' medians and interquartile ranges of CPU ms over the rounds, and the
+rounds whose change process read it faster.  The two trees' paths must have
+the same length: the length of the checkout's path has moved a benchmark's
+timings.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parents[1]
-# a process of --against imports the package named by --src, before any import of it
-SRC = sys.argv[sys.argv.index("--src") + 1] if "--src" in sys.argv else str(ROOT / "src")
-sys.path.insert(0, SRC)
+# run_model names the src a --model process imports the package from
+sys.path.insert(0, os.environ.get("LADDER_SRC", str(ROOT / "src")))
 
 import numpy as np  # noqa: E402
 
@@ -84,6 +84,7 @@ SECONDS = 1.0  # least time each layer is called for
 CALLS = 3  # least calls of each layer: the first is reported apart from the median
 LOOKUPS = 1000  # queries of one lookup call
 ROUNDS = 5  # rounds of --against
+AGAINST_SECONDS = 0.3  # least time each layer is called for in a round of --against
 
 
 def scenario(name: str) -> Scenario:
@@ -106,11 +107,11 @@ def scenario(name: str) -> Scenario:
     )
 
 
-def timed(fn) -> dict:
+def timed(fn, seconds: float) -> dict:
     """fn's first call and the median of those after it, in CPU and wall ms."""
     cpu, wall = [], []
     began = time.perf_counter()
-    while len(cpu) < CALLS or time.perf_counter() - began < SECONDS:
+    while len(cpu) < CALLS or time.perf_counter() - began < seconds:
         c, w = time.process_time(), time.perf_counter()
         fn()
         cpu.append(1e3 * (time.process_time() - c))
@@ -135,30 +136,30 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def measure(name: str) -> dict:
-    """Every layer of one model, in this process."""
+def measure(name: str, seconds: float) -> dict:
+    """Every layer of one model, in this process, each called for at least seconds."""
     sc = scenario(name)
-    layers = {"compile": timed(lambda: compile_system(sc))}
+    layers = {"compile": timed(lambda: compile_system(sc), seconds)}
     system = compile_system(sc)
     for solver in ("lp", "vi"):
-        layers[f"solve_{solver}"] = timed(lambda: solve_system(system, solver))
+        layers[f"solve_{solver}"] = timed(lambda: solve_system(system, solver), seconds)
     spec = SweepSpec(sc)
     for solver in ("lp", "vi"):
-        layers[f"sweep_{solver}"] = timed(lambda: run_sweep(spec, solver))
+        layers[f"sweep_{solver}"] = timed(lambda: run_sweep(spec, solver), seconds)
     solution = solve_system(system, "lp")
     allow = solution.policy.actions.astype(bool)
-    layers["policy_evaluate"] = timed(lambda: policy_evaluate(system, allow))
+    layers["policy_evaluate"] = timed(lambda: policy_evaluate(system, allow), seconds)
     values = solution.values
-    layers["decision_values"] = timed(lambda: decision_values(system, values))
-    layers["verify"] = timed(lambda: verify_solution(values, solution.dv))
+    layers["decision_values"] = timed(lambda: decision_values(system, values), seconds)
+    layers["verify"] = timed(lambda: verify_solution(values, solution.dv), seconds)
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "values.txt"
-        layers["export"] = timed(lambda: export_values(solution, path))
-        layers["import"] = timed(lambda: import_values(path, scenario=sc))
+        layers["export"] = timed(lambda: export_values(solution, path), seconds)
+        layers["import"] = timed(lambda: import_values(path, scenario=sc), seconds)
         table = import_values(path, scenario=sc)
         picks = np.random.default_rng(SEED).integers(len(table.rows), size=LOOKUPS)
         queries = [table.rows[i][:4] for i in picks]
-        layers["lookup"] = timed(lambda: [table.lookup(*query) for query in queries])
+        layers["lookup"] = timed(lambda: [table.lookup(*query) for query in queries], seconds)
         peak = peak_rss_mb()
         # table is still held: freed, it would fill the interpreter's free lists,
         # and tracemalloc does not see an object taken from them
@@ -180,18 +181,12 @@ def measure(name: str) -> dict:
     }
 
 
-def child(name: str, seconds: float) -> dict:
-    """measure(name), each layer called for at least seconds: a --model process's work."""
-    global SECONDS
-    SECONDS = seconds
-    return measure(name)
-
-
 def run_model(name: str, src: Path, seconds: float) -> dict:
-    """measure(name) in a fresh process that imports the package from src."""
-    command = [sys.executable, __file__, "--model", name, "--src", str(src), "--seconds", str(seconds)]
+    """measure(name, seconds) in a fresh process that imports the package from src."""
+    command = [sys.executable, __file__, "--model", name, "--seconds", str(seconds)]
+    env = {**os.environ, "LADDER_SRC": str(src)}
     began = time.perf_counter()
-    out = subprocess.run(command, check=True, capture_output=True, text=True).stdout
+    out = subprocess.run(command, check=True, capture_output=True, text=True, env=env).stdout
     result = json.loads(out)
     result["process_s"] = time.perf_counter() - began
     return result
@@ -247,14 +242,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, help="report path (default BENCH_baseline.json)")
     parser.add_argument("--against", type=Path, help="compare with the tree at this path")
-    parser.add_argument("--rounds", type=int, default=ROUNDS, help="rounds of --against")
-    parser.add_argument("--models", nargs="+", choices=MODELS, default=MODELS)
-    parser.add_argument("--seconds", type=float, default=SECONDS, help="least time per layer")
+    # a run_model process: one model, as JSON on stdout
     parser.add_argument("--model", choices=MODELS, help=argparse.SUPPRESS)
-    parser.add_argument("--src", help=argparse.SUPPRESS)  # read before the imports above
+    parser.add_argument("--seconds", type=float, default=SECONDS, help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.model:  # the child: one model, as JSON on stdout
-        print(json.dumps(child(args.model, args.seconds)))
+    if args.model:
+        print(json.dumps(measure(args.model, args.seconds)))
         return 0
     header = {
         "command": " ".join(["python3", "tools/ladder.py", *sys.argv[1:]]),
@@ -264,7 +257,7 @@ def main() -> int:
     }
     if args.against:
         try:
-            report = {**header, "models": compare(args.against, args.models, args.rounds, args.seconds)}
+            report = {**header, "models": compare(args.against, MODELS, ROUNDS, AGAINST_SECONDS)}
         except ValueError as error:
             parser.error(str(error))
         if args.out:
@@ -272,8 +265,8 @@ def main() -> int:
             print(f"written to {args.out}")
         return 0
     results = {}
-    for name in args.models:
-        results[name] = run_model(name, ROOT / "src", args.seconds)
+    for name in MODELS:
+        results[name] = run_model(name, ROOT / "src", SECONDS)
         print(f"{name}: {results[name]['states']} states, {results[name]['process_s']:.1f} s")
     out = args.out or ROOT / "BENCH_baseline.json"
     out.write_text(json.dumps({**header, "models": results}, indent=1) + "\n")
