@@ -55,7 +55,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parents[1]
-# run_model names the src a --model process imports the package from
+# run_model names, in the environment, the src a --model process imports
+# the package from (LADDER_SRC) and each layer's least time (LADDER_SECONDS)
 sys.path.insert(0, os.environ.get("LADDER_SRC", str(ROOT / "src")))
 
 import numpy as np  # noqa: E402
@@ -183,8 +184,8 @@ def measure(name: str, seconds: float) -> dict:
 
 def run_model(name: str, src: Path, seconds: float) -> dict:
     """measure(name, seconds) in a fresh process that imports the package from src."""
-    command = [sys.executable, __file__, "--model", name, "--seconds", str(seconds)]
-    env = {**os.environ, "LADDER_SRC": str(src)}
+    command = [sys.executable, __file__, "--model", name]
+    env = {**os.environ, "LADDER_SRC": str(src), "LADDER_SECONDS": str(seconds)}
     began = time.perf_counter()
     out = subprocess.run(command, check=True, capture_output=True, text=True, env=env).stdout
     result = json.loads(out)
@@ -193,9 +194,7 @@ def run_model(name: str, src: Path, seconds: float) -> dict:
 
 
 def quartiles(samples: list[float]) -> tuple[float, float, float]:
-    """The first quartile, median and third quartile of samples."""
-    if len(samples) == 1:
-        return samples[0], samples[0], samples[0]
+    """The first quartile, median and third quartile of two or more samples."""
     low, median, high = statistics.quantiles(samples, n=4, method="inclusive")
     return low, median, high
 
@@ -242,12 +241,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, help="report path (default BENCH_baseline.json)")
     parser.add_argument("--against", type=Path, help="compare with the tree at this path")
-    # a run_model process: one model, as JSON on stdout
     parser.add_argument("--model", choices=MODELS, help=argparse.SUPPRESS)
-    parser.add_argument("--seconds", type=float, default=SECONDS, help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.model:
-        print(json.dumps(measure(args.model, args.seconds)))
+    if args.model:  # a run_model process: one model, as JSON on stdout
+        print(json.dumps(measure(args.model, float(os.environ.get("LADDER_SECONDS", SECONDS)))))
         return 0
     header = {
         "command": " ".join(["python3", "tools/ladder.py", *sys.argv[1:]]),
