@@ -17,9 +17,10 @@ and TV + beta / (1 - beta) M (MacQueen 1966, Porteus 1971; Puterman 1994,
 section 6.6), so the midpoint TV + beta / (1 - beta) (M + m) / 2 is within
 beta / (1 - beta) (M - m) / 2 of them.  A column stops once that is at most
 DEFAULT_TOL, which each sweep reads when it runs, and returns the midpoint.
-Since M - m <= 2 ||d||, this stops no later than the sup-norm rule
-(Puterman 1994, Theorem 6.3.1), and far sooner where the values still
-drift by a near-constant step, as a cold start at high beta does.  Where
+Since M - m <= 2 ||d||, on the same iterates this stops no later than the
+sup-norm rule (Puterman 1994, Theorem 6.3.1), and far sooner where the
+values still drift by a near-constant step, as a cold start at high beta
+does.  Where
 the bound lies below the rounding of the values (high beta, large values),
 a column stops instead once (M - m) / 2 is at most eps max|V|, about one
 unit in the last place of its largest value; bellman.rounding_allowance
@@ -32,6 +33,24 @@ to 1, so each optimal decision value q^a + beta P^a V* lies within
 [m, M] beta / (1 - beta) of the one V gives, and the optimal gap within
 beta / (1 - beta) (M - m) of V's.  Once V's gap exceeds that plus
 2 beta rounding_allowance(V, beta) in size, its sign is the optimal gap's.
+
+A column's span M - m often falls by a steady ratio long before it stops
+(0.45 a sweep on table2_all, 0.32 on table2_once), the geometric decay of
+one mode of V* - V.  Where a column's span ratio r, its span over the last
+sweep's, is within STEADY_TOL r of the ratio before it and r <= beta, the
+column jumps to that mode's limit (Porteus and Totten 1978; Puterman 1994,
+section 6.6): its next V is TV + r / (1 - r) (TV - V), not TV, and its
+scale grows by r / (1 - r) max|TV - V|, so it still bounds max|V|.  None
+of the stops above assumes V came from a backup: their bounds hold for
+whatever V a sweep prices, so a jump changes how many sweeps a column
+takes and nothing it returns is proven differently.  A mode whose sign
+alternates keeps a steady span ratio too, and a jump along it moves away
+from V*.  So where the sweep after a jump finds a span no smaller than
+the one before it, the column goes back to the plain iterate TV, kept for
+that sweep, and never jumps again: a failed jump costs one sweep.  The
+test starts once a column has two ratios, in its third sweep.  A column
+jumps on its own ratios alone, and a column that does not jump keeps TV
+to the bit, so its values stay independent of its batch.
 """
 
 from __future__ import annotations
@@ -46,8 +65,12 @@ from .states import Action
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
-# a solver's state between steps: arrays with a column per column of the batch, last axis
-Columns = tuple[np.ndarray, ...]
+# how far, as a share of the newer, two successive span ratios of a column
+# may differ for it to jump (see the module docstring)
+STEADY_TOL = 0.05
+# a solver's state between steps: arrays with a column per column of the batch,
+# last axis, or None
+Columns = tuple[np.ndarray | None, ...]
 
 
 class ConvergenceError(RuntimeError):
@@ -66,7 +89,8 @@ def solve_columns(
 
     first(batch, start) gives the state from start's (n, G) columns or None.
     step(batch, state) gives the next state, the columns that stop at the
-    solver's own tolerance and their values, or None if none does.  A
+    solver's own tolerance and their values, or None if none does; an
+    entry of the state may be None, for none yet.  A
     stopped column keeps them and leaves the batch and the state, so later
     steps take only the columns still running.  After budget steps it
     raises ConvergenceError with failure, formatted with budget and beta.
@@ -97,7 +121,7 @@ def solve_columns(
                 return result.reshape(system.q.shape[1:]), count
             keep = ~stop
             running, batch = running[keep], batch.columns(keep)
-            state = tuple(array.compress(keep, -1) for array in state)
+            state = tuple(a if a is None else a.compress(keep, -1) for a in state)
     raise ConvergenceError(failure.format(budget=budget, beta=system.beta))
 
 
@@ -111,7 +135,8 @@ def value_iterate(
     rounding-level stop leaves an error of at most beta / (1 - beta) eps
     max|V|, inside bellman.rounding_allowance.  Any start converges to the
     same fixed point; a start near it only saves sweeps.  The count is of
-    backups, at most DEFAULT_MAX_ITER.
+    backups, at most DEFAULT_MAX_ITER; a jump (see the module docstring)
+    makes none of its own.
 
     With sign_of, a state, a column also stops once the sign of its
     allow - deny at that state is proven: once the gap, read from the
@@ -133,17 +158,25 @@ def _first_values(batch: BellmanSystem, start: np.ndarray | None) -> Columns:
     # takes it; a column's is evaluated afresh only once its span is small enough
     # to be rounding, which spares that cost per sweep and leaves each column's
     # stop to its own values
-    return values, np.maximum(np.abs(values).max(axis=0), TINY)
+    scale = np.maximum(np.abs(values).max(axis=0), TINY)
+    # the largest span ratio at which a column jumps: beta, or -1 once a jump failed
+    cap = np.full(scale.shape, batch.beta)
+    # no half span, span ratio, plain iterate or jump yet
+    return values, scale, None, None, cap, None, None
 
 
 def _sweep(
     batch: BellmanSystem, state: Columns, sign_of: int | None
 ) -> tuple[Columns, np.ndarray, np.ndarray | None]:
-    """One kernel call and every stop (see the module docstring), as a solve_columns step.
+    """One kernel call, every stop and the jump (see the module docstring), as a solve_columns step.
 
     A stopped column returns its bounds' midpoint, or values if its sign is proven.
+    Besides values and scale, the state holds each column's last half span
+    and span ratio and the largest ratio at which it may jump, and for one
+    sweep after a jump the plain iterate and each column's half span before
+    it (inf where it did not jump).
     """
-    values, scale = state
+    values, scale, spans, ratios, cap, plain, ceiling = state
     dv = decision_values(batch, values)
     if sign_of is not None:
         gap = dv[Action.ALLOW, sign_of] - dv[Action.DENY, sign_of]
@@ -152,23 +185,53 @@ def _sweep(
     factor = batch.beta / (1.0 - batch.beta)
     step = updated - values
     top, bottom = step.max(axis=0), step.min(axis=0)
-    del step  # free it before the stopped columns' values are formed
     half_span = 0.5 * (top - bottom)
     stop = ~(factor * half_span > DEFAULT_TOL)  # NaN stops, for solve_columns to refuse
-    proven = np.zeros_like(stop)
+    proven = None
     if sign_of is not None:
         # scale bounds max(max|values|, TINY) from above, so this bounds rounding_allowance
         allowance = ROUNDING_ULPS * EPS * scale / (1.0 - batch.beta)
         proven = np.abs(gap) > 2.0 * (factor * half_span + batch.beta * allowance)
         stop |= proven
-    scale += np.maximum(top, -bottom)
+    norm = np.maximum(top, -bottom)
+    scale += norm
     rounding = (half_span <= EPS * scale) & ~stop
     if rounding.any():
         scale[rounding] = np.maximum(np.abs(updated[:, rounding]).max(axis=0), TINY)
         stop |= half_span <= EPS * scale
+    ratio = None if spans is None else half_span / spans
+    jump = None
+    if ratios is not None:  # a column that goes back below has ratio >= 1 > cap
+        jump = (np.abs(ratio - ratios) <= STEADY_TOL * ratio) & (ratio <= cap) & ~stop
+        if not jump.any():
+            jump = None
+    if jump is None:
+        del step  # free it before the stopped columns' values are formed
     midpoints = None
     if stop.any():
         midpoints = updated[:, stop]  # in place below: a second copy would set the peak
         midpoints += factor * 0.5 * (top[stop] + bottom[stop])
-        midpoints[:, proven[stop]] = values[:, proven]
-    return (updated, scale), stop, midpoints
+        if proven is not None:
+            midpoints[:, proven[stop]] = values[:, proven]
+    if ceiling is not None:
+        # a jump whose span did not fall goes back to its plain iterate and
+        # jumps no more; a stopped column's values are formed above
+        undo = half_span >= ceiling
+        if undo.any():
+            updated[:, undo] = plain[:, undo]
+            scale[undo] = np.maximum(np.abs(updated[:, undo]).max(axis=0), TINY)
+            cap[undo] = -1.0
+    if jump is None:
+        return (updated, scale, half_span, ratio, cap, None, None), stop, midpoints
+    # -r / (1 - r) where a column jumps and -0 elsewhere, made +0, so that
+    # updated - step is TV + r / (1 - r) (TV - V) where it jumps and, to the
+    # bit, TV elsewhere; a jump needs two ratios, so values is an array an
+    # earlier sweep made, and its buffer takes the result
+    shrink = np.where(jump, ratio, 0.0)
+    shrink /= shrink - 1.0
+    scale -= shrink * norm  # scale still bounds max|V|
+    step *= shrink
+    step += 0.0
+    np.subtract(updated, step, out=values)
+    ceiling = np.where(jump, half_span, np.inf)
+    return (values, scale, half_span, ratio, cap, updated, ceiling), stop, midpoints

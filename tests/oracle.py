@@ -26,6 +26,12 @@ level at a time by np.linalg.inv of those blocks, on the whole draw table
 at every level.  policy.policy_evaluate solves each block by a closed form
 instead, which rounds differently: it must agree with the reference within
 rounding_allowance, and its operators with np.linalg.inv of the blocks.
+
+plain_value_iterate is value iteration without its jumps: every sweep's
+next values are its backup, and each column stops on value_iterate's span
+bound or rounding stop, at the same midpoint.  value_iterate must take no
+more sweeps than it on the grids the tests pin, and agree with its values
+within the bound both prove.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 
-from acmdp.bellman import BellmanSystem, draw_table, price_table
+from acmdp.bellman import EPS, TINY, BellmanSystem, decision_values, draw_table, price_table
 from acmdp.dynamics import RequestBehavior
 from acmdp.rewards import RewardVariant, Scenario
 from acmdp.states import (
@@ -48,6 +54,7 @@ from acmdp.states import (
     access_bit_index,
     set_insert,
 )
+from acmdp.value_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_columns
 
 
 def all_states(dims: ModelDims) -> list[State]:
@@ -302,3 +309,29 @@ def reference_policy_evaluate(system: BellmanSystem, policy: np.ndarray) -> np.n
         entries[:, level] = solved[..., 0].transpose(2, 0, 1)
         dv = price_table(batch, entries.reshape(2, 2, sets, -1))
     return dv.reshape(system.q.shape)
+
+
+def plain_value_iterate(system: BellmanSystem) -> tuple[np.ndarray, int]:
+    """value_iterate from zero without its jumps: its values and its sweep count."""
+
+    def first(batch, start):
+        values = np.zeros(batch.q.shape[1:])
+        return values, np.full(values.shape[1], TINY)
+
+    def sweep(batch, state):
+        values, scale = state
+        updated = decision_values(batch, values).max(axis=0)
+        step = updated - values
+        top, bottom = step.max(axis=0), step.min(axis=0)
+        factor = batch.beta / (1.0 - batch.beta)
+        half_span = 0.5 * (top - bottom)
+        stop = ~(factor * half_span > DEFAULT_TOL)
+        scale += np.maximum(top, -bottom)
+        rounding = (half_span <= EPS * scale) & ~stop
+        scale[rounding] = np.maximum(np.abs(updated[:, rounding]).max(axis=0), TINY)
+        stop |= half_span <= EPS * scale
+        midpoints = updated[:, stop] + factor * 0.5 * (top[stop] + bottom[stop])
+        return (updated, scale), stop, midpoints
+
+    failure = "no convergence within {budget} sweeps (beta={beta})"
+    return solve_columns(system, None, DEFAULT_MAX_ITER, first, sweep, failure)

@@ -45,6 +45,7 @@ def test_measure_times_every_layer_of_table2_once(ladder):
     result = ladder.measure("table2_once", seconds=0)
     assert result["states"] == 160
     assert result["lp_bases"] == 2
+    assert result["vi_sweeps"] == 21
     assert set(result["layers"]) == set(LAYERS)
     for name in LAYERS:
         layer = result["layers"][name]
@@ -61,6 +62,8 @@ def test_against_compares_two_trees_on_the_2x2_models(ladder):
     assert list(report) == models
     for name in models:
         assert report[name]["rounds"] == 2 and report[name]["states"] == 160
+        for count in ("lp_bases", "vi_sweeps"):
+            assert report[name][count]["parent"] == report[name][count]["change"] > 0
         assert set(report[name]["layers"]) == set(LAYERS)
         for layer in report[name]["layers"].values():
             for side in ("parent", "change"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import plain_value_iterate
 from test_bellman import at_rate, small_scenario, with_rates
 from test_policy import dv_bound, random_scenarios
 
@@ -22,6 +23,7 @@ from acmdp import (
     value_iterate,
 )
 from acmdp.bellman import VERIFY_TOL, rounding_allowance
+from acmdp.experiments import SweepSpec
 from acmdp.policy import solve_system
 from acmdp.value_iteration import DEFAULT_TOL
 
@@ -111,7 +113,7 @@ class TestValueIterate:
 
     def test_a_looser_tol_stops_sooner_and_within_it(self, monkeypatch):
         # each sweep reads DEFAULT_TOL when it runs, so setting it sets the stop
-        system = compile_system(builtin_scenario("table2_all"))
+        system = compile_system(builtin_scenario("table2_once"))
         exact, _ = policy_iterate(system)
         default_sweeps = value_iterate(system)[1]
         monkeypatch.setattr(acmdp.value_iteration, "DEFAULT_TOL", 1e-3)
@@ -188,7 +190,7 @@ class TestBatch:
         # each sweep prices only the columns still running, once, with or
         # without a sign to prove, and a column returns the values it would
         # return alone
-        system = compile_system(builtin_scenario("table2_all"))
+        system = compile_system(builtin_scenario("table2_once"))
         state = None if sign_of is None else system.scenario.dims.state_index(sign_of)
         rates = [(p, 1.0) for p in (0.0, 0.05, 0.6, 1.0)]
         alone = [value_iterate(system.mix_batch([pair]), sign_of=state) for pair in rates]
@@ -208,6 +210,53 @@ class TestBatch:
         assert widths[stops[0] - 1] == 4 > widths[stops[0]]
         for column, (want, _) in zip(values.T, alone):
             assert np.array_equal(column, want[:, 0])
+
+
+class TestJump:
+    """A column jumps along a steady span ratio, and goes back where a jump fails."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        users=st.integers(1, 2),
+        resources=st.integers(1, 2),
+        behavior=st.sampled_from(list(RequestBehavior)),
+        variant=st.sampled_from(list(RewardVariant)),
+        beta=st.floats(0.9, 0.999),
+        seed=st.integers(0, 2**16),
+        drawn=st.lists(RATES, max_size=2),
+    )
+    def test_a_failed_jump_goes_back_and_every_column_is_its_own(
+        self, users, resources, behavior, variant, beta, seed, drawn
+    ):
+        # E that swaps the statuses every step, (1, 0), gives a mode whose sign
+        # alternates under a steady span ratio: a jump along it moves away
+        # from V*, and without going back it overflows
+        sc = small_scenario(users, resources, behavior, variant, beta=beta, seed=seed)
+        system = compile_system(sc)
+        rates = [(1.0, 0.0), (0.0, 1.0), *drawn]
+        with np.errstate(over="raise", invalid="raise"):
+            values, _ = value_iterate(system.mix_batch(rates))
+            alone = [value_iterate(system.mix_batch([pair]))[0] for pair in rates]
+        for column, own, pair in zip(values.T, alone, rates):
+            assert column.tobytes() == own[:, 0].tobytes()
+            exact, _ = policy_iterate(compile_system(with_rates(sc, pair)))
+            bound = DEFAULT_TOL + VERIFY_TOL / (1 - beta) + rounding_allowance(exact, beta)
+            assert np.max(np.abs(column - exact)) <= bound
+
+    @pytest.mark.parametrize(
+        "name, most, plain", [("table2_all", 15, 62), ("table2_once", 25, 26), ("table2_unique", 2, 2)]
+    )
+    def test_the_grid_takes_fewer_sweeps_to_the_same_values(self, name, most, plain):
+        # the 101-point sweep grid, solved as one batch, against the same
+        # iteration without jumps; both lie within DEFAULT_TOL of the optimum,
+        # and rounding_allowance of the exact values of the stop
+        system = compile_system(builtin_scenario(name))
+        batch = system.mix_batch([(p, 1.0) for p in SweepSpec(system.scenario).grid()])
+        reference, reference_sweeps = plain_value_iterate(batch)
+        values, sweeps = value_iterate(batch)
+        assert reference_sweeps == plain and sweeps <= most
+        bound = 2 * (DEFAULT_TOL + rounding_allowance(reference, system.beta))
+        assert np.max(np.abs(values - reference)) <= bound
 
 
 def proves(system, state, start):
@@ -252,10 +301,10 @@ class TestSignOf:
             assert not proves(system, state, start)[1]
 
     def test_proof_stops_sooner_and_returns_the_values_it_read(self):
-        # table2_all's (bob, high) gap at q = 0.5 is about 17.6: its sign is
+        # modified_once's (bob, high) gap at q = 0.5 is about 65: its sign is
         # proven from zero in a few of the sweeps the tolerance needs, and the
         # values returned meet the proof's bound, read from their own backup
-        sc = builtin_scenario("table2_all")
+        sc = builtin_scenario("modified_once")
         system = compile_system(at_rate(sc, 0.5))
         state = system.space.state_index(State(Emergency.CALM, 0, Access(1, 1)))
         values, sweeps = value_iterate(system, sign_of=state)

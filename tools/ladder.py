@@ -10,7 +10,8 @@ under the once and all request behaviours, each seeded and with rates
 Each model runs in a fresh process of this script (--model), so that no
 model's caches, heap or peak memory carry into the next.  There it times the
 compile (compile_system), a solve by each solver (solve_system, which also
-prices the values; lp_bases counts the LP's bases), a 101-point run_sweep by
+prices the values; lp_bases counts the LP's bases and vi_sweeps value
+iteration's sweeps), a 101-point run_sweep by
 each solver, and one policy_evaluate of the optimal policy and one
 decision_values call alone.
 Then the table layers of the lp solution: verify_solution, export_values to
@@ -31,7 +32,8 @@ model's processes in ROUNDS rounds, each a process importing DIR's src and
 one importing this tree's, in alternating order; both run this script's
 measure, each layer for AGAINST_SECONDS.  Each layer is reported by both
 sides' medians and interquartile ranges of CPU ms over the rounds, and the
-rounds whose change process read it faster.  The two trees' paths must have
+rounds whose change process read it faster, and each model by both sides'
+lp_bases and vi_sweeps.  The two trees' paths must have
 the same length: the length of the checkout's path has moved a benchmark's
 timings.
 """
@@ -86,6 +88,7 @@ CALLS = 3  # least calls of each layer: the first is reported apart from the med
 LOOKUPS = 1000  # queries of one lookup call
 ROUNDS = 5  # rounds of --against
 AGAINST_SECONDS = 0.3  # least time each layer is called for in a round of --against
+COUNTS = ("lp_bases", "vi_sweeps")  # what a solve counts, the same in every round
 
 
 def scenario(name: str) -> Scenario:
@@ -148,6 +151,7 @@ def measure(name: str, seconds: float) -> dict:
     for solver in ("lp", "vi"):
         layers[f"sweep_{solver}"] = timed(lambda: run_sweep(spec, solver), seconds)
     solution = solve_system(system, "lp")
+    vi_sweeps = solve_system(system, "vi").iterations
     allow = solution.policy.actions.astype(bool)
     layers["policy_evaluate"] = timed(lambda: policy_evaluate(system, allow), seconds)
     values = solution.values
@@ -176,6 +180,7 @@ def measure(name: str, seconds: float) -> dict:
         "states": sc.dims.num_states,
         "grid_points": len(spec.grid()),
         "lp_bases": solution.iterations,
+        "vi_sweeps": vi_sweeps,
         "layers": layers,
         "peak_rss_mb": peak,
         "table_mib": table_mib,
@@ -204,7 +209,7 @@ def compare(against: Path, models: list[str], rounds: int, seconds: float) -> di
 
     Round r runs the parent first when r is even.  A layer's entry holds
     both sides' quartiles of CPU ms over the rounds and the rounds whose
-    change process read it faster.
+    change process read it faster; each count, both sides' value.
     """
     trees = {"parent": Path(against).resolve(), "change": ROOT}
     if len(str(trees["parent"])) != len(str(ROOT)):
@@ -225,8 +230,17 @@ def compare(against: Path, models: list[str], rounds: int, seconds: float) -> di
                 **{side: dict(zip(("q1", "median", "q3"), quartiles(ms[side]))) for side in ms},
                 "won": sum(new < old for old, new in zip(ms["parent"], ms["change"])),
             }
-        report[name] = {"rounds": rounds, "states": runs["change"][0]["states"], "layers": layers}
-        print(f"{name}: {report[name]['states']} states")
+        counts = {key: {side: runs[side][0][key] for side in runs} for key in COUNTS}
+        report[name] = {
+            "rounds": rounds,
+            "states": runs["change"][0]["states"],
+            **counts,
+            "layers": layers,
+        }
+        print(
+            f"{name}: {report[name]['states']} states, "
+            + ", ".join(f"{key} {n['parent']} -> {n['change']}" for key, n in counts.items())
+        )
         for layer, row in layers.items():
             parent, change = row["parent"], row["change"]
             print(
