@@ -257,7 +257,7 @@ class VerificationReport:
 
     @property
     def residual(self) -> float:
-        """||V - TV||: V lies within residual / (1 - beta) of the optimum."""
+        """||V - TV||: V is within residual / (1 - beta) of the optimum, plus this float's rounding."""
         return max(self.max_violation, self.max_min_slack)
 
     def feasible(self, rounding: float = 0.0) -> bool:

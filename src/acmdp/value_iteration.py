@@ -47,10 +47,11 @@ takes and nothing it returns is proven differently.  A mode whose sign
 alternates keeps a steady span ratio too, and a jump along it moves away
 from V*.  So where the sweep after a jump finds a span no smaller than
 the one before it, the column goes back to the plain iterate TV, kept for
-that sweep, and never jumps again: a failed jump costs one sweep.  The
-test starts once a column has two ratios, in its third sweep.  A column
-jumps on its own ratios alone, and a column that does not jump keeps TV
-to the bit, so its values stay independent of its batch.
+that sweep, and jumps again once two fresh ratios agree: a failed jump
+costs one sweep, and an alternating mode may fail one every few sweeps.
+The test starts once a column has two ratios, in its third sweep.  A
+column jumps on its own ratios alone, and a column that does not jump
+keeps TV to the bit, so its values stay independent of its batch.
 """
 
 from __future__ import annotations
@@ -159,10 +160,8 @@ def _first_values(batch: BellmanSystem, start: np.ndarray | None) -> Columns:
     # to be rounding, which spares that cost per sweep and leaves each column's
     # stop to its own values
     scale = np.maximum(np.abs(values).max(axis=0), TINY)
-    # the largest span ratio at which a column jumps: beta, or -1 once a jump failed
-    cap = np.full(scale.shape, batch.beta)
     # no half span, span ratio, plain iterate or jump yet
-    return values, scale, None, None, cap, None, None
+    return values, scale, None, None, None, None
 
 
 def _sweep(
@@ -172,11 +171,10 @@ def _sweep(
 
     A stopped column returns its bounds' midpoint, or values if its sign is proven.
     Besides values and scale, the state holds each column's last half span
-    and span ratio and the largest ratio at which it may jump, and for one
-    sweep after a jump the plain iterate and each column's half span before
-    it (inf where it did not jump).
+    and span ratio, and for one sweep after a jump the plain iterate and
+    each column's half span before it (inf where it did not jump).
     """
-    values, scale, spans, ratios, cap, plain, ceiling = state
+    values, scale, spans, ratios, plain, ceiling = state
     dv = decision_values(batch, values)
     if sign_of is not None:
         gap = dv[Action.ALLOW, sign_of] - dv[Action.DENY, sign_of]
@@ -201,8 +199,8 @@ def _sweep(
         stop |= half_span <= EPS * scale
     ratio = None if spans is None else half_span / spans
     jump = None
-    if ratios is not None:  # a column that goes back below has ratio >= 1 > cap
-        jump = (np.abs(ratio - ratios) <= STEADY_TOL * ratio) & (ratio <= cap) & ~stop
+    if ratios is not None:  # a column that goes back below has ratio >= 1 > beta
+        jump = (np.abs(ratio - ratios) <= STEADY_TOL * ratio) & (ratio <= batch.beta) & ~stop
         if not jump.any():
             jump = None
     if jump is None:
@@ -214,15 +212,14 @@ def _sweep(
         if proven is not None:
             midpoints[:, proven[stop]] = values[:, proven]
     if ceiling is not None:
-        # a jump whose span did not fall goes back to its plain iterate and
-        # jumps no more; a stopped column's values are formed above
+        # a jump whose span did not fall goes back to its plain iterate; a
+        # stopped column's values are formed above
         undo = half_span >= ceiling
         if undo.any():
             updated[:, undo] = plain[:, undo]
             scale[undo] = np.maximum(np.abs(updated[:, undo]).max(axis=0), TINY)
-            cap[undo] = -1.0
     if jump is None:
-        return (updated, scale, half_span, ratio, cap, None, None), stop, midpoints
+        return (updated, scale, half_span, ratio, None, None), stop, midpoints
     # -r / (1 - r) where a column jumps and -0 elsewhere, made +0, so that
     # updated - step is TV + r / (1 - r) (TV - V) where it jumps and, to the
     # bit, TV elsewhere; a jump needs two ratios, so values is an array an
@@ -234,4 +231,4 @@ def _sweep(
     step += 0.0
     np.subtract(updated, step, out=values)
     ceiling = np.where(jump, half_span, np.inf)
-    return (values, scale, half_span, ratio, cap, updated, ceiling), stop, midpoints
+    return (values, scale, half_span, ratio, updated, ceiling), stop, midpoints

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -257,6 +258,31 @@ class TestJump:
         assert reference_sweeps == plain and sweeps <= most
         bound = 2 * (DEFAULT_TOL + rounding_allowance(reference, system.beta))
         assert np.max(np.abs(values - reference)) <= bound
+
+    @pytest.mark.parametrize("name", ["modified_unique", "modified_once"])
+    def test_a_failed_jump_bars_no_later_jump(self, name):
+        # at beta = 0.999 the jump in the fourth sweep fails and is undone; the
+        # column jumps again once its span ratio is steady, and stops in about
+        # 1,630 sweeps, where a column barred after one failed jump took 28,403
+        assert sweeps_within_the_lps_bound(name, 0.999) <= 2000
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", ["modified_unique", "modified_once"])
+    def test_beta_0_9999_converges_within_the_budget(self, name):
+        # about 19,700 sweeps, where a column barred after one failed jump ran
+        # out of the budget
+        assert sweeps_within_the_lps_bound(name, 0.9999) <= acmdp.value_iteration.DEFAULT_MAX_ITER
+
+
+def sweeps_within_the_lps_bound(name, beta):
+    """value_iterate's sweeps on builtin name at beta, once its values are
+    checked within self_check's lp_vi_agreement bound of policy_iterate's."""
+    system = compile_system(dataclasses.replace(builtin_scenario(name), beta=beta))
+    values, sweeps = value_iterate(system)
+    exact, _ = policy_iterate(system)
+    bound = DEFAULT_TOL + VERIFY_TOL / (1 - beta) + rounding_allowance(exact, beta)
+    assert np.max(np.abs(values - exact)) <= bound
+    return sweeps
 
 
 def proves(system, state, start):
