@@ -111,7 +111,7 @@ class BellmanSystem:
         mixing.flags.writeable = False
         return mixing
 
-    def mix_batch(self, rates: Sequence[tuple[float, float]]) -> BellmanSystem:
+    def mix_batch(self, rates: np.ndarray | Sequence[tuple[float, float]]) -> BellmanSystem:
         """The batch of this scenario's systems, one per (calm_to_alert, alert_to_alert) (_mix)."""
         return self._with(*_mix(self.rewards, rates))
 
@@ -137,13 +137,14 @@ class BellmanSystem:
 
 
 def _mix(
-    rewards: np.ndarray, rates: Sequence[tuple[float, float]]
+    rewards: np.ndarray, rates: np.ndarray | Sequence[tuple[float, float]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """E and q of the systems of rewards, one per (calm_to_alert, alert_to_alert).
 
     Column g's E is ((1 - c, c), (1 - a, a)) of rates[g] = (c, a), each
     rate in [0, 1]; rates that are not one or more such pairs, or a rate
-    outside [0, 1], raise ValueError.  E is C-contiguous (2, 2, G) and q,
+    outside [0, 1], raise ValueError.  A (G, 2) float array is read as it
+    is, with no conversion of G pairs.  E is C-contiguous (2, 2, G) and q,
     C-contiguous (2, n, G), is q[a, (e, x), g] = sum_e2 E_g[e, e2] rewards[a, e2, x].
     """
     try:

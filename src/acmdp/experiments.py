@@ -12,12 +12,14 @@ Both solvers solve a batch of such systems (bellman.BellmanSystem.mix_batch),
 so one path serves both.  The grid is solved in chunks whose width
 CHUNK_BYTES caps, so a sweep's memory does not grow with its grid, and each
 access's first crossing is bisected as soon as the chunk that holds it is
-solved.  Of a bisection point only the sign of one access's gap
-allow - deny is read, so it is solved once, as a batch of one, from the mean
-of the values at its bracket's two ends.  Value iteration solves it
-with value_iterate's sign_of, which stops as soon as the sign is proven, or
-else at its DEFAULT_TOL with the sign taken as computed; the LP solves
-it exactly, to VERIFY_TOL, and takes the sign as computed.
+solved.  Of a bisection midpoint only the sign of one access's gap
+allow - deny is read.  The midpoints bisection would take toward the root
+that a secant predicts are solved as one batch, each once, and walked while
+they stay on bisection's path, so a bracket is the one bisection reports
+(_bisect).  Value iteration solves a batch with value_iterate's sign_of,
+which stops a column as soon as its sign is proven, or else at its
+DEFAULT_TOL with the sign taken as computed; the LP solves it exactly, to
+VERIFY_TOL, and takes each sign as computed.
 
 self_check compiles a scenario once and runs five checks on that system:
 stochasticity of its factors, the LP's feasibility and tightness, and the
@@ -65,6 +67,15 @@ CHUNK_BYTES = 16 * 2**20
 # Value iteration's peak is a sweep after columns retire while a jump is
 # pending: the plain iterate and the retired batch's copy of q are held too
 SOLVER_ARRAYS = {"lp": 16, "vi": 13}
+# the bytes of such arrays a bisection batch may hold, counted as a chunk's are.
+# A batch's columns past the point where the walk leaves its path are solved
+# for nothing, which pays only where a solve's fixed cost outweighs a column's.
+# With batches as wide as a chunk, the default sweeps of tools/ladder.py's 3x3
+# models (10,240 states) took 1.5-12% more CPU than with one midpoint a batch,
+# and its 2x3 models (896) from 10% less to 3% more (2-vCPU Xeon VM); this
+# makes 3x3 batches one midpoint, 2x3 ones up to 9 (lp) or 11 (vi), and
+# 160-state ones up to 51 or 63
+BISECT_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -142,29 +153,57 @@ def _bisect(
     lo: float,
     hi: float,
     f_lo: float,
+    f_hi: float,
     ends: np.ndarray,
+    width: int,
 ) -> tuple[float, float]:
     """Halve [lo, hi] to CROSSOVER_WIDTH; allow - deny at state differs in sign at its ends.
 
-    f_lo is the gap at lo; where it is zero, lo = hi and the bracket is
-    returned as it is.  A midpoint whose gap is exactly zero closes the
-    bracket there, as [mid, mid].  ends, overwritten here, holds the (n, 2)
-    values solved at lo and at hi.  Each point is a batch of one, solved
-    once by solve(point, start=...) from the mean of ends' columns, and its
-    own values then take the column of the end it replaces.
+    f_lo and f_hi are the gaps at lo and hi; where f_lo is zero, lo = hi and
+    the bracket is returned as it is.  A midpoint whose gap is exactly zero
+    closes the bracket there, as [mid, mid]; any other replaces the end
+    whose sign it shares.  ends, overwritten here, holds the (n, 2) values
+    solved at lo and at hi.
+
+    The midpoints are solved in batches of at most width columns.  The
+    secant through the gaps at the bracket's ends predicts the root, and a
+    batch is the path of midpoints bisection takes if each keeps the half
+    that holds that prediction.  Each is solved once, by one
+    solve(batch, start=...) from the values at the bracket's ends
+    interpolated linearly at its p, and the batch is priced in one kernel
+    call.  The walk then takes the path's midpoints in order while each is
+    the midpoint of the bracket the ones before it left; where one is not,
+    the walk has left the prediction, and the next batch predicts again
+    from the new bracket, whose ends' gaps are known.  So the brackets are
+    bisection's whatever the prediction, and each batch halves the bracket
+    at least once; at width 1 this is bisection one midpoint at a time.
     """
+    rate = system.scenario.alert_to_alert
     while hi - lo > CROSSOVER_WIDTH:
-        mid = 0.5 * (lo + hi)
-        point = system.mix_batch([(mid, system.scenario.alert_to_alert)])
-        values, _ = solve(point, start=0.5 * (ends[:, :1] + ends[:, 1:]))
-        dv = decision_values(point, values)[:, state, 0]
-        f_mid = float(dv[Action.ALLOW] - dv[Action.DENY])
-        if f_mid == 0.0:
-            lo = hi = mid
-        elif (f_lo < 0) == (f_mid < 0):
-            lo, f_lo, ends[:, :1] = mid, f_mid, values
-        else:
-            hi, ends[:, 1:] = mid, values
+        guess = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        path, a, b = [], lo, hi
+        while b - a > CROSSOVER_WIDTH and len(path) < width:
+            mid = 0.5 * (a + b)
+            path.append(mid)
+            a, b = (a, mid) if guess < mid else (mid, b)
+        rates = np.empty((len(path), 2))
+        rates[:, 0], rates[:, 1] = path, rate
+        batch = system.mix_batch(rates)
+        share = (rates[:, 0] - lo) / (hi - lo)
+        start = np.multiply(ends[:, :1], 1.0 - share)
+        start += share * ends[:, 1:]
+        values, _ = solve(batch, start=start)
+        dv = decision_values(batch, values)[:, state]
+        gaps = (dv[Action.ALLOW] - dv[Action.DENY]).tolist()
+        for k, (mid, f_mid) in enumerate(zip(path, gaps)):
+            if mid != 0.5 * (lo + hi):  # the walk left the prediction
+                break
+            if f_mid == 0.0:
+                lo = hi = mid
+            elif (f_lo < 0) == (f_mid < 0):
+                lo, f_lo, ends[:, :1] = mid, f_mid, values[:, k : k + 1]
+            else:
+                hi, f_hi, ends[:, 1:] = mid, f_mid, values[:, k : k + 1]
     return lo, hi
 
 
@@ -174,16 +213,19 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     The scenario is compiled once.  The grid is mixed (BellmanSystem.mix_batch)
     in chunks of at most CHUNK_BYTES // (8 n SOLVER_ARRAYS[solver]) columns,
     each solved by the named solver and priced with one kernel call, of which
-    only the (2, accesses, columns) decision values outlive the chunk.  A
+    only the (2, accesses, columns) decision values outlive the chunk; the
+    rates of every chunk are rows of one (points, 2) array.  A
     chunk's window is its columns, after the first chunk led by the previous
     chunk's last, so that a bracket across two chunks is found.  A crossover
     is bracketed at the window's earliest column g (_first_crossing) where
     the gap allow - deny is exactly zero, as [p_g, p_g], or where it is
     negative at p_g and not at p_g+1 or the other way round, as [p_g, p_g+1],
-    and bisected (_bisect) from the values solved at both ends, before the
-    next chunk is solved.  Zero counts as not negative, so a step from a
-    negative gap into an exact zero is a flip: it is bisected from the point
-    before the zero rather than reported at the zero.
+    and bisected (_bisect) from the gaps and values solved at both ends, in
+    batches of at most min(CHUNK_BYTES, BISECT_BYTES) // (8 n
+    SOLVER_ARRAYS[solver]) columns, before the next chunk is solved.  Zero
+    counts as not negative, so a step from a negative gap into an exact
+    zero is a flip: it is bisected from the point before the zero rather
+    than reported at the zero.
     """
     solve = solver_function(solver)
     grid = spec.grid()
@@ -192,12 +234,15 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
     accesses = list(dims.accesses())
     # the (calm, nothing granted, access) states; accesses are requests 0.. in bit order
     calm_empty = dims.position(int(Emergency.CALM), 0, np.arange(len(accesses)))
-    width = max(1, CHUNK_BYTES // (8 * dims.num_states * SOLVER_ARRAYS[solver]))
+    column_bytes = 8 * dims.num_states * SOLVER_ARRAYS[solver]
+    width = max(1, CHUNK_BYTES // column_bytes)
+    bisect_width = max(1, min(CHUNK_BYTES, BISECT_BYTES) // column_bytes)
+    rates = np.empty((len(grid), 2))
+    rates[:, 0], rates[:, 1] = grid, spec.scenario.alert_to_alert
     chunks = []
     crossovers = [CrossoverResult(access, None) for access in accesses]
     for first in range(0, len(grid), width):
-        chunk = grid[first : first + width]
-        batch = system.mix_batch([(p, spec.scenario.alert_to_alert) for p in chunk])
+        batch = system.mix_batch(rates[first : first + width])
         values, _ = solve(batch)
         chunks.append(decision_values(batch, values)[:, calm_empty])
         gaps = chunks[-1][Action.ALLOW] - chunks[-1][Action.DENY]  # (accesses, columns)
@@ -213,7 +258,7 @@ def run_sweep(spec: SweepSpec, solver: str = "lp") -> SweepResult:
             sign_solve = partial(solve, sign_of=state) if solver == "vi" else solve
             bracket = _bisect(
                 system, sign_solve, state, window[g], window[h], float(gaps[pos, g]),
-                values[:, [g, h]],
+                float(gaps[pos, h]), values[:, [g, h]], bisect_width,
             )
             crossovers[pos] = CrossoverResult(accesses[pos], bracket)
         last_gaps, last_values = gaps[:, -1:], values[:, -1:].copy()

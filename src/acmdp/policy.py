@@ -38,7 +38,7 @@ from .bellman import (
 from .config import scenario_fingerprint
 from .rewards import Scenario
 from .states import ACTIONS, Action, Emergency
-from .value_iteration import Columns, solve_columns, value_iterate
+from .value_iteration import Columns, reduce_columns, solve_columns, value_iterate
 
 PRINT_TOL = 1e-11  # twice the relative error of a number printed to 12 digits, to cover rounding
 MAX_BASES = 1000
@@ -191,7 +191,7 @@ def _pivot(batch: BellmanSystem, state: Columns) -> tuple[Columns, np.ndarray, n
     dv = policy_evaluate(batch, policy)
     values = np.where(policy, dv[1], dv[0])
     better = np.where(policy, dv[0], dv[1]) > values + VERIFY_TOL
-    stop = ~better.any(axis=0)
+    stop = ~reduce_columns(np.logical_or, better)
     policy ^= better  # no state of a stopped column pivots
     return (policy,), stop, values[:, stop] if stop.any() else None
 

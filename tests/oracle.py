@@ -32,17 +32,24 @@ next values are its backup, and each column stops on value_iterate's span
 bound or rounding stop, at the same midpoint.  value_iterate must take no
 more sweeps than it on the grids the tests pin, and agree with its values
 within the bound both prove.
+
+reference_bisect is run_sweep's bisection as it was before it solved its
+midpoints in batches: one midpoint at a time, each a batch of one started
+from the mean of the values at its bracket's ends.  experiments._bisect
+must report the same brackets, to the bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
 
 from acmdp.bellman import EPS, TINY, BellmanSystem, decision_values, draw_table, price_table
 from acmdp.dynamics import RequestBehavior
+from acmdp.experiments import CROSSOVER_WIDTH
 from acmdp.rewards import RewardVariant, Scenario
 from acmdp.states import (
     ACTIONS,
@@ -335,3 +342,36 @@ def plain_value_iterate(system: BellmanSystem) -> tuple[np.ndarray, int]:
 
     failure = "no convergence within {budget} sweeps (beta={beta})"
     return solve_columns(system, None, DEFAULT_MAX_ITER, first, sweep, failure)
+
+
+def reference_bisect(
+    system: BellmanSystem,
+    solve: Callable[..., tuple[np.ndarray, int]],
+    state: int,
+    lo: float,
+    hi: float,
+    f_lo: float,
+    ends: np.ndarray,
+) -> tuple[float, float]:
+    """Halve [lo, hi] to CROSSOVER_WIDTH; allow - deny at state differs in sign at its ends.
+
+    f_lo is the gap at lo; where it is zero, lo = hi and the bracket is
+    returned as it is.  A midpoint whose gap is exactly zero closes the
+    bracket there, as [mid, mid].  ends, overwritten here, holds the (n, 2)
+    values solved at lo and at hi.  Each point is a batch of one, solved
+    once by solve(point, start=...) from the mean of ends' columns, and its
+    own values then take the column of the end it replaces.
+    """
+    while hi - lo > CROSSOVER_WIDTH:
+        mid = 0.5 * (lo + hi)
+        point = system.mix_batch([(mid, system.scenario.alert_to_alert)])
+        values, _ = solve(point, start=0.5 * (ends[:, :1] + ends[:, 1:]))
+        dv = decision_values(point, values)[:, state, 0]
+        f_mid = float(dv[Action.ALLOW] - dv[Action.DENY])
+        if f_mid == 0.0:
+            lo = hi = mid
+        elif (f_lo < 0) == (f_mid < 0):
+            lo, f_lo, ends[:, :1] = mid, f_mid, values
+        else:
+            hi, ends[:, 1:] = mid, values
+    return lo, hi

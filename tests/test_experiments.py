@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracle import reference_bisect
 from test_bellman import at_rate, small_scenario
 from test_policy import near_the_float_maximum
 
@@ -45,6 +46,61 @@ BUILTIN_CROSSOVERS = {
     "modified_once": (0.010820312499999998, (0.01078125, 0.010859375)),
     "modified_all": (0.09644531249999999, (0.09640625, 0.096484375)),
 }
+
+
+def record_bisections(monkeypatch, spec, solver, reference=False):
+    """run_sweep(spec, solver), and per bisection in order the p's of each batch it solved.
+
+    With reference, tests/oracle.py's reference_bisect bisects in place of
+    experiments._bisect, one midpoint a batch.
+    """
+    name = "policy_iterate" if solver == "lp" else "value_iterate"
+    solve, bisect, calls = getattr(acmdp.policy, name), acmdp.experiments._bisect, []
+
+    def recorded(system, **kwargs):
+        if kwargs.get("start") is not None:  # a bisection's batch, not the grid's
+            calls[-1].append(system.emergency[0, 1].tolist())
+        return solve(system, **kwargs)
+
+    def counted(system, solve, state, lo, hi, f_lo, f_hi, ends, width):
+        calls.append([])
+        if reference:
+            return reference_bisect(system, solve, state, lo, hi, f_lo, ends)
+        return bisect(system, solve, state, lo, hi, f_lo, f_hi, ends, width)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(acmdp.policy, name, recorded)
+        patch.setattr(acmdp.experiments, "_bisect", counted)
+        result = run_sweep(spec, solver=solver)
+    return result, calls
+
+
+def bisect_width(sc, solver):
+    """The most columns of a bisection batch of sc under solver, as run_sweep reads them."""
+    column_bytes = 8 * sc.dims.num_states * SOLVER_ARRAYS[solver]
+    budget = min(acmdp.experiments.CHUNK_BYTES, acmdp.experiments.BISECT_BYTES)
+    return max(1, budget // column_bytes)
+
+
+def bracket_bits(result):
+    """Each crossover's bracket as the hex of its two floats, or None."""
+    return [c.bracket and tuple(float.hex(p) for p in c.bracket) for c in result.crossovers]
+
+
+def random_sweep_scenarios(count):
+    """Seeded random 1x1 to 2x3 scenarios, with their ids."""
+    shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)]
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        users, resources = shapes[seed % len(shapes)]
+        behavior = str(rng.choice(["unique", "once", "all"]))
+        variant = str(rng.choice(["eps_zero", "eps_accrues"]))
+        beta = float(rng.choice([0.5, 0.9, 0.95]))
+        rates = (0.1, float(rng.uniform(0.5, 1.0)))
+        sc = small_scenario(
+            users, resources, behavior, variant, rates=rates, beta=beta, seed=seed
+        )
+        yield f"random_{users}x{resources}_{seed}", sc
 
 
 def exact_gap(sc, probability, pos):
@@ -211,19 +267,24 @@ class TestRunSweep:
         ids=["table2_unique", "table2_once", "table2_all", "random_3x3_all"],
     )
     def test_bisection_work_is_bounded(self, monkeypatch, scenario, vi_sweeps, lp_bases):
-        # value iteration's bisection points take at most half the sweeps, and
+        # value iteration's bisection batches take at most half the sweeps, and
         # the LP's no more bases, than when each point was solved down a ladder
         # of tolerances (1e-3, 1e-6, 1e-10) from the previous point's values
-        # (15, 48 and 80 sweeps; 7, 7, 10 and 60 bases), each point solved once
-        counts = []
+        # (15, 48 and 80 sweeps; 7, 7, 10 and 60 bases), each point solved once.
+        # A batch counts the most its columns took: 1, 4 and 11 sweeps and 1, 1
+        # and 3 bases in all, where a batch of one point each took 7, 13 and 25
+        # sweeps and 7, 7 and 7 bases; the 3x3 model's batches are one point
+        # each, 43 bases
+        counts, widths = [], []
 
         def record(name):
             solve = getattr(acmdp.policy, name)
 
             def call(system, **kwargs):
                 values, count = solve(system, **kwargs)
-                if kwargs.get("start") is not None:  # a bisection point, not the grid
+                if kwargs.get("start") is not None:  # a bisection batch, not the grid
                     counts.append((system.emergency.tobytes(), count))
+                    widths.append(system.q.shape[-1])
                 return values, count
 
             monkeypatch.setattr(acmdp.policy, name, call)
@@ -234,16 +295,22 @@ class TestRunSweep:
             if most is None:
                 continue
             counts.clear()
+            widths.clear()
             result = run_sweep(SweepSpec(scenario), solver=solver)
             assert any(c.width for c in result.crossovers)
             assert len({point for point, _ in counts}) == len(counts)
             assert sum(count for _, count in counts) <= most, solver
+            # 3x3 batches are one midpoint (BISECT_BYTES), 160-state ones a path
+            assert max(widths) <= bisect_width(scenario, solver)
+            assert (max(widths) == 1) == (scenario.dims.num_states > 1000)
 
     @pytest.mark.parametrize("solver", ["lp", "vi"])
     def test_one_build_per_sweep(self, monkeypatch, solver):
         # under either solver, a 160-state grid is one batch mixed from the one
-        # compile, and each bisection point a batch of one; a sweep that compiled
-        # every solve would compile once per solve
+        # compile, and so is each bisection batch; a sweep that compiled every
+        # solve would compile once per solve.  Every mix is handed its rates as
+        # one (G, 2) float array.  The secant of the grid's bracket predicts
+        # table2_once's 7 halvings, so they are one batch of 7 columns
         build = acmdp.experiments.compile_system
         batch = acmdp.bellman.BellmanSystem.mix_batch
         builds, batches = [], []
@@ -253,15 +320,17 @@ class TestRunSweep:
             return build(sc)
 
         def counted_batch(system, rates):
-            batches.append(len(rates))
+            batches.append(rates)
             return batch(system, rates)
 
         monkeypatch.setattr(acmdp.experiments, "compile_system", counted_build)
         monkeypatch.setattr(acmdp.bellman.BellmanSystem, "mix_batch", counted_batch)
         result = run_sweep(SweepSpec(builtin_scenario("table2_once")), solver=solver)
         assert len(builds) == 1
-        assert batches[0] == len(result.points)
-        assert len(batches) > 1 and set(batches[1:]) == {1}
+        for rates in batches:
+            assert isinstance(rates, np.ndarray) and rates.dtype == float
+            assert rates.shape[1:] == (2,)
+        assert [len(rates) for rates in batches] == [len(result.points), 7]
 
     @pytest.mark.parametrize(
         "solver, name, one_column",
@@ -274,17 +343,24 @@ class TestRunSweep:
         ],
     )
     def test_bisection_starts_from_its_bracket(self, monkeypatch, solver, name, one_column):
-        # under either solver, each bisection point is solved once, from the
-        # mean of the values solved at its bracket's two ends: the grid's
-        # columns on either side of the crossing, or a point bisected before.
-        # At one column a chunk, a bracket's first point starts from columns
-        # of two chunks, so the previous chunk's last column must be its own
+        # under either solver, each bisection batch is a path of halvings of the
+        # bracket its bisection holds: its first node is the bracket's midpoint,
+        # and each next one the midpoint of a half of the one before's.  Each
+        # node lies strictly inside its bracket, is solved once, and starts from
+        # the linear interpolation, at its p, of the values solved at the
+        # bracket's ends: the nearest points solved on either side, the grid's
+        # columns or nodes bisected before.  A batch holds no more than a
+        # chunk's columns nor BISECT_BYTES, so at one column a chunk bisection
+        # is sequential, and a bracket's first node starts from columns of two
+        # chunks
         solve = getattr(acmdp.policy, name)
         solves = []
 
         def recorded(system, **kwargs):
+            start = kwargs.get("start")
+            start = None if start is None else start.copy()
             values, count = solve(system, **kwargs)
-            solves.append((system.emergency[0, 1], kwargs.get("start"), values))
+            solves.append((system.emergency[0, 1].tolist(), start, values))
             return values, count
 
         monkeypatch.setattr(acmdp.policy, name, recorded)
@@ -292,34 +368,46 @@ class TestRunSweep:
         if one_column:
             column_bytes = 8 * spec.scenario.dims.num_states * SOLVER_ARRAYS[solver]
             monkeypatch.setattr(acmdp.experiments, "CHUNK_BYTES", column_bytes)
+        width = bisect_width(spec.scenario, solver)
+        assert width == 1 if one_column else width >= 12
         grid = spec.grid()
         result = run_sweep(spec, solver=solver)
-        # the grid's solves start from None, a bisection point's from its bracket
+        # the grid's solves start from None, a bisection batch's from its bracket
         chunks = [(ps, values) for ps, start, values in solves if start is None]
         assert [p for ps, _ in chunks for p in ps] == grid
         assert len(chunks) == (len(grid) if one_column else 1)
-        solved = {p: values[:, g, None] for ps, values in chunks for g, p in enumerate(ps)}
+        solved = {p: values[:, g] for ps, values in chunks for g, p in enumerate(ps)}
         chunk_of = {p: c for c, (ps, _) in enumerate(chunks) for p in ps}
-        solves = [(ps[0], start, values) for ps, start, values in solves if start is not None]
+        batches = [(ps, start, values) for ps, start, values in solves if start is not None]
         firsts = 0
-        for mid, start, values in solves:
-            assert mid not in solved  # one solve per point
-            lo = max(p for p in solved if p < mid)
-            hi = min(p for p in solved if p > mid)
-            assert mid == 0.5 * (lo + hi)
-            assert np.array_equal(start, 0.5 * (solved[lo] + solved[hi]))
-            if lo in chunk_of and hi in chunk_of:  # a bracket's first point
+        for ps, start, values in batches:
+            assert len(ps) <= width
+            lo = max(p for p in solved if p < ps[0])
+            hi = min(p for p in solved if p > ps[0])
+            a, b = lo, hi
+            for k, p in enumerate(ps):
+                assert p not in solved and a < p < b and p == 0.5 * (a + b)
+                share = (p - lo) / (hi - lo)
+                assert np.array_equal(start[:, k], (1.0 - share) * solved[lo] + share * solved[hi])
+                if k + 1 < len(ps):
+                    a, b = (a, p) if ps[k + 1] < p else (p, b)
+            if lo in chunk_of and hi in chunk_of:  # a bracket's first batch
                 firsts += 1
                 assert (chunk_of[lo] != chunk_of[hi]) == one_column
-            solved[mid] = values
-        # a 0.25-wide bracket takes 12 halvings to reach CROSSOVER_WIDTH
+            solved.update(zip(ps, values.T))
+        # a 0.25-wide bracket takes 12 halvings to reach CROSSOVER_WIDTH, one a
+        # batch at one column a chunk, and at least one a batch otherwise
         bisected = [c for c in result.crossovers if c.width]
-        assert bisected and firsts == len(bisected) and len(solves) == 12 * len(bisected)
+        assert bisected and firsts == len(bisected)
+        if one_column:
+            assert len(batches) == 12 * len(bisected)
+        else:
+            assert len(batches) < 12 * len(bisected)
 
     @pytest.mark.parametrize("name, beta", [("table2_all", 0.9), ("modified_unique", 0.9999)])
     def test_lp_sweep_runs_no_value_iteration(self, monkeypatch, name, beta):
-        # the LP solves the grid as one batch, then every bisection point as a
-        # batch of one, exactly and with no value iteration, which at
+        # the LP solves the grid as one batch, then each bisection in batches of
+        # at most bisect_width columns, exactly and with no value iteration, which at
         # beta = 0.9999 takes 36,261 sweeps for modified_unique's grid; each
         # grid point's values are its own exact solve's
         exact = acmdp.policy.policy_iterate
@@ -338,9 +426,12 @@ class TestRunSweep:
         spec = SweepSpec(sc, 0.0, 1.0, 0.25)
         result = run_sweep(spec, solver="lp")
         grid = spec.grid()
-        # a 0.25-wide bracket takes 12 halvings to reach CROSSOVER_WIDTH
+        # a 0.25-wide bracket takes 12 halvings to reach CROSSOVER_WIDTH, and
+        # each batch at least one
         bisected = [c for c in result.crossovers if c.width]
-        assert bisected and widths == [len(grid)] + [1] * 12 * len(bisected)
+        assert bisected and widths[0] == len(grid)
+        assert 0 < len(widths) - 1 <= 12 * len(bisected)
+        assert max(widths[1:]) <= bisect_width(sc, "lp")
         calm_empty = sc.dims.position(0, 0, np.arange(sc.dims.num_access_bits))
         for point in result.points:
             system = compile_system(at_rate(sc, point.probability))
@@ -372,7 +463,7 @@ class TestRunSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the grid's solves start from None, an LP bisection point's from its bracket
+        # the grid's solves start from None, a bisection batch's from its bracket
         grid_widths = [columns for columns, grid in widths if grid]
         assert grid_widths == [width] * 3 + [len(spec.grid()) - 3 * width]
         assert max(columns for columns, _ in widths) == width
@@ -442,11 +533,12 @@ class TestRunSweep:
             run_sweep(SweepSpec(builtin_scenario("table2_once")), "bogus")
 
     def test_point_next_to_the_root_is_solved_once(self, monkeypatch):
-        # the first bisection point lies 1e-7 above the table2_once root, where
+        # the first bisection node lies 1e-7 above the table2_once root, where
         # allow - deny is about 4e-6, and a sign taken wrong there puts the
-        # root outside.  Under both solvers each point is solved once, the
-        # first from the mean of the grid's two columns, and value iteration
-        # stops on the proof of its sign, sooner than at its tolerance
+        # root outside.  Under both solvers each node is solved once, in batches
+        # of at most the bracket's 10 halvings, the first node from the mean of
+        # the grid's two columns, and value iteration stops that node on the
+        # proof of its sign, sooner than at its tolerance
         solves = []
 
         def record(name):
@@ -474,20 +566,24 @@ class TestRunSweep:
         ):
             solves.clear()
             brackets.append(run_sweep(spec, solver=solver).crossovers[BOB_HIGH_POS].bracket)
-            (_, grid, grid_kwargs, grid_values), *points = solves
+            (_, grid, grid_kwargs, grid_values), *batches = solves
             assert grid.q.shape[-1] == 2 and grid_kwargs == {}
-            for used, point, kwargs, _ in points:
-                assert used == name and point.q.shape[-1] == 1
+            for used, _, kwargs, _ in batches:
+                assert used == name
                 assert kwargs.keys() == {"start", *point_kwargs}
                 assert kwargs.get("sign_of") == point_kwargs.get("sign_of")
-            # 0.079 wide, the bracket takes 10 halvings to reach CROSSOVER_WIDTH, one solve each
-            distinct = {point.emergency.tobytes() for _, point, _, _ in points}
-            assert len(distinct) == len(points) == 10
-            _, first, kwargs, values = points[0]
-            assert np.array_equal(kwargs["start"], 0.5 * (grid_values[:, :1] + grid_values[:, 1:]))
+            # 0.079 wide, the bracket takes 10 halvings to reach CROSSOVER_WIDTH
+            nodes = [p for _, batch, _, _ in batches for p in batch.emergency[0, 1].tolist()]
+            assert len(set(nodes)) == len(nodes) and 1 <= len(batches) <= 10
+            assert nodes[0] == 0.5 * sum(spec.grid())
+            _, first, kwargs, values = batches[0]
+            mean = 0.5 * (grid_values[:, 0] + grid_values[:, 1])
+            assert np.array_equal(kwargs["start"][:, 0], mean)
             if solver == "vi":  # stopped on the proof, not on the tolerance
-                unproven, _ = acmdp.value_iteration.value_iterate(first, start=kwargs["start"])
-                assert not np.array_equal(values, unproven)
+                alone = first.columns(np.arange(first.q.shape[-1]) == 0)
+                start_values = kwargs["start"][:, :1]
+                unproven, _ = acmdp.value_iteration.value_iterate(alone, start=start_values)
+                assert not np.array_equal(values[:, :1], unproven)
         vi, lp = brackets
         assert vi == lp
         assert vi[0] <= ONCE_ROOT <= vi[1]
@@ -531,6 +627,46 @@ class TestRunSweep:
                     assert (lo < 0) != (hi < 0), (seed, pos)
                     bisected += 1
         assert bisected >= 10
+
+    @pytest.mark.parametrize("solver", ["lp", "vi"])
+    def test_brackets_are_the_reference_bisections(self, monkeypatch, solver):
+        # the batched bisection walks bisection's own path, so every bracket is
+        # the one tests/oracle.py's reference_bisect, one midpoint at a time,
+        # reports, to the bit: on the builtins and on random models, at steps
+        # from the default grid's to a quarter
+        scenarios = [(name, builtin_scenario(name)) for name in BUILTIN_NAMES]
+        scenarios += random_sweep_scenarios(36)
+        bisected = 0
+        for name, sc in scenarios:
+            for step in (0.01, 0.1, 0.25):
+                spec = SweepSpec(sc, step=step)
+                batched, _ = record_bisections(monkeypatch, spec, solver)
+                reference, _ = record_bisections(monkeypatch, spec, solver, reference=True)
+                assert bracket_bits(batched) == bracket_bits(reference), (name, step)
+                bisected += sum(bool(c.width) for c in batched.crossovers)
+        assert bisected >= 100
+
+    @pytest.mark.parametrize("solver", ["lp", "vi"])
+    def test_batches_never_exceed_the_halvings(self, monkeypatch, solver):
+        # each batch halves its bracket at least once, so a crossover takes no
+        # more solves than bisection's halvings, which the reference solves one
+        # at a time; and no bisection solves a p twice, or a grid point
+        scenarios = [builtin_scenario(name) for name in BUILTIN_NAMES]
+        scenarios += [sc for _, sc in random_sweep_scenarios(6)]
+        fewer = 0
+        for sc in scenarios:
+            for step in (0.01, 0.25):
+                spec = SweepSpec(sc, step=step)
+                _, batches = record_bisections(monkeypatch, spec, solver)
+                _, halvings = record_bisections(monkeypatch, spec, solver, reference=True)
+                assert len(batches) == len(halvings)
+                for ours, theirs in zip(batches, halvings):
+                    assert len(ours) <= len(theirs)
+                    fewer += len(ours) < len(theirs)
+                    solved = [p for batch in ours for p in batch]
+                    assert len(set(solved)) == len(solved)
+                    assert not set(solved) & set(spec.grid())
+        assert fewer >= len(scenarios)
 
 
 class TestQualitativeProperties:

@@ -211,7 +211,7 @@ class TestOneKernel:
         self, kernel_calls, monkeypatch, behavior
     ):
         # one kernel call per backup, one pricing per value_iterate call (the
-        # grid's batch, then each bisection point), and no assembled P
+        # grid's batch, then each bisection batch), and no assembled P
         def unassembled(self):
             raise AssertionError("a value-iteration sweep assembled the transition matrices")
 

@@ -54,5 +54,5 @@ def test_vi_spans_sit_under_the_sweep_and_the_solve():
     vi = [i for i, span in enumerate(spans) if span[0] == "vi"]
     assert any("sweep" in ancestors(spans, i) for i in vi)
     assert any("solve" in ancestors(spans, i) for i in vi)
-    # the sweep's grid solve and each of its bisection points is a vi span
+    # the sweep's grid solve and each of its bisection batches is a vi span
     assert sum("sweep" in ancestors(spans, i) for i in vi) > 1

@@ -342,3 +342,41 @@ class TestSignOf:
         assert abs(gap) > span + 2 * sc.beta * rounding_allowance(values, sc.beta)
         exact = decision_values(system, policy_iterate(system)[0])[:, state]
         assert gap > 0 and abs(gap - (exact[1] - exact[0])) <= span
+
+
+class TestReduceColumns:
+    @pytest.mark.parametrize(
+        "rows, columns",
+        [(160, 7), (1023, 2), (1024, 1), (1024, 2), (10240, 15), (10241, 3), (2048, 512),
+         (2048, 513), (4096, 100)],
+    )
+    def test_equals_the_plain_reduction(self, rows, columns):
+        # by blocks of rows or plainly, maximum, minimum and any give the plain
+        # reductions' columns, with rows past the last whole block and on a
+        # strided view too
+        rng = np.random.default_rng(rows * columns)
+        array = rng.standard_normal((rows, columns))
+        for view in (array, array[::-1], np.asfortranarray(array)):
+            reduce_columns = acmdp.value_iteration.reduce_columns
+            assert np.array_equal(reduce_columns(np.maximum, view), view.max(axis=0))
+            assert np.array_equal(reduce_columns(np.minimum, view), view.min(axis=0))
+            flags = view > 2.0
+            assert np.array_equal(reduce_columns(np.logical_or, flags), flags.any(axis=0))
+
+    def test_blocks_only_many_rows_of_few_columns(self):
+        # the blocked path reshapes the array into rows of about BLOCK elements;
+        # below BLOCK rows, and for one column, it reduces plainly
+        reshapes = []
+
+        class Recorded(np.ndarray):
+            def reshape(self, *shape):
+                reshapes.append(shape)
+                return np.ndarray.reshape(self, *shape)
+
+        block = acmdp.value_iteration.BLOCK
+        cases = ((2 * block, 4, True), (block - 1, 4, False), (2 * block, 1, False))
+        for rows, columns, blocked in cases:
+            reshapes.clear()
+            array = np.zeros((rows, columns)).view(Recorded)
+            acmdp.value_iteration.reduce_columns(np.maximum, array)
+            assert bool(reshapes) == blocked, (rows, columns)
