@@ -242,7 +242,15 @@ def rounding_allowance(values: np.ndarray, beta: float) -> float:
     A unit is never taken below EPS * TINY, the spacing of the subnormal
     floats, which is what an underflowing product of a tiny rate loses.
     """
-    return float(ROUNDING_ULPS * EPS * max(np.abs(values).max(), TINY) / (1.0 - beta))
+    return float(scaled_allowance(max(np.abs(values).max(), TINY), beta))
+
+
+def scaled_allowance(scale: float | np.ndarray, beta: float) -> float | np.ndarray:
+    """rounding_allowance of values whose max(max|V|, TINY) is scale, or is bounded by it.
+
+    scale may be an array, one per column of a batch, as value iteration keeps it.
+    """
+    return ROUNDING_ULPS * EPS * scale / (1.0 - beta)
 
 
 @dataclass

@@ -57,13 +57,11 @@ GRID_SLACK = 1e-9
 MAX_GRID_POINTS = 100_001
 # the bytes of (states, columns) arrays a sweep may hold to solve a chunk of its grid
 CHUNK_BYTES = 16 * 2**20
-# such arrays a chunk's mix, solve and pricing hold at their peak, per solver,
-# traced with tracemalloc on the second call: on the default 101-point grid,
-# the first and last chunks at run_sweep's width of random 2x2, 2x3 and 3x3
-# models (seeds 0-2) under once and all, at most 11.6 for the LP and 10.1 for
-# value iteration; on 101 points over p in [0, 0.2] of modified_once and
-# table2_all, as the tests trace them, at most 11.6 and 10.2; each count
-# leaves a fifth more, the LP's from its peak of 13.4 with an LU block solve.
+# such arrays a chunk's mix, solve and pricing hold at their peak, per solver.
+# Traced as test_a_solve_holds_under_solver_arrays_per_column traces them
+# (tracemalloc, the second call, one chunk of 101 columns over p in [0, 0.2])
+# on the six builtins at beta 0.9: the LP 11.64, and 12.09 on table2_once;
+# value iteration 9.68-10.31.  Each count leaves at least a quarter more.
 # Value iteration's peak is a sweep after columns retire while a jump is
 # pending: the plain iterate and the retired batch's copy of q are held too
 SOLVER_ARRAYS = {"lp": 16, "vi": 13}
@@ -86,8 +84,10 @@ class SweepSpec:
     step: float = 0.01
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.start <= self.stop <= 1.0:
+        if not (0.0 <= self.start <= 1.0 and 0.0 <= self.stop <= 1.0):  # NaN fails too
             raise ValueError(f"grid [{self.start}, {self.stop}] must sit inside [0, 1]")
+        if self.start > self.stop:
+            raise ValueError(f"start {self.start} lies above stop {self.stop}")
         if not 0.0 < self.step < math.inf:
             raise ValueError(f"step must be positive and finite, got {self.step}")
         # a float count, so that a step far below the span refuses rather than overflows

@@ -61,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bellman import EPS, ROUNDING_ULPS, TINY, BellmanSystem, decision_values
+from .bellman import EPS, TINY, BellmanSystem, decision_values, scaled_allowance
 from .states import Action
 
 DEFAULT_TOL = 1e-10
@@ -182,13 +182,18 @@ def value_iterate(
     return solve_columns(system, start, DEFAULT_MAX_ITER, _first_values, step, failure)
 
 
+def _scale(values: np.ndarray) -> np.ndarray:
+    """max(max|V|, TINY) of each column of (n, G) values, as rounding_allowance takes it."""
+    return np.maximum(reduce_columns(np.maximum, np.abs(values)), TINY)
+
+
 def _first_values(batch: BellmanSystem, start: np.ndarray | None) -> Columns:
     values = np.zeros(batch.q.shape[1:]) if start is None else start.astype(float, copy=False)
     # scale bounds max(max|V|, TINY) per column from above, as rounding_allowance
     # takes it; a column's is evaluated afresh only once its span is small enough
     # to be rounding, which spares that cost per sweep and leaves each column's
     # stop to its own values
-    scale = np.maximum(reduce_columns(np.maximum, np.abs(values)), TINY)
+    scale = _scale(values)
     # no half span, span ratio, plain iterate or jump yet
     return values, scale, None, None, None, None
 
@@ -217,14 +222,14 @@ def _sweep(
     proven = None
     if sign_of is not None:
         # scale bounds max(max|values|, TINY) from above, so this bounds rounding_allowance
-        allowance = ROUNDING_ULPS * EPS * scale / (1.0 - batch.beta)
+        allowance = scaled_allowance(scale, batch.beta)
         proven = np.abs(gap) > 2.0 * (factor * half_span + batch.beta * allowance)
         stop |= proven
     norm = np.maximum(top, -bottom)
     scale += norm
     rounding = (half_span <= EPS * scale) & ~stop
     if rounding.any():
-        scale[rounding] = np.maximum(reduce_columns(np.maximum, np.abs(updated[:, rounding])), TINY)
+        scale[rounding] = _scale(updated[:, rounding])
         stop |= half_span <= EPS * scale
     ratio = None if spans is None else half_span / spans
     jump = None
@@ -246,7 +251,7 @@ def _sweep(
         undo = half_span >= ceiling
         if undo.any():
             updated[:, undo] = plain[:, undo]
-            scale[undo] = np.maximum(reduce_columns(np.maximum, np.abs(updated[:, undo])), TINY)
+            scale[undo] = _scale(updated[:, undo])
     if jump is None:
         return (updated, scale, half_span, ratio, None, None), stop, midpoints
     # -r / (1 - r) where a column jumps and -0 elsewhere, made +0, so that

@@ -196,6 +196,20 @@ class TestSweep:
         assert len(csv.read_text().splitlines()) == 4
         assert "crossover (bob, high): 0.5000" in out
 
+    @pytest.mark.parametrize(
+        "start, stop, message",
+        [
+            ("0.3", "0.2", "start 0.3 lies above stop 0.2"),
+            ("-0.1", "0.2", "grid [-0.1, 0.2] must sit inside [0, 1]"),
+            ("0", "nan", "grid [0.0, nan] must sit inside [0, 1]"),
+        ],
+    )
+    def test_a_grid_outside_0_1_or_reversed_exits_2(self, capsys, start, stop, message):
+        code, out, err = run(
+            capsys, "sweep", "--builtin", "table2_once", "--start", start, "--stop", stop
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
     def test_step_not_positive_and_finite_exits_2(self, capsys, step):
         code, out, err = run(capsys, "sweep", "--builtin", "table2_once", "--step", step)

@@ -128,8 +128,12 @@ class TestSweepSpec:
         assert grid == [i * 0.01 for i in range(101)]
 
     def test_invalid_grid(self):
-        with pytest.raises(ValueError):
-            SweepSpec(builtin_scenario("table2_unique"), 0.5, 0.2, 0.1)
+        sc = builtin_scenario("table2_unique")
+        with pytest.raises(ValueError, match=r"^start 0\.5 lies above stop 0\.2$"):
+            SweepSpec(sc, 0.5, 0.2, 0.1)
+        for start, stop in ((-0.1, 0.5), (0.2, 1.5), (math.nan, 0.5), (0.0, math.nan)):
+            with pytest.raises(ValueError, match=rf"^grid \[{start}, {stop}\] must sit inside"):
+                SweepSpec(sc, start, stop, 0.1)
         for step in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"step must be positive and finite, got {step}"):
                 SweepSpec(builtin_scenario("table2_unique"), 0.0, 1.0, step)

@@ -74,3 +74,10 @@ def test_against_compares_two_trees_on_the_2x2_models(ladder):
 def test_against_refuses_a_tree_whose_path_has_another_length(ladder):
     with pytest.raises(ValueError, match="path length"):
         ladder.compare(ladder.ROOT / "parent", ["2x2-once"], rounds=1, seconds=0)
+
+
+def test_commit_names_a_checkout_and_unknown_outside_one(ladder, tmp_path):
+    # tmp_path lies in no checkout; this tree may not be one either, as in an sdist
+    assert ladder.commit(tmp_path) == "unknown"
+    here = ladder.commit(ladder.ROOT)
+    assert here == "unknown" or (len(here) == 40 and int(here, 16) >= 0)

@@ -24,7 +24,10 @@ Each layer is called until it has run for SECONDS, and at least CALLS times,
 and is reported as CPU and wall milliseconds: its first call, which builds the
 per-shape caches, and the median of the calls after it.  A model's peak_rss_mb
 is its process's high-water resident set (VmHWM; ru_maxrss where /proc is
-missing).  BLAS runs on one thread, as in bench/run.py.
+missing).  BLAS runs on one thread, as in bench/run.py.  The report's header
+names the command, Python, numpy, the machine and the commit of this tree
+(commit), and under --against of DIR's too (against_commit): git rev-parse
+HEAD, or "unknown" outside a checkout.
 
 One full run measures the machine's state as much as the code, so only a
 comparison made in one session supports a claim.  --against DIR runs each
@@ -187,6 +190,17 @@ def measure(name: str, seconds: float) -> dict:
     }
 
 
+def commit(tree: Path) -> str:
+    """The commit checked out at tree (git rev-parse HEAD), or "unknown" outside a checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True
+        )
+    except OSError:  # no git
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
 def run_model(name: str, src: Path, seconds: float) -> dict:
     """measure(name, seconds) in a fresh process that imports the package from src."""
     command = [sys.executable, __file__, "--model", name]
@@ -265,8 +279,10 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "commit": commit(ROOT),
     }
     if args.against:
+        header["against_commit"] = commit(args.against)
         try:
             report = {**header, "models": compare(args.against, MODELS, ROUNDS, AGAINST_SECONDS)}
         except ValueError as error:
