@@ -27,7 +27,13 @@ one state at a time (successors), the reference for this build.
 All of it depends on (dims, behaviour) alone and is cached, so every system
 of one shape shares it, and its arrays are read-only: row_moves and
 held_resources per dims, request_dynamics and its cached properties per
-(dims, behaviour).  README.md gives the size of these caches.
+(dims, behaviour).  states.CAP_BITS bounds the keys to 35 dims (users x
+resources with at most 12 access bits) x 3 behaviours.  Traced with
+tracemalloc, a 12-bit dims holds 18.97 MB of arrays once all three
+behaviours, their lattice plans and drawn weights are built, and a 2x2 dims
+43 kB.  Of a 12-bit plan, the cells and reads, three integers per state,
+take 2.56 MB, the draw matrices, 13 x 2 floats per set, 0.85 MB, and the
+level order one integer per set.
 """
 
 from __future__ import annotations

@@ -164,9 +164,13 @@ def policy_iterate(
     decision_values(system, start).  With start None it is greedy on the
     fail-safe lookahead q + beta P q[deny] / (1 - beta): the state each
     action reaches is valued as its deny reward recurring forever.  That
-    start is optimal on six of the seven builtins; the myopic policy
-    (allow where q[allow] > q[deny]), which start zero gives, misses the
-    later alert penalties a grant changes and was not optimal on four.
+    start is optimal on six of the seven builtins.  On table2_once it is
+    too pessimistic where the optimal policy still grants later requests:
+    it allows bob:high in four calm states where the optimum denies, and
+    one pivot corrects them.  The myopic policy (allow where
+    q[allow] > q[deny]), which start zero gives, misses the later alert
+    penalties a grant changes and was not optimal on four: table2_all and
+    the three modified_* builtins.
     Each basis pi is solved exactly by policy_evaluate, and every state
     whose other action beats its current one by more than VERIFY_TOL
     pivots at once.  A column stops at a basis where none does, which

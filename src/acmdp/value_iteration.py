@@ -52,6 +52,12 @@ costs one sweep, and an alternating mode may fail one every few sweeps.
 The test starts once a column has two ratios, in its third sweep.  A
 column jumps on its own ratios alone, and a column that does not jump
 keeps TV to the bit, so its values stay independent of its batch.
+
+Near beta = 1, value iteration can need far more sweeps than the LP needs
+bases.  Where the chain has several recurrent classes, as here, where deny
+keeps the granted set and alert may be absorbing, the span bound contracts
+no faster than beta a sweep, so such a model may exhaust DEFAULT_MAX_ITER
+and raise ConvergenceError where the LP solves it in one basis.
 """
 
 from __future__ import annotations

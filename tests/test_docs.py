@@ -3,7 +3,9 @@
 Every name the table writes must exist, and every module-level tolerance or
 budget constant (*_TOL, *_TOLS, MAX_*, DEFAULT_*) must have a row, so that
 the table cannot drift from the code in either direction.  Those constants
-are the only tolerances: no function or method takes one.
+are the only tolerances: no function or method takes one.  Every test the
+README names, as `tests/<file>.py::<name>`, must exist, so that a guarantee
+cannot keep the name of a test that was renamed or deleted.
 """
 
 import ast
@@ -105,3 +107,30 @@ def test_no_function_takes_a_tolerance():
                     if param == "tol" or param.endswith("_tol")
                 }
     assert not takers, f"these take a tolerance: {sorted(takers)}"
+
+
+def readme_test_names():
+    """Every backticked tests/<file>.py::<name>[::<name>] in the README, once each."""
+    text = ROOT.joinpath("README.md").read_text()
+    return sorted(set(re.findall(r"`(tests/[\w/]+\.py(?:::\w+)+)`", text)))
+
+
+def test_the_readme_names_tests():
+    assert len(readme_test_names()) >= 20
+
+
+@pytest.mark.parametrize("name", readme_test_names())
+def test_every_test_the_readme_names_exists(name):
+    # read with ast, not imported: each part after the file is a function or
+    # class defined at the top of the file, or in the class before it
+    path, *parts = name.split("::")
+    assert ROOT.joinpath(path).is_file(), f"{path} does not exist"
+    body = ast.parse(ROOT.joinpath(path).read_text()).body
+    for part in parts:
+        found = [
+            node
+            for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == part
+        ]
+        assert found, f"{name}: {part} is not defined in {path}"
+        body = found[0].body if isinstance(found[0], ast.ClassDef) else []
