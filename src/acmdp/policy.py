@@ -426,7 +426,8 @@ def _certify(rows: list[ValueRow], sc: Scenario, lines: list[str]) -> None:
     Either solver leaves V within VERIFY_TOL and the dvs' rounding_allowance of its
     larger dv.  A table that meets both bounds has a Bellman residual of at most their
     sum, so its values lie within that over 1 - beta of the optimum (Puterman 1994,
-    sections 6.2-6.3).  The allowance reads the dvs, so an unread huge V_j widens none.
+    sections 6.2-6.3; the certificate of Applegate, Cook, Dash and Espinoza 2007).
+    The allowance reads the dvs, so an unread huge V_j widens none.
     """
     system = compile_system(sc)
     values = np.array([row.value for row in rows])
